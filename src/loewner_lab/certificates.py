@@ -43,6 +43,7 @@ from .spectral import (
     loewner_slack,
     matrix_function,
     op_norm,
+    spectrum_bounds,
     ui_norm,
 )
 
@@ -198,6 +199,14 @@ def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
     )
 
 
+def _vet_reversal(tau: ScalarKernel, sigma: ScalarKernel, f: MonotoneFunction) -> None:
+    """Hypotheses of the monotone reversals: two means and a nonnegative monotone f."""
+    _vet_mean_kernel(tau)
+    _vet_mean_kernel(sigma)
+    _vet_class(f, OPERATOR_MONOTONE)
+    _vet_nonnegative(f)
+
+
 def _vet_sandwich(A: SymMatrix, B: SymMatrix, s: float, t: float, tol_rel: float) -> None:
     _hyp(0 < s <= t, f"need 0 < s <= t, got s={s!r}, t={t!r}")
     s_star, t_star = estimate_sandwich(A, B)
@@ -210,8 +219,6 @@ def _vet_sandwich(A: SymMatrix, B: SymMatrix, s: float, t: float, tol_rel: float
 
 
 def _vet_bounded(A: SymMatrix, B: SymMatrix, m: float, M: float, tol_rel: float) -> None:
-    from .spectral import spectrum_bounds
-
     _hyp(0 < m < M, f"need 0 < m < M, got m={m!r}, M={M!r}")
     tol = max(1e-12, tol_rel * max(1.0, M))
     for name, X in (("A", A), ("B", B)):
@@ -286,10 +293,7 @@ def check_kantorovich_f(
     f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) * f(phi(A sigma B))."""
     A, B = as_sym(A), as_sym(B)
     _vet_bounded(A, B, m, M, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+    _vet_reversal(tau, sigma, f)
     lhs = kernel_mean(tau, _fn_of(phi.apply(A), f), _fn_of(phi.apply(B), f))
     base = _fn_of(phi.apply(kernel_mean(sigma, A, B)), f)
     constant = (M + m) ** 2 / (4.0 * M * m) * constant_multiplier
@@ -452,10 +456,7 @@ def check_main_monotone(
     phi(f(A)) tau phi(f(B)) <= C(s,t) * phi(f(A sigma B))."""
     A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+    _vet_reversal(tau, sigma, f)
     lhs = kernel_mean(tau, phi.apply(_fn_of(A, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
     constant = sandwich_constant(s, t) * constant_multiplier
@@ -678,8 +679,6 @@ def check_squared(
 ) -> Certificate:
     """Squaring an operator inequality: A <= B with m I <= A <= M I gives
     A^2 <= (M+m)^2/(4Mm) B^2."""
-    from .spectral import spectrum_bounds
-
     A, B = as_sym(A), as_sym(B)
     _hyp(0 < m <= M, f"need 0 < m <= M, got m={m!r}, M={M!r}")
     order_slack = loewner_slack(A, B)
@@ -788,10 +787,7 @@ def check_diaz_metcalf(
     phi(f(sqrt(st) A)) tau phi(f(B)) <= C * phi(f(A sigma B))."""
     A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+    _vet_reversal(tau, sigma, f)
     scaled = math.sqrt(s * t) * A
     lhs = kernel_mean(tau, phi.apply(_fn_of(scaled, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
@@ -831,7 +827,7 @@ def check_klamkin_mclenaghan(
             <= c I - 2 I - (T^(1/2) - T^(-1/2))^2
 
     where c = (sqrt(s)+sqrt(t))^2/2 when sqrt(st) >= 1 and
-    (sqrt(s)+sqrt(t))^2/(2 sqrt(st)) otherwise.
+    (sqrt(s)+sqrt(t))^2/(2 sqrt(st)) otherwise, twice the Diaz-Metcalf constant.
     """
     A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
@@ -852,11 +848,7 @@ def check_klamkin_mclenaghan(
     t_root = matrix_function(T, math.sqrt)
     t_inv_root = matrix_function(T, lambda x: 1.0 / math.sqrt(x))
     swing = t_root - t_inv_root
-    root_st = math.sqrt(s * t)
-    c = (math.sqrt(s) + math.sqrt(t)) ** 2 / 2.0
-    if root_st < 1.0:
-        c /= root_st
-    c *= constant_multiplier
+    c = 2.0 * _diaz_metcalf_constant(s, t) * constant_multiplier
     n_out = phi.output_dim
     rhs = SymMatrix((c - 2.0) * np.eye(n_out) - swing.data @ swing.data)
     params = {
@@ -910,15 +902,13 @@ def check_strengthened_remark(
     A, B = as_sym(A), as_sym(B)
     _hyp(math.sqrt(s * t) >= 1.0, f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
     _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+    _vet_reversal(tau, sigma, f)
     fb = phi.apply(_fn_of(B, f))
     left = kernel_mean(tau, phi.apply(_fn_of(A, f)), fb)
     middle = kernel_mean(tau, phi.apply(_fn_of(math.sqrt(s * t) * A, f)), fb)
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = (0.5 * (math.sqrt(s) + math.sqrt(t))) ** 2 * constant_multiplier
+    # sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
+    constant = sandwich_constant(s, t) * constant_multiplier
     rhs = constant * base
     slack_link1 = loewner_slack(left, middle)
     slack_link2 = loewner_slack(middle, rhs)

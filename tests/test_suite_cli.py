@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from loewner_lab import (
     save_matrix,
     write_report,
 )
+from loewner_lab import suite
+from loewner_lab.certificates import ALL_INEQUALITIES
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
+    INEQUALITIES,
     SuiteConfig,
     collect_violations,
     config_from_dict,
@@ -46,6 +50,33 @@ class TestSuiteConfig:
         cfg = small_config()
         again = config_from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_table_declares_every_id_in_order(self):
+        assert tuple(INEQUALITIES) == ALL_INEQUALITIES
+
+    def test_degenerate_bounded_cell_fails_before_any_trial(self, monkeypatch, capsys):
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        code = cli_main(["verify", "--ineq", "ando,polya-szego", "--dims", "2",
+                         "--trials", "2", "--m", "1", "--M", "1"])
+        assert code == 2
+        assert calls == []
+        assert "fields m, M need 0 < m < M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
+    def test_bad_sandwich_cell_names_fields(self, s, t):
+        with pytest.raises(ValueError, match="fields s, t"):
+            SuiteConfig(inequalities=("midpoint",), s=s, t=t)
+
+    def test_cells_checked_only_for_ids_that_use_them(self):
+        SuiteConfig(inequalities=("midpoint",), m=1.0, M=1.0)
+        SuiteConfig(inequalities=("polya-szego",), s=3.0, t=1.0)
+
+    def test_specht_bound_accepts_equal_bounds(self):
+        report = run_suite(SuiteConfig(inequalities=("specht-bound",), dims=(2,), trials=2,
+                                       m=1.0, M=1.0))
+        assert report.results["specht-bound"]["violations"] == 0
 
 
 class TestRunSuite:
@@ -155,6 +186,16 @@ class TestProbe:
     def test_scalar_inequalities_not_probeable(self):
         with pytest.raises(ValueError):
             probe_tightness("specht-bound", small_config())
+
+    @pytest.mark.parametrize("ineq", ALL_INEQUALITIES)
+    def test_probe_accepts_exactly_sandwich_and_bounded_cells(self, ineq):
+        cfg = SuiteConfig(inequalities=(ineq,), dims=(2,), trials=1, seed=3,
+                          probe_refine_steps=3)
+        if ineq in ("ando", "squared", "specht-bound", "alpha-scaling"):
+            with pytest.raises(ValueError):
+                probe_tightness(ineq, cfg)
+        else:
+            assert math.isfinite(probe_tightness(ineq, cfg).probe["max_ratio"])
 
 
 class TestReportIO:
@@ -267,6 +308,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "max ratio" in captured.out
+
+    def test_probe_without_unital_map_is_refused(self, capsys):
+        code = cli_main([
+            "probe", "--ineq", "gruss-f", "--dims", "2", "--trials", "2",
+            "--phi", "congruence:random",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: gruss-f needs at least one unital map in the pool" in err
 
     def test_scalarcheck(self, capsys):
         code = cli_main(["scalarcheck"])
