@@ -43,6 +43,7 @@ from .spectral import (
     loewner_slack,
     matrix_function,
     op_norm,
+    spectrum,
     spectrum_bounds,
     ui_norm,
 )
@@ -112,7 +113,7 @@ class Certificate:
 
 def _side_to_json(side):
     if isinstance(side, SymMatrix):
-        return {"dim": side.dim, "data": [float(x) for x in side.data.ravel()]}
+        return {"dim": side.dim, "data": side.data.ravel().tolist()}
     return float(side)
 
 
@@ -230,8 +231,34 @@ def _vet_bounded(A: SymMatrix, B: SymMatrix, m: float, M: float, tol_rel: float)
         )
 
 
+def _worst_on_grid(points, sides) -> tuple:
+    """(x, lhs, rhs, largest ratio) at the smallest rhs - lhs of a scalar bound;
+    ``sides(x)`` gives the (lhs, rhs) pairs checked at the grid point x."""
+    worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
+    for x in points:
+        for lhs_val, rhs_val in sides(x):
+            if rhs_val - lhs_val < worst_slack:
+                worst_slack, worst = rhs_val - lhs_val, (x, lhs_val, rhs_val)
+            worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs_val, rhs_val))
+    return (*worst, worst_ratio)
+
+
 def _fn_of(X: SymMatrix, fn: MonotoneFunction) -> SymMatrix:
     return matrix_function(X, fn.fn)
+
+
+def _reversal_params(phi: MapSpec, tau: ScalarKernel, sigma: ScalarKernel, key: str,
+                     fn: MonotoneFunction, A: SymMatrix, **cell) -> dict:
+    """Parameters of a map-mean reversal; ``key`` names the function slot."""
+    return {"map": phi.label, "tau": tau.id, "sigma": sigma.id, key: fn.id, **cell, "dim": A.dim}
+
+
+def _reversal_certificate(inequality_id: str, params: dict, lhs: SymMatrix, base: SymMatrix,
+                          constant: float, tol_rel: float) -> Certificate:
+    """lhs <= constant * base, with the diagnostic ratio ||lhs||_op / ||base||_op."""
+    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
+    return _matrix_certificate(inequality_id, params, lhs, constant * base, constant, ratio,
+                               tol_rel)
 
 
 def ando_check(
@@ -270,10 +297,8 @@ def check_polya_szego(
     lhs = geometric(phi.apply(A), phi.apply(B))
     mid = phi.apply(geometric(A, B))
     constant = (M + m) / (2.0 * math.sqrt(M * m)) * constant_multiplier
-    rhs = constant * mid
     params = {"map": phi.label, "m": m, "M": M, "dim": A.dim}
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(mid))
-    return _matrix_certificate("polya-szego", params, lhs, rhs, constant, ratio, tol_rel)
+    return _reversal_certificate("polya-szego", params, lhs, mid, constant, tol_rel)
 
 
 def check_kantorovich_f(
@@ -297,18 +322,8 @@ def check_kantorovich_f(
     lhs = kernel_mean(tau, _fn_of(phi.apply(A), f), _fn_of(phi.apply(B), f))
     base = _fn_of(phi.apply(kernel_mean(sigma, A, B)), f)
     constant = (M + m) ** 2 / (4.0 * M * m) * constant_multiplier
-    rhs = constant * base
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "f": f.id,
-        "m": m,
-        "M": M,
-        "dim": A.dim,
-    }
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("kantorovich-f", params, lhs, rhs, constant, ratio, tol_rel)
+    params = _reversal_params(phi, tau, sigma, "f", f, A, m=m, M=M)
+    return _reversal_certificate("kantorovich-f", params, lhs, base, constant, tol_rel)
 
 
 def _sandwich_lemma_constants(s: float, t: float) -> tuple[float, float]:
@@ -340,22 +355,11 @@ def check_sandwich_lemma(
     _hyp(0 < s <= t, f"need 0 < s <= t, got s={s!r}, t={t!r}")
     c1, c2 = _sandwich_lemma_constants(s, t)
     if mode == "scalar":
-        worst_slack = math.inf
-        worst_ratio = 0.0
-        worst_x = s
-        lhs_at_worst = rhs_at_worst = 0.0
-        for x in np.geomspace(s, t, grid_points):
-            x = float(x)
-            for lhs_val, rhs_val in (
-                (0.5 * (x + 1.0), c2 * math.sqrt(x)),
-                (0.5 * (1.0 / x + 1.0), c2 / math.sqrt(x)),
-            ):
-                gap = rhs_val - lhs_val
-                if gap < worst_slack:
-                    worst_slack = gap
-                    worst_x = x
-                    lhs_at_worst, rhs_at_worst = lhs_val, rhs_val
-                worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs_val, rhs_val))
+        worst_x, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(
+            np.geomspace(s, t, grid_points).tolist(),
+            lambda x: ((0.5 * (x + 1.0), c2 * math.sqrt(x)),
+                       (0.5 * (1.0 / x + 1.0), c2 / math.sqrt(x))),
+        )
         params = {"mode": "scalar", "s": s, "t": t, "grid_points": grid_points, "worst_x": worst_x}
         return _scalar_certificate(
             "sandwich-lemma",
@@ -409,24 +413,11 @@ def check_alpha_scaling(
     _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")
     _vet_class(fn, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
     points = tuple(grid) if grid is not None else default_grid()
-    worst_slack = math.inf
-    worst_ratio = 0.0
-    worst_t = points[0]
-    lhs_at_worst = rhs_at_worst = 0.0
-    increasing = fn.klass == OPERATOR_MONOTONE
-    for t in points:
-        if increasing:
-            lhs_val = fn.fn(alpha * t)
-            rhs_val = constant_multiplier * alpha * fn.fn(t)
-        else:
-            lhs_val = fn.fn(t) / alpha
-            rhs_val = constant_multiplier * fn.fn(alpha * t)
-        gap = rhs_val - lhs_val
-        if gap < worst_slack:
-            worst_slack = gap
-            worst_t = t
-            lhs_at_worst, rhs_at_worst = lhs_val, rhs_val
-        worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs_val, rhs_val))
+    if fn.klass == OPERATOR_MONOTONE:
+        sides = lambda t: ((fn.fn(alpha * t), constant_multiplier * alpha * fn.fn(t)),)
+    else:
+        sides = lambda t: ((fn.fn(t) / alpha, constant_multiplier * fn.fn(alpha * t)),)
+    worst_t, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(points, sides)
     params = {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": worst_t}
     return _scalar_certificate(
         "alpha-scaling",
@@ -460,18 +451,8 @@ def check_main_monotone(
     lhs = kernel_mean(tau, phi.apply(_fn_of(A, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
     constant = sandwich_constant(s, t) * constant_multiplier
-    rhs = constant * base
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "f": f.id,
-        "s": s,
-        "t": t,
-        "dim": A.dim,
-    }
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("main-monotone", params, lhs, rhs, constant, ratio, tol_rel)
+    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
+    return _reversal_certificate("main-monotone", params, lhs, base, constant, tol_rel)
 
 
 def check_main_decreasing(
@@ -497,18 +478,8 @@ def check_main_decreasing(
     lhs = phi.apply(_fn_of(kernel_mean(tau, A, B), g))
     base = kernel_mean(sigma, phi.apply(_fn_of(A, g)), phi.apply(_fn_of(B, g)))
     constant = sandwich_constant(s, t) * constant_multiplier
-    rhs = constant * base
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "g": g.id,
-        "s": s,
-        "t": t,
-        "dim": A.dim,
-    }
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("main-decreasing", params, lhs, rhs, constant, ratio, tol_rel)
+    params = _reversal_params(phi, tau, sigma, "g", g, A, s=s, t=t)
+    return _reversal_certificate("main-decreasing", params, lhs, base, constant, tol_rel)
 
 
 def check_gruss(
@@ -562,17 +533,8 @@ def check_gruss(
         raise ValueError(f"unknown family {family!r}")
     constant = (M - m) ** 2 / (4.0 * M * m) * bound_value * constant_multiplier
     rhs = SymMatrix(constant * np.eye(phi.output_dim))
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "fn": fn.id,
-        "m": m,
-        "M": M,
-        "family": family,
-        "dim": A.dim,
-    }
-    lam_max = float(np.linalg.eigvalsh(diff.data)[-1])
+    params = _reversal_params(phi, tau, sigma, "fn", fn, A, m=m, M=M, family=family)
+    lam_max = float(spectrum(diff)[-1])
     ratio = lam_max / constant if constant > 0 else (1.0 if abs(lam_max) < 1e-300 else math.inf)
     return _matrix_certificate(inequality_id, params, diff, rhs, constant, ratio, tol_rel)
 
@@ -695,10 +657,8 @@ def check_squared(
     lhs = matrix_function(A, lambda x: x * x)
     base = matrix_function(B, lambda x: x * x)
     constant = (M + m) ** 2 / (4.0 * M * m) * constant_multiplier
-    rhs = constant * base
-    params = {"m": m, "M": M, "dim": A.dim}
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("squared", params, lhs, rhs, constant, ratio, tol_rel)
+    return _reversal_certificate("squared", {"m": m, "M": M, "dim": A.dim}, lhs, base, constant,
+                                 tol_rel)
 
 
 def check_squared_consequences(
@@ -733,10 +693,8 @@ def check_squared_consequences(
         inequality_id = "squared-consequence-g"
         key = "g"
     constant = ((M + m) ** 2 / (4.0 * M * m)) ** 2 * constant_multiplier
-    rhs = constant * base
     params = {key: fn.id, "m": m, "M": M, "dim": A.dim}
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate(inequality_id, params, lhs, rhs, constant, ratio, tol_rel)
+    return _reversal_certificate(inequality_id, params, lhs, base, constant, tol_rel)
 
 
 def check_midpoint(
@@ -755,10 +713,8 @@ def check_midpoint(
     lhs = 0.5 * (math.sqrt(s * t) * A + B)
     base = geometric(A, B)
     constant = 0.5 * (math.sqrt(s) + math.sqrt(t)) * constant_multiplier
-    rhs = constant * base
     params = {"s": s, "t": t, "dim": A.dim}
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("midpoint", params, lhs, rhs, constant, ratio, tol_rel)
+    return _reversal_certificate("midpoint", params, lhs, base, constant, tol_rel)
 
 
 def _diaz_metcalf_constant(s: float, t: float) -> float:
@@ -792,18 +748,8 @@ def check_diaz_metcalf(
     lhs = kernel_mean(tau, phi.apply(_fn_of(scaled, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
     constant = _diaz_metcalf_constant(s, t) * constant_multiplier
-    rhs = constant * base
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "f": f.id,
-        "s": s,
-        "t": t,
-        "dim": A.dim,
-    }
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate("diaz-metcalf", params, lhs, rhs, constant, ratio, tol_rel)
+    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
+    return _reversal_certificate("diaz-metcalf", params, lhs, base, constant, tol_rel)
 
 
 def check_klamkin_mclenaghan(
@@ -915,17 +861,8 @@ def check_strengthened_remark(
     scale = max(1.0, op_norm(left) + op_norm(middle) + op_norm(rhs))
     tol = tol_rel * scale
     slack = min(slack_link1, slack_link2)
-    params = {
-        "map": phi.label,
-        "tau": tau.id,
-        "sigma": sigma.id,
-        "f": f.id,
-        "s": s,
-        "t": t,
-        "dim": A.dim,
-        "slack_link1": slack_link1,
-        "slack_link2": slack_link2,
-    }
+    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t,
+                              slack_link1=slack_link1, slack_link2=slack_link2)
     ratio = _norm_ratio_diag(op_norm(left), op_norm(base))
     return Certificate(
         inequality_id="strengthened-remark",

@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="hill-climb for the largest observed ratio")
     _add_common(p_probe)
-    p_probe.set_defaults(fn=_cmd_probe)
+    p_probe.set_defaults(fn=_cmd_probe, dims="2")  # probe searches one dimension
 
     p_scalar = sub.add_parser("scalarcheck", help="run the scalar-kernel invariants")
     p_scalar.add_argument("--seed", type=int, default=0)

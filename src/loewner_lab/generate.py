@@ -25,6 +25,8 @@ from .spectral import SymMatrix, as_sym, decompose, spectrum_bounds
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+# mix64's constants as numpy scalars, for the bulk stream.
+_GAMMA64, _MIX1, _MIX2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
 def mix64(z: int) -> int:
@@ -82,8 +84,34 @@ class SplitMix64:
         self._spare = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
+    def _unit_block(self, n: int) -> np.ndarray:
+        """The next n ``uniform()`` draws, from one uint64 block with wrapping arithmetic."""
+        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64 + np.uint64(self._state)
+        self._state = (self._state + n * GAMMA) & MASK64
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        return (((z ^ (z >> 31)) >> 11).astype(np.float64) + 0.5) * 2.0**-53
+
+    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """n ``uniform(lo, hi)`` draws, bit for bit."""
+        return lo + (hi - lo) * self._unit_block(n)
+
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.array([[self.normal() for _ in range(cols)] for _ in range(rows)])
+        """rows x cols ``normal()`` draws in row-major order, bit for bit.
+
+        Box-Muller stays per element in libm, whose results numpy's SIMD
+        log/sin/cos need not match, and hands on its spare as ``normal`` does.
+        """
+        n = rows * cols
+        out = [self._spare] if self._spare is not None and n else []
+        u = self._unit_block((n - len(out) + 1) // 2 * 2).tolist()
+        log, sqrt, cos, sin, pi = math.log, math.sqrt, math.cos, math.sin, math.pi
+        for u1, u2 in zip(u[::2], u[1::2]):
+            r = sqrt(-2.0 * log(u1))
+            out += (r * cos(2.0 * pi * u2), r * sin(2.0 * pi * u2))
+        if n:
+            self._spare = out.pop() if len(out) > n else None
+        return np.array(out).reshape(rows, cols)
 
     def choice_index(self, n: int) -> int:
         return self.next_u64() % n
@@ -98,7 +126,7 @@ def random_orthogonal(dim: int, rng: SplitMix64) -> np.ndarray:
 
 
 def _spd(rng: SplitMix64, dim: int, lam_lo: float, lam_hi: float) -> SymMatrix:
-    lam = np.array([rng.uniform(lam_lo, lam_hi) for _ in range(dim)])
+    lam = rng.uniforms(dim, lam_lo, lam_hi)
     q = random_orthogonal(dim, rng)
     return SymMatrix(q.T @ np.diag(lam) @ q)
 
@@ -119,17 +147,21 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
 def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple[float, float]:
     """Tightest scalars (s*, t*) with s* A <= B <= t* A.
 
-    These are the extreme eigenvalues of A^(-1/2) B A^(-1/2).
+    These are the extreme eigenvalues of A^(-1/2) B A^(-1/2).  The answer
+    for the first partner B is remembered on A, so the generator's check and
+    the certificate's check of the same pair solve it once.
     """
     A, B = as_sym(A), as_sym(B)
+    memo = A._sandwich  # read once: the slot is written at most once
+    if memo is not None and memo[0] is B:
+        return memo[1]
     dec = decompose(A)
-    w = dec.eigenvalues
-    if float(w[0]) <= 0.0:
+    if float(dec.eigenvalues[0]) <= 0.0:
         raise NotPositiveDefiniteError("first argument must be positive definite")
-    q = dec.basis
-    inv_root = (q * (1.0 / np.sqrt(w))) @ q.T
-    inner = SymMatrix(inv_root @ B.data @ inv_root)
-    return spectrum_bounds(inner)
+    bounds = spectrum_bounds(SymMatrix(dec.inv_root @ B.data @ dec.inv_root))
+    if memo is None:
+        object.__setattr__(A, "_sandwich", (B, bounds))
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -181,9 +213,7 @@ def _sandwich_pair(
 ) -> SandwichPair:
     A = _spd(rng, dim, a_lo, a_hi)
     C = _spd(rng, dim, s, t)
-    dec = decompose(A)
-    q = dec.basis
-    root = (q * np.sqrt(dec.eigenvalues)) @ q.T
+    root = decompose(A).root
     B = SymMatrix(root @ C.data @ root)
     pair = SandwichPair(A=A, B=B, s=float(s), t=float(t))
     pair.verify()
@@ -226,7 +256,7 @@ def quadratic_form_slack(
     rng = SplitMix64(seed)
     best = math.inf
     for _ in range(samples):
-        v = np.array([rng.normal() for _ in range(diff.shape[0])])
+        v = rng.normal_matrix(1, diff.shape[0])[0]
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             continue

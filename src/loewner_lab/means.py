@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConditionCapError, DimensionMismatchError, NotPositiveDefiniteError
 from .kernels import GEOMETRIC, ScalarKernel
-from .spectral import SymMatrix, as_sym, decompose, matrix_function
+from .spectral import SymMatrix, as_sym, decompose, matrix_function, spectrum
 
 # A^(-1/2) amplifies eigensolver error, so ill-conditioned first arguments
 # are refused outright rather than silently degrading.
@@ -53,13 +51,10 @@ def mean(ctx: MeanContext, A: SymMatrix, B: SymMatrix) -> SymMatrix:
         raise ConditionCapError(
             f"condition number {cond:.3e} exceeds cap {ctx.cond_cap:.3e}"
         )
-    _require_pd("second argument", float(np.linalg.eigvalsh(B.data)[0]))
-    q = dec.basis
-    root = (q * np.sqrt(w)) @ q.T
-    inv_root = (q * (1.0 / np.sqrt(w))) @ q.T
-    inner = SymMatrix(inv_root @ B.data @ inv_root)
+    _require_pd("second argument", float(spectrum(B)[0]))
+    inner = SymMatrix(dec.inv_root @ B.data @ dec.inv_root)
     transformed = matrix_function(inner, ctx.kernel.fn)
-    return SymMatrix(root @ transformed.data @ root)
+    return SymMatrix(dec.root @ transformed.data @ dec.root)
 
 
 def kernel_mean(kernel: ScalarKernel, A: SymMatrix, B: SymMatrix) -> SymMatrix:
@@ -76,7 +71,7 @@ def arithmetic(A: SymMatrix, B: SymMatrix) -> SymMatrix:
 
 def spectral_inverse(X: SymMatrix) -> SymMatrix:
     X = as_sym(X)
-    _require_pd("matrix to invert", float(np.linalg.eigvalsh(X.data)[0]))
+    _require_pd("matrix to invert", float(spectrum(X)[0]))
     return matrix_function(X, lambda lam: 1.0 / lam)
 
 

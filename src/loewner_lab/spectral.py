@@ -7,7 +7,9 @@ functions, Loewner-order comparison, and the unitarily invariant norms
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,10 +29,13 @@ class SymMatrix:
     """Dense real symmetric matrix.
 
     Entries are averaged with their transpose and frozen at construction,
-    so instances are exactly symmetric, finite, and immutable.
+    so instances are exactly symmetric, finite, and immutable.  Spectral
+    results are remembered in write-once slots: ``decompose`` fills ``_dec``
+    once its contract passes, ``spectrum`` fills ``_evals``, and
+    ``generate.estimate_sandwich`` fills ``_sandwich`` for one partner B.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_dec", "_evals", "_sandwich")
 
     def __init__(self, entries) -> None:
         a = np.array(entries, dtype=float)
@@ -41,6 +46,8 @@ class SymMatrix:
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
+        for slot in ("_dec", "_evals", "_sandwich"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -89,12 +96,32 @@ def _same_dim(x: SymMatrix, y: SymMatrix) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _fro(a: np.ndarray) -> float:
+    flat = a.ravel()
+    return math.sqrt(float(flat.dot(flat)))
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and an orthonormal eigenbasis (columns)."""
+    """Eigenvalues (ascending) and an orthonormal eigenbasis (columns), read-only."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """A^(1/2) = Q diag(sqrt(w)) Q^T, for a positive semidefinite A."""
+        return _frozen((self.basis * np.sqrt(self.eigenvalues)) @ self.basis.T)
+
+    @cached_property
+    def inv_root(self) -> np.ndarray:
+        """A^(-1/2) = Q diag(1/sqrt(w)) Q^T, for a positive definite A."""
+        return _frozen((self.basis * (1.0 / np.sqrt(self.eigenvalues))) @ self.basis.T)
 
 
 def decompose(A: SymMatrix) -> SpectralDecomposition:
@@ -103,31 +130,48 @@ def decompose(A: SymMatrix) -> SpectralDecomposition:
     The reconstruction error ||Q diag(w) Q^T - A||_F must stay below
     ``RECONSTRUCTION_RTOL * max(1, ||A||_F)`` and the basis must be
     orthonormal to ``ORTHONORMALITY_RTOL * dim``; otherwise an
-    EigenSolverError carrying the residual is raised.
+    EigenSolverError carrying the residual is raised.  A decomposition
+    that passes is remembered on A, so each matrix is solved once; a
+    failed one is not.
     """
     A = as_sym(A)
+    dec = A._dec  # read the slot once; it only ever holds a decomposition that passed
+    if dec is not None:
+        return dec
     try:
         w, q = np.linalg.eigh(A.data)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = max(1.0, float(np.linalg.norm(A.data)))
-    residual = float(np.linalg.norm(q @ np.diag(w) @ q.T - A.data))
+    scale = max(1.0, _fro(A.data))
+    residual = _fro((q * w) @ q.T - A.data)
     if residual > RECONSTRUCTION_RTOL * scale:
         raise EigenSolverError(
             f"reconstruction residual {residual:.3e} exceeds contract "
             f"({RECONSTRUCTION_RTOL:.1e} * {scale:.3e})",
             residual=residual,
         )
-    orth = float(np.linalg.norm(q.T @ q - np.eye(A.dim)))
+    orth = _fro(q.T @ q - np.eye(A.dim))
     if orth > ORTHONORMALITY_RTOL * A.dim:
         raise EigenSolverError(
             f"basis orthonormality defect {orth:.3e} exceeds contract", residual=orth
         )
-    w = w.copy()
-    w.setflags(write=False)
-    q = q.copy()
-    q.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, basis=q)
+    dec = SpectralDecomposition(eigenvalues=_frozen(w), basis=_frozen(q))
+    object.__setattr__(A, "_dec", dec)
+    return dec
+
+
+def spectrum(X: SymMatrix) -> np.ndarray:
+    """Ascending eigenvalues from the eigenvalue-only solver, remembered on X.
+
+    Kept apart from ``decompose``: the two LAPACK routines can differ in the
+    last ulp, and each caller keeps the solver it has always used.
+    """
+    X = as_sym(X)
+    w = X._evals
+    if w is None:
+        w = _frozen(np.linalg.eigvalsh(X.data))
+        object.__setattr__(X, "_evals", w)
+    return w
 
 
 def matrix_function(A: SymMatrix, fn: Callable[[float], float]) -> SymMatrix:
@@ -259,7 +303,7 @@ def parse_norm(spec: str) -> NormKind:
 def singular_values(X: SymMatrix) -> np.ndarray:
     """Singular values of a symmetric matrix (absolute eigenvalues), descending."""
     X = as_sym(X)
-    return np.sort(np.abs(np.linalg.eigvalsh(X.data)))[::-1]
+    return np.sort(np.abs(spectrum(X)))[::-1]
 
 
 def ui_norm(X: SymMatrix, kind: NormKind) -> float:

@@ -95,6 +95,10 @@ class SuiteConfig:
             raise ValueError(f"fields s, t need 0 < s <= t, got s={self.s!r}, t={self.t!r}")
         if "bounded" in cells and self.m is not None and not 0 < self.m < self.M:
             raise ValueError(f"fields m, M need 0 < m < M, got m={self.m!r}, M={self.M!r}")
+        # squared's order cell and specht-bound's scalar cell allow m == M.
+        if ("order" in cells or "specht-bound" in self.inequalities) and self.m is not None \
+                and not 0 < self.m <= self.M:
+            raise ValueError(f"fields m, M need 0 < m <= M, got m={self.m!r}, M={self.M!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -185,10 +189,8 @@ def _sample_mM(rng: SplitMix64, config: SuiteConfig):
 
 
 def _instance_blob(**matrices) -> dict:
-    return {
-        name: {"dim": mat.dim, "data": [float(x) for x in mat.data.ravel()]}
-        for name, mat in matrices.items()
-    }
+    return {name: {"dim": mat.dim, "data": mat.data.ravel().tolist()}
+            for name, mat in matrices.items() if mat is not None}
 
 
 def _draw_sandwich(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool,
@@ -342,10 +344,14 @@ def _inequality(ineq: str) -> _Inequality:
     return INEQUALITIES[ineq]
 
 
+def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
+    return derive_seed(config.seed, fnv1a64(ineq), dim, trial)
+
+
 def _evaluate_trial(
     ineq: str, dim: int, trial: int, config: SuiteConfig, pools: _DimPools
-) -> tuple[list[Certificate], dict]:
-    """Evaluate one seeded trial; returns (certificates, instance blob).
+) -> tuple[list[Certificate], SymMatrix | None, SymMatrix | None]:
+    """Evaluate one seeded trial; returns (certificates, A, B).
 
     Catalog entries rotate with the trial index so that ``trials`` at least
     as large as the pool sizes guarantees full coverage.  The audit family
@@ -354,12 +360,12 @@ def _evaluate_trial(
     cell.
     """
     entry = _inequality(ineq)
-    rng = SplitMix64(derive_seed(config.seed, fnv1a64(ineq), dim, trial))
+    rng = SplitMix64(_trial_seed(config, ineq, dim, trial))
     A, B, cell = entry.draw(rng, dim, config, trial == 0 and ineq in AUDIT_INEQUALITIES)
     certificates = entry.check(A, B, cell, trial, pools,
                                constant_multiplier=config.constant_multiplier,
                                tol_rel=config.tol_rel)
-    return certificates, {} if A is None else _instance_blob(A=A, B=B)
+    return certificates, A, B
 
 
 @dataclass
@@ -429,7 +435,11 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
         for dim in config.dims:
             pools = pools_by_dim[dim]
             for trial in range(config.trials):
-                certificates, blob = _evaluate_trial(ineq, dim, trial, config, pools)
+                try:
+                    certificates, A, B = _evaluate_trial(ineq, dim, trial, config, pools)
+                except LoewnerLabError as exc:  # library errors take one message argument
+                    raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
+                                    f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
                 if _trace is not None:
                     _trace.append((ineq, dim, trial, [c.params for c in certificates]))
                 stats.trials += 1
@@ -452,13 +462,11 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
                                 "inequality": ineq,
                                 "dim": dim,
                                 "trial": trial,
-                                "trial_seed": derive_seed(
-                                    config.seed, fnv1a64(ineq), dim, trial
-                                ),
+                                "trial_seed": _trial_seed(config, ineq, dim, trial),
                                 "slack": trial_slack,
                                 "ratio": trial_ratio if math.isfinite(trial_ratio) else None,
                                 "certificates": [c.to_json() for c in certificates],
-                                "instance": blob,
+                                "instance": _instance_blob(A=A, B=B),
                             }
                         )
         bucket = audit_results if ineq in AUDIT_INEQUALITIES else results
@@ -506,8 +514,7 @@ class _ProbeInstance:
             B = SymMatrix(self.q_c.T @ np.diag(self.lam_c) @ self.q_c)
             return A, B
         C = SymMatrix(self.q_c.T @ np.diag(self.lam_c) @ self.q_c)
-        dec = decompose(A)
-        root = (dec.basis * np.sqrt(dec.eigenvalues)) @ dec.basis.T
+        root = decompose(A).root
         return A, SymMatrix(root @ C.data @ root)
 
     def copy(self) -> "_ProbeInstance":
@@ -571,8 +578,8 @@ def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, 
                        lo, hi, family),
     ]
     for _ in range(n_random):
-        lam_a = np.array([rng.uniform(a_lo, a_hi) for _ in range(dim)])
-        lam_c = np.array([rng.uniform(lo, hi) for _ in range(dim)])
+        lam_a = rng.uniforms(dim, a_lo, a_hi)
+        lam_c = rng.uniforms(dim, lo, hi)
         starts.append(_ProbeInstance(random_orthogonal(dim, rng), lam_a,
                                      random_orthogonal(dim, rng), lam_c, lo, hi, family))
     return starts
@@ -608,6 +615,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     if getattr(config, lo_name) is not None:  # SuiteConfig sets both bounds or neither
         lo, hi = getattr(config, lo_name), getattr(config, hi_name)
     cell = {lo_name: lo, hi_name: hi}
+    if len(config.dims) != 1:
+        raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]
     pools = _build_pools(config, dim)
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
@@ -683,7 +692,7 @@ def load_matrix(path: str) -> SymMatrix:
 
 
 def save_matrix(X: SymMatrix, path: str) -> None:
-    payload = {"dim": X.dim, "data": [float(v) for v in X.data.ravel()]}
+    payload = {"dim": X.dim, "data": X.data.ravel().tolist()}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.write("\n")
@@ -711,7 +720,7 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     record = violations[index]
     config = config_from_dict(body["config"])
     pools = _build_pools(config, record["dim"])
-    certificates, _ = _evaluate_trial(
+    certificates, _, _ = _evaluate_trial(
         record["inequality"], record["dim"], record["trial"], config, pools
     )
     slack = min(c.slack for c in certificates)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner_lab import (
     SplitMix64,
@@ -43,6 +45,30 @@ class TestSplitMix:
         assert fnv1a64("polya-szego") == fnv1a64("polya-szego")
         assert fnv1a64("a") != fnv1a64("b")
         assert mix64(0) == 0
+
+
+_DRAWS = st.tuples(st.sampled_from(("normal", "uniform", "normal_matrix", "uniforms")),
+                   st.integers(1, 16), st.integers(1, 16), st.floats(-4.0, 4.0),
+                   st.floats(0.0, 8.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), draws=st.lists(_DRAWS, max_size=10))
+def test_bulk_draws_match_the_scalar_stream_bit_for_bit(seed, draws):
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    for kind, rows, cols, lo, width in draws:
+        if kind == "normal":  # interleave scalar draws with the bulk spare
+            assert bulk.normal() == scalar.normal()
+        elif kind == "uniform":
+            assert bulk.uniform(lo, lo + width) == scalar.uniform(lo, lo + width)
+        elif kind == "normal_matrix":
+            want = np.array([[scalar.normal() for _ in range(cols)] for _ in range(rows)])
+            assert bulk.normal_matrix(rows, cols).tobytes() == want.tobytes()
+        else:
+            want = np.array([scalar.uniform(lo, lo + width) for _ in range(cols)])
+            assert bulk.uniforms(cols, lo, lo + width).tobytes() == want.tobytes()
+        assert bulk._state == scalar._state
+        assert bulk._spare == scalar._spare
 
 
 class TestRandomSpd:
@@ -153,6 +179,19 @@ class TestEstimateSandwich:
         s, t = estimate_sandwich(a, a)
         assert s == pytest.approx(1.0, abs=1e-10)
         assert t == pytest.approx(1.0, abs=1e-10)
+
+    def test_memo_matches_a_fresh_computation(self, monkeypatch):
+        pair = random_sandwich_pair(4, 0.5, 3.0, 31)  # verify() fills the memo
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        remembered = estimate_sandwich(pair.A, pair.B)
+        assert calls == []
+        fresh = estimate_sandwich(SymMatrix(pair.A.data), SymMatrix(pair.B.data))
+        assert remembered == fresh
+        other = estimate_sandwich(pair.A, 2.0 * pair.B)  # another partner is solved
+        assert other == pytest.approx((2.0 * fresh[0], 2.0 * fresh[1]), rel=1e-12)
+        assert estimate_sandwich(pair.A, pair.B) == fresh
 
     def test_scalar_multiple(self):
         a = random_spd(3, 0.5, 2.0, 9)

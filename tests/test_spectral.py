@@ -11,12 +11,14 @@ from loewner_lab import (
     TRACE,
     DimensionMismatchError,
     DomainError,
+    EigenSolverError,
     SplitMix64,
     SymMatrix,
     as_sym,
     decompose,
     ky_fan,
     loewner_compare,
+    loewner_slack,
     matrix_function,
     op_norm,
     parse_norm,
@@ -26,6 +28,7 @@ from loewner_lab import (
     ui_norm,
 )
 from loewner_lab.generate import derive_seed, random_orthogonal
+from loewner_lab.spectral import spectrum
 
 
 def random_sym(dim, seed, scale=1.0):
@@ -83,6 +86,58 @@ class TestDecompose:
             orth = np.linalg.norm(dec.basis.T @ dec.basis - np.eye(dim))
             assert orth <= 1e-12 * dim
             assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+
+class TestSpectralMemo:
+    @staticmethod
+    def count_eigh(monkeypatch, perturb=0.0):
+        calls = []
+        real = np.linalg.eigh
+
+        def eigh(a):
+            calls.append(a)
+            w, q = real(a)
+            return w, q + perturb
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return calls
+
+    def test_eigh_runs_once_per_matrix(self, monkeypatch):
+        calls = self.count_eigh(monkeypatch)
+        x, y = random_sym(4, 1), random_sym(4, 2)
+        decompose(x)
+        spectrum_bounds(x)
+        decompose(x)
+        assert len(calls) == 1
+        loewner_slack(x, y)  # solves the new matrix y - x once
+        loewner_slack(x, y)
+        assert len(calls) == 3
+        spectrum_bounds(y)
+        decompose(y)
+        assert len(calls) == 4
+
+    def test_memo_is_the_same_read_only_object(self):
+        x = SymMatrix(random_sym(3, 5).data @ random_sym(3, 5).data + np.eye(3))
+        dec = decompose(x)
+        assert decompose(x) is dec
+        assert spectrum(x) is spectrum(x)
+        assert dec.root is dec.root and dec.inv_root is dec.inv_root
+        for arr in (dec.eigenvalues, dec.basis, dec.root, dec.inv_root, spectrum(x)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        np.testing.assert_allclose(dec.root @ dec.root, x.data, atol=1e-12)
+        np.testing.assert_allclose(dec.inv_root @ x.data @ dec.inv_root, np.eye(3), atol=1e-12)
+
+    def test_failed_contract_is_not_remembered(self, monkeypatch):
+        x = random_sym(4, 3)
+        calls = self.count_eigh(monkeypatch, perturb=1e-6)
+        for _ in range(2):
+            with pytest.raises(EigenSolverError, match="residual"):
+                decompose(x)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert decompose(x) is decompose(x)
 
 
 class TestMatrixFunction:

@@ -11,8 +11,10 @@ from loewner_lab import (
     save_matrix,
     write_report,
 )
-from loewner_lab import suite
+from loewner_lab import certificates, suite
 from loewner_lab.certificates import ALL_INEQUALITIES
+from loewner_lab.errors import ConditionCapError
+from loewner_lab.generate import derive_seed, fnv1a64
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
     INEQUALITIES,
@@ -64,6 +66,18 @@ class TestSuiteConfig:
         assert calls == []
         assert "fields m, M need 0 < m < M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ineq", ["squared", "specht-bound"])
+    def test_reversed_order_and_scalar_cells_fail_before_any_trial(self, ineq, monkeypatch,
+                                                                   capsys):
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        code = cli_main(["verify", "--ineq", f"ando,{ineq}", "--dims", "2",
+                         "--trials", "3", "--m", "2", "--M", "1"])
+        assert code == 2
+        assert calls == []
+        assert "fields m, M need 0 < m <= M, got m=2.0, M=1.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_bad_sandwich_cell_names_fields(self, s, t):
         with pytest.raises(ValueError, match="fields s, t"):
@@ -92,6 +106,34 @@ class TestRunSuite:
         assert report.all_non_audit_hold
         for stats in report.results.values():
             assert stats["violations"] == 0
+
+    def test_trial_error_names_replayable_coordinates(self, monkeypatch, capsys):
+        def capped(*args, **kwargs):
+            raise ConditionCapError("condition number 1e9 exceeds cap")
+
+        monkeypatch.setattr(certificates, "check_polya_szego", capped)
+        config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=2, seed=5)
+        with pytest.raises(ConditionCapError) as info:
+            run_suite(config)
+        seed = derive_seed(5, fnv1a64("polya-szego"), 3, 0)
+        assert str(info.value) == (f"inequality polya-szego, dim 3, trial 0, trial_seed {seed}: "
+                                   "condition number 1e9 exceeds cap")
+        assert isinstance(info.value.__cause__, ConditionCapError)
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "3", "--trials", "2",
+                         "--seed", "5"])
+        assert code == 2
+        assert f"trial_seed {seed}: condition number" in capsys.readouterr().err
+
+    def test_only_recorded_violations_are_serialized(self, monkeypatch):
+        blobs = []
+        real = suite._instance_blob
+        monkeypatch.setattr(suite, "_instance_blob", lambda **m: blobs.append(m) or real(**m))
+        config = SuiteConfig(inequalities=("polya-szego",), dims=(2,), trials=50, seed=7,
+                             m=1.0, M=4.0, max_recorded_violations=2)
+        report = hunt_counterexamples(config, 0.8)
+        stats = report.results["polya-szego"]
+        assert stats["violations"] > 2
+        assert len(blobs) == len(stats["violating_instances"]) == 2
 
     def test_determinism_byte_identical(self):
         a = run_suite(small_config()).to_json()
@@ -182,6 +224,17 @@ class TestProbe:
         report = probe_tightness("midpoint", cfg)
         # ratio tops out at the constant (sqrt(s)+sqrt(t))/2 = 1.25
         assert report.probe["max_ratio"] >= 0.99 * 1.25
+
+    def test_several_dims_are_refused(self):
+        cfg = SuiteConfig(inequalities=("midpoint",), dims=(2, 5), trials=2)
+        with pytest.raises(ValueError, match=r"fields dims: probe takes one dimension, "
+                                             r"got \(2, 5\)"):
+            probe_tightness("midpoint", cfg)
+
+    def test_probe_cli_defaults_to_one_dimension(self, capsys):
+        code = cli_main(["probe", "--ineq", "midpoint", "--trials", "2"])
+        assert code == 0
+        assert "max ratio" in capsys.readouterr().out
 
     def test_scalar_inequalities_not_probeable(self):
         with pytest.raises(ValueError):
