@@ -21,7 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NotPositiveDefiniteError
-from .spectral import SymMatrix, as_sym, decompose, spectrum_bounds
+from .spectral import (
+    SpectralDecomposition,
+    SymMatrix,
+    as_sym,
+    decompose,
+    decompose_stack,
+    spectrum_bounds,
+    stack_root,
+    sym_entries,
+)
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -84,51 +93,101 @@ class SplitMix64:
         self._spare = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
-    def _unit_block(self, n: int) -> np.ndarray:
-        """The next n ``uniform()`` draws, from one uint64 block with wrapping arithmetic."""
-        z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64 + np.uint64(self._state)
-        self._state = (self._state + n * GAMMA) & MASK64
-        z = (z ^ (z >> 30)) * _MIX1
-        z = (z ^ (z >> 27)) * _MIX2
-        return (((z ^ (z >> 31)) >> 11).astype(np.float64) + 0.5) * 2.0**-53
-
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """n ``uniform(lo, hi)`` draws, bit for bit."""
-        return lo + (hi - lo) * self._unit_block(n)
+        """n ``uniform(lo, hi)`` draws, bit for bit; the one-stream ``uniform_rows``."""
+        return uniform_rows([self], n, lo, hi)[0]
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols ``normal()`` draws in row-major order, bit for bit.
-
-        Box-Muller stays per element in libm, whose results numpy's SIMD
-        log/sin/cos need not match, and hands on its spare as ``normal`` does.
-        """
-        n = rows * cols
-        out = [self._spare] if self._spare is not None and n else []
-        u = self._unit_block((n - len(out) + 1) // 2 * 2).tolist()
-        log, sqrt, cos, sin, pi = math.log, math.sqrt, math.cos, math.sin, math.pi
-        for u1, u2 in zip(u[::2], u[1::2]):
-            r = sqrt(-2.0 * log(u1))
-            out += (r * cos(2.0 * pi * u2), r * sin(2.0 * pi * u2))
-        if n:
-            self._spare = out.pop() if len(out) > n else None
-        return np.array(out).reshape(rows, cols)
+        """rows x cols ``normal()`` draws in row-major order, bit for bit; the
+        one-stream ``normal_rows``."""
+        return normal_rows([self], rows * cols)[0].reshape(rows, cols)
 
     def choice_index(self, n: int) -> int:
         return self.next_u64() % n
 
 
-def random_orthogonal(dim: int, rng: SplitMix64) -> np.ndarray:
-    """Orthogonal factor of the QR decomposition of a standard-normal matrix."""
-    q, r = np.linalg.qr(rng.normal_matrix(dim, dim))
-    signs = np.sign(np.diag(r))
+def _unit_rows(rngs, n: int) -> np.ndarray:
+    """The next n ``uniform()`` draws of each stream, from one (streams, n)
+    uint64 block with wrapping arithmetic."""
+    states = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    for rng in rngs:
+        rng._state = (rng._state + n * GAMMA) & MASK64
+    z = states[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return (((z ^ (z >> 31)) >> 11).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:
+    """n ``uniform(lo, hi)`` draws of each stream, as a (streams, n) block;
+    ``lo`` and ``hi`` are scalars or one value per stream."""
+    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
+    return lo + (hi - lo) * _unit_rows(rngs, n)
+
+
+def normal_rows(rngs, n: int) -> np.ndarray:
+    """n ``normal()`` draws of each stream, as a (streams, n) block, bit for bit.
+
+    The streams advance in lockstep, so all of them hold a Box-Muller spare
+    or none does; each hands on its own spare as ``normal`` does.  log, cos
+    and sin stay per element in libm, whose results numpy's SIMD versions
+    need not match; numpy's products and square roots are correctly
+    rounded, as Python's are.
+    """
+    spares = [rng._spare for rng in rngs]
+    held = [z for z in spares if z is not None]
+    if held and len(held) < len(spares):
+        raise ValueError("streams drawn as one block must advance in lockstep")
+    head = 1 if held and n else 0
+    pairs = (n - head + 1) // 2
+    u = _unit_rows(rngs, 2 * pairs)
+    count = len(rngs) * pairs
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[:, 0::2].ravel().tolist()), float, count))
+    angle = ((2.0 * math.pi) * u[:, 1::2]).ravel().tolist()
+    out = np.empty((len(rngs), head + 2 * pairs))
+    if head:
+        out[:, 0] = held
+    for col, fn in ((head, math.cos), (head + 1, math.sin)):
+        out[:, col::2] = (r * np.fromiter(map(fn, angle), float, count)).reshape(len(rngs), pairs)
+    if n:
+        tail = out[:, n].tolist() if out.shape[1] > n else [None] * len(rngs)
+        for rng, z in zip(rngs, tail):
+            rng._spare = z
+    return out[:, :n]
+
+
+def random_orthogonal(dim: int, rng) -> np.ndarray:
+    """Orthogonal factor of the QR decomposition of a standard-normal matrix.
+
+    ``rng`` is one SplitMix64 stream, or a list of streams, for which the
+    factors come as one (streams, dim, dim) stack from one QR call.
+    """
+    one = isinstance(rng, SplitMix64)
+    rngs = [rng] if one else rng
+    q, r = np.linalg.qr(normal_rows(rngs, dim * dim).reshape(len(rngs), dim, dim))
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    return q * signs
+    q = q * signs[:, None, :]
+    return q[0] if one else q
 
 
-def _spd(rng: SplitMix64, dim: int, lam_lo: float, lam_hi: float) -> SymMatrix:
-    lam = rng.uniforms(dim, lam_lo, lam_hi)
-    q = random_orthogonal(dim, rng)
-    return SymMatrix(q.T @ np.diag(lam) @ q)
+def _spd(rng, dim: int, lam_lo, lam_hi):
+    """Q^T diag(lam) Q with lam uniform in [lam_lo, lam_hi] and Q from
+    ``random_orthogonal``.
+
+    For one SplitMix64 stream this is the SymMatrix; for a list of streams
+    it is the stack of their entries as ``sym_entries`` returns them, and
+    ``lam_lo``, ``lam_hi`` may give one value per stream.
+    """
+    one = isinstance(rng, SplitMix64)
+    rngs = [rng] if one else rng
+    lam = uniform_rows(rngs, dim, lam_lo, lam_hi)
+    q = random_orthogonal(dim, rngs)
+    diag = np.zeros((len(rngs), dim, dim))
+    diag[:, range(dim), range(dim)] = lam
+    a = sym_entries(q.swapaxes(1, 2) @ diag @ q)
+    return SymMatrix.stack(a)[0] if one else a
 
 
 def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
@@ -144,6 +203,25 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
     return _spd(SplitMix64(seed), dim, lam_lo, lam_hi)
 
 
+def _positive_definite(dec: SpectralDecomposition) -> None:
+    if float(dec.eigenvalues[0]) <= 0.0:
+        raise NotPositiveDefiniteError("first argument must be positive definite")
+
+
+def _sandwich_bounds(As, Bs, inv_root: np.ndarray, b: np.ndarray) -> list:
+    """(s*, t*) of each pair, from the stacks of A^(-1/2) and of the entries
+    of B, each remembered on its A for the first partner B."""
+    inner = sym_entries(inv_root @ b @ inv_root)
+    Xs = SymMatrix.stack(inner)
+    decompose_stack(Xs, inner)
+    out = []
+    for A, B, X in zip(As, Bs, Xs):
+        out.append(spectrum_bounds(X))
+        if A._sandwich is None:
+            object.__setattr__(A, "_sandwich", (B, out[-1]))
+    return out
+
+
 def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple[float, float]:
     """Tightest scalars (s*, t*) with s* A <= B <= t* A.
 
@@ -156,12 +234,8 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple[float, float]:
     if memo is not None and memo[0] is B:
         return memo[1]
     dec = decompose(A)
-    if float(dec.eigenvalues[0]) <= 0.0:
-        raise NotPositiveDefiniteError("first argument must be positive definite")
-    bounds = spectrum_bounds(SymMatrix(dec.inv_root @ B.data @ dec.inv_root))
-    if memo is None:
-        object.__setattr__(A, "_sandwich", (B, bounds))
-    return bounds
+    _positive_definite(dec)
+    return _sandwich_bounds([A], [B], dec.inv_root[None], B.data[None])[0]
 
 
 @dataclass(frozen=True)
@@ -203,21 +277,25 @@ class BoundedPair:
                 )
 
 
-def _sandwich_pair(
-    rng: SplitMix64,
-    dim: int,
-    s: float,
-    t: float,
-    a_lo: float = 0.25,
-    a_hi: float = 4.0,
-) -> SandwichPair:
-    A = _spd(rng, dim, a_lo, a_hi)
-    C = _spd(rng, dim, s, t)
-    root = decompose(A).root
-    B = SymMatrix(root @ C.data @ root)
-    pair = SandwichPair(A=A, B=B, s=float(s), t=float(t))
-    pair.verify()
-    return pair
+def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0) -> list:
+    """One verified SandwichPair per stream, all drawn as one stack; ``s``
+    and ``t`` hold one value per stream."""
+    a = _spd(rngs, dim, a_lo, a_hi)
+    c = _spd(rngs, dim, s, t)
+    As = SymMatrix.stack(a)
+    w, q = decompose_stack(As, a)
+    decs = [decompose(A) for A in As]  # raises for the first A that missed the contract
+    root = stack_root(decs, w, q)
+    b = sym_entries(root @ c @ root)
+    Bs = SymMatrix.stack(b)
+    for dec in decs:
+        _positive_definite(dec)
+    _sandwich_bounds(As, Bs, stack_root(decs, w, q, inverse=True), b)
+    pairs = [SandwichPair(A=A, B=B, s=float(lo), t=float(hi))
+             for A, B, lo, hi in zip(As, Bs, s, t)]
+    for pair in pairs:
+        pair.verify()
+    return pairs
 
 
 def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
@@ -225,22 +303,29 @@ def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPai
     with C drawn with spectrum in [s, t]."""
     if not 0 < s <= t:
         raise ValueError(f"need 0 < s <= t, got s={s!r}, t={t!r}")
-    return _sandwich_pair(SplitMix64(seed), dim, s, t)
+    return _sandwich_pair([SplitMix64(seed)], dim, [s], [t])[0]
 
 
-def _bounded_pair(rng: SplitMix64, dim: int, m: float, M: float) -> BoundedPair:
-    A = _spd(rng, dim, m, M)
-    B = _spd(rng, dim, m, M)
-    pair = BoundedPair(A=A, B=B, m=float(m), M=float(M))
-    pair.verify()
-    return pair
+def _bounded_pair(rngs, dim: int, m, M) -> list:
+    """One verified BoundedPair per stream, all drawn as one stack; ``m``
+    and ``M`` hold one value per stream."""
+    a = _spd(rngs, dim, m, M)
+    b = _spd(rngs, dim, m, M)
+    As, Bs = SymMatrix.stack(a), SymMatrix.stack(b)
+    decompose_stack(As, a)
+    decompose_stack(Bs, b)
+    pairs = [BoundedPair(A=A, B=B, m=float(lo), M=float(hi))
+             for A, B, lo, hi in zip(As, Bs, m, M)]
+    for pair in pairs:
+        pair.verify()
+    return pairs
 
 
 def random_bounded_pair(dim: int, m: float, M: float, seed: int) -> BoundedPair:
     """Seeded independent pair with both spectra in [m, M], 0 < m < M."""
     if not 0 < m < M:
         raise ValueError(f"need 0 < m < M, got m={m!r}, M={M!r}")
-    return _bounded_pair(SplitMix64(seed), dim, m, M)
+    return _bounded_pair([SplitMix64(seed)], dim, [m], [M])[0]
 
 
 def quadratic_form_slack(

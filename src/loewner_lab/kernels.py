@@ -27,8 +27,9 @@ _GRID_LO = 1e-4
 _GRID_HI = 1e4
 
 
+@lru_cache(maxsize=None)
 def default_grid() -> tuple[float, ...]:
-    """400 logarithmically spaced points in [1e-4, 1e4]."""
+    """400 logarithmically spaced points in [1e-4, 1e4], computed once."""
     return tuple(float(t) for t in np.geomspace(_GRID_LO, _GRID_HI, _GRID_POINTS))
 
 
@@ -213,8 +214,14 @@ class DominanceVerdict:
 def kernel_dominance(
     k1: ScalarKernel, k2: ScalarKernel, grid: Sequence[float] | None = None
 ) -> DominanceVerdict:
-    """Check k1(t) <= k2(t) + tol on a grid, reporting the argmin of k2 - k1."""
-    points = tuple(grid) if grid is not None else default_grid()
+    """Check k1(t) <= k2(t) + tol on a grid, reporting the argmin of k2 - k1.
+
+    On the default grid the verdict is cached per kernel pair, as
+    ``mean_kernel_gaps`` is; an explicit grid is walked on every call.
+    """
+    if grid is None:
+        return _default_dominance(k1, k2)
+    points = tuple(grid)
     if not points:
         raise ValueError("grid must be nonempty")
     worst_t = points[0]
@@ -225,6 +232,11 @@ def kernel_dominance(
             margin = gap
             worst_t = t
     return DominanceVerdict(holds=margin >= -DOMINANCE_TOL, worst_t=float(worst_t), margin=float(margin))
+
+
+@lru_cache(maxsize=128)
+def _default_dominance(k1: ScalarKernel, k2: ScalarKernel) -> DominanceVerdict:
+    return kernel_dominance(k1, k2, default_grid())
 
 
 def is_symmetric_kernel(kernel: ScalarKernel, grid: Sequence[float] | None = None) -> bool:

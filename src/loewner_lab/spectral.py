@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,13 +41,20 @@ class SymMatrix:
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "data", a)
+        self._fill(sym_entries(a))
+
+    def _fill(self, data: np.ndarray) -> None:
+        object.__setattr__(self, "data", data)
         for slot in ("_dec", "_evals", "_sandwich"):
             object.__setattr__(self, slot, None)
+
+    @classmethod
+    def stack(cls, data: np.ndarray) -> list["SymMatrix"]:
+        """One matrix per slice of a stack that ``sym_entries`` returned."""
+        out = [cls.__new__(cls) for _ in range(len(data))]
+        for m, a in zip(out, data):
+            m._fill(a)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -84,6 +91,16 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
+def sym_entries(a: np.ndarray) -> np.ndarray:
+    """The read-only entries SymMatrix stores for a matrix or each matrix of
+    a stack: finite, averaged with the transpose."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    a.setflags(write=False)
+    return a
+
+
 def as_sym(x) -> SymMatrix:
     """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
     if isinstance(x, SymMatrix):
@@ -101,9 +118,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fro(a: np.ndarray) -> float:
-    flat = a.ravel()
-    return math.sqrt(float(flat.dot(flat)))
+def _fro(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack; one BLAS dot each."""
+    if a.ndim == 2:
+        flat = a.ravel()
+        return math.sqrt(float(flat.dot(flat)))
+    flat = a.reshape(len(a), 1, a.shape[1] * a.shape[2])
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    return _frozen(np.eye(n))
+
+
+def _root(w: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Q diag(w^(1/2)) Q^T, or Q diag(w^(-1/2)) Q^T, for one eigenpair set or a stack."""
+    r = np.sqrt(w)
+    if inverse:
+        r = 1.0 / r
+    return _frozen((q * r[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -116,12 +150,30 @@ class SpectralDecomposition:
     @cached_property
     def root(self) -> np.ndarray:
         """A^(1/2) = Q diag(sqrt(w)) Q^T, for a positive semidefinite A."""
-        return _frozen((self.basis * np.sqrt(self.eigenvalues)) @ self.basis.T)
+        return _root(self.eigenvalues, self.basis)
 
     @cached_property
     def inv_root(self) -> np.ndarray:
         """A^(-1/2) = Q diag(1/sqrt(w)) Q^T, for a positive definite A."""
-        return _frozen((self.basis * (1.0 / np.sqrt(self.eigenvalues))) @ self.basis.T)
+        return _root(self.eigenvalues, self.basis, inverse=True)
+
+
+def _eigh(a: np.ndarray):
+    """np.linalg.eigh of a matrix or a stack, with the contract's figures per matrix:
+    (w, q, residual, scale, orth)."""
+    try:
+        w, q = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
+    stack, qt = a.ndim == 3, q.swapaxes(-1, -2)
+    residual = _fro((q * (w[:, None, :] if stack else w)) @ qt - a)
+    orth = _fro(qt @ q - _eye(a.shape[-1]))
+    norm = _fro(a)
+    return w, q, residual, np.maximum(1.0, norm) if stack else max(1.0, norm), orth
+
+
+def _misses_contract(residual, scale, orth, dim: int):
+    return (residual > RECONSTRUCTION_RTOL * scale) | (orth > ORTHONORMALITY_RTOL * dim)
 
 
 def decompose(A: SymMatrix) -> SpectralDecomposition:
@@ -138,26 +190,46 @@ def decompose(A: SymMatrix) -> SpectralDecomposition:
     dec = A._dec  # read the slot once; it only ever holds a decomposition that passed
     if dec is not None:
         return dec
-    try:
-        w, q = np.linalg.eigh(A.data)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-    scale = max(1.0, _fro(A.data))
-    residual = _fro((q * w) @ q.T - A.data)
-    if residual > RECONSTRUCTION_RTOL * scale:
-        raise EigenSolverError(
-            f"reconstruction residual {residual:.3e} exceeds contract "
-            f"({RECONSTRUCTION_RTOL:.1e} * {scale:.3e})",
-            residual=residual,
-        )
-    orth = _fro(q.T @ q - np.eye(A.dim))
-    if orth > ORTHONORMALITY_RTOL * A.dim:
+    w, q, residual, scale, orth = _eigh(A.data)
+    if _misses_contract(residual, scale, orth, A.dim):
+        if residual > RECONSTRUCTION_RTOL * scale:
+            raise EigenSolverError(
+                f"reconstruction residual {residual:.3e} exceeds contract "
+                f"({RECONSTRUCTION_RTOL:.1e} * {scale:.3e})",
+                residual=residual,
+            )
         raise EigenSolverError(
             f"basis orthonormality defect {orth:.3e} exceeds contract", residual=orth
         )
     dec = SpectralDecomposition(eigenvalues=_frozen(w), basis=_frozen(q))
     object.__setattr__(A, "_dec", dec)
     return dec
+
+
+def decompose_stack(mats: Sequence[SymMatrix], data: np.ndarray):
+    """Eigendecompose the stack ``data`` of the matrices' entries with one LAPACK call.
+
+    Each matrix whose own contract passes remembers its decomposition, as
+    ``decompose`` would; one that fails is left to ``decompose``, which
+    solves it again and raises.  Returns the stacked eigenvalues and bases.
+    """
+    w, q, residual, scale, orth = _eigh(data)
+    missed = _misses_contract(residual, scale, orth, data.shape[-1]).tolist()
+    _frozen(w), _frozen(q)
+    for m, miss, wk, qk in zip(mats, missed, w, q):
+        if not miss:
+            object.__setattr__(m, "_dec", SpectralDecomposition(eigenvalues=wk, basis=qk))
+    return w, q
+
+
+def stack_root(decs, w: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """``root`` (``inv_root``) of each decomposition of a stack, computed at once
+    and remembered on each as its cached property would be."""
+    roots = _root(w, q, inverse)
+    name = "inv_root" if inverse else "root"
+    for dec, r in zip(decs, roots):
+        dec.__dict__[name] = r  # where cached_property keeps its value
+    return roots
 
 
 def spectrum(X: SymMatrix) -> np.ndarray:

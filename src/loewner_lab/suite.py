@@ -37,7 +37,7 @@ from .generate import (
 )
 from .kernels import kernel_dominance, parse_function, parse_kernel, GEOMETRIC
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, decompose, parse_norm
+from .spectral import SymMatrix, decompose, parse_norm, sym_entries
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -193,51 +193,59 @@ def _instance_blob(**matrices) -> dict:
             for name, mat in matrices.items() if mat is not None}
 
 
-def _draw_sandwich(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool,
+def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
                    force_st_ge_1: bool = False):
-    s, t = _sample_st(rng, config, force_st_ge_1)
+    cells = [_sample_st(rng, config, force_st_ge_1) for rng in rngs]
+    out = []
     if corner:  # commuting boundary instance: anti-aligned spectra hitting s and t
+        s, t = cells[0]
         a_diag = [1.0 if j % 2 == 0 else 4.0 for j in range(dim)]
         c_diag = [t if j % 2 == 0 else s for j in range(dim)]
         B = SymMatrix(np.diag([a * c for a, c in zip(a_diag, c_diag)]))
-        return SymMatrix(np.diag(a_diag)), B, (s, t)
-    pair = _sandwich_pair(rng, dim, s, t)
-    return pair.A, pair.B, (s, t)
+        out.append((SymMatrix(np.diag(a_diag)), B, (s, t)))
+    rest = cells[len(out):]
+    pairs = _sandwich_pair(rngs[len(out):], dim, [s for s, _ in rest], [t for _, t in rest])
+    return out + [(pair.A, pair.B, cell) for pair, cell in zip(pairs, rest)]
 
 
-def _draw_sandwich_st_ge_1(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
+def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     """Sandwich draw reflected into s*t >= 1, the strengthened remark's hypothesis."""
-    return _draw_sandwich(rng, dim, config, corner, force_st_ge_1=True)
+    return _draw_sandwich(rngs, dim, config, corner, force_st_ge_1=True)
 
 
-def _draw_bounded(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
-    m, M = _sample_mM(rng, config)
+def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
+    cells = [_sample_mM(rng, config) for rng in rngs]
+    out = []
     if corner:
+        m, M = cells[0]
         A = SymMatrix(np.diag([m if j % 2 == 0 else M for j in range(dim)]))
-        return A, SymMatrix(np.diag([M if j % 2 == 0 else m for j in range(dim)])), (m, M)
-    pair = _bounded_pair(rng, dim, m, M)
-    return pair.A, pair.B, (m, M)
+        out.append((A, SymMatrix(np.diag([M if j % 2 == 0 else m for j in range(dim)])), (m, M)))
+    rest = cells[len(out):]
+    pairs = _bounded_pair(rngs[len(out):], dim, [m for m, _ in rest], [M for _, M in rest])
+    return out + [(pair.A, pair.B, cell) for pair, cell in zip(pairs, rest)]
 
 
-def _draw_order(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
-    """A pair A <= B with the spectrum of A in [m, M]."""
-    m, M = _sample_mM(rng, config)
-    A = _spd(rng, dim, m, M)
-    return A, A + _spd(rng, dim, 1e-3, max(1e-2, M - m)), (m, M)
+def _draw_order(rngs: list, dim: int, config: SuiteConfig, corner: bool):
+    """Pairs A <= B with the spectrum of A in [m, M]."""
+    cells = [_sample_mM(rng, config) for rng in rngs]
+    a = _spd(rngs, dim, [m for m, _ in cells], [M for _, M in cells])
+    b = sym_entries(a + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]))
+    return list(zip(SymMatrix.stack(a), SymMatrix.stack(b), cells))
 
 
-def _draw_free(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
-    return _spd(rng, dim, 0.25, 4.0), _spd(rng, dim, 0.25, 4.0), ()
+def _draw_free(rngs: list, dim: int, config: SuiteConfig, corner: bool):
+    a, b = _spd(rngs, dim, 0.25, 4.0), _spd(rngs, dim, 0.25, 4.0)
+    return [(A, B, ()) for A, B in zip(SymMatrix.stack(a), SymMatrix.stack(b))]
 
 
-def _draw_alpha(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
-    return None, None, (rng.log_uniform(1.0, 8.0),)
+def _draw_alpha(rngs: list, dim: int, config: SuiteConfig, corner: bool):
+    return [(None, None, (rng.log_uniform(1.0, 8.0),)) for rng in rngs]
 
 
-def _draw_specht(rng: SplitMix64, dim: int, config: SuiteConfig, corner: bool):
+def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     if config.m is not None and config.M is not None:
-        return None, None, (float(config.m), float(config.M))
-    return None, None, (1.0, rng.log_uniform(1.0 + 1e-6, 100.0))
+        return [(None, None, (float(config.m), float(config.M)))] * len(rngs)
+    return [(None, None, (1.0, rng.log_uniform(1.0 + 1e-6, 100.0))) for rng in rngs]
 
 
 def _reversal(maps, pools: _DimPools, i: int, fns):
@@ -245,10 +253,8 @@ def _reversal(maps, pools: _DimPools, i: int, fns):
     return _pick(maps, i), _pick(pools.kernels, i), _pick(pools.kernels, i + 1), _pick(fns, i)
 
 
-def _gruss(ineq: str, family: str, fns: str):
+def _gruss(family: str, fns: str):
     def check(A, B, cell, i, pools, **kw):
-        if not pools.unital_maps:
-            raise ValueError(f"{ineq} needs at least one unital map in the pool")
         picks = _reversal(pools.unital_maps, pools, i, getattr(pools, fns))
         return [certs.check_gruss(*picks, A, B, *cell, family, **kw)]
     return check
@@ -278,9 +284,11 @@ class _Inequality:
 
     ``cell`` is the kind of hypothesis cell: "sandwich" (s, t), "bounded"
     (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
-    "free".  ``draw(rng, dim, config, corner)`` returns ``(A, B, cell)``,
-    with A and B None when there are no matrices; ``corner`` asks for the
-    commuting boundary instance.  ``check(A, B, cell, pick, pools, **kw)``
+    "free".  ``draw(rngs, dim, config, corner)`` returns one ``(A, B, cell)``
+    per trial stream, with A and B None when there are no matrices; each
+    trial's scalar draws come first, then the matrices of all trials are
+    drawn as one stack.  ``corner`` makes the first trial the commuting
+    boundary instance.  ``check(A, B, cell, pick, pools, **kw)``
     returns the certificates; ``kw`` holds constant_multiplier and tol_rel.
     Adapters look up ``certs.check_*`` when called, never at import.
     """
@@ -288,6 +296,7 @@ class _Inequality:
     cell: str
     draw: Callable
     check: Callable
+    unital: bool = False  # needs a unital map in the pool
 
 
 # The one inequality table, in ALL_INEQUALITIES order; certificates.py keeps
@@ -307,9 +316,8 @@ INEQUALITIES = {
         certs.check_main_monotone(*_reversal(p.maps, p, i, p.f_monotone), A, B, *c, **kw)]),
     "main-decreasing": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
         certs.check_main_decreasing(*_reversal(p.maps, p, i, p.g_decreasing), A, B, *c, **kw)]),
-    "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("gruss-f", "monotone", "f_monotone")),
-    "gruss-g": _Inequality(
-        "bounded", _draw_bounded, _gruss("gruss-g", "decreasing", "g_decreasing")),
+    "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("monotone", "f_monotone"), True),
+    "gruss-g": _Inequality("bounded", _draw_bounded, _gruss("decreasing", "g_decreasing"), True),
     "squared": _Inequality("order", _draw_order, lambda A, B, c, i, p, **kw: [
         certs.check_squared(A, B, *c, **kw)]),
     "squared-consequence-f": _Inequality(
@@ -348,23 +356,49 @@ def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
     return derive_seed(config.seed, fnv1a64(ineq), dim, trial)
 
 
+def _vet_pools(ineq: str, pools: _DimPools) -> None:
+    if INEQUALITIES[ineq].unital and not pools.unital_maps:
+        raise ValueError(f"{ineq} needs at least one unital map in the pool")
+
+
+def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> list:
+    """The instances ``(A, B, cell)`` of the given trials of one cell, as one stack.
+
+    The audit family pins its known boundary instance as trial 0, so its
+    documented violation is reported (never asserted) by every campaign
+    that covers the matching cell.
+    """
+    rngs = [SplitMix64(_trial_seed(config, ineq, dim, trial)) for trial in trials]
+    corner = trials[0] == 0 and ineq in AUDIT_INEQUALITIES
+    return _inequality(ineq).draw(rngs, dim, config, corner)
+
+
+def _draw_cell(ineq: str, dim: int, config: SuiteConfig) -> list:
+    """Every trial of a cell, drawn as one stack.
+
+    If that fails, each trial is left (None) to draw itself when it is
+    evaluated, so whatever failed is raised at its own trial, after the
+    trials before it, exactly as a trial-by-trial draw raises it.
+    """
+    try:
+        return _draw(ineq, dim, range(config.trials), config)
+    except Exception:  # re-raised by the failing trial's own draw
+        return [None] * config.trials
+
+
 def _evaluate_trial(
-    ineq: str, dim: int, trial: int, config: SuiteConfig, pools: _DimPools
+    ineq: str, dim: int, trial: int, config: SuiteConfig, pools: _DimPools, instance=None
 ) -> tuple[list[Certificate], SymMatrix | None, SymMatrix | None]:
-    """Evaluate one seeded trial; returns (certificates, A, B).
+    """Evaluate one seeded trial on its drawn ``instance`` (drawn here when
+    None); returns (certificates, A, B).
 
     Catalog entries rotate with the trial index so that ``trials`` at least
-    as large as the pool sizes guarantees full coverage.  The audit family
-    pins its known boundary instance as trial 0 so its documented violation
-    is reported (never asserted) by every campaign that covers the matching
-    cell.
+    as large as the pool sizes guarantees full coverage.
     """
-    entry = _inequality(ineq)
-    rng = SplitMix64(_trial_seed(config, ineq, dim, trial))
-    A, B, cell = entry.draw(rng, dim, config, trial == 0 and ineq in AUDIT_INEQUALITIES)
-    certificates = entry.check(A, B, cell, trial, pools,
-                               constant_multiplier=config.constant_multiplier,
-                               tol_rel=config.tol_rel)
+    A, B, cell = instance or _draw(ineq, dim, [trial], config)[0]
+    certificates = _inequality(ineq).check(A, B, cell, trial, pools,
+                                           constant_multiplier=config.constant_multiplier,
+                                           tol_rel=config.tol_rel)
     return certificates, A, B
 
 
@@ -431,12 +465,17 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
     audit_results: dict = {}
     pools_by_dim = {dim: _build_pools(config, dim) for dim in config.dims}
     for ineq in config.inequalities:
+        for pools in pools_by_dim.values():
+            _vet_pools(ineq, pools)
+    for ineq in config.inequalities:
         stats = InequalityStats()
         for dim in config.dims:
             pools = pools_by_dim[dim]
+            instances = _draw_cell(ineq, dim, config)
             for trial in range(config.trials):
                 try:
-                    certificates, A, B = _evaluate_trial(ineq, dim, trial, config, pools)
+                    certificates, A, B = _evaluate_trial(ineq, dim, trial, config, pools,
+                                                         instances[trial])
                 except LoewnerLabError as exc:  # library errors take one message argument
                     raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
                                     f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
@@ -619,6 +658,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]
     pools = _build_pools(config, dim)
+    _vet_pools(inequality_id, pools)
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
     n_picks = max(len(pools.maps), len(pools.kernels), len(pools.f_monotone))
     best_ratio = -math.inf
@@ -664,7 +704,12 @@ def load_report(path: str) -> dict:
         data = json.load(handle)
     if "loewner_lab_report" not in data:
         raise ValueError("missing field 'loewner_lab_report'")
-    return data["loewner_lab_report"]
+    body = data["loewner_lab_report"]
+    for name, ours in (("schema_version", SCHEMA_VERSION), ("tool_version", TOOL_VERSION)):
+        if body.get(name) != ours:
+            raise ValueError(f"field {name}: the report has {body.get(name)!r}, "
+                             f"this tool reads {ours!r}")
+    return body
 
 
 def load_matrix(path: str) -> SymMatrix:
@@ -720,6 +765,7 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     record = violations[index]
     config = config_from_dict(body["config"])
     pools = _build_pools(config, record["dim"])
+    _vet_pools(record["inequality"], pools)
     certificates, _, _ = _evaluate_trial(
         record["inequality"], record["dim"], record["trial"], config, pools
     )

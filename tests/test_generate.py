@@ -206,3 +206,123 @@ def test_quadratic_form_slack_upper_bounds_lambda_min():
     from loewner_lab import loewner_slack
 
     assert quadratic_form_slack(x, y, 500, 0) >= loewner_slack(x, y) - 1e-12
+
+
+# A trial-by-trial reference for the stacked cell draw: every draw is a scalar
+# SplitMix64 call and every matrix is built and solved on its own.
+def _ref_spd(rng, dim, lo, hi):
+    lam = [rng.uniform(lo, hi) for _ in range(dim)]
+    q, r = np.linalg.qr(np.array([[rng.normal() for _ in range(dim)] for _ in range(dim)]))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    q = q * signs
+    a = q.T @ np.diag(lam) @ q
+    return 0.5 * (a + a.T)
+
+
+def _ref_sym(a):
+    return 0.5 * (a + a.T)
+
+
+def _ref_roots(a):
+    w, q = np.linalg.eigh(a)
+    return (q * np.sqrt(w)) @ q.T, (q * (1.0 / np.sqrt(w))) @ q.T
+
+
+def _ref_trial(kind, rng, dim, fixed, corner):
+    """(A, B, cell, sandwich bounds or None) of one trial."""
+    if kind in ("sandwich", "st-ge-1"):
+        if fixed:
+            s, t = 0.5, 3.0
+        else:
+            a, b = rng.log_uniform(0.25, 4.0), rng.log_uniform(0.25, 4.0)
+            s, t = min(a, b), max(a, b)
+        if kind == "st-ge-1" and s * t < 1.0:
+            s, t = 1.0 / t, 1.0 / s
+        if corner:
+            a_diag = [1.0 if j % 2 == 0 else 4.0 for j in range(dim)]
+            c_diag = [t if j % 2 == 0 else s for j in range(dim)]
+            return np.diag(a_diag), np.diag([x * y for x, y in zip(a_diag, c_diag)]), (s, t), None
+        a = _ref_spd(rng, dim, 0.25, 4.0)
+        c = _ref_spd(rng, dim, s, t)
+        root, inv_root = _ref_roots(a)
+        b = _ref_sym(root @ c @ root)
+        w = np.linalg.eigh(_ref_sym(inv_root @ b @ inv_root))[0]
+        return a, b, (s, t), (float(w[0]), float(w[-1]))
+    if kind == "free":
+        return _ref_spd(rng, dim, 0.25, 4.0), _ref_spd(rng, dim, 0.25, 4.0), (), None
+    if fixed:
+        m, M = 1.0, 4.0
+    else:
+        m = rng.log_uniform(0.5, 2.0)
+        M = m * rng.log_uniform(1.5, 8.0)
+    if kind == "bounded" and corner:
+        return (np.diag([m if j % 2 == 0 else M for j in range(dim)]),
+                np.diag([M if j % 2 == 0 else m for j in range(dim)]), (m, M), None)
+    a = _ref_spd(rng, dim, m, M)
+    if kind == "order":
+        return a, _ref_sym(a + _ref_spd(rng, dim, 1e-3, max(1e-2, M - m))), (m, M), None
+    return a, _ref_spd(rng, dim, m, M), (m, M), None
+
+
+_CELL_IDS = {"sandwich": "midpoint", "st-ge-1": "strengthened-remark", "bounded": "polya-szego",
+             "order": "squared", "free": "ando",
+             "sandwich-corner": "norm-ratio-tau", "bounded-corner": "norm-ratio-eq15"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_CELL_IDS)), dim=st.integers(1, 16),
+       trials=st.integers(1, 7), seed=st.integers(0, 2**64 - 1), fixed=st.booleans())
+def test_stacked_cell_draw_matches_a_trial_by_trial_draw(kind, dim, trials, seed, fixed):
+    from loewner_lab.suite import INEQUALITIES, SuiteConfig
+
+    ineq = _CELL_IDS[kind]
+    cell = dict(s=0.5, t=3.0, m=1.0, M=4.0) if fixed else {}
+    config = SuiteConfig(inequalities=(ineq,), **cell)
+    seeds = [derive_seed(seed, k) for k in range(trials)]
+    rngs = [SplitMix64(x) for x in seeds]
+    corner = kind.endswith("-corner")
+    drawn = INEQUALITIES[ineq].draw(rngs, dim, config, corner)
+    assert len(drawn) == trials
+    for k, (rng, (A, B, got_cell)) in enumerate(zip(rngs, drawn)):
+        ref_rng = SplitMix64(seeds[k])
+        a, b, ref_cell, bounds = _ref_trial(kind.removesuffix("-corner"), ref_rng,
+                                            dim, fixed, corner and k == 0)
+        assert A.data.tobytes() == a.tobytes() and B.data.tobytes() == b.tobytes()
+        assert got_cell == ref_cell
+        assert (rng._state, rng._spare) == (ref_rng._state, ref_rng._spare)
+        for X in (A, B):  # a seeded decomposition is the one a fresh solve gives
+            if X._dec is not None:
+                w, q = np.linalg.eigh(X.data)
+                assert X._dec.eigenvalues.tobytes() == w.tobytes()
+                assert X._dec.basis.tobytes() == q.tobytes()
+        if bounds is not None:  # generated sandwich pair: roots and memo as if solved alone
+            root, inv_root = _ref_roots(a)
+            assert A._dec.root.tobytes() == root.tobytes()
+            assert A._dec.inv_root.tobytes() == inv_root.tobytes()
+            assert A._sandwich[0] is B and A._sandwich[1] == bounds
+        elif kind in ("bounded", "bounded-corner") and not (corner and k == 0):
+            assert A._dec is not None and B._dec is not None
+
+
+def test_a_cell_is_drawn_with_one_solve_per_stack(monkeypatch):
+    from loewner_lab import suite
+
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    for ineq, solves in (("polya-szego", [(40, 3, 3)] * 2), ("midpoint", [(40, 3, 3)] * 2),
+                         ("ando", []), ("squared", [])):
+        calls.clear()
+        config = suite.SuiteConfig(inequalities=(ineq,), dims=(3,), trials=40)
+        assert len(suite._draw_cell(ineq, 3, config)) == 40
+        assert calls == solves, ineq
+
+
+def test_streams_out_of_lockstep_are_refused():
+    from loewner_lab.generate import normal_rows
+
+    a, b = SplitMix64(1), SplitMix64(2)
+    a.normal()
+    with pytest.raises(ValueError, match="lockstep"):
+        normal_rows([a, b], 4)

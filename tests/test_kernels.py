@@ -236,3 +236,12 @@ class TestCatalogParsing:
     def test_heinz_range_validation(self):
         with pytest.raises(ValueError):
             heinz(1.5)
+
+
+def test_default_grid_screens_are_computed_once():
+    assert default_grid() is default_grid()
+    assert kernel_dominance(HARMONIC, GEOMETRIC) is kernel_dominance(HARMONIC, GEOMETRIC)
+    grid = [0.5, 1.0, 2.0]
+    explicit = kernel_dominance(HARMONIC, GEOMETRIC, grid)
+    assert explicit == kernel_dominance(HARMONIC, GEOMETRIC, grid)
+    assert explicit is not kernel_dominance(HARMONIC, GEOMETRIC, grid)

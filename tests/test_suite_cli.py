@@ -13,8 +13,8 @@ from loewner_lab import (
 )
 from loewner_lab import certificates, suite
 from loewner_lab.certificates import ALL_INEQUALITIES
-from loewner_lab.errors import ConditionCapError
-from loewner_lab.generate import derive_seed, fnv1a64
+from loewner_lab.errors import ConditionCapError, EigenSolverError
+from loewner_lab.generate import derive_seed, fnv1a64, random_bounded_pair
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
     INEQUALITIES,
@@ -78,6 +78,17 @@ class TestSuiteConfig:
         assert calls == []
         assert "fields m, M need 0 < m <= M, got m=2.0, M=1.0" in capsys.readouterr().err
 
+    def test_gruss_without_unital_map_fails_before_any_trial(self, monkeypatch, capsys):
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        code = cli_main(["verify", "--ineq", "ando,gruss-f", "--dims", "2", "--trials", "3",
+                         "--phi", "kraus:2"])
+        assert code == 2
+        assert calls == []
+        assert ("error: gruss-f needs at least one unital map in the pool"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_bad_sandwich_cell_names_fields(self, s, t):
         with pytest.raises(ValueError, match="fields s, t"):
@@ -123,6 +134,29 @@ class TestRunSuite:
                          "--seed", "5"])
         assert code == 2
         assert f"trial_seed {seed}: condition number" in capsys.readouterr().err
+
+    def test_generation_error_surfaces_at_its_own_trial(self, monkeypatch):
+        # trial 3's A misses the eigendecomposition contract, in the cell's stacked
+        # solve and when solved alone; trials 0-2 are still evaluated first
+        config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=5, seed=5,
+                             m=1.0, M=4.0)
+        seed = derive_seed(5, fnv1a64("polya-szego"), 3, 3)
+        bad = random_bounded_pair(3, 1.0, 4.0, seed).A.data
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            w, q = real_eigh(a)
+            return w, q + 1e-6 * (a == bad).all(axis=(-2, -1))[..., None, None]
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        seen = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(a[2]) or real(*a))
+        with pytest.raises(EigenSolverError) as info:
+            run_suite(config)
+        assert seen == [0, 1, 2, 3]
+        assert str(info.value).startswith(
+            f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
 
     def test_only_recorded_violations_are_serialized(self, monkeypatch):
         blobs = []
@@ -266,6 +300,20 @@ class TestReportIO:
         path.write_text("{}")
         with pytest.raises(ValueError, match="loewner_lab_report"):
             load_report(str(path))
+
+    @pytest.mark.parametrize("field, value", [("schema_version", 2), ("tool_version", "0.0.9")])
+    def test_report_of_another_version_is_refused(self, tmp_path, capsys, field, value):
+        path = tmp_path / "hunt.json"
+        cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
+                  "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
+        data = json.loads(path.read_text())
+        data["loewner_lab_report"][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"field {field}: the report has {value!r}"):
+            load_report(str(path))
+        capsys.readouterr()
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert f"error: field {field}" in capsys.readouterr().err
 
     def test_matrix_round_trip_bit_equal(self, tmp_path):
         x = SymMatrix([[1.0, 0.25], [0.25, 2.0 / 3.0]])
