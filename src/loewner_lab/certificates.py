@@ -11,6 +11,8 @@ and are reported, never asserted.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,10 +41,11 @@ from .spectral import (
     OPERATOR,
     NormKind,
     SymMatrix,
-    as_sym,
+    SymStack,
     loewner_slack,
     matrix_function,
     op_norm,
+    per_slice,
     spectrum,
     spectrum_bounds,
     ui_norm,
@@ -119,26 +122,31 @@ def _side_to_json(side):
 
 def _matrix_certificate(
     inequality_id: str,
-    params: dict,
-    lhs: SymMatrix,
-    rhs: SymMatrix,
-    constant: float,
-    ratio: float,
+    params: list,
+    lhs: SymStack,
+    rhs: SymStack,
+    constant: list,
+    ratio: list,
     tol_rel: float,
-) -> Certificate:
-    slack = loewner_slack(lhs, rhs)
-    tol = tol_rel * max(1.0, op_norm(lhs) + op_norm(rhs))
-    return Certificate(
-        inequality_id=inequality_id,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        constant=float(constant),
-        slack=float(slack),
-        ratio=float(ratio),
-        holds=slack >= -tol,
-        tol=tol,
-    )
+) -> list[Certificate]:
+    """One certificate of lhs <= rhs per slice; ``params``, ``constant`` and
+    ``ratio`` hold one entry per slice."""
+    slack = loewner_slack(lhs, rhs).tolist()
+    scale = _sums(op_norm(lhs), op_norm(rhs))
+    out = []
+    for p, l, r, c, q, sl, sc in zip(params, lhs.matrices(), rhs.matrices(), constant, ratio,
+                                     slack, scale):
+        tol = tol_rel * max(1.0, sc)
+        out.append(Certificate(inequality_id=inequality_id, params=p, lhs=l, rhs=r,
+                               constant=float(c), slack=sl, ratio=float(q), holds=sl >= -tol,
+                               tol=tol))
+    return out
+
+
+def _sums(*terms) -> list:
+    """Per slice, the sum of the terms' entries in Python floats, left to right,
+    as one trial's sum is taken: an overflow gives inf without a numpy warning."""
+    return [sum(values[1:], values[0]) for values in zip(*(t.tolist() for t in terms))]
 
 
 def _scalar_certificate(
@@ -165,6 +173,45 @@ def _scalar_certificate(
     )
 
 
+def _stacked(*per_trial: str):
+    """Write a check once, over stacks, and let it take one instance too.
+
+    The check's matrices A and B and its arguments named in ``per_trial``
+    carry one value per trial.  Called with A a SymStack, those arguments
+    are sequences with one entry per slice, and the check returns a list
+    with one result per slice.  Called with one instance (single matrices
+    and values), it runs as a stack of one and returns that one result.
+    """
+    def wrap(check):
+        params = inspect.signature(check).parameters
+        slots = {name: (list(params).index(name), params[name].default)
+                 for name in ("A", "B", *per_trial)}
+        a_slot = slots["A"][0]
+
+        @functools.wraps(check)
+        def run(*args, **kwargs):
+            A = args[a_slot] if a_slot < len(args) else kwargs.get("A")
+            if isinstance(A, SymStack):
+                return check(*args, **kwargs)
+            args = list(args)
+            for name, (slot, default) in slots.items():
+                if slot < len(args):
+                    args[slot] = _stack_of_one(name, args[slot])
+                elif name in kwargs or default is not inspect.Parameter.empty:
+                    kwargs[name] = _stack_of_one(name, kwargs.get(name, default))
+            return check(*args, **kwargs)[0]
+
+        return run
+
+    return wrap
+
+
+def _stack_of_one(name: str, value):
+    if value is None:
+        return None
+    return SymStack.of([value]) if name in ("A", "B") else [value]
+
+
 def _hyp(condition: bool, message: str) -> None:
     if not condition:
         raise HypothesisError(message)
@@ -189,7 +236,7 @@ def _vet_mean_kernel(kernel: ScalarKernel) -> None:
 
 @lru_cache(maxsize=128)
 def _vet_nonnegative(fn: MonotoneFunction) -> None:
-    worst = min(fn.fn(t) for t in default_grid())
+    worst = min(_on_default_grid(fn))
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
 
 
@@ -200,67 +247,90 @@ def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
     )
 
 
-def _vet_reversal(tau: ScalarKernel, sigma: ScalarKernel, f: MonotoneFunction) -> None:
-    """Hypotheses of the monotone reversals: two means and a nonnegative monotone f."""
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+def _vet_reversal(tau: list, sigma: list, f: list) -> None:
+    """Hypotheses of the monotone reversals, per slice: two means and a
+    nonnegative monotone f."""
+    for tau_k, sigma_k, f_k in zip(tau, sigma, f):
+        _vet_mean_kernel(tau_k)
+        _vet_mean_kernel(sigma_k)
+        _vet_class(f_k, OPERATOR_MONOTONE)
+        _vet_nonnegative(f_k)
 
 
-def _vet_sandwich(A: SymMatrix, B: SymMatrix, s: float, t: float, tol_rel: float) -> None:
-    _hyp(0 < s <= t, f"need 0 < s <= t, got s={s!r}, t={t!r}")
+def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
+    for s_k, t_k in zip(s, t):
+        _hyp(0 < s_k <= t_k, f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
     s_star, t_star = estimate_sandwich(A, B)
-    tol = max(1e-12, tol_rel * max(1.0, t))
-    _hyp(
-        s_star >= s - tol and t_star <= t + tol,
-        f"sandwich hypothesis fails: tightest [{s_star:.6g}, {t_star:.6g}] "
-        f"outside [{s:.6g}, {t:.6g}]",
-    )
-
-
-def _vet_bounded(A: SymMatrix, B: SymMatrix, m: float, M: float, tol_rel: float) -> None:
-    _hyp(0 < m < M, f"need 0 < m < M, got m={m!r}, M={M!r}")
-    tol = max(1e-12, tol_rel * max(1.0, M))
-    for name, X in (("A", A), ("B", B)):
-        lo, hi = spectrum_bounds(X)
+    for lo, hi, s_k, t_k in zip(s_star.tolist(), t_star.tolist(), s, t):
+        tol = max(1e-12, tol_rel * max(1.0, t_k))
         _hyp(
-            lo >= m - tol and hi <= M + tol,
-            f"bound hypothesis fails for {name}: spectrum [{lo:.6g}, {hi:.6g}] "
-            f"outside [{m:.6g}, {M:.6g}]",
+            lo >= s_k - tol and hi <= t_k + tol,
+            f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
+            f"outside [{s_k:.6g}, {t_k:.6g}]",
         )
 
 
-def _worst_on_grid(points, sides) -> tuple:
-    """(x, lhs, rhs, largest ratio) at the smallest rhs - lhs of a scalar bound;
-    ``sides(x)`` gives the (lhs, rhs) pairs checked at the grid point x."""
-    worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
-    for x in points:
-        for lhs_val, rhs_val in sides(x):
-            if rhs_val - lhs_val < worst_slack:
-                worst_slack, worst = rhs_val - lhs_val, (x, lhs_val, rhs_val)
-            worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs_val, rhs_val))
-    return (*worst, worst_ratio)
+def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
+    for m_k, M_k in zip(m, M):
+        _hyp(0 < m_k < M_k, f"need 0 < m < M, got m={m_k!r}, M={M_k!r}")
+    for name, X in (("A", A), ("B", B)):
+        lo, hi = spectrum_bounds(X)
+        _vet_spectrum(name, lo, hi, m, M, tol_rel)
 
 
-def _fn_of(X: SymMatrix, fn: MonotoneFunction) -> SymMatrix:
-    return matrix_function(X, fn.fn)
+def _vet_spectrum(name: str, lo, hi, m: list, M: list, tol_rel: float) -> None:
+    for lo_k, hi_k, m_k, M_k in zip(lo.tolist(), hi.tolist(), m, M):
+        tol = max(1e-12, tol_rel * max(1.0, M_k))
+        _hyp(
+            lo_k >= m_k - tol and hi_k <= M_k + tol,
+            f"bound hypothesis fails for {name}: spectrum [{lo_k:.6g}, {hi_k:.6g}] "
+            f"outside [{m_k:.6g}, {M_k:.6g}]",
+        )
 
 
-def _reversal_params(phi: MapSpec, tau: ScalarKernel, sigma: ScalarKernel, key: str,
-                     fn: MonotoneFunction, A: SymMatrix, **cell) -> dict:
-    """Parameters of a map-mean reversal; ``key`` names the function slot."""
-    return {"map": phi.label, "tau": tau.id, "sigma": sigma.id, key: fn.id, **cell, "dim": A.dim}
+def _worst_on_grid(points: list, lhs: list, rhs: list) -> tuple:
+    """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
+    scalar bound checked at each of ``points`` (a point may repeat)."""
+    slack = [r - l for l, r in zip(lhs, rhs)]
+    candidates = [x for x in slack if x < math.inf]  # a nan or +inf slack is never the worst
+    i = slack.index(min(candidates)) if candidates else None
+    worst = (points[0], 0.0, 0.0) if i is None else (points[i], lhs[i], rhs[i])
+    return (*worst, max([0.0, *map(_norm_ratio_diag, lhs, rhs)]))
 
 
-def _reversal_certificate(inequality_id: str, params: dict, lhs: SymMatrix, base: SymMatrix,
-                          constant: float, tol_rel: float) -> Certificate:
-    """lhs <= constant * base, with the diagnostic ratio ||lhs||_op / ||base||_op."""
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(base))
-    return _matrix_certificate(inequality_id, params, lhs, constant * base, constant, ratio,
+@lru_cache(maxsize=16)  # the pools of one dim hold 7 functions; each entry holds 400 floats
+def _on_default_grid(fn: MonotoneFunction) -> tuple:
+    """fn(t) at every point of ``default_grid()``, computed once per function."""
+    return tuple(fn.fn(t) for t in default_grid())
+
+
+def _fn_of(X: SymStack, fn: list) -> SymStack:
+    return matrix_function(X, [f.fn for f in fn])
+
+
+def _ratios(lhs: SymStack, base: SymStack) -> list:
+    """The diagnostic ratio ||lhs||_op / ||base||_op of each slice."""
+    return list(map(_norm_ratio_diag, op_norm(lhs).tolist(), op_norm(base).tolist()))
+
+
+def _reversal_params(phi: MapSpec, tau: list, sigma: list, key: str, fn: list, A: SymStack,
+                     **cell) -> list:
+    """Parameters of a map-mean reversal per slice; ``key`` names the function
+    slot and each ``cell`` value holds one entry per slice."""
+    return [{"map": phi.label, "tau": tau_k.id, "sigma": sigma_k.id, key: f_k.id,
+             **dict(zip(cell, values)), "dim": A.dim}
+            for tau_k, sigma_k, f_k, *values in zip(tau, sigma, fn, *cell.values())]
+
+
+def _reversal_certificate(inequality_id: str, params: list, lhs: SymStack, base: SymStack,
+                          constant: list, tol_rel: float) -> list:
+    """lhs <= constant * base per slice, with the diagnostic ratio ||lhs||_op / ||base||_op."""
+    ratio = _ratios(lhs, base)
+    return _matrix_certificate(inequality_id, params, lhs, base * constant, constant, ratio,
                                tol_rel)
 
 
+@_stacked("sigma")
 def ando_check(
     phi: MapSpec,
     sigma: ScalarKernel,
@@ -271,16 +341,15 @@ def ando_check(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Certificate:
     """Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B)."""
-    A, B = as_sym(A), as_sym(B)
     lhs = phi.apply(kernel_mean(sigma, A, B))
     rhs_base = kernel_mean(sigma, phi.apply(A), phi.apply(B))
-    constant = constant_multiplier
-    rhs = constant * rhs_base
-    params = {"map": phi.label, "sigma": sigma.id, "dim": A.dim}
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(rhs))
-    return _matrix_certificate("ando", params, lhs, rhs, constant, ratio, tol_rel)
+    constant = [constant_multiplier] * len(A)
+    rhs = rhs_base * constant
+    params = [{"map": phi.label, "sigma": sigma_k.id, "dim": A.dim} for sigma_k in sigma]
+    return _matrix_certificate("ando", params, lhs, rhs, constant, _ratios(lhs, rhs), tol_rel)
 
 
+@_stacked("m", "M")
 def check_polya_szego(
     phi: MapSpec,
     A: SymMatrix,
@@ -292,15 +361,25 @@ def check_polya_szego(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> Certificate:
     """Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B)."""
-    A, B = as_sym(A), as_sym(B)
     _vet_bounded(A, B, m, M, tol_rel)
     lhs = geometric(phi.apply(A), phi.apply(B))
     mid = phi.apply(geometric(A, B))
-    constant = (M + m) / (2.0 * math.sqrt(M * m)) * constant_multiplier
-    params = {"map": phi.label, "m": m, "M": M, "dim": A.dim}
+    constant = [(M_k + m_k) / (2.0 * math.sqrt(M_k * m_k)) * constant_multiplier
+                for m_k, M_k in zip(m, M)]
+    params = [{"map": phi.label, "m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
     return _reversal_certificate("polya-szego", params, lhs, mid, constant, tol_rel)
 
 
+def _kantorovich(m: float, M: float) -> float:
+    return (M + m) ** 2 / (4.0 * M * m)
+
+
+def _per_cell(constant, lo: list, hi: list, multiplier: float = 1.0) -> list:
+    """``constant(lo, hi) * multiplier`` for each slice's cell bounds."""
+    return [constant(lo_k, hi_k) * multiplier for lo_k, hi_k in zip(lo, hi)]
+
+
+@_stacked("tau", "sigma", "f", "m", "M")
 def check_kantorovich_f(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -316,12 +395,11 @@ def check_kantorovich_f(
 ) -> Certificate:
     """Kantorovich-constant reversal with the function outside the map:
     f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) * f(phi(A sigma B))."""
-    A, B = as_sym(A), as_sym(B)
     _vet_bounded(A, B, m, M, tol_rel)
     _vet_reversal(tau, sigma, f)
     lhs = kernel_mean(tau, _fn_of(phi.apply(A), f), _fn_of(phi.apply(B), f))
     base = _fn_of(phi.apply(kernel_mean(sigma, A, B)), f)
-    constant = (M + m) ** 2 / (4.0 * M * m) * constant_multiplier
+    constant = _per_cell(_kantorovich, m, M, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "f", f, A, m=m, M=M)
     return _reversal_certificate("kantorovich-f", params, lhs, base, constant, tol_rel)
 
@@ -334,6 +412,7 @@ def _sandwich_lemma_constants(s: float, t: float) -> tuple[float, float]:
     return root_st / half_sum, half_sum / root_st
 
 
+@_stacked("s", "t")
 def check_sandwich_lemma(
     A: SymMatrix,
     B: SymMatrix,
@@ -352,52 +431,42 @@ def check_sandwich_lemma(
     the underlying scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t]
     and ignores A and B.
     """
-    _hyp(0 < s <= t, f"need 0 < s <= t, got s={s!r}, t={t!r}")
-    c1, c2 = _sandwich_lemma_constants(s, t)
+    for s_k, t_k in zip(s, t):
+        _hyp(0 < s_k <= t_k, f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
+    c1, c2 = (list(c) for c in zip(*map(_sandwich_lemma_constants, s, t)))
     if mode == "scalar":
-        worst_x, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(
-            np.geomspace(s, t, grid_points).tolist(),
-            lambda x: ((0.5 * (x + 1.0), c2 * math.sqrt(x)),
-                       (0.5 * (1.0 / x + 1.0), c2 / math.sqrt(x))),
-        )
-        params = {"mode": "scalar", "s": s, "t": t, "grid_points": grid_points, "worst_x": worst_x}
-        return _scalar_certificate(
-            "sandwich-lemma",
-            params,
-            lhs_at_worst,
-            rhs_at_worst,
-            c2 * constant_multiplier,
-            worst_ratio,
-            tol_rel,
-        )
+        return [_scalar_sandwich(s_k, t_k, c2_k, grid_points, constant_multiplier, tol_rel)
+                for s_k, t_k, c2_k in zip(s, t, c2)]
     if mode != "matrix":
         raise ValueError(f"unknown mode {mode!r}")
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
     sharp = geometric(A, B)
     nabla = arithmetic(A, B)
     harm = harmonic(A, B)
-    lower_lhs = (c1 * constant_multiplier) * nabla
-    lower = _matrix_certificate(
-        "sandwich-lemma",
-        {"mode": "matrix", "side": "nabla_lower", "s": s, "t": t, "dim": A.dim},
-        lower_lhs,
-        sharp,
-        c1 * constant_multiplier,
-        _norm_ratio_diag(op_norm(lower_lhs), op_norm(sharp)),
-        tol_rel,
+    c1 = [c * constant_multiplier for c in c1]
+    c2 = [c * constant_multiplier for c in c2]
+    params = lambda side: [{"mode": "matrix", "side": side, "s": s_k, "t": t_k, "dim": A.dim}
+                           for s_k, t_k in zip(s, t)]
+    lower_lhs = nabla * c1
+    lower = _matrix_certificate("sandwich-lemma", params("nabla_lower"), lower_lhs, sharp, c1,
+                                _ratios(lower_lhs, sharp), tol_rel)
+    upper = _matrix_certificate("sandwich-lemma", params("harmonic_upper"), sharp, harm * c2, c2,
+                                _ratios(sharp, harm), tol_rel)
+    return list(zip(lower, upper))
+
+
+def _scalar_sandwich(s: float, t: float, c2: float, grid_points: int,
+                     constant_multiplier: float, tol_rel: float) -> Certificate:
+    """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x) on a grid."""
+    xs = np.geomspace(s, t, grid_points).tolist()
+    worst_x, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(
+        [x for x in xs for _ in range(2)],
+        [v for x in xs for v in (0.5 * (x + 1.0), 0.5 * (1.0 / x + 1.0))],
+        [v for x in xs for v in (c2 * math.sqrt(x), c2 / math.sqrt(x))],
     )
-    upper_rhs = (c2 * constant_multiplier) * harm
-    upper = _matrix_certificate(
-        "sandwich-lemma",
-        {"mode": "matrix", "side": "harmonic_upper", "s": s, "t": t, "dim": A.dim},
-        sharp,
-        upper_rhs,
-        c2 * constant_multiplier,
-        _norm_ratio_diag(op_norm(sharp), op_norm(harm)),
-        tol_rel,
-    )
-    return lower, upper
+    params = {"mode": "scalar", "s": s, "t": t, "grid_points": grid_points, "worst_x": worst_x}
+    return _scalar_certificate("sandwich-lemma", params, lhs_at_worst, rhs_at_worst,
+                               c2 * constant_multiplier, worst_ratio, tol_rel)
 
 
 def check_alpha_scaling(
@@ -413,11 +482,13 @@ def check_alpha_scaling(
     _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")
     _vet_class(fn, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
     points = tuple(grid) if grid is not None else default_grid()
+    at_t = _on_default_grid(fn) if grid is None else [fn.fn(t) for t in points]
+    at_alpha_t = [fn.fn(alpha * t) for t in points]
     if fn.klass == OPERATOR_MONOTONE:
-        sides = lambda t: ((fn.fn(alpha * t), constant_multiplier * alpha * fn.fn(t)),)
+        lhs, rhs = at_alpha_t, [constant_multiplier * alpha * v for v in at_t]
     else:
-        sides = lambda t: ((fn.fn(t) / alpha, constant_multiplier * fn.fn(alpha * t)),)
-    worst_t, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(points, sides)
+        lhs, rhs = [v / alpha for v in at_t], [constant_multiplier * v for v in at_alpha_t]
+    worst_t, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(points, lhs, rhs)
     params = {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": worst_t}
     return _scalar_certificate(
         "alpha-scaling",
@@ -430,6 +501,7 @@ def check_alpha_scaling(
     )
 
 
+@_stacked("tau", "sigma", "f", "s", "t")
 def check_main_monotone(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -445,16 +517,16 @@ def check_main_monotone(
 ) -> Certificate:
     """Sandwich-parameterized reversal for monotone increasing f:
     phi(f(A)) tau phi(f(B)) <= C(s,t) * phi(f(A sigma B))."""
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
     _vet_reversal(tau, sigma, f)
     lhs = kernel_mean(tau, phi.apply(_fn_of(A, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = sandwich_constant(s, t) * constant_multiplier
+    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
     return _reversal_certificate("main-monotone", params, lhs, base, constant, tol_rel)
 
 
+@_stacked("tau", "sigma", "g", "s", "t")
 def check_main_decreasing(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -470,18 +542,19 @@ def check_main_decreasing(
 ) -> Certificate:
     """Sandwich-parameterized reversal for monotone decreasing g:
     phi(g(A tau B)) <= C(s,t) * (phi(g(A)) sigma phi(g(B)))."""
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
-    _vet_class(g, OPERATOR_MONOTONE_DECREASING)
+    for tau_k, sigma_k, g_k in zip(tau, sigma, g):
+        _vet_mean_kernel(tau_k)
+        _vet_mean_kernel(sigma_k)
+        _vet_class(g_k, OPERATOR_MONOTONE_DECREASING)
     lhs = phi.apply(_fn_of(kernel_mean(tau, A, B), g))
     base = kernel_mean(sigma, phi.apply(_fn_of(A, g)), phi.apply(_fn_of(B, g)))
-    constant = sandwich_constant(s, t) * constant_multiplier
+    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "g", g, A, s=s, t=t)
     return _reversal_certificate("main-decreasing", params, lhs, base, constant, tol_rel)
 
 
+@_stacked("tau", "sigma", "fn", "m", "M")
 def check_gruss(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -504,7 +577,6 @@ def check_gruss(
     The scalar bound on the right presumes phi(I) = I, so a unital map is
     required; non-unital maps are refused with an explanatory error.
     """
-    A, B = as_sym(A), as_sym(B)
     verdict = check_unital(phi)
     if not verdict.is_unital:
         raise NotUnitalError(
@@ -512,30 +584,34 @@ def check_gruss(
             f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
         )
     _vet_bounded(A, B, m, M, tol_rel)
-    _vet_mean_kernel(tau)
-    _vet_mean_kernel(sigma)
+    for tau_k, sigma_k in zip(tau, sigma):
+        _vet_mean_kernel(tau_k)
+        _vet_mean_kernel(sigma_k)
     if family == "monotone":
-        _vet_class(fn, OPERATOR_MONOTONE)
-        _vet_nonnegative(fn)
+        for f_k in fn:
+            _vet_class(f_k, OPERATOR_MONOTONE)
+            _vet_nonnegative(f_k)
         diff = kernel_mean(tau, phi.apply(_fn_of(A, fn)), phi.apply(_fn_of(B, fn))) - phi.apply(
             _fn_of(kernel_mean(sigma, A, B), fn)
         )
-        bound_value = fn.fn(M)
+        bound_value = [f_k.fn(M_k) for f_k, M_k in zip(fn, M)]
         inequality_id = "gruss-f"
     elif family == "decreasing":
-        _vet_class(fn, OPERATOR_MONOTONE_DECREASING)
+        for f_k in fn:
+            _vet_class(f_k, OPERATOR_MONOTONE_DECREASING)
         diff = phi.apply(_fn_of(kernel_mean(tau, A, B), fn)) - kernel_mean(
             sigma, phi.apply(_fn_of(A, fn)), phi.apply(_fn_of(B, fn))
         )
-        bound_value = fn.fn(m)
+        bound_value = [f_k.fn(m_k) for f_k, m_k in zip(fn, m)]
         inequality_id = "gruss-g"
     else:
         raise ValueError(f"unknown family {family!r}")
-    constant = (M - m) ** 2 / (4.0 * M * m) * bound_value * constant_multiplier
-    rhs = SymMatrix(constant * np.eye(phi.output_dim))
-    params = _reversal_params(phi, tau, sigma, "fn", fn, A, m=m, M=M, family=family)
-    lam_max = float(spectrum(diff)[-1])
-    ratio = lam_max / constant if constant > 0 else (1.0 if abs(lam_max) < 1e-300 else math.inf)
+    constant = [(M_k - m_k) ** 2 / (4.0 * M_k * m_k) * b_k * constant_multiplier
+                for m_k, M_k, b_k in zip(m, M, bound_value)]
+    rhs = SymStack(np.array(constant)[:, None, None] * np.eye(phi.output_dim))
+    params = _reversal_params(phi, tau, sigma, "fn", fn, A, m=m, M=M, family=[family] * len(A))
+    ratio = [lam_max / c if c > 0 else (1.0 if abs(lam_max) < 1e-300 else math.inf)
+             for lam_max, c in zip(spectrum(diff)[:, -1].tolist(), constant)]
     return _matrix_certificate(inequality_id, params, diff, rhs, constant, ratio, tol_rel)
 
 
@@ -548,6 +624,7 @@ _NORM_RATIO_IDS = {
 }
 
 
+@_stacked("kernel", "g", "s", "t", "m", "M", "norm")
 def check_norm_ratio(
     mode: str,
     kernel: ScalarKernel,
@@ -574,62 +651,56 @@ def check_norm_ratio(
     excluded from the exit-code gate.
     """
     _hyp(mode in _NORM_RATIO_MODES, f"unknown norm-ratio mode {mode!r}")
-    _vet_class(g, OPERATOR_CONVEX_ZERO)
-    _hyp(abs(g.fn(0.0)) <= 1e-12, f"function {g.id!r} must vanish at 0")
-    A, B = as_sym(A), as_sym(B)
+    for g_k in g:
+        _vet_class(g_k, OPERATOR_CONVEX_ZERO)
+        _hyp(abs(g_k.fn(0.0)) <= 1e-12, f"function {g_k.id!r} must vanish at 0")
     if mode == "eq15":
         _hyp(m is not None and M is not None, "eq15 mode needs m and M")
         _vet_bounded(A, B, m, M, tol_rel)
-        s_eff, t_eff = m / M, M / m
-        constant = 2.0 * ((M + m) / (2.0 * math.sqrt(M * m))) ** 2
-        lhs_kernel = GEOMETRIC
-        rhs_kernel = GEOMETRIC
+        s_eff, t_eff = [m_k / M_k for m_k, M_k in zip(m, M)], [M_k / m_k for m_k, M_k in zip(m, M)]
+        constant = [2.0 * ((M_k + m_k) / (2.0 * math.sqrt(M_k * m_k))) ** 2
+                    for m_k, M_k in zip(m, M)]
+        lhs_kernel = rhs_kernel = GEOMETRIC
     else:
         _hyp(s is not None and t is not None, f"{mode} mode needs s and t")
         _vet_sandwich(A, B, s, t, tol_rel)
         s_eff, t_eff = s, t
+        constant = _per_cell(sandwich_constant, s, t)
         if mode == "tau_side":
-            _hyp(
-                kernel_dominance(GEOMETRIC, kernel).holds,
-                f"tau_side needs a kernel dominating the geometric one, got {kernel.id!r}",
-            )
+            for k in kernel:
+                _hyp(kernel_dominance(GEOMETRIC, k).holds,
+                     f"tau_side needs a kernel dominating the geometric one, got {k.id!r}")
             lhs_kernel, rhs_kernel = kernel, GEOMETRIC
-            constant = sandwich_constant(s, t)
         elif mode == "sharp_side":
-            _hyp(
-                kernel_dominance(kernel, GEOMETRIC).holds,
-                f"sharp_side needs a kernel dominated by the geometric one, got {kernel.id!r}",
-            )
+            for k in kernel:
+                _hyp(kernel_dominance(k, GEOMETRIC).holds,
+                     f"sharp_side needs a kernel dominated by the geometric one, got {k.id!r}")
             lhs_kernel, rhs_kernel = GEOMETRIC, kernel
-            constant = sandwich_constant(s, t)
         else:  # power4; the right-hand mean is pinned to the geometric one
-            _vet_mean_kernel(kernel)
+            for k in kernel:
+                _vet_mean_kernel(k)
             lhs_kernel, rhs_kernel = kernel, GEOMETRIC
-            constant = sandwich_constant(s, t) ** 2
-    constant *= constant_multiplier
-    num = ui_norm(kernel_mean(lhs_kernel, _fn_of(A, g), _fn_of(B, g)), norm)
-    den = ui_norm(kernel_mean(lhs_kernel, A, B), norm)
-    lhs_value = num / den
+            constant = [c**2 for c in constant]
+    constant = [c * constant_multiplier for c in constant]
+    num = ui_norm(kernel_mean(lhs_kernel, _fn_of(A, g), _fn_of(B, g)), norm).tolist()
+    den = ui_norm(kernel_mean(lhs_kernel, A, B), norm).tolist()
+    lhs_value = [n / d for n, d in zip(num, den)]
     target = kernel_mean(rhs_kernel, A, B)
-    base = ui_norm(matrix_function(target, lambda x: g.fn(x) / x), norm)
-    rhs_value = constant * base
-    params = {
-        "mode": mode,
-        "kernel": kernel.id,
-        "g": g.id,
-        "norm": norm.label,
-        "s": s_eff,
-        "t": t_eff,
-        "dim": A.dim,
-    }
-    if mode == "eq15":
-        params.update({"m": m, "M": M})
-    ratio = _norm_ratio_diag(lhs_value, base)
-    return _scalar_certificate(
-        _NORM_RATIO_IDS[mode], params, lhs_value, rhs_value, constant, ratio, tol_rel
-    )
+    base = ui_norm(matrix_function(target, [lambda x, g_k=g_k: g_k.fn(x) / x for g_k in g]),
+                   norm).tolist()
+    out = []
+    for k, (kernel_k, g_k, norm_k) in enumerate(zip(kernel, g, per_slice(norm, A))):
+        params = {"mode": mode, "kernel": kernel_k.id, "g": g_k.id, "norm": norm_k.label,
+                  "s": s_eff[k], "t": t_eff[k], "dim": A.dim}
+        if mode == "eq15":
+            params.update({"m": m[k], "M": M[k]})
+        out.append(_scalar_certificate(_NORM_RATIO_IDS[mode], params, lhs_value[k],
+                                       constant[k] * base[k], constant[k],
+                                       _norm_ratio_diag(lhs_value[k], base[k]), tol_rel))
+    return out
 
 
+@_stacked("m", "M")
 def check_squared(
     A: SymMatrix,
     B: SymMatrix,
@@ -641,26 +712,23 @@ def check_squared(
 ) -> Certificate:
     """Squaring an operator inequality: A <= B with m I <= A <= M I gives
     A^2 <= (M+m)^2/(4Mm) B^2."""
-    A, B = as_sym(A), as_sym(B)
-    _hyp(0 < m <= M, f"need 0 < m <= M, got m={m!r}, M={M!r}")
-    order_slack = loewner_slack(A, B)
-    _hyp(
-        order_slack >= -max(1e-12, tol_rel * max(1.0, op_norm(A) + op_norm(B))),
-        f"order hypothesis A <= B fails (slack {order_slack:.3e})",
-    )
-    lo, hi = spectrum_bounds(A)
-    tol = max(1e-12, tol_rel * max(1.0, M))
-    _hyp(
-        lo >= m - tol and hi <= M + tol,
-        f"bound hypothesis fails for A: spectrum [{lo:.6g}, {hi:.6g}] outside [{m:.6g}, {M:.6g}]",
-    )
+    for m_k, M_k in zip(m, M):
+        _hyp(0 < m_k <= M_k, f"need 0 < m <= M, got m={m_k!r}, M={M_k!r}")
+    order_slack = loewner_slack(A, B).tolist()
+    for slack_k, scale_k in zip(order_slack, _sums(op_norm(A), op_norm(B))):
+        _hyp(
+            slack_k >= -max(1e-12, tol_rel * max(1.0, scale_k)),
+            f"order hypothesis A <= B fails (slack {slack_k:.3e})",
+        )
+    _vet_spectrum("A", *spectrum_bounds(A), m, M, tol_rel)
     lhs = matrix_function(A, lambda x: x * x)
     base = matrix_function(B, lambda x: x * x)
-    constant = (M + m) ** 2 / (4.0 * M * m) * constant_multiplier
-    return _reversal_certificate("squared", {"m": m, "M": M, "dim": A.dim}, lhs, base, constant,
-                                 tol_rel)
+    constant = _per_cell(_kantorovich, m, M, constant_multiplier)
+    params = [{"m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
+    return _reversal_certificate("squared", params, lhs, base, constant, tol_rel)
 
 
+@_stacked("fn", "m", "M")
 def check_squared_consequences(
     fn: MonotoneFunction,
     A: SymMatrix,
@@ -676,13 +744,16 @@ def check_squared_consequences(
     monotone f:   (f(A) # f(B))^2 <= K^2 f(A # B)^2
     decreasing g: g(A # B)^2      <= K^2 (g(A) # g(B))^2
     """
-    A, B = as_sym(A), as_sym(B)
     _vet_bounded(A, B, m, M, tol_rel)
-    _vet_class(fn, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
+    for f_k in fn:
+        _vet_class(f_k, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
+    if len({f_k.klass for f_k in fn}) > 1:
+        raise ValueError("the functions of one stack must share their class")
     sharp = geometric(A, B)
     square = lambda X: matrix_function(X, lambda x: x * x)
-    if fn.klass == OPERATOR_MONOTONE:
-        _vet_nonnegative(fn)
+    if fn[0].klass == OPERATOR_MONOTONE:
+        for f_k in fn:
+            _vet_nonnegative(f_k)
         lhs = square(geometric(_fn_of(A, fn), _fn_of(B, fn)))
         base = square(_fn_of(sharp, fn))
         inequality_id = "squared-consequence-f"
@@ -692,11 +763,12 @@ def check_squared_consequences(
         base = square(geometric(_fn_of(A, fn), _fn_of(B, fn)))
         inequality_id = "squared-consequence-g"
         key = "g"
-    constant = ((M + m) ** 2 / (4.0 * M * m)) ** 2 * constant_multiplier
-    params = {key: fn.id, "m": m, "M": M, "dim": A.dim}
+    constant = [K**2 * constant_multiplier for K in _per_cell(_kantorovich, m, M)]
+    params = [{key: f_k.id, "m": m_k, "M": M_k, "dim": A.dim} for f_k, m_k, M_k in zip(fn, m, M)]
     return _reversal_certificate(inequality_id, params, lhs, base, constant, tol_rel)
 
 
+@_stacked("s", "t")
 def check_midpoint(
     A: SymMatrix,
     B: SymMatrix,
@@ -708,13 +780,17 @@ def check_midpoint(
 ) -> Certificate:
     """Midpoint bound under the sandwich condition:
     (sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 * (A # B)."""
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
-    lhs = 0.5 * (math.sqrt(s * t) * A + B)
+    lhs = 0.5 * (A * _root_st(s, t) + B)
     base = geometric(A, B)
-    constant = 0.5 * (math.sqrt(s) + math.sqrt(t)) * constant_multiplier
-    params = {"s": s, "t": t, "dim": A.dim}
+    constant = [0.5 * (math.sqrt(s_k) + math.sqrt(t_k)) * constant_multiplier
+                for s_k, t_k in zip(s, t)]
+    params = [{"s": s_k, "t": t_k, "dim": A.dim} for s_k, t_k in zip(s, t)]
     return _reversal_certificate("midpoint", params, lhs, base, constant, tol_rel)
+
+
+def _root_st(s: list, t: list) -> list:
+    return [math.sqrt(s_k * t_k) for s_k, t_k in zip(s, t)]
 
 
 def _diaz_metcalf_constant(s: float, t: float) -> float:
@@ -726,6 +802,7 @@ def _diaz_metcalf_constant(s: float, t: float) -> float:
     return half_sum_sq / root_st
 
 
+@_stacked("tau", "sigma", "f", "s", "t")
 def check_diaz_metcalf(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -741,17 +818,17 @@ def check_diaz_metcalf(
 ) -> Certificate:
     """Diaz-Metcalf type bound:
     phi(f(sqrt(st) A)) tau phi(f(B)) <= C * phi(f(A sigma B))."""
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
     _vet_reversal(tau, sigma, f)
-    scaled = math.sqrt(s * t) * A
+    scaled = A * _root_st(s, t)
     lhs = kernel_mean(tau, phi.apply(_fn_of(scaled, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = _diaz_metcalf_constant(s, t) * constant_multiplier
+    constant = _per_cell(_diaz_metcalf_constant, s, t, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
     return _reversal_certificate("diaz-metcalf", params, lhs, base, constant, tol_rel)
 
 
+@_stacked("sigma", "f", "s", "t")
 def check_klamkin_mclenaghan(
     phi: MapSpec,
     sigma: ScalarKernel,
@@ -775,38 +852,32 @@ def check_klamkin_mclenaghan(
     where c = (sqrt(s)+sqrt(t))^2/2 when sqrt(st) >= 1 and
     (sqrt(s)+sqrt(t))^2/(2 sqrt(st)) otherwise, twice the Diaz-Metcalf constant.
     """
-    A, B = as_sym(A), as_sym(B)
     _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_mean_kernel(sigma)
-    _vet_class(f, OPERATOR_MONOTONE)
-    _vet_nonnegative(f)
+    for sigma_k, f_k in zip(sigma, f):
+        _vet_mean_kernel(sigma_k)
+        _vet_class(f_k, OPERATOR_MONOTONE)
+        _vet_nonnegative(f_k)
     P = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    F = phi.apply(_fn_of(math.sqrt(s * t) * A, f))
+    F = phi.apply(_fn_of(A * _root_st(s, t), f))
     G = phi.apply(_fn_of(B, f))
     p_root = matrix_function(P, math.sqrt)
     p_inv_root = matrix_function(P, lambda x: 1.0 / math.sqrt(x))
     f_inv = spectral_inverse(F)
-    lhs = SymMatrix(
+    lhs = SymStack(
         p_inv_root.data @ G.data @ p_inv_root.data
         - p_root.data @ f_inv.data @ p_root.data
     )
-    T = SymMatrix(p_inv_root.data @ F.data @ p_inv_root.data)
+    T = SymStack(p_inv_root.data @ F.data @ p_inv_root.data)
     t_root = matrix_function(T, math.sqrt)
     t_inv_root = matrix_function(T, lambda x: 1.0 / math.sqrt(x))
     swing = t_root - t_inv_root
-    c = 2.0 * _diaz_metcalf_constant(s, t) * constant_multiplier
+    c = [2.0 * _diaz_metcalf_constant(s_k, t_k) * constant_multiplier for s_k, t_k in zip(s, t)]
     n_out = phi.output_dim
-    rhs = SymMatrix((c - 2.0) * np.eye(n_out) - swing.data @ swing.data)
-    params = {
-        "map": phi.label,
-        "sigma": sigma.id,
-        "f": f.id,
-        "s": s,
-        "t": t,
-        "dim": A.dim,
-    }
-    ratio = _norm_ratio_diag(op_norm(lhs), op_norm(rhs))
-    return _matrix_certificate("klamkin-mclenaghan", params, lhs, rhs, c, ratio, tol_rel)
+    rhs = SymStack((np.array(c) - 2.0)[:, None, None] * np.eye(n_out) - swing.data @ swing.data)
+    params = [{"map": phi.label, "sigma": sigma_k.id, "f": f_k.id, "s": s_k, "t": t_k,
+               "dim": A.dim} for sigma_k, f_k, s_k, t_k in zip(sigma, f, s, t)]
+    return _matrix_certificate("klamkin-mclenaghan", params, lhs, rhs, c, _ratios(lhs, rhs),
+                               tol_rel)
 
 
 def check_specht_bound(
@@ -827,6 +898,7 @@ def check_specht_bound(
     return _scalar_certificate("specht-bound", params, lhs, rhs, constant, ratio, tol_rel)
 
 
+@_stacked("tau", "sigma", "f", "s", "t")
 def check_strengthened_remark(
     phi: MapSpec,
     tau: ScalarKernel,
@@ -845,33 +917,30 @@ def check_strengthened_remark(
     phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B))
                             <= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B))
     """
-    A, B = as_sym(A), as_sym(B)
-    _hyp(math.sqrt(s * t) >= 1.0, f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
+    for s_k, t_k in zip(s, t):
+        _hyp(math.sqrt(s_k * t_k) >= 1.0,
+             f"refused: needs sqrt(s*t) >= 1, got s={s_k!r}, t={t_k!r}")
     _vet_sandwich(A, B, s, t, tol_rel)
     _vet_reversal(tau, sigma, f)
     fb = phi.apply(_fn_of(B, f))
     left = kernel_mean(tau, phi.apply(_fn_of(A, f)), fb)
-    middle = kernel_mean(tau, phi.apply(_fn_of(math.sqrt(s * t) * A, f)), fb)
+    middle = kernel_mean(tau, phi.apply(_fn_of(A * _root_st(s, t), f)), fb)
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
     # sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
-    constant = sandwich_constant(s, t) * constant_multiplier
-    rhs = constant * base
-    slack_link1 = loewner_slack(left, middle)
-    slack_link2 = loewner_slack(middle, rhs)
-    scale = max(1.0, op_norm(left) + op_norm(middle) + op_norm(rhs))
-    tol = tol_rel * scale
-    slack = min(slack_link1, slack_link2)
+    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
+    rhs = base * constant
+    slack_link1 = loewner_slack(left, middle).tolist()
+    slack_link2 = loewner_slack(middle, rhs).tolist()
+    scale = _sums(op_norm(left), op_norm(middle), op_norm(rhs))
     params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t,
                               slack_link1=slack_link1, slack_link2=slack_link2)
-    ratio = _norm_ratio_diag(op_norm(left), op_norm(base))
-    return Certificate(
-        inequality_id="strengthened-remark",
-        params=params,
-        lhs=left,
-        rhs=rhs,
-        constant=constant,
-        slack=float(slack),
-        ratio=float(ratio),
-        holds=slack >= -tol,
-        tol=tol,
-    )
+    out = []
+    for p, l, r, c, q, link1, link2, sc in zip(params, left.matrices(), rhs.matrices(), constant,
+                                               _ratios(left, base), slack_link1, slack_link2,
+                                               scale):
+        tol = tol_rel * max(1.0, sc)
+        slack = min(link1, link2)
+        out.append(Certificate(inequality_id="strengthened-remark", params=p, lhs=l, rhs=r,
+                               constant=c, slack=float(slack), ratio=float(q),
+                               holds=slack >= -tol, tol=tol))
+    return out

@@ -204,7 +204,8 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
 
 
 def _positive_definite(dec: SpectralDecomposition) -> None:
-    if float(dec.eigenvalues[0]) <= 0.0:
+    """Of a matrix, or of every slice of a stack."""
+    if (dec.eigenvalues[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError("first argument must be positive definite")
 
 
@@ -222,8 +223,9 @@ def _sandwich_bounds(As, Bs, inv_root: np.ndarray, b: np.ndarray) -> list:
     return out
 
 
-def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple[float, float]:
-    """Tightest scalars (s*, t*) with s* A <= B <= t* A.
+def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
+    """Tightest scalars (s*, t*) with s* A <= B <= t* A, or their arrays over
+    the slices of two stacks.
 
     These are the extreme eigenvalues of A^(-1/2) B A^(-1/2).  The answer
     for the first partner B is remembered on A, so the generator's check and
@@ -235,7 +237,10 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple[float, float]:
         return memo[1]
     dec = decompose(A)
     _positive_definite(dec)
-    return _sandwich_bounds([A], [B], dec.inv_root[None], B.data[None])[0]
+    bounds = spectrum_bounds(type(A)(dec.inv_root @ B.data @ dec.inv_root))
+    if memo is None:
+        object.__setattr__(A, "_sandwich", (B, bounds))
+    return bounds
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Each map is described by what it does (congruence, Kraus sum, pinching,
 normalized trace, nonnegative mixture) rather than by an abstract matrix
 representation.  Positivity is a consequence of the structure; unitality is
-checked, never assumed.
+checked, never assumed.  ``apply`` maps a SymStack slice by slice, with one
+BLAS call per product for the whole stack.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class MapSpec:
     label: str
 
     def apply(self, X: SymMatrix) -> SymMatrix:
+        """The image of a matrix, or of each slice of a stack."""
         raise NotImplementedError
 
     def _check_input(self, X: SymMatrix) -> SymMatrix:
@@ -81,7 +83,7 @@ class CongruenceMap(MapSpec):
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
-        return SymMatrix(self.v.T @ X.data @ self.v)
+        return type(X)(self.v.T @ X.data @ self.v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +122,10 @@ class KrausSumMap(MapSpec):
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
-        acc = np.zeros((self.output_dim, self.output_dim))
+        acc = np.zeros(_image_shape(self, X))
         for v in self.vs:
             acc += v.T @ X.data @ v
-        return SymMatrix(acc)
+        return type(X)(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +160,7 @@ class PinchingMap(MapSpec):
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
-        return SymMatrix(X.data * self._mask)
+        return type(X)(X.data * self._mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +185,8 @@ class NormalizedTraceMap(MapSpec):
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
-        value = float(np.trace(X.data)) / self.in_dim
-        return SymMatrix(value * np.eye(self.out_dim))
+        value = np.trace(X.data, axis1=-2, axis2=-1) / self.in_dim
+        return type(X)(value[..., None, None] * np.eye(self.out_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +226,14 @@ class MixtureMap(MapSpec):
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
-        acc = np.zeros((self.output_dim, self.output_dim))
+        acc = np.zeros(_image_shape(self, X))
         for w, comp in zip(self.weights, self.components):
             acc += w * comp.apply(X).data
-        return SymMatrix(acc)
+        return type(X)(acc)
+
+
+def _image_shape(phi: MapSpec, X: SymMatrix) -> tuple:
+    return X.data.shape[:-2] + (phi.output_dim, phi.output_dim)
 
 
 def apply_map(phi: MapSpec, X: SymMatrix) -> SymMatrix:

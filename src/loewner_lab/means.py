@@ -4,15 +4,29 @@ A mean is realized from its representing kernel k through congruence with
 the first argument:  A^(1/2) k(A^(-1/2) B A^(-1/2)) A^(1/2).  Symmetry of the
 result in (A, B) is therefore a *testable property* of the kernel, never an
 assumption of the implementation.
+
+Every mean takes two SymStacks as well as two matrices and works slice by
+slice, with one LAPACK call per solve and one BLAS call per product for the
+whole stack; kernels and contexts may then vary by slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConditionCapError, DimensionMismatchError, NotPositiveDefiniteError
+import numpy as np
+
+from .errors import ConditionCapError, NotPositiveDefiniteError
 from .kernels import GEOMETRIC, ScalarKernel
-from .spectral import SymMatrix, as_sym, decompose, matrix_function, spectrum
+from .spectral import (
+    SymMatrix,
+    as_sym,
+    decompose,
+    matrix_function,
+    per_slice,
+    require_same_shape,
+    spectrum,
+)
 
 # A^(-1/2) amplifies eigensolver error, so ill-conditioned first arguments
 # are refused outright rather than silently degrading.
@@ -31,47 +45,56 @@ class MeanContext:
             raise ValueError("cond_cap must exceed 1")
 
 
-def _require_pd(name: str, lam_min: float) -> None:
-    if lam_min <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"{name} must be positive definite (lambda_min = {lam_min:.3e})"
-        )
+def _require_pd(name: str, lam_min) -> None:
+    """``lam_min`` is the smallest eigenvalue of a matrix, or one per slice."""
+    for lam in np.atleast_1d(lam_min).tolist():
+        if lam <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"{name} must be positive definite (lambda_min = {lam:.3e})"
+            )
 
 
 def mean(ctx: MeanContext, A: SymMatrix, B: SymMatrix) -> SymMatrix:
-    """Kernel-driven mean of two positive definite matrices."""
+    """Kernel-driven mean of two positive definite matrices, or of two stacks
+    slice by slice with ``ctx`` one context or one per slice."""
+    A = as_sym(A)
+    ctxs = per_slice(ctx, A)
+    return _mean(A, B, [c.kernel.fn for c in ctxs], [c.cond_cap for c in ctxs])
+
+
+def _mean(A: SymMatrix, B: SymMatrix, kernels: list, caps: list) -> SymMatrix:
     A, B = as_sym(A), as_sym(B)
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    require_same_shape(A, B)
     dec = decompose(A)
     w = dec.eigenvalues
-    _require_pd("first argument", float(w[0]))
-    cond = float(w[-1] / w[0])
-    if cond > ctx.cond_cap:
-        raise ConditionCapError(
-            f"condition number {cond:.3e} exceeds cap {ctx.cond_cap:.3e}"
-        )
-    _require_pd("second argument", float(spectrum(B)[0]))
-    inner = SymMatrix(dec.inv_root @ B.data @ dec.inv_root)
-    transformed = matrix_function(inner, ctx.kernel.fn)
-    return SymMatrix(dec.root @ transformed.data @ dec.root)
+    _require_pd("first argument", w[..., 0])
+    for cond, cap in zip(np.atleast_1d(w[..., -1] / w[..., 0]).tolist(), caps):
+        if cond > cap:
+            raise ConditionCapError(f"condition number {cond:.3e} exceeds cap {cap:.3e}")
+    _require_pd("second argument", spectrum(B)[..., 0])
+    inner = type(A)(dec.inv_root @ B.data @ dec.inv_root)
+    transformed = matrix_function(inner, kernels)
+    return type(A)(dec.root @ transformed.data @ dec.root)
 
 
 def kernel_mean(kernel: ScalarKernel, A: SymMatrix, B: SymMatrix) -> SymMatrix:
-    return mean(MeanContext(kernel), A, B)
+    """The mean of ``kernel`` under the default condition cap; for stacks,
+    ``kernel`` is one kernel or one per slice."""
+    A = as_sym(A)
+    kernels = per_slice(kernel, A)
+    return _mean(A, B, [k.fn for k in kernels], [DEFAULT_COND_CAP] * len(kernels))
 
 
 def arithmetic(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     """(A + B) / 2."""
     A, B = as_sym(A), as_sym(B)
-    if A.dim != B.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return SymMatrix(0.5 * (A.data + B.data))
+    require_same_shape(A, B)
+    return type(A)(0.5 * (A.data + B.data))
 
 
 def spectral_inverse(X: SymMatrix) -> SymMatrix:
     X = as_sym(X)
-    _require_pd("matrix to invert", float(spectrum(X)[0]))
+    _require_pd("matrix to invert", spectrum(X)[..., 0])
     return matrix_function(X, lambda lam: 1.0 / lam)
 
 

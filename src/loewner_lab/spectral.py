@@ -3,14 +3,22 @@
 Eigendecomposition with an explicit accuracy contract, spectral matrix
 functions, Loewner-order comparison, and the unitarily invariant norms
 (operator, trace, Frobenius, Ky Fan, Schatten).
+
+``decompose``, ``spectrum``, ``spectrum_bounds``, ``matrix_function``,
+``loewner_slack``, ``op_norm`` and ``ui_norm`` take a SymStack as well as a
+SymMatrix: a stack is solved with one LAPACK call and multiplied with one
+BLAS call per product, slice by slice bit for bit as if each matrix were
+alone, and a single matrix is the one-slice case of the same code.  Scalar
+results of a stack come as one array entry per slice.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,7 +69,7 @@ class SymMatrix:
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @classmethod
     def identity(cls, dim: int) -> "SymMatrix":
@@ -72,12 +80,12 @@ class SymMatrix:
         return cls(np.diag(np.asarray(values, dtype=float)))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        _same_dim(self, other)
-        return SymMatrix(self.data + other.data)
+        require_same_shape(self, other)
+        return type(self)(self.data + other.data)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        _same_dim(self, other)
-        return SymMatrix(self.data - other.data)
+        require_same_shape(self, other)
+        return type(self)(self.data - other.data)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
         return SymMatrix(self.data * float(scalar))
@@ -85,20 +93,96 @@ class SymMatrix:
     __rmul__ = __mul__
 
     def __neg__(self) -> "SymMatrix":
-        return SymMatrix(-self.data)
+        return type(self)(-self.data)
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
 
 
+class SymStack(SymMatrix):
+    """k real symmetric matrices of one dimension, as one read-only (k, n, n) array.
+
+    Each slice is what SymMatrix would store for it, and the stack keeps its
+    spectra in the same write-once slots.  Arguments that vary by slice
+    (scalar functions, kernels, constants) are passed as sequences with one
+    entry per slice.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries) -> None:
+        a = np.asarray(entries, dtype=float)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
+            raise ValueError(f"expected a nonempty stack of square matrices, got shape {a.shape}")
+        self._fill(sym_entries(a))
+
+    @classmethod
+    def of(cls, mats: Sequence) -> "SymStack":
+        """The stack of the given matrices of one dimension; it takes over their
+        decompositions when every one of them holds one."""
+        mats = [as_sym(m) for m in mats]
+        out = cls.__new__(cls)
+        out._fill(_frozen(np.stack([m.data for m in mats])))
+        decs = [m._dec for m in mats]
+        if all(dec is not None for dec in decs):
+            object.__setattr__(out, "_dec", SpectralDecomposition(
+                eigenvalues=_frozen(np.stack([dec.eigenvalues for dec in decs])),
+                basis=_frozen(np.stack([dec.basis for dec in decs]))))
+        return out
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def matrices(self) -> list[SymMatrix]:
+        """One SymMatrix per slice, sharing the stack's entries."""
+        return SymMatrix.stack(self.data)
+
+    def __mul__(self, scalar) -> "SymStack":
+        """Every slice times one number, or each slice times its own."""
+        if isinstance(scalar, (list, tuple, np.ndarray)):
+            return SymStack(self.data * np.asarray(scalar, dtype=float)[:, None, None])
+        return SymStack(self.data * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"SymStack(k={len(self)}, dim={self.dim})"
+
+
+# Entries up to half the largest double are finite and cannot overflow in a + a^T.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
+
 def sym_entries(a: np.ndarray) -> np.ndarray:
     """The read-only entries SymMatrix stores for a matrix or each matrix of
-    a stack: finite, averaged with the transpose."""
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    a = 0.5 * (a + a.swapaxes(-1, -2))
+    a stack: averaged with the transpose, and finite once averaged, so that
+    entries whose average overflows are refused like inf and nan."""
+    if np.abs(a).max(initial=0.0) <= _HALF_MAX:  # an empty stack has nothing to check
+        a = 0.5 * (a + a.swapaxes(-1, -2))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = 0.5 * (a + a.swapaxes(-1, -2))
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite, and so must their average "
+                             "with the transpose (entries above about 9e307 overflow)")
     a.setflags(write=False)
     return a
+
+
+def per_slice(value, X: SymMatrix) -> list:
+    """``value`` once per slice of X: a list or tuple is taken to hold one
+    entry per slice already, anything else is repeated."""
+    count = len(X.data) if X.data.ndim == 3 else 1
+    if not isinstance(value, (list, tuple)):
+        return [value] * count
+    if len(value) != count:
+        raise ValueError(f"expected one value per slice ({count}), got {len(value)}")
+    return value
+
+
+def _per_matrix(x):
+    """A per-slice result as a float for one matrix, as the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def as_sym(x) -> SymMatrix:
@@ -108,9 +192,12 @@ def as_sym(x) -> SymMatrix:
     return SymMatrix(x)
 
 
-def _same_dim(x: SymMatrix, y: SymMatrix) -> None:
+def require_same_shape(x: SymMatrix, y: SymMatrix) -> None:
+    """Two matrices of one dimension, or two stacks of as many slices of one dimension."""
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    if x.data.shape != y.data.shape:
+        raise DimensionMismatchError(f"stack size mismatch: {x.data.shape} vs {y.data.shape}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -119,12 +206,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _fro(a: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix of a stack; one BLAS dot each."""
+    """Frobenius norm of a matrix, or of each matrix of a stack; one BLAS dot
+    each.  Where that sum of squares overflows, the matrix is scaled by its
+    largest entry first."""
     if a.ndim == 2:
         flat = a.ravel()
-        return math.sqrt(float(flat.dot(flat)))
-    flat = a.reshape(len(a), 1, a.shape[1] * a.shape[2])
-    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+        norm = math.sqrt(float(flat.dot(flat)))
+        if math.isfinite(norm):
+            return norm
+    else:
+        flat = a.reshape(len(a), 1, a.shape[1] * a.shape[2])
+        norm = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+        if np.isfinite(norm).all():
+            return norm
+    big = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    scaled = big[..., 0, 0] * _fro(a / big)  # an all-zero slice keeps its plain norm
+    return float(scaled) if a.ndim == 2 else np.where(np.isfinite(norm), norm, scaled)
 
 
 @lru_cache(maxsize=None)
@@ -166,9 +263,12 @@ def _eigh(a: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
     stack, qt = a.ndim == 3, q.swapaxes(-1, -2)
-    residual = _fro((q * (w[:, None, :] if stack else w)) @ qt - a)
-    orth = _fro(qt @ q - _eye(a.shape[-1]))
-    norm = _fro(a)
+    # No entry exceeds ||A||_op, so below 1e150 no sum of squares can overflow.
+    big = np.abs(w).max(initial=0.0) if stack else max(-float(w[0]), float(w[-1]))
+    with np.errstate(over="ignore", invalid="ignore") if big > 1e150 else nullcontext():
+        residual = _fro((q * (w[:, None, :] if stack else w)) @ qt - a)
+        orth = _fro(qt @ q - _eye(a.shape[-1]))
+        norm = _fro(a)
     return w, q, residual, np.maximum(1.0, norm) if stack else max(1.0, norm), orth
 
 
@@ -177,21 +277,25 @@ def _misses_contract(residual, scale, orth, dim: int):
 
 
 def decompose(A: SymMatrix) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix, enforcing the accuracy contract.
+    """Eigendecompose a symmetric matrix, or each slice of a stack, enforcing
+    the accuracy contract.
 
     The reconstruction error ||Q diag(w) Q^T - A||_F must stay below
     ``RECONSTRUCTION_RTOL * max(1, ||A||_F)`` and the basis must be
     orthonormal to ``ORTHONORMALITY_RTOL * dim``; otherwise an
-    EigenSolverError carrying the residual is raised.  A decomposition
-    that passes is remembered on A, so each matrix is solved once; a
-    failed one is not.
+    EigenSolverError carrying the residual of the first failing slice is
+    raised.  A decomposition that passes is remembered on A, so each matrix
+    is solved once; a failed one is not.
     """
     A = as_sym(A)
     dec = A._dec  # read the slot once; it only ever holds a decomposition that passed
     if dec is not None:
         return dec
     w, q, residual, scale, orth = _eigh(A.data)
-    if _misses_contract(residual, scale, orth, A.dim):
+    missed = np.atleast_1d(_misses_contract(residual, scale, orth, A.dim))
+    if missed.any():
+        k = int(missed.argmax())
+        residual, scale, orth = (float(np.atleast_1d(x)[k]) for x in (residual, scale, orth))
         if residual > RECONSTRUCTION_RTOL * scale:
             raise EigenSolverError(
                 f"reconstruction residual {residual:.3e} exceeds contract "
@@ -246,26 +350,32 @@ def spectrum(X: SymMatrix) -> np.ndarray:
     return w
 
 
-def matrix_function(A: SymMatrix, fn: Callable[[float], float]) -> SymMatrix:
-    """Apply a scalar function to a symmetric matrix through its spectrum.
+def matrix_function(A: SymMatrix, fn) -> SymMatrix:
+    """Apply a scalar function to a symmetric matrix through its spectrum;
+    for a stack, ``fn`` is one function or one per slice.
 
-    Raises DomainError naming the offending eigenvalue if ``fn`` is
-    undefined (raises, overflows, or returns a non-finite value) there.
+    ``fn`` is called in Python on each eigenvalue.  Raises DomainError
+    naming the offending eigenvalue if ``fn`` is undefined (raises,
+    overflows, or returns a non-finite value) there.
     """
     A = as_sym(A)
     dec = decompose(A)
-    values = np.empty(A.dim)
-    for i, lam in enumerate(dec.eigenvalues):
-        lam = float(lam)
-        try:
-            val = float(fn(lam))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
-        if not np.isfinite(val):
-            raise DomainError(f"function not finite at eigenvalue {lam!r} (got {val!r})")
-        values[i] = val
+    w = dec.eigenvalues
+    rows = []
+    for f, lams in zip(per_slice(fn, A), w.reshape(-1, A.dim).tolist()):
+        values = []
+        for lam in lams:
+            try:
+                val = float(f(lam))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"function undefined at eigenvalue {lam!r}: {exc}") from exc
+            if not math.isfinite(val):
+                raise DomainError(f"function not finite at eigenvalue {lam!r} (got {val!r})")
+            values.append(val)
+        rows.append(values)
     q = dec.basis
-    return SymMatrix((q * values) @ q.T)
+    values = np.array(rows).reshape(w.shape)
+    return type(A)((q * values[..., None, :]) @ q.swapaxes(-1, -2))
 
 
 _RELATIONS = ("LE", "GE", "EQ", "INCOMPARABLE")
@@ -292,7 +402,7 @@ def default_loewner_tol(X: SymMatrix, Y: SymMatrix) -> float:
 def loewner_compare(X: SymMatrix, Y: SymMatrix, tol: float | None = None) -> LoewnerVerdict:
     """Compare X and Y in the Loewner order up to a nonnegative tolerance."""
     X, Y = as_sym(X), as_sym(Y)
-    _same_dim(X, Y)
+    require_same_shape(X, Y)
     if tol is None:
         tol = default_loewner_tol(X, Y)
     if tol < 0:
@@ -311,11 +421,10 @@ def loewner_compare(X: SymMatrix, Y: SymMatrix, tol: float | None = None) -> Loe
     return LoewnerVerdict(relation=relation, slack_le=slack_le, slack_ge=slack_ge)
 
 
-def loewner_slack(X: SymMatrix, Y: SymMatrix) -> float:
-    """Smallest eigenvalue of Y - X (nonnegative iff X <= Y)."""
+def loewner_slack(X: SymMatrix, Y: SymMatrix):
+    """Smallest eigenvalue of Y - X (nonnegative iff X <= Y), per slice for stacks."""
     X, Y = as_sym(X), as_sym(Y)
-    _same_dim(X, Y)
-    return float(decompose(Y - X).eigenvalues[0])
+    return _per_matrix(decompose(Y - X).eigenvalues[..., 0])
 
 
 @dataclass(frozen=True)
@@ -373,14 +482,22 @@ def parse_norm(spec: str) -> NormKind:
 
 
 def singular_values(X: SymMatrix) -> np.ndarray:
-    """Singular values of a symmetric matrix (absolute eigenvalues), descending."""
+    """Singular values of a symmetric matrix (absolute eigenvalues), descending;
+    one row per slice for a stack."""
     X = as_sym(X)
-    return np.sort(np.abs(spectrum(X)))[::-1]
+    return np.sort(np.abs(spectrum(X)), axis=-1)[..., ::-1]
 
 
-def ui_norm(X: SymMatrix, kind: NormKind) -> float:
-    """Evaluate a unitarily invariant norm from the singular values."""
+def ui_norm(X: SymMatrix, kind: NormKind):
+    """Evaluate a unitarily invariant norm from the singular values; for a
+    stack, ``kind`` is one norm or one per slice."""
     sv = singular_values(X)
+    if sv.ndim == 1:
+        return _norm(sv, kind)
+    return np.array([_norm(row, k) for row, k in zip(sv, per_slice(kind, as_sym(X)))])
+
+
+def _norm(sv: np.ndarray, kind: NormKind) -> float:
     if kind.variant == "operator":
         return float(sv[0])
     if kind.variant == "trace":
@@ -398,11 +515,13 @@ def ui_norm(X: SymMatrix, kind: NormKind) -> float:
     raise ValueError(f"unknown norm variant {kind.variant!r}")
 
 
-def op_norm(X: SymMatrix) -> float:
-    return ui_norm(X, OPERATOR)
+def op_norm(X: SymMatrix):
+    """Largest absolute eigenvalue, per slice for stacks."""
+    return _per_matrix(np.abs(spectrum(X)).max(axis=-1))
 
 
-def spectrum_bounds(X: SymMatrix) -> tuple[float, float]:
-    """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix."""
+def spectrum_bounds(X: SymMatrix):
+    """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix,
+    or their arrays over the slices of a stack."""
     w = decompose(as_sym(X)).eigenvalues
-    return float(w[0]), float(w[-1])
+    return _per_matrix(w[..., 0]), _per_matrix(w[..., -1])

@@ -37,7 +37,7 @@ from .generate import (
 )
 from .kernels import kernel_dominance, parse_function, parse_kernel, GEOMETRIC
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, decompose, parse_norm, sym_entries
+from .spectral import SymMatrix, SymStack, decompose, parse_norm, sym_entries
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -248,33 +248,49 @@ def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     return [(None, None, (1.0, rng.log_uniform(1.0 + 1e-6, 100.0))) for rng in rngs]
 
 
-def _reversal(maps, pools: _DimPools, i: int, fns):
-    """The map, the two kernels and the function of a mean-reversal check."""
-    return _pick(maps, i), _pick(pools.kernels, i), _pick(pools.kernels, i + 1), _pick(fns, i)
+def _picks(pool, picks: list) -> list:
+    return [_pick(pool, i) for i in picks]
+
+
+def _cols(cells: list) -> list:
+    """The trials' cell tuples as one list per cell field."""
+    return [list(col) for col in zip(*cells)]
+
+
+def _each(certificates: list) -> list:
+    """One certificate per trial, as each trial's list of certificates."""
+    return [[c] for c in certificates]
+
+
+def _reversal(maps, pools: _DimPools, picks: list, fns):
+    """The shared map and the per-trial kernels and function of a mean-reversal check."""
+    return (_pick(maps, picks[0]), _picks(pools.kernels, picks),
+            _picks(pools.kernels, [i + 1 for i in picks]), _picks(fns, picks))
 
 
 def _gruss(family: str, fns: str):
-    def check(A, B, cell, i, pools, **kw):
-        picks = _reversal(pools.unital_maps, pools, i, getattr(pools, fns))
-        return [certs.check_gruss(*picks, A, B, *cell, family, **kw)]
+    def check(A, B, cells, picks, pools, **kw):
+        reversal = _reversal(pools.unital_maps, pools, picks, getattr(pools, fns))
+        return _each(certs.check_gruss(*reversal, A, B, *_cols(cells), family, **kw))
     return check
 
 
 def _squared_consequence(fns: str):
-    return lambda A, B, c, i, p, **kw: [
-        certs.check_squared_consequences(_pick(getattr(p, fns), i), A, B, *c, **kw)]
+    return lambda A, B, c, i, p, **kw: _each(
+        certs.check_squared_consequences(_picks(getattr(p, fns), i), A, B, *_cols(c), **kw))
 
 
 def _norm_ratio(mode: str, kernels: str | None):
     """Audit norm-ratio adapter; ``kernels`` names the kernel pool (None: geometric)."""
     bounds = ("m", "M") if mode == "eq15" else ("s", "t")
 
-    def check(A, B, cell, i, pools, **kw):
-        kernel = GEOMETRIC if kernels is None else _pick(getattr(pools, kernels), i)
-        return [certs.check_norm_ratio(
-            mode, kernel, _pick(pools.g_convex, i), A, B, **dict(zip(bounds, cell)),
-            norm=_pick(pools.norms, i), **kw,
-        )]
+    def check(A, B, cells, picks, pools, **kw):
+        kernel = [GEOMETRIC] * len(picks) if kernels is None else _picks(
+            getattr(pools, kernels), picks)
+        return _each(certs.check_norm_ratio(
+            mode, kernel, _picks(pools.g_convex, picks), A, B,
+            **dict(zip(bounds, _cols(cells))), norm=_picks(pools.norms, picks), **kw,
+        ))
     return check
 
 
@@ -288,55 +304,67 @@ class _Inequality:
     per trial stream, with A and B None when there are no matrices; each
     trial's scalar draws come first, then the matrices of all trials are
     drawn as one stack.  ``corner`` makes the first trial the commuting
-    boundary instance.  ``check(A, B, cell, pick, pools, **kw)``
-    returns the certificates; ``kw`` holds constant_multiplier and tol_rel.
-    Adapters look up ``certs.check_*`` when called, never at import.
+    boundary instance.  ``check(A, B, cells, picks, pools, **kw)`` evaluates
+    a stack of trials: A and B are SymStacks (None without matrices),
+    ``cells`` and ``picks`` hold each trial's cell and pick index, and it
+    returns each trial's certificates; ``kw`` holds constant_multiplier and
+    tol_rel.  ``maps`` names the pool the check's map comes from: trials
+    that pick the same map form one stack, since a map fixes the output
+    dimension.  Adapters look up ``certs.check_*`` when called, never at
+    import.
     """
 
     cell: str
     draw: Callable
     check: Callable
-    unital: bool = False  # needs a unital map in the pool
+    maps: str | None = None  # "maps", or "unital_maps" when the check needs a unital map
 
 
 # The one inequality table, in ALL_INEQUALITIES order; certificates.py keeps
 # the id order and the audit class.
 INEQUALITIES = {
-    "ando": _Inequality("free", _draw_free, lambda A, B, c, i, p, **kw: [
-        certs.ando_check(_pick(p.maps, i), _pick(p.kernels, i), A, B, **kw)]),
-    "polya-szego": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: [
-        certs.check_polya_szego(_pick(p.maps, i), A, B, *c, **kw)]),
-    "kantorovich-f": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: [
-        certs.check_kantorovich_f(*_reversal(p.maps, p, i, p.f_monotone), A, B, *c, **kw)]),
+    "ando": _Inequality("free", _draw_free, lambda A, B, c, i, p, **kw: _each(
+        certs.ando_check(_pick(p.maps, i[0]), _picks(p.kernels, i), A, B, **kw)), "maps"),
+    "polya-szego": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
+        certs.check_polya_szego(_pick(p.maps, i[0]), A, B, *_cols(c), **kw)), "maps"),
+    "kantorovich-f": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
+        certs.check_kantorovich_f(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
+                                  **kw)), "maps"),
     "sandwich-lemma": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        *certs.check_sandwich_lemma(A, B, *c, **kw)]),
+        list(pair) for pair in certs.check_sandwich_lemma(A, B, *_cols(c), **kw)]),
     "alpha-scaling": _Inequality("scalar", _draw_alpha, lambda A, B, c, i, p, **kw: [
-        certs.check_alpha_scaling(_pick(p.f_monotone + p.g_decreasing, i), *c, **kw)]),
-    "main-monotone": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        certs.check_main_monotone(*_reversal(p.maps, p, i, p.f_monotone), A, B, *c, **kw)]),
-    "main-decreasing": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        certs.check_main_decreasing(*_reversal(p.maps, p, i, p.g_decreasing), A, B, *c, **kw)]),
-    "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("monotone", "f_monotone"), True),
-    "gruss-g": _Inequality("bounded", _draw_bounded, _gruss("decreasing", "g_decreasing"), True),
-    "squared": _Inequality("order", _draw_order, lambda A, B, c, i, p, **kw: [
-        certs.check_squared(A, B, *c, **kw)]),
+        [certs.check_alpha_scaling(_pick(p.f_monotone + p.g_decreasing, j), *cell, **kw)]
+        for j, cell in zip(i, c)]),
+    "main-monotone": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
+        certs.check_main_monotone(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
+                                  **kw)), "maps"),
+    "main-decreasing": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
+        certs.check_main_decreasing(*_reversal(p.maps, p, i, p.g_decreasing), A, B, *_cols(c),
+                                    **kw)), "maps"),
+    "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("monotone", "f_monotone"),
+                           "unital_maps"),
+    "gruss-g": _Inequality("bounded", _draw_bounded, _gruss("decreasing", "g_decreasing"),
+                           "unital_maps"),
+    "squared": _Inequality("order", _draw_order, lambda A, B, c, i, p, **kw: _each(
+        certs.check_squared(A, B, *_cols(c), **kw))),
     "squared-consequence-f": _Inequality(
         "bounded", _draw_bounded, _squared_consequence("f_monotone")),
     "squared-consequence-g": _Inequality(
         "bounded", _draw_bounded, _squared_consequence("g_decreasing")),
-    "midpoint": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        certs.check_midpoint(A, B, *c, **kw)]),
-    "diaz-metcalf": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        certs.check_diaz_metcalf(*_reversal(p.maps, p, i, p.f_monotone), A, B, *c, **kw)]),
-    "klamkin-mclenaghan": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        certs.check_klamkin_mclenaghan(
-            _pick(p.maps, i), _pick(p.kernels, i), _pick(p.f_monotone, i), A, B, *c, **kw)]),
+    "midpoint": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
+        certs.check_midpoint(A, B, *_cols(c), **kw))),
+    "diaz-metcalf": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
+        certs.check_diaz_metcalf(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
+                                 **kw)), "maps"),
+    "klamkin-mclenaghan": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
+        certs.check_klamkin_mclenaghan(_pick(p.maps, i[0]), _picks(p.kernels, i),
+                                       _picks(p.f_monotone, i), A, B, *_cols(c), **kw)), "maps"),
     "specht-bound": _Inequality("scalar", _draw_specht, lambda A, B, c, i, p, **kw: [
-        certs.check_specht_bound(*c, **kw)]),
+        [certs.check_specht_bound(*cell, **kw)] for cell in c]),
     "strengthened-remark": _Inequality(
-        "sandwich", _draw_sandwich_st_ge_1, lambda A, B, c, i, p, **kw: [
+        "sandwich", _draw_sandwich_st_ge_1, lambda A, B, c, i, p, **kw: _each(
             certs.check_strengthened_remark(
-                *_reversal(p.maps, p, i, p.f_monotone), A, B, *c, **kw)]),
+                *_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c), **kw)), "maps"),
     "norm-ratio-tau": _Inequality(
         "sandwich", _draw_sandwich, _norm_ratio("tau_side", "tau_ge_sharp")),
     "norm-ratio-sharp": _Inequality(
@@ -357,7 +385,7 @@ def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
 
 
 def _vet_pools(ineq: str, pools: _DimPools) -> None:
-    if INEQUALITIES[ineq].unital and not pools.unital_maps:
+    if INEQUALITIES[ineq].maps == "unital_maps" and not pools.unital_maps:
         raise ValueError(f"{ineq} needs at least one unital map in the pool")
 
 
@@ -373,33 +401,96 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> list:
     return _inequality(ineq).draw(rngs, dim, config, corner)
 
 
-def _draw_cell(ineq: str, dim: int, config: SuiteConfig) -> list:
-    """Every trial of a cell, drawn as one stack.
-
-    If that fails, each trial is left (None) to draw itself when it is
-    evaluated, so whatever failed is raised at its own trial, after the
-    trials before it, exactly as a trial-by-trial draw raises it.
-    """
+def _draw_cell(ineq: str, dim: int, config: SuiteConfig) -> list | None:
+    """Every trial of a cell, drawn as one stack, or None if that fails."""
     try:
         return _draw(ineq, dim, range(config.trials), config)
     except Exception:  # re-raised by the failing trial's own draw
-        return [None] * config.trials
+        return None
+
+
+# Trials per stack at most: larger stacks run little faster per trial and hold more memory.
+_STACK_TRIALS = 100
+
+
+def _chunks(items: list) -> list[list]:
+    """``items`` in consecutive stacks of at most ``_STACK_TRIALS``, of nearly equal size."""
+    size = -(-len(items) // -(-len(items) // _STACK_TRIALS))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
+    """The trials that pick the same map, in stacks of at most ``_STACK_TRIALS``.
+
+    Grouping by map alone keeps stacks large: the map fixes the output
+    dimension, while kernels, functions and cells may vary by slice.
+    """
+    pool = INEQUALITIES[ineq].maps
+    groups: dict = {}
+    for trial in trials:
+        groups.setdefault(trial % len(getattr(pools, pool)) if pool else 0, []).append(trial)
+    return [stack for group in groups.values() for stack in _chunks(group)]
+
+
+def _check_stack(ineq: str, instances: list, picks: list, pools: _DimPools, **kw) -> list:
+    """The certificates of each of the instances ``(A, B, cell)``, evaluated as one stack."""
+    A, B, cells = zip(*instances)
+    if A[0] is not None:
+        A, B = SymStack.of(A), SymStack.of(B)
+    return INEQUALITIES[ineq].check(A, B, list(cells), picks, pools, **kw)
 
 
 def _evaluate_trial(
-    ineq: str, dim: int, trial: int, config: SuiteConfig, pools: _DimPools, instance=None
-) -> tuple[list[Certificate], SymMatrix | None, SymMatrix | None]:
-    """Evaluate one seeded trial on its drawn ``instance`` (drawn here when
-    None); returns (certificates, A, B).
+    ineq: str, dim: int, trials: list, config: SuiteConfig, pools: _DimPools, instances=None
+) -> list[tuple[list[Certificate], SymMatrix | None, SymMatrix | None]]:
+    """Evaluate the given trials of one cell, which pick the same map, as one
+    stack on their drawn ``instances`` (drawn here when None); returns
+    (certificates, A, B) per trial.
 
     Catalog entries rotate with the trial index so that ``trials`` at least
     as large as the pool sizes guarantees full coverage.
     """
-    A, B, cell = instance or _draw(ineq, dim, [trial], config)[0]
-    certificates = _inequality(ineq).check(A, B, cell, trial, pools,
-                                           constant_multiplier=config.constant_multiplier,
-                                           tol_rel=config.tol_rel)
-    return certificates, A, B
+    if instances is None:
+        instances = _draw(ineq, dim, trials, config)
+    results = _check_stack(ineq, instances, trials, pools,
+                           constant_multiplier=config.constant_multiplier,
+                           tol_rel=config.tol_rel)
+    return [(certificates, A, B) for certificates, (A, B, _) in zip(results, instances)]
+
+
+def _evaluate_stacks(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools,
+                     instances: list) -> list:
+    """(certificates, A, B) of every trial of a cell, one stack at a time."""
+    out = [None] * config.trials
+    for stack in _stacks(ineq, range(config.trials), pools):
+        rows = _evaluate_trial(ineq, dim, stack, config, pools, [instances[t] for t in stack])
+        for trial, row in zip(stack, rows):
+            out[trial] = row
+    return out
+
+
+def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
+    """(certificates, A, B) of every trial of a cell, drawn and evaluated as stacks.
+
+    If the stacked draw or evaluation raises, the cell is evaluated again
+    trial by trial, so that whatever failed is raised at its own trial,
+    after the trials before it, with the trial's replayable coordinates.
+    """
+    instances = _draw_cell(ineq, dim, config)
+    if instances is not None:
+        try:
+            return _evaluate_stacks(ineq, dim, config, pools, instances)
+        except Exception:  # re-raised below by the failing trial
+            pass
+    out = []
+    for trial in range(config.trials):
+        try:
+            out += _evaluate_trial(ineq, dim, [trial], config, pools,
+                                   instances and instances[trial:trial + 1])
+        except LoewnerLabError as exc:  # library errors take one message argument
+            raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
+                            f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
+    return out
 
 
 @dataclass
@@ -470,15 +561,8 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
     for ineq in config.inequalities:
         stats = InequalityStats()
         for dim in config.dims:
-            pools = pools_by_dim[dim]
-            instances = _draw_cell(ineq, dim, config)
-            for trial in range(config.trials):
-                try:
-                    certificates, A, B = _evaluate_trial(ineq, dim, trial, config, pools,
-                                                         instances[trial])
-                except LoewnerLabError as exc:  # library errors take one message argument
-                    raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
-                                    f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
+            cell = _evaluate_cell(ineq, dim, config, pools_by_dim[dim])
+            for trial, (certificates, A, B) in enumerate(cell):
                 if _trace is not None:
                     _trace.append((ineq, dim, trial, [c.params for c in certificates]))
                 stats.trials += 1
@@ -624,16 +708,38 @@ def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, 
     return starts
 
 
-def _probe_evaluate(ineq, inst, pick, config, pools):
-    A, B = inst.matrices()
-    try:
-        certificates = INEQUALITIES[ineq].check(
-            A, B, (inst.lo, inst.hi), pick, pools, tol_rel=config.tol_rel
-        )
-    except LoewnerLabError:
-        return None
-    ratios = [c.ratio for c in certificates if math.isfinite(c.ratio)]
-    return max(ratios) if ratios else None
+def _probe_ratios(ineq: str, instances: list, pick: int, pools: _DimPools, tol_rel: float):
+    out = []
+    for certificates in _check_stack(ineq, instances, [pick] * len(instances), pools,
+                                     tol_rel=tol_rel):
+        ratios = [c.ratio for c in certificates if math.isfinite(c.ratio)]
+        out.append(max(ratios) if ratios else None)
+    return out
+
+
+def _probe_evaluate(ineq, instances, pick, config, pools) -> list:
+    """The largest finite ratio of each instance's certificates at ``pick``,
+    or None where the check refuses the instance or no ratio is finite.
+
+    The instances are evaluated as one stack; if that raises, each is
+    evaluated alone.
+    """
+    if len(instances) > 1:
+        try:
+            return _probe_ratios(ineq, instances, pick, pools, config.tol_rel)
+        except Exception:  # each instance meets its own error below
+            pass
+    out = []
+    for instance in instances:
+        try:
+            out += _probe_ratios(ineq, [instance], pick, pools, config.tol_rel)
+        except LoewnerLabError:
+            out.append(None)
+    return out
+
+
+def _probe_instance(inst: _ProbeInstance) -> tuple:
+    return (*inst.matrices(), (inst.lo, inst.hi))
 
 
 def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
@@ -664,9 +770,14 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     best_ratio = -math.inf
     best_inst = None
     best_pick = 0
-    for inst in _probe_starts(family, dim, rng, lo, hi, config.trials):
+    starts = _probe_starts(family, dim, rng, lo, hi, config.trials)
+    instances = [_probe_instance(inst) for inst in starts]
+    by_pick = [[ratio for stack in _chunks(instances)
+                for ratio in _probe_evaluate(inequality_id, stack, pick, config, pools)]
+               for pick in range(n_picks)]
+    for k, inst in enumerate(starts):  # start-major, pick-minor, as one start at a time
         for pick in range(n_picks):
-            ratio = _probe_evaluate(inequality_id, inst, pick, config, pools)
+            ratio = by_pick[pick][k]
             if ratio is not None and ratio > best_ratio:
                 best_ratio, best_inst, best_pick = ratio, inst, pick
     if best_inst is None:
@@ -674,7 +785,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     accepted = 0
     for _ in range(config.probe_refine_steps):
         cand = best_inst.perturb(rng)
-        ratio = _probe_evaluate(inequality_id, cand, best_pick, config, pools)
+        ratio = _probe_evaluate(inequality_id, [_probe_instance(cand)], best_pick, config, pools)[0]
         if ratio is not None and ratio > best_ratio:
             best_ratio, best_inst = ratio, cand
             accepted += 1
@@ -766,8 +877,8 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     config = config_from_dict(body["config"])
     pools = _build_pools(config, record["dim"])
     _vet_pools(record["inequality"], pools)
-    certificates, _, _ = _evaluate_trial(
-        record["inequality"], record["dim"], record["trial"], config, pools
+    [(certificates, _, _)] = _evaluate_trial(
+        record["inequality"], record["dim"], [record["trial"]], config, pools
     )
     slack = min(c.slack for c in certificates)
     holds = all(c.holds for c in certificates)

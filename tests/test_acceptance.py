@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the suite asserts every criterion at its stated tolerance.
 """
 
+import hashlib
 import math
 import time
 
@@ -46,6 +47,9 @@ ACCEPTANCE_ARGS = [
     "verify", "--ineq", "all-non-audit", "--dims", "2,3,4,6,8",
     "--trials", "200", "--seed", "7",
 ]
+# The acceptance report's bytes, pinned: faster code must write the same file.
+ACCEPTANCE_SHA256 = "5db8068edc3d1625c971302791310a0c27ef4a9e6a218b5803cffdcc8fe13f8e"
+ACCEPTANCE_BYTES = 5611
 
 
 def _line(ok: bool, label: str, detail: str = "") -> None:
@@ -276,3 +280,11 @@ def test_criterion_11_determinism(acceptance_run, tmp_path):
     second = second_path.read_bytes()
     _line(code == 0 and first == second, "criterion-11 determinism",
           f"{len(first)} bytes, byte-identical={first == second}")
+
+
+def test_acceptance_report_bytes_are_pinned(acceptance_run):
+    _, path, _ = acceptance_run
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    _line(digest == ACCEPTANCE_SHA256 and len(raw) == ACCEPTANCE_BYTES,
+          "acceptance report bytes pinned", f"{len(raw)} bytes, sha256 {digest[:16]}")

@@ -1,0 +1,204 @@
+"""Stacked evaluation: a stack of trials gives, byte for byte, what each trial
+gives as a stack of one, and a cell really is evaluated as stacks."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loewner_lab import SplitMix64, SymMatrix, geometric, matrix_function, suite
+from loewner_lab.certificates import (
+    ALL_INEQUALITIES,
+    Certificate,
+    _norm_ratio_diag,
+    check_alpha_scaling,
+)
+from loewner_lab.cli import main as cli_main
+from loewner_lab.errors import EigenSolverError, LoewnerLabError
+from loewner_lab.generate import derive_seed, fnv1a64, random_spd
+from loewner_lab.kernels import (
+    OPERATOR_MONOTONE,
+    decreasing_catalog,
+    default_grid,
+    monotone_catalog,
+)
+from loewner_lab.maps import map_catalog
+from loewner_lab.spectral import SymStack, decompose, loewner_slack, op_norm, spectrum
+from loewner_lab.suite import SuiteConfig
+
+MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell != "scalar"]
+PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell in ("bounded", "sandwich")]
+
+
+def _outcome(evaluate) -> str:
+    """The certificates' JSON, or the error a library check raised."""
+    try:
+        rows = evaluate()
+    except LoewnerLabError as exc:
+        return f"error {type(exc).__name__}"
+    return json.dumps([[c.to_json() for c in certificates] for certificates, _, _ in rows])
+
+
+def _assert_stack_matches_trials(ineq, dim, trials, seed, multiplier=1.0):
+    config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=trials, seed=seed,
+                         constant_multiplier=multiplier)
+    pools = suite._build_pools(config, dim)
+    stacked = _outcome(lambda: suite._evaluate_stacks(
+        ineq, dim, config, pools, suite._draw(ineq, dim, range(trials), config)))
+    one_by_one = _outcome(lambda: [row for trial in range(trials)
+                                   for row in suite._evaluate_trial(ineq, dim, [trial], config,
+                                                                    pools)])
+    if stacked.startswith("error"):  # the cell then falls back to one trial at a time
+        assert one_by_one.startswith("error")
+    else:
+        assert stacked == one_by_one
+
+
+@settings(max_examples=60, deadline=None)
+@given(ineq=st.sampled_from(ALL_INEQUALITIES), dim=st.integers(1, 16), trials=st.integers(1, 7),
+       seed=st.integers(0, 2**64 - 1), multiplier=st.sampled_from([1.0, 0.9, 0.5]))
+def test_stacked_cell_equals_stacks_of_one(ineq, dim, trials, seed, multiplier):
+    # trial 0 is the commuting corner instance of the audit ids
+    _assert_stack_matches_trials(ineq, dim, trials, seed, multiplier)
+
+
+@pytest.mark.parametrize("ineq", ALL_INEQUALITIES)
+@pytest.mark.parametrize("dim", [1, 3, 16])
+def test_every_id_stacked_equals_stacks_of_one(ineq, dim):
+    _assert_stack_matches_trials(ineq, dim, 7, 11, 0.9)
+
+
+@pytest.mark.parametrize("ineq", PROBED_IDS)
+def test_probe_starts_stacked_equal_one_by_one(ineq):
+    config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=6, seed=5)
+    pools = suite._build_pools(config, 3)
+    lo, hi = (1.0, 4.0) if suite.INEQUALITIES[ineq].cell == "bounded" else (0.25, 4.0)
+    starts = suite._probe_starts(suite.INEQUALITIES[ineq].cell, 3, SplitMix64(9), lo, hi, 6)
+    instances = [suite._probe_instance(inst) for inst in starts]
+    for pick in range(6):
+        stacked = suite._probe_ratios(ineq, instances, pick, pools, config.tol_rel)
+        alone = [suite._probe_evaluate(ineq, [inst], pick, config, pools)[0]
+                 for inst in instances]
+        assert stacked == alone
+        assert suite._probe_evaluate(ineq, instances, pick, config, pools) == alone
+
+
+def test_failure_in_a_stack_surfaces_at_its_own_trial(monkeypatch):
+    # trial 3's A misses the eigendecomposition contract in the evaluation of
+    # its stack (an ando cell draws without solving); the cell is evaluated
+    # again trial by trial, and trials 0-2 come first
+    config = SuiteConfig(inequalities=("ando",), dims=(3,), trials=13, seed=5)
+    bad = suite._draw("ando", 3, [3], config)[0][0].data
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        w, q = real_eigh(a)
+        return w, q + 1e-6 * (a == bad).all(axis=(-2, -1))[..., None, None]
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    seen = []
+    real = suite._evaluate_trial
+    monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(list(a[2])) or real(*a))
+    with pytest.raises(EigenSolverError) as info:
+        suite.run_suite(config)
+    # one call per stack of trials that share a map, up to the failing one
+    assert seen == [[0, 6, 12], [1, 7], [2, 8], [3, 9], [0], [1], [2], [3]]
+    seed = derive_seed(5, fnv1a64("ando"), 3, 3)
+    assert str(info.value).startswith(
+        f"inequality ando, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
+
+
+@pytest.mark.parametrize("ineq", MATRIX_IDS)
+def test_solver_calls_do_not_grow_with_the_trials(ineq, monkeypatch):
+    # a cell that silently fell back to trial-by-trial evaluation would make
+    # twice the solver calls at twice the trials
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real: calls.append(1) or real(a))
+    counts = []
+    for trials in (40, 80):
+        calls.clear()
+        suite.run_suite(SuiteConfig(inequalities=(ineq,), dims=(3,), trials=trials, seed=2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_stacked_spectral_layer_matches_single_matrices():
+    mats = [random_spd(dim, 0.5, 3.0, derive_seed(3, k)) for k, dim in enumerate([4] * 5)]
+    others = [random_spd(4, 0.5, 3.0, derive_seed(4, k)) for k in range(5)]
+    A, B = SymStack.of(mats), SymStack.of(others)
+    fns = [math.sqrt, math.log1p, lambda x: 1.0 / x, math.sqrt, lambda x: x * x]
+    stacked = {
+        "decompose": decompose(A).basis,
+        "spectrum": spectrum(B),
+        "function": matrix_function(A, fns).data,
+        "geometric": geometric(A, B).data,
+        "slack": loewner_slack(A, B),
+        "op_norm": op_norm(B),
+    }
+    for k, (X, Y) in enumerate(zip(mats, others)):
+        X, Y = SymMatrix(X.data), SymMatrix(Y.data)  # solved afresh, one at a time
+        single = {
+            "decompose": decompose(X).basis,
+            "spectrum": spectrum(Y),
+            "function": matrix_function(X, fns[k]).data,
+            "geometric": geometric(X, Y).data,
+            "slack": loewner_slack(X, Y),
+            "op_norm": op_norm(Y),
+        }
+        for name, value in single.items():
+            assert np.asarray(stacked[name][k]).tobytes() == np.asarray(value).tobytes(), name
+    for phi in map_catalog(4, SplitMix64(1)):
+        image = phi.apply(A)
+        for k, X in enumerate(mats):
+            assert image.data[k].tobytes() == phi.apply(X).data.tobytes(), phi.label
+
+
+def _alpha_scaling_reference(fn, alpha, constant_multiplier):
+    """check_alpha_scaling as a loop over the grid, one point at a time."""
+    points = default_grid()
+    worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
+    for x in points:
+        if fn.klass == OPERATOR_MONOTONE:
+            lhs, rhs = fn.fn(alpha * x), constant_multiplier * alpha * fn.fn(x)
+        else:
+            lhs, rhs = fn.fn(x) / alpha, constant_multiplier * fn.fn(alpha * x)
+        if rhs - lhs < worst_slack:
+            worst_slack, worst = rhs - lhs, (x, lhs, rhs)
+        worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs, rhs))
+    x, lhs, rhs = worst
+    slack, tol = rhs - lhs, 1e-9 * max(1.0, abs(lhs) + abs(rhs))
+    return Certificate("alpha-scaling",
+                       {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": x},
+                       lhs, rhs, alpha * constant_multiplier, slack, worst_ratio,
+                       slack >= -tol, tol).to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(1.0, 8.0), multiplier=st.sampled_from([1.0, 0.9, 0.5]))
+def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
+    for fn in monotone_catalog() + decreasing_catalog():
+        got = check_alpha_scaling(fn, alpha, constant_multiplier=multiplier).to_json()
+        assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
+
+
+def test_overflowing_average_is_refused():
+    with pytest.raises(ValueError, match="overflow"):
+        SymMatrix([[1e308, 1e308], [1e308, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SymStack(np.full((2, 2, 2), np.inf))
+    assert SymMatrix([[8e307, 8e307], [8e307, 1.0]]).data[0, 1] == 8e307
+
+
+def test_overflowing_cell_exits_with_the_overflow(capsys):
+    code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "3",
+                     "--m", "1e300", "--M", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "overflow" in err

@@ -151,10 +151,12 @@ class TestRunSuite:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         seen = []
         real = suite._evaluate_trial
-        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(a[2]) or real(*a))
+        # the stacked draw fails, so each trial is drawn and evaluated as a stack of one
+        monkeypatch.setattr(suite, "_evaluate_trial",
+                            lambda *a: seen.append(list(a[2])) or real(*a))
         with pytest.raises(EigenSolverError) as info:
             run_suite(config)
-        assert seen == [0, 1, 2, 3]
+        assert seen == [[0], [1], [2], [3]]
         assert str(info.value).startswith(
             f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
 
