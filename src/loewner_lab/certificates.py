@@ -364,14 +364,26 @@ def check_polya_szego(
     _vet_bounded(A, B, m, M, tol_rel)
     lhs = geometric(phi.apply(A), phi.apply(B))
     mid = phi.apply(geometric(A, B))
-    constant = [(M_k + m_k) / (2.0 * math.sqrt(M_k * m_k)) * constant_multiplier
-                for m_k, M_k in zip(m, M)]
+    constant = _per_cell(polya_szego_constant, m, M, constant_multiplier)
     params = [{"map": phi.label, "m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
     return _reversal_certificate("polya-szego", params, lhs, mid, constant, tol_rel)
 
 
-def _kantorovich(m: float, M: float) -> float:
+def polya_szego_constant(m: float, M: float) -> float:
+    return (M + m) / (2.0 * math.sqrt(M * m))
+
+
+def kantorovich_constant(m: float, M: float) -> float:
     return (M + m) ** 2 / (4.0 * M * m)
+
+
+def gruss_constant(m: float, M: float) -> float:
+    """The Grüss bound's factor (M-m)^2/(4Mm), before f(M) or g(m)."""
+    return (M - m) ** 2 / (4.0 * M * m)
+
+
+def eq15_constant(m: float, M: float) -> float:
+    return 2.0 * polya_szego_constant(m, M) ** 2
 
 
 def _per_cell(constant, lo: list, hi: list, multiplier: float = 1.0) -> list:
@@ -399,12 +411,12 @@ def check_kantorovich_f(
     _vet_reversal(tau, sigma, f)
     lhs = kernel_mean(tau, _fn_of(phi.apply(A), f), _fn_of(phi.apply(B), f))
     base = _fn_of(phi.apply(kernel_mean(sigma, A, B)), f)
-    constant = _per_cell(_kantorovich, m, M, constant_multiplier)
+    constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "f", f, A, m=m, M=M)
     return _reversal_certificate("kantorovich-f", params, lhs, base, constant, tol_rel)
 
 
-def _sandwich_lemma_constants(s: float, t: float) -> tuple[float, float]:
+def sandwich_lemma_constants(s: float, t: float) -> tuple[float, float]:
     half_sum = 0.5 * (math.sqrt(s) + math.sqrt(t))
     if s * t >= 1.0:
         return 1.0 / half_sum, half_sum
@@ -433,7 +445,7 @@ def check_sandwich_lemma(
     """
     for s_k, t_k in zip(s, t):
         _hyp(0 < s_k <= t_k, f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
-    c1, c2 = (list(c) for c in zip(*map(_sandwich_lemma_constants, s, t)))
+    c1, c2 = (list(c) for c in zip(*map(sandwich_lemma_constants, s, t)))
     if mode == "scalar":
         return [_scalar_sandwich(s_k, t_k, c2_k, grid_points, constant_multiplier, tol_rel)
                 for s_k, t_k, c2_k in zip(s, t, c2)]
@@ -606,7 +618,7 @@ def check_gruss(
         inequality_id = "gruss-g"
     else:
         raise ValueError(f"unknown family {family!r}")
-    constant = [(M_k - m_k) ** 2 / (4.0 * M_k * m_k) * b_k * constant_multiplier
+    constant = [gruss_constant(m_k, M_k) * b_k * constant_multiplier
                 for m_k, M_k, b_k in zip(m, M, bound_value)]
     rhs = SymStack(np.array(constant)[:, None, None] * np.eye(phi.output_dim))
     params = _reversal_params(phi, tau, sigma, "fn", fn, A, m=m, M=M, family=[family] * len(A))
@@ -658,8 +670,7 @@ def check_norm_ratio(
         _hyp(m is not None and M is not None, "eq15 mode needs m and M")
         _vet_bounded(A, B, m, M, tol_rel)
         s_eff, t_eff = [m_k / M_k for m_k, M_k in zip(m, M)], [M_k / m_k for m_k, M_k in zip(m, M)]
-        constant = [2.0 * ((M_k + m_k) / (2.0 * math.sqrt(M_k * m_k))) ** 2
-                    for m_k, M_k in zip(m, M)]
+        constant = _per_cell(eq15_constant, m, M)
         lhs_kernel = rhs_kernel = GEOMETRIC
     else:
         _hyp(s is not None and t is not None, f"{mode} mode needs s and t")
@@ -723,7 +734,7 @@ def check_squared(
     _vet_spectrum("A", *spectrum_bounds(A), m, M, tol_rel)
     lhs = matrix_function(A, lambda x: x * x)
     base = matrix_function(B, lambda x: x * x)
-    constant = _per_cell(_kantorovich, m, M, constant_multiplier)
+    constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)
     params = [{"m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
     return _reversal_certificate("squared", params, lhs, base, constant, tol_rel)
 
@@ -763,7 +774,7 @@ def check_squared_consequences(
         base = square(geometric(_fn_of(A, fn), _fn_of(B, fn)))
         inequality_id = "squared-consequence-g"
         key = "g"
-    constant = [K**2 * constant_multiplier for K in _per_cell(_kantorovich, m, M)]
+    constant = [K**2 * constant_multiplier for K in _per_cell(kantorovich_constant, m, M)]
     params = [{key: f_k.id, "m": m_k, "M": M_k, "dim": A.dim} for f_k, m_k, M_k in zip(fn, m, M)]
     return _reversal_certificate(inequality_id, params, lhs, base, constant, tol_rel)
 
@@ -783,17 +794,20 @@ def check_midpoint(
     _vet_sandwich(A, B, s, t, tol_rel)
     lhs = 0.5 * (A * _root_st(s, t) + B)
     base = geometric(A, B)
-    constant = [0.5 * (math.sqrt(s_k) + math.sqrt(t_k)) * constant_multiplier
-                for s_k, t_k in zip(s, t)]
+    constant = _per_cell(midpoint_constant, s, t, constant_multiplier)
     params = [{"s": s_k, "t": t_k, "dim": A.dim} for s_k, t_k in zip(s, t)]
     return _reversal_certificate("midpoint", params, lhs, base, constant, tol_rel)
+
+
+def midpoint_constant(s: float, t: float) -> float:
+    return 0.5 * (math.sqrt(s) + math.sqrt(t))
 
 
 def _root_st(s: list, t: list) -> list:
     return [math.sqrt(s_k * t_k) for s_k, t_k in zip(s, t)]
 
 
-def _diaz_metcalf_constant(s: float, t: float) -> float:
+def diaz_metcalf_constant(s: float, t: float) -> float:
     # This family branches on sqrt(st) vs 1, not on st vs 1.
     half_sum_sq = (0.5 * (math.sqrt(s) + math.sqrt(t))) ** 2
     root_st = math.sqrt(s * t)
@@ -823,7 +837,7 @@ def check_diaz_metcalf(
     scaled = A * _root_st(s, t)
     lhs = kernel_mean(tau, phi.apply(_fn_of(scaled, f)), phi.apply(_fn_of(B, f)))
     base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = _per_cell(_diaz_metcalf_constant, s, t, constant_multiplier)
+    constant = _per_cell(diaz_metcalf_constant, s, t, constant_multiplier)
     params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
     return _reversal_certificate("diaz-metcalf", params, lhs, base, constant, tol_rel)
 
@@ -871,7 +885,7 @@ def check_klamkin_mclenaghan(
     t_root = matrix_function(T, math.sqrt)
     t_inv_root = matrix_function(T, lambda x: 1.0 / math.sqrt(x))
     swing = t_root - t_inv_root
-    c = [2.0 * _diaz_metcalf_constant(s_k, t_k) * constant_multiplier for s_k, t_k in zip(s, t)]
+    c = [2.0 * diaz_metcalf_constant(s_k, t_k) * constant_multiplier for s_k, t_k in zip(s, t)]
     n_out = phi.output_dim
     rhs = SymStack((np.array(c) - 2.0)[:, None, None] * np.eye(n_out) - swing.data @ swing.data)
     params = [{"map": phi.label, "sigma": sigma_k.id, "f": f_k.id, "s": s_k, "t": t_k,

@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, IndexError, OSError, LoewnerLabError) as exc:
+    except (ValueError, IndexError, OSError, ArithmeticError, LoewnerLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

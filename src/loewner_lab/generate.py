@@ -339,17 +339,14 @@ def quadratic_form_slack(
     """Brute-force Loewner oracle: min of v^T (Y - X) v over random unit vectors.
 
     Always an upper bound on lambda_min(Y - X); used to cross-check the
-    eigensolver-based comparison, never to replace it.
+    eigensolver-based comparison, never to replace it.  The vectors are the
+    rows of one ``normal_matrix(samples, n)`` draw, and all the quadratic
+    forms are evaluated at once.
     """
     X, Y = as_sym(X), as_sym(Y)
     diff = (Y - X).data
-    rng = SplitMix64(seed)
-    best = math.inf
-    for _ in range(samples):
-        v = rng.normal_matrix(1, diff.shape[0])[0]
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            continue
-        v /= norm
-        best = min(best, float(v @ diff @ v))
-    return best
+    v = SplitMix64(seed).normal_matrix(samples, diff.shape[0])
+    norms = np.linalg.norm(v, axis=1)
+    v = v[norms != 0.0] / norms[norms != 0.0, None]
+    forms = np.einsum("ij,jk,ik->i", v, diff, v)
+    return float(forms.min()) if forms.size else math.inf

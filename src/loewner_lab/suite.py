@@ -35,7 +35,9 @@ from .generate import (
     _sandwich_pair,
     _spd,
 )
-from .kernels import kernel_dominance, parse_function, parse_kernel, GEOMETRIC
+from .kernels import (
+    GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
+)
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
 from .spectral import SymMatrix, SymStack, decompose, parse_norm, sym_entries
 
@@ -99,9 +101,27 @@ class SuiteConfig:
         if ("order" in cells or "specht-bound" in self.inequalities) and self.m is not None \
                 and not 0 < self.m <= self.M:
             raise ValueError(f"fields m, M need 0 < m <= M, got m={self.m!r}, M={self.M!r}")
+        for ineq in self.inequalities:
+            _vet_constant(ineq, self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _vet_constant(ineq: str, config: SuiteConfig) -> None:
+    """Refuse fixed cell bounds at which ``ineq``'s constant is not a finite number."""
+    entry = INEQUALITIES[ineq]
+    names = ("s", "t") if entry.cell == "sandwich" else ("m", "M")
+    lo, hi = (getattr(config, name) for name in names)
+    if entry.constant is None or lo is None:
+        return
+    try:
+        ok = all(map(math.isfinite, np.atleast_1d(entry.constant(lo, hi))))
+    except ArithmeticError:  # a Python float overflow or a division by zero
+        ok = False
+    if not ok:
+        raise ValueError(f"fields {names[0]}, {names[1]}: the constant of {ineq} is not a finite "
+                         f"number at {names[0]}={lo!r}, {names[1]}={hi!r}")
 
 
 def _resolve_inequalities(spec) -> tuple:
@@ -176,9 +196,12 @@ def _sample_st(rng: SplitMix64, config: SuiteConfig, force_st_ge_1: bool = False
         a = rng.log_uniform(lo, hi)
         b = rng.log_uniform(lo, hi)
         s, t = (a, b) if a <= b else (b, a)
-    if force_st_ge_1 and s * t < 1.0:
-        s, t = 1.0 / t, 1.0 / s
-    return s, t
+    return _st_ge_1(s, t) if force_st_ge_1 else (s, t)
+
+
+def _st_ge_1(s: float, t: float) -> tuple:
+    """The cell (s, t), reflected into s*t >= 1 when below it."""
+    return (s, t) if s * t >= 1.0 else (1.0 / t, 1.0 / s)
 
 
 def _sample_mM(rng: SplitMix64, config: SuiteConfig):
@@ -280,6 +303,10 @@ def _squared_consequence(fns: str):
         certs.check_squared_consequences(_picks(getattr(p, fns), i), A, B, *_cols(c), **kw))
 
 
+def _squared_kantorovich(m: float, M: float) -> float:
+    return certs.kantorovich_constant(m, M) ** 2
+
+
 def _norm_ratio(mode: str, kernels: str | None):
     """Audit norm-ratio adapter; ``kernels`` names the kernel pool (None: geometric)."""
     bounds = ("m", "M") if mode == "eq15" else ("s", "t")
@@ -311,13 +338,16 @@ class _Inequality:
     tol_rel.  ``maps`` names the pool the check's map comes from: trials
     that pick the same map form one stack, since a map fixes the output
     dimension.  Adapters look up ``certs.check_*`` when called, never at
-    import.
+    import.  ``constant(lo, hi)`` is the id's constant (or constants) at
+    multiplier 1 on the cell's bounds, or None when it takes none; fixed
+    bounds at which it is not a finite number are refused.
     """
 
     cell: str
     draw: Callable
     check: Callable
     maps: str | None = None  # "maps", or "unital_maps" when the check needs a unital map
+    constant: Callable | None = None
 
 
 # The one inequality table, in ALL_INEQUALITIES order; certificates.py keeps
@@ -326,51 +356,62 @@ INEQUALITIES = {
     "ando": _Inequality("free", _draw_free, lambda A, B, c, i, p, **kw: _each(
         certs.ando_check(_pick(p.maps, i[0]), _picks(p.kernels, i), A, B, **kw)), "maps"),
     "polya-szego": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
-        certs.check_polya_szego(_pick(p.maps, i[0]), A, B, *_cols(c), **kw)), "maps"),
+        certs.check_polya_szego(_pick(p.maps, i[0]), A, B, *_cols(c), **kw)), "maps",
+        certs.polya_szego_constant),
     "kantorovich-f": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
         certs.check_kantorovich_f(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                  **kw)), "maps"),
+                                  **kw)), "maps", certs.kantorovich_constant),
     "sandwich-lemma": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        list(pair) for pair in certs.check_sandwich_lemma(A, B, *_cols(c), **kw)]),
+        list(pair) for pair in certs.check_sandwich_lemma(A, B, *_cols(c), **kw)],
+        constant=certs.sandwich_lemma_constants),
     "alpha-scaling": _Inequality("scalar", _draw_alpha, lambda A, B, c, i, p, **kw: [
         [certs.check_alpha_scaling(_pick(p.f_monotone + p.g_decreasing, j), *cell, **kw)]
         for j, cell in zip(i, c)]),
     "main-monotone": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
         certs.check_main_monotone(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                  **kw)), "maps"),
+                                  **kw)), "maps", sandwich_constant),
     "main-decreasing": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
         certs.check_main_decreasing(*_reversal(p.maps, p, i, p.g_decreasing), A, B, *_cols(c),
-                                    **kw)), "maps"),
+                                    **kw)), "maps", sandwich_constant),
     "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("monotone", "f_monotone"),
-                           "unital_maps"),
+                           "unital_maps", certs.gruss_constant),
     "gruss-g": _Inequality("bounded", _draw_bounded, _gruss("decreasing", "g_decreasing"),
-                           "unital_maps"),
+                           "unital_maps", certs.gruss_constant),
     "squared": _Inequality("order", _draw_order, lambda A, B, c, i, p, **kw: _each(
-        certs.check_squared(A, B, *_cols(c), **kw))),
-    "squared-consequence-f": _Inequality(
-        "bounded", _draw_bounded, _squared_consequence("f_monotone")),
-    "squared-consequence-g": _Inequality(
-        "bounded", _draw_bounded, _squared_consequence("g_decreasing")),
+        certs.check_squared(A, B, *_cols(c), **kw)), constant=certs.kantorovich_constant),
+    "squared-consequence-f": _Inequality("bounded", _draw_bounded,
+                                         _squared_consequence("f_monotone"),
+                                         constant=_squared_kantorovich),
+    "squared-consequence-g": _Inequality("bounded", _draw_bounded,
+                                         _squared_consequence("g_decreasing"),
+                                         constant=_squared_kantorovich),
     "midpoint": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_midpoint(A, B, *_cols(c), **kw))),
+        certs.check_midpoint(A, B, *_cols(c), **kw)), constant=certs.midpoint_constant),
     "diaz-metcalf": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
         certs.check_diaz_metcalf(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                 **kw)), "maps"),
+                                 **kw)), "maps", certs.diaz_metcalf_constant),
     "klamkin-mclenaghan": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
         certs.check_klamkin_mclenaghan(_pick(p.maps, i[0]), _picks(p.kernels, i),
-                                       _picks(p.f_monotone, i), A, B, *_cols(c), **kw)), "maps"),
+                                       _picks(p.f_monotone, i), A, B, *_cols(c), **kw)), "maps",
+        lambda s, t: 2.0 * certs.diaz_metcalf_constant(s, t)),
     "specht-bound": _Inequality("scalar", _draw_specht, lambda A, B, c, i, p, **kw: [
-        [certs.check_specht_bound(*cell, **kw)] for cell in c]),
+        [certs.check_specht_bound(*cell, **kw)] for cell in c],
+        constant=lambda m, M: specht_ratio(M / m)),
     "strengthened-remark": _Inequality(
         "sandwich", _draw_sandwich_st_ge_1, lambda A, B, c, i, p, **kw: _each(
             certs.check_strengthened_remark(
-                *_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c), **kw)), "maps"),
-    "norm-ratio-tau": _Inequality(
-        "sandwich", _draw_sandwich, _norm_ratio("tau_side", "tau_ge_sharp")),
-    "norm-ratio-sharp": _Inequality(
-        "sandwich", _draw_sandwich, _norm_ratio("sharp_side", "sigma_le_sharp")),
-    "norm-ratio-power4": _Inequality("sandwich", _draw_sandwich, _norm_ratio("power4", "kernels")),
-    "norm-ratio-eq15": _Inequality("bounded", _draw_bounded, _norm_ratio("eq15", None)),
+                *_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c), **kw)), "maps",
+        lambda s, t: sandwich_constant(*_st_ge_1(s, t))),
+    "norm-ratio-tau": _Inequality("sandwich", _draw_sandwich,
+                                  _norm_ratio("tau_side", "tau_ge_sharp"),
+                                  constant=sandwich_constant),
+    "norm-ratio-sharp": _Inequality("sandwich", _draw_sandwich,
+                                    _norm_ratio("sharp_side", "sigma_le_sharp"),
+                                    constant=sandwich_constant),
+    "norm-ratio-power4": _Inequality("sandwich", _draw_sandwich, _norm_ratio("power4", "kernels"),
+                                     constant=lambda s, t: sandwich_constant(s, t) ** 2),
+    "norm-ratio-eq15": _Inequality("bounded", _draw_bounded, _norm_ratio("eq15", None),
+                                   constant=certs.eq15_constant),
 }
 
 
@@ -620,9 +661,9 @@ _PROBE_CELLS = {"bounded": ("m", "M", 1.0, 4.0), "sandwich": ("s", "t", 0.25, 4.
 
 
 class _ProbeInstance:
-    """Mutable eigen-coordinates of an instance, for hill climbing."""
+    """Eigen-coordinates of an instance, for hill climbing; moves make new instances."""
 
-    def __init__(self, q_a, lam_a, q_c, lam_c, lo, hi, family):
+    def __init__(self, q_a, lam_a, q_c, lam_c, lo, hi, family, A=None):
         self.q_a = q_a
         self.lam_a = lam_a
         self.q_c = q_c
@@ -630,9 +671,12 @@ class _ProbeInstance:
         self.lo = lo  # clip range for lam_c
         self.hi = hi
         self.family = family
+        self.A = A  # A's matrix, with its cached decomposition, once built
 
     def matrices(self) -> tuple[SymMatrix, SymMatrix]:
-        A = SymMatrix(self.q_a.T @ np.diag(self.lam_a) @ self.q_a)
+        if self.A is None:
+            self.A = SymMatrix(self.q_a.T @ np.diag(self.lam_a) @ self.q_a)
+        A = self.A
         if self.family == "bounded":
             B = SymMatrix(self.q_c.T @ np.diag(self.lam_c) @ self.q_c)
             return A, B
@@ -640,45 +684,42 @@ class _ProbeInstance:
         root = decompose(A).root
         return A, SymMatrix(root @ C.data @ root)
 
-    def copy(self) -> "_ProbeInstance":
-        return _ProbeInstance(
-            self.q_a.copy(), self.lam_a.copy(), self.q_c.copy(), self.lam_c.copy(),
-            self.lo, self.hi, self.family,
-        )
-
-    def perturb(self, rng: SplitMix64) -> "_ProbeInstance":
-        out = self.copy()
-        dim = out.lam_a.size
-        move = rng.choice_index(4)
-        if move == 0:
-            j = rng.choice_index(dim)
-            out.lam_a[j] = float(np.clip(out.lam_a[j] + 0.2 * (self.hi - self.lo) * rng.normal(),
-                                         self.lo, self.hi))
-        elif move == 1:
-            j = rng.choice_index(dim)
-            out.lam_c[j] = float(np.clip(out.lam_c[j] + 0.2 * (self.hi - self.lo) * rng.normal(),
-                                         self.lo, self.hi))
-        elif move == 2:
-            out.q_a = _rotate(out.q_a, rng)
-        else:
-            out.q_c = _rotate(out.q_c, rng)
-        return out
+    def moved(self, move: tuple) -> "_ProbeInstance":
+        """This instance after one ``_draw_move`` move; it shares the factors the move keeps."""
+        kind, i, j, x = move
+        q_a, lam_a, q_c, lam_c = self.q_a, self.lam_a, self.q_c, self.lam_c
+        if kind < 2:  # shift one eigenvalue, clipped to the cell
+            lam = (lam_a if kind == 0 else lam_c).copy()
+            lam[i] = float(np.clip(lam[i] + 0.2 * (self.hi - self.lo) * x, self.lo, self.hi))
+            lam_a, lam_c = (lam, lam_c) if kind == 0 else (lam_a, lam)
+        elif i is not None:  # rotate one orthogonal factor in the (i, j) plane
+            rot = np.eye(q_a.shape[0])
+            c, s = math.cos(x), math.sin(x)
+            rot[i, i] = c
+            rot[j, j] = c
+            rot[i, j] = s
+            rot[j, i] = -s
+            q_a, q_c = (q_a @ rot, q_c) if kind == 2 else (q_a, q_c @ rot)
+        keeps_a = kind % 2 == 1 or i is None
+        return _ProbeInstance(q_a, lam_a, q_c, lam_c, self.lo, self.hi, self.family,
+                              self.A if keeps_a else None)
 
 
-def _rotate(q: np.ndarray, rng: SplitMix64) -> np.ndarray:
-    dim = q.shape[0]
+def _draw_move(rng: SplitMix64, dim: int) -> tuple:
+    """One hill-climb move ``(kind, i, j, x)``; the draws depend on ``dim`` only.
+
+    Kinds 0 and 1 shift eigenvalue i of A or of C by x times a fifth of the
+    cell's width; kinds 2 and 3 rotate the factor of A or of C by the angle
+    x in the (i, j) plane, which is no move at dim 1 (i is None).
+    """
+    kind = rng.choice_index(4)
+    if kind < 2:
+        return kind, rng.choice_index(dim), None, rng.normal()
     if dim == 1:
-        return q
+        return kind, None, None, None
     i = rng.choice_index(dim)
     j = (i + 1 + rng.choice_index(dim - 1)) % dim
-    theta = 0.2 * rng.normal()
-    rot = np.eye(dim)
-    c, s = math.cos(theta), math.sin(theta)
-    rot[i, i] = c
-    rot[j, j] = c
-    rot[i, j] = s
-    rot[j, i] = -s
-    return q @ rot
+    return kind, i, j, 0.2 * rng.normal()
 
 
 def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, n_random: int):
@@ -717,12 +758,13 @@ def _probe_ratios(ineq: str, instances: list, pick: int, pools: _DimPools, tol_r
     return out
 
 
-def _probe_evaluate(ineq, instances, pick, config, pools) -> list:
+def _probe_evaluate(ineq, instances, pick, config, pools, above=math.inf) -> list:
     """The largest finite ratio of each instance's certificates at ``pick``,
     or None where the check refuses the instance or no ratio is finite.
 
     The instances are evaluated as one stack; if that raises, each is
-    evaluated alone.
+    evaluated alone, in order, up to the first whose ratio exceeds ``above``,
+    so the list may end there.
     """
     if len(instances) > 1:
         try:
@@ -735,6 +777,8 @@ def _probe_evaluate(ineq, instances, pick, config, pools) -> list:
             out += _probe_ratios(ineq, [instance], pick, pools, config.tol_rel)
         except LoewnerLabError:
             out.append(None)
+        if out[-1] is not None and out[-1] > above:
+            break
     return out
 
 
@@ -742,11 +786,44 @@ def _probe_instance(inst: _ProbeInstance) -> tuple:
     return (*inst.matrices(), (inst.lo, inst.hi))
 
 
+# Moves per refine window: the first window after an accepted move, and the
+# most; a window without an accepted move doubles the next.
+_WINDOW_FIRST, _WINDOW_MOST = 4, 64
+
+
+def _refine(ineq: str, best: _ProbeInstance, best_ratio: float, pick: int, rng: SplitMix64,
+            config: SuiteConfig, pools: _DimPools) -> tuple[_ProbeInstance, float, int]:
+    """Hill-climb from ``best`` for ``config.probe_refine_steps`` moves:
+    returns the best instance, its ratio and the number of accepted moves.
+
+    Each move is applied to the best instance so far and accepted when its
+    ratio is larger.  A move's draws do not depend on the instance, so all
+    are drawn first and the next window of moves is evaluated as one stack
+    against the current best; the first accepted move in the window ends
+    it, and the window after it starts at the next move.  This accepts the
+    same moves, with the same ratios, as evaluating one move at a time.
+    """
+    moves = [_draw_move(rng, best.lam_a.size) for _ in range(config.probe_refine_steps)]
+    accepted, step, window = 0, 0, _WINDOW_FIRST
+    while step < len(moves):
+        cands = [best.moved(move) for move in moves[step:step + window]]
+        ratios = _probe_evaluate(ineq, [_probe_instance(c) for c in cands], pick, config,
+                                 pools, above=best_ratio)
+        hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
+        if hit is None:
+            step, window = step + len(cands), min(2 * window, _WINDOW_MOST)
+        else:
+            best, best_ratio = cands[hit], ratios[hit]
+            accepted, step, window = accepted + 1, step + hit + 1, _WINDOW_FIRST
+    return best, best_ratio, accepted
+
+
 def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     """Random search plus coordinate hill-climb for the largest observed ratio.
 
     Perturbs eigenvalues (clipped to the hypothesis cell) and orthogonal
-    factors, accepting ratio increases, for ``probe_refine_steps`` steps.
+    factors, accepting ratio increases, for ``probe_refine_steps`` steps
+    (see ``_refine``).
     Constants are taken at multiplier 1.  Only sandwich and bounded cells
     are probed.
     """
@@ -782,13 +859,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
                 best_ratio, best_inst, best_pick = ratio, inst, pick
     if best_inst is None:
         raise LoewnerLabError("probe found no feasible instance")
-    accepted = 0
-    for _ in range(config.probe_refine_steps):
-        cand = best_inst.perturb(rng)
-        ratio = _probe_evaluate(inequality_id, [_probe_instance(cand)], best_pick, config, pools)[0]
-        if ratio is not None and ratio > best_ratio:
-            best_ratio, best_inst = ratio, cand
-            accepted += 1
+    best_inst, best_ratio, accepted = _refine(inequality_id, best_inst, best_ratio, best_pick,
+                                              rng, config, pools)
     A, B = best_inst.matrices()
     probe_payload = {
         "inequality": inequality_id,

@@ -326,3 +326,29 @@ def test_streams_out_of_lockstep_are_refused():
     a.normal()
     with pytest.raises(ValueError, match="lockstep"):
         normal_rows([a, b], 4)
+
+
+def _quadratic_form_slack_rows(X, Y, samples, seed):
+    """The oracle one sampled row at a time: the reference for the block form."""
+    diff = (Y - X).data
+    rng = SplitMix64(seed)
+    best = np.inf
+    for _ in range(samples):
+        v = rng.normal_matrix(1, diff.shape[0])[0]
+        v /= np.linalg.norm(v)
+        best = min(best, float(v @ diff @ v))
+    return best
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_quadratic_form_oracle_matches_the_row_loop(dim):
+    for seed in range(5):
+        X = random_spd(dim, 0.5, 2.0, derive_seed(seed, 1))
+        Y = random_spd(dim, 0.5, 2.0, derive_seed(seed, 2))
+        diff = (Y - X).data
+        # each form sums dim^2 products of entries below 1 in size with diff's
+        # entries, after a normalization: both sides round within this
+        tol = 2 * (dim + 2) * np.finfo(float).eps * np.abs(diff).sum()
+        got = quadratic_form_slack(X, Y, 300, seed)
+        assert abs(got - _quadratic_form_slack_rows(X, Y, 300, seed)) <= tol
+        assert got >= np.linalg.eigvalsh(diff)[0] - tol

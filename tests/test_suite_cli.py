@@ -89,6 +89,41 @@ class TestSuiteConfig:
         assert ("error: gruss-f needs at least one unital map in the pool"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["verify", "probe"])
+    def test_overflowing_constant_fails_before_any_trial(self, command, monkeypatch, capsys):
+        # (M + m) ** 2 overflows a Python float at these bounds
+        calls = []
+        for name in ("_evaluate_trial", "_probe_evaluate"):
+            real = getattr(suite, name)
+            monkeypatch.setattr(suite, name, lambda *a, real=real: calls.append(a) or real(*a))
+        code = cli_main([command, "--ineq", "kantorovich-f", "--dims", "2", "--trials", "2",
+                         "--m", "1e200", "--M", "1e201"])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: fields m, M: the constant of kantorovich-f is not a finite number at "
+            "m=1e+200, M=1e+201\n")
+
+    @pytest.mark.parametrize("ineq, cell", [
+        ("gruss-f", ("m", 1e-200, "M", 2e-200)),  # (M - m) ** 2 underflows to 0, then / 0
+        ("specht-bound", ("m", 1e-300, "M", 1e300)),  # M / m overflows: S(inf) is nan
+        ("norm-ratio-power4", ("s", 1e-100, "t", 1e200)),  # C(s, t) ** 2 overflows
+        ("main-monotone", ("s", 1e-320, "t", 1e-300)),  # s * t underflows to 0
+    ])
+    def test_constant_that_is_not_finite_names_the_cell(self, ineq, cell):
+        lo, lo_value, hi, hi_value = cell
+        with pytest.raises(ValueError, match=f"^fields {lo}, {hi}: the constant of {ineq} "):
+            SuiteConfig(inequalities=(ineq,), **{lo: lo_value, hi: hi_value})
+
+    def test_remaining_arithmetic_errors_exit_2(self, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(suite, "_evaluate_trial", overflow)
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "2"])
+        assert code == 2
+        assert "error: (34, 'Numerical result out of range')" in capsys.readouterr().err
+
     @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_bad_sandwich_cell_names_fields(self, s, t):
         with pytest.raises(ValueError, match="fields s, t"):
