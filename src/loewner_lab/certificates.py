@@ -370,7 +370,10 @@ def check_polya_szego(
 
 
 def polya_szego_constant(m: float, M: float) -> float:
-    return (M + m) / (2.0 * math.sqrt(M * m))
+    product = M * m
+    if product == 0.0 or product == math.inf:  # under- or overflow: take the roots apart
+        return (M + m) / (2.0 * (math.sqrt(M) * math.sqrt(m)))
+    return (M + m) / (2.0 * math.sqrt(product))
 
 
 def kantorovich_constant(m: float, M: float) -> float:

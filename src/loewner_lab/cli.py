@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SuiteConfig:
     kwargs = {
         "inequalities": tuple(x.strip() for x in args.ineq.split(",") if x.strip()),
-        "dims": tuple(int(x) for x in args.dims.split(",") if x.strip()),
+        "dims": tuple(x for x in args.dims.split(",") if x.strip()),
         "trials": args.trials,
         "seed": args.seed,
         "tol_rel": args.tol,

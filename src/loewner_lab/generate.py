@@ -24,12 +24,10 @@ from .errors import HypothesisError, NotPositiveDefiniteError
 from .spectral import (
     SpectralDecomposition,
     SymMatrix,
+    SymStack,
     as_sym,
     decompose,
-    decompose_stack,
     spectrum_bounds,
-    stack_root,
-    sym_entries,
 )
 
 MASK64 = (1 << 64) - 1
@@ -172,22 +170,15 @@ def random_orthogonal(dim: int, rng) -> np.ndarray:
     return q[0] if one else q
 
 
-def _spd(rng, dim: int, lam_lo, lam_hi):
-    """Q^T diag(lam) Q with lam uniform in [lam_lo, lam_hi] and Q from
-    ``random_orthogonal``.
-
-    For one SplitMix64 stream this is the SymMatrix; for a list of streams
-    it is the stack of their entries as ``sym_entries`` returns them, and
-    ``lam_lo``, ``lam_hi`` may give one value per stream.
-    """
-    one = isinstance(rng, SplitMix64)
-    rngs = [rng] if one else rng
+def _spd(rngs, dim: int, lam_lo, lam_hi) -> SymStack:
+    """Q^T diag(lam) Q for each stream, as one SymStack, with lam uniform in
+    [lam_lo, lam_hi] and Q from ``random_orthogonal``; ``lam_lo`` and
+    ``lam_hi`` are scalars or one value per stream."""
     lam = uniform_rows(rngs, dim, lam_lo, lam_hi)
     q = random_orthogonal(dim, rngs)
     diag = np.zeros((len(rngs), dim, dim))
     diag[:, range(dim), range(dim)] = lam
-    a = sym_entries(q.swapaxes(1, 2) @ diag @ q)
-    return SymMatrix.stack(a)[0] if one else a
+    return SymStack(q.swapaxes(1, 2) @ diag @ q)
 
 
 def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
@@ -200,27 +191,13 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
         raise ValueError(f"need 0 < lam_lo <= lam_hi, got [{lam_lo!r}, {lam_hi!r}]")
     if dim < 1:
         raise ValueError("dim must be positive")
-    return _spd(SplitMix64(seed), dim, lam_lo, lam_hi)
+    return _spd([SplitMix64(seed)], dim, lam_lo, lam_hi).matrices()[0]
 
 
 def _positive_definite(dec: SpectralDecomposition) -> None:
     """Of a matrix, or of every slice of a stack."""
     if (dec.eigenvalues[..., 0] <= 0.0).any():
         raise NotPositiveDefiniteError("first argument must be positive definite")
-
-
-def _sandwich_bounds(As, Bs, inv_root: np.ndarray, b: np.ndarray) -> list:
-    """(s*, t*) of each pair, from the stacks of A^(-1/2) and of the entries
-    of B, each remembered on its A for the first partner B."""
-    inner = sym_entries(inv_root @ b @ inv_root)
-    Xs = SymMatrix.stack(inner)
-    decompose_stack(Xs, inner)
-    out = []
-    for A, B, X in zip(As, Bs, Xs):
-        out.append(spectrum_bounds(X))
-        if A._sandwich is None:
-            object.__setattr__(A, "_sandwich", (B, out[-1]))
-    return out
 
 
 def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
@@ -243,9 +220,16 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
     return bounds
 
 
+def _slices(*values) -> zip:
+    """The values' rows as Python floats: one row for a pair's scalars, one
+    per slice for a stack's sequences or arrays."""
+    return zip(*(np.atleast_1d(v).tolist() for v in values))
+
+
 @dataclass(frozen=True)
 class SandwichPair:
-    """A PD pair with certified sandwich scalars: s A <= B <= t A."""
+    """A PD pair with certified sandwich scalars: s A <= B <= t A; or two
+    stacks with one s and one t per slice."""
 
     A: SymMatrix
     B: SymMatrix
@@ -253,18 +237,20 @@ class SandwichPair:
     t: float
 
     def verify(self, tol_rel: float = 1e-9) -> None:
-        s_star, t_star = estimate_sandwich(self.A, self.B)
-        tol = tol_rel * max(1.0, self.t)
-        if s_star < self.s - tol or t_star > self.t + tol:
-            raise HypothesisError(
-                f"sandwich condition violated: tightest [{s_star:.6g}, {t_star:.6g}] "
-                f"outside claimed [{self.s:.6g}, {self.t:.6g}]"
-            )
+        """Raise for the first slice whose tightest scalars leave [s, t]."""
+        for lo, hi, s, t in _slices(*estimate_sandwich(self.A, self.B), self.s, self.t):
+            tol = tol_rel * max(1.0, t)
+            if lo < s - tol or hi > t + tol:
+                raise HypothesisError(
+                    f"sandwich condition violated: tightest [{lo:.6g}, {hi:.6g}] "
+                    f"outside claimed [{s:.6g}, {t:.6g}]"
+                )
 
 
 @dataclass(frozen=True)
 class BoundedPair:
-    """A PD pair with two-sided scalar bounds: m I <= A, B <= M I."""
+    """A PD pair with two-sided scalar bounds: m I <= A, B <= M I; or two
+    stacks with one m and one M per slice."""
 
     A: SymMatrix
     B: SymMatrix
@@ -272,35 +258,30 @@ class BoundedPair:
     M: float
 
     def verify(self, tol_rel: float = 1e-9) -> None:
-        tol = tol_rel * max(1.0, self.M)
+        """Raise for A's first slice whose spectrum leaves [m, M], then for B's."""
         for name, X in (("A", self.A), ("B", self.B)):
-            lo, hi = spectrum_bounds(X)
-            if lo < self.m - tol or hi > self.M + tol:
-                raise HypothesisError(
-                    f"bounds violated for {name}: spectrum [{lo:.6g}, {hi:.6g}] "
-                    f"outside [{self.m:.6g}, {self.M:.6g}]"
-                )
+            for lo, hi, m, M in _slices(*spectrum_bounds(X), self.m, self.M):
+                tol = tol_rel * max(1.0, M)
+                if lo < m - tol or hi > M + tol:
+                    raise HypothesisError(
+                        f"bounds violated for {name}: spectrum [{lo:.6g}, {hi:.6g}] "
+                        f"outside [{m:.6g}, {M:.6g}]"
+                    )
 
 
-def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0) -> list:
-    """One verified SandwichPair per stream, all drawn as one stack; ``s``
-    and ``t`` hold one value per stream."""
-    a = _spd(rngs, dim, a_lo, a_hi)
+def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0) -> tuple:
+    """The stacks (A, B) of one verified sandwich pair per stream, with
+    B = A^(1/2) C A^(1/2); ``s`` and ``t`` hold one value per stream.
+
+    A keeps its decomposition and, from ``verify``, the pair's sandwich
+    scalars, which the certificates of the same stacks read again.
+    """
+    A = _spd(rngs, dim, a_lo, a_hi)
     c = _spd(rngs, dim, s, t)
-    As = SymMatrix.stack(a)
-    w, q = decompose_stack(As, a)
-    decs = [decompose(A) for A in As]  # raises for the first A that missed the contract
-    root = stack_root(decs, w, q)
-    b = sym_entries(root @ c @ root)
-    Bs = SymMatrix.stack(b)
-    for dec in decs:
-        _positive_definite(dec)
-    _sandwich_bounds(As, Bs, stack_root(decs, w, q, inverse=True), b)
-    pairs = [SandwichPair(A=A, B=B, s=float(lo), t=float(hi))
-             for A, B, lo, hi in zip(As, Bs, s, t)]
-    for pair in pairs:
-        pair.verify()
-    return pairs
+    dec = decompose(A)
+    B = SymStack(dec.root @ c.data @ dec.root)
+    SandwichPair(A, B, s, t).verify()  # refuses an A that is not positive definite first
+    return A, B
 
 
 def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
@@ -308,29 +289,26 @@ def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPai
     with C drawn with spectrum in [s, t]."""
     if not 0 < s <= t:
         raise ValueError(f"need 0 < s <= t, got s={s!r}, t={t!r}")
-    return _sandwich_pair([SplitMix64(seed)], dim, [s], [t])[0]
+    A, B = _sandwich_pair([SplitMix64(seed)], dim, [s], [t])
+    pair = SandwichPair(A.matrices()[0], B.matrices()[0], float(s), float(t))
+    pair.verify()  # remembers the scalars on pair.A
+    return pair
 
 
-def _bounded_pair(rngs, dim: int, m, M) -> list:
-    """One verified BoundedPair per stream, all drawn as one stack; ``m``
-    and ``M`` hold one value per stream."""
-    a = _spd(rngs, dim, m, M)
-    b = _spd(rngs, dim, m, M)
-    As, Bs = SymMatrix.stack(a), SymMatrix.stack(b)
-    decompose_stack(As, a)
-    decompose_stack(Bs, b)
-    pairs = [BoundedPair(A=A, B=B, m=float(lo), M=float(hi))
-             for A, B, lo, hi in zip(As, Bs, m, M)]
-    for pair in pairs:
-        pair.verify()
-    return pairs
+def _bounded_pair(rngs, dim: int, m, M) -> tuple:
+    """The stacks (A, B) of one verified independent pair per stream, each
+    decomposed; ``m`` and ``M`` hold one value per stream."""
+    A, B = _spd(rngs, dim, m, M), _spd(rngs, dim, m, M)
+    BoundedPair(A, B, m, M).verify()
+    return A, B
 
 
 def random_bounded_pair(dim: int, m: float, M: float, seed: int) -> BoundedPair:
     """Seeded independent pair with both spectra in [m, M], 0 < m < M."""
     if not 0 < m < M:
         raise ValueError(f"need 0 < m < M, got m={m!r}, M={M!r}")
-    return _bounded_pair([SplitMix64(seed)], dim, [m], [M])[0]
+    A, B = _bounded_pair([SplitMix64(seed)], dim, [m], [M])
+    return BoundedPair(A.matrices()[0], B.matrices()[0], float(m), float(M))
 
 
 def quadratic_form_slack(

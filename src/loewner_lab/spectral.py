@@ -51,18 +51,11 @@ class SymMatrix:
             raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
         self._fill(sym_entries(a))
 
-    def _fill(self, data: np.ndarray) -> None:
+    def _fill(self, data: np.ndarray) -> "SymMatrix":
         object.__setattr__(self, "data", data)
         for slot in ("_dec", "_evals", "_sandwich"):
             object.__setattr__(self, slot, None)
-
-    @classmethod
-    def stack(cls, data: np.ndarray) -> list["SymMatrix"]:
-        """One matrix per slice of a stack that ``sym_entries`` returned."""
-        out = [cls.__new__(cls) for _ in range(len(data))]
-        for m, a in zip(out, data):
-            m._fill(a)
-        return out
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -88,7 +81,8 @@ class SymMatrix:
         return type(self)(self.data - other.data)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix(self.data * float(scalar))
+        with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
+            return SymMatrix(self.data * float(scalar))
 
     __rmul__ = __mul__
 
@@ -121,8 +115,7 @@ class SymStack(SymMatrix):
         """The stack of the given matrices of one dimension; it takes over their
         decompositions when every one of them holds one."""
         mats = [as_sym(m) for m in mats]
-        out = cls.__new__(cls)
-        out._fill(_frozen(np.stack([m.data for m in mats])))
+        out = cls.__new__(cls)._fill(_frozen(np.stack([m.data for m in mats])))
         decs = [m._dec for m in mats]
         if all(dec is not None for dec in decs):
             object.__setattr__(out, "_dec", SpectralDecomposition(
@@ -135,13 +128,14 @@ class SymStack(SymMatrix):
 
     def matrices(self) -> list[SymMatrix]:
         """One SymMatrix per slice, sharing the stack's entries."""
-        return SymMatrix.stack(self.data)
+        return [SymMatrix.__new__(SymMatrix)._fill(a) for a in self.data]
 
     def __mul__(self, scalar) -> "SymStack":
         """Every slice times one number, or each slice times its own."""
-        if isinstance(scalar, (list, tuple, np.ndarray)):
-            return SymStack(self.data * np.asarray(scalar, dtype=float)[:, None, None])
-        return SymStack(self.data * float(scalar))
+        scalar = (np.asarray(scalar, dtype=float)[:, None, None]
+                  if isinstance(scalar, (list, tuple, np.ndarray)) else float(scalar))
+        with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
+            return SymStack(self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -308,32 +302,6 @@ def decompose(A: SymMatrix) -> SpectralDecomposition:
     dec = SpectralDecomposition(eigenvalues=_frozen(w), basis=_frozen(q))
     object.__setattr__(A, "_dec", dec)
     return dec
-
-
-def decompose_stack(mats: Sequence[SymMatrix], data: np.ndarray):
-    """Eigendecompose the stack ``data`` of the matrices' entries with one LAPACK call.
-
-    Each matrix whose own contract passes remembers its decomposition, as
-    ``decompose`` would; one that fails is left to ``decompose``, which
-    solves it again and raises.  Returns the stacked eigenvalues and bases.
-    """
-    w, q, residual, scale, orth = _eigh(data)
-    missed = _misses_contract(residual, scale, orth, data.shape[-1]).tolist()
-    _frozen(w), _frozen(q)
-    for m, miss, wk, qk in zip(mats, missed, w, q):
-        if not miss:
-            object.__setattr__(m, "_dec", SpectralDecomposition(eigenvalues=wk, basis=qk))
-    return w, q
-
-
-def stack_root(decs, w: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """``root`` (``inv_root``) of each decomposition of a stack, computed at once
-    and remembered on each as its cached property would be."""
-    roots = _root(w, q, inverse)
-    name = "inv_root" if inverse else "root"
-    for dec, r in zip(decs, roots):
-        dec.__dict__[name] = r  # where cached_property keeps its value
-    return roots
 
 
 def spectrum(X: SymMatrix) -> np.ndarray:

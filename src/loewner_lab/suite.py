@@ -39,7 +39,7 @@ from .kernels import (
     GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, SymStack, decompose, parse_norm, sym_entries
+from .spectral import SymMatrix, SymStack, decompose, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -81,13 +81,19 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.inequalities = _resolve_inequalities(self.inequalities)
-        self.dims = tuple(int(d) for d in self.dims)
+        try:
+            self.dims = tuple(int(d) for d in self.dims)
+        except ValueError:
+            raise ValueError(f"field dims must hold integers, got {self.dims!r}") from None
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(d < 1 or d > 16 for d in self.dims):
             raise ValueError("dims must stay within [1, 16]")
-        if self.constant_multiplier <= 0:
-            raise ValueError("constant multiplier must be positive")
+        if not 0 <= self.tol_rel < math.inf:  # also refuses nan
+            raise ValueError(f"field tol_rel must be a finite number >= 0, got {self.tol_rel!r}")
+        if not 0 < self.constant_multiplier < math.inf:
+            raise ValueError("field constant_multiplier must be a finite number > 0, "
+                             f"got {self.constant_multiplier!r}")
         if (self.s is None) != (self.t is None):
             raise ValueError("provide both s and t, or neither")
         if (self.m is None) != (self.M is None):
@@ -211,24 +217,32 @@ def _sample_mM(rng: SplitMix64, config: SuiteConfig):
     return m, m * rng.log_uniform(1.5, 8.0)
 
 
-def _instance_blob(**matrices) -> dict:
-    return {name: {"dim": mat.dim, "data": mat.data.ravel().tolist()}
-            for name, mat in matrices.items() if mat is not None}
+def _instance_blob(**entries) -> dict:
+    """Each named matrix's (n, n) entries, in the report's form."""
+    return {name: {"dim": a.shape[-1], "data": a.ravel().tolist()}
+            for name, a in entries.items() if a is not None}
+
+
+def _pairs(draw_pair, rngs: list, dim: int, cells: list, corner: tuple | None) -> tuple:
+    """The stacks (A, B) that ``draw_pair(rngs, dim, lo, hi)`` draws for the
+    trials' cells, after the first trial's entries ``corner`` when given."""
+    first = 0 if corner is None else 1
+    drawn = draw_pair(rngs[first:], dim, *_cols(cells[first:])) if cells[first:] else (None, None)
+    if corner is None:
+        return drawn
+    return tuple(SymStack([x, *([] if X is None else X.data)]) for x, X in zip(corner, drawn))
 
 
 def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
                    force_st_ge_1: bool = False):
     cells = [_sample_st(rng, config, force_st_ge_1) for rng in rngs]
-    out = []
+    pair = None
     if corner:  # commuting boundary instance: anti-aligned spectra hitting s and t
         s, t = cells[0]
         a_diag = [1.0 if j % 2 == 0 else 4.0 for j in range(dim)]
         c_diag = [t if j % 2 == 0 else s for j in range(dim)]
-        B = SymMatrix(np.diag([a * c for a, c in zip(a_diag, c_diag)]))
-        out.append((SymMatrix(np.diag(a_diag)), B, (s, t)))
-    rest = cells[len(out):]
-    pairs = _sandwich_pair(rngs[len(out):], dim, [s for s, _ in rest], [t for _, t in rest])
-    return out + [(pair.A, pair.B, cell) for pair, cell in zip(pairs, rest)]
+        pair = np.diag(a_diag), np.diag([a * c for a, c in zip(a_diag, c_diag)])
+    return (*_pairs(_sandwich_pair, rngs, dim, cells, pair), cells)
 
 
 def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bool):
@@ -238,37 +252,33 @@ def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bo
 
 def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     cells = [_sample_mM(rng, config) for rng in rngs]
-    out = []
+    pair = None
     if corner:
         m, M = cells[0]
-        A = SymMatrix(np.diag([m if j % 2 == 0 else M for j in range(dim)]))
-        out.append((A, SymMatrix(np.diag([M if j % 2 == 0 else m for j in range(dim)])), (m, M)))
-    rest = cells[len(out):]
-    pairs = _bounded_pair(rngs[len(out):], dim, [m for m, _ in rest], [M for _, M in rest])
-    return out + [(pair.A, pair.B, cell) for pair, cell in zip(pairs, rest)]
+        pair = (np.diag([m if j % 2 == 0 else M for j in range(dim)]),
+                np.diag([M if j % 2 == 0 else m for j in range(dim)]))
+    return (*_pairs(_bounded_pair, rngs, dim, cells, pair), cells)
 
 
 def _draw_order(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     """Pairs A <= B with the spectrum of A in [m, M]."""
     cells = [_sample_mM(rng, config) for rng in rngs]
-    a = _spd(rngs, dim, [m for m, _ in cells], [M for _, M in cells])
-    b = sym_entries(a + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]))
-    return list(zip(SymMatrix.stack(a), SymMatrix.stack(b), cells))
+    A = _spd(rngs, dim, [m for m, _ in cells], [M for _, M in cells])
+    return A, A + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]), cells
 
 
 def _draw_free(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    a, b = _spd(rngs, dim, 0.25, 4.0), _spd(rngs, dim, 0.25, 4.0)
-    return [(A, B, ()) for A, B in zip(SymMatrix.stack(a), SymMatrix.stack(b))]
+    return _spd(rngs, dim, 0.25, 4.0), _spd(rngs, dim, 0.25, 4.0), [()] * len(rngs)
 
 
 def _draw_alpha(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    return [(None, None, (rng.log_uniform(1.0, 8.0),)) for rng in rngs]
+    return None, None, [(rng.log_uniform(1.0, 8.0),) for rng in rngs]
 
 
 def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     if config.m is not None and config.M is not None:
-        return [(None, None, (float(config.m), float(config.M)))] * len(rngs)
-    return [(None, None, (1.0, rng.log_uniform(1.0 + 1e-6, 100.0))) for rng in rngs]
+        return None, None, [(float(config.m), float(config.M))] * len(rngs)
+    return None, None, [(1.0, rng.log_uniform(1.0 + 1e-6, 100.0)) for rng in rngs]
 
 
 def _picks(pool, picks: list) -> list:
@@ -327,14 +337,14 @@ class _Inequality:
 
     ``cell`` is the kind of hypothesis cell: "sandwich" (s, t), "bounded"
     (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
-    "free".  ``draw(rngs, dim, config, corner)`` returns one ``(A, B, cell)``
-    per trial stream, with A and B None when there are no matrices; each
-    trial's scalar draws come first, then the matrices of all trials are
-    drawn as one stack.  ``corner`` makes the first trial the commuting
+    "free".  ``draw(rngs, dim, config, corner)`` returns ``(A, B, cells)``
+    for the trial streams: A and B are SymStacks with one slice per stream
+    (None when there are no matrices) and ``cells`` holds each trial's cell;
+    each trial's scalar draws come first, then the matrices of all trials
+    are drawn as one stack.  ``corner`` makes the first trial the commuting
     boundary instance.  ``check(A, B, cells, picks, pools, **kw)`` evaluates
-    a stack of trials: A and B are SymStacks (None without matrices),
-    ``cells`` and ``picks`` hold each trial's cell and pick index, and it
-    returns each trial's certificates; ``kw`` holds constant_multiplier and
+    the same stacks, with ``picks`` each trial's pick index, and returns
+    each trial's certificates; ``kw`` holds constant_multiplier and
     tol_rel.  ``maps`` names the pool the check's map comes from: trials
     that pick the same map form one stack, since a map fixes the output
     dimension.  Adapters look up ``certs.check_*`` when called, never at
@@ -430,8 +440,8 @@ def _vet_pools(ineq: str, pools: _DimPools) -> None:
         raise ValueError(f"{ineq} needs at least one unital map in the pool")
 
 
-def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> list:
-    """The instances ``(A, B, cell)`` of the given trials of one cell, as one stack.
+def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:
+    """The stacks ``(A, B, cells)`` of the given trials of one cell.
 
     The audit family pins its known boundary instance as trial 0, so its
     documented violation is reported (never asserted) by every campaign
@@ -440,14 +450,6 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> list:
     rngs = [SplitMix64(_trial_seed(config, ineq, dim, trial)) for trial in trials]
     corner = trials[0] == 0 and ineq in AUDIT_INEQUALITIES
     return _inequality(ineq).draw(rngs, dim, config, corner)
-
-
-def _draw_cell(ineq: str, dim: int, config: SuiteConfig) -> list | None:
-    """Every trial of a cell, drawn as one stack, or None if that fails."""
-    try:
-        return _draw(ineq, dim, range(config.trials), config)
-    except Exception:  # re-raised by the failing trial's own draw
-        return None
 
 
 # Trials per stack at most: larger stacks run little faster per trial and hold more memory.
@@ -473,61 +475,44 @@ def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
     return [stack for group in groups.values() for stack in _chunks(group)]
 
 
-def _check_stack(ineq: str, instances: list, picks: list, pools: _DimPools, **kw) -> list:
-    """The certificates of each of the instances ``(A, B, cell)``, evaluated as one stack."""
-    A, B, cells = zip(*instances)
-    if A[0] is not None:
-        A, B = SymStack.of(A), SymStack.of(B)
-    return INEQUALITIES[ineq].check(A, B, list(cells), picks, pools, **kw)
-
-
 def _evaluate_trial(
-    ineq: str, dim: int, trials: list, config: SuiteConfig, pools: _DimPools, instances=None
-) -> list[tuple[list[Certificate], SymMatrix | None, SymMatrix | None]]:
-    """Evaluate the given trials of one cell, which pick the same map, as one
-    stack on their drawn ``instances`` (drawn here when None); returns
-    (certificates, A, B) per trial.
+    ineq: str, dim: int, trials: list, config: SuiteConfig, pools: _DimPools
+) -> list[tuple[list[Certificate], np.ndarray | None, np.ndarray | None]]:
+    """Draw the given trials of one cell, which pick the same map, as one
+    stack and evaluate them on it; returns (certificates, entries of A,
+    entries of B) per trial.
 
     Catalog entries rotate with the trial index so that ``trials`` at least
     as large as the pool sizes guarantees full coverage.
     """
-    if instances is None:
-        instances = _draw(ineq, dim, trials, config)
-    results = _check_stack(ineq, instances, trials, pools,
-                           constant_multiplier=config.constant_multiplier,
-                           tol_rel=config.tol_rel)
-    return [(certificates, A, B) for certificates, (A, B, _) in zip(results, instances)]
-
-
-def _evaluate_stacks(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools,
-                     instances: list) -> list:
-    """(certificates, A, B) of every trial of a cell, one stack at a time."""
-    out = [None] * config.trials
-    for stack in _stacks(ineq, range(config.trials), pools):
-        rows = _evaluate_trial(ineq, dim, stack, config, pools, [instances[t] for t in stack])
-        for trial, row in zip(stack, rows):
-            out[trial] = row
-    return out
+    A, B, cells = _draw(ineq, dim, trials, config)
+    results = INEQUALITIES[ineq].check(A, B, cells, trials, pools,
+                                       constant_multiplier=config.constant_multiplier,
+                                       tol_rel=config.tol_rel)
+    entries = [(None, None)] * len(results) if A is None else zip(A.data, B.data)
+    return [(certificates, a, b) for certificates, (a, b) in zip(results, entries)]
 
 
 def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
-    """(certificates, A, B) of every trial of a cell, drawn and evaluated as stacks.
+    """(certificates, A, B) of every trial of a cell, drawn and evaluated one
+    stack of trials that pick the same map at a time.
 
-    If the stacked draw or evaluation raises, the cell is evaluated again
-    trial by trial, so that whatever failed is raised at its own trial,
-    after the trials before it, with the trial's replayable coordinates.
+    If a stack raises, the cell is evaluated again trial by trial, so that
+    whatever failed is raised at its own trial, after the trials before it,
+    with the trial's replayable coordinates.
     """
-    instances = _draw_cell(ineq, dim, config)
-    if instances is not None:
-        try:
-            return _evaluate_stacks(ineq, dim, config, pools, instances)
-        except Exception:  # re-raised below by the failing trial
-            pass
+    out = [None] * config.trials
+    try:
+        for stack in _stacks(ineq, range(config.trials), pools):
+            for trial, row in zip(stack, _evaluate_trial(ineq, dim, stack, config, pools)):
+                out[trial] = row
+        return out
+    except Exception:  # re-raised below by the failing trial
+        pass
     out = []
     for trial in range(config.trials):
         try:
-            out += _evaluate_trial(ineq, dim, [trial], config, pools,
-                                   instances and instances[trial:trial + 1])
+            out += _evaluate_trial(ineq, dim, [trial], config, pools)
         except LoewnerLabError as exc:  # library errors take one message argument
             raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
                             f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
@@ -649,8 +634,6 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
 
 def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Report:
     """Re-run a campaign with every constant scaled by a positive multiplier."""
-    if constant_override <= 0:
-        raise ValueError("constant override must be positive")
     hunted = dataclasses.replace(config, constant_multiplier=constant_override)
     return run_suite(hunted)
 
@@ -750,9 +733,10 @@ def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, 
 
 
 def _probe_ratios(ineq: str, instances: list, pick: int, pools: _DimPools, tol_rel: float):
+    A, B, cells = zip(*instances)
     out = []
-    for certificates in _check_stack(ineq, instances, [pick] * len(instances), pools,
-                                     tol_rel=tol_rel):
+    for certificates in INEQUALITIES[ineq].check(SymStack.of(A), SymStack.of(B), list(cells),
+                                                 [pick] * len(instances), pools, tol_rel=tol_rel):
         ratios = [c.ratio for c in certificates if math.isfinite(c.ratio)]
         out.append(max(ratios) if ratios else None)
     return out
@@ -869,7 +853,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         "max_ratio": best_ratio,
         "refine_steps": config.probe_refine_steps,
         "accepted_steps": accepted,
-        "best_instance": _instance_blob(A=A, B=B),
+        "best_instance": _instance_blob(A=A.data, B=B.data),
         "pick_index": best_pick,
     }
     report = Report(config=config.to_dict(), results={}, audit_results={}, probe=probe_payload)

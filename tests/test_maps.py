@@ -161,7 +161,8 @@ class TestAndoCheck:
         pool = map_catalog(dim, rng)
         pair_rng = SplitMix64(derive_seed(88, dim))
         pairs = [
-            (_spd(pair_rng, dim, 0.25, 4.0), _spd(pair_rng, dim, 0.25, 4.0))
+            (_spd([pair_rng], dim, 0.25, 4.0).matrices()[0],
+             _spd([pair_rng], dim, 0.25, 4.0).matrices()[0])
             for _ in range(200)
         ]
         for phi in pool:

@@ -24,7 +24,7 @@ from loewner_lab.means import spectral_inverse
 
 
 def spd(dim, seed, lo=0.25, hi=4.0):
-    return _spd(SplitMix64(seed), dim, lo, hi)
+    return _spd([SplitMix64(seed)], dim, lo, hi).matrices()[0]
 
 
 A14 = SymMatrix.diagonal([1.0, 4.0])

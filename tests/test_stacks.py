@@ -42,12 +42,20 @@ def _outcome(evaluate) -> str:
     return json.dumps([[c.to_json() for c in certificates] for certificates, _, _ in rows])
 
 
+def _stacked_rows(ineq, dim, trials, config, pools):
+    """The cell's rows in trial order, one ``_evaluate_trial`` call per stack."""
+    out = [None] * trials
+    for stack in suite._stacks(ineq, range(trials), pools):
+        for trial, row in zip(stack, suite._evaluate_trial(ineq, dim, stack, config, pools)):
+            out[trial] = row
+    return out
+
+
 def _assert_stack_matches_trials(ineq, dim, trials, seed, multiplier=1.0):
     config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=trials, seed=seed,
                          constant_multiplier=multiplier)
     pools = suite._build_pools(config, dim)
-    stacked = _outcome(lambda: suite._evaluate_stacks(
-        ineq, dim, config, pools, suite._draw(ineq, dim, range(trials), config)))
+    stacked = _outcome(lambda: _stacked_rows(ineq, dim, trials, config, pools))
     one_by_one = _outcome(lambda: [row for trial in range(trials)
                                    for row in suite._evaluate_trial(ineq, dim, [trial], config,
                                                                     pools)])
@@ -91,7 +99,7 @@ def test_failure_in_a_stack_surfaces_at_its_own_trial(monkeypatch):
     # its stack (an ando cell draws without solving); the cell is evaluated
     # again trial by trial, and trials 0-2 come first
     config = SuiteConfig(inequalities=("ando",), dims=(3,), trials=13, seed=5)
-    bad = suite._draw("ando", 3, [3], config)[0][0].data
+    bad = suite._draw("ando", 3, [3], config)[0].data[0]
     real_eigh = np.linalg.eigh
 
     def eigh(a):
@@ -125,6 +133,31 @@ def test_solver_calls_do_not_grow_with_the_trials(ineq, monkeypatch):
         suite.run_suite(SuiteConfig(inequalities=(ineq,), dims=(3,), trials=trials, seed=2))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
+    # the certificates get the generator's stacks, whose A remembers the
+    # sandwich scalars that the generator's check solved
+    from loewner_lab import certificates
+
+    vets, inside, solves = [], [], []
+    real_vet, real_eigh = certificates._vet_sandwich, np.linalg.eigh
+
+    def vet(*args):
+        vets.append(1)
+        inside.append(1)
+        try:
+            return real_vet(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(certificates, "_vet_sandwich", vet)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
+    ids = tuple(i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell == "sandwich"
+                and i not in suite.AUDIT_INEQUALITIES)
+    suite.run_suite(SuiteConfig(inequalities=ids, dims=(2, 3), trials=30, seed=4))
+    assert len(vets) >= 2 * len(ids) and solves
+    assert not any(solves)
 
 
 def test_stacked_spectral_layer_matches_single_matrices():

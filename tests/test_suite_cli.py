@@ -124,6 +124,33 @@ class TestSuiteConfig:
         assert code == 2
         assert "error: (34, 'Numerical result out of range')" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, M", [("1e200", "1e201"), ("1e-200", "1e-199")])
+    def test_polya_szego_constant_at_extreme_bounds_holds(self, m, M, capsys):
+        # M * m over- and underflows here; the constant takes the roots apart
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "2",
+                         "--m", m, "--M", M])
+        assert code == 0
+        assert "polya-szego: 2/2 hold (ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, field", [
+        (["verify", "--tol", "-1"], "tol_rel"),
+        (["verify", "--tol", "nan"], "tol_rel"),
+        (["verify", "--tol", "inf"], "tol_rel"),
+        (["hunt", "--override-constant", "nan"], "constant_multiplier"),
+        (["hunt", "--override-constant", "inf"], "constant_multiplier"),
+        (["hunt", "--override-constant", "0"], "constant_multiplier"),
+        (["verify", "--dims", "a"], "dims"),
+    ])
+    def test_bad_tolerance_multiplier_or_dims_fails_before_any_trial(self, argv, field,
+                                                                    monkeypatch, capsys):
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        code = cli_main([*argv, "--ineq", "polya-szego", "--trials", "2"])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"error: field {field} ")
+
     @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_bad_sandwich_cell_names_fields(self, s, t):
         with pytest.raises(ValueError, match="fields s, t"):
@@ -171,8 +198,8 @@ class TestRunSuite:
         assert f"trial_seed {seed}: condition number" in capsys.readouterr().err
 
     def test_generation_error_surfaces_at_its_own_trial(self, monkeypatch):
-        # trial 3's A misses the eigendecomposition contract, in the cell's stacked
-        # solve and when solved alone; trials 0-2 are still evaluated first
+        # trial 3's A misses the eigendecomposition contract, in its stack's solve
+        # and when solved alone; trials 0-2 are still evaluated first
         config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=5, seed=5,
                              m=1.0, M=4.0)
         seed = derive_seed(5, fnv1a64("polya-szego"), 3, 3)
@@ -186,12 +213,13 @@ class TestRunSuite:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         seen = []
         real = suite._evaluate_trial
-        # the stacked draw fails, so each trial is drawn and evaluated as a stack of one
+        # each trial picks its own map, so each stack holds one trial; the draw of
+        # trial 3 fails, and the cell is drawn and evaluated again trial by trial
         monkeypatch.setattr(suite, "_evaluate_trial",
                             lambda *a: seen.append(list(a[2])) or real(*a))
         with pytest.raises(EigenSolverError) as info:
             run_suite(config)
-        assert seen == [[0], [1], [2], [3]]
+        assert seen == [[0], [1], [2], [3], [0], [1], [2], [3]]
         assert str(info.value).startswith(
             f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
 

@@ -1,0 +1,40 @@
+"""The benchmark's tracer and clock wrap package functions by name: each
+name they list must still resolve, since the clock skips a missing one
+silently and its reference seconds would then be wrong."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from loewner_lab import suite
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """A perfbench module, loaded from its file without running the benchmark."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    missing = []
+    for module, attr, _ in _load("spans")._FUNCTIONS:
+        owner = importlib.import_module(f"loewner_lab.{module}")
+        if "." in attr:  # a method is wrapped where its class defines it
+            cls_name, method = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = isinstance(cls, type) and method in vars(cls)
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_every_step_function_resolves():
+    names = _load("speed").STEP_FUNCTIONS
+    assert names
+    assert [name for name in names if not callable(getattr(suite, name, None))] == []
