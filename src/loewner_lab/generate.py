@@ -170,15 +170,26 @@ def random_orthogonal(dim: int, rng) -> np.ndarray:
     return q[0] if one else q
 
 
+def _compose(q: np.ndarray, lam: np.ndarray) -> SymStack:
+    """Q^T diag(lam) Q for each slice of the (k, n, n) factors ``q`` and the
+    (k, n) spectra ``lam``, as one SymStack."""
+    diag = np.zeros(q.shape)
+    diag[:, range(q.shape[-1]), range(q.shape[-1])] = lam
+    return SymStack(q.swapaxes(1, 2) @ diag @ q)
+
+
+def _sandwiched(A: SymStack, C: SymStack) -> SymStack:
+    """A^(1/2) C A^(1/2) for each slice, from A's remembered decomposition."""
+    root = decompose(A).root
+    return SymStack(root @ C.data @ root)
+
+
 def _spd(rngs, dim: int, lam_lo, lam_hi) -> SymStack:
     """Q^T diag(lam) Q for each stream, as one SymStack, with lam uniform in
     [lam_lo, lam_hi] and Q from ``random_orthogonal``; ``lam_lo`` and
     ``lam_hi`` are scalars or one value per stream."""
     lam = uniform_rows(rngs, dim, lam_lo, lam_hi)
-    q = random_orthogonal(dim, rngs)
-    diag = np.zeros((len(rngs), dim, dim))
-    diag[:, range(dim), range(dim)] = lam
-    return SymStack(q.swapaxes(1, 2) @ diag @ q)
+    return _compose(random_orthogonal(dim, rngs), lam)
 
 
 def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
@@ -277,9 +288,7 @@ def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0) 
     scalars, which the certificates of the same stacks read again.
     """
     A = _spd(rngs, dim, a_lo, a_hi)
-    c = _spd(rngs, dim, s, t)
-    dec = decompose(A)
-    B = SymStack(dec.root @ c.data @ dec.root)
+    B = _sandwiched(A, _spd(rngs, dim, s, t))
     SandwichPair(A, B, s, t).verify()  # refuses an A that is not positive definite first
     return A, B
 

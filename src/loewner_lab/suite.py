@@ -32,14 +32,16 @@ from .generate import (
     fnv1a64,
     random_orthogonal,
     _bounded_pair,
+    _compose,
     _sandwich_pair,
+    _sandwiched,
     _spd,
 )
 from .kernels import (
     GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, SymStack, decompose, parse_norm
+from .spectral import SymMatrix, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -81,10 +83,14 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.inequalities = _resolve_inequalities(self.inequalities)
+        if not self.inequalities:
+            raise ValueError("field inequalities must name at least one inequality id")
         try:
             self.dims = tuple(int(d) for d in self.dims)
         except ValueError:
             raise ValueError(f"field dims must hold integers, got {self.dims!r}") from None
+        if not self.dims:
+            raise ValueError("field dims must name at least one dimension")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(d < 1 or d > 16 for d in self.dims):
@@ -146,7 +152,22 @@ def _resolve_inequalities(spec) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
+# The values each annotation of a SuiteConfig field reads from a report or a to_dict.
+_JSON_TYPES = {"tuple": (list, tuple), "int": int, "float": (int, float),
+               "float | None": (int, float, type(None))}
+
+
 def config_from_dict(data: dict) -> SuiteConfig:
+    """The SuiteConfig of a report's ``config``; a field SuiteConfig lacks,
+    or a value of another JSON type than the field's, is refused by name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"field config must be an object, got {data!r}")
+    types = {f.name: f.type for f in dataclasses.fields(SuiteConfig)}
+    for name, value in data.items():
+        if name not in types:
+            raise ValueError(f"field config.{name} is not a configuration field")
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]]):
+            raise ValueError(f"field config.{name} must be of type {types[name]}, got {value!r}")
     # JSON lists come back from the config's tuple fields only.
     return SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
@@ -513,7 +534,7 @@ def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -
     for trial in range(config.trials):
         try:
             out += _evaluate_trial(ineq, dim, [trial], config, pools)
-        except LoewnerLabError as exc:  # library errors take one message argument
+        except (LoewnerLabError, ValueError, ArithmeticError) as exc:  # each takes one message
             raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
                             f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
     return out
@@ -643,49 +664,25 @@ def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Repor
 _PROBE_CELLS = {"bounded": ("m", "M", 1.0, 4.0), "sandwich": ("s", "t", 0.25, 4.0)}
 
 
-class _ProbeInstance:
-    """Eigen-coordinates of an instance, for hill climbing; moves make new instances."""
-
-    def __init__(self, q_a, lam_a, q_c, lam_c, lo, hi, family, A=None):
-        self.q_a = q_a
-        self.lam_a = lam_a
-        self.q_c = q_c
-        self.lam_c = lam_c
-        self.lo = lo  # clip range for lam_c
-        self.hi = hi
-        self.family = family
-        self.A = A  # A's matrix, with its cached decomposition, once built
-
-    def matrices(self) -> tuple[SymMatrix, SymMatrix]:
-        if self.A is None:
-            self.A = SymMatrix(self.q_a.T @ np.diag(self.lam_a) @ self.q_a)
-        A = self.A
-        if self.family == "bounded":
-            B = SymMatrix(self.q_c.T @ np.diag(self.lam_c) @ self.q_c)
-            return A, B
-        C = SymMatrix(self.q_c.T @ np.diag(self.lam_c) @ self.q_c)
-        root = decompose(A).root
-        return A, SymMatrix(root @ C.data @ root)
-
-    def moved(self, move: tuple) -> "_ProbeInstance":
-        """This instance after one ``_draw_move`` move; it shares the factors the move keeps."""
-        kind, i, j, x = move
-        q_a, lam_a, q_c, lam_c = self.q_a, self.lam_a, self.q_c, self.lam_c
-        if kind < 2:  # shift one eigenvalue, clipped to the cell
-            lam = (lam_a if kind == 0 else lam_c).copy()
-            lam[i] = float(np.clip(lam[i] + 0.2 * (self.hi - self.lo) * x, self.lo, self.hi))
-            lam_a, lam_c = (lam, lam_c) if kind == 0 else (lam_a, lam)
-        elif i is not None:  # rotate one orthogonal factor in the (i, j) plane
-            rot = np.eye(q_a.shape[0])
-            c, s = math.cos(x), math.sin(x)
-            rot[i, i] = c
-            rot[j, j] = c
-            rot[i, j] = s
-            rot[j, i] = -s
-            q_a, q_c = (q_a @ rot, q_c) if kind == 2 else (q_a, q_c @ rot)
-        keeps_a = kind % 2 == 1 or i is None
-        return _ProbeInstance(q_a, lam_a, q_c, lam_c, self.lo, self.hi, self.family,
-                              self.A if keeps_a else None)
+def _moved(inst: tuple, move: tuple, lo: float, hi: float) -> tuple:
+    """The instance ``(q_a, lam_a, q_c, lam_c)`` after one ``_draw_move``
+    move, with eigenvalues clipped to [lo, hi]; it shares the arrays the move
+    keeps."""
+    kind, i, j, x = move
+    q_a, lam_a, q_c, lam_c = inst
+    if kind < 2:  # shift one eigenvalue, clipped to the cell
+        lam = (lam_a if kind == 0 else lam_c).copy()
+        lam[i] = float(np.clip(lam[i] + 0.2 * (hi - lo) * x, lo, hi))
+        lam_a, lam_c = (lam, lam_c) if kind == 0 else (lam_a, lam)
+    elif i is not None:  # rotate one orthogonal factor in the (i, j) plane
+        rot = np.eye(q_a.shape[0])
+        c, s = math.cos(x), math.sin(x)
+        rot[i, i] = c
+        rot[j, j] = c
+        rot[i, j] = s
+        rot[j, i] = -s
+        q_a, q_c = (q_a @ rot, q_c) if kind == 2 else (q_a, q_c @ rot)
+    return q_a, lam_a, q_c, lam_c
 
 
 def _draw_move(rng: SplitMix64, dim: int) -> tuple:
@@ -706,7 +703,8 @@ def _draw_move(rng: SplitMix64, dim: int) -> tuple:
 
 
 def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, n_random: int):
-    """Corner instances (extremal, anti-aligned spectra) plus random starts.
+    """Corner instances (extremal, anti-aligned spectra) plus random starts,
+    each the eigen-coordinates ``(q_a, lam_a, q_c, lam_c)`` of one instance.
 
     A bounded instance carries the spectra of A and B in [m, M]; a sandwich
     one carries the spectrum of A and that of C in [s, t].
@@ -719,46 +717,55 @@ def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, 
         a_corner, a_lo, a_hi = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), 0.25, 4.0
     eye = np.eye(dim)
     q = random_orthogonal(dim, rng)
-    starts = [
-        _ProbeInstance(eye.copy(), a_corner.copy(), eye.copy(), corner.copy(), lo, hi, family),
-        _ProbeInstance(q.copy(), a_corner.copy(), (q if bounded else eye).copy(), corner.copy(),
-                       lo, hi, family),
-    ]
+    starts = [(eye, a_corner, eye, corner), (q, a_corner, q if bounded else eye, corner)]
     for _ in range(n_random):
         lam_a = rng.uniforms(dim, a_lo, a_hi)
         lam_c = rng.uniforms(dim, lo, hi)
-        starts.append(_ProbeInstance(random_orthogonal(dim, rng), lam_a,
-                                     random_orthogonal(dim, rng), lam_c, lo, hi, family))
+        starts.append((random_orthogonal(dim, rng), lam_a, random_orthogonal(dim, rng), lam_c))
     return starts
 
 
-def _probe_ratios(ineq: str, instances: list, pick: int, pools: _DimPools, tol_rel: float):
-    A, B, cells = zip(*instances)
+def _probe_stacks(family: str, insts: list, bounds: tuple) -> tuple:
+    """The stacks ``(A, B, cells)`` of the given instances, built as a draw
+    builds its pairs: A = Q_a^T diag(lam_a) Q_a, and C the same of C's
+    coordinates, which is B in a bounded cell and gives B = A^(1/2) C A^(1/2)
+    in a sandwich cell."""
+    q_a, lam_a, q_c, lam_c = (np.stack(x) for x in zip(*insts))
+    A, C = _compose(q_a, lam_a), _compose(q_c, lam_c)
+    return A, C if family == "bounded" else _sandwiched(A, C), [bounds] * len(insts)
+
+
+def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: _DimPools, tol_rel: float):
+    A, B, cells = stacks
     out = []
-    for certificates in INEQUALITIES[ineq].check(SymStack.of(A), SymStack.of(B), list(cells),
-                                                 [pick] * len(instances), pools, tol_rel=tol_rel):
+    for certificates in INEQUALITIES[ineq].check(A, B, cells, [pick] * len(cells), pools,
+                                                 tol_rel=tol_rel):
         ratios = [c.ratio for c in certificates if math.isfinite(c.ratio)]
         out.append(max(ratios) if ratios else None)
     return out
 
 
-def _probe_evaluate(ineq, instances, pick, config, pools, above=math.inf) -> list:
+def _probe_evaluate(ineq, stacks, pick, config, pools, above=math.inf) -> list:
     """The largest finite ratio of each instance's certificates at ``pick``,
-    or None where the check refuses the instance or no ratio is finite.
+    or None where the check refuses the instance or no ratio is finite;
+    ``stacks`` are the instances' ``(A, B, cells)``.
 
-    The instances are evaluated as one stack; if that raises, each is
+    The stacks are evaluated as they are; if that raises, each slice is
     evaluated alone, in order, up to the first whose ratio exceeds ``above``,
     so the list may end there.
     """
-    if len(instances) > 1:
+    A, B, cells = stacks
+    if len(cells) > 1:
         try:
-            return _probe_ratios(ineq, instances, pick, pools, config.tol_rel)
-        except Exception:  # each instance meets its own error below
+            return _probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
+        except Exception:  # each slice meets its own error below
             pass
     out = []
-    for instance in instances:
+    for k in range(len(cells)):
+        one = stacks if len(cells) == 1 else (
+            SymStack(A.data[k:k + 1]), SymStack(B.data[k:k + 1]), cells[k:k + 1])
         try:
-            out += _probe_ratios(ineq, [instance], pick, pools, config.tol_rel)
+            out += _probe_ratios(ineq, one, pick, pools, config.tol_rel)
         except LoewnerLabError:
             out.append(None)
         if out[-1] is not None and out[-1] > above:
@@ -766,32 +773,31 @@ def _probe_evaluate(ineq, instances, pick, config, pools, above=math.inf) -> lis
     return out
 
 
-def _probe_instance(inst: _ProbeInstance) -> tuple:
-    return (*inst.matrices(), (inst.lo, inst.hi))
-
-
 # Moves per refine window: the first window after an accepted move, and the
 # most; a window without an accepted move doubles the next.
 _WINDOW_FIRST, _WINDOW_MOST = 4, 64
 
 
-def _refine(ineq: str, best: _ProbeInstance, best_ratio: float, pick: int, rng: SplitMix64,
-            config: SuiteConfig, pools: _DimPools) -> tuple[_ProbeInstance, float, int]:
-    """Hill-climb from ``best`` for ``config.probe_refine_steps`` moves:
-    returns the best instance, its ratio and the number of accepted moves.
+def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix64,
+            config: SuiteConfig, pools: _DimPools, bounds: tuple) -> tuple[tuple, float, int]:
+    """Hill-climb from the instance ``best`` in the cell ``bounds`` for
+    ``config.probe_refine_steps`` moves: returns the best instance, its
+    ratio and the number of accepted moves.
 
     Each move is applied to the best instance so far and accepted when its
     ratio is larger.  A move's draws do not depend on the instance, so all
-    are drawn first and the next window of moves is evaluated as one stack
-    against the current best; the first accepted move in the window ends
-    it, and the window after it starts at the next move.  This accepts the
-    same moves, with the same ratios, as evaluating one move at a time.
+    are drawn first and the next window of moves is built and evaluated as
+    one stack against the current best; the first accepted move in the
+    window ends it, and the window after it starts at the next move.  This
+    accepts the same moves, with the same ratios, as evaluating one move at
+    a time.
     """
-    moves = [_draw_move(rng, best.lam_a.size) for _ in range(config.probe_refine_steps)]
+    moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
+    family = INEQUALITIES[ineq].cell
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
-        cands = [best.moved(move) for move in moves[step:step + window]]
-        ratios = _probe_evaluate(ineq, [_probe_instance(c) for c in cands], pick, config,
+        cands = [_moved(best, move, *bounds) for move in moves[step:step + window]]
+        ratios = _probe_evaluate(ineq, _probe_stacks(family, cands, bounds), pick, config,
                                  pools, above=best_ratio)
         hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
         if hit is None:
@@ -820,7 +826,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     lo_name, hi_name, lo, hi = _PROBE_CELLS[family]
     if getattr(config, lo_name) is not None:  # SuiteConfig sets both bounds or neither
         lo, hi = getattr(config, lo_name), getattr(config, hi_name)
-    cell = {lo_name: lo, hi_name: hi}
+    cell, bounds = {lo_name: lo, hi_name: hi}, (lo, hi)
     if len(config.dims) != 1:
         raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]
@@ -832,9 +838,10 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     best_inst = None
     best_pick = 0
     starts = _probe_starts(family, dim, rng, lo, hi, config.trials)
-    instances = [_probe_instance(inst) for inst in starts]
-    by_pick = [[ratio for stack in _chunks(instances)
-                for ratio in _probe_evaluate(inequality_id, stack, pick, config, pools)]
+    # each chunk is built once, so every pick reads the same solved stacks
+    chunks = [_probe_stacks(family, chunk, bounds) for chunk in _chunks(starts)]
+    by_pick = [[ratio for stacks in chunks
+                for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
                for pick in range(n_picks)]
     for k, inst in enumerate(starts):  # start-major, pick-minor, as one start at a time
         for pick in range(n_picks):
@@ -844,8 +851,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     if best_inst is None:
         raise LoewnerLabError("probe found no feasible instance")
     best_inst, best_ratio, accepted = _refine(inequality_id, best_inst, best_ratio, best_pick,
-                                              rng, config, pools)
-    A, B = best_inst.matrices()
+                                              rng, config, pools, bounds)
+    A, B, _ = _probe_stacks(family, [best_inst], bounds)
     probe_payload = {
         "inequality": inequality_id,
         "cell": cell,
@@ -853,7 +860,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         "max_ratio": best_ratio,
         "refine_steps": config.probe_refine_steps,
         "accepted_steps": accepted,
-        "best_instance": _instance_blob(A=A.data, B=B.data),
+        "best_instance": _instance_blob(A=A.data[0], B=B.data[0]),
         "pick_index": best_pick,
     }
     report = Report(config=config.to_dict(), results={}, audit_results={}, probe=probe_payload)
@@ -930,6 +937,12 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     if not 0 <= index < len(violations):
         raise IndexError(f"violation index {index} out of range 0..{len(violations) - 1}")
     record = violations[index]
+    for name, kind in (("inequality", str), ("dim", int), ("trial", int), ("slack", (int, float))):
+        if isinstance(record.get(name), bool) or not isinstance(record.get(name), kind):
+            raise ValueError(f"field {name} of violation {index} is missing or of the wrong "
+                             f"type: {record.get(name)!r}")
+    if "config" not in body:
+        raise ValueError("field config is missing from the report")
     config = config_from_dict(body["config"])
     pools = _build_pools(config, record["dim"])
     _vet_pools(record["inequality"], pools)

@@ -1,15 +1,19 @@
-"""Probe's hill climb: speculative windows of moves, evaluated as stacks, give
-what evaluating one move at a time gives."""
+"""Probe's stacks and hill climb: the generator's builders give, byte for
+byte, the matrices built one instance at a time, and speculative windows of
+moves, evaluated as stacks, give what evaluating one move at a time gives."""
 
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loewner_lab import SplitMix64, suite
+from loewner_lab import SplitMix64, SymMatrix, suite
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
+from loewner_lab.spectral import SymStack, decompose
 from loewner_lab.suite import SuiteConfig
 
 PROBED_IDS = [i for i, entry in suite.INEQUALITIES.items()
@@ -32,33 +36,49 @@ def _rotate(q, rng):
     return q @ rot
 
 
-def _perturb(inst, rng):
+def _perturb(inst, rng, lo, hi):
     """One move drawn and applied in one step, as the sequential climb did."""
-    out = suite._ProbeInstance(inst.q_a.copy(), inst.lam_a.copy(), inst.q_c.copy(),
-                               inst.lam_c.copy(), inst.lo, inst.hi, inst.family)
-    dim = out.lam_a.size
+    q_a, lam_a, q_c, lam_c = (x.copy() for x in inst)
+    dim = lam_a.size
     move = rng.choice_index(4)
     if move == 0:
         j = rng.choice_index(dim)
-        out.lam_a[j] = float(np.clip(out.lam_a[j] + 0.2 * (inst.hi - inst.lo) * rng.normal(),
-                                     inst.lo, inst.hi))
+        lam_a[j] = float(np.clip(lam_a[j] + 0.2 * (hi - lo) * rng.normal(), lo, hi))
     elif move == 1:
         j = rng.choice_index(dim)
-        out.lam_c[j] = float(np.clip(out.lam_c[j] + 0.2 * (inst.hi - inst.lo) * rng.normal(),
-                                     inst.lo, inst.hi))
+        lam_c[j] = float(np.clip(lam_c[j] + 0.2 * (hi - lo) * rng.normal(), lo, hi))
     elif move == 2:
-        out.q_a = _rotate(out.q_a, rng)
+        q_a = _rotate(q_a, rng)
     else:
-        out.q_c = _rotate(out.q_c, rng)
-    return out
+        q_c = _rotate(q_c, rng)
+    return q_a, lam_a, q_c, lam_c
 
 
-def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools):
+def _instance_matrices(family, inst):
+    """The instance's (A, B), built one matrix at a time: the reference for
+    ``suite._probe_stacks``."""
+    q_a, lam_a, q_c, lam_c = inst
+    A = SymMatrix(q_a.T @ np.diag(lam_a) @ q_a)
+    C = SymMatrix(q_c.T @ np.diag(lam_c) @ q_c)
+    if family == "bounded":
+        return A, C
+    root = decompose(A).root
+    return A, SymMatrix(root @ C.data @ root)
+
+
+def _reference_stacks(family, insts, bounds):
+    A, B = zip(*(_instance_matrices(family, inst) for inst in insts))
+    return SymStack.of(A), SymStack.of(B), [bounds] * len(insts)
+
+
+def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds):
     """The hill climb one candidate at a time: the reference for ``suite._refine``."""
+    family = suite.INEQUALITIES[ineq].cell
     accepted = 0
     for _ in range(config.probe_refine_steps):
-        cand = _perturb(best, rng)
-        ratio = suite._probe_evaluate(ineq, [suite._probe_instance(cand)], pick, config, pools)[0]
+        cand = _perturb(best, rng, *bounds)
+        ratio = suite._probe_evaluate(ineq, _reference_stacks(family, [cand], bounds), pick,
+                                      config, pools)[0]
         if ratio is not None and ratio > best_ratio:
             best_ratio, best = ratio, cand
             accepted += 1
@@ -103,16 +123,19 @@ def test_probe_with_the_most_accepted_moves_is_pinned(tmp_path):
         "7483bb1af0d3a97a6d97e9868969a8314a40567844856210eea69ec24086a745")
 
 
+BOUNDS = (1.0, 4.0)
+
+
 def _climb_setup(steps):
     config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=2, seed=4,
                          probe_refine_steps=steps)
     pools = suite._build_pools(config, 3)
-    best = suite._probe_starts("bounded", 3, SplitMix64(1), 1.0, 4.0, 0)[1]
+    best = suite._probe_starts("bounded", 3, SplitMix64(1), *BOUNDS, 0)[1]
     return config, pools, best
 
 
 def _key(inst):
-    A, B, _ = suite._probe_instance(inst)
+    A, B = _instance_matrices("bounded", inst)
     return A.data.tobytes() + B.data.tobytes()
 
 
@@ -121,16 +144,16 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
     reference = SplitMix64(2)
     moves = [suite._draw_move(reference, 3) for _ in range(4)]
     # the four moves from the old best, and move 3 from the best after move 2
-    cands = [best.moved(move) for move in moves]
-    after = cands[2].moved(moves[3])
+    cands = [suite._moved(best, move, *BOUNDS) for move in moves]
+    after = suite._moved(cands[2], moves[3], *BOUNDS)
     assert _key(after) != _key(cands[3])
     script = iter([LoewnerLabError("refused"), 0.5, 2.0, 1.5])
     alone, windows = [], []
 
-    def ratios(ineq, instances, pick, pools, tol_rel):
-        if len(instances) > 1:
+    def ratios(ineq, stacks, pick, pools, tol_rel):
+        A, B, cells = stacks
+        if len(cells) > 1:
             raise RuntimeError("the window's stack fails")
-        A, B, _ = instances[0]
         alone.append(A.data.tobytes() + B.data.tobytes())
         value = next(script)
         if isinstance(value, Exception):
@@ -140,10 +163,11 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
     real = suite._probe_evaluate
     monkeypatch.setattr(suite, "_probe_ratios", ratios)
     monkeypatch.setattr(suite, "_probe_evaluate",
-                        lambda ineq, insts, *a, **kw: windows.append(len(insts)) or real(
-                            ineq, insts, *a, **kw))
+                        lambda ineq, stacks, *a, **kw: windows.append(len(stacks[2])) or real(
+                            ineq, stacks, *a, **kw))
     rng = SplitMix64(2)
-    inst, ratio, accepted = suite._refine("polya-szego", best, 1.0, 0, rng, config, pools)
+    inst, ratio, accepted = suite._refine("polya-szego", best, 1.0, 0, rng, config, pools,
+                                          BOUNDS)
     # move 0 is refused (None), move 1 falls short, move 2 is accepted and ends
     # the window: move 3 is never evaluated alone against the old best
     assert windows == [4, 1]
@@ -155,12 +179,11 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
 
 def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
     config, pools, best = _climb_setup(3)
-    insts = [suite._probe_instance(best.moved(suite._draw_move(SplitMix64(k), 3)))
-             for k in range(4)]
+    insts = [suite._moved(best, suite._draw_move(SplitMix64(k), 3), *BOUNDS) for k in range(4)]
     script = iter([LoewnerLabError("refused"), 0.5, 2.0])
 
-    def ratios(ineq, instances, pick, pools, tol_rel):
-        if len(instances) > 1:
+    def ratios(ineq, stacks, pick, pools, tol_rel):
+        if len(stacks[2]) > 1:
             raise RuntimeError("the window's stack fails")
         value = next(script)
         if isinstance(value, Exception):
@@ -168,7 +191,8 @@ def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
         return [value]
 
     monkeypatch.setattr(suite, "_probe_ratios", ratios)
-    assert suite._probe_evaluate("polya-szego", insts, 0, config, pools, above=1.0) == [
+    stacks = suite._probe_stacks("bounded", insts, BOUNDS)
+    assert suite._probe_evaluate("polya-szego", stacks, 0, config, pools, above=1.0) == [
         None, 0.5, 2.0]
 
 
@@ -176,10 +200,65 @@ def test_windows_double_up_to_64_moves(monkeypatch):
     config, pools, best = _climb_setup(200)
     windows = []
 
-    def refuse_all(ineq, insts, *args, **kwargs):
-        windows.append(len(insts))
-        return [None] * len(insts)
+    def refuse_all(ineq, stacks, *args, **kwargs):
+        windows.append(len(stacks[2]))
+        return [None] * len(stacks[2])
 
     monkeypatch.setattr(suite, "_probe_evaluate", refuse_all)
-    suite._refine("polya-szego", best, 1.0, 0, SplitMix64(2), config, pools)
+    suite._refine("polya-szego", best, 1.0, 0, SplitMix64(2), config, pools, BOUNDS)
     assert windows == [4, 8, 16, 32, 64, 64, 12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["bounded", "sandwich"]), dim=st.integers(1, 16),
+       n=st.integers(0, 4), seed=st.integers(0, 2**64 - 1), wide=st.booleans())
+def test_probe_stacks_equal_the_instances_built_one_by_one(family, dim, n, seed, wide):
+    # the corner starts, random starts, and each of them after one move
+    bounds = {("bounded", False): (1.0, 4.0), ("bounded", True): (1e-3, 1e3),
+              ("sandwich", False): (0.25, 4.0), ("sandwich", True): (0.5, 0.8)}[family, wide]
+    rng = SplitMix64(seed)
+    starts = suite._probe_starts(family, dim, rng, *bounds, n)
+    insts = starts + [suite._moved(inst, suite._draw_move(rng, dim), *bounds) for inst in starts]
+    A, B, cells = suite._probe_stacks(family, insts, bounds)
+    assert cells == [bounds] * len(insts)
+    for k, inst in enumerate(insts):
+        a, b = _instance_matrices(family, inst)
+        assert A.data[k].tobytes() == a.data.tobytes()
+        assert B.data[k].tobytes() == b.data.tobytes()
+
+
+@pytest.mark.parametrize("ineq", PROBED_IDS)
+def test_start_scan_solves_each_start_once(ineq, monkeypatch):
+    # every pick reads the same stacks of starts, so no start's A or B is
+    # eigendecomposed again at a later pick.  The sandwich cell has s*t != 1:
+    # at s*t = 1, diaz-metcalf, klamkin-mclenaghan and strengthened-remark
+    # solve sqrt(st) A = 1.0 * A as a new matrix of A's entries at every pick.
+    family = suite.INEQUALITIES[ineq].cell
+    cell = {"s": 0.5, "t": 4.0} if family == "sandwich" else {}
+    config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=4, seed=5, **cell)
+    starts, solved = [], []
+    real_starts, real_eigh = suite._probe_starts, np.linalg.eigh
+
+    def eigh(a):
+        solved.extend(x.tobytes() for x in a.reshape(-1, *a.shape[-2:]))
+        return real_eigh(a)
+
+    class ScanOver(Exception):
+        pass
+
+    def stop(*args):
+        raise ScanOver
+
+    monkeypatch.setattr(suite, "_probe_starts",
+                        lambda *a: starts.extend(real_starts(*a)) or list(starts))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(suite, "_refine", stop)
+    with pytest.raises(ScanOver):
+        suite.probe_tightness(ineq, config)
+    scan = list(solved)  # the reference builder below solves too
+    assert len(starts) == 6
+    # start 0 is diagonal, and a pinching map gives a diagonal matrix back as
+    # a new matrix of the same entries
+    for inst in starts[1:]:
+        for X in _instance_matrices(family, inst):
+            assert scan.count(X.data.tobytes()) <= 1

@@ -83,15 +83,17 @@ def test_every_id_stacked_equals_stacks_of_one(ineq, dim):
 def test_probe_starts_stacked_equal_one_by_one(ineq):
     config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=6, seed=5)
     pools = suite._build_pools(config, 3)
-    lo, hi = (1.0, 4.0) if suite.INEQUALITIES[ineq].cell == "bounded" else (0.25, 4.0)
-    starts = suite._probe_starts(suite.INEQUALITIES[ineq].cell, 3, SplitMix64(9), lo, hi, 6)
-    instances = [suite._probe_instance(inst) for inst in starts]
+    family = suite.INEQUALITIES[ineq].cell
+    bounds = (1.0, 4.0) if family == "bounded" else (0.25, 4.0)
+    starts = suite._probe_starts(family, 3, SplitMix64(9), *bounds, 6)
+    stacks = suite._probe_stacks(family, starts, bounds)  # read again at every pick
     for pick in range(6):
-        stacked = suite._probe_ratios(ineq, instances, pick, pools, config.tol_rel)
-        alone = [suite._probe_evaluate(ineq, [inst], pick, config, pools)[0]
-                 for inst in instances]
+        stacked = suite._probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
+        alone = [suite._probe_evaluate(ineq, suite._probe_stacks(family, [inst], bounds), pick,
+                                       config, pools)[0]
+                 for inst in starts]
         assert stacked == alone
-        assert suite._probe_evaluate(ineq, instances, pick, config, pools) == alone
+        assert suite._probe_evaluate(ineq, stacks, pick, config, pools) == alone
 
 
 def test_failure_in_a_stack_surfaces_at_its_own_trial(monkeypatch):

@@ -122,7 +122,10 @@ class TestSuiteConfig:
         monkeypatch.setattr(suite, "_evaluate_trial", overflow)
         code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "2"])
         assert code == 2
-        assert "error: (34, 'Numerical result out of range')" in capsys.readouterr().err
+        seed = derive_seed(0, fnv1a64("polya-szego"), 2, 0)
+        assert capsys.readouterr().err == (
+            f"error: inequality polya-szego, dim 2, trial 0, trial_seed {seed}: "
+            "(34, 'Numerical result out of range')\n")
 
     @pytest.mark.parametrize("m, M", [("1e200", "1e201"), ("1e-200", "1e-199")])
     def test_polya_szego_constant_at_extreme_bounds_holds(self, m, M, capsys):
@@ -140,6 +143,7 @@ class TestSuiteConfig:
         (["hunt", "--override-constant", "inf"], "constant_multiplier"),
         (["hunt", "--override-constant", "0"], "constant_multiplier"),
         (["verify", "--dims", "a"], "dims"),
+        (["verify", "--dims", ","], "dims"),
     ])
     def test_bad_tolerance_multiplier_or_dims_fails_before_any_trial(self, argv, field,
                                                                     monkeypatch, capsys):
@@ -150,6 +154,10 @@ class TestSuiteConfig:
         assert code == 2
         assert calls == []
         assert capsys.readouterr().err.startswith(f"error: field {field} ")
+
+    def test_no_inequality_is_refused(self):
+        with pytest.raises(ValueError, match="^field inequalities "):
+            SuiteConfig(inequalities=())
 
     @pytest.mark.parametrize("s, t", [(3.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_bad_sandwich_cell_names_fields(self, s, t):
@@ -379,6 +387,23 @@ class TestReportIO:
         capsys.readouterr()
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert f"error: field {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda body: body["config"].update(colour="red"), "config.colour"),
+        (lambda body: body.pop("config"), "config"),
+        (lambda body: body["results"]["polya-szego"]["violating_instances"][0].pop("dim"), "dim"),
+        (lambda body: body["config"].update(trials="50"), "config.trials"),
+    ])
+    def test_malformed_report_is_refused_by_field(self, tmp_path, capsys, edit, field):
+        path = tmp_path / "hunt.json"
+        cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
+                  "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
+        data = json.loads(path.read_text())
+        edit(data["loewner_lab_report"])
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: field {field} ")
 
     def test_matrix_round_trip_bit_equal(self, tmp_path):
         x = SymMatrix([[1.0, 0.25], [0.25, 2.0 / 3.0]])

@@ -38,3 +38,20 @@ def test_every_step_function_resolves():
     names = _load("speed").STEP_FUNCTIONS
     assert names
     assert [name for name in names if not callable(getattr(suite, name, None))] == []
+
+
+def test_every_probe_step_passes_through_a_step_function(monkeypatch):
+    # the clock samples probe-sweep only where the start scan and the refine
+    # windows call a step function through the module global
+    calls = []
+    for name in _load("speed").STEP_FUNCTIONS:
+        real = getattr(suite, name)
+        monkeypatch.setattr(suite, name, lambda *a, real=real, name=name, **kw: calls.append(
+            (name, "above" in kw)) or real(*a, **kw))
+    config = suite.SuiteConfig(inequalities=("polya-szego",), dims=(2,), trials=3, seed=7,
+                               probe_refine_steps=10)
+    suite.probe_tightness("polya-szego", config)
+    pools = suite._build_pools(config, 2)
+    n_picks = max(len(pools.maps), len(pools.kernels), len(pools.f_monotone))
+    assert calls.count(("_probe_evaluate", False)) >= n_picks  # the start scan
+    assert calls.count(("_probe_evaluate", True)) >= 1  # the refine windows
