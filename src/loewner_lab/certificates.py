@@ -27,6 +27,7 @@ from .kernels import (
     OPERATOR_CONVEX_ZERO,
     OPERATOR_MONOTONE,
     OPERATOR_MONOTONE_DECREASING,
+    SQUARE,
     MonotoneFunction,
     ScalarKernel,
     default_grid,
@@ -42,12 +43,14 @@ from .spectral import (
     NormKind,
     SymMatrix,
     SymStack,
+    _frozen,
     loewner_slack,
     matrix_function,
     op_norm,
     per_slice,
     spectrum,
     spectrum_bounds,
+    twinned,
     ui_norm,
 )
 
@@ -240,11 +243,12 @@ def _vet_nonnegative(fn: MonotoneFunction) -> None:
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
 
 
+# The per-slice checks below raise HypothesisError themselves rather than
+# through _hyp, so that a message is formatted only for a slice that fails.
 def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
-    _hyp(
-        fn.klass in classes,
-        f"function {fn.id!r} has class {fn.klass!r}, expected one of {classes}",
-    )
+    if fn.klass not in classes:
+        raise HypothesisError(
+            f"function {fn.id!r} has class {fn.klass!r}, expected one of {classes}")
 
 
 def _vet_reversal(tau: list, sigma: list, f: list) -> None:
@@ -257,22 +261,26 @@ def _vet_reversal(tau: list, sigma: list, f: list) -> None:
         _vet_nonnegative(f_k)
 
 
-def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
+def _vet_st(s: list, t: list) -> None:
     for s_k, t_k in zip(s, t):
-        _hyp(0 < s_k <= t_k, f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
+        if not 0 < s_k <= t_k:
+            raise HypothesisError(f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
+
+
+def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
+    _vet_st(s, t)
     s_star, t_star = estimate_sandwich(A, B)
     for lo, hi, s_k, t_k in zip(s_star.tolist(), t_star.tolist(), s, t):
         tol = max(1e-12, tol_rel * max(1.0, t_k))
-        _hyp(
-            lo >= s_k - tol and hi <= t_k + tol,
-            f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
-            f"outside [{s_k:.6g}, {t_k:.6g}]",
-        )
+        if not (lo >= s_k - tol and hi <= t_k + tol):
+            raise HypothesisError(f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
+                                  f"outside [{s_k:.6g}, {t_k:.6g}]")
 
 
 def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
     for m_k, M_k in zip(m, M):
-        _hyp(0 < m_k < M_k, f"need 0 < m < M, got m={m_k!r}, M={M_k!r}")
+        if not 0 < m_k < M_k:
+            raise HypothesisError(f"need 0 < m < M, got m={m_k!r}, M={M_k!r}")
     for name, X in (("A", A), ("B", B)):
         lo, hi = spectrum_bounds(X)
         _vet_spectrum(name, lo, hi, m, M, tol_rel)
@@ -281,27 +289,41 @@ def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> 
 def _vet_spectrum(name: str, lo, hi, m: list, M: list, tol_rel: float) -> None:
     for lo_k, hi_k, m_k, M_k in zip(lo.tolist(), hi.tolist(), m, M):
         tol = max(1e-12, tol_rel * max(1.0, M_k))
-        _hyp(
-            lo_k >= m_k - tol and hi_k <= M_k + tol,
-            f"bound hypothesis fails for {name}: spectrum [{lo_k:.6g}, {hi_k:.6g}] "
-            f"outside [{m_k:.6g}, {M_k:.6g}]",
-        )
+        if not (lo_k >= m_k - tol and hi_k <= M_k + tol):
+            raise HypothesisError(
+                f"bound hypothesis fails for {name}: spectrum [{lo_k:.6g}, {hi_k:.6g}] "
+                f"outside [{m_k:.6g}, {M_k:.6g}]")
 
 
-def _worst_on_grid(points: list, lhs: list, rhs: list) -> tuple:
+def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
     scalar bound checked at each of ``points`` (a point may repeat)."""
-    slack = [r - l for l, r in zip(lhs, rhs)]
-    candidates = [x for x in slack if x < math.inf]  # a nan or +inf slack is never the worst
-    i = slack.index(min(candidates)) if candidates else None
-    worst = (points[0], 0.0, 0.0) if i is None else (points[i], lhs[i], rhs[i])
-    return (*worst, max([0.0, *map(_norm_ratio_diag, lhs, rhs)]))
+    slack = rhs - lhs
+    candidates = slack < math.inf  # a nan or +inf slack is never the worst
+    if candidates.any():
+        i = int(np.where(candidates, slack, math.inf).argmin())
+        worst = (points[i], float(lhs[i]), float(rhs[i]))
+    else:
+        worst = (points[0], 0.0, 0.0)
+    with np.errstate(all="ignore"):  # _norm_ratio_diag at each point
+        ratio = np.where(rhs <= 1e-300, np.where(lhs <= 1e-300, 1.0, math.inf), lhs / rhs)
+    return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest
+
+
+@lru_cache(maxsize=None)
+def _default_points() -> np.ndarray:
+    return _frozen(np.array(default_grid()))
 
 
 @lru_cache(maxsize=16)  # the pools of one dim hold 7 functions; each entry holds 400 floats
-def _on_default_grid(fn: MonotoneFunction) -> tuple:
+def _on_default_grid(fn: MonotoneFunction) -> np.ndarray:
     """fn(t) at every point of ``default_grid()``, computed once per function."""
-    return tuple(fn.fn(t) for t in default_grid())
+    return _frozen(_mapped(fn, default_grid()))
+
+
+def _mapped(fn: MonotoneFunction, points) -> np.ndarray:
+    """fn(t) at each of ``points``, by one map of the scalar function."""
+    return np.fromiter(map(fn.fn, points), float, len(points))
 
 
 def _fn_of(X: SymStack, fn: list) -> SymStack:
@@ -446,8 +468,7 @@ def check_sandwich_lemma(
     the underlying scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t]
     and ignores A and B.
     """
-    for s_k, t_k in zip(s, t):
-        _hyp(0 < s_k <= t_k, f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
+    _vet_st(s, t)
     c1, c2 = (list(c) for c in zip(*map(sandwich_lemma_constants, s, t)))
     if mode == "scalar":
         return [_scalar_sandwich(s_k, t_k, c2_k, grid_points, constant_multiplier, tol_rel)
@@ -476,8 +497,8 @@ def _scalar_sandwich(s: float, t: float, c2: float, grid_points: int,
     xs = np.geomspace(s, t, grid_points).tolist()
     worst_x, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(
         [x for x in xs for _ in range(2)],
-        [v for x in xs for v in (0.5 * (x + 1.0), 0.5 * (1.0 / x + 1.0))],
-        [v for x in xs for v in (c2 * math.sqrt(x), c2 / math.sqrt(x))],
+        np.array([v for x in xs for v in (0.5 * (x + 1.0), 0.5 * (1.0 / x + 1.0))]),
+        np.array([v for x in xs for v in (c2 * math.sqrt(x), c2 / math.sqrt(x))]),
     )
     params = {"mode": "scalar", "s": s, "t": t, "grid_points": grid_points, "worst_x": worst_x}
     return _scalar_certificate("sandwich-lemma", params, lhs_at_worst, rhs_at_worst,
@@ -497,12 +518,13 @@ def check_alpha_scaling(
     _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")
     _vet_class(fn, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
     points = tuple(grid) if grid is not None else default_grid()
-    at_t = _on_default_grid(fn) if grid is None else [fn.fn(t) for t in points]
-    at_alpha_t = [fn.fn(alpha * t) for t in points]
+    at_t = _on_default_grid(fn) if grid is None else _mapped(fn, points)
+    grid_array = _default_points() if grid is None else np.array(points, dtype=float)
+    at_alpha_t = _mapped(fn, (alpha * grid_array).tolist())
     if fn.klass == OPERATOR_MONOTONE:
-        lhs, rhs = at_alpha_t, [constant_multiplier * alpha * v for v in at_t]
+        lhs, rhs = at_alpha_t, (constant_multiplier * alpha) * at_t
     else:
-        lhs, rhs = [v / alpha for v in at_t], [constant_multiplier * v for v in at_alpha_t]
+        lhs, rhs = at_t / alpha, constant_multiplier * at_alpha_t
     worst_t, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(points, lhs, rhs)
     params = {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": worst_t}
     return _scalar_certificate(
@@ -727,16 +749,15 @@ def check_squared(
     """Squaring an operator inequality: A <= B with m I <= A <= M I gives
     A^2 <= (M+m)^2/(4Mm) B^2."""
     for m_k, M_k in zip(m, M):
-        _hyp(0 < m_k <= M_k, f"need 0 < m <= M, got m={m_k!r}, M={M_k!r}")
+        if not 0 < m_k <= M_k:
+            raise HypothesisError(f"need 0 < m <= M, got m={m_k!r}, M={M_k!r}")
     order_slack = loewner_slack(A, B).tolist()
     for slack_k, scale_k in zip(order_slack, _sums(op_norm(A), op_norm(B))):
-        _hyp(
-            slack_k >= -max(1e-12, tol_rel * max(1.0, scale_k)),
-            f"order hypothesis A <= B fails (slack {slack_k:.3e})",
-        )
+        if not slack_k >= -max(1e-12, tol_rel * max(1.0, scale_k)):
+            raise HypothesisError(f"order hypothesis A <= B fails (slack {slack_k:.3e})")
     _vet_spectrum("A", *spectrum_bounds(A), m, M, tol_rel)
-    lhs = matrix_function(A, lambda x: x * x)
-    base = matrix_function(B, lambda x: x * x)
+    lhs = matrix_function(A, SQUARE.fn)
+    base = matrix_function(B, SQUARE.fn)
     constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)
     params = [{"m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
     return _reversal_certificate("squared", params, lhs, base, constant, tol_rel)
@@ -764,7 +785,7 @@ def check_squared_consequences(
     if len({f_k.klass for f_k in fn}) > 1:
         raise ValueError("the functions of one stack must share their class")
     sharp = geometric(A, B)
-    square = lambda X: matrix_function(X, lambda x: x * x)
+    square = lambda X: matrix_function(X, SQUARE.fn)
     if fn[0].klass == OPERATOR_MONOTONE:
         for f_k in fn:
             _vet_nonnegative(f_k)
@@ -845,6 +866,11 @@ def check_diaz_metcalf(
     return _reversal_certificate("diaz-metcalf", params, lhs, base, constant, tol_rel)
 
 
+# x^(1/2), the geometric kernel, and x^(-1/2), each with np.sqrt in its numpy twin
+_sqrt = GEOMETRIC.fn
+_inv_sqrt = twinned(lambda x: 1.0 / math.sqrt(x), lambda x: 1.0 / np.sqrt(x))
+
+
 @_stacked("sigma", "f", "s", "t")
 def check_klamkin_mclenaghan(
     phi: MapSpec,
@@ -877,16 +903,16 @@ def check_klamkin_mclenaghan(
     P = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
     F = phi.apply(_fn_of(A * _root_st(s, t), f))
     G = phi.apply(_fn_of(B, f))
-    p_root = matrix_function(P, math.sqrt)
-    p_inv_root = matrix_function(P, lambda x: 1.0 / math.sqrt(x))
+    p_root = matrix_function(P, _sqrt)
+    p_inv_root = matrix_function(P, _inv_sqrt)
     f_inv = spectral_inverse(F)
     lhs = SymStack(
         p_inv_root.data @ G.data @ p_inv_root.data
         - p_root.data @ f_inv.data @ p_root.data
     )
     T = SymStack(p_inv_root.data @ F.data @ p_inv_root.data)
-    t_root = matrix_function(T, math.sqrt)
-    t_inv_root = matrix_function(T, lambda x: 1.0 / math.sqrt(x))
+    t_root = matrix_function(T, _sqrt)
+    t_inv_root = matrix_function(T, _inv_sqrt)
     swing = t_root - t_inv_root
     c = [2.0 * diaz_metcalf_constant(s_k, t_k) * constant_multiplier for s_k, t_k in zip(s, t)]
     n_out = phi.output_dim
@@ -935,8 +961,8 @@ def check_strengthened_remark(
                             <= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B))
     """
     for s_k, t_k in zip(s, t):
-        _hyp(math.sqrt(s_k * t_k) >= 1.0,
-             f"refused: needs sqrt(s*t) >= 1, got s={s_k!r}, t={t_k!r}")
+        if not math.sqrt(s_k * t_k) >= 1.0:
+            raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s_k!r}, t={t_k!r}")
     _vet_sandwich(A, B, s, t, tol_rel)
     _vet_reversal(tau, sigma, f)
     fb = phi.apply(_fn_of(B, f))

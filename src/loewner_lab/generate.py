@@ -27,6 +27,7 @@ from .spectral import (
     SymStack,
     as_sym,
     decompose,
+    inner_matrix,
     spectrum_bounds,
 )
 
@@ -49,6 +50,14 @@ def derive_seed(master: int, *parts: int) -> int:
     for p in parts:
         acc = mix64((acc + GAMMA + (p & MASK64)) & MASK64)
     return acc
+
+
+def derive_seeds(master: int, parts: tuple, last: list) -> list:
+    """``derive_seed(master, *parts, x)`` for each x of ``last``: the shared
+    parts are mixed once, and the last step runs over all of ``last`` as one
+    uint64 array with wrapping arithmetic."""
+    acc = np.uint64((derive_seed(master, *parts) + GAMMA) & MASK64)
+    return _mix64(np.array([x & MASK64 for x in last], dtype=np.uint64) + acc).tolist()
 
 
 def fnv1a64(text: str) -> int:
@@ -104,16 +113,21 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of each entry of a uint64 array, with wrapping arithmetic."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
 def _unit_rows(rngs, n: int) -> np.ndarray:
     """The next n ``uniform()`` draws of each stream, from one (streams, n)
     uint64 block with wrapping arithmetic."""
     states = np.array([rng._state for rng in rngs], dtype=np.uint64)
-    for rng in rngs:
-        rng._state = (rng._state + n * GAMMA) & MASK64
+    for rng, state in zip(rngs, (states + np.uint64(n * GAMMA & MASK64)).tolist()):
+        rng._state = state
     z = states[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64
-    z = (z ^ (z >> 30)) * _MIX1
-    z = (z ^ (z >> 27)) * _MIX2
-    return (((z ^ (z >> 31)) >> 11).astype(np.float64) + 0.5) * 2.0**-53
+    return ((_mix64(z) >> 11).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:
@@ -122,6 +136,18 @@ def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:
     lo = np.asarray(lo, dtype=float).reshape(-1, 1)
     hi = np.asarray(hi, dtype=float).reshape(-1, 1)
     return lo + (hi - lo) * _unit_rows(rngs, n)
+
+
+def log_uniform_rows(rngs, *ranges: tuple) -> np.ndarray:
+    """One ``log_uniform(lo, hi)`` draw per ``(lo, hi)`` of ``ranges`` from
+    each stream, in that order, as a (streams, ranges) block, bit for bit;
+    exp stays per element in libm, as ``normal_rows`` keeps log."""
+    for lo, hi in ranges:
+        if not 0 < lo <= hi:
+            raise ValueError("log_uniform needs 0 < lo <= hi")
+    lo, hi = (np.array([math.log(x) for x in col]) for col in zip(*ranges))
+    x = lo + (hi - lo) * _unit_rows(rngs, len(ranges))
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def normal_rows(rngs, n: int) -> np.ndarray:
@@ -215,20 +241,28 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
     """Tightest scalars (s*, t*) with s* A <= B <= t* A, or their arrays over
     the slices of two stacks.
 
-    These are the extreme eigenvalues of A^(-1/2) B A^(-1/2).  The answer
-    for the first partner B is remembered on A, so the generator's check and
-    the certificate's check of the same pair solve it once.
+    These are the extreme eigenvalues of A^(-1/2) B A^(-1/2), which
+    ``inner_matrix`` remembers on A, solved, for the first partner B: the
+    generator's check, the certificate's check and the means of the same
+    pair solve it once.
     """
     A, B = as_sym(A), as_sym(B)
-    memo = A._sandwich  # read once: the slot is written at most once
-    if memo is not None and memo[0] is B:
-        return memo[1]
-    dec = decompose(A)
-    _positive_definite(dec)
-    bounds = spectrum_bounds(type(A)(dec.inv_root @ B.data @ dec.inv_root))
-    if memo is None:
-        object.__setattr__(A, "_sandwich", (B, bounds))
-    return bounds
+    _positive_definite(decompose(A))
+    return spectrum_bounds(inner_matrix(A, B))
+
+
+def _join_pairs(pairs: list) -> tuple:
+    """The stacks (A, B) of the given pairs of stacks, one pair after another.
+
+    They keep the decompositions that every part holds, and A keeps the
+    inner matrix when every part's A holds it for its own B, so a joined
+    pair is not solved again.
+    """
+    A, B = (SymStack.of(part) for part in zip(*pairs))
+    inners = [a._inner for a, _ in pairs]
+    if all(memo is not None and memo[0] is b for memo, (_, b) in zip(inners, pairs)):
+        object.__setattr__(A, "_inner", (B, SymStack.of([memo[1] for memo in inners])))
+    return A, B
 
 
 def _slices(*values) -> zip:

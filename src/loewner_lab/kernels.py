@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .spectral import twinned
 
 # Grid-based checks are necessary-condition tests, not proofs; they exist so
 # user-supplied kernels can be screened against the mean hypotheses.
@@ -75,9 +76,9 @@ def _logarithmic(t: float) -> float:
     return (t - 1.0) / math.log(t)
 
 
-ARITHMETIC = ScalarKernel("arithmetic", _arithmetic)
-GEOMETRIC = ScalarKernel("geometric", _geometric)
-HARMONIC = ScalarKernel("harmonic", _harmonic)
+ARITHMETIC = ScalarKernel("arithmetic", twinned(_arithmetic))
+GEOMETRIC = ScalarKernel("geometric", twinned(_geometric, np.sqrt))
+HARMONIC = ScalarKernel("harmonic", twinned(_harmonic))
 LOGARITHMIC = ScalarKernel("logarithmic", _logarithmic)
 
 
@@ -137,7 +138,9 @@ def power(p: float) -> MonotoneFunction:
     if not 0.0 < p <= 2.0:
         raise ValueError(f"power exponent must lie in (0, 2], got {p!r}")
     klass = OPERATOR_MONOTONE if p <= 1.0 else OPERATOR_CONVEX_ZERO
-    return MonotoneFunction(f"power:{p:g}", lambda t: t**p, klass)
+    fn = lambda t: t**p
+    # t**1.0 is t exactly; other exponents go through libm's pow
+    return MonotoneFunction(f"power:{p:g}", twinned(fn) if p == 1.0 else fn, klass)
 
 
 def inv_power(p: float) -> MonotoneFunction:
@@ -153,7 +156,7 @@ def rational(c: float) -> MonotoneFunction:
     c = float(c)
     if c <= 0:
         raise ValueError(f"rational shift must be positive, got {c!r}")
-    return MonotoneFunction(f"rational:{c:g}", lambda t: t / (t + c), OPERATOR_MONOTONE)
+    return MonotoneFunction(f"rational:{c:g}", twinned(lambda t: t / (t + c)), OPERATOR_MONOTONE)
 
 
 def shifted_inverse(c: float) -> MonotoneFunction:
@@ -161,11 +164,12 @@ def shifted_inverse(c: float) -> MonotoneFunction:
     c = float(c)
     if c < 0:
         raise ValueError(f"shifted_inverse shift must be nonnegative, got {c!r}")
-    return MonotoneFunction(f"shifted_inverse:{c:g}", lambda t: 1.0 / (t + c), OPERATOR_MONOTONE_DECREASING)
+    return MonotoneFunction(f"shifted_inverse:{c:g}", twinned(lambda t: 1.0 / (t + c)),
+                            OPERATOR_MONOTONE_DECREASING)
 
 
 LOG1P = MonotoneFunction("log1p", math.log1p, OPERATOR_MONOTONE)
-SQUARE = MonotoneFunction("square", lambda t: t * t, OPERATOR_CONVEX_ZERO)
+SQUARE = MonotoneFunction("square", twinned(lambda t: t * t), OPERATOR_CONVEX_ZERO)
 IDENTITY_FN = power(1.0)
 
 

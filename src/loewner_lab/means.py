@@ -22,10 +22,12 @@ from .spectral import (
     SymMatrix,
     as_sym,
     decompose,
+    inner_matrix,
     matrix_function,
     per_slice,
     require_same_shape,
     spectrum,
+    twinned,
 )
 
 # A^(-1/2) amplifies eigensolver error, so ill-conditioned first arguments
@@ -72,8 +74,7 @@ def _mean(A: SymMatrix, B: SymMatrix, kernels: list, caps: list) -> SymMatrix:
         if cond > cap:
             raise ConditionCapError(f"condition number {cond:.3e} exceeds cap {cap:.3e}")
     _require_pd("second argument", spectrum(B)[..., 0])
-    inner = type(A)(dec.inv_root @ B.data @ dec.inv_root)
-    transformed = matrix_function(inner, kernels)
+    transformed = matrix_function(inner_matrix(A, B), kernels)
     return type(A)(dec.root @ transformed.data @ dec.root)
 
 
@@ -92,10 +93,13 @@ def arithmetic(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     return type(A)(0.5 * (A.data + B.data))
 
 
+_reciprocal = twinned(lambda lam: 1.0 / lam)
+
+
 def spectral_inverse(X: SymMatrix) -> SymMatrix:
     X = as_sym(X)
     _require_pd("matrix to invert", spectrum(X)[..., 0])
-    return matrix_function(X, lambda lam: 1.0 / lam)
+    return matrix_function(X, _reciprocal)
 
 
 def harmonic(A: SymMatrix, B: SymMatrix) -> SymMatrix:

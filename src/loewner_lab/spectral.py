@@ -40,10 +40,10 @@ class SymMatrix:
     so instances are exactly symmetric, finite, and immutable.  Spectral
     results are remembered in write-once slots: ``decompose`` fills ``_dec``
     once its contract passes, ``spectrum`` fills ``_evals``, and
-    ``generate.estimate_sandwich`` fills ``_sandwich`` for one partner B.
+    ``inner_matrix`` fills ``_inner`` with A^(-1/2) B A^(-1/2) for one partner B.
     """
 
-    __slots__ = ("data", "_dec", "_evals", "_sandwich")
+    __slots__ = ("data", "_dec", "_evals", "_inner")
 
     def __init__(self, entries) -> None:
         a = np.array(entries, dtype=float)
@@ -53,7 +53,7 @@ class SymMatrix:
 
     def _fill(self, data: np.ndarray) -> "SymMatrix":
         object.__setattr__(self, "data", data)
-        for slot in ("_dec", "_evals", "_sandwich"):
+        for slot in ("_dec", "_evals", "_inner"):
             object.__setattr__(self, slot, None)
         return self
 
@@ -81,6 +81,10 @@ class SymMatrix:
         return type(self)(self.data - other.data)
 
     def __mul__(self, scalar: float) -> "SymMatrix":
+        """The matrix times a number; times exactly 1.0 that is the matrix
+        itself, with what it remembers, since x * 1.0 == x bit for bit."""
+        if float(scalar) == 1.0:
+            return self
         with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
             return SymMatrix(self.data * float(scalar))
 
@@ -112,15 +116,16 @@ class SymStack(SymMatrix):
 
     @classmethod
     def of(cls, mats: Sequence) -> "SymStack":
-        """The stack of the given matrices of one dimension; it takes over their
-        decompositions when every one of them holds one."""
+        """The stack of the given matrices of one dimension, or of the slices
+        of the given stacks in turn; it takes over their decompositions when
+        every one of them holds one."""
         mats = [as_sym(m) for m in mats]
-        out = cls.__new__(cls)._fill(_frozen(np.stack([m.data for m in mats])))
+        out = cls.__new__(cls)._fill(_joined([m.data for m in mats], 3))
         decs = [m._dec for m in mats]
         if all(dec is not None for dec in decs):
             object.__setattr__(out, "_dec", SpectralDecomposition(
-                eigenvalues=_frozen(np.stack([dec.eigenvalues for dec in decs])),
-                basis=_frozen(np.stack([dec.basis for dec in decs]))))
+                eigenvalues=_joined([dec.eigenvalues for dec in decs], 2),
+                basis=_joined([dec.basis for dec in decs], 3)))
         return out
 
     def __len__(self) -> int:
@@ -131,9 +136,12 @@ class SymStack(SymMatrix):
         return [SymMatrix.__new__(SymMatrix)._fill(a) for a in self.data]
 
     def __mul__(self, scalar) -> "SymStack":
-        """Every slice times one number, or each slice times its own."""
+        """Every slice times one number, or each slice times its own; the
+        stack itself when every factor is exactly 1.0."""
         scalar = (np.asarray(scalar, dtype=float)[:, None, None]
                   if isinstance(scalar, (list, tuple, np.ndarray)) else float(scalar))
+        if np.size(scalar) in (1, len(self)) and np.all(scalar == 1.0):
+            return self
         with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
             return SymStack(self.data * scalar)
 
@@ -197,6 +205,12 @@ def require_same_shape(x: SymMatrix, y: SymMatrix) -> None:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _joined(arrays: list, ndim: int) -> np.ndarray:
+    """The arrays of single matrices (or spectra) and of stacks of them, one
+    after another, as one read-only stack with ``ndim`` axes."""
+    return _frozen(np.concatenate([a if a.ndim == ndim else a[None] for a in arrays]))
 
 
 def _fro(a: np.ndarray):
@@ -318,21 +332,84 @@ def spectrum(X: SymMatrix) -> np.ndarray:
     return w
 
 
+def inner_matrix(A: SymMatrix, B: SymMatrix) -> SymMatrix:
+    """A^(-1/2) B A^(-1/2) of a positive definite A, or of each slice of two
+    stacks.
+
+    It is remembered on A for A's first partner B, and keeps its own
+    decomposition once solved, so that the means of (A, B) and
+    ``generate.estimate_sandwich`` build and solve it once between them.
+    """
+    memo = A._inner  # read once: the slot is written at most once
+    if memo is not None and memo[0] is B:
+        return memo[1]
+    inv_root = decompose(A).inv_root
+    X = type(A)(inv_root @ B.data @ inv_root)
+    if memo is None:
+        object.__setattr__(A, "_inner", (B, X))
+    return X
+
+
+def twinned(fn, twin=None):
+    """Mark the scalar function ``fn`` with its numpy twin, which
+    ``matrix_function`` applies to all the eigenvalues at once.
+
+    A twin must give fn's bits on every float.  Plain IEEE arithmetic and
+    np.sqrt do, being correctly rounded; libm's other functions (pow, log,
+    exp) may not.  By default fn, plain arithmetic, is its own twin.
+    """
+    fn.twin = fn if twin is None else twin
+    return fn
+
+
 def matrix_function(A: SymMatrix, fn) -> SymMatrix:
     """Apply a scalar function to a symmetric matrix through its spectrum;
     for a stack, ``fn`` is one function or one per slice.
 
-    ``fn`` is called in Python on each eigenvalue.  Raises DomainError
-    naming the offending eigenvalue if ``fn`` is undefined (raises,
-    overflows, or returns a non-finite value) there.
+    Each distinct function is applied once to the eigenvalues of the slices
+    that take it: through its numpy twin (see ``twinned``), or else by one
+    ``map`` over them.  If that raises or gives a value that is not finite,
+    ``fn`` is called on each eigenvalue in turn, which raises DomainError
+    naming the first offending one: ``fn`` is undefined there (raises or
+    overflows) or not finite.
     """
     A = as_sym(A)
     dec = decompose(A)
-    w = dec.eigenvalues
+    lams = dec.eigenvalues.reshape(-1, A.dim)
+    fns = per_slice(fn, A)
+    distinct = {id(f): f for f in fns}
+    try:
+        if len(distinct) == 1:
+            values = _apply(fns[0], lams)
+        else:
+            which, values = np.array(list(map(id, fns))), np.empty(lams.shape)
+            for key, f in distinct.items():
+                rows = which == key
+                values[rows] = _apply(f, lams[rows])
+        finite = np.isfinite(values).all()
+    except Exception:  # the walk below meets the same error at its own eigenvalue
+        finite = False
+    if not finite:
+        values = _walk(fns, lams)
+    q = dec.basis
+    values = values.reshape(dec.eigenvalues.shape)
+    return type(A)((q * values[..., None, :]) @ q.swapaxes(-1, -2))
+
+
+def _apply(f, lams: np.ndarray) -> np.ndarray:
+    twin = getattr(f, "twin", None)
+    if twin is not None:
+        with np.errstate(all="ignore"):  # a value that is not finite goes to _walk
+            return twin(lams)
+    return np.fromiter(map(f, lams.ravel().tolist()), float, lams.size).reshape(lams.shape)
+
+
+def _walk(fns: list, lams: np.ndarray) -> np.ndarray:
+    """f(lam) for each slice's function and eigenvalues, one call at a time."""
     rows = []
-    for f, lams in zip(per_slice(fn, A), w.reshape(-1, A.dim).tolist()):
+    for f, row in zip(fns, lams.tolist()):
         values = []
-        for lam in lams:
+        for lam in row:
             try:
                 val = float(f(lam))
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -341,9 +418,7 @@ def matrix_function(A: SymMatrix, fn) -> SymMatrix:
                 raise DomainError(f"function not finite at eigenvalue {lam!r} (got {val!r})")
             values.append(val)
         rows.append(values)
-    q = dec.basis
-    values = np.array(rows).reshape(w.shape)
-    return type(A)((q * values[..., None, :]) @ q.swapaxes(-1, -2))
+    return np.array(rows)
 
 
 _RELATIONS = ("LE", "GE", "EQ", "INCOMPARABLE")

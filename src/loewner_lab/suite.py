@@ -29,10 +29,14 @@ from .errors import LoewnerLabError
 from .generate import (
     SplitMix64,
     derive_seed,
+    derive_seeds,
+    estimate_sandwich,
     fnv1a64,
+    log_uniform_rows,
     random_orthogonal,
     _bounded_pair,
     _compose,
+    _join_pairs,
     _sandwich_pair,
     _sandwiched,
     _spd,
@@ -41,7 +45,7 @@ from .kernels import (
     GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, SymStack, parse_norm
+from .spectral import SymMatrix, SymStack, decompose, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -215,15 +219,16 @@ def _pick(pool, index: int):
     return pool[index % len(pool)]
 
 
-def _sample_st(rng: SplitMix64, config: SuiteConfig, force_st_ge_1: bool = False):
+def _sample_st(rngs: list, config: SuiteConfig, force_st_ge_1: bool = False) -> list:
+    """Each stream's sandwich cell (s, t): the config's when it fixes them,
+    else two log-uniform draws from ``sandwich_range``, sorted."""
     if config.s is not None and config.t is not None:
-        s, t = float(config.s), float(config.t)
+        cells = [(float(config.s), float(config.t))] * len(rngs)
     else:
         lo, hi = config.sandwich_range
-        a = rng.log_uniform(lo, hi)
-        b = rng.log_uniform(lo, hi)
-        s, t = (a, b) if a <= b else (b, a)
-    return _st_ge_1(s, t) if force_st_ge_1 else (s, t)
+        cells = [(a, b) if a <= b else (b, a)
+                 for a, b in log_uniform_rows(rngs, (lo, hi), (lo, hi)).tolist()]
+    return [_st_ge_1(s, t) for s, t in cells] if force_st_ge_1 else cells
 
 
 def _st_ge_1(s: float, t: float) -> tuple:
@@ -231,11 +236,12 @@ def _st_ge_1(s: float, t: float) -> tuple:
     return (s, t) if s * t >= 1.0 else (1.0 / t, 1.0 / s)
 
 
-def _sample_mM(rng: SplitMix64, config: SuiteConfig):
+def _sample_mM(rngs: list, config: SuiteConfig) -> list:
+    """Each stream's cell (m, M): the config's when it fixes them, else m
+    log-uniform in [0.5, 2] and M = m times a log-uniform draw in [1.5, 8]."""
     if config.m is not None and config.M is not None:
-        return float(config.m), float(config.M)
-    m = rng.log_uniform(0.5, 2.0)
-    return m, m * rng.log_uniform(1.5, 8.0)
+        return [(float(config.m), float(config.M))] * len(rngs)
+    return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
 
 
 def _instance_blob(**entries) -> dict:
@@ -246,23 +252,26 @@ def _instance_blob(**entries) -> dict:
 
 def _pairs(draw_pair, rngs: list, dim: int, cells: list, corner: tuple | None) -> tuple:
     """The stacks (A, B) that ``draw_pair(rngs, dim, lo, hi)`` draws for the
-    trials' cells, after the first trial's entries ``corner`` when given."""
+    trials' cells, after the first trial's stacks of one ``corner`` when
+    given; the joined stacks keep what both parts have solved."""
     first = 0 if corner is None else 1
-    drawn = draw_pair(rngs[first:], dim, *_cols(cells[first:])) if cells[first:] else (None, None)
-    if corner is None:
-        return drawn
-    return tuple(SymStack([x, *([] if X is None else X.data)]) for x, X in zip(corner, drawn))
+    if not cells[first:]:
+        return corner
+    drawn = draw_pair(rngs[first:], dim, *_cols(cells[first:]))
+    return drawn if corner is None else _join_pairs([corner, drawn])
 
 
 def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
                    force_st_ge_1: bool = False):
-    cells = [_sample_st(rng, config, force_st_ge_1) for rng in rngs]
+    cells = _sample_st(rngs, config, force_st_ge_1)
     pair = None
     if corner:  # commuting boundary instance: anti-aligned spectra hitting s and t
         s, t = cells[0]
         a_diag = [1.0 if j % 2 == 0 else 4.0 for j in range(dim)]
         c_diag = [t if j % 2 == 0 else s for j in range(dim)]
-        pair = np.diag(a_diag), np.diag([a * c for a, c in zip(a_diag, c_diag)])
+        b_diag = [a * c for a, c in zip(a_diag, c_diag)]
+        pair = SymStack([np.diag(a_diag)]), SymStack([np.diag(b_diag)])
+        estimate_sandwich(*pair)  # solved as the generator's check solves a drawn pair
     return (*_pairs(_sandwich_pair, rngs, dim, cells, pair), cells)
 
 
@@ -272,18 +281,20 @@ def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bo
 
 
 def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    cells = [_sample_mM(rng, config) for rng in rngs]
+    cells = _sample_mM(rngs, config)
     pair = None
     if corner:
         m, M = cells[0]
-        pair = (np.diag([m if j % 2 == 0 else M for j in range(dim)]),
-                np.diag([M if j % 2 == 0 else m for j in range(dim)]))
+        pair = (SymStack([np.diag([m if j % 2 == 0 else M for j in range(dim)])]),
+                SymStack([np.diag([M if j % 2 == 0 else m for j in range(dim)])]))
+        for X in pair:  # solved as the generator's check solves a drawn pair
+            decompose(X)
     return (*_pairs(_bounded_pair, rngs, dim, cells, pair), cells)
 
 
 def _draw_order(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     """Pairs A <= B with the spectrum of A in [m, M]."""
-    cells = [_sample_mM(rng, config) for rng in rngs]
+    cells = _sample_mM(rngs, config)
     A = _spd(rngs, dim, [m for m, _ in cells], [M for _, M in cells])
     return A, A + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]), cells
 
@@ -293,13 +304,13 @@ def _draw_free(rngs: list, dim: int, config: SuiteConfig, corner: bool):
 
 
 def _draw_alpha(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    return None, None, [(rng.log_uniform(1.0, 8.0),) for rng in rngs]
+    return None, None, [tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()]
 
 
 def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     if config.m is not None and config.M is not None:
         return None, None, [(float(config.m), float(config.M))] * len(rngs)
-    return None, None, [(1.0, rng.log_uniform(1.0 + 1e-6, 100.0)) for rng in rngs]
+    return None, None, [(1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()]
 
 
 def _picks(pool, picks: list) -> list:
@@ -468,7 +479,7 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:
     documented violation is reported (never asserted) by every campaign
     that covers the matching cell.
     """
-    rngs = [SplitMix64(_trial_seed(config, ineq, dim, trial)) for trial in trials]
+    rngs = [SplitMix64(x) for x in derive_seeds(config.seed, (fnv1a64(ineq), dim), trials)]
     corner = trials[0] == 0 and ineq in AUDIT_INEQUALITIES
     return _inequality(ineq).draw(rngs, dim, config, corner)
 

@@ -296,15 +296,104 @@ def test_stacked_cell_draw_matches_a_trial_by_trial_draw(kind, dim, trials, seed
                 w, q = np.linalg.eigh(X.data[k])
                 assert X._dec.eigenvalues[k].tobytes() == w.tobytes()
                 assert X._dec.basis[k].tobytes() == q.tobytes()
-        # a stack that holds an audit corner may lose the generator's decompositions
-        if bounds is not None and not corner:  # roots and memo as if solved alone
+        # a stack that holds an audit corner keeps the solves of its parts
+        if bounds is not None:  # roots and inner matrix as if solved alone
             root, inv_root = _ref_roots(a)
             assert A._dec.root[k].tobytes() == root.tobytes()
             assert A._dec.inv_root[k].tobytes() == inv_root.tobytes()
-            assert A._sandwich[0] is B
-            assert (A._sandwich[1][0][k], A._sandwich[1][1][k]) == bounds
-        elif kind == "bounded":
+            assert A._inner[0] is B and A._inner[1]._dec is not None
+            lo, hi = spectrum_bounds(A._inner[1])
+            assert (lo[k], hi[k]) == bounds
+        elif kind.startswith("bounded"):
             assert A._dec is not None and B._dec is not None
+        elif kind != "free" and kind != "order":  # a sandwich corner
+            assert A._dec is not None and A._inner[0] is B
+
+
+def _ref_cell(ineq, rng, fixed):
+    """One trial's cell from the scalar stream, one ``log_uniform`` call per draw."""
+    if ineq == "alpha-scaling":
+        return (rng.log_uniform(1.0, 8.0),)
+    if fixed:
+        return {"specht-bound": (1.0, 4.0), "polya-szego": (1.0, 4.0)}.get(ineq, (0.5, 3.0))
+    if ineq == "specht-bound":
+        return (1.0, rng.log_uniform(1.0 + 1e-6, 100.0))
+    if ineq == "polya-szego":
+        m = rng.log_uniform(0.5, 2.0)
+        return m, m * rng.log_uniform(1.5, 8.0)
+    a, b = rng.log_uniform(0.25, 4.0), rng.log_uniform(0.25, 4.0)
+    s, t = min(a, b), max(a, b)
+    if ineq == "strengthened-remark" and s * t < 1.0:
+        s, t = 1.0 / t, 1.0 / s
+    return s, t
+
+
+_CELL_DRAW_IDS = ("alpha-scaling", "specht-bound", "polya-szego", "midpoint",
+                  "strengthened-remark")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ineq=st.sampled_from(_CELL_DRAW_IDS), dim=st.integers(1, 4),
+       trials=st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True),
+       seed=st.integers(0, 2**64 - 1), fixed=st.booleans())
+def test_block_seeds_and_cell_draws_match_each_trials_stream(ineq, dim, trials, seed, fixed):
+    from loewner_lab.suite import SuiteConfig, _draw
+
+    cell = dict(s=0.5, t=3.0, m=1.0, M=4.0) if fixed else {}
+    config = SuiteConfig(inequalities=(ineq,), seed=seed, **cell)
+    cells = _draw(ineq, dim, trials, config)[2]
+    for trial, got in zip(trials, cells):
+        rng = SplitMix64(derive_seed(seed, fnv1a64(ineq), dim, trial))
+        assert got == _ref_cell(ineq, rng, fixed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ineq=st.sampled_from(("alpha-scaling", "specht-bound")),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+       spare=st.booleans())
+def test_scalar_cell_block_leaves_each_stream_as_its_draws_do(ineq, seeds, spare):
+    from loewner_lab.suite import INEQUALITIES, SuiteConfig
+
+    rngs, refs = [SplitMix64(x) for x in seeds], [SplitMix64(x) for x in seeds]
+    if spare:  # a held Box-Muller spare is left as it is
+        for rng in rngs + refs:
+            rng.normal()
+    cells = INEQUALITIES[ineq].draw(rngs, 3, SuiteConfig(inequalities=(ineq,)), False)[2]
+    for rng, ref, got in zip(rngs, refs, cells):
+        assert got == _ref_cell(ineq, ref, False)
+        assert (rng._state, rng._spare) == (ref._state, ref._spare)
+
+
+@settings(max_examples=100, deadline=None)
+@given(master=st.integers(-2**70, 2**70), parts=st.lists(st.integers(-2**70, 2**70), max_size=3),
+       last=st.lists(st.integers(-2**70, 2**70), max_size=12))
+def test_derive_seeds_is_derive_seed_over_the_last_part(master, parts, last):
+    from loewner_lab.generate import derive_seeds
+
+    assert derive_seeds(master, tuple(parts), last) == [
+        derive_seed(master, *parts, x) for x in last]
+
+
+_RANGES = st.tuples(st.floats(1e-6, 1e3), st.floats(1.0, 1e3)).map(lambda r: (r[0], r[0] * r[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       ranges=st.lists(_RANGES, min_size=1, max_size=4), spare=st.booleans())
+def test_log_uniform_rows_match_the_scalar_draws(seeds, ranges, spare):
+    from loewner_lab.generate import log_uniform_rows
+
+    rngs, refs = [SplitMix64(x) for x in seeds], [SplitMix64(x) for x in seeds]
+    if spare:
+        for rng in rngs + refs:
+            rng.normal()
+    got = log_uniform_rows(rngs, *ranges)
+    assert got.shape == (len(seeds), len(ranges))
+    for row, rng, ref in zip(got.tolist(), rngs, refs):
+        assert row == [ref.log_uniform(lo, hi) for lo, hi in ranges]
+        assert (rng._state, rng._spare) == (ref._state, ref._spare)
+    with pytest.raises(ValueError, match="log_uniform needs 0 < lo <= hi"):
+        log_uniform_rows(rngs, (2.0, 1.0))
 
 
 def test_a_cell_is_drawn_with_one_solve_per_stack(monkeypatch):

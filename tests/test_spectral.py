@@ -28,7 +28,17 @@ from loewner_lab import (
     ui_norm,
 )
 from loewner_lab.generate import derive_seed, random_orthogonal
-from loewner_lab.spectral import spectrum
+from loewner_lab.kernels import (
+    GEOMETRIC,
+    HARMONIC,
+    IDENTITY_FN,
+    LOG1P,
+    SQUARE,
+    power,
+    rational,
+    shifted_inverse,
+)
+from loewner_lab.spectral import SymStack, spectrum
 
 
 def random_sym(dim, seed, scale=1.0):
@@ -116,6 +126,40 @@ class TestSpectralMemo:
         decompose(y)
         assert len(calls) == 4
 
+    def test_means_and_sandwich_scalars_solve_the_inner_matrix_once(self, monkeypatch):
+        from loewner_lab import estimate_sandwich, geometric, harmonic, kernel_mean
+        from loewner_lab.generate import random_spd
+        from loewner_lab.kernels import ARITHMETIC, LOGARITHMIC
+
+        a, b = random_spd(4, 0.5, 3.0, 11), random_spd(4, 0.5, 3.0, 12)
+        decompose(a)
+        calls = self.count_eigh(monkeypatch)
+        estimate_sandwich(a, b)
+        assert len(calls) == 1  # A^(-1/2) B A^(-1/2), remembered on a for b
+        geometric(a, b)
+        kernel_mean(ARITHMETIC, a, b)
+        kernel_mean(LOGARITHMIC, a, b)
+        assert len(calls) == 1
+        assert a._inner[0] is b
+        other = SymMatrix(b.data)  # another partner is solved, and not remembered
+        geometric(a, other)
+        geometric(a, other)
+        assert len(calls) == 3 and a._inner[0] is b
+        harmonic(a, b)  # solves b and the arithmetic mean of the inverses
+        assert len(calls) == 5
+
+    def test_product_by_ones_is_the_operand(self):
+        x = random_sym(3, 4)
+        stack = SymStack.of([x, random_sym(3, 5)])
+        decompose(stack)
+        assert x * 1.0 is x and 1 * x is x
+        assert stack * 1.0 is stack and stack * [1.0, 1.0] is stack
+        assert 1.0 * stack is stack and stack * np.ones(2) is stack
+        assert stack * [1.0, 2.0] is not stack and x * 2.0 is not x
+        assert (stack * [1.0, 2.0]).data[0].tobytes() == x.data.tobytes()
+        with pytest.raises(ValueError):
+            stack * [1.0, 1.0, 1.0]
+
     def test_memo_is_the_same_read_only_object(self):
         x = SymMatrix(random_sym(3, 5).data @ random_sym(3, 5).data + np.eye(3))
         dec = decompose(x)
@@ -160,6 +204,51 @@ class TestMatrixFunction:
         with pytest.raises(DomainError, match="0.0"):
             matrix_function(a, lambda x: 1.0 / x)
 
+    @pytest.mark.parametrize("diagonals, fns, error, text", [
+        # a function that raises
+        ([[-1.0, 4.0]], GEOMETRIC.fn, DomainError,
+         "function undefined at eigenvalue -1.0: math domain error"),
+        ([[0.0, 2.0]], lambda x: 1.0 / x, DomainError,
+         "function undefined at eigenvalue 0.0: float division by zero"),
+        ([[-1.0, 3.0]], rational(1.0).fn, DomainError,
+         "function undefined at eigenvalue -1.0: float division by zero"),
+        ([[-1.0, 3.0]], HARMONIC.fn, DomainError,
+         "function undefined at eigenvalue -1.0: float division by zero"),
+        ([[-2.0, 3.0]], LOG1P.fn, DomainError,
+         "function undefined at eigenvalue -2.0: math domain error"),
+        ([[1.0, 800.0]], math.exp, DomainError,
+         "function undefined at eigenvalue 800.0: math range error"),
+        # a function that returns a non-finite value
+        ([[2.0, 1e200]], SQUARE.fn, DomainError,
+         "function not finite at eigenvalue 1e+200 (got inf)"),
+        ([[1.0, 1e10]], lambda x: 1e300 * x, DomainError,
+         "function not finite at eigenvalue 10000000000.0 (got inf)"),
+        ([[3.0, 5.0]], lambda x: x - x + math.nan, DomainError,
+         "function not finite at eigenvalue 3.0 (got nan)"),
+        # a function whose value is no real number keeps its own error
+        ([[-1.0, 2.0]], power(0.5).fn, TypeError,
+         "float() argument must be a string or a real number, not 'complex'"),
+        # functions that vary per slice: the first offending slice, in order
+        ([[1.0, 4.0], [-1.0, 2.0], [-3.0, 5.0]],
+         [GEOMETRIC.fn, shifted_inverse(1.0).fn, GEOMETRIC.fn], DomainError,
+         "function undefined at eigenvalue -1.0: float division by zero"),
+        ([[1.0, 4.0], [2.0, 1e200], [-3.0, 5.0]],
+         [IDENTITY_FN.fn, SQUARE.fn, math.sqrt], DomainError,
+         "function not finite at eigenvalue 1e+200 (got inf)"),
+        ([[1.0, 4.0], [-5.0, 2.0], [-3.0, 5.0]],
+         [math.sqrt, lambda x: x, GEOMETRIC.fn], DomainError,
+         "function undefined at eigenvalue -3.0: math domain error"),
+    ])
+    def test_domain_error_text_is_pinned(self, diagonals, fns, error, text):
+        stack = SymStack([np.diag(d) for d in diagonals])
+        with pytest.raises(error) as info:
+            matrix_function(stack, fns if isinstance(fns, list) else [fns] * len(diagonals))
+        assert str(info.value) == text
+        if len(diagonals) == 1:  # a single matrix raises as its stack of one does
+            with pytest.raises(error) as info:
+                matrix_function(SymMatrix.diagonal(diagonals[0]), fns)
+            assert str(info.value) == text
+
     def test_commutes_with_argument(self):
         for seed in range(5):
             a = random_sym(5, derive_seed(23, seed))
@@ -176,6 +265,45 @@ class TestMatrixFunction:
             np.testing.assert_allclose(
                 np.sort(decompose(fa).eigenvalues), image, atol=1e-10 * max(1, op_norm(fa))
             )
+
+
+def _twins():
+    """Every scalar function of the package that carries a numpy twin."""
+    from loewner_lab import certificates, means
+    from loewner_lab.kernels import (
+        convex_zero_catalog,
+        decreasing_catalog,
+        kernel_catalog,
+        monotone_catalog,
+    )
+
+    fns = [k.fn for k in kernel_catalog()]
+    fns += [f.fn for f in monotone_catalog() + decreasing_catalog() + convex_zero_catalog()]
+    fns += [rational(0.3).fn, shifted_inverse(0.0).fn, shifted_inverse(2.5).fn,
+            means._reciprocal, certificates._inv_sqrt]
+    return [f for f in fns if hasattr(f, "twin")]
+
+
+def test_twins_are_exactly_the_arithmetic_and_sqrt_functions():
+    from loewner_lab import certificates
+    from loewner_lab.kernels import ARITHMETIC, HARMONIC, LOGARITHMIC, heinz, inv_power
+
+    twins = _twins()
+    for f in (ARITHMETIC.fn, GEOMETRIC.fn, HARMONIC.fn, IDENTITY_FN.fn, SQUARE.fn):
+        assert f in twins
+    for f in (LOGARITHMIC.fn, heinz(0.25).fn, power(0.5).fn, power(1.5).fn, inv_power(1.0).fn,
+              inv_power(0.5).fn, LOG1P.fn):
+        assert not hasattr(f, "twin")  # pow, log and log1p need not match numpy's
+    assert len(twins) == 12 and certificates._sqrt is GEOMETRIC.fn
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=40))
+def test_each_twin_gives_its_scalar_functions_bits(xs):
+    for f in _twins():
+        got = f.twin(np.array(xs))
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([float(f(x)) for x in xs]).tobytes()
 
 
 class TestLoewnerCompare:

@@ -20,6 +20,7 @@ from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import EigenSolverError, LoewnerLabError
 from loewner_lab.generate import derive_seed, fnv1a64, random_spd
 from loewner_lab.kernels import (
+    GEOMETRIC,
     OPERATOR_MONOTONE,
     decreasing_catalog,
     default_grid,
@@ -138,35 +139,41 @@ def test_solver_calls_do_not_grow_with_the_trials(ineq, monkeypatch):
 
 
 def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
-    # the certificates get the generator's stacks, whose A remembers the
-    # sandwich scalars that the generator's check solved
+    # the certificates get the generator's stacks, whose A remembers the inner
+    # matrix that the generator's check solved; an audit cell's first stack
+    # joins the commuting corner (trial 0) to the drawn trials and keeps the
+    # solves of both parts, so the certificates' hypothesis checks solve nothing
     from loewner_lab import certificates
 
     vets, inside, solves = [], [], []
-    real_vet, real_eigh = certificates._vet_sandwich, np.linalg.eigh
 
-    def vet(*args):
-        vets.append(1)
-        inside.append(1)
-        try:
-            return real_vet(*args)
-        finally:
-            inside.pop()
+    def tracked(check):
+        def run(*args):
+            vets.append(1)
+            inside.append(1)
+            try:
+                return check(*args)
+            finally:
+                inside.pop()
+        return run
 
-    monkeypatch.setattr(certificates, "_vet_sandwich", vet)
+    for name in ("_vet_sandwich", "_vet_bounded", "estimate_sandwich"):
+        monkeypatch.setattr(certificates, name, tracked(getattr(certificates, name)))
+    real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
-    ids = tuple(i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell == "sandwich"
-                and i not in suite.AUDIT_INEQUALITIES)
-    suite.run_suite(SuiteConfig(inequalities=ids, dims=(2, 3), trials=30, seed=4))
-    assert len(vets) >= 2 * len(ids) and solves
+    ids = tuple(i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell in ("sandwich", "bounded"))
+    suite.run_suite(SuiteConfig(inequalities=ids, dims=(1, 2, 3), trials=30, seed=4))
+    assert len(vets) >= 3 * len(ids) and solves
     assert not any(solves)
 
 
 def test_stacked_spectral_layer_matches_single_matrices():
-    mats = [random_spd(dim, 0.5, 3.0, derive_seed(3, k)) for k, dim in enumerate([4] * 5)]
-    others = [random_spd(4, 0.5, 3.0, derive_seed(4, k)) for k in range(5)]
+    mats = [random_spd(dim, 0.5, 3.0, derive_seed(3, k)) for k, dim in enumerate([4] * 7)]
+    others = [random_spd(4, 0.5, 3.0, derive_seed(4, k)) for k in range(7)]
     A, B = SymStack.of(mats), SymStack.of(others)
-    fns = [math.sqrt, math.log1p, lambda x: 1.0 / x, math.sqrt, lambda x: x * x]
+    # mapped functions, numpy twins, and functions that some slices share
+    fns = [math.sqrt, math.log1p, lambda x: 1.0 / x, math.sqrt, lambda x: x * x, GEOMETRIC.fn,
+           GEOMETRIC.fn]
     stacked = {
         "decompose": decompose(A).basis,
         "spectrum": spectrum(B),
@@ -193,9 +200,9 @@ def test_stacked_spectral_layer_matches_single_matrices():
             assert image.data[k].tobytes() == phi.apply(X).data.tobytes(), phi.label
 
 
-def _alpha_scaling_reference(fn, alpha, constant_multiplier):
+def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):
     """check_alpha_scaling as a loop over the grid, one point at a time."""
-    points = default_grid()
+    points = default_grid() if grid is None else tuple(grid)
     worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
     for x in points:
         if fn.klass == OPERATOR_MONOTONE:
@@ -219,6 +226,16 @@ def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
     for fn in monotone_catalog() + decreasing_catalog():
         got = check_alpha_scaling(fn, alpha, constant_multiplier=multiplier).to_json()
         assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(1.0, 8.0), multiplier=st.sampled_from([1.0, 0.9]),
+       grid=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
+def test_alpha_scaling_on_an_explicit_grid_matches_the_grid_loop(alpha, multiplier, grid):
+    # a grid may repeat points; both function classes are covered
+    for fn in monotone_catalog() + decreasing_catalog():
+        got = check_alpha_scaling(fn, alpha, grid, constant_multiplier=multiplier).to_json()
+        assert got == _alpha_scaling_reference(fn, alpha, multiplier, grid), fn.id
 
 
 def test_overflowing_average_is_refused():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -246,6 +247,18 @@ class TestRunSuite:
         a = run_suite(small_config()).to_json()
         b = run_suite(small_config()).to_json()
         assert a == b
+
+    def test_hunt_report_bytes_are_pinned(self, tmp_path, capsys):
+        # every id, a small and a large dim, at 0.9 x the constants: the seeds,
+        # cell draws, matrix functions and alpha-scaling grid of a hunt, pinned
+        path = tmp_path / "hunt.json"
+        code = cli_main(["hunt", "--ineq", "all", "--dims", "3,12", "--trials", "6",
+                         "--override-constant", "0.9", "--seed", "7", "--report", str(path)])
+        assert code == 1
+        raw = path.read_bytes()
+        assert len(raw) == 510518
+        assert hashlib.sha256(raw).hexdigest() == (
+            "6fd7eef6b1072037d166fe6c2405f76034b49fa6cd6314c892d1bb8b6478ad7a")
 
     def test_seed_changes_stream(self):
         a = run_suite(small_config(seed=1)).to_json()
