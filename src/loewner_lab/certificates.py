@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisError, NotUnitalError
-from .generate import estimate_sandwich
+from .generate import BoundedPair, SandwichPair, verify_spectrum
 from .kernels import (
     GEOMETRIC,
     OPERATOR_CONVEX_ZERO,
@@ -49,7 +49,6 @@ from .spectral import (
     op_norm,
     per_slice,
     spectrum,
-    spectrum_bounds,
     twinned,
     ui_norm,
 )
@@ -269,30 +268,14 @@ def _vet_st(s: list, t: list) -> None:
 
 def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
     _vet_st(s, t)
-    s_star, t_star = estimate_sandwich(A, B)
-    for lo, hi, s_k, t_k in zip(s_star.tolist(), t_star.tolist(), s, t):
-        tol = max(1e-12, tol_rel * max(1.0, t_k))
-        if not (lo >= s_k - tol and hi <= t_k + tol):
-            raise HypothesisError(f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
-                                  f"outside [{s_k:.6g}, {t_k:.6g}]")
+    SandwichPair(A, B, s, t).verify(tol_rel)
 
 
 def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
     for m_k, M_k in zip(m, M):
         if not 0 < m_k < M_k:
             raise HypothesisError(f"need 0 < m < M, got m={m_k!r}, M={M_k!r}")
-    for name, X in (("A", A), ("B", B)):
-        lo, hi = spectrum_bounds(X)
-        _vet_spectrum(name, lo, hi, m, M, tol_rel)
-
-
-def _vet_spectrum(name: str, lo, hi, m: list, M: list, tol_rel: float) -> None:
-    for lo_k, hi_k, m_k, M_k in zip(lo.tolist(), hi.tolist(), m, M):
-        tol = max(1e-12, tol_rel * max(1.0, M_k))
-        if not (lo_k >= m_k - tol and hi_k <= M_k + tol):
-            raise HypothesisError(
-                f"bound hypothesis fails for {name}: spectrum [{lo_k:.6g}, {hi_k:.6g}] "
-                f"outside [{m_k:.6g}, {M_k:.6g}]")
+    BoundedPair(A, B, m, M).verify(tol_rel)
 
 
 def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -755,7 +738,7 @@ def check_squared(
     for slack_k, scale_k in zip(order_slack, _sums(op_norm(A), op_norm(B))):
         if not slack_k >= -max(1e-12, tol_rel * max(1.0, scale_k)):
             raise HypothesisError(f"order hypothesis A <= B fails (slack {slack_k:.3e})")
-    _vet_spectrum("A", *spectrum_bounds(A), m, M, tol_rel)
+    verify_spectrum("A", A, m, M, tol_rel)
     lhs = matrix_function(A, SQUARE.fn)
     base = matrix_function(B, SQUARE.fn)
     constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)

@@ -210,12 +210,20 @@ def _sandwiched(A: SymStack, C: SymStack) -> SymStack:
     return SymStack(root @ C.data @ root)
 
 
-def _spd(rngs, dim: int, lam_lo, lam_hi) -> SymStack:
+def _spd(rngs, dim: int, lam_lo, lam_hi, corner: tuple | None = None) -> SymStack:
     """Q^T diag(lam) Q for each stream, as one SymStack, with lam uniform in
     [lam_lo, lam_hi] and Q from ``random_orthogonal``; ``lam_lo`` and
-    ``lam_hi`` are scalars or one value per stream."""
+    ``lam_hi`` are scalars or one value per stream.
+
+    A ``corner`` (x, y) pins slice 0 to diag(x, y, x, y, ...): its stream
+    makes the same draws as the others, and the slice discards them.
+    """
     lam = uniform_rows(rngs, dim, lam_lo, lam_hi)
-    return _compose(random_orthogonal(dim, rngs), lam)
+    q = random_orthogonal(dim, rngs)
+    if corner is not None:
+        lam[0] = [corner[j % 2] for j in range(dim)]
+        q[0] = np.eye(dim)
+    return _compose(q, lam)
 
 
 def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
@@ -251,20 +259,6 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
     return spectrum_bounds(inner_matrix(A, B))
 
 
-def _join_pairs(pairs: list) -> tuple:
-    """The stacks (A, B) of the given pairs of stacks, one pair after another.
-
-    They keep the decompositions that every part holds, and A keeps the
-    inner matrix when every part's A holds it for its own B, so a joined
-    pair is not solved again.
-    """
-    A, B = (SymStack.of(part) for part in zip(*pairs))
-    inners = [a._inner for a, _ in pairs]
-    if all(memo is not None and memo[0] is b for memo, (_, b) in zip(inners, pairs)):
-        object.__setattr__(A, "_inner", (B, SymStack.of([memo[1] for memo in inners])))
-    return A, B
-
-
 def _slices(*values) -> zip:
     """The values' rows as Python floats: one row for a pair's scalars, one
     per slice for a stack's sequences or arrays."""
@@ -282,14 +276,13 @@ class SandwichPair:
     t: float
 
     def verify(self, tol_rel: float = 1e-9) -> None:
-        """Raise for the first slice whose tightest scalars leave [s, t]."""
+        """Raise for the first slice whose tightest scalars leave [s, t], or
+        are not numbers."""
         for lo, hi, s, t in _slices(*estimate_sandwich(self.A, self.B), self.s, self.t):
-            tol = tol_rel * max(1.0, t)
-            if lo < s - tol or hi > t + tol:
-                raise HypothesisError(
-                    f"sandwich condition violated: tightest [{lo:.6g}, {hi:.6g}] "
-                    f"outside claimed [{s:.6g}, {t:.6g}]"
-                )
+            tol = max(1e-12, tol_rel * max(1.0, t))
+            if not (lo >= s - tol and hi <= t + tol):
+                raise HypothesisError(f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
+                                      f"outside [{s:.6g}, {t:.6g}]")
 
 
 @dataclass(frozen=True)
@@ -305,24 +298,31 @@ class BoundedPair:
     def verify(self, tol_rel: float = 1e-9) -> None:
         """Raise for A's first slice whose spectrum leaves [m, M], then for B's."""
         for name, X in (("A", self.A), ("B", self.B)):
-            for lo, hi, m, M in _slices(*spectrum_bounds(X), self.m, self.M):
-                tol = tol_rel * max(1.0, M)
-                if lo < m - tol or hi > M + tol:
-                    raise HypothesisError(
-                        f"bounds violated for {name}: spectrum [{lo:.6g}, {hi:.6g}] "
-                        f"outside [{m:.6g}, {M:.6g}]"
-                    )
+            verify_spectrum(name, X, self.m, self.M, tol_rel)
 
 
-def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0) -> tuple:
+def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = 1e-9) -> None:
+    """Raise for the first slice of X whose spectrum leaves [m, M], or is not
+    a number; ``m`` and ``M`` are scalars or one value per slice."""
+    for lo, hi, m_k, M_k in _slices(*spectrum_bounds(X), m, M):
+        tol = max(1e-12, tol_rel * max(1.0, M_k))
+        if not (lo >= m_k - tol and hi <= M_k + tol):
+            raise HypothesisError(f"bound hypothesis fails for {name}: spectrum "
+                                  f"[{lo:.6g}, {hi:.6g}] outside [{m_k:.6g}, {M_k:.6g}]")
+
+
+def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0,
+                   corner: bool = False) -> tuple:
     """The stacks (A, B) of one verified sandwich pair per stream, with
     B = A^(1/2) C A^(1/2); ``s`` and ``t`` hold one value per stream.
 
-    A keeps its decomposition and, from ``verify``, the pair's sandwich
-    scalars, which the certificates of the same stacks read again.
+    A ``corner`` pins slice 0 to the commuting boundary pair A = diag(1, 4,
+    1, ...), C = diag(t, s, t, ...).  A keeps its decomposition and, from
+    ``verify``, the pair's sandwich scalars, which the certificates of the
+    same stacks read again.
     """
-    A = _spd(rngs, dim, a_lo, a_hi)
-    B = _sandwiched(A, _spd(rngs, dim, s, t))
+    A = _spd(rngs, dim, a_lo, a_hi, (1.0, 4.0) if corner else None)
+    B = _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
     SandwichPair(A, B, s, t).verify()  # refuses an A that is not positive definite first
     return A, B
 
@@ -338,10 +338,13 @@ def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPai
     return pair
 
 
-def _bounded_pair(rngs, dim: int, m, M) -> tuple:
+def _bounded_pair(rngs, dim: int, m, M, corner: bool = False) -> tuple:
     """The stacks (A, B) of one verified independent pair per stream, each
-    decomposed; ``m`` and ``M`` hold one value per stream."""
-    A, B = _spd(rngs, dim, m, M), _spd(rngs, dim, m, M)
+    decomposed; ``m`` and ``M`` hold one value per stream.  A ``corner``
+    pins slice 0 to the commuting boundary pair with anti-aligned spectra:
+    m, M, m, ... for A and M, m, M, ... for B."""
+    a_corner, b_corner = ((m[0], M[0]), (M[0], m[0])) if corner else (None, None)
+    A, B = _spd(rngs, dim, m, M, a_corner), _spd(rngs, dim, m, M, b_corner)
     BoundedPair(A, B, m, M).verify()
     return A, B
 

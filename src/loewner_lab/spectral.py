@@ -80,13 +80,18 @@ class SymMatrix:
         require_same_shape(self, other)
         return type(self)(self.data - other.data)
 
-    def __mul__(self, scalar: float) -> "SymMatrix":
-        """The matrix times a number; times exactly 1.0 that is the matrix
-        itself, with what it remembers, since x * 1.0 == x bit for bit."""
-        if float(scalar) == 1.0:
+    def __mul__(self, scalar) -> "SymMatrix":
+        """The matrix times a number, or each slice of a stack times one
+        number or its own.  When every factor is exactly 1.0 and the product
+        keeps the operand's shape, that is the operand itself, with what it
+        remembers, since x * 1.0 == x bit for bit."""
+        scalar = np.asarray(scalar, dtype=float)
+        if scalar.ndim:  # one factor per slice
+            scalar = scalar[:, None, None]
+        if (scalar == 1.0).all() and np.broadcast(scalar, self.data).shape == self.data.shape:
             return self
         with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
-            return SymMatrix(self.data * float(scalar))
+            return type(self)(self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -116,16 +121,15 @@ class SymStack(SymMatrix):
 
     @classmethod
     def of(cls, mats: Sequence) -> "SymStack":
-        """The stack of the given matrices of one dimension, or of the slices
-        of the given stacks in turn; it takes over their decompositions when
-        every one of them holds one."""
+        """The stack of the given matrices of one dimension; it takes over
+        their decompositions when every one of them holds one."""
         mats = [as_sym(m) for m in mats]
-        out = cls.__new__(cls)._fill(_joined([m.data for m in mats], 3))
+        out = cls.__new__(cls)._fill(_frozen(np.stack([m.data for m in mats])))
         decs = [m._dec for m in mats]
         if all(dec is not None for dec in decs):
             object.__setattr__(out, "_dec", SpectralDecomposition(
-                eigenvalues=_joined([dec.eigenvalues for dec in decs], 2),
-                basis=_joined([dec.basis for dec in decs], 3)))
+                eigenvalues=_frozen(np.stack([dec.eigenvalues for dec in decs])),
+                basis=_frozen(np.stack([dec.basis for dec in decs]))))
         return out
 
     def __len__(self) -> int:
@@ -134,18 +138,6 @@ class SymStack(SymMatrix):
     def matrices(self) -> list[SymMatrix]:
         """One SymMatrix per slice, sharing the stack's entries."""
         return [SymMatrix.__new__(SymMatrix)._fill(a) for a in self.data]
-
-    def __mul__(self, scalar) -> "SymStack":
-        """Every slice times one number, or each slice times its own; the
-        stack itself when every factor is exactly 1.0."""
-        scalar = (np.asarray(scalar, dtype=float)[:, None, None]
-                  if isinstance(scalar, (list, tuple, np.ndarray)) else float(scalar))
-        if np.size(scalar) in (1, len(self)) and np.all(scalar == 1.0):
-            return self
-        with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
-            return SymStack(self.data * scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"SymStack(k={len(self)}, dim={self.dim})"
@@ -205,12 +197,6 @@ def require_same_shape(x: SymMatrix, y: SymMatrix) -> None:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _joined(arrays: list, ndim: int) -> np.ndarray:
-    """The arrays of single matrices (or spectra) and of stacks of them, one
-    after another, as one read-only stack with ``ndim`` axes."""
-    return _frozen(np.concatenate([a if a.ndim == ndim else a[None] for a in arrays]))
 
 
 def _fro(a: np.ndarray):

@@ -30,13 +30,11 @@ from .generate import (
     SplitMix64,
     derive_seed,
     derive_seeds,
-    estimate_sandwich,
     fnv1a64,
     log_uniform_rows,
     random_orthogonal,
     _bounded_pair,
     _compose,
-    _join_pairs,
     _sandwich_pair,
     _sandwiched,
     _spd,
@@ -45,7 +43,7 @@ from .kernels import (
     GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, SymStack, decompose, parse_norm
+from .spectral import SymMatrix, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -164,8 +162,7 @@ _JSON_TYPES = {"tuple": (list, tuple), "int": int, "float": (int, float),
 def config_from_dict(data: dict) -> SuiteConfig:
     """The SuiteConfig of a report's ``config``; a field SuiteConfig lacks,
     or a value of another JSON type than the field's, is refused by name."""
-    if not isinstance(data, dict):
-        raise ValueError(f"field config must be an object, got {data!r}")
+    _object(data, "config")
     types = {f.name: f.type for f in dataclasses.fields(SuiteConfig)}
     for name, value in data.items():
         if name not in types:
@@ -250,29 +247,10 @@ def _instance_blob(**entries) -> dict:
             for name, a in entries.items() if a is not None}
 
 
-def _pairs(draw_pair, rngs: list, dim: int, cells: list, corner: tuple | None) -> tuple:
-    """The stacks (A, B) that ``draw_pair(rngs, dim, lo, hi)`` draws for the
-    trials' cells, after the first trial's stacks of one ``corner`` when
-    given; the joined stacks keep what both parts have solved."""
-    first = 0 if corner is None else 1
-    if not cells[first:]:
-        return corner
-    drawn = draw_pair(rngs[first:], dim, *_cols(cells[first:]))
-    return drawn if corner is None else _join_pairs([corner, drawn])
-
-
 def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
                    force_st_ge_1: bool = False):
     cells = _sample_st(rngs, config, force_st_ge_1)
-    pair = None
-    if corner:  # commuting boundary instance: anti-aligned spectra hitting s and t
-        s, t = cells[0]
-        a_diag = [1.0 if j % 2 == 0 else 4.0 for j in range(dim)]
-        c_diag = [t if j % 2 == 0 else s for j in range(dim)]
-        b_diag = [a * c for a, c in zip(a_diag, c_diag)]
-        pair = SymStack([np.diag(a_diag)]), SymStack([np.diag(b_diag)])
-        estimate_sandwich(*pair)  # solved as the generator's check solves a drawn pair
-    return (*_pairs(_sandwich_pair, rngs, dim, cells, pair), cells)
+    return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
 
 
 def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bool):
@@ -282,14 +260,7 @@ def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bo
 
 def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     cells = _sample_mM(rngs, config)
-    pair = None
-    if corner:
-        m, M = cells[0]
-        pair = (SymStack([np.diag([m if j % 2 == 0 else M for j in range(dim)])]),
-                SymStack([np.diag([M if j % 2 == 0 else m for j in range(dim)])]))
-        for X in pair:  # solved as the generator's check solves a drawn pair
-            decompose(X)
-    return (*_pairs(_bounded_pair, rngs, dim, cells, pair), cells)
+    return (*_bounded_pair(rngs, dim, *_cols(cells), corner=corner), cells)
 
 
 def _draw_order(rngs: list, dim: int, config: SuiteConfig, corner: bool):
@@ -887,9 +858,9 @@ def write_report(report: Report, path: str) -> None:
 def load_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if "loewner_lab_report" not in data:
-        raise ValueError("missing field 'loewner_lab_report'")
-    body = data["loewner_lab_report"]
+    if not isinstance(data, dict) or "loewner_lab_report" not in data:
+        raise ValueError("field loewner_lab_report is missing")
+    body = _object(data["loewner_lab_report"], "loewner_lab_report")
     for name, ours in (("schema_version", SCHEMA_VERSION), ("tool_version", TOOL_VERSION)):
         if body.get(name) != ours:
             raise ValueError(f"field {name}: the report has {body.get(name)!r}, "
@@ -928,12 +899,24 @@ def save_matrix(X: SymMatrix, path: str) -> None:
         handle.write("\n")
 
 
+def _object(value, field: str) -> dict:
+    """``value`` when it is a JSON object; otherwise it is refused by name."""
+    if not isinstance(value, dict):
+        raise ValueError(f"field {field} must be an object, got {value!r}")
+    return value
+
+
 def collect_violations(report_body: dict) -> list:
     """Flatten recorded violations across all sections, in report order."""
     out = []
     for section in ("results", "audit_results"):
-        for ineq in sorted(report_body.get(section, {})):
-            out.extend(report_body[section][ineq].get("violating_instances", []))
+        entries = _object(report_body.get(section, {}), section)
+        for ineq in sorted(entries):
+            found = _object(entries[ineq], f"{section}.{ineq}").get("violating_instances", [])
+            if not isinstance(found, list):
+                raise ValueError(f"field {section}.{ineq}.violating_instances must be a list, "
+                                 f"got {found!r}")
+            out.extend(found)
     return out
 
 
@@ -947,7 +930,7 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     violations = collect_violations(body)
     if not 0 <= index < len(violations):
         raise IndexError(f"violation index {index} out of range 0..{len(violations) - 1}")
-    record = violations[index]
+    record = _object(violations[index], f"violation {index}")
     for name, kind in (("inequality", str), ("dim", int), ("trial", int), ("slack", (int, float))):
         if isinstance(record.get(name), bool) or not isinstance(record.get(name), kind):
             raise ValueError(f"field {name} of violation {index} is missing or of the wrong "
@@ -955,6 +938,11 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     if "config" not in body:
         raise ValueError("field config is missing from the report")
     config = config_from_dict(body["config"])
+    ran = {"inequality": config.inequalities, "dim": config.dims, "trial": range(config.trials)}
+    for name, values in ran.items():
+        if record[name] not in values:
+            raise ValueError(f"field {name} of violation {index} names no {name} the campaign "
+                             f"ran: {record[name]!r}")
     pools = _build_pools(config, record["dim"])
     _vet_pools(record["inequality"], pools)
     [(certificates, _, _)] = _evaluate_trial(

@@ -36,7 +36,7 @@ from loewner_lab import (
     random_spd,
     specht_ratio,
 )
-from loewner_lab.generate import derive_seed, quadratic_form_slack
+from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed, quadratic_form_slack
 from loewner_lab.kernels import ARITHMETIC, HARMONIC
 from loewner_lab.spectral import OPERATOR, loewner_slack
 
@@ -69,6 +69,15 @@ class TestPolyaSzego:
             check_polya_szego(TRACE_HALF, A14, A41, 2.0, 4.0)
         with pytest.raises(HypothesisError):
             check_polya_szego(TRACE_HALF, A14, A41, 4.0, 1.0)
+
+    def test_refusal_is_the_generators_bounded_check(self):
+        # an out-of-cell pair: the check refuses it with BoundedPair.verify's text
+        with pytest.raises(HypothesisError) as generator:
+            BoundedPair(A14, A41, 2.0, 4.0).verify()
+        with pytest.raises(HypothesisError) as certificate:
+            check_polya_szego(TRACE_HALF, A14, A41, 2.0, 4.0)
+        assert str(certificate.value) == str(generator.value)
+        assert str(generator.value).startswith("bound hypothesis fails for A: spectrum [1, 4]")
 
 
 class TestKantorovichF:
@@ -360,6 +369,15 @@ class TestMidpoint:
         np.testing.assert_allclose(cert.rhs.data, np.diag([2.5, 2.5]), atol=1e-10)
         assert abs(cert.slack) <= 1e-10
         assert cert.holds
+
+    def test_refusal_is_the_generators_sandwich_check(self):
+        # an out-of-cell pair: the check refuses it with SandwichPair.verify's text
+        with pytest.raises(HypothesisError) as generator:
+            SandwichPair(A14, A41, 0.5, 2.0).verify()
+        with pytest.raises(HypothesisError) as certificate:
+            check_midpoint(A14, A41, 0.5, 2.0)
+        assert str(certificate.value) == str(generator.value)
+        assert str(generator.value).startswith("sandwich hypothesis fails: tightest [0.25, 4]")
 
     def test_degenerate(self):
         a = random_spd(3, 0.5, 2.0, 51)

@@ -20,7 +20,7 @@ from loewner_lab import (
 )
 from loewner_lab.generate import derive_seed, _spd
 from loewner_lab.kernels import GEOMETRIC
-from loewner_lab.spectral import op_norm
+from loewner_lab.spectral import SymStack, op_norm
 
 A14 = SymMatrix.diagonal([1.0, 4.0])
 A41 = SymMatrix.diagonal([4.0, 1.0])
@@ -155,7 +155,7 @@ class TestAndoCheck:
         assert abs(cert.slack) <= 1e-10
 
     def test_all_catalog_maps_and_kernels(self):
-        # 200 random PD pairs per (map, kernel) combination
+        # 200 random PD pairs per (map, kernel) combination, as one stack each
         dim = 3
         rng = SplitMix64(derive_seed(77, dim))
         pool = map_catalog(dim, rng)
@@ -165,11 +165,12 @@ class TestAndoCheck:
              _spd([pair_rng], dim, 0.25, 4.0).matrices()[0])
             for _ in range(200)
         ]
+        A, B = (SymStack.of(mats) for mats in zip(*pairs))
         for phi in pool:
             for kernel in kernel_catalog():
-                for idx, (a, b) in enumerate(pairs):
-                    cert = ando_check(phi, kernel, a, b)
-                    assert cert.holds, (phi.label, kernel.id, idx)
+                certs = ando_check(phi, [kernel] * len(pairs), A, B)
+                failing = [idx for idx, cert in enumerate(certs) if not cert.holds]
+                assert failing == [], (phi.label, kernel.id, failing)
 
 
 class TestParseMap:

@@ -141,8 +141,8 @@ def test_solver_calls_do_not_grow_with_the_trials(ineq, monkeypatch):
 def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
     # the certificates get the generator's stacks, whose A remembers the inner
     # matrix that the generator's check solved; an audit cell's first stack
-    # joins the commuting corner (trial 0) to the drawn trials and keeps the
-    # solves of both parts, so the certificates' hypothesis checks solve nothing
+    # holds the commuting corner (trial 0) as its slice 0, solved with the
+    # drawn trials, so the certificates' hypothesis checks solve nothing
     from loewner_lab import certificates
 
     vets, inside, solves = [], [], []
@@ -157,7 +157,7 @@ def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
                 inside.pop()
         return run
 
-    for name in ("_vet_sandwich", "_vet_bounded", "estimate_sandwich"):
+    for name in ("_vet_sandwich", "_vet_bounded"):
         monkeypatch.setattr(certificates, name, tracked(getattr(certificates, name)))
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
@@ -165,6 +165,24 @@ def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
     suite.run_suite(SuiteConfig(inequalities=ids, dims=(1, 2, 3), trials=30, seed=4))
     assert len(vets) >= 3 * len(ids) and solves
     assert not any(solves)
+
+
+@pytest.mark.parametrize("ineq", ["norm-ratio-tau", "norm-ratio-eq15"])
+@pytest.mark.parametrize("dim", [1, 4])
+def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
+    # drawing a cell with its corner pinned makes the same solver calls as
+    # drawing it without, from the same streams
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    config = SuiteConfig(inequalities=(ineq,))
+    counts = []
+    for corner in (False, True):
+        calls.clear()
+        rngs = [SplitMix64(derive_seed(5, k)) for k in range(6)]
+        suite.INEQUALITIES[ineq].draw(rngs, dim, config, corner)
+        counts.append(list(calls))
+    assert counts[0] == counts[1] and counts[0]
 
 
 def test_stacked_spectral_layer_matches_single_matrices():

@@ -371,6 +371,10 @@ class TestProbe:
             assert math.isfinite(probe_tightness(ineq, cfg).probe["max_ratio"])
 
 
+def _first_violation(body: dict) -> dict:
+    return body["results"]["polya-szego"]["violating_instances"][0]
+
+
 class TestReportIO:
     def test_write_then_load_round_trip(self, tmp_path):
         report = run_suite(small_config(trials=2))
@@ -406,6 +410,14 @@ class TestReportIO:
         (lambda body: body.pop("config"), "config"),
         (lambda body: body["results"]["polya-szego"]["violating_instances"][0].pop("dim"), "dim"),
         (lambda body: body["config"].update(trials="50"), "config.trials"),
+        pytest.param(lambda body: body.update(results={"x": []}), "results.x",
+                     id="results-entry-not-an-object"),
+        # a violation at a trial the campaign never ran
+        pytest.param(lambda body: _first_violation(body).update(dim=0), "dim", id="dim-0"),
+        pytest.param(lambda body: _first_violation(body).update(dim=3), "dim",
+                     id="dim-outside-the-dims"),
+        pytest.param(lambda body: _first_violation(body).update(trial=-1), "trial",
+                     id="trial-negative"),
     ])
     def test_malformed_report_is_refused_by_field(self, tmp_path, capsys, edit, field):
         path = tmp_path / "hunt.json"
@@ -417,6 +429,15 @@ class TestReportIO:
         capsys.readouterr()
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert capsys.readouterr().err.startswith(f"error: field {field} ")
+
+    @pytest.mark.parametrize("content", [pytest.param("5", id="a-number"),
+                                         pytest.param('{"loewner_lab_report": [1]}',
+                                                      id="a-list-body")])
+    def test_report_that_is_no_object_is_refused_by_field(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: field loewner_lab_report ")
 
     def test_matrix_round_trip_bit_equal(self, tmp_path):
         x = SymMatrix([[1.0, 0.25], [0.25, 2.0 / 3.0]])
