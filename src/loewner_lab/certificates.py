@@ -1,9 +1,14 @@
-"""One checkable predicate per audited inequality.
+"""Every audited inequality, declared once as a row, and the one evaluator
+that turns a row and a stack of trials into certificates.
 
-Every check evaluates both sides, the constant, the Loewner slack (or the
-scalar gap), a dimensionless ratio diagnostic, and a verdict, packaged with
-the full parameter context.  Inequality failure is data (``holds=False``);
-only *hypothesis* violations raise.
+Each statement has the shape lhs <= c * base on a hypothesis cell, with the
+constant c a function of the cell's bounds (m, M) or (s, t).  A row holds
+what verify, hunt, probe, recheck and the one-instance checks need: the
+cell, its sampler and pools, the hypotheses to vet, the sides and the
+constant.  ``check_stack`` evaluates a row on a stack and returns its
+results as columns (``Sides``); a ``Certificate`` with matrix sides is
+built only for the slices that are asked for.  Inequality failure is data
+(``holds`` is False); only *hypothesis* violations raise.
 
 The norm-ratio family is audit-class: verdicts may legitimately be negative
 and are reported, never asserted.
@@ -11,12 +16,11 @@ and are reported, never asserted.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -36,51 +40,23 @@ from .kernels import (
     sandwich_constant,
     specht_ratio,
 )
-from .maps import MapSpec, check_unital
+from .maps import check_unital
 from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_inverse
 from .spectral import (
     OPERATOR,
-    NormKind,
     SymMatrix,
     SymStack,
+    _eye,
     _frozen,
     loewner_slack,
     matrix_function,
     op_norm,
-    per_slice,
     spectrum,
     twinned,
     ui_norm,
 )
 
 DEFAULT_TOL_REL = 1e-9
-
-NON_AUDIT_INEQUALITIES = (
-    "ando",
-    "polya-szego",
-    "kantorovich-f",
-    "sandwich-lemma",
-    "alpha-scaling",
-    "main-monotone",
-    "main-decreasing",
-    "gruss-f",
-    "gruss-g",
-    "squared",
-    "squared-consequence-f",
-    "squared-consequence-g",
-    "midpoint",
-    "diaz-metcalf",
-    "klamkin-mclenaghan",
-    "specht-bound",
-    "strengthened-remark",
-)
-AUDIT_INEQUALITIES = (
-    "norm-ratio-tau",
-    "norm-ratio-sharp",
-    "norm-ratio-power4",
-    "norm-ratio-eq15",
-)
-ALL_INEQUALITIES = NON_AUDIT_INEQUALITIES + AUDIT_INEQUALITIES
 
 
 @dataclass(frozen=True)
@@ -103,17 +79,9 @@ class Certificate:
     tol: float
 
     def to_json(self) -> dict:
-        return {
-            "inequality_id": self.inequality_id,
-            "params": dict(self.params),
-            "lhs": _side_to_json(self.lhs),
-            "rhs": _side_to_json(self.rhs),
-            "constant": self.constant,
-            "slack": self.slack,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "holds": self.holds,
-            "tol": self.tol,
-        }
+        return {**vars(self), "params": dict(self.params), "lhs": _side_to_json(self.lhs),
+                "rhs": _side_to_json(self.rhs),
+                "ratio": self.ratio if math.isfinite(self.ratio) else None}
 
 
 def _side_to_json(side):
@@ -122,108 +90,285 @@ def _side_to_json(side):
     return float(side)
 
 
-def _matrix_certificate(
-    inequality_id: str,
-    params: list,
-    lhs: SymStack,
-    rhs: SymStack,
-    constant: list,
-    ratio: list,
-    tol_rel: float,
-) -> list[Certificate]:
-    """One certificate of lhs <= rhs per slice; ``params``, ``constant`` and
-    ``ratio`` hold one entry per slice."""
-    slack = loewner_slack(lhs, rhs).tolist()
-    scale = _sums(op_norm(lhs), op_norm(rhs))
-    out = []
-    for p, l, r, c, q, sl, sc in zip(params, lhs.matrices(), rhs.matrices(), constant, ratio,
-                                     slack, scale):
-        tol = tol_rel * max(1.0, sc)
-        out.append(Certificate(inequality_id=inequality_id, params=p, lhs=l, rhs=r,
-                               constant=float(c), slack=sl, ratio=float(q), holds=sl >= -tol,
-                               tol=tol))
-    return out
+@dataclass(frozen=True)
+class Sides:
+    """One certificate per slice of a stack, as columns.
 
-
-def _sums(*terms) -> list:
-    """Per slice, the sum of the terms' entries in Python floats, left to right,
-    as one trial's sum is taken: an overflow gives inf without a numpy warning."""
-    return [sum(values[1:], values[0]) for values in zip(*(t.tolist() for t in terms))]
-
-
-def _scalar_certificate(
-    inequality_id: str,
-    params: dict,
-    lhs: float,
-    rhs: float,
-    constant: float,
-    ratio: float,
-    tol_rel: float,
-) -> Certificate:
-    slack = float(rhs) - float(lhs)
-    tol = tol_rel * max(1.0, abs(lhs) + abs(rhs))
-    return Certificate(
-        inequality_id=inequality_id,
-        params=params,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        constant=float(constant),
-        slack=slack,
-        ratio=float(ratio),
-        holds=slack >= -tol,
-        tol=tol,
-    )
-
-
-def _stacked(*per_trial: str):
-    """Write a check once, over stacks, and let it take one instance too.
-
-    The check's matrices A and B and its arguments named in ``per_trial``
-    carry one value per trial.  Called with A a SymStack, those arguments
-    are sequences with one entry per slice, and the check returns a list
-    with one result per slice.  Called with one instance (single matrices
-    and values), it runs as a stack of one and returns that one result.
+    ``lhs`` and ``rhs`` are SymStacks for an operator inequality, whose
+    slack is lambda_min(rhs - lhs), and float arrays for a scalar one,
+    whose slack is rhs - lhs.  ``constant``, ``slack``, ``ratio``, ``tol``
+    and ``holds`` are arrays with one entry per slice, and ``params`` maps
+    each parameter name to its list of per-slice values.
     """
-    def wrap(check):
-        params = inspect.signature(check).parameters
-        slots = {name: (list(params).index(name), params[name].default)
-                 for name in ("A", "B", *per_trial)}
-        a_slot = slots["A"][0]
 
-        @functools.wraps(check)
-        def run(*args, **kwargs):
-            A = args[a_slot] if a_slot < len(args) else kwargs.get("A")
-            if isinstance(A, SymStack):
-                return check(*args, **kwargs)
-            args = list(args)
-            for name, (slot, default) in slots.items():
-                if slot < len(args):
-                    args[slot] = _stack_of_one(name, args[slot])
-                elif name in kwargs or default is not inspect.Parameter.empty:
-                    kwargs[name] = _stack_of_one(name, kwargs.get(name, default))
-            return check(*args, **kwargs)[0]
+    inequality_id: str
+    params: dict
+    lhs: SymStack | np.ndarray
+    rhs: SymStack | np.ndarray
+    constant: np.ndarray
+    slack: np.ndarray
+    ratio: np.ndarray
+    tol: np.ndarray
+    holds: np.ndarray
 
-        return run
-
-    return wrap
+    def certificate(self, k: int) -> Certificate:
+        """Slice k's certificate; its matrix sides share the stack's entries."""
+        return Certificate(self.inequality_id, {name: col[k] for name, col in self.params.items()},
+                           _slice(self.lhs, k), _slice(self.rhs, k), float(self.constant[k]),
+                           float(self.slack[k]), float(self.ratio[k]), bool(self.holds[k]),
+                           float(self.tol[k]))
 
 
-def _stack_of_one(name: str, value):
-    if value is None:
-        return None
-    return SymStack.of([value]) if name in ("A", "B") else [value]
+def _slice(side, k: int):
+    if isinstance(side, SymStack):
+        return SymMatrix.__new__(SymMatrix)._fill(side.data[k])
+    return float(side[k])
 
+
+@dataclass(frozen=True)
+class Row:
+    """One inequality id, declared once, with its ``statement`` as documentation.
+
+    ``cell`` is the kind of hypothesis cell: "sandwich" (s, t), "bounded"
+    (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
+    "free"; ``bounds`` names the cell's bounds as the trials' cells hold
+    them.  ``sampler`` names the suite's draw of a stack of trials (by
+    default the cell's).  ``pool`` names the map pool, or None: the trials
+    of a stack share their map, since it fixes the output dimension.  Each
+    of ``picks`` is ``(name, pool, offset)``: trial i takes item
+    ``i + offset`` of the pool, cyclically.  ``vets`` check the hypotheses
+    on the stack in order.  ``sides(x)`` evaluates the sides on the stack
+    ``x`` (lhs and base, unless the form reads more) and ``form(row, x)``
+    turns them into Sides.  ``constant(*bounds)`` is the constant at
+    multiplier 1 on one cell, or None when the row takes none; ``carry``
+    gives a factor per slice that the constant carries, and ``params``
+    holds parameters shared by every slice, or computed from ``x``.
+    """
+
+    id: str
+    statement: str
+    cell: str
+    sides: Callable | None = None
+    bounds: tuple = ()
+    constant: Callable | None = None
+    carry: Callable | None = None
+    sampler: str | None = None
+    pool: str | None = None
+    picks: tuple = ()
+    vets: tuple = ()
+    form: Callable | None = None
+    params: dict = field(default_factory=dict)
+    audit: bool = False
+
+
+def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, picks: dict, *,
+                constant_multiplier: float = 1.0,
+                tol_rel: float = DEFAULT_TOL_REL) -> list[Sides]:
+    """Evaluate ``row`` on a stack of trials.
+
+    A and B hold one slice per trial (None for a scalar row), ``cells``
+    holds each trial's cell bounds, and ``picks`` the map ``phi`` (when the
+    row takes one) and each pick's values, one per trial.  Returns one Sides
+    per certificate of a trial.  A violated hypothesis raises.
+    """
+    x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
+                           "mult": constant_multiplier, "tol_rel": tol_rel,
+                           **dict(zip(row.bounds, _cols(cells))), **picks})
+    for vet in row.vets:
+        vet(x)
+    return (row.form or _plain)(row, x)
+
+
+def _cols(cells: list) -> list:
+    """The trials' cell tuples as one list per cell field."""
+    return [list(col) for col in zip(*cells)]
+
+
+def _constants(row: Row, x) -> list:
+    """Each slice's constant times the multiplier; a row's constant may be a tuple."""
+    if row.constant is None:
+        return [x.mult] * x.n
+    raw = [row.constant(*cell) for cell in zip(*(getattr(x, name) for name in row.bounds))]
+    if row.carry is not None:
+        raw = [c * factor for c, factor in zip(raw, row.carry(x))]
+    return [tuple(v * x.mult for v in c) if isinstance(c, tuple) else c * x.mult for c in raw]
+
+
+def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) -> Sides:
+    """The Sides of lhs <= rhs, one slice per trial; ``params`` adds per-slice columns."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, as in floats
+        if not isinstance(lhs, SymStack):
+            slack, scale = rhs - lhs, np.abs(lhs) + np.abs(rhs)
+        if slack is None:
+            slack = loewner_slack(lhs, rhs)
+        if scale is None:
+            scale = op_norm(lhs) + op_norm(rhs)
+    tol = x.tol_rel * np.fmax(1.0, scale)  # fmax reads a nan scale as 1.0, as max() does
+    cols = {} if x.phi is None else {"map": [x.phi.label] * x.n}
+    for name, *_ in row.picks:
+        cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
+    cols.update((name, getattr(x, name)) for name in row.bounds)
+    for name, value in row.params.items():
+        cols[name] = value(x) if callable(value) else [value] * x.n
+    if x.A is not None:
+        cols["dim"] = [x.A.dim] * x.n
+    cols.update(params)
+    return Sides(row.id, cols, lhs, rhs, np.asarray(c, dtype=float), slack,
+                 np.asarray(ratio, dtype=float), tol, slack >= -tol)
+
+
+def _times(base, c: list):
+    if isinstance(base, SymStack):
+        return base * c
+    with np.errstate(over="ignore"):  # an overflow gives inf, as in floats
+        return base * np.asarray(c)
+
+
+def _norm_ratio_diag(lhs, base):
+    """lhs / base per entry; degenerate 0/0 cases (exact equality witnesses)
+    read as ratio 1, and x/0 as inf."""
+    lhs, base = np.asarray(lhs, dtype=float), np.asarray(base, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(base <= 1e-300, np.where(lhs <= 1e-300, 1.0, math.inf), lhs / base)
+
+
+def _ratio(lhs, base):
+    """The diagnostic ratio ||lhs||_op / ||base||_op per slice, or lhs / base for scalars."""
+    if isinstance(lhs, SymStack):
+        lhs, base = op_norm(lhs), op_norm(base)
+    return _norm_ratio_diag(lhs, base)
+
+
+# The evaluator's forms: each turns a row's sides on the stack x into Sides.
+
+def _plain(row: Row, x, against_rhs: bool = False) -> list[Sides]:
+    """lhs <= c * base, with the ratio of lhs to base, or to c * base."""
+    lhs, base = row.sides(x)
+    c = _constants(row, x)
+    rhs = _times(base, c)
+    return [_columns(row, x, lhs, rhs, c, _ratio(lhs, rhs if against_rhs else base))]
+
+
+_against_rhs = partial(_plain, against_rhs=True)
+
+
+def _top(row: Row, x) -> list[Sides]:
+    """lhs <= c * I (the base is the identity), with the ratio of lambda_max(lhs) to c."""
+    lhs = row.sides(x)
+    c = _constants(row, x)
+    top, cs = spectrum(lhs)[:, -1], np.asarray(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(cs > 0, top / cs, np.where(np.abs(top) < 1e-300, 1.0, math.inf))
+    eye = SymStack(np.broadcast_to(_eye(lhs.dim), lhs.data.shape))
+    return [_columns(row, x, lhs, eye * c, c, ratio)]
+
+
+def _klamkin(row: Row, x) -> list[Sides]:
+    """lhs <= (c - 2) I - S with S = (T^(1/2) - T^(-1/2))^2, a right side
+    that is not c times a base; the ratio is of lhs to the right side."""
+    lhs, swing_sq = row.sides(x)
+    c = _constants(row, x)
+    rhs = SymStack((np.array(c) - 2.0)[:, None, None] * np.eye(lhs.dim) - swing_sq)
+    return [_columns(row, x, lhs, rhs, c, _ratio(lhs, rhs))]
+
+
+def _two_sided(row: Row, x) -> list[Sides]:
+    """c1 * nabla <= sharp <= c2 * harm, as two certificates per trial."""
+    sharp, nabla, harm = row.sides(x)
+    c1, c2 = (list(col) for col in zip(*_constants(row, x)))
+    lower = nabla * c1
+    return [_columns(row, x, lower, sharp, c1, _ratio(lower, sharp), side=["nabla_lower"] * x.n),
+            _columns(row, x, sharp, harm * c2, c2, _ratio(sharp, harm),
+                     side=["harmonic_upper"] * x.n)]
+
+
+def _links(row: Row, x) -> list[Sides]:
+    """left <= middle <= c * base: the slack is the smaller link's, and the
+    ratio is of left to base."""
+    left, middle, base = row.sides(x)
+    c = _constants(row, x)
+    rhs = base * c
+    link1, link2 = loewner_slack(left, middle), loewner_slack(middle, rhs)
+    with np.errstate(over="ignore"):
+        scale = op_norm(left) + op_norm(middle) + op_norm(rhs)
+    return [_columns(row, x, left, rhs, c, _ratio(left, base),
+                     slack=np.where(link2 < link1, link2, link1), scale=scale,
+                     slack_link1=link1.tolist(), slack_link2=link2.tolist())]
+
+
+def _scaling(row: Row, x) -> list[Sides]:
+    """f(alpha t) <= alpha f(t) for increasing f, and g(t)/alpha <= g(alpha t)
+    for decreasing g, each at the worst point of a grid of t."""
+    c = _constants(row, x)
+    grid = getattr(x, "grid", None)
+    points = tuple(grid) if grid is not None else default_grid()
+    grid_array = _default_points() if grid is None else np.array(points, dtype=float)
+    worst = []
+    for fn, alpha, c_k in zip(x.f, x.alpha, c):
+        at_t = _on_default_grid(fn) if grid is None else _mapped(fn, points)
+        at_alpha_t = _mapped(fn, (alpha * grid_array).tolist())
+        if fn.klass == OPERATOR_MONOTONE:
+            worst.append(_worst_on_grid(points, at_alpha_t, c_k * at_t))
+        else:
+            worst.append(_worst_on_grid(points, at_t / alpha, x.mult * at_alpha_t))
+    worst_t, lhs, rhs, ratio = (list(col) for col in zip(*worst))
+    return [_columns(row, x, np.array(lhs), np.array(rhs), c, ratio,
+                     grid_points=[len(points)] * x.n, worst_t=worst_t)]
+
+
+def _scalar_sandwich(row: Row, x) -> list[Sides]:
+    """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x)
+    behind the sandwich lemma, at the worst point of a grid in [s, t]."""
+    c = _constants(row, x)
+    worst = []
+    for s, t in zip(x.s, x.t):
+        c2 = row.constant(s, t)[1]
+        xs = np.geomspace(s, t, x.grid_points).tolist()
+        worst.append(_worst_on_grid(
+            [v for v in xs for _ in range(2)],
+            np.array([y for v in xs for y in (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0))]),
+            np.array([y for v in xs for y in (c2 * math.sqrt(v), c2 / math.sqrt(v))])))
+    worst_x, lhs, rhs, ratio = (list(col) for col in zip(*worst))
+    return [_columns(row, x, np.array(lhs), np.array(rhs), [c_k[1] for c_k in c], ratio,
+                     grid_points=[x.grid_points] * x.n, worst_x=worst_x)]
+
+
+def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
+    scalar bound checked at each of ``points`` (a point may repeat)."""
+    slack = rhs - lhs
+    candidates = slack < math.inf  # a nan or +inf slack is never the worst
+    if candidates.any():
+        i = int(np.where(candidates, slack, math.inf).argmin())
+        worst = (points[i], float(lhs[i]), float(rhs[i]))
+    else:
+        worst = (points[0], 0.0, 0.0)
+    ratio = _norm_ratio_diag(lhs, rhs)
+    return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest
+
+
+@lru_cache(maxsize=None)
+def _default_points() -> np.ndarray:
+    return _frozen(np.array(default_grid()))
+
+
+@lru_cache(maxsize=16)  # the pools of one dim hold 7 functions; each entry holds 400 floats
+def _on_default_grid(fn: MonotoneFunction) -> np.ndarray:
+    """fn(t) at every point of ``default_grid()``, computed once per function."""
+    return _frozen(_mapped(fn, default_grid()))
+
+
+def _mapped(fn: MonotoneFunction, points) -> np.ndarray:
+    """fn(t) at each of ``points``, by one map of the scalar function."""
+    return np.fromiter(map(fn.fn, points), float, len(points))
+
+
+# Hypotheses.  The per-slice checks raise HypothesisError themselves rather
+# than through _hyp, so that a message is formatted only for a slice that fails.
 
 def _hyp(condition: bool, message: str) -> None:
     if not condition:
         raise HypothesisError(message)
-
-
-def _norm_ratio_diag(lhs_norm: float, base_norm: float) -> float:
-    # Degenerate 0/0 cases (exact equality witnesses) read as ratio 1.
-    if base_norm <= 1e-300:
-        return 1.0 if lhs_norm <= 1e-300 else math.inf
-    return lhs_norm / base_norm
 
 
 @lru_cache(maxsize=128)
@@ -242,22 +387,10 @@ def _vet_nonnegative(fn: MonotoneFunction) -> None:
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
 
 
-# The per-slice checks below raise HypothesisError themselves rather than
-# through _hyp, so that a message is formatted only for a slice that fails.
 def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
     if fn.klass not in classes:
         raise HypothesisError(
             f"function {fn.id!r} has class {fn.klass!r}, expected one of {classes}")
-
-
-def _vet_reversal(tau: list, sigma: list, f: list) -> None:
-    """Hypotheses of the monotone reversals, per slice: two means and a
-    nonnegative monotone f."""
-    for tau_k, sigma_k, f_k in zip(tau, sigma, f):
-        _vet_mean_kernel(tau_k)
-        _vet_mean_kernel(sigma_k)
-        _vet_class(f_k, OPERATOR_MONOTONE)
-        _vet_nonnegative(f_k)
 
 
 def _vet_st(s: list, t: list) -> None:
@@ -278,101 +411,73 @@ def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> 
     BoundedPair(A, B, m, M).verify(tol_rel)
 
 
-def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
-    """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
-    scalar bound checked at each of ``points`` (a point may repeat)."""
-    slack = rhs - lhs
-    candidates = slack < math.inf  # a nan or +inf slack is never the worst
-    if candidates.any():
-        i = int(np.where(candidates, slack, math.inf).argmin())
-        worst = (points[i], float(lhs[i]), float(rhs[i]))
-    else:
-        worst = (points[0], 0.0, 0.0)
-    with np.errstate(all="ignore"):  # _norm_ratio_diag at each point
-        ratio = np.where(rhs <= 1e-300, np.where(lhs <= 1e-300, 1.0, math.inf), lhs / rhs)
-    return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest
+# The rows' vets, each a check of the stack x.
+
+def _sandwich(x) -> None:
+    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
 
 
-@lru_cache(maxsize=None)
-def _default_points() -> np.ndarray:
-    return _frozen(np.array(default_grid()))
+def _bounded(x) -> None:
+    _vet_bounded(x.A, x.B, x.m, x.M, x.tol_rel)
 
 
-@lru_cache(maxsize=16)  # the pools of one dim hold 7 functions; each entry holds 400 floats
-def _on_default_grid(fn: MonotoneFunction) -> np.ndarray:
-    """fn(t) at every point of ``default_grid()``, computed once per function."""
-    return _frozen(_mapped(fn, default_grid()))
+def _closed_mM(x) -> None:
+    for m, M in zip(x.m, x.M):
+        if not 0 < m <= M:
+            raise HypothesisError(f"need 0 < m <= M, got m={m!r}, M={M!r}")
 
 
-def _mapped(fn: MonotoneFunction, points) -> np.ndarray:
-    """fn(t) at each of ``points``, by one map of the scalar function."""
-    return np.fromiter(map(fn.fn, points), float, len(points))
+def _order(x) -> None:
+    """A <= B up to the tolerance, and the spectrum of A within [m, M]."""
+    with np.errstate(over="ignore"):
+        scale = (op_norm(x.A) + op_norm(x.B)).tolist()
+    for slack, sc in zip(loewner_slack(x.A, x.B).tolist(), scale):
+        if not slack >= -max(1e-12, x.tol_rel * max(1.0, sc)):
+            raise HypothesisError(f"order hypothesis A <= B fails (slack {slack:.3e})")
+    verify_spectrum("A", x.A, x.m, x.M, x.tol_rel)
 
 
-def _fn_of(X: SymStack, fn: list) -> SymStack:
-    return matrix_function(X, [f.fn for f in fn])
+def _st_at_least_one(x) -> None:
+    for s, t in zip(x.s, x.t):
+        if not math.sqrt(s * t) >= 1.0:
+            raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
 
 
-def _ratios(lhs: SymStack, base: SymStack) -> list:
-    """The diagnostic ratio ||lhs||_op / ||base||_op of each slice."""
-    return list(map(_norm_ratio_diag, op_norm(lhs).tolist(), op_norm(base).tolist()))
+def _unital(x) -> None:
+    """phi(I) = I: the scalar bound on the right of a Grüss bound presumes it."""
+    verdict = check_unital(x.phi)
+    if not verdict.is_unital:
+        raise NotUnitalError(
+            f"map {x.phi.label!r} is not unital (||phi(I) - I||_op = "
+            f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
+        )
 
 
-def _reversal_params(phi: MapSpec, tau: list, sigma: list, key: str, fn: list, A: SymStack,
-                     **cell) -> list:
-    """Parameters of a map-mean reversal per slice; ``key`` names the function
-    slot and each ``cell`` value holds one entry per slice."""
-    return [{"map": phi.label, "tau": tau_k.id, "sigma": sigma_k.id, key: f_k.id,
-             **dict(zip(cell, values)), "dim": A.dim}
-            for tau_k, sigma_k, f_k, *values in zip(tau, sigma, fn, *cell.values())]
+def _means(x) -> None:
+    """tau and sigma, those the row picks, are means between ! and nabla."""
+    for kernel in (*getattr(x, "tau", ()), *getattr(x, "sigma", ())):
+        _vet_mean_kernel(kernel)
 
 
-def _reversal_certificate(inequality_id: str, params: list, lhs: SymStack, base: SymStack,
-                          constant: list, tol_rel: float) -> list:
-    """lhs <= constant * base per slice, with the diagnostic ratio ||lhs||_op / ||base||_op."""
-    ratio = _ratios(lhs, base)
-    return _matrix_certificate(inequality_id, params, lhs, base * constant, constant, ratio,
-                               tol_rel)
+def _each(name: str, check: Callable, *args) -> Callable:
+    """The vet that calls ``check(value, *args)`` on each slice's value of ``name``."""
+    def vet(x) -> None:
+        for value in getattr(x, name):
+            check(value, *args)
+    return vet
 
 
-@_stacked("sigma")
-def ando_check(
-    phi: MapSpec,
-    sigma: ScalarKernel,
-    A: SymMatrix,
-    B: SymMatrix,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B)."""
-    lhs = phi.apply(kernel_mean(sigma, A, B))
-    rhs_base = kernel_mean(sigma, phi.apply(A), phi.apply(B))
-    constant = [constant_multiplier] * len(A)
-    rhs = rhs_base * constant
-    params = [{"map": phi.label, "sigma": sigma_k.id, "dim": A.dim} for sigma_k in sigma]
-    return _matrix_certificate("ando", params, lhs, rhs, constant, _ratios(lhs, rhs), tol_rel)
+def _vet_monotone(fn: MonotoneFunction) -> None:
+    _vet_class(fn, OPERATOR_MONOTONE)
+    _vet_nonnegative(fn)
 
 
-@_stacked("m", "M")
-def check_polya_szego(
-    phi: MapSpec,
-    A: SymMatrix,
-    B: SymMatrix,
-    m: float,
-    M: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B)."""
-    _vet_bounded(A, B, m, M, tol_rel)
-    lhs = geometric(phi.apply(A), phi.apply(B))
-    mid = phi.apply(geometric(A, B))
-    constant = _per_cell(polya_szego_constant, m, M, constant_multiplier)
-    params = [{"map": phi.label, "m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
-    return _reversal_certificate("polya-szego", params, lhs, mid, constant, tol_rel)
+def _vet_vanishing_convex(g: MonotoneFunction) -> None:
+    _vet_class(g, OPERATOR_CONVEX_ZERO)
+    _hyp(abs(g.fn(0.0)) <= 1e-12, f"function {g.id!r} must vanish at 0")
 
+
+# Constants, at multiplier 1.
 
 def polya_szego_constant(m: float, M: float) -> float:
     product = M * m
@@ -390,428 +495,12 @@ def gruss_constant(m: float, M: float) -> float:
     return (M - m) ** 2 / (4.0 * M * m)
 
 
-def eq15_constant(m: float, M: float) -> float:
-    return 2.0 * polya_szego_constant(m, M) ** 2
-
-
-def _per_cell(constant, lo: list, hi: list, multiplier: float = 1.0) -> list:
-    """``constant(lo, hi) * multiplier`` for each slice's cell bounds."""
-    return [constant(lo_k, hi_k) * multiplier for lo_k, hi_k in zip(lo, hi)]
-
-
-@_stacked("tau", "sigma", "f", "m", "M")
-def check_kantorovich_f(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    f: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    m: float,
-    M: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Kantorovich-constant reversal with the function outside the map:
-    f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) * f(phi(A sigma B))."""
-    _vet_bounded(A, B, m, M, tol_rel)
-    _vet_reversal(tau, sigma, f)
-    lhs = kernel_mean(tau, _fn_of(phi.apply(A), f), _fn_of(phi.apply(B), f))
-    base = _fn_of(phi.apply(kernel_mean(sigma, A, B)), f)
-    constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)
-    params = _reversal_params(phi, tau, sigma, "f", f, A, m=m, M=M)
-    return _reversal_certificate("kantorovich-f", params, lhs, base, constant, tol_rel)
-
-
 def sandwich_lemma_constants(s: float, t: float) -> tuple[float, float]:
     half_sum = 0.5 * (math.sqrt(s) + math.sqrt(t))
     if s * t >= 1.0:
         return 1.0 / half_sum, half_sum
     root_st = math.sqrt(s * t)
     return root_st / half_sum, half_sum / root_st
-
-
-@_stacked("s", "t")
-def check_sandwich_lemma(
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    mode: str = "matrix",
-    grid_points: int = 200,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-):
-    """Two-sided mean comparison under the sandwich condition.
-
-    Matrix mode returns the certificate pair for
-    c1 * (A nabla B) <= A # B  and  A # B <= c2 * (A ! B); scalar mode checks
-    the underlying scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t]
-    and ignores A and B.
-    """
-    _vet_st(s, t)
-    c1, c2 = (list(c) for c in zip(*map(sandwich_lemma_constants, s, t)))
-    if mode == "scalar":
-        return [_scalar_sandwich(s_k, t_k, c2_k, grid_points, constant_multiplier, tol_rel)
-                for s_k, t_k, c2_k in zip(s, t, c2)]
-    if mode != "matrix":
-        raise ValueError(f"unknown mode {mode!r}")
-    _vet_sandwich(A, B, s, t, tol_rel)
-    sharp = geometric(A, B)
-    nabla = arithmetic(A, B)
-    harm = harmonic(A, B)
-    c1 = [c * constant_multiplier for c in c1]
-    c2 = [c * constant_multiplier for c in c2]
-    params = lambda side: [{"mode": "matrix", "side": side, "s": s_k, "t": t_k, "dim": A.dim}
-                           for s_k, t_k in zip(s, t)]
-    lower_lhs = nabla * c1
-    lower = _matrix_certificate("sandwich-lemma", params("nabla_lower"), lower_lhs, sharp, c1,
-                                _ratios(lower_lhs, sharp), tol_rel)
-    upper = _matrix_certificate("sandwich-lemma", params("harmonic_upper"), sharp, harm * c2, c2,
-                                _ratios(sharp, harm), tol_rel)
-    return list(zip(lower, upper))
-
-
-def _scalar_sandwich(s: float, t: float, c2: float, grid_points: int,
-                     constant_multiplier: float, tol_rel: float) -> Certificate:
-    """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x) on a grid."""
-    xs = np.geomspace(s, t, grid_points).tolist()
-    worst_x, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(
-        [x for x in xs for _ in range(2)],
-        np.array([v for x in xs for v in (0.5 * (x + 1.0), 0.5 * (1.0 / x + 1.0))]),
-        np.array([v for x in xs for v in (c2 * math.sqrt(x), c2 / math.sqrt(x))]),
-    )
-    params = {"mode": "scalar", "s": s, "t": t, "grid_points": grid_points, "worst_x": worst_x}
-    return _scalar_certificate("sandwich-lemma", params, lhs_at_worst, rhs_at_worst,
-                               c2 * constant_multiplier, worst_ratio, tol_rel)
-
-
-def check_alpha_scaling(
-    fn: MonotoneFunction,
-    alpha: float,
-    grid: Sequence[float] | None = None,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Scaling bounds for alpha >= 1: f(alpha t) <= alpha f(t) for monotone
-    increasing f, and g(alpha t) >= g(t)/alpha for monotone decreasing g."""
-    _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")
-    _vet_class(fn, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
-    points = tuple(grid) if grid is not None else default_grid()
-    at_t = _on_default_grid(fn) if grid is None else _mapped(fn, points)
-    grid_array = _default_points() if grid is None else np.array(points, dtype=float)
-    at_alpha_t = _mapped(fn, (alpha * grid_array).tolist())
-    if fn.klass == OPERATOR_MONOTONE:
-        lhs, rhs = at_alpha_t, (constant_multiplier * alpha) * at_t
-    else:
-        lhs, rhs = at_t / alpha, constant_multiplier * at_alpha_t
-    worst_t, lhs_at_worst, rhs_at_worst, worst_ratio = _worst_on_grid(points, lhs, rhs)
-    params = {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": worst_t}
-    return _scalar_certificate(
-        "alpha-scaling",
-        params,
-        lhs_at_worst,
-        rhs_at_worst,
-        alpha * constant_multiplier,
-        worst_ratio,
-        tol_rel,
-    )
-
-
-@_stacked("tau", "sigma", "f", "s", "t")
-def check_main_monotone(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    f: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Sandwich-parameterized reversal for monotone increasing f:
-    phi(f(A)) tau phi(f(B)) <= C(s,t) * phi(f(A sigma B))."""
-    _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_reversal(tau, sigma, f)
-    lhs = kernel_mean(tau, phi.apply(_fn_of(A, f)), phi.apply(_fn_of(B, f)))
-    base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
-    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
-    return _reversal_certificate("main-monotone", params, lhs, base, constant, tol_rel)
-
-
-@_stacked("tau", "sigma", "g", "s", "t")
-def check_main_decreasing(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    g: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Sandwich-parameterized reversal for monotone decreasing g:
-    phi(g(A tau B)) <= C(s,t) * (phi(g(A)) sigma phi(g(B)))."""
-    _vet_sandwich(A, B, s, t, tol_rel)
-    for tau_k, sigma_k, g_k in zip(tau, sigma, g):
-        _vet_mean_kernel(tau_k)
-        _vet_mean_kernel(sigma_k)
-        _vet_class(g_k, OPERATOR_MONOTONE_DECREASING)
-    lhs = phi.apply(_fn_of(kernel_mean(tau, A, B), g))
-    base = kernel_mean(sigma, phi.apply(_fn_of(A, g)), phi.apply(_fn_of(B, g)))
-    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
-    params = _reversal_params(phi, tau, sigma, "g", g, A, s=s, t=t)
-    return _reversal_certificate("main-decreasing", params, lhs, base, constant, tol_rel)
-
-
-@_stacked("tau", "sigma", "fn", "m", "M")
-def check_gruss(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    fn: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    m: float,
-    M: float,
-    family: str,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Difference bounds under two-sided scalar bounds.
-
-    monotone family:   phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) <= (M-m)^2/(4Mm) f(M)
-    decreasing family: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) <= (M-m)^2/(4Mm) g(m)
-
-    The scalar bound on the right presumes phi(I) = I, so a unital map is
-    required; non-unital maps are refused with an explanatory error.
-    """
-    verdict = check_unital(phi)
-    if not verdict.is_unital:
-        raise NotUnitalError(
-            f"map {phi.label!r} is not unital (||phi(I) - I||_op = "
-            f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
-        )
-    _vet_bounded(A, B, m, M, tol_rel)
-    for tau_k, sigma_k in zip(tau, sigma):
-        _vet_mean_kernel(tau_k)
-        _vet_mean_kernel(sigma_k)
-    if family == "monotone":
-        for f_k in fn:
-            _vet_class(f_k, OPERATOR_MONOTONE)
-            _vet_nonnegative(f_k)
-        diff = kernel_mean(tau, phi.apply(_fn_of(A, fn)), phi.apply(_fn_of(B, fn))) - phi.apply(
-            _fn_of(kernel_mean(sigma, A, B), fn)
-        )
-        bound_value = [f_k.fn(M_k) for f_k, M_k in zip(fn, M)]
-        inequality_id = "gruss-f"
-    elif family == "decreasing":
-        for f_k in fn:
-            _vet_class(f_k, OPERATOR_MONOTONE_DECREASING)
-        diff = phi.apply(_fn_of(kernel_mean(tau, A, B), fn)) - kernel_mean(
-            sigma, phi.apply(_fn_of(A, fn)), phi.apply(_fn_of(B, fn))
-        )
-        bound_value = [f_k.fn(m_k) for f_k, m_k in zip(fn, m)]
-        inequality_id = "gruss-g"
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    constant = [gruss_constant(m_k, M_k) * b_k * constant_multiplier
-                for m_k, M_k, b_k in zip(m, M, bound_value)]
-    rhs = SymStack(np.array(constant)[:, None, None] * np.eye(phi.output_dim))
-    params = _reversal_params(phi, tau, sigma, "fn", fn, A, m=m, M=M, family=[family] * len(A))
-    ratio = [lam_max / c if c > 0 else (1.0 if abs(lam_max) < 1e-300 else math.inf)
-             for lam_max, c in zip(spectrum(diff)[:, -1].tolist(), constant)]
-    return _matrix_certificate(inequality_id, params, diff, rhs, constant, ratio, tol_rel)
-
-
-_NORM_RATIO_MODES = ("tau_side", "sharp_side", "power4", "eq15")
-_NORM_RATIO_IDS = {
-    "tau_side": "norm-ratio-tau",
-    "sharp_side": "norm-ratio-sharp",
-    "power4": "norm-ratio-power4",
-    "eq15": "norm-ratio-eq15",
-}
-
-
-@_stacked("kernel", "g", "s", "t", "m", "M", "norm")
-def check_norm_ratio(
-    mode: str,
-    kernel: ScalarKernel,
-    g: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float | None = None,
-    t: float | None = None,
-    m: float | None = None,
-    M: float | None = None,
-    norm: NormKind = OPERATOR,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """AUDIT: norm-ratio bounds for convex g with g(0) = 0.
-
-    tau_side:   ||g(A) tau g(B)||/||A tau B|| vs C(s,t)   * ||g(Y)/Y||, Y = A # B, needs tau >= #
-    sharp_side: ||g(A) # g(B)||/||A # B||     vs C(s,t)   * ||g(Y)/Y||, Y = A sigma B, needs sigma <= #
-    power4:     ||g(A) tau g(B)||/||A tau B|| vs C(s,t)^2 * ||g(Y)/Y||, Y = A # B
-    eq15:       ||g(A) # g(B)||/||A # B||     vs 2 K^2    * ||g(Y)/Y||, Y = A # B, K = (M+m)/(2 sqrt(Mm))
-
-    Verdicts may be negative; they are recorded, never asserted, and are
-    excluded from the exit-code gate.
-    """
-    _hyp(mode in _NORM_RATIO_MODES, f"unknown norm-ratio mode {mode!r}")
-    for g_k in g:
-        _vet_class(g_k, OPERATOR_CONVEX_ZERO)
-        _hyp(abs(g_k.fn(0.0)) <= 1e-12, f"function {g_k.id!r} must vanish at 0")
-    if mode == "eq15":
-        _hyp(m is not None and M is not None, "eq15 mode needs m and M")
-        _vet_bounded(A, B, m, M, tol_rel)
-        s_eff, t_eff = [m_k / M_k for m_k, M_k in zip(m, M)], [M_k / m_k for m_k, M_k in zip(m, M)]
-        constant = _per_cell(eq15_constant, m, M)
-        lhs_kernel = rhs_kernel = GEOMETRIC
-    else:
-        _hyp(s is not None and t is not None, f"{mode} mode needs s and t")
-        _vet_sandwich(A, B, s, t, tol_rel)
-        s_eff, t_eff = s, t
-        constant = _per_cell(sandwich_constant, s, t)
-        if mode == "tau_side":
-            for k in kernel:
-                _hyp(kernel_dominance(GEOMETRIC, k).holds,
-                     f"tau_side needs a kernel dominating the geometric one, got {k.id!r}")
-            lhs_kernel, rhs_kernel = kernel, GEOMETRIC
-        elif mode == "sharp_side":
-            for k in kernel:
-                _hyp(kernel_dominance(k, GEOMETRIC).holds,
-                     f"sharp_side needs a kernel dominated by the geometric one, got {k.id!r}")
-            lhs_kernel, rhs_kernel = GEOMETRIC, kernel
-        else:  # power4; the right-hand mean is pinned to the geometric one
-            for k in kernel:
-                _vet_mean_kernel(k)
-            lhs_kernel, rhs_kernel = kernel, GEOMETRIC
-            constant = [c**2 for c in constant]
-    constant = [c * constant_multiplier for c in constant]
-    num = ui_norm(kernel_mean(lhs_kernel, _fn_of(A, g), _fn_of(B, g)), norm).tolist()
-    den = ui_norm(kernel_mean(lhs_kernel, A, B), norm).tolist()
-    lhs_value = [n / d for n, d in zip(num, den)]
-    target = kernel_mean(rhs_kernel, A, B)
-    base = ui_norm(matrix_function(target, [lambda x, g_k=g_k: g_k.fn(x) / x for g_k in g]),
-                   norm).tolist()
-    out = []
-    for k, (kernel_k, g_k, norm_k) in enumerate(zip(kernel, g, per_slice(norm, A))):
-        params = {"mode": mode, "kernel": kernel_k.id, "g": g_k.id, "norm": norm_k.label,
-                  "s": s_eff[k], "t": t_eff[k], "dim": A.dim}
-        if mode == "eq15":
-            params.update({"m": m[k], "M": M[k]})
-        out.append(_scalar_certificate(_NORM_RATIO_IDS[mode], params, lhs_value[k],
-                                       constant[k] * base[k], constant[k],
-                                       _norm_ratio_diag(lhs_value[k], base[k]), tol_rel))
-    return out
-
-
-@_stacked("m", "M")
-def check_squared(
-    A: SymMatrix,
-    B: SymMatrix,
-    m: float,
-    M: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Squaring an operator inequality: A <= B with m I <= A <= M I gives
-    A^2 <= (M+m)^2/(4Mm) B^2."""
-    for m_k, M_k in zip(m, M):
-        if not 0 < m_k <= M_k:
-            raise HypothesisError(f"need 0 < m <= M, got m={m_k!r}, M={M_k!r}")
-    order_slack = loewner_slack(A, B).tolist()
-    for slack_k, scale_k in zip(order_slack, _sums(op_norm(A), op_norm(B))):
-        if not slack_k >= -max(1e-12, tol_rel * max(1.0, scale_k)):
-            raise HypothesisError(f"order hypothesis A <= B fails (slack {slack_k:.3e})")
-    verify_spectrum("A", A, m, M, tol_rel)
-    lhs = matrix_function(A, SQUARE.fn)
-    base = matrix_function(B, SQUARE.fn)
-    constant = _per_cell(kantorovich_constant, m, M, constant_multiplier)
-    params = [{"m": m_k, "M": M_k, "dim": A.dim} for m_k, M_k in zip(m, M)]
-    return _reversal_certificate("squared", params, lhs, base, constant, tol_rel)
-
-
-@_stacked("fn", "m", "M")
-def check_squared_consequences(
-    fn: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    m: float,
-    M: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Squared forms of the geometric-mean reversal, with K = (M+m)^2/(4Mm):
-
-    monotone f:   (f(A) # f(B))^2 <= K^2 f(A # B)^2
-    decreasing g: g(A # B)^2      <= K^2 (g(A) # g(B))^2
-    """
-    _vet_bounded(A, B, m, M, tol_rel)
-    for f_k in fn:
-        _vet_class(f_k, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
-    if len({f_k.klass for f_k in fn}) > 1:
-        raise ValueError("the functions of one stack must share their class")
-    sharp = geometric(A, B)
-    square = lambda X: matrix_function(X, SQUARE.fn)
-    if fn[0].klass == OPERATOR_MONOTONE:
-        for f_k in fn:
-            _vet_nonnegative(f_k)
-        lhs = square(geometric(_fn_of(A, fn), _fn_of(B, fn)))
-        base = square(_fn_of(sharp, fn))
-        inequality_id = "squared-consequence-f"
-        key = "f"
-    else:
-        lhs = square(_fn_of(sharp, fn))
-        base = square(geometric(_fn_of(A, fn), _fn_of(B, fn)))
-        inequality_id = "squared-consequence-g"
-        key = "g"
-    constant = [K**2 * constant_multiplier for K in _per_cell(kantorovich_constant, m, M)]
-    params = [{key: f_k.id, "m": m_k, "M": M_k, "dim": A.dim} for f_k, m_k, M_k in zip(fn, m, M)]
-    return _reversal_certificate(inequality_id, params, lhs, base, constant, tol_rel)
-
-
-@_stacked("s", "t")
-def check_midpoint(
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Midpoint bound under the sandwich condition:
-    (sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 * (A # B)."""
-    _vet_sandwich(A, B, s, t, tol_rel)
-    lhs = 0.5 * (A * _root_st(s, t) + B)
-    base = geometric(A, B)
-    constant = _per_cell(midpoint_constant, s, t, constant_multiplier)
-    params = [{"s": s_k, "t": t_k, "dim": A.dim} for s_k, t_k in zip(s, t)]
-    return _reversal_certificate("midpoint", params, lhs, base, constant, tol_rel)
-
-
-def midpoint_constant(s: float, t: float) -> float:
-    return 0.5 * (math.sqrt(s) + math.sqrt(t))
-
-
-def _root_st(s: list, t: list) -> list:
-    return [math.sqrt(s_k * t_k) for s_k, t_k in zip(s, t)]
 
 
 def diaz_metcalf_constant(s: float, t: float) -> float:
@@ -823,30 +512,29 @@ def diaz_metcalf_constant(s: float, t: float) -> float:
     return half_sum_sq / root_st
 
 
-@_stacked("tau", "sigma", "f", "s", "t")
-def check_diaz_metcalf(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    f: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Diaz-Metcalf type bound:
-    phi(f(sqrt(st) A)) tau phi(f(B)) <= C * phi(f(A sigma B))."""
-    _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_reversal(tau, sigma, f)
-    scaled = A * _root_st(s, t)
-    lhs = kernel_mean(tau, phi.apply(_fn_of(scaled, f)), phi.apply(_fn_of(B, f)))
-    base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    constant = _per_cell(diaz_metcalf_constant, s, t, constant_multiplier)
-    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t)
-    return _reversal_certificate("diaz-metcalf", params, lhs, base, constant, tol_rel)
+def _st_ge_1(s: float, t: float) -> tuple:
+    """The cell (s, t), reflected into s*t >= 1 when below it."""
+    return (s, t) if s * t >= 1.0 else (1.0 / t, 1.0 / s)
+
+
+# Building blocks of the sides.
+
+def _fn_of(X: SymStack, fn: list) -> SymStack:
+    return matrix_function(X, [f.fn for f in fn])
+
+
+def _root_st(s: list, t: list) -> list:
+    return [math.sqrt(s_k * t_k) for s_k, t_k in zip(s, t)]
+
+
+def _square(X: SymStack) -> SymStack:
+    return matrix_function(X, SQUARE.fn)
+
+
+def _squared_means(x, fn: list) -> tuple:
+    """(f(A) # f(B))^2 and f(A # B)^2."""
+    sharp = geometric(x.A, x.B)
+    return _square(geometric(_fn_of(x.A, fn), _fn_of(x.B, fn))), _square(_fn_of(sharp, fn))
 
 
 # x^(1/2), the geometric kernel, and x^(-1/2), each with np.sqrt in its numpy twin
@@ -854,119 +542,328 @@ _sqrt = GEOMETRIC.fn
 _inv_sqrt = twinned(lambda x: 1.0 / math.sqrt(x), lambda x: 1.0 / np.sqrt(x))
 
 
-@_stacked("sigma", "f", "s", "t")
-def check_klamkin_mclenaghan(
-    phi: MapSpec,
-    sigma: ScalarKernel,
-    f: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Klamkin-McLenaghan type bound.
-
-    With P = phi(f(A sigma B)), F = phi(f(sqrt(st) A)), G = phi(f(B)),
-    T = P^(-1/2) F P^(-1/2):
-
-        P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2)
-            <= c I - 2 I - (T^(1/2) - T^(-1/2))^2
-
-    where c = (sqrt(s)+sqrt(t))^2/2 when sqrt(st) >= 1 and
-    (sqrt(s)+sqrt(t))^2/(2 sqrt(st)) otherwise, twice the Diaz-Metcalf constant.
-    """
-    _vet_sandwich(A, B, s, t, tol_rel)
-    for sigma_k, f_k in zip(sigma, f):
-        _vet_mean_kernel(sigma_k)
-        _vet_class(f_k, OPERATOR_MONOTONE)
-        _vet_nonnegative(f_k)
-    P = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    F = phi.apply(_fn_of(A * _root_st(s, t), f))
-    G = phi.apply(_fn_of(B, f))
+def _klamkin_sides(x) -> tuple:
+    """With P = phi(f(A sigma B)), F = phi(f(sqrt(st) A)), G = phi(f(B)) and
+    T = P^(-1/2) F P^(-1/2): P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2), and
+    the entries of (T^(1/2) - T^(-1/2))^2."""
+    P = x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
+    F = x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f))
+    G = x.phi.apply(_fn_of(x.B, x.f))
     p_root = matrix_function(P, _sqrt)
     p_inv_root = matrix_function(P, _inv_sqrt)
     f_inv = spectral_inverse(F)
-    lhs = SymStack(
-        p_inv_root.data @ G.data @ p_inv_root.data
-        - p_root.data @ f_inv.data @ p_root.data
-    )
+    lhs = SymStack(p_inv_root.data @ G.data @ p_inv_root.data
+                   - p_root.data @ f_inv.data @ p_root.data)
     T = SymStack(p_inv_root.data @ F.data @ p_inv_root.data)
-    t_root = matrix_function(T, _sqrt)
-    t_inv_root = matrix_function(T, _inv_sqrt)
-    swing = t_root - t_inv_root
-    c = [2.0 * diaz_metcalf_constant(s_k, t_k) * constant_multiplier for s_k, t_k in zip(s, t)]
-    n_out = phi.output_dim
-    rhs = SymStack((np.array(c) - 2.0)[:, None, None] * np.eye(n_out) - swing.data @ swing.data)
-    params = [{"map": phi.label, "sigma": sigma_k.id, "f": f_k.id, "s": s_k, "t": t_k,
-               "dim": A.dim} for sigma_k, f_k, s_k, t_k in zip(sigma, f, s, t)]
-    return _matrix_certificate("klamkin-mclenaghan", params, lhs, rhs, c, _ratios(lhs, rhs),
-                               tol_rel)
+    swing = matrix_function(T, _sqrt) - matrix_function(T, _inv_sqrt)
+    return lhs, swing.data @ swing.data
 
 
-def check_specht_bound(
-    m: float,
-    M: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Arithmetic-geometric comparison via Specht's ratio:
-    (M+m)/2 <= S(M/m) sqrt(Mm)."""
-    _hyp(0 < m <= M, f"need 0 < m <= M, got m={m!r}, M={M!r}")
-    lhs = 0.5 * (M + m)
-    constant = specht_ratio(M / m) * constant_multiplier
-    rhs = constant * math.sqrt(M * m)
-    params = {"m": m, "M": M}
-    ratio = _norm_ratio_diag(lhs, rhs)
-    return _scalar_certificate("specht-bound", params, lhs, rhs, constant, ratio, tol_rel)
+def _link_sides(x) -> tuple:
+    """phi(f(A)) tau phi(f(B)), phi(f(sqrt(st) A)) tau phi(f(B)) and phi(f(A sigma B))."""
+    fb = x.phi.apply(_fn_of(x.B, x.f))
+    left = kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.f)), fb)
+    middle = kernel_mean(x.tau, x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f)), fb)
+    return left, middle, x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
 
 
-@_stacked("tau", "sigma", "f", "s", "t")
-def check_strengthened_remark(
-    phi: MapSpec,
-    tau: ScalarKernel,
-    sigma: ScalarKernel,
-    f: MonotoneFunction,
-    A: SymMatrix,
-    B: SymMatrix,
-    s: float,
-    t: float,
-    *,
-    constant_multiplier: float = 1.0,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> Certificate:
-    """Two-link strengthening, valid when sqrt(st) >= 1:
+def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
+    """||g(A) k g(B)|| / ||A k B|| with k = lhs_kernel, and ||g(Y)/Y|| with
+    Y = A k' B, k' = rhs_kernel, per slice in its norm."""
+    num = ui_norm(kernel_mean(lhs_kernel, _fn_of(x.A, x.g), _fn_of(x.B, x.g)), x.norm).tolist()
+    den = ui_norm(kernel_mean(lhs_kernel, x.A, x.B), x.norm).tolist()
+    target = kernel_mean(rhs_kernel, x.A, x.B)
+    base = ui_norm(matrix_function(target, [lambda v, g=g: g.fn(v) / v for g in x.g]), x.norm)
+    return np.array([n / d for n, d in zip(num, den)]), base
 
-    phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B))
-                            <= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B))
-    """
-    for s_k, t_k in zip(s, t):
-        if not math.sqrt(s_k * t_k) >= 1.0:
-            raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s_k!r}, t={t_k!r}")
-    _vet_sandwich(A, B, s, t, tol_rel)
-    _vet_reversal(tau, sigma, f)
-    fb = phi.apply(_fn_of(B, f))
-    left = kernel_mean(tau, phi.apply(_fn_of(A, f)), fb)
-    middle = kernel_mean(tau, phi.apply(_fn_of(A * _root_st(s, t), f)), fb)
-    base = phi.apply(_fn_of(kernel_mean(sigma, A, B), f))
-    # sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
-    constant = _per_cell(sandwich_constant, s, t, constant_multiplier)
-    rhs = base * constant
-    slack_link1 = loewner_slack(left, middle).tolist()
-    slack_link2 = loewner_slack(middle, rhs).tolist()
-    scale = _sums(op_norm(left), op_norm(middle), op_norm(rhs))
-    params = _reversal_params(phi, tau, sigma, "f", f, A, s=s, t=t,
-                              slack_link1=slack_link1, slack_link2=slack_link2)
-    out = []
-    for p, l, r, c, q, link1, link2, sc in zip(params, left.matrices(), rhs.matrices(), constant,
-                                               _ratios(left, base), slack_link1, slack_link2,
-                                               scale):
-        tol = tol_rel * max(1.0, sc)
-        slack = min(link1, link2)
-        out.append(Certificate(inequality_id="strengthened-remark", params=p, lhs=l, rhs=r,
-                               constant=c, slack=float(slack), ratio=float(q),
-                               holds=slack >= -tol, tol=tol))
-    return out
+
+# The rows, in report order: the 17 checked ids, then the audit family.
+
+ROWS: dict[str, Row] = {}
+_MM, _ST = ("m", "M"), ("s", "t")
+_KERNELS = (("tau", "kernels", 0), ("sigma", "kernels", 1))
+_REVERSAL = _KERNELS + (("f", "f_monotone", 0),)
+_F_MONOTONE, _FN_MONOTONE = _each("f", _vet_monotone), _each("fn", _vet_monotone)
+_G_DECREASING, _FN_DECREASING = (_each(name, _vet_class, OPERATOR_MONOTONE_DECREASING)
+                                 for name in ("g", "fn"))
+_G_CONVEX = _each("g", _vet_vanishing_convex)
+
+
+def _row(inequality_id: str, statement: str, **fields) -> Row:
+    row = ROWS[inequality_id] = Row(inequality_id, statement, **fields)
+    return row
+
+
+def _api(row: Row) -> Callable:
+    """The row's one-instance check: ``check(phi, *picks, A, B, *bounds)``,
+    with phi when the row takes a map and no A, B for a scalar row."""
+    names = (("phi",) if row.pool else ()) + tuple(name for name, *_ in row.picks)
+    matrices = row.cell != "scalar"
+
+    def check(*args, constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+        k = len(names)
+        A, B = args[k:k + 2] if matrices else (None, None)
+        return _one(row, dict(zip(names, args)), A, B, args[k + 2 * matrices:],
+                    constant_multiplier, tol_rel)
+
+    check.__doc__ = row.statement
+    return check
+
+
+def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float = 1.0,
+         tol_rel: float = DEFAULT_TOL_REL):
+    """One instance's certificate (a tuple of them when a trial has more); given
+    SymStacks and one value per slice for each bound (a pick given once serves
+    every slice), the list of every slice's."""
+    stacked = isinstance(A, SymStack)
+    if stacked:
+        cells = list(zip(*bounds)) if bounds else [()] * len(A)
+    else:
+        A, B = (None if X is None else SymStack.of([X]) for X in (A, B))
+        cells = [tuple(bounds)]
+    per_slice = {name for name, *_ in row.picks}
+    picks = {name: [v] * len(cells) if name in per_slice and not isinstance(v, (list, tuple))
+             else v for name, v in picks.items()}
+    sides = check_stack(row, A, B, cells, picks, constant_multiplier=constant_multiplier,
+                        tol_rel=tol_rel)
+    out = [tuple(s.certificate(k) for s in sides) if len(sides) > 1 else sides[0].certificate(k)
+           for k in range(len(cells))]
+    return out if stacked else out[0]
+
+
+ando_check = _api(_row(
+    "ando", "Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B).",
+    cell="free", pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
+    sides=lambda x: (x.phi.apply(kernel_mean(x.sigma, x.A, x.B)),
+                     kernel_mean(x.sigma, x.phi.apply(x.A), x.phi.apply(x.B)))))
+
+check_polya_szego = _api(_row(
+    "polya-szego",
+    "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
+    cell="bounded", bounds=_MM, constant=polya_szego_constant, pool="maps", vets=(_bounded,),
+    sides=lambda x: (geometric(x.phi.apply(x.A), x.phi.apply(x.B)),
+                     x.phi.apply(geometric(x.A, x.B)))))
+
+check_kantorovich_f = _api(_row(
+    "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
+    "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
+    cell="bounded", bounds=_MM, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
+    vets=(_bounded, _means, _F_MONOTONE),
+    sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi.apply(x.A), x.f),
+                                 _fn_of(x.phi.apply(x.B), x.f)),
+                     _fn_of(x.phi.apply(kernel_mean(x.sigma, x.A, x.B)), x.f))))
+
+_SANDWICH_LEMMA = _row(
+    "sandwich-lemma", "Two-sided mean comparison under the sandwich condition: "
+    "c1 (A nabla B) <= A # B <= c2 (A ! B).",
+    cell="sandwich", bounds=_ST, constant=sandwich_lemma_constants, vets=(_sandwich,),
+    form=_two_sided, params={"mode": "matrix"},
+    sides=lambda x: (geometric(x.A, x.B), arithmetic(x.A, x.B), harmonic(x.A, x.B)))
+
+_ALPHA_SCALING = _row(
+    "alpha-scaling", "Scaling bounds for alpha >= 1: f(alpha t) <= alpha f(t) for monotone "
+    "increasing f, and g(alpha t) >= g(t)/alpha for monotone decreasing g.",
+    cell="scalar", bounds=("alpha",), constant=lambda alpha: alpha, sampler="alpha",
+    picks=(("f", "scaling_fns", 0),), form=_scaling,
+    vets=(_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")),
+          _each("f", _vet_class, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)))
+
+check_main_monotone = _api(_row(
+    "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
+    "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
+    cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
+    vets=(_sandwich, _means, _F_MONOTONE),
+    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.f)),
+                                 x.phi.apply(_fn_of(x.B, x.f))),
+                     x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+
+check_main_decreasing = _api(_row(
+    "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
+    "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
+    cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps",
+    picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_sandwich, _means, _G_DECREASING),
+    sides=lambda x: (x.phi.apply(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
+                     kernel_mean(x.sigma, x.phi.apply(_fn_of(x.A, x.g)),
+                                 x.phi.apply(_fn_of(x.B, x.g))))))
+
+# The Grüss bounds are lhs <= c I on a unital map, where c carries f(M) or g(m);
+# their sides are the lhs alone.
+_GRUSS_F = _row(
+    "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
+    "<= (M-m)^2/(4Mm) f(M).",
+    cell="bounded", bounds=_MM, constant=gruss_constant, pool="unital_maps",
+    picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _bounded, _means, _FN_MONOTONE),
+    carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
+    params={"family": "monotone"},
+    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.fn)),
+                                 x.phi.apply(_fn_of(x.B, x.fn)))
+                     - x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.fn))))
+
+_GRUSS_G = _row(
+    "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
+    "<= (M-m)^2/(4Mm) g(m).",
+    cell="bounded", bounds=_MM, constant=gruss_constant, pool="unital_maps",
+    picks=_KERNELS + (("fn", "g_decreasing", 0),),
+    vets=(_unital, _bounded, _means, _FN_DECREASING),
+    carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
+    params={"family": "decreasing"},
+    sides=lambda x: (x.phi.apply(_fn_of(kernel_mean(x.tau, x.A, x.B), x.fn))
+                     - kernel_mean(x.sigma, x.phi.apply(_fn_of(x.A, x.fn)),
+                                   x.phi.apply(_fn_of(x.B, x.fn)))))
+
+check_squared = _api(_row(
+    "squared", "Squaring an operator inequality: A <= B with m I <= A <= M I gives "
+    "A^2 <= (M+m)^2/(4Mm) B^2.",
+    cell="order", bounds=_MM, constant=kantorovich_constant, vets=(_closed_mM, _order),
+    sides=lambda x: (_square(x.A), _square(x.B))))
+
+_SQUARED_F = _row(
+    "squared-consequence-f", "Squared geometric-mean reversal for monotone f, with "
+    "K = (M+m)^2/(4Mm): (f(A) # f(B))^2 <= K^2 f(A # B)^2.",
+    cell="bounded", bounds=_MM, constant=lambda m, M: kantorovich_constant(m, M) ** 2,
+    picks=(("f", "f_monotone", 0),), vets=(_bounded, _F_MONOTONE),
+    sides=lambda x: _squared_means(x, x.f))
+
+_SQUARED_G = _row(
+    "squared-consequence-g", "Squared geometric-mean reversal for decreasing g, with "
+    "K = (M+m)^2/(4Mm): g(A # B)^2 <= K^2 (g(A) # g(B))^2.",
+    cell="bounded", bounds=_MM, constant=_SQUARED_F.constant,
+    picks=(("g", "g_decreasing", 0),), vets=(_bounded, _G_DECREASING),
+    sides=lambda x: _squared_means(x, x.g)[::-1])
+
+check_midpoint = _api(_row(
+    "midpoint", "Midpoint bound under the sandwich condition: "
+    "(sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 (A # B).",
+    cell="sandwich", bounds=_ST, constant=lambda s, t: 0.5 * (math.sqrt(s) + math.sqrt(t)),
+    vets=(_sandwich,),
+    sides=lambda x: (0.5 * (x.A * _root_st(x.s, x.t) + x.B), geometric(x.A, x.B))))
+
+check_diaz_metcalf = _api(_row(
+    "diaz-metcalf", "Diaz-Metcalf type bound: "
+    "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
+    cell="sandwich", bounds=_ST, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
+    vets=(_sandwich, _means, _F_MONOTONE),
+    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
+                                 x.phi.apply(_fn_of(x.B, x.f))),
+                     x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+
+check_klamkin_mclenaghan = _api(_row(
+    "klamkin-mclenaghan", "Klamkin-McLenaghan type bound, with P = phi(f(A sigma B)), "
+    "F = phi(f(sqrt(st) A)), G = phi(f(B)) and T = P^(-1/2) F P^(-1/2): "
+    "P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2) "
+    "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
+    cell="sandwich", bounds=_ST, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
+    pool="maps", picks=(("sigma", "kernels", 0), ("f", "f_monotone", 0)),
+    vets=(_sandwich, _means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
+
+check_specht_bound = _api(_row(
+    "specht-bound", "Arithmetic-geometric comparison via Specht's ratio: "
+    "(M+m)/2 <= S(M/m) sqrt(Mm).",
+    cell="scalar", bounds=_MM, constant=lambda m, M: specht_ratio(M / m), sampler="specht",
+    vets=(_closed_mM,), form=_against_rhs,
+    sides=lambda x: (np.array([0.5 * (M + m) for m, M in zip(x.m, x.M)]),
+                     np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)]))))
+
+# sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
+check_strengthened_remark = _api(_row(
+    "strengthened-remark", "Two-link strengthening, valid when sqrt(st) >= 1: "
+    "phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B)) "
+    "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
+    cell="sandwich", bounds=_ST, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
+    sampler="sandwich_st_ge_1", pool="maps", picks=_REVERSAL,
+    vets=(_st_at_least_one, _sandwich, _means, _F_MONOTONE), form=_links, sides=_link_sides))
+
+# AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
+# negative, and are recorded, never asserted.
+_NORM_PICKS = (("g", "g_convex", 0), ("norm", "norms", 0))
+
+_row("norm-ratio-tau", "||g(A) tau g(B)||/||A tau B|| <= C(s,t) ||g(Y)/Y||, Y = A # B, "
+     "tau >= #.",
+     cell="sandwich", bounds=_ST, constant=sandwich_constant, audit=True,
+     picks=(("kernel", "tau_ge_sharp", 0),) + _NORM_PICKS,
+     vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
+         kernel_dominance(GEOMETRIC, k).holds,
+         f"tau_side needs a kernel dominating the geometric one, got {k.id!r}"))),
+     params={"mode": "tau_side"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
+_row("norm-ratio-sharp", "||g(A) # g(B)||/||A # B|| <= C(s,t) ||g(Y)/Y||, Y = A sigma B, "
+     "sigma <= #.",
+     cell="sandwich", bounds=_ST, constant=sandwich_constant, audit=True,
+     picks=(("kernel", "sigma_le_sharp", 0),) + _NORM_PICKS,
+     vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
+         kernel_dominance(k, GEOMETRIC).holds,
+         f"sharp_side needs a kernel dominated by the geometric one, got {k.id!r}"))),
+     params={"mode": "sharp_side"}, sides=lambda x: _norm_sides(x, GEOMETRIC, x.kernel))
+_row("norm-ratio-power4", "||g(A) tau g(B)||/||A tau B|| <= C(s,t)^2 ||g(Y)/Y||, Y = A # B.",
+     cell="sandwich", bounds=_ST, constant=lambda s, t: sandwich_constant(s, t) ** 2, audit=True,
+     picks=(("kernel", "kernels", 0),) + _NORM_PICKS,
+     vets=(_G_CONVEX, _sandwich, _each("kernel", _vet_mean_kernel)),
+     params={"mode": "power4"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
+_row("norm-ratio-eq15", "||g(A) # g(B)||/||A # B|| <= 2 K^2 ||g(Y)/Y||, Y = A # B, "
+     "K = (M+m)/(2 sqrt(Mm)).",
+     cell="bounded", bounds=_MM, constant=lambda m, M: 2.0 * polya_szego_constant(m, M) ** 2,
+     audit=True, picks=_NORM_PICKS, vets=(_G_CONVEX, _bounded),
+     params={"mode": "eq15", "kernel": GEOMETRIC.id,
+             "s": lambda x: [m / M for m, M in zip(x.m, x.M)],
+             "t": lambda x: [M / m for m, M in zip(x.m, x.M)]},
+     sides=lambda x: _norm_sides(x, GEOMETRIC, GEOMETRIC))
+
+ALL_INEQUALITIES = tuple(ROWS)
+NON_AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if not row.audit)
+AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
+
+
+# The one-instance checks of the rows that share a signature.
+
+_SANDWICH_MODES = {"matrix": _SANDWICH_LEMMA, "scalar": replace(
+    _SANDWICH_LEMMA, vets=(lambda x: _vet_st(x.s, x.t),), form=_scalar_sandwich,
+    params={"mode": "scalar"})}
+_GRUSS = {row.params["family"]: _api(row) for row in (_GRUSS_F, _GRUSS_G)}
+_NORM_RATIO = {row.params["mode"]: row for row in ROWS.values() if row.audit}
+
+
+def check_sandwich_lemma(A, B, s, t, mode: str = "matrix", grid_points: int = 200, *,
+                         constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+    """Matrix mode returns the certificate pair (lower, upper) of
+    c1 (A nabla B) <= A # B <= c2 (A ! B); scalar mode checks the underlying
+    scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t] and ignores
+    A and B."""
+    if mode not in _SANDWICH_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _one(_SANDWICH_MODES[mode], {"grid_points": grid_points}, A, B, (s, t),
+                constant_multiplier, tol_rel)
+
+
+def check_alpha_scaling(fn: MonotoneFunction, alpha: float, grid=None, *,
+                        constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+    """The alpha-scaling bound of ``fn`` on ``grid`` (default_grid() if None)."""
+    return _one(_ALPHA_SCALING, {"f": fn, "grid": grid}, None, None, (alpha,),
+                constant_multiplier, tol_rel)
+
+
+def check_gruss(phi, tau, sigma, fn, A, B, m, M, family: str, **kw):
+    """The Grüss bound of ``family``, "monotone" (gruss-f) or "decreasing" (gruss-g);
+    a non-unital map is refused with an explanatory error."""
+    if family not in _GRUSS:
+        raise ValueError(f"unknown family {family!r}")
+    return _GRUSS[family](phi, tau, sigma, fn, A, B, m, M, **kw)
+
+
+def check_squared_consequences(fn, A, B, m, M, **kw):
+    """The squared reversal of ``fn``'s class: squared-consequence-f for a
+    monotone function, squared-consequence-g for a decreasing one."""
+    first = fn[0] if isinstance(A, SymStack) else fn
+    _vet_class(first, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
+    row = _SQUARED_F if first.klass == OPERATOR_MONOTONE else _SQUARED_G
+    return _one(row, {row.picks[0][0]: fn}, A, B, (m, M), **kw)
+
+
+def check_norm_ratio(mode: str, kernel, g, A, B, s=None, t=None, m=None, M=None, norm=OPERATOR,
+                     **kw):
+    """AUDIT: the norm-ratio bound of ``mode`` (tau_side, sharp_side, power4
+    or eq15; eq15 takes m and M and the geometric kernel, the others s and t)."""
+    row = _NORM_RATIO.get(mode)
+    _hyp(row is not None, f"unknown norm-ratio mode {mode!r}")
+    bounds = (m, M) if row.bounds == _MM else (s, t)
+    _hyp(all(b is not None for b in bounds),
+         f"{mode} mode needs {row.bounds[0]} and {row.bounds[1]}")
+    return _one(row, {"kernel": kernel, "g": g, "norm": norm}, A, B, bounds, **kw)

@@ -13,18 +13,13 @@ import dataclasses
 import json
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import certificates as certs
-from .certificates import (
-    ALL_INEQUALITIES,
-    AUDIT_INEQUALITIES,
-    NON_AUDIT_INEQUALITIES,
-    Certificate,
-)
+from .certificates import ALL_INEQUALITIES, NON_AUDIT_INEQUALITIES, ROWS, _cols, _st_ge_1
 from .errors import LoewnerLabError
 from .generate import (
     SplitMix64,
@@ -39,9 +34,7 @@ from .generate import (
     _sandwiched,
     _spd,
 )
-from .kernels import (
-    GEOMETRIC, kernel_dominance, parse_function, parse_kernel, sandwich_constant, specht_ratio,
-)
+from .kernels import GEOMETRIC, kernel_dominance, parse_function, parse_kernel
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
 from .spectral import SymMatrix, SymStack, parse_norm
 
@@ -106,15 +99,16 @@ class SuiteConfig:
             raise ValueError("provide both s and t, or neither")
         if (self.m is None) != (self.M is None):
             raise ValueError("provide both m and M, or neither")
-        cells = {INEQUALITIES[ineq].cell for ineq in self.inequalities}
-        if "sandwich" in cells and self.s is not None and not 0 < self.s <= self.t:
-            raise ValueError(f"fields s, t need 0 < s <= t, got s={self.s!r}, t={self.t!r}")
-        if "bounded" in cells and self.m is not None and not 0 < self.m < self.M:
-            raise ValueError(f"fields m, M need 0 < m < M, got m={self.m!r}, M={self.M!r}")
-        # squared's order cell and specht-bound's scalar cell allow m == M.
-        if ("order" in cells or "specht-bound" in self.inequalities) and self.m is not None \
-                and not 0 < self.m <= self.M:
-            raise ValueError(f"fields m, M need 0 < m <= M, got m={self.m!r}, M={self.M!r}")
+        # Fixed bounds of the requested cells: (s, t) first, then the bounded
+        # cells' 0 < m < M, then the 0 < m <= M of the other rows taking (m, M).
+        rules = {(ROWS[ineq].bounds, ROWS[ineq].cell == "bounded") for ineq in self.inequalities
+                 if ROWS[ineq].bounds in (("s", "t"), ("m", "M"))}
+        for (lo_name, hi_name), strict in sorted(rules, key=lambda r: (r[0][0] != "s", not r[1])):
+            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
+            if lo is not None and not (0 < lo < hi if strict else 0 < lo <= hi):
+                raise ValueError(f"fields {lo_name}, {hi_name} need 0 < {lo_name} "
+                                 f"{'<' if strict else '<='} {hi_name}, got {lo_name}={lo!r}, "
+                                 f"{hi_name}={hi!r}")
         for ineq in self.inequalities:
             _vet_constant(ineq, self)
 
@@ -123,19 +117,19 @@ class SuiteConfig:
 
 
 def _vet_constant(ineq: str, config: SuiteConfig) -> None:
-    """Refuse fixed cell bounds at which ``ineq``'s constant is not a finite number."""
-    entry = INEQUALITIES[ineq]
-    names = ("s", "t") if entry.cell == "sandwich" else ("m", "M")
-    lo, hi = (getattr(config, name) for name in names)
-    if entry.constant is None or lo is None:
+    """Refuse fixed cell bounds at which ``ineq``'s constant is not a finite
+    number: the row's constant, which its certificates multiply."""
+    row = ROWS[ineq]
+    values = [getattr(config, name, None) for name in row.bounds]
+    if row.constant is None or None in values:
         return
     try:
-        ok = all(map(math.isfinite, np.atleast_1d(entry.constant(lo, hi))))
+        ok = all(map(math.isfinite, np.atleast_1d(row.constant(*values))))
     except ArithmeticError:  # a Python float overflow or a division by zero
         ok = False
     if not ok:
-        raise ValueError(f"fields {names[0]}, {names[1]}: the constant of {ineq} is not a finite "
-                         f"number at {names[0]}={lo!r}, {names[1]}={hi!r}")
+        raise ValueError(f"fields {', '.join(row.bounds)}: the constant of {ineq} is not a finite "
+                         f"number at " + ", ".join(f"{n}={v!r}" for n, v in zip(row.bounds, values)))
 
 
 def _resolve_inequalities(spec) -> tuple:
@@ -185,6 +179,11 @@ class _DimPools:
     g_convex: list
     norms: list
 
+    @property
+    def scaling_fns(self) -> list:
+        """alpha-scaling's pool: the monotone functions, then the decreasing ones."""
+        return self.f_monotone + self.g_decreasing
+
 
 def _build_pools(config: SuiteConfig, dim: int) -> _DimPools:
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
@@ -228,11 +227,6 @@ def _sample_st(rngs: list, config: SuiteConfig, force_st_ge_1: bool = False) -> 
     return [_st_ge_1(s, t) for s, t in cells] if force_st_ge_1 else cells
 
 
-def _st_ge_1(s: float, t: float) -> tuple:
-    """The cell (s, t), reflected into s*t >= 1 when below it."""
-    return (s, t) if s * t >= 1.0 else (1.0 / t, 1.0 / s)
-
-
 def _sample_mM(rngs: list, config: SuiteConfig) -> list:
     """Each stream's cell (m, M): the config's when it fixes them, else m
     log-uniform in [0.5, 2] and M = m times a log-uniform draw in [1.5, 8]."""
@@ -241,21 +235,16 @@ def _sample_mM(rngs: list, config: SuiteConfig) -> list:
     return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
 
 
-def _instance_blob(**entries) -> dict:
-    """Each named matrix's (n, n) entries, in the report's form."""
-    return {name: {"dim": a.shape[-1], "data": a.ravel().tolist()}
-            for name, a in entries.items() if a is not None}
+def _instance_blob(k: int, **stacks) -> dict:
+    """Slice k of each named stack, in the report's form; None names no matrix."""
+    return {name: {"dim": X.dim, "data": X.data[k].ravel().tolist()}
+            for name, X in stacks.items() if X is not None}
 
 
 def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
                    force_st_ge_1: bool = False):
     cells = _sample_st(rngs, config, force_st_ge_1)
     return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
-
-
-def _draw_sandwich_st_ge_1(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    """Sandwich draw reflected into s*t >= 1, the strengthened remark's hypothesis."""
-    return _draw_sandwich(rngs, dim, config, corner, force_st_ge_1=True)
 
 
 def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
@@ -284,154 +273,40 @@ def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
     return None, None, [(1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()]
 
 
-def _picks(pool, picks: list) -> list:
-    return [_pick(pool, i) for i in picks]
-
-
-def _cols(cells: list) -> list:
-    """The trials' cell tuples as one list per cell field."""
-    return [list(col) for col in zip(*cells)]
-
-
-def _each(certificates: list) -> list:
-    """One certificate per trial, as each trial's list of certificates."""
-    return [[c] for c in certificates]
-
-
-def _reversal(maps, pools: _DimPools, picks: list, fns):
-    """The shared map and the per-trial kernels and function of a mean-reversal check."""
-    return (_pick(maps, picks[0]), _picks(pools.kernels, picks),
-            _picks(pools.kernels, [i + 1 for i in picks]), _picks(fns, picks))
-
-
-def _gruss(family: str, fns: str):
-    def check(A, B, cells, picks, pools, **kw):
-        reversal = _reversal(pools.unital_maps, pools, picks, getattr(pools, fns))
-        return _each(certs.check_gruss(*reversal, A, B, *_cols(cells), family, **kw))
-    return check
-
-
-def _squared_consequence(fns: str):
-    return lambda A, B, c, i, p, **kw: _each(
-        certs.check_squared_consequences(_picks(getattr(p, fns), i), A, B, *_cols(c), **kw))
-
-
-def _squared_kantorovich(m: float, M: float) -> float:
-    return certs.kantorovich_constant(m, M) ** 2
-
-
-def _norm_ratio(mode: str, kernels: str | None):
-    """Audit norm-ratio adapter; ``kernels`` names the kernel pool (None: geometric)."""
-    bounds = ("m", "M") if mode == "eq15" else ("s", "t")
-
-    def check(A, B, cells, picks, pools, **kw):
-        kernel = [GEOMETRIC] * len(picks) if kernels is None else _picks(
-            getattr(pools, kernels), picks)
-        return _each(certs.check_norm_ratio(
-            mode, kernel, _picks(pools.g_convex, picks), A, B,
-            **dict(zip(bounds, _cols(cells))), norm=_picks(pools.norms, picks), **kw,
-        ))
-    return check
-
-
-@dataclass(frozen=True)
-class _Inequality:
-    """How verify, hunt, probe and recheck instantiate one inequality id.
-
-    ``cell`` is the kind of hypothesis cell: "sandwich" (s, t), "bounded"
-    (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
-    "free".  ``draw(rngs, dim, config, corner)`` returns ``(A, B, cells)``
-    for the trial streams: A and B are SymStacks with one slice per stream
-    (None when there are no matrices) and ``cells`` holds each trial's cell;
-    each trial's scalar draws come first, then the matrices of all trials
-    are drawn as one stack.  ``corner`` makes the first trial the commuting
-    boundary instance.  ``check(A, B, cells, picks, pools, **kw)`` evaluates
-    the same stacks, with ``picks`` each trial's pick index, and returns
-    each trial's certificates; ``kw`` holds constant_multiplier and
-    tol_rel.  ``maps`` names the pool the check's map comes from: trials
-    that pick the same map form one stack, since a map fixes the output
-    dimension.  Adapters look up ``certs.check_*`` when called, never at
-    import.  ``constant(lo, hi)`` is the id's constant (or constants) at
-    multiplier 1 on the cell's bounds, or None when it takes none; fixed
-    bounds at which it is not a finite number are refused.
-    """
-
-    cell: str
-    draw: Callable
-    check: Callable
-    maps: str | None = None  # "maps", or "unital_maps" when the check needs a unital map
-    constant: Callable | None = None
-
-
-# The one inequality table, in ALL_INEQUALITIES order; certificates.py keeps
-# the id order and the audit class.
-INEQUALITIES = {
-    "ando": _Inequality("free", _draw_free, lambda A, B, c, i, p, **kw: _each(
-        certs.ando_check(_pick(p.maps, i[0]), _picks(p.kernels, i), A, B, **kw)), "maps"),
-    "polya-szego": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
-        certs.check_polya_szego(_pick(p.maps, i[0]), A, B, *_cols(c), **kw)), "maps",
-        certs.polya_szego_constant),
-    "kantorovich-f": _Inequality("bounded", _draw_bounded, lambda A, B, c, i, p, **kw: _each(
-        certs.check_kantorovich_f(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                  **kw)), "maps", certs.kantorovich_constant),
-    "sandwich-lemma": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: [
-        list(pair) for pair in certs.check_sandwich_lemma(A, B, *_cols(c), **kw)],
-        constant=certs.sandwich_lemma_constants),
-    "alpha-scaling": _Inequality("scalar", _draw_alpha, lambda A, B, c, i, p, **kw: [
-        [certs.check_alpha_scaling(_pick(p.f_monotone + p.g_decreasing, j), *cell, **kw)]
-        for j, cell in zip(i, c)]),
-    "main-monotone": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_main_monotone(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                  **kw)), "maps", sandwich_constant),
-    "main-decreasing": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_main_decreasing(*_reversal(p.maps, p, i, p.g_decreasing), A, B, *_cols(c),
-                                    **kw)), "maps", sandwich_constant),
-    "gruss-f": _Inequality("bounded", _draw_bounded, _gruss("monotone", "f_monotone"),
-                           "unital_maps", certs.gruss_constant),
-    "gruss-g": _Inequality("bounded", _draw_bounded, _gruss("decreasing", "g_decreasing"),
-                           "unital_maps", certs.gruss_constant),
-    "squared": _Inequality("order", _draw_order, lambda A, B, c, i, p, **kw: _each(
-        certs.check_squared(A, B, *_cols(c), **kw)), constant=certs.kantorovich_constant),
-    "squared-consequence-f": _Inequality("bounded", _draw_bounded,
-                                         _squared_consequence("f_monotone"),
-                                         constant=_squared_kantorovich),
-    "squared-consequence-g": _Inequality("bounded", _draw_bounded,
-                                         _squared_consequence("g_decreasing"),
-                                         constant=_squared_kantorovich),
-    "midpoint": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_midpoint(A, B, *_cols(c), **kw)), constant=certs.midpoint_constant),
-    "diaz-metcalf": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_diaz_metcalf(*_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c),
-                                 **kw)), "maps", certs.diaz_metcalf_constant),
-    "klamkin-mclenaghan": _Inequality("sandwich", _draw_sandwich, lambda A, B, c, i, p, **kw: _each(
-        certs.check_klamkin_mclenaghan(_pick(p.maps, i[0]), _picks(p.kernels, i),
-                                       _picks(p.f_monotone, i), A, B, *_cols(c), **kw)), "maps",
-        lambda s, t: 2.0 * certs.diaz_metcalf_constant(s, t)),
-    "specht-bound": _Inequality("scalar", _draw_specht, lambda A, B, c, i, p, **kw: [
-        [certs.check_specht_bound(*cell, **kw)] for cell in c],
-        constant=lambda m, M: specht_ratio(M / m)),
-    "strengthened-remark": _Inequality(
-        "sandwich", _draw_sandwich_st_ge_1, lambda A, B, c, i, p, **kw: _each(
-            certs.check_strengthened_remark(
-                *_reversal(p.maps, p, i, p.f_monotone), A, B, *_cols(c), **kw)), "maps",
-        lambda s, t: sandwich_constant(*_st_ge_1(s, t))),
-    "norm-ratio-tau": _Inequality("sandwich", _draw_sandwich,
-                                  _norm_ratio("tau_side", "tau_ge_sharp"),
-                                  constant=sandwich_constant),
-    "norm-ratio-sharp": _Inequality("sandwich", _draw_sandwich,
-                                    _norm_ratio("sharp_side", "sigma_le_sharp"),
-                                    constant=sandwich_constant),
-    "norm-ratio-power4": _Inequality("sandwich", _draw_sandwich, _norm_ratio("power4", "kernels"),
-                                     constant=lambda s, t: sandwich_constant(s, t) ** 2),
-    "norm-ratio-eq15": _Inequality("bounded", _draw_bounded, _norm_ratio("eq15", None),
-                                   constant=certs.eq15_constant),
+# The samplers the rows name: each returns the stacks ``(A, B, cells)`` of the
+# trial streams ``rngs`` (A and B None without matrices), drawing every
+# trial's cell first, then all trials' matrices as one stack; ``corner``
+# makes the first trial the commuting boundary instance.
+_SAMPLERS = {
+    "sandwich": _draw_sandwich,
+    "sandwich_st_ge_1": partial(_draw_sandwich, force_st_ge_1=True),  # s*t >= 1 by reflection
+    "bounded": _draw_bounded,
+    "order": _draw_order,
+    "free": _draw_free,
+    "alpha": _draw_alpha,
+    "specht": _draw_specht,
 }
 
 
-def _inequality(ineq: str) -> _Inequality:
-    if ineq not in INEQUALITIES:
+def _inequality(ineq: str) -> certs.Row:
+    if ineq not in ROWS:
         raise ValueError(f"unknown inequality id {ineq!r}")
-    return INEQUALITIES[ineq]
+    return ROWS[ineq]
+
+
+def _sampler(ineq: str):
+    row = _inequality(ineq)
+    return _SAMPLERS[row.sampler or row.cell]
+
+
+def _picked(row: certs.Row, trials: list, pools: _DimPools) -> dict:
+    """The row's map for a stack of ``trials`` (they pick the same one) and
+    each of its picks, one per trial."""
+    out = {} if row.pool is None else {"phi": _pick(getattr(pools, row.pool), trials[0])}
+    for name, pool, offset in row.picks:
+        items = getattr(pools, pool)
+        out[name] = [_pick(items, trial + offset) for trial in trials]
+    return out
 
 
 def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
@@ -439,7 +314,7 @@ def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
 
 
 def _vet_pools(ineq: str, pools: _DimPools) -> None:
-    if INEQUALITIES[ineq].maps == "unital_maps" and not pools.unital_maps:
+    if ROWS[ineq].pool == "unital_maps" and not pools.unital_maps:
         raise ValueError(f"{ineq} needs at least one unital map in the pool")
 
 
@@ -451,8 +326,8 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:
     that covers the matching cell.
     """
     rngs = [SplitMix64(x) for x in derive_seeds(config.seed, (fnv1a64(ineq), dim), trials)]
-    corner = trials[0] == 0 and ineq in AUDIT_INEQUALITIES
-    return _inequality(ineq).draw(rngs, dim, config, corner)
+    corner = trials[0] == 0 and ROWS[ineq].audit
+    return _sampler(ineq)(rngs, dim, config, corner)
 
 
 # Trials per stack at most: larger stacks run little faster per trial and hold more memory.
@@ -471,34 +346,55 @@ def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
     Grouping by map alone keeps stacks large: the map fixes the output
     dimension, while kernels, functions and cells may vary by slice.
     """
-    pool = INEQUALITIES[ineq].maps
+    pool = ROWS[ineq].pool
     groups: dict = {}
     for trial in trials:
         groups.setdefault(trial % len(getattr(pools, pool)) if pool else 0, []).append(trial)
     return [stack for group in groups.values() for stack in _chunks(group)]
 
 
-def _evaluate_trial(
-    ineq: str, dim: int, trials: list, config: SuiteConfig, pools: _DimPools
-) -> list[tuple[list[Certificate], np.ndarray | None, np.ndarray | None]]:
+class _Stack:
+    """One evaluated stack of trials, as columns.
+
+    ``sides`` holds one ``certs.Sides`` per certificate of a trial.
+    ``slack``, ``holds`` and ``ratio`` are their per-trial minimum, conjunction
+    and maximum as lists, taken as Python's min, all and max take a trial's
+    certificates: a later value replaces an earlier one only when it is
+    smaller (larger), so a nan is kept only where it comes first.
+    """
+
+    def __init__(self, sides: list, A: SymStack | None, B: SymStack | None):
+        self.sides, self.A, self.B = sides, A, B
+        slack, holds, ratio = sides[0].slack, sides[0].holds, sides[0].ratio
+        for more in sides[1:]:
+            slack = np.where(more.slack < slack, more.slack, slack)
+            holds = holds & more.holds
+            ratio = np.where(more.ratio > ratio, more.ratio, ratio)
+        self.slack, self.holds, self.ratio = slack.tolist(), holds.tolist(), ratio.tolist()
+
+    def certificates(self, k: int) -> list:
+        """Trial k's certificates, with their sides."""
+        return [side.certificate(k) for side in self.sides]
+
+
+def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
+                    pools: _DimPools) -> _Stack:
     """Draw the given trials of one cell, which pick the same map, as one
-    stack and evaluate them on it; returns (certificates, entries of A,
-    entries of B) per trial.
+    stack and evaluate them on it.
 
     Catalog entries rotate with the trial index so that ``trials`` at least
     as large as the pool sizes guarantees full coverage.
     """
     A, B, cells = _draw(ineq, dim, trials, config)
-    results = INEQUALITIES[ineq].check(A, B, cells, trials, pools,
-                                       constant_multiplier=config.constant_multiplier,
-                                       tol_rel=config.tol_rel)
-    entries = [(None, None)] * len(results) if A is None else zip(A.data, B.data)
-    return [(certificates, a, b) for certificates, (a, b) in zip(results, entries)]
+    row = ROWS[ineq]
+    return _Stack(certs.check_stack(row, A, B, cells, _picked(row, trials, pools),
+                                    constant_multiplier=config.constant_multiplier,
+                                    tol_rel=config.tol_rel), A, B)
 
 
 def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
-    """(certificates, A, B) of every trial of a cell, drawn and evaluated one
-    stack of trials that pick the same map at a time.
+    """Every trial's ``(stack, slice)``, in trial order: the cell is drawn and
+    evaluated one stack of trials that pick the same map at a time.
 
     If a stack raises, the cell is evaluated again trial by trial, so that
     whatever failed is raised at its own trial, after the trials before it,
@@ -506,16 +402,17 @@ def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -
     """
     out = [None] * config.trials
     try:
-        for stack in _stacks(ineq, range(config.trials), pools):
-            for trial, row in zip(stack, _evaluate_trial(ineq, dim, stack, config, pools)):
-                out[trial] = row
+        for trials in _stacks(ineq, range(config.trials), pools):
+            stack = _evaluate_trial(ineq, dim, trials, config, pools)
+            for k, trial in enumerate(trials):
+                out[trial] = (stack, k)
         return out
     except Exception:  # re-raised below by the failing trial
         pass
     out = []
     for trial in range(config.trials):
         try:
-            out += _evaluate_trial(ineq, dim, [trial], config, pools)
+            out.append((_evaluate_trial(ineq, dim, [trial], config, pools), 0))
         except (LoewnerLabError, ValueError, ArithmeticError) as exc:  # each takes one message
             raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
                             f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
@@ -532,14 +429,7 @@ class InequalityStats:
     violating_instances: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "holds_count": self.holds_count,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "max_ratio": self.max_ratio,
-            "violating_instances": self.violating_instances,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -578,7 +468,7 @@ class Report:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
 
 
-def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
+def run_suite(config: SuiteConfig) -> Report:
     """Evaluate every requested certificate on seeded generated instances."""
     start = time.perf_counter()
     results: dict = {}
@@ -591,20 +481,16 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
         stats = InequalityStats()
         for dim in config.dims:
             cell = _evaluate_cell(ineq, dim, config, pools_by_dim[dim])
-            for trial, (certificates, A, B) in enumerate(cell):
-                if _trace is not None:
-                    _trace.append((ineq, dim, trial, [c.params for c in certificates]))
+            for trial, (stack, k) in enumerate(cell):
                 stats.trials += 1
-                trial_holds = all(c.holds for c in certificates)
-                trial_slack = min(c.slack for c in certificates)
-                trial_ratio = max(c.ratio for c in certificates)
+                trial_slack, trial_ratio = stack.slack[k], stack.ratio[k]
                 if stats.min_slack is None or trial_slack < stats.min_slack:
                     stats.min_slack = trial_slack
                 if math.isfinite(trial_ratio) and (
                     stats.max_ratio is None or trial_ratio > stats.max_ratio
                 ):
                     stats.max_ratio = trial_ratio
-                if trial_holds:
+                if stack.holds[k]:
                     stats.holds_count += 1
                 else:
                     stats.violations += 1
@@ -617,13 +503,13 @@ def run_suite(config: SuiteConfig, _trace: list | None = None) -> Report:
                                 "trial_seed": _trial_seed(config, ineq, dim, trial),
                                 "slack": trial_slack,
                                 "ratio": trial_ratio if math.isfinite(trial_ratio) else None,
-                                "certificates": [c.to_json() for c in certificates],
-                                "instance": _instance_blob(A=A, B=B),
+                                "certificates": [c.to_json() for c in stack.certificates(k)],
+                                "instance": _instance_blob(k, A=stack.A, B=stack.B),
                             }
                         )
-        bucket = audit_results if ineq in AUDIT_INEQUALITIES else results
+        bucket = audit_results if ROWS[ineq].audit else results
         entry = stats.to_dict()
-        if ineq in AUDIT_INEQUALITIES:
+        if ROWS[ineq].audit:
             entry["violation_rate"] = stats.violations / stats.trials
         bucket[ineq] = entry
     report = Report(
@@ -718,12 +604,15 @@ def _probe_stacks(family: str, insts: list, bounds: tuple) -> tuple:
 
 
 def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: _DimPools, tol_rel: float):
+    """The largest finite ratio of each instance's certificates, or None."""
     A, B, cells = stacks
+    row = ROWS[ineq]
+    sides = certs.check_stack(row, A, B, cells, _picked(row, [pick] * len(cells), pools),
+                              tol_rel=tol_rel)
     out = []
-    for certificates in INEQUALITIES[ineq].check(A, B, cells, [pick] * len(cells), pools,
-                                                 tol_rel=tol_rel):
-        ratios = [c.ratio for c in certificates if math.isfinite(c.ratio)]
-        out.append(max(ratios) if ratios else None)
+    for ratios in zip(*(side.ratio.tolist() for side in sides)):
+        finite = [r for r in ratios if math.isfinite(r)]
+        out.append(max(finite) if finite else None)
     return out
 
 
@@ -775,7 +664,7 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     a time.
     """
     moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
-    family = INEQUALITIES[ineq].cell
+    family = ROWS[ineq].cell
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
         cands = [_moved(best, move, *bounds) for move in moves[step:step + window]]
@@ -842,7 +731,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         "max_ratio": best_ratio,
         "refine_steps": config.probe_refine_steps,
         "accepted_steps": accepted,
-        "best_instance": _instance_blob(A=A.data[0], B=B.data[0]),
+        "best_instance": _instance_blob(0, A=A, B=B),
         "pick_index": best_pick,
     }
     report = Report(config=config.to_dict(), results={}, audit_results={}, probe=probe_payload)
@@ -928,6 +817,8 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     """
     body = load_report(report_path)
     violations = collect_violations(body)
+    if not violations:
+        raise IndexError(f"violation index {index}: the report records no violations")
     if not 0 <= index < len(violations):
         raise IndexError(f"violation index {index} out of range 0..{len(violations) - 1}")
     record = _object(violations[index], f"violation {index}")
@@ -945,11 +836,8 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
                              f"ran: {record[name]!r}")
     pools = _build_pools(config, record["dim"])
     _vet_pools(record["inequality"], pools)
-    [(certificates, _, _)] = _evaluate_trial(
-        record["inequality"], record["dim"], [record["trial"]], config, pools
-    )
-    slack = min(c.slack for c in certificates)
-    holds = all(c.holds for c in certificates)
+    stack = _evaluate_trial(record["inequality"], record["dim"], [record["trial"]], config, pools)
+    slack, holds = stack.slack[0], stack.holds[0]
     reproduced = (not holds) and abs(slack - record["slack"]) <= 1e-12 * max(1.0, abs(slack))
     return reproduced, {
         "inequality": record["inequality"],

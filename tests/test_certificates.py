@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ from loewner_lab import (
     random_spd,
     specht_ratio,
 )
+from loewner_lab.suite import SuiteConfig
+from loewner_lab import suite
+from loewner_lab.certificates import ALL_INEQUALITIES, ROWS
 from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed, quadratic_form_slack
 from loewner_lab.kernels import ARITHMETIC, HARMONIC
 from loewner_lab.spectral import OPERATOR, loewner_slack
@@ -591,3 +596,28 @@ class TestCertificateInvariants:
         blob = mat_cert.to_json()
         assert blob["lhs"]["dim"] == 2
         assert len(blob["lhs"]["data"]) == 4
+
+
+@pytest.mark.parametrize("ineq", [i for i in ALL_INEQUALITIES if ROWS[i].constant is not None])
+@pytest.mark.parametrize("multiplier", [1.0, 0.9])
+def test_each_constant_is_declared_once(ineq, multiplier, monkeypatch):
+    # every certificate's constant is its row's constant(lo, hi) on the slice's
+    # cell times the multiplier (Grüss's carries f(M) or g(m)), and SuiteConfig
+    # vets fixed bounds with that same function
+    row = ROWS[ineq]
+    config = SuiteConfig(inequalities=(ineq,), dims=(2,), trials=6, seed=7,
+                         constant_multiplier=multiplier)
+    pools = suite._build_pools(config, 2)
+    trials = suite._stacks(ineq, range(6), pools)[0]
+    stack = suite._evaluate_trial(ineq, 2, trials, config, pools)
+    cells = list(zip(*(stack.sides[0].params[name] for name in row.bounds)))
+    factors = [1.0] * len(cells) if row.carry is None else row.carry(SimpleNamespace(
+        **suite._picked(row, trials, pools), **dict(zip(row.bounds, map(list, zip(*cells))))))
+    for k, (cell, factor) in enumerate(zip(cells, factors)):
+        constant = row.constant(*cell)
+        constants = constant if isinstance(constant, tuple) else (constant * factor,)
+        assert [side.constant[k] for side in stack.sides] == [c * multiplier for c in constants]
+    if set(row.bounds) <= {"s", "t", "m", "M"}:
+        monkeypatch.setitem(ROWS, ineq, dataclasses.replace(row, constant=lambda *b: math.inf))
+        with pytest.raises(ValueError, match=f"the constant of {ineq} is not a finite number"):
+            SuiteConfig(inequalities=(ineq,), **dict(zip(row.bounds, cells[0])))

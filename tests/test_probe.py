@@ -16,7 +16,7 @@ from loewner_lab.errors import LoewnerLabError
 from loewner_lab.spectral import SymStack, decompose
 from loewner_lab.suite import SuiteConfig
 
-PROBED_IDS = [i for i, entry in suite.INEQUALITIES.items()
+PROBED_IDS = [i for i, entry in suite.ROWS.items()
               if entry.cell in ("bounded", "sandwich")]
 
 
@@ -73,7 +73,7 @@ def _reference_stacks(family, insts, bounds):
 
 def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds):
     """The hill climb one candidate at a time: the reference for ``suite._refine``."""
-    family = suite.INEQUALITIES[ineq].cell
+    family = suite.ROWS[ineq].cell
     accepted = 0
     for _ in range(config.probe_refine_steps):
         cand = _perturb(best, rng, *bounds)
@@ -233,7 +233,7 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     # eigendecomposed again at a later pick.  The sandwich cell has s*t != 1:
     # at s*t = 1, diaz-metcalf, klamkin-mclenaghan and strengthened-remark
     # solve sqrt(st) A = 1.0 * A as a new matrix of A's entries at every pick.
-    family = suite.INEQUALITIES[ineq].cell
+    family = suite.ROWS[ineq].cell
     cell = {"s": 0.5, "t": 4.0} if family == "sandwich" else {}
     config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=4, seed=5, **cell)
     starts, solved = [], []

@@ -17,6 +17,7 @@ from loewner_lab.certificates import (
     check_alpha_scaling,
 )
 from loewner_lab.cli import main as cli_main
+from loewner_lab.suite import collect_violations, load_report
 from loewner_lab.errors import EigenSolverError, LoewnerLabError
 from loewner_lab.generate import derive_seed, fnv1a64, random_spd
 from loewner_lab.kernels import (
@@ -30,25 +31,28 @@ from loewner_lab.maps import map_catalog
 from loewner_lab.spectral import SymStack, decompose, loewner_slack, op_norm, spectrum
 from loewner_lab.suite import SuiteConfig
 
-MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell != "scalar"]
-PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell in ("bounded", "sandwich")]
+MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell != "scalar"]
+PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell in ("bounded", "sandwich")]
 
 
 def _outcome(evaluate) -> str:
-    """The certificates' JSON, or the error a library check raised."""
+    """Each trial's reduced columns and certificates' JSON, or the error a
+    library check raised; ``evaluate`` gives each trial's (stack, slice)."""
     try:
         rows = evaluate()
     except LoewnerLabError as exc:
         return f"error {type(exc).__name__}"
-    return json.dumps([[c.to_json() for c in certificates] for certificates, _, _ in rows])
+    return json.dumps([[stack.slack[k], stack.holds[k], stack.ratio[k],
+                        [c.to_json() for c in stack.certificates(k)]] for stack, k in rows])
 
 
 def _stacked_rows(ineq, dim, trials, config, pools):
-    """The cell's rows in trial order, one ``_evaluate_trial`` call per stack."""
+    """The cell's (stack, slice) pairs in trial order, one ``_evaluate_trial`` call per stack."""
     out = [None] * trials
     for stack in suite._stacks(ineq, range(trials), pools):
-        for trial, row in zip(stack, suite._evaluate_trial(ineq, dim, stack, config, pools)):
-            out[trial] = row
+        evaluated = suite._evaluate_trial(ineq, dim, stack, config, pools)
+        for k, trial in enumerate(stack):
+            out[trial] = (evaluated, k)
     return out
 
 
@@ -57,9 +61,8 @@ def _assert_stack_matches_trials(ineq, dim, trials, seed, multiplier=1.0):
                          constant_multiplier=multiplier)
     pools = suite._build_pools(config, dim)
     stacked = _outcome(lambda: _stacked_rows(ineq, dim, trials, config, pools))
-    one_by_one = _outcome(lambda: [row for trial in range(trials)
-                                   for row in suite._evaluate_trial(ineq, dim, [trial], config,
-                                                                    pools)])
+    one_by_one = _outcome(lambda: [(suite._evaluate_trial(ineq, dim, [trial], config, pools), 0)
+                                   for trial in range(trials)])
     if stacked.startswith("error"):  # the cell then falls back to one trial at a time
         assert one_by_one.startswith("error")
     else:
@@ -84,7 +87,7 @@ def test_every_id_stacked_equals_stacks_of_one(ineq, dim):
 def test_probe_starts_stacked_equal_one_by_one(ineq):
     config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=6, seed=5)
     pools = suite._build_pools(config, 3)
-    family = suite.INEQUALITIES[ineq].cell
+    family = suite.ROWS[ineq].cell
     bounds = (1.0, 4.0) if family == "bounded" else (0.25, 4.0)
     starts = suite._probe_starts(family, 3, SplitMix64(9), *bounds, 6)
     stacks = suite._probe_stacks(family, starts, bounds)  # read again at every pick
@@ -161,7 +164,7 @@ def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
         monkeypatch.setattr(certificates, name, tracked(getattr(certificates, name)))
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
-    ids = tuple(i for i in ALL_INEQUALITIES if suite.INEQUALITIES[i].cell in ("sandwich", "bounded"))
+    ids = tuple(i for i in ALL_INEQUALITIES if suite.ROWS[i].cell in ("sandwich", "bounded"))
     suite.run_suite(SuiteConfig(inequalities=ids, dims=(1, 2, 3), trials=30, seed=4))
     assert len(vets) >= 3 * len(ids) and solves
     assert not any(solves)
@@ -180,7 +183,7 @@ def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
     for corner in (False, True):
         calls.clear()
         rngs = [SplitMix64(derive_seed(5, k)) for k in range(6)]
-        suite.INEQUALITIES[ineq].draw(rngs, dim, config, corner)
+        suite._sampler(ineq)(rngs, dim, config, corner)
         counts.append(list(calls))
     assert counts[0] == counts[1] and counts[0]
 
@@ -229,7 +232,7 @@ def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):
             lhs, rhs = fn.fn(x) / alpha, constant_multiplier * fn.fn(alpha * x)
         if rhs - lhs < worst_slack:
             worst_slack, worst = rhs - lhs, (x, lhs, rhs)
-        worst_ratio = max(worst_ratio, _norm_ratio_diag(lhs, rhs))
+        worst_ratio = max(worst_ratio, float(_norm_ratio_diag(lhs, rhs)))
     x, lhs, rhs = worst
     slack, tol = rhs - lhs, 1e-9 * max(1.0, abs(lhs) + abs(rhs))
     return Certificate("alpha-scaling",
@@ -272,3 +275,27 @@ def test_overflowing_cell_exits_with_the_overflow(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "must be finite" in err and "overflow" in err
+
+
+def test_results_are_columnar(monkeypatch, tmp_path, capsys):
+    # a campaign keeps its results as columns per stack: a SymMatrix view of
+    # one slice is built only for the sides of a recorded violation
+    views = []
+    real = SymMatrix._fill
+
+    def fill(self, data):
+        if type(self) is SymMatrix and isinstance(data.base, np.ndarray) and data.base.ndim == 3:
+            views.append(data)
+        return real(self, data)
+
+    monkeypatch.setattr(SymMatrix, "_fill", fill)
+    assert cli_main(["verify", "--ineq", "all-non-audit", "--dims", "2,3", "--trials", "20",
+                     "--seed", "7"]) == 0
+    assert views == []
+    path = tmp_path / "hunt.json"
+    assert cli_main(["hunt", "--ineq", "polya-szego", "--m", "1", "--M", "4", "--dims", "2",
+                     "--trials", "50", "--override-constant", "0.8", "--seed", "7",
+                     "--report", str(path)]) == 1
+    recorded = collect_violations(load_report(str(path)))
+    assert len(recorded) == 10  # of more violations: the report keeps the first ten
+    assert len(views) == 2 * len(recorded)  # each one certificate with two matrix sides

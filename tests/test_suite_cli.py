@@ -13,12 +13,16 @@ from loewner_lab import (
     write_report,
 )
 from loewner_lab import certificates, suite
-from loewner_lab.certificates import ALL_INEQUALITIES
+from loewner_lab.certificates import (
+    ALL_INEQUALITIES,
+    AUDIT_INEQUALITIES,
+    NON_AUDIT_INEQUALITIES,
+    ROWS,
+)
 from loewner_lab.errors import ConditionCapError, EigenSolverError
 from loewner_lab.generate import derive_seed, fnv1a64, random_bounded_pair
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
-    INEQUALITIES,
     SuiteConfig,
     collect_violations,
     config_from_dict,
@@ -55,7 +59,10 @@ class TestSuiteConfig:
         assert again == cfg
 
     def test_table_declares_every_id_in_order(self):
-        assert tuple(INEQUALITIES) == ALL_INEQUALITIES
+        # the checked ids come first, then the audit family, each with a sampler
+        assert ALL_INEQUALITIES == NON_AUDIT_INEQUALITIES + AUDIT_INEQUALITIES == tuple(ROWS)
+        assert len(ALL_INEQUALITIES) == 21
+        assert all(callable(suite._sampler(ineq)) for ineq in ALL_INEQUALITIES)
 
     def test_degenerate_bounded_cell_fails_before_any_trial(self, monkeypatch, capsys):
         calls = []
@@ -78,6 +85,21 @@ class TestSuiteConfig:
         assert code == 2
         assert calls == []
         assert "fields m, M need 0 < m <= M, got m=2.0, M=1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ineq, flag, fn, classes", [
+        ("squared-consequence-f", "--f", "power:1", None),
+        ("squared-consequence-f", "--f", "inv_power:1", "('operator_monotone',)"),
+        ("squared-consequence-g", "--g", "power:0.5", "('operator_monotone_decreasing',)"),
+    ])
+    def test_squared_consequence_takes_only_its_own_class(self, ineq, flag, fn, classes,
+                                                           capsys):
+        # each row vets its function's class; a function of the other class is
+        # not evaluated as the other row's statement under this id
+        code = cli_main(["verify", "--ineq", ineq, flag, fn, "--dims", "2", "--trials", "2"])
+        assert code == (0 if classes is None else 2)
+        if classes is not None:
+            err = capsys.readouterr().err
+            assert f"function {fn!r} has class" in err and f"expected one of {classes}" in err
 
     def test_gruss_without_unital_map_fails_before_any_trial(self, monkeypatch, capsys):
         calls = []
@@ -193,7 +215,7 @@ class TestRunSuite:
         def capped(*args, **kwargs):
             raise ConditionCapError("condition number 1e9 exceeds cap")
 
-        monkeypatch.setattr(certificates, "check_polya_szego", capped)
+        monkeypatch.setattr(certificates, "check_stack", capped)
         config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=2, seed=5)
         with pytest.raises(ConditionCapError) as info:
             run_suite(config)
@@ -235,7 +257,8 @@ class TestRunSuite:
     def test_only_recorded_violations_are_serialized(self, monkeypatch):
         blobs = []
         real = suite._instance_blob
-        monkeypatch.setattr(suite, "_instance_blob", lambda **m: blobs.append(m) or real(**m))
+        monkeypatch.setattr(suite, "_instance_blob",
+                            lambda *k, **m: blobs.append(m) or real(*k, **m))
         config = SuiteConfig(inequalities=("polya-szego",), dims=(2,), trials=50, seed=7,
                              m=1.0, M=4.0, max_recorded_violations=2)
         report = hunt_counterexamples(config, 0.8)
@@ -265,13 +288,17 @@ class TestRunSuite:
         b = run_suite(small_config(seed=2)).to_json()
         assert a != b
 
-    def test_rotation_covers_catalogs(self):
-        trace = []
+    def test_rotation_covers_catalogs(self, monkeypatch):
+        stacks = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial",
+                            lambda *a: stacks.append(real(*a)) or stacks[-1])
         cfg = SuiteConfig(inequalities=("main-monotone",), dims=(2,), trials=12, seed=5)
-        run_suite(cfg, _trace=trace)
-        seen_maps = {params[0]["map"] for (_, _, _, params) in trace}
-        seen_taus = {params[0]["tau"] for (_, _, _, params) in trace}
-        seen_fs = {params[0]["f"] for (_, _, _, params) in trace}
+        run_suite(cfg)
+        params = [stack.sides[0].params for stack in stacks]
+        seen_maps = {value for p in params for value in p["map"]}
+        seen_taus = {value for p in params for value in p["tau"]}
+        seen_fs = {value for p in params for value in p["f"]}
         assert len(seen_maps) == len(cfg.maps)
         assert len(seen_taus) == len(cfg.kernels)
         assert len(seen_fs) == len(cfg.monotone_fns)
@@ -494,6 +521,16 @@ class TestRecheck:
         write_report(report, str(path))
         with pytest.raises(IndexError):
             recheck(str(path), 0)
+
+    def test_report_without_violations_says_so(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        cli_main(["verify", "--ineq", "norm-ratio-tau", "--dims", "2", "--trials", "20",
+                  "--seed", "7", "--report", str(path)])
+        assert collect_violations(load_report(str(path))) == []
+        capsys.readouterr()
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: violation index 0: the report records no violations\n")
 
 
 class TestCli:

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from loewner_lab import suite
+from loewner_lab import cli, suite  # noqa: F401  (the tracer wraps every package module)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,3 +55,21 @@ def test_every_probe_step_passes_through_a_step_function(monkeypatch):
     n_picks = max(len(pools.maps), len(pools.kernels), len(pools.f_monotone))
     assert calls.count(("_probe_evaluate", False)) >= n_picks  # the start scan
     assert calls.count(("_probe_evaluate", True)) >= 1  # the refine windows
+
+
+def test_check_span_fires_once_per_evaluated_stack(monkeypatch):
+    # the tracer times the certificates layer through its functions named
+    # check_* or ando_check, so the evaluator that a campaign calls once per
+    # stack must carry such a name
+    tracer = _load("spans").Tracer()
+    stacks = []
+    tracer.install()
+    try:
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: stacks.append(a) or real(*a))
+        suite.run_suite(suite.SuiteConfig(inequalities=("all",), dims=(2,), trials=3, seed=7))
+    finally:
+        tracer.uninstall()
+    names = tracer.arrays()[0]
+    assert "certificates.check" in tracer.names and stacks
+    assert (names == tracer.names.index("certificates.check")).sum() >= len(stacks)
