@@ -40,14 +40,16 @@ from .kernels import (
     sandwich_constant,
     specht_ratio,
 )
-from .maps import check_unital
+from .maps import apply_each, check_unital
 from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_inverse
 from .spectral import (
     OPERATOR,
     SymMatrix,
     SymStack,
+    _apply,
     _eye,
     _frozen,
+    by_distinct,
     loewner_slack,
     matrix_function,
     op_norm,
@@ -133,13 +135,13 @@ class Row:
     (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
     "free"; ``bounds`` names the cell's bounds as the trials' cells hold
     them.  ``sampler`` names the suite's draw of a stack of trials (by
-    default the cell's).  ``pool`` names the map pool, or None: the trials
-    of a stack share their map, since it fixes the output dimension.  Each
-    of ``picks`` is ``(name, pool, offset)``: trial i takes item
-    ``i + offset`` of the pool, cyclically.  ``vets`` check the hypotheses
-    on the stack in order.  ``sides(x)`` evaluates the sides on the stack
-    ``x`` (lhs and base, unless the form reads more) and ``form(row, x)``
-    turns them into Sides.  ``constant(*bounds)`` is the constant at
+    default the cell's).  ``pool`` names the map pool, or None: trial i
+    takes map i, and a stack's maps share their output dimension.  Each of
+    ``picks`` is ``(name, pool, offset)``: trial i takes item ``i + offset``
+    of the pool, cyclically.  ``vets`` check the hypotheses on the stack in
+    order.  ``sides(x)`` evaluates the sides on the stack ``x`` (lhs and
+    base, unless the form reads more) and ``form(row, x)`` turns them into
+    Sides.  ``constant(*bounds)`` is the constant at
     multiplier 1 on one cell, or None when the row takes none; ``carry``
     gives a factor per slice that the constant carries, and ``params``
     holds parameters shared by every slice, or computed from ``x``.
@@ -167,13 +169,16 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     """Evaluate ``row`` on a stack of trials.
 
     A and B hold one slice per trial (None for a scalar row), ``cells``
-    holds each trial's cell bounds, and ``picks`` the map ``phi`` (when the
-    row takes one) and each pick's values, one per trial.  Returns one Sides
-    per certificate of a trial.  A violated hypothesis raises.
+    holds each trial's cell bounds, and ``picks`` the maps ``phi`` (when the
+    row takes them) and each pick's values, one per trial; the sides read
+    ``x.phi(X)``, each slice of X under its own map.  Returns one Sides per
+    certificate of a trial.  A violated hypothesis raises.
     """
     x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
                            **dict(zip(row.bounds, _cols(cells))), **picks})
+    if x.phi is not None:
+        x.maps, x.phi = x.phi, partial(apply_each, x.phi)
     for vet in row.vets:
         vet(x)
     return (row.form or _plain)(row, x)
@@ -204,7 +209,7 @@ def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) 
         if scale is None:
             scale = op_norm(lhs) + op_norm(rhs)
     tol = x.tol_rel * np.fmax(1.0, scale)  # fmax reads a nan scale as 1.0, as max() does
-    cols = {} if x.phi is None else {"map": [x.phi.label] * x.n}
+    cols = {} if x.phi is None else {"map": [phi.label for phi in x.maps]}
     for name, *_ in row.picks:
         cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
     cols.update((name, getattr(x, name)) for name in row.bounds)
@@ -303,10 +308,12 @@ def _scaling(row: Row, x) -> list[Sides]:
     grid = getattr(x, "grid", None)
     points = tuple(grid) if grid is not None else default_grid()
     grid_array = _default_points() if grid is None else np.array(points, dtype=float)
+    # f(t), then f(alpha t), as one (trials, points) block each
+    f_t = ([_on_default_grid(fn) for fn in x.f] if grid is None
+           else _on_grid(x.f, np.broadcast_to(grid_array, (x.n, len(points)))))
+    f_alpha_t = _on_grid(x.f, np.array(x.alpha, dtype=float)[:, None] * grid_array)
     worst = []
-    for fn, alpha, c_k in zip(x.f, x.alpha, c):
-        at_t = _on_default_grid(fn) if grid is None else _mapped(fn, points)
-        at_alpha_t = _mapped(fn, (alpha * grid_array).tolist())
+    for fn, alpha, c_k, at_t, at_alpha_t in zip(x.f, x.alpha, c, f_t, f_alpha_t):
         if fn.klass == OPERATOR_MONOTONE:
             worst.append(_worst_on_grid(points, at_alpha_t, c_k * at_t))
         else:
@@ -361,6 +368,16 @@ def _on_default_grid(fn: MonotoneFunction) -> np.ndarray:
 def _mapped(fn: MonotoneFunction, points) -> np.ndarray:
     """fn(t) at each of ``points``, by one map of the scalar function."""
     return np.fromiter(map(fn.fn, points), float, len(points))
+
+
+def _on_grid(fns: list, t: np.ndarray) -> np.ndarray:
+    """fn(t) along each row of ``t`` for the row's function, by the twin/map
+    rule of ``matrix_function``; where a value is not finite, the rows are mapped
+    point by point, so a point where fn is undefined raises fn's own error."""
+    values = by_distinct([fn.fn for fn in fns], _apply, t)
+    if np.isfinite(values).all():
+        return values
+    return np.array([_mapped(fn, row) for fn, row in zip(fns, t.tolist())])
 
 
 # Hypotheses.  The per-slice checks raise HypothesisError themselves rather
@@ -444,13 +461,14 @@ def _st_at_least_one(x) -> None:
 
 
 def _unital(x) -> None:
-    """phi(I) = I: the scalar bound on the right of a Grüss bound presumes it."""
-    verdict = check_unital(x.phi)
-    if not verdict.is_unital:
-        raise NotUnitalError(
-            f"map {x.phi.label!r} is not unital (||phi(I) - I||_op = "
-            f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
-        )
+    """phi(I) = I for each map: the scalar bound on the right of a Grüss bound presumes it."""
+    for phi in {id(phi): phi for phi in x.maps}.values():
+        verdict = check_unital(phi)
+        if not verdict.is_unital:
+            raise NotUnitalError(
+                f"map {phi.label!r} is not unital (||phi(I) - I||_op = "
+                f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
+            )
 
 
 def _means(x) -> None:
@@ -546,9 +564,9 @@ def _klamkin_sides(x) -> tuple:
     """With P = phi(f(A sigma B)), F = phi(f(sqrt(st) A)), G = phi(f(B)) and
     T = P^(-1/2) F P^(-1/2): P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2), and
     the entries of (T^(1/2) - T^(-1/2))^2."""
-    P = x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
-    F = x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f))
-    G = x.phi.apply(_fn_of(x.B, x.f))
+    P = x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
+    F = x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f))
+    G = x.phi(_fn_of(x.B, x.f))
     p_root = matrix_function(P, _sqrt)
     p_inv_root = matrix_function(P, _inv_sqrt)
     f_inv = spectral_inverse(F)
@@ -561,10 +579,10 @@ def _klamkin_sides(x) -> tuple:
 
 def _link_sides(x) -> tuple:
     """phi(f(A)) tau phi(f(B)), phi(f(sqrt(st) A)) tau phi(f(B)) and phi(f(A sigma B))."""
-    fb = x.phi.apply(_fn_of(x.B, x.f))
-    left = kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.f)), fb)
-    middle = kernel_mean(x.tau, x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f)), fb)
-    return left, middle, x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
+    fb = x.phi(_fn_of(x.B, x.f))
+    left = kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)), fb)
+    middle = kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)), fb)
+    return left, middle, x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))
 
 
 def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
@@ -613,15 +631,15 @@ def _api(row: Row) -> Callable:
 def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float = 1.0,
          tol_rel: float = DEFAULT_TOL_REL):
     """One instance's certificate (a tuple of them when a trial has more); given
-    SymStacks and one value per slice for each bound (a pick given once serves
-    every slice), the list of every slice's."""
+    SymStacks and one value per slice for each bound (a map or pick given once
+    serves every slice), the list of every slice's."""
     stacked = isinstance(A, SymStack)
     if stacked:
         cells = list(zip(*bounds)) if bounds else [()] * len(A)
     else:
         A, B = (None if X is None else SymStack.of([X]) for X in (A, B))
         cells = [tuple(bounds)]
-    per_slice = {name for name, *_ in row.picks}
+    per_slice = {"phi", *(name for name, *_ in row.picks)}
     picks = {name: [v] * len(cells) if name in per_slice and not isinstance(v, (list, tuple))
              else v for name, v in picks.items()}
     sides = check_stack(row, A, B, cells, picks, constant_multiplier=constant_multiplier,
@@ -634,24 +652,24 @@ def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float 
 ando_check = _api(_row(
     "ando", "Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B).",
     cell="free", pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
-    sides=lambda x: (x.phi.apply(kernel_mean(x.sigma, x.A, x.B)),
-                     kernel_mean(x.sigma, x.phi.apply(x.A), x.phi.apply(x.B)))))
+    sides=lambda x: (x.phi(kernel_mean(x.sigma, x.A, x.B)),
+                     kernel_mean(x.sigma, x.phi(x.A), x.phi(x.B)))))
 
 check_polya_szego = _api(_row(
     "polya-szego",
     "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
     cell="bounded", bounds=_MM, constant=polya_szego_constant, pool="maps", vets=(_bounded,),
-    sides=lambda x: (geometric(x.phi.apply(x.A), x.phi.apply(x.B)),
-                     x.phi.apply(geometric(x.A, x.B)))))
+    sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)),
+                     x.phi(geometric(x.A, x.B)))))
 
 check_kantorovich_f = _api(_row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
     cell="bounded", bounds=_MM, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
     vets=(_bounded, _means, _F_MONOTONE),
-    sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi.apply(x.A), x.f),
-                                 _fn_of(x.phi.apply(x.B), x.f)),
-                     _fn_of(x.phi.apply(kernel_mean(x.sigma, x.A, x.B)), x.f))))
+    sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
+                                 _fn_of(x.phi(x.B), x.f)),
+                     _fn_of(x.phi(kernel_mean(x.sigma, x.A, x.B)), x.f))))
 
 _SANDWICH_LEMMA = _row(
     "sandwich-lemma", "Two-sided mean comparison under the sandwich condition: "
@@ -673,18 +691,18 @@ check_main_monotone = _api(_row(
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
     cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
     vets=(_sandwich, _means, _F_MONOTONE),
-    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.f)),
-                                 x.phi.apply(_fn_of(x.B, x.f))),
-                     x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+    sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
+                                 x.phi(_fn_of(x.B, x.f))),
+                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
 
 check_main_decreasing = _api(_row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
     cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps",
     picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_sandwich, _means, _G_DECREASING),
-    sides=lambda x: (x.phi.apply(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
-                     kernel_mean(x.sigma, x.phi.apply(_fn_of(x.A, x.g)),
-                                 x.phi.apply(_fn_of(x.B, x.g))))))
+    sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
+                     kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
+                                 x.phi(_fn_of(x.B, x.g))))))
 
 # The Grüss bounds are lhs <= c I on a unital map, where c carries f(M) or g(m);
 # their sides are the lhs alone.
@@ -695,9 +713,9 @@ _GRUSS_F = _row(
     picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _bounded, _means, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
-    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A, x.fn)),
-                                 x.phi.apply(_fn_of(x.B, x.fn)))
-                     - x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.fn))))
+    sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.fn)),
+                                 x.phi(_fn_of(x.B, x.fn)))
+                     - x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.fn))))
 
 _GRUSS_G = _row(
     "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
@@ -707,9 +725,9 @@ _GRUSS_G = _row(
     vets=(_unital, _bounded, _means, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
     params={"family": "decreasing"},
-    sides=lambda x: (x.phi.apply(_fn_of(kernel_mean(x.tau, x.A, x.B), x.fn))
-                     - kernel_mean(x.sigma, x.phi.apply(_fn_of(x.A, x.fn)),
-                                   x.phi.apply(_fn_of(x.B, x.fn)))))
+    sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.fn))
+                     - kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.fn)),
+                                   x.phi(_fn_of(x.B, x.fn)))))
 
 check_squared = _api(_row(
     "squared", "Squaring an operator inequality: A <= B with m I <= A <= M I gives "
@@ -743,9 +761,9 @@ check_diaz_metcalf = _api(_row(
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
     cell="sandwich", bounds=_ST, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
     vets=(_sandwich, _means, _F_MONOTONE),
-    sides=lambda x: (kernel_mean(x.tau, x.phi.apply(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
-                                 x.phi.apply(_fn_of(x.B, x.f))),
-                     x.phi.apply(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+    sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
+                                 x.phi(_fn_of(x.B, x.f))),
+                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
 
 check_klamkin_mclenaghan = _api(_row(
     "klamkin-mclenaghan", "Klamkin-McLenaghan type bound, with P = phi(f(A sigma B)), "

@@ -4,7 +4,8 @@ Each map is described by what it does (congruence, Kraus sum, pinching,
 normalized trace, nonnegative mixture) rather than by an abstract matrix
 representation.  Positivity is a consequence of the structure; unitality is
 checked, never assumed.  ``apply`` maps a SymStack slice by slice, with one
-BLAS call per product for the whole stack.
+BLAS call per product for the whole stack; ``apply_each`` gives each slice
+its own map, with one BLAS call per product for each distinct map.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .spectral import SymMatrix, as_sym, op_norm
+from .spectral import SymMatrix, SymStack, _frozen, as_sym, by_distinct, op_norm, per_slice
 
 UNITALITY_TOL = 1e-10
 
@@ -67,8 +68,8 @@ class CongruenceMap(MapSpec):
         v = np.array(self.v, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("V must be a nonempty 2-d matrix")
-        sv = np.linalg.svd(v, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        sv = np.linalg.svd(v, compute_uv=False)  # min(rows, cols) values: a wide V lacks rank
+        if sv.size < v.shape[1] or sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise ValueError("V must have full column rank")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
@@ -104,9 +105,8 @@ class KrausSumMap(MapSpec):
         shape = vs[0].shape
         if any(v.ndim != 2 or v.shape != shape for v in vs):
             raise ValueError("all Kraus terms must share one rectangular shape")
-        stacked = np.vstack(vs)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        sv = np.linalg.svd(np.vstack(vs), compute_uv=False)
+        if sv.size < shape[1] or sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise ValueError("stacked Kraus terms must have full column rank")
         for v in vs:
             v.setflags(write=False)
@@ -239,6 +239,22 @@ def _image_shape(phi: MapSpec, X: SymMatrix) -> tuple:
 def apply_map(phi: MapSpec, X: SymMatrix) -> SymMatrix:
     """Apply a positive linear map to a symmetric matrix."""
     return phi.apply(X)
+
+
+def apply_each(phis, X: SymStack) -> SymStack:
+    """Each slice of X under its own map of ``phis`` (one per slice, or one
+    for all), all of one output dimension: each distinct map is applied
+    once, to its slices, and the images are put back in slice order."""
+    phis = per_slice(phis, X)
+    if len({id(phi) for phi in phis}) == 1:
+        return phis[0].apply(X)  # under the identity, X itself, with what it has solved
+    images = by_distinct(phis, lambda phi, rows: phi.apply(_stack(rows)).data, X.data)
+    return _stack(images)
+
+
+def _stack(entries: np.ndarray) -> SymStack:
+    """The SymStack of entries that are symmetric already, without a copy."""
+    return SymStack.__new__(SymStack)._fill(_frozen(entries))
 
 
 @dataclass(frozen=True)

@@ -363,15 +363,8 @@ def matrix_function(A: SymMatrix, fn) -> SymMatrix:
     dec = decompose(A)
     lams = dec.eigenvalues.reshape(-1, A.dim)
     fns = per_slice(fn, A)
-    distinct = {id(f): f for f in fns}
     try:
-        if len(distinct) == 1:
-            values = _apply(fns[0], lams)
-        else:
-            which, values = np.array(list(map(id, fns))), np.empty(lams.shape)
-            for key, f in distinct.items():
-                rows = which == key
-                values[rows] = _apply(f, lams[rows])
+        values = by_distinct(fns, _apply, lams)
         finite = np.isfinite(values).all()
     except Exception:  # the walk below meets the same error at its own eigenvalue
         finite = False
@@ -380,6 +373,26 @@ def matrix_function(A: SymMatrix, fn) -> SymMatrix:
     q = dec.basis
     values = values.reshape(dec.eigenvalues.shape)
     return type(A)((q * values[..., None, :]) @ q.swapaxes(-1, -2))
+
+
+def by_distinct(items: list, apply, data: np.ndarray) -> np.ndarray:
+    """``apply(item, rows)`` for each distinct item of ``items`` (one per row of
+    ``data``, told apart by identity), once over the rows that hold it, with
+    the results put back in row order."""
+    distinct = {id(item): item for item in items}
+    if len(distinct) == 1:
+        return apply(items[0], data)
+    which, out = np.array([id(item) for item in items]), None
+    for key, item in distinct.items():
+        rows = which == key
+        part = apply(item, data[rows])
+        if out is None:
+            out = np.empty((len(items), *part.shape[1:]))
+        elif part.shape[1:] != out.shape[1:]:  # which would broadcast into out
+            raise DimensionMismatchError(f"results of distinct items must share one shape, "
+                                         f"got {out.shape[1:]} and {part.shape[1:]}")
+        out[rows] = part
+    return out
 
 
 def _apply(f, lams: np.ndarray) -> np.ndarray:

@@ -87,18 +87,18 @@ class SuiteConfig:
         if not self.dims:
             raise ValueError("field dims must name at least one dimension")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"field trials must be >= 1, got {self.trials!r}")
         if any(d < 1 or d > 16 for d in self.dims):
-            raise ValueError("dims must stay within [1, 16]")
+            raise ValueError(f"field dims must stay within [1, 16], got {self.dims!r}")
         if not 0 <= self.tol_rel < math.inf:  # also refuses nan
             raise ValueError(f"field tol_rel must be a finite number >= 0, got {self.tol_rel!r}")
         if not 0 < self.constant_multiplier < math.inf:
             raise ValueError("field constant_multiplier must be a finite number > 0, "
                              f"got {self.constant_multiplier!r}")
-        if (self.s is None) != (self.t is None):
-            raise ValueError("provide both s and t, or neither")
-        if (self.m is None) != (self.M is None):
-            raise ValueError("provide both m and M, or neither")
+        for lo, hi in (("s", "t"), ("m", "M")):
+            if (getattr(self, lo) is None) != (getattr(self, hi) is None):
+                raise ValueError(f"fields {lo}, {hi}: provide both or neither, got "
+                                 f"{lo}={getattr(self, lo)!r}, {hi}={getattr(self, hi)!r}")
         # Fixed bounds of the requested cells: (s, t) first, then the bounded
         # cells' 0 < m < M, then the 0 < m <= M of the other rows taking (m, M).
         rules = {(ROWS[ineq].bounds, ROWS[ineq].cell == "bounded") for ineq in self.inequalities
@@ -169,6 +169,7 @@ def config_from_dict(data: dict) -> SuiteConfig:
 
 @dataclass
 class _DimPools:
+    dim: int
     maps: list
     unital_maps: list
     kernels: list
@@ -199,6 +200,7 @@ def _build_pools(config: SuiteConfig, dim: int) -> _DimPools:
             kind = parse_norm(f"kyfan:{dim}")
         norms.append(kind)
     return _DimPools(
+        dim=dim,
         maps=maps,
         unital_maps=unital,
         kernels=kernels,
@@ -300,13 +302,10 @@ def _sampler(ineq: str):
 
 
 def _picked(row: certs.Row, trials: list, pools: _DimPools) -> dict:
-    """The row's map for a stack of ``trials`` (they pick the same one) and
-    each of its picks, one per trial."""
-    out = {} if row.pool is None else {"phi": _pick(getattr(pools, row.pool), trials[0])}
-    for name, pool, offset in row.picks:
-        items = getattr(pools, pool)
-        out[name] = [_pick(items, trial + offset) for trial in trials]
-    return out
+    """The row's map and each of its picks, one per trial of ``trials``."""
+    picks = row.picks if row.pool is None else (("phi", row.pool, 0), *row.picks)
+    return {name: [_pick(getattr(pools, pool), trial + offset) for trial in trials]
+            for name, pool, offset in picks}
 
 
 def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
@@ -330,27 +329,31 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:
     return _sampler(ineq)(rngs, dim, config, corner)
 
 
-# Trials per stack at most: larger stacks run little faster per trial and hold more memory.
-_STACK_TRIALS = 100
+# Matrix entries per stack at most (trials times dim^2), which 200 trials of dim 8 and 60 of
+# dim 16 fit: larger stacks run little faster per trial and hold more memory.
+_STACK_ENTRIES = 2**15
 
 
-def _chunks(items: list) -> list[list]:
-    """``items`` in consecutive stacks of at most ``_STACK_TRIALS``, of nearly equal size."""
-    size = -(-len(items) // -(-len(items) // _STACK_TRIALS))
+def _chunks(items: list, dim: int) -> list[list]:
+    """``items`` in consecutive stacks of nearly equal size, each of at most
+    ``_STACK_ENTRIES`` matrix entries of dimension ``dim``."""
+    size = max(1, _STACK_ENTRIES // dim**2)
+    size = -(-len(items) // -(-len(items) // size))
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
-    """The trials that pick the same map, in stacks of at most ``_STACK_TRIALS``.
-
-    Grouping by map alone keeps stacks large: the map fixes the output
-    dimension, while kernels, functions and cells may vary by slice.
-    """
+    """The trials whose maps share an output dimension, in stacks within
+    ``_STACK_ENTRIES``: maps, kernels, functions and cells may vary by slice.
+    The default pool gives two groups: ``ntrace:1`` maps to dimension 1, and
+    every other map keeps the dimension."""
     pool = ROWS[ineq].pool
     groups: dict = {}
     for trial in trials:
-        groups.setdefault(trial % len(getattr(pools, pool)) if pool else 0, []).append(trial)
-    return [stack for group in groups.values() for stack in _chunks(group)]
+        out_dim = _pick(getattr(pools, pool), trial).output_dim if pool else pools.dim
+        groups.setdefault(out_dim, []).append(trial)
+    return [stack for out_dim, group in groups.items()
+            for stack in _chunks(group, max(pools.dim, out_dim))]
 
 
 class _Stack:
@@ -379,8 +382,8 @@ class _Stack:
 
 def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
                     pools: _DimPools) -> _Stack:
-    """Draw the given trials of one cell, which pick the same map, as one
-    stack and evaluate them on it.
+    """Draw the given trials of one cell, whose maps share an output
+    dimension, as one stack and evaluate them on it, each with its own map.
 
     Catalog entries rotate with the trial index so that ``trials`` at least
     as large as the pool sizes guarantees full coverage.
@@ -394,7 +397,8 @@ def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
 
 def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
     """Every trial's ``(stack, slice)``, in trial order: the cell is drawn and
-    evaluated one stack of trials that pick the same map at a time.
+    evaluated one stack of ``_stacks`` at a time, one per output dimension
+    of the maps while it fits ``_STACK_ENTRIES``.
 
     If a stack raises, the cell is evaluated again trial by trial, so that
     whatever failed is raised at its own trial, after the trials before it,
@@ -710,7 +714,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     best_pick = 0
     starts = _probe_starts(family, dim, rng, lo, hi, config.trials)
     # each chunk is built once, so every pick reads the same solved stacks
-    chunks = [_probe_stacks(family, chunk, bounds) for chunk in _chunks(starts)]
+    chunks = [_probe_stacks(family, chunk, bounds) for chunk in _chunks(starts, dim)]
     by_pick = [[ratio for stacks in chunks
                 for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
                for pick in range(n_picks)]

@@ -173,6 +173,25 @@ class TestAlphaScaling:
         with pytest.raises(HypothesisError):
             check_alpha_scaling(SQUARE_FN, 2.0)
 
+    # An explicit grid with a point where f is undefined, at t or at alpha t:
+    # f's own error, at the first such point, for twinned and plain functions.
+    @pytest.mark.parametrize("spec, alpha, grid, error, text", [
+        ("shifted_inverse:1", 2.0, [1.0, -1.0], ZeroDivisionError, "float division by zero"),
+        ("shifted_inverse:1", 2.0, [-0.5], ZeroDivisionError, "float division by zero"),
+        ("rational:1", 2.0, [3.0, -0.5], ZeroDivisionError, "float division by zero"),
+        ("rational:1", 4.0, [-0.25], ZeroDivisionError, "float division by zero"),
+        ("inv_power:1", 2.0, [1.0, 0.0], ZeroDivisionError,
+         "0.0 cannot be raised to a negative power"),
+        ("power:0.5", 2.0, [4.0, -1.0], TypeError,
+         "float() argument must be a string or a real number, not 'complex'"),
+        ("log1p", 2.0, [1.0, -0.75], ValueError, "math domain error"),
+    ])
+    def test_undefined_grid_point_raises_the_functions_error(self, spec, alpha, grid, error,
+                                                             text):
+        with pytest.raises(error) as info:
+            check_alpha_scaling(parse_function(spec), alpha, grid)
+        assert type(info.value) is error and str(info.value) == text
+
 
 class TestMainMonotone:
     def test_trace_map_hand_values(self):

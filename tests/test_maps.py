@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner_lab import (
     CongruenceMap,
@@ -18,7 +20,9 @@ from loewner_lab import (
     map_catalog,
     parse_map,
 )
+from loewner_lab.cli import main as cli_main
 from loewner_lab.generate import derive_seed, _spd
+from loewner_lab.maps import apply_each
 from loewner_lab.kernels import GEOMETRIC
 from loewner_lab.spectral import SymStack, op_norm
 
@@ -91,6 +95,22 @@ class TestValidation:
     def test_congruence_requires_full_column_rank(self):
         with pytest.raises(ValueError):
             CongruenceMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_wide_congruence_factor_is_refused(self, capsys):
+        # a 2x3 V has only two singular values, so it cannot have rank 3
+        with pytest.raises(ValueError, match="^V must have full column rank$"):
+            CongruenceMap(SplitMix64(4).normal_matrix(2, 3))
+        code = cli_main(["verify", "--ineq", "ando", "--dims", "2", "--trials", "5",
+                         "--phi", "congruence:random:2x3"])
+        assert code == 2
+        assert "V must have full column rank" in capsys.readouterr().err
+
+    def test_wide_kraus_factors_are_refused(self):
+        rng = SplitMix64(4)
+        with pytest.raises(ValueError, match="^stacked Kraus terms must have full column rank$"):
+            KrausSumMap((rng.normal_matrix(1, 3), rng.normal_matrix(1, 3)))
+        # two 1x2 terms stack to a square factor of full rank
+        assert KrausSumMap((rng.normal_matrix(1, 2), rng.normal_matrix(1, 2))).output_dim == 2
 
     def test_pinching_requires_partition(self):
         with pytest.raises(ValueError):
@@ -192,3 +212,31 @@ class TestParseMap:
     def test_pinching_sizes_must_cover(self):
         with pytest.raises(ValueError):
             parse_map("pinching:1,1", 3, SplitMix64(0))
+
+
+# Maps of one output dimension (3), each built from the same stream.
+_SAME_DIM_SPECS = ("identity", "pinching:1,2", "ntrace:full", "congruence:random",
+                   "kraus:2", "mix:0.5@congruence:random+0.5@identity", "mix:2@pinching:2,1")
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_SAME_DIM_SPECS) - 1), min_size=1, max_size=12),
+       seed=st.integers(0, 2**64 - 1))
+def test_apply_each_gives_each_slice_its_maps_bits(picks, seed):
+    # one product per distinct map over its slices, scattered back in slice
+    # order: each slice gets, bit for bit, what its map gives it alone
+    rng = SplitMix64(seed)
+    maps = [parse_map(spec, 3, rng) for spec in _SAME_DIM_SPECS]
+    X = _spd([SplitMix64(derive_seed(seed, k)) for k in range(len(picks))], 3, 0.25, 4.0)
+    image = apply_each([maps[i] for i in picks], X)
+    assert image.data.shape == (len(picks), 3, 3)
+    for k, i in enumerate(picks):
+        alone = maps[i].apply(SymMatrix(X.data[k]))
+        assert image.data[k].tobytes() == alone.data.tobytes(), maps[i].label
+
+
+def test_apply_each_refuses_maps_of_two_output_dims():
+    X = _spd([SplitMix64(1), SplitMix64(2)], 2, 0.25, 4.0)
+    with pytest.raises(DimensionMismatchError,
+                       match=r"must share one shape, got \(2, 2\) and \(1, 1\)"):
+        apply_each([IdentityMap(2), NormalizedTraceMap(2, 1)], X)

@@ -118,11 +118,41 @@ def test_failure_in_a_stack_surfaces_at_its_own_trial(monkeypatch):
     monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(list(a[2])) or real(*a))
     with pytest.raises(EigenSolverError) as info:
         suite.run_suite(config)
-    # one call per stack of trials that share a map, up to the failing one
-    assert seen == [[0, 6, 12], [1, 7], [2, 8], [3, 9], [0], [1], [2], [3]]
+    # one call per stack of trials whose maps share an output dimension: the
+    # first holds every trial but those of ntrace:1 (1 and 7), and fails
+    assert seen == [[0, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12], [0], [1], [2], [3]]
     seed = derive_seed(5, fnv1a64("ando"), 3, 3)
     assert str(info.value).startswith(
         f"inequality ando, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
+
+
+@pytest.mark.parametrize("ineq", ALL_INEQUALITIES)
+@pytest.mark.parametrize("dim", [2, 16])
+def test_default_pool_cell_is_one_stack_per_output_dim(ineq, dim, monkeypatch):
+    # 60 trials of dim 16 fit the entry budget, so the cell makes one call
+    # per output dimension of the maps its trials pick, each with every
+    # trial of that dimension
+    config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=60, seed=3)
+    row = suite.ROWS[ineq]
+    pool = getattr(suite._build_pools(config, dim), row.pool) if row.pool else None
+    expected: dict = {}
+    for trial in range(60):
+        out_dim = pool[trial % len(pool)].output_dim if pool else dim
+        expected.setdefault(out_dim, []).append(trial)
+    seen = []
+    real = suite._evaluate_trial
+    monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(list(a[2])) or real(*a))
+    suite.run_suite(config)
+    assert seen == list(expected.values())
+    assert len(seen) == (2 if row.pool else 1)
+
+
+def test_stacks_split_beyond_the_entry_budget():
+    # 2**15 entries hold 128 trials of dim 16: 130 trials make two stacks of 65
+    pools = suite._build_pools(SuiteConfig(), 16)
+    assert suite._stacks("squared", range(130), pools) == [list(range(65)),
+                                                           list(range(65, 130))]
+    assert suite._stacks("squared", range(128), pools) == [list(range(128))]
 
 
 @pytest.mark.parametrize("ineq", MATRIX_IDS)

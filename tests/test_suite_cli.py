@@ -53,6 +53,19 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(dims=(32,))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"trials": 0}, "field trials must be >= 1, got 0"),
+        ({"dims": (2, 17)}, "field dims must stay within [1, 16], got (2, 17)"),
+        ({"dims": (0,)}, "field dims must stay within [1, 16], got (0,)"),
+        ({"s": 0.5}, "fields s, t: provide both or neither, got s=0.5, t=None"),
+        ({"t": 2.0}, "fields s, t: provide both or neither, got s=None, t=2.0"),
+        ({"M": 4.0}, "fields m, M: provide both or neither, got m=None, M=4.0"),
+    ])
+    def test_refusal_names_its_field(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            SuiteConfig(**fields)
+        assert str(info.value) == message
+
     def test_round_trip_through_dict(self):
         cfg = small_config()
         again = config_from_dict(cfg.to_dict())
@@ -244,13 +257,14 @@ class TestRunSuite:
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         seen = []
         real = suite._evaluate_trial
-        # each trial picks its own map, so each stack holds one trial; the draw of
-        # trial 3 fails, and the cell is drawn and evaluated again trial by trial
+        # trial 1 picks ntrace:1, whose output dimension is 1, and the other
+        # trials share the first stack; its draw fails at trial 3, and the cell
+        # is drawn and evaluated again trial by trial
         monkeypatch.setattr(suite, "_evaluate_trial",
                             lambda *a: seen.append(list(a[2])) or real(*a))
         with pytest.raises(EigenSolverError) as info:
             run_suite(config)
-        assert seen == [[0], [1], [2], [3], [0], [1], [2], [3]]
+        assert seen == [[0, 2, 3, 4], [0], [1], [2], [3]]
         assert str(info.value).startswith(
             f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
 
