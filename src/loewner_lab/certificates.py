@@ -1,10 +1,13 @@
-"""Every audited inequality, declared once as a row, and the one evaluator
-that turns a row and a stack of trials into certificates.
+"""Every audited inequality, declared once as a row, the hypothesis cells
+the rows hold, and the one evaluator that turns a row and a stack of trials
+into certificates.
 
 Each statement has the shape lhs <= c * base on a hypothesis cell, with the
-constant c a function of the cell's bounds (m, M) or (s, t).  A row holds
-what verify, hunt, probe, recheck and the one-instance checks need: the
-cell, its sampler and pools, the hypotheses to vet, the sides and the
+constant c a function of the cell's bounds (m, M) or (s, t).  A ``Cell``
+holds its bound names, its ordering rule, its draw of a stack of trials and
+probe's default bounds; each cell is one object, told apart by identity.  A
+row holds what verify, hunt, probe, recheck and the one-instance checks
+need: its cell and pools, the hypotheses to vet, the sides and the
 constant.  ``check_stack`` evaluates a row on a stack and returns its
 results as columns (``Sides``); a ``Certificate`` with matrix sides is
 built only for the slices that are asked for.  Inequality failure is data
@@ -25,7 +28,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisError, NotUnitalError
-from .generate import BoundedPair, SandwichPair, verify_spectrum
+from .generate import (
+    A_SPECTRUM,
+    BoundedPair,
+    SandwichPair,
+    _bounded_pair,
+    _sandwich_pair,
+    _spd,
+    log_uniform_rows,
+    verify_spectrum,
+)
 from .kernels import (
     GEOMETRIC,
     OPERATOR_CONVEX_ZERO,
@@ -43,6 +55,7 @@ from .kernels import (
 from .maps import apply_each, check_unital
 from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_inverse
 from .spectral import (
+    LOEWNER_TOL_REL,
     OPERATOR,
     SymMatrix,
     SymStack,
@@ -57,8 +70,6 @@ from .spectral import (
     twinned,
     ui_norm,
 )
-
-DEFAULT_TOL_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,34 +138,70 @@ def _slice(side, k: int):
     return float(side[k])
 
 
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One hypothesis cell, told apart from the others by identity.
+
+    ``bounds`` names the bounds that the trials' cells hold; two (lo, hi)
+    need 0 < lo < hi when ``strict``, else 0 < lo <= hi.  ``sample(rngs,
+    config)`` draws each stream's bounds where the config does not fix
+    them, and ``pair(rngs, dim, cells, corner)`` the stacks ``(A, B,
+    cells)`` in them (None for a cell without matrices).  ``probe`` holds
+    probe's default bounds, or None where probe does not search the cell.
+    """
+
+    bounds: tuple
+    sample: Callable | None = None
+    pair: Callable | None = None
+    strict: bool = False
+    probe: tuple | None = None
+
+    def fixed(self, config) -> tuple | None:
+        """The config's values of the bounds when it fixes them, else None."""
+        values = tuple(getattr(config, name, None) for name in self.bounds)
+        return None if None in values else values
+
+    def draw(self, rngs: list, dim: int, config, corner: bool = False) -> tuple:
+        """The stacks ``(A, B, cells)`` of the trial streams ``rngs``;
+        ``corner`` makes the first trial the commuting boundary instance."""
+        values = self.fixed(config)
+        cells = (self.sample(rngs, config) if values is None
+                 else [tuple(float(v) for v in values)] * len(rngs))
+        return (None, None, cells) if self.pair is None else self.pair(rngs, dim, cells, corner)
+
+    def vet_order(self, lo: list, hi: list) -> None:
+        """Raise for the first slice whose bounds break the ordering rule."""
+        for lo_k, hi_k in zip(lo, hi):
+            if not ((0 < lo_k < hi_k) if self.strict else (0 < lo_k <= hi_k)):
+                a, b = self.bounds
+                raise HypothesisError(f"need 0 < {a} {'<' if self.strict else '<='} {b}, "
+                                      f"got {a}={lo_k!r}, {b}={hi_k!r}")
+
+
 @dataclass(frozen=True)
 class Row:
     """One inequality id, declared once, with its ``statement`` as documentation.
 
-    ``cell`` is the kind of hypothesis cell: "sandwich" (s, t), "bounded"
-    (m, M), "order" (A <= B, A within (m, M)), "scalar" (no matrices) or
-    "free"; ``bounds`` names the cell's bounds as the trials' cells hold
-    them.  ``sampler`` names the suite's draw of a stack of trials (by
-    default the cell's).  ``pool`` names the map pool, or None: trial i
-    takes map i, and a stack's maps share their output dimension.  Each of
-    ``picks`` is ``(name, pool, offset)``: trial i takes item ``i + offset``
-    of the pool, cyclically.  ``vets`` check the hypotheses on the stack in
-    order.  ``sides(x)`` evaluates the sides on the stack ``x`` (lhs and
-    base, unless the form reads more) and ``form(row, x)`` turns them into
-    Sides.  ``constant(*bounds)`` is the constant at
-    multiplier 1 on one cell, or None when the row takes none; ``carry``
-    gives a factor per slice that the constant carries, and ``params``
-    holds parameters shared by every slice, or computed from ``x``.
+    ``cell`` is the row's hypothesis ``Cell``, which names the bounds of the
+    trials' cells and draws the row's stacks.  ``pool`` names the map pool,
+    or None: trial i takes map i, and a stack's maps share their output
+    dimension.  Each of ``picks`` is ``(name, pool, offset)``: trial i
+    takes item ``i + offset`` of the pool, cyclically.  ``vets`` check the
+    hypotheses on the stack in order.  ``sides(x)`` evaluates the sides on
+    the stack ``x`` (lhs and base, unless the form reads more) and
+    ``form(row, x)`` turns them into Sides.  ``constant(*bounds)`` is the
+    constant at multiplier 1 on one cell's bounds, or None when the row
+    takes none; ``carry`` gives a factor per slice that the constant
+    carries, and ``params`` holds parameters shared by every slice, or
+    computed from ``x``.
     """
 
     id: str
     statement: str
-    cell: str
+    cell: Cell
     sides: Callable | None = None
-    bounds: tuple = ()
     constant: Callable | None = None
     carry: Callable | None = None
-    sampler: str | None = None
     pool: str | None = None
     picks: tuple = ()
     vets: tuple = ()
@@ -165,7 +212,7 @@ class Row:
 
 def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, picks: dict, *,
                 constant_multiplier: float = 1.0,
-                tol_rel: float = DEFAULT_TOL_REL) -> list[Sides]:
+                tol_rel: float = LOEWNER_TOL_REL) -> list[Sides]:
     """Evaluate ``row`` on a stack of trials.
 
     A and B hold one slice per trial (None for a scalar row), ``cells``
@@ -176,7 +223,8 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     """
     x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
-                           **dict(zip(row.bounds, _cols(cells))), **picks})
+                           "cell": row.cell, **dict(zip(row.cell.bounds, _cols(cells))),
+                           **picks})
     if x.phi is not None:
         x.maps, x.phi = x.phi, partial(apply_each, x.phi)
     for vet in row.vets:
@@ -193,7 +241,7 @@ def _constants(row: Row, x) -> list:
     """Each slice's constant times the multiplier; a row's constant may be a tuple."""
     if row.constant is None:
         return [x.mult] * x.n
-    raw = [row.constant(*cell) for cell in zip(*(getattr(x, name) for name in row.bounds))]
+    raw = [row.constant(*cell) for cell in zip(*(getattr(x, name) for name in row.cell.bounds))]
     if row.carry is not None:
         raw = [c * factor for c, factor in zip(raw, row.carry(x))]
     return [tuple(v * x.mult for v in c) if isinstance(c, tuple) else c * x.mult for c in raw]
@@ -212,7 +260,7 @@ def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) 
     cols = {} if x.phi is None else {"map": [phi.label for phi in x.maps]}
     for name, *_ in row.picks:
         cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
-    cols.update((name, getattr(x, name)) for name in row.bounds)
+    cols.update((name, getattr(x, name)) for name in row.cell.bounds)
     for name, value in row.params.items():
         cols[name] = value(x) if callable(value) else [value] * x.n
     if x.A is not None:
@@ -410,21 +458,13 @@ def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
             f"function {fn.id!r} has class {fn.klass!r}, expected one of {classes}")
 
 
-def _vet_st(s: list, t: list) -> None:
-    for s_k, t_k in zip(s, t):
-        if not 0 < s_k <= t_k:
-            raise HypothesisError(f"need 0 < s <= t, got s={s_k!r}, t={t_k!r}")
-
-
 def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
-    _vet_st(s, t)
+    SANDWICH.vet_order(s, t)
     SandwichPair(A, B, s, t).verify(tol_rel)
 
 
 def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
-    for m_k, M_k in zip(m, M):
-        if not 0 < m_k < M_k:
-            raise HypothesisError(f"need 0 < m < M, got m={m_k!r}, M={M_k!r}")
+    BOUNDED.vet_order(m, M)
     BoundedPair(A, B, m, M).verify(tol_rel)
 
 
@@ -438,10 +478,9 @@ def _bounded(x) -> None:
     _vet_bounded(x.A, x.B, x.m, x.M, x.tol_rel)
 
 
-def _closed_mM(x) -> None:
-    for m, M in zip(x.m, x.M):
-        if not 0 < m <= M:
-            raise HypothesisError(f"need 0 < m <= M, got m={m!r}, M={M!r}")
+def _ordered(x) -> None:
+    """The bounds of each slice keep the ordering rule of the row's cell."""
+    x.cell.vet_order(*(getattr(x, name) for name in x.cell.bounds))
 
 
 def _order(x) -> None:
@@ -535,6 +574,53 @@ def _st_ge_1(s: float, t: float) -> tuple:
     return (s, t) if s * t >= 1.0 else (1.0 / t, 1.0 / s)
 
 
+# The cells, with their draws of a stack of trial streams.
+
+def _sorted_st(rngs: list, config) -> list:
+    """Two log-uniform draws from ``sandwich_range``, sorted."""
+    lo, hi = config.sandwich_range
+    return [tuple(sorted(st)) for st in log_uniform_rows(rngs, (lo, hi), (lo, hi)).tolist()]
+
+
+def _spread_mM(rngs: list, config) -> list:
+    """m log-uniform in [0.5, 2] and M = m times a log-uniform draw in [1.5, 8]."""
+    return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
+
+
+def _sandwich_cells(rngs: list, dim: int, cells: list, corner: bool,
+                    reflect: bool = False) -> tuple:
+    cells = [_st_ge_1(s, t) for s, t in cells] if reflect else cells
+    return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
+
+
+def _bounded_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
+    return (*_bounded_pair(rngs, dim, *_cols(cells), corner=corner), cells)
+
+
+def _order_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
+    """Pairs A <= B with the spectrum of A in [m, M]."""
+    A = _spd(rngs, dim, *_cols(cells))
+    return A, A + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]), cells
+
+
+def _free_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
+    return _spd(rngs, dim, *A_SPECTRUM), _spd(rngs, dim, *A_SPECTRUM), cells
+
+
+SANDWICH = Cell(("s", "t"), _sorted_st, _sandwich_cells, probe=(0.25, 4.0))
+SANDWICH_ST_GE_1 = Cell(("s", "t"), _sorted_st, partial(_sandwich_cells, reflect=True),
+                        probe=(0.25, 4.0))  # s*t >= 1 by reflection
+BOUNDED = Cell(("m", "M"), _spread_mM, _bounded_cells, strict=True, probe=(1.0, 4.0))
+ORDER = Cell(("m", "M"), _spread_mM, _order_cells)
+FREE = Cell((), pair=_free_cells)  # with no bounds, a config always fixes them
+ALPHA = Cell(("alpha",), lambda rngs, config: [
+    tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()])
+SPECHT = Cell(("m", "M"), lambda rngs, config: [
+    (1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()])
+# In the order SuiteConfig checks fixed bounds: (s, t), then 0 < m < M, then 0 < m <= M.
+CELLS = (SANDWICH, SANDWICH_ST_GE_1, BOUNDED, ORDER, FREE, ALPHA, SPECHT)
+
+
 # Building blocks of the sides.
 
 def _fn_of(X: SymStack, fn: list) -> SymStack:
@@ -598,7 +684,6 @@ def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
 # The rows, in report order: the 17 checked ids, then the audit family.
 
 ROWS: dict[str, Row] = {}
-_MM, _ST = ("m", "M"), ("s", "t")
 _KERNELS = (("tau", "kernels", 0), ("sigma", "kernels", 1))
 _REVERSAL = _KERNELS + (("f", "f_monotone", 0),)
 _F_MONOTONE, _FN_MONOTONE = _each("f", _vet_monotone), _each("fn", _vet_monotone)
@@ -616,9 +701,9 @@ def _api(row: Row) -> Callable:
     """The row's one-instance check: ``check(phi, *picks, A, B, *bounds)``,
     with phi when the row takes a map and no A, B for a scalar row."""
     names = (("phi",) if row.pool else ()) + tuple(name for name, *_ in row.picks)
-    matrices = row.cell != "scalar"
+    matrices = row.cell not in (ALPHA, SPECHT)
 
-    def check(*args, constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+    def check(*args, constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
         k = len(names)
         A, B = args[k:k + 2] if matrices else (None, None)
         return _one(row, dict(zip(names, args)), A, B, args[k + 2 * matrices:],
@@ -629,7 +714,7 @@ def _api(row: Row) -> Callable:
 
 
 def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float = 1.0,
-         tol_rel: float = DEFAULT_TOL_REL):
+         tol_rel: float = LOEWNER_TOL_REL):
     """One instance's certificate (a tuple of them when a trial has more); given
     SymStacks and one value per slice for each bound (a map or pick given once
     serves every slice), the list of every slice's."""
@@ -651,21 +736,21 @@ def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float 
 
 ando_check = _api(_row(
     "ando", "Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B).",
-    cell="free", pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
+    cell=FREE, pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
     sides=lambda x: (x.phi(kernel_mean(x.sigma, x.A, x.B)),
                      kernel_mean(x.sigma, x.phi(x.A), x.phi(x.B)))))
 
 check_polya_szego = _api(_row(
     "polya-szego",
     "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
-    cell="bounded", bounds=_MM, constant=polya_szego_constant, pool="maps", vets=(_bounded,),
+    cell=BOUNDED, constant=polya_szego_constant, pool="maps", vets=(_bounded,),
     sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)),
                      x.phi(geometric(x.A, x.B)))))
 
 check_kantorovich_f = _api(_row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
-    cell="bounded", bounds=_MM, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
+    cell=BOUNDED, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
     vets=(_bounded, _means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
                                  _fn_of(x.phi(x.B), x.f)),
@@ -674,14 +759,14 @@ check_kantorovich_f = _api(_row(
 _SANDWICH_LEMMA = _row(
     "sandwich-lemma", "Two-sided mean comparison under the sandwich condition: "
     "c1 (A nabla B) <= A # B <= c2 (A ! B).",
-    cell="sandwich", bounds=_ST, constant=sandwich_lemma_constants, vets=(_sandwich,),
+    cell=SANDWICH, constant=sandwich_lemma_constants, vets=(_sandwich,),
     form=_two_sided, params={"mode": "matrix"},
     sides=lambda x: (geometric(x.A, x.B), arithmetic(x.A, x.B), harmonic(x.A, x.B)))
 
 _ALPHA_SCALING = _row(
     "alpha-scaling", "Scaling bounds for alpha >= 1: f(alpha t) <= alpha f(t) for monotone "
     "increasing f, and g(alpha t) >= g(t)/alpha for monotone decreasing g.",
-    cell="scalar", bounds=("alpha",), constant=lambda alpha: alpha, sampler="alpha",
+    cell=ALPHA, constant=lambda alpha: alpha,
     picks=(("f", "scaling_fns", 0),), form=_scaling,
     vets=(_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")),
           _each("f", _vet_class, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)))
@@ -689,7 +774,7 @@ _ALPHA_SCALING = _row(
 check_main_monotone = _api(_row(
     "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
-    cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
+    cell=SANDWICH, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
     vets=(_sandwich, _means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
@@ -698,7 +783,7 @@ check_main_monotone = _api(_row(
 check_main_decreasing = _api(_row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
-    cell="sandwich", bounds=_ST, constant=sandwich_constant, pool="maps",
+    cell=SANDWICH, constant=sandwich_constant, pool="maps",
     picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_sandwich, _means, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
@@ -709,7 +794,7 @@ check_main_decreasing = _api(_row(
 _GRUSS_F = _row(
     "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
     "<= (M-m)^2/(4Mm) f(M).",
-    cell="bounded", bounds=_MM, constant=gruss_constant, pool="unital_maps",
+    cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
     picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _bounded, _means, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
@@ -720,7 +805,7 @@ _GRUSS_F = _row(
 _GRUSS_G = _row(
     "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
     "<= (M-m)^2/(4Mm) g(m).",
-    cell="bounded", bounds=_MM, constant=gruss_constant, pool="unital_maps",
+    cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
     picks=_KERNELS + (("fn", "g_decreasing", 0),),
     vets=(_unital, _bounded, _means, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
@@ -732,34 +817,34 @@ _GRUSS_G = _row(
 check_squared = _api(_row(
     "squared", "Squaring an operator inequality: A <= B with m I <= A <= M I gives "
     "A^2 <= (M+m)^2/(4Mm) B^2.",
-    cell="order", bounds=_MM, constant=kantorovich_constant, vets=(_closed_mM, _order),
+    cell=ORDER, constant=kantorovich_constant, vets=(_ordered, _order),
     sides=lambda x: (_square(x.A), _square(x.B))))
 
 _SQUARED_F = _row(
     "squared-consequence-f", "Squared geometric-mean reversal for monotone f, with "
     "K = (M+m)^2/(4Mm): (f(A) # f(B))^2 <= K^2 f(A # B)^2.",
-    cell="bounded", bounds=_MM, constant=lambda m, M: kantorovich_constant(m, M) ** 2,
+    cell=BOUNDED, constant=lambda m, M: kantorovich_constant(m, M) ** 2,
     picks=(("f", "f_monotone", 0),), vets=(_bounded, _F_MONOTONE),
     sides=lambda x: _squared_means(x, x.f))
 
 _SQUARED_G = _row(
     "squared-consequence-g", "Squared geometric-mean reversal for decreasing g, with "
     "K = (M+m)^2/(4Mm): g(A # B)^2 <= K^2 (g(A) # g(B))^2.",
-    cell="bounded", bounds=_MM, constant=_SQUARED_F.constant,
+    cell=BOUNDED, constant=_SQUARED_F.constant,
     picks=(("g", "g_decreasing", 0),), vets=(_bounded, _G_DECREASING),
     sides=lambda x: _squared_means(x, x.g)[::-1])
 
 check_midpoint = _api(_row(
     "midpoint", "Midpoint bound under the sandwich condition: "
     "(sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 (A # B).",
-    cell="sandwich", bounds=_ST, constant=lambda s, t: 0.5 * (math.sqrt(s) + math.sqrt(t)),
+    cell=SANDWICH, constant=lambda s, t: 0.5 * (math.sqrt(s) + math.sqrt(t)),
     vets=(_sandwich,),
     sides=lambda x: (0.5 * (x.A * _root_st(x.s, x.t) + x.B), geometric(x.A, x.B))))
 
 check_diaz_metcalf = _api(_row(
     "diaz-metcalf", "Diaz-Metcalf type bound: "
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
-    cell="sandwich", bounds=_ST, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
+    cell=SANDWICH, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
     vets=(_sandwich, _means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
@@ -770,15 +855,15 @@ check_klamkin_mclenaghan = _api(_row(
     "F = phi(f(sqrt(st) A)), G = phi(f(B)) and T = P^(-1/2) F P^(-1/2): "
     "P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2) "
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
-    cell="sandwich", bounds=_ST, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
+    cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
     pool="maps", picks=(("sigma", "kernels", 0), ("f", "f_monotone", 0)),
     vets=(_sandwich, _means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
 
 check_specht_bound = _api(_row(
     "specht-bound", "Arithmetic-geometric comparison via Specht's ratio: "
     "(M+m)/2 <= S(M/m) sqrt(Mm).",
-    cell="scalar", bounds=_MM, constant=lambda m, M: specht_ratio(M / m), sampler="specht",
-    vets=(_closed_mM,), form=_against_rhs,
+    cell=SPECHT, constant=lambda m, M: specht_ratio(M / m),
+    vets=(_ordered,), form=_against_rhs,
     sides=lambda x: (np.array([0.5 * (M + m) for m, M in zip(x.m, x.M)]),
                      np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)]))))
 
@@ -787,8 +872,8 @@ check_strengthened_remark = _api(_row(
     "strengthened-remark", "Two-link strengthening, valid when sqrt(st) >= 1: "
     "phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B)) "
     "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
-    cell="sandwich", bounds=_ST, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
-    sampler="sandwich_st_ge_1", pool="maps", picks=_REVERSAL,
+    cell=SANDWICH_ST_GE_1, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
+    pool="maps", picks=_REVERSAL,
     vets=(_st_at_least_one, _sandwich, _means, _F_MONOTONE), form=_links, sides=_link_sides))
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
@@ -797,7 +882,7 @@ _NORM_PICKS = (("g", "g_convex", 0), ("norm", "norms", 0))
 
 _row("norm-ratio-tau", "||g(A) tau g(B)||/||A tau B|| <= C(s,t) ||g(Y)/Y||, Y = A # B, "
      "tau >= #.",
-     cell="sandwich", bounds=_ST, constant=sandwich_constant, audit=True,
+     cell=SANDWICH, constant=sandwich_constant, audit=True,
      picks=(("kernel", "tau_ge_sharp", 0),) + _NORM_PICKS,
      vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
          kernel_dominance(GEOMETRIC, k).holds,
@@ -805,20 +890,20 @@ _row("norm-ratio-tau", "||g(A) tau g(B)||/||A tau B|| <= C(s,t) ||g(Y)/Y||, Y = 
      params={"mode": "tau_side"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
 _row("norm-ratio-sharp", "||g(A) # g(B)||/||A # B|| <= C(s,t) ||g(Y)/Y||, Y = A sigma B, "
      "sigma <= #.",
-     cell="sandwich", bounds=_ST, constant=sandwich_constant, audit=True,
+     cell=SANDWICH, constant=sandwich_constant, audit=True,
      picks=(("kernel", "sigma_le_sharp", 0),) + _NORM_PICKS,
      vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
          kernel_dominance(k, GEOMETRIC).holds,
          f"sharp_side needs a kernel dominated by the geometric one, got {k.id!r}"))),
      params={"mode": "sharp_side"}, sides=lambda x: _norm_sides(x, GEOMETRIC, x.kernel))
 _row("norm-ratio-power4", "||g(A) tau g(B)||/||A tau B|| <= C(s,t)^2 ||g(Y)/Y||, Y = A # B.",
-     cell="sandwich", bounds=_ST, constant=lambda s, t: sandwich_constant(s, t) ** 2, audit=True,
+     cell=SANDWICH, constant=lambda s, t: sandwich_constant(s, t) ** 2, audit=True,
      picks=(("kernel", "kernels", 0),) + _NORM_PICKS,
      vets=(_G_CONVEX, _sandwich, _each("kernel", _vet_mean_kernel)),
      params={"mode": "power4"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
 _row("norm-ratio-eq15", "||g(A) # g(B)||/||A # B|| <= 2 K^2 ||g(Y)/Y||, Y = A # B, "
      "K = (M+m)/(2 sqrt(Mm)).",
-     cell="bounded", bounds=_MM, constant=lambda m, M: 2.0 * polya_szego_constant(m, M) ** 2,
+     cell=BOUNDED, constant=lambda m, M: 2.0 * polya_szego_constant(m, M) ** 2,
      audit=True, picks=_NORM_PICKS, vets=(_G_CONVEX, _bounded),
      params={"mode": "eq15", "kernel": GEOMETRIC.id,
              "s": lambda x: [m / M for m, M in zip(x.m, x.M)],
@@ -833,14 +918,14 @@ AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
 # The one-instance checks of the rows that share a signature.
 
 _SANDWICH_MODES = {"matrix": _SANDWICH_LEMMA, "scalar": replace(
-    _SANDWICH_LEMMA, vets=(lambda x: _vet_st(x.s, x.t),), form=_scalar_sandwich,
+    _SANDWICH_LEMMA, vets=(_ordered,), form=_scalar_sandwich,
     params={"mode": "scalar"})}
 _GRUSS = {row.params["family"]: _api(row) for row in (_GRUSS_F, _GRUSS_G)}
 _NORM_RATIO = {row.params["mode"]: row for row in ROWS.values() if row.audit}
 
 
 def check_sandwich_lemma(A, B, s, t, mode: str = "matrix", grid_points: int = 200, *,
-                         constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+                         constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
     """Matrix mode returns the certificate pair (lower, upper) of
     c1 (A nabla B) <= A # B <= c2 (A ! B); scalar mode checks the underlying
     scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t] and ignores
@@ -852,7 +937,7 @@ def check_sandwich_lemma(A, B, s, t, mode: str = "matrix", grid_points: int = 20
 
 
 def check_alpha_scaling(fn: MonotoneFunction, alpha: float, grid=None, *,
-                        constant_multiplier: float = 1.0, tol_rel: float = DEFAULT_TOL_REL):
+                        constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
     """The alpha-scaling bound of ``fn`` on ``grid`` (default_grid() if None)."""
     return _one(_ALPHA_SCALING, {"f": fn, "grid": grid}, None, None, (alpha,),
                 constant_multiplier, tol_rel)
@@ -881,7 +966,7 @@ def check_norm_ratio(mode: str, kernel, g, A, B, s=None, t=None, m=None, M=None,
     or eq15; eq15 takes m and M and the geometric kernel, the others s and t)."""
     row = _NORM_RATIO.get(mode)
     _hyp(row is not None, f"unknown norm-ratio mode {mode!r}")
-    bounds = (m, M) if row.bounds == _MM else (s, t)
-    _hyp(all(b is not None for b in bounds),
-         f"{mode} mode needs {row.bounds[0]} and {row.bounds[1]}")
+    lo, hi = row.cell.bounds
+    bounds = tuple({"s": s, "t": t, "m": m, "M": M}[name] for name in (lo, hi))
+    _hyp(None not in bounds, f"{mode} mode needs {lo} and {hi}")
     return _one(row, {"kernel": kernel, "g": g, "norm": norm}, A, B, bounds, **kw)

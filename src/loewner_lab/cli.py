@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import suite as suite_mod
@@ -22,6 +23,7 @@ from .kernels import (
     sandwich_constant,
     specht_ratio,
 )
+from .spectral import LOEWNER_TOL_REL
 from .suite import SuiteConfig, hunt_counterexamples, probe_tightness, run_suite, write_report
 
 
@@ -31,7 +33,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dims", default="2,3,4", help="comma list of dimensions")
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9, help="relative slack tolerance")
+    parser.add_argument("--tol", type=float, default=LOEWNER_TOL_REL,
+                        help="relative slack tolerance")
     parser.add_argument("--s", type=float, default=None)
     parser.add_argument("--t", type=float, default=None)
     parser.add_argument("--m", type=float, default=None)
@@ -57,21 +60,19 @@ def _config_from_args(args) -> SuiteConfig:
         "m": args.m,
         "M": args.M,
     }
-    kernel_sel = []
-    for flag in (args.tau, args.sigma):
+    kernels = [spec for flag in (args.tau, args.sigma) if flag for spec in _specs(flag)]
+    if kernels:
+        kwargs["kernels"] = tuple(dict.fromkeys(kernels))
+    for name, flag in (("monotone_fns", args.f), ("decreasing_fns", args.g), ("maps", args.phi),
+                       ("norms", args.norm)):
         if flag:
-            kernel_sel.extend(x.strip() for x in flag.split(","))
-    if kernel_sel:
-        kwargs["kernels"] = tuple(dict.fromkeys(kernel_sel))
-    if args.f:
-        kwargs["monotone_fns"] = tuple(x.strip() for x in args.f.split(","))
-    if args.g:
-        kwargs["decreasing_fns"] = tuple(x.strip() for x in args.g.split(","))
-    if args.phi:
-        kwargs["maps"] = tuple(x.strip() for x in args.phi.split(","))
-    if args.norm:
-        kwargs["norms"] = tuple(x.strip() for x in args.norm.split(","))
+            kwargs[name] = _specs(flag)
     return SuiteConfig(**kwargs)
+
+
+def _specs(flag: str) -> tuple:
+    """A comma list's specs; a comma before a digit stays inside one, as in pinching:1,2."""
+    return tuple(x.strip() for x in re.split(r",(?!\d)", flag))
 
 
 def _finish(report, args) -> int:

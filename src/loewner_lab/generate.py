@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import HypothesisError, NotPositiveDefiniteError
 from .spectral import (
+    LOEWNER_TOL_REL,
     SpectralDecomposition,
     SymMatrix,
     SymStack,
@@ -35,6 +36,8 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # mix64's constants as numpy scalars, for the bulk stream.
 _GAMMA64, _MIX1, _MIX2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+# The spectrum range of A in a sandwich pair and of both matrices of a free pair.
+A_SPECTRUM = (0.25, 4.0)
 
 
 def mix64(z: int) -> int:
@@ -275,7 +278,7 @@ class SandwichPair:
     s: float
     t: float
 
-    def verify(self, tol_rel: float = 1e-9) -> None:
+    def verify(self, tol_rel: float = LOEWNER_TOL_REL) -> None:
         """Raise for the first slice whose tightest scalars leave [s, t], or
         are not numbers."""
         for lo, hi, s, t in _slices(*estimate_sandwich(self.A, self.B), self.s, self.t):
@@ -295,13 +298,13 @@ class BoundedPair:
     m: float
     M: float
 
-    def verify(self, tol_rel: float = 1e-9) -> None:
+    def verify(self, tol_rel: float = LOEWNER_TOL_REL) -> None:
         """Raise for A's first slice whose spectrum leaves [m, M], then for B's."""
         for name, X in (("A", self.A), ("B", self.B)):
             verify_spectrum(name, X, self.m, self.M, tol_rel)
 
 
-def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = 1e-9) -> None:
+def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = LOEWNER_TOL_REL) -> None:
     """Raise for the first slice of X whose spectrum leaves [m, M], or is not
     a number; ``m`` and ``M`` are scalars or one value per slice."""
     for lo, hi, m_k, M_k in _slices(*spectrum_bounds(X), m, M):
@@ -311,17 +314,17 @@ def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = 1e-9) -> Non
                                   f"[{lo:.6g}, {hi:.6g}] outside [{m_k:.6g}, {M_k:.6g}]")
 
 
-def _sandwich_pair(rngs, dim: int, s, t, a_lo: float = 0.25, a_hi: float = 4.0,
-                   corner: bool = False) -> tuple:
-    """The stacks (A, B) of one verified sandwich pair per stream, with
-    B = A^(1/2) C A^(1/2); ``s`` and ``t`` hold one value per stream.
+def _sandwich_pair(rngs, dim: int, s, t, corner: bool = False) -> tuple:
+    """The stacks (A, B) of one verified sandwich pair per stream, with the
+    spectrum of A in ``A_SPECTRUM`` and B = A^(1/2) C A^(1/2); ``s`` and
+    ``t`` hold one value per stream.
 
     A ``corner`` pins slice 0 to the commuting boundary pair A = diag(1, 4,
     1, ...), C = diag(t, s, t, ...).  A keeps its decomposition and, from
     ``verify``, the pair's sandwich scalars, which the certificates of the
     same stacks read again.
     """
-    A = _spd(rngs, dim, a_lo, a_hi, (1.0, 4.0) if corner else None)
+    A = _spd(rngs, dim, *A_SPECTRUM, (1.0, 4.0) if corner else None)
     B = _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
     SandwichPair(A, B, s, t).verify()  # refuses an A that is not positive definite first
     return A, B

@@ -45,7 +45,6 @@ class ScalarKernel:
 
     id: str
     fn: Callable[[float], float]
-    claims_symmetric: bool = True
 
 
 def eval_kernel(kernel: ScalarKernel, t: float) -> float:
@@ -90,8 +89,15 @@ def heinz(nu: float) -> ScalarKernel:
     return ScalarKernel(f"heinz:{nu:g}", lambda t: 0.5 * (t**nu + t ** (1.0 - nu)))
 
 
+# The default pools, as the specs that parse_kernel and parse_function read.
+DEFAULT_KERNEL_SPECS = ("arithmetic", "geometric", "harmonic", "logarithmic", "heinz:0.25")
+DEFAULT_MONOTONE_SPECS = ("power:0.5", "power:1", "log1p", "rational:1")
+DEFAULT_DECREASING_SPECS = ("inv_power:1", "inv_power:0.5", "shifted_inverse:1")
+DEFAULT_CONVEX_SPECS = ("square", "power:1.5")
+
+
 def kernel_catalog() -> tuple[ScalarKernel, ...]:
-    return (ARITHMETIC, GEOMETRIC, HARMONIC, LOGARITHMIC, heinz(0.25))
+    return tuple(map(parse_kernel, DEFAULT_KERNEL_SPECS))
 
 
 def parse_kernel(spec: str) -> ScalarKernel:
@@ -174,22 +180,22 @@ IDENTITY_FN = power(1.0)
 
 
 def monotone_catalog() -> tuple[MonotoneFunction, ...]:
-    return (power(0.5), IDENTITY_FN, LOG1P, rational(1.0))
+    return tuple(map(parse_function, DEFAULT_MONOTONE_SPECS))
 
 
 def decreasing_catalog() -> tuple[MonotoneFunction, ...]:
-    return (inv_power(1.0), inv_power(0.5), shifted_inverse(1.0))
+    return tuple(map(parse_function, DEFAULT_DECREASING_SPECS))
 
 
 def convex_zero_catalog() -> tuple[MonotoneFunction, ...]:
-    return (SQUARE, power(1.5))
+    return tuple(map(parse_function, DEFAULT_CONVEX_SPECS))
 
 
 def parse_function(spec: str) -> MonotoneFunction:
     """Parse a function identifier such as 'power:0.5' or 'inv_power:1'."""
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
-    if name in ("id", "identity"):
+    if name in ("id", "identity") or (name == "power" and float(arg) == 1.0):
         return IDENTITY_FN
     if name == "power":
         return power(float(arg))

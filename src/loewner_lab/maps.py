@@ -270,11 +270,6 @@ def check_unital(phi: MapSpec) -> UnitalityVerdict:
     return UnitalityVerdict(is_unital=deviation <= UNITALITY_TOL, deviation=deviation)
 
 
-def _labelled(mapobj: MapSpec, label: str) -> MapSpec:
-    object.__setattr__(mapobj, "label", label)
-    return mapobj
-
-
 def parse_map(spec: str, dim: int, rng=None) -> MapSpec:
     """Build a map from its CLI token for a given input dimension.
 
@@ -288,7 +283,7 @@ def parse_map(spec: str, dim: int, rng=None) -> MapSpec:
         return IdentityMap(dim)
     if name == "ntrace":
         k = dim if arg.strip().lower() == "full" else int(arg)
-        return _labelled(NormalizedTraceMap(dim, k), f"ntrace:{k}")
+        return NormalizedTraceMap(dim, k, label=f"ntrace:{k}")
     if name == "congruence":
         sub, _, shape = arg.partition(":")
         if sub.strip().lower() != "random":
@@ -303,13 +298,13 @@ def parse_map(spec: str, dim: int, rng=None) -> MapSpec:
         if rng is None:
             raise ValueError("random congruence map needs an rng")
         v = rng.normal_matrix(r, c)
-        return _labelled(CongruenceMap(v), f"congruence:random:{r}x{c}")
+        return CongruenceMap(v, label=f"congruence:random:{r}x{c}")
     if name == "kraus":
         n = int(arg)
         if rng is None:
             raise ValueError("random kraus map needs an rng")
         vs = tuple(rng.normal_matrix(dim, dim) for _ in range(n))
-        return _labelled(KrausSumMap(vs), f"kraus:{n}")
+        return KrausSumMap(vs, label=f"kraus:{n}")
     if name == "pinching":
         if arg.strip().lower() in ("", "halves"):
             first = max(1, dim // 2)
@@ -322,14 +317,14 @@ def parse_map(spec: str, dim: int, rng=None) -> MapSpec:
         for size in sizes:
             blocks.append(tuple(range(start, start + size)))
             start += size
-        return _labelled(PinchingMap(tuple(blocks)), f"pinching:{','.join(str(s) for s in sizes)}")
+        return PinchingMap(tuple(blocks), label=f"pinching:{','.join(str(s) for s in sizes)}")
     if name == "mix":
         weights, comps = [], []
         for part in arg.split("+"):
             w, _, sub = part.partition("@")
             weights.append(float(w))
             comps.append(parse_map(sub, dim, rng))
-        return _labelled(MixtureMap(tuple(weights), tuple(comps)), f"mix:{arg}")
+        return MixtureMap(tuple(weights), tuple(comps), label=f"mix:{arg}")
     raise ValueError(f"unknown map {spec!r}")
 
 

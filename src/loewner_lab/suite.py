@@ -14,37 +14,38 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import certificates as certs
-from .certificates import ALL_INEQUALITIES, NON_AUDIT_INEQUALITIES, ROWS, _cols, _st_ge_1
-from .errors import LoewnerLabError
+from .certificates import ALL_INEQUALITIES, NON_AUDIT_INEQUALITIES, ROWS
+from .errors import HypothesisError, LoewnerLabError
 from .generate import (
+    A_SPECTRUM,
     SplitMix64,
     derive_seed,
     derive_seeds,
     fnv1a64,
-    log_uniform_rows,
     random_orthogonal,
-    _bounded_pair,
     _compose,
-    _sandwich_pair,
     _sandwiched,
-    _spd,
 )
-from .kernels import GEOMETRIC, kernel_dominance, parse_function, parse_kernel
+from .kernels import (
+    DEFAULT_CONVEX_SPECS,
+    DEFAULT_DECREASING_SPECS,
+    DEFAULT_KERNEL_SPECS,
+    DEFAULT_MONOTONE_SPECS,
+    GEOMETRIC,
+    kernel_dominance,
+    parse_function,
+    parse_kernel,
+)
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import SymMatrix, SymStack, parse_norm
+from .spectral import LOEWNER_TOL_REL, SymMatrix, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
-_DEFAULT_KERNELS = ("arithmetic", "geometric", "harmonic", "logarithmic", "heinz:0.25")
-_DEFAULT_MONOTONE = ("power:0.5", "power:1", "log1p", "rational:1")
-_DEFAULT_DECREASING = ("inv_power:1", "inv_power:0.5", "shifted_inverse:1")
-_DEFAULT_CONVEX = ("square", "power:1.5")
 _DEFAULT_NORMS = ("operator", "trace", "frobenius", "kyfan:2", "schatten:3")
 
 
@@ -56,7 +57,7 @@ class SuiteConfig:
     dims: tuple = (2, 3, 4)
     trials: int = 50
     seed: int = 0
-    tol_rel: float = 1e-9
+    tol_rel: float = LOEWNER_TOL_REL
     # Sandwich scalars: fixed when s/t given, otherwise sampled log-uniformly
     # from sandwich_range (sorted per trial).
     s: float | None = None
@@ -66,10 +67,10 @@ class SuiteConfig:
     # moderate spread to keep the means well conditioned.
     m: float | None = None
     M: float | None = None
-    kernels: tuple = _DEFAULT_KERNELS
-    monotone_fns: tuple = _DEFAULT_MONOTONE
-    decreasing_fns: tuple = _DEFAULT_DECREASING
-    convex_fns: tuple = _DEFAULT_CONVEX
+    kernels: tuple = DEFAULT_KERNEL_SPECS
+    monotone_fns: tuple = DEFAULT_MONOTONE_SPECS
+    decreasing_fns: tuple = DEFAULT_DECREASING_SPECS
+    convex_fns: tuple = DEFAULT_CONVEX_SPECS
     maps: tuple = DEFAULT_MAP_SPECS
     norms: tuple = _DEFAULT_NORMS
     constant_multiplier: float = 1.0
@@ -99,16 +100,14 @@ class SuiteConfig:
             if (getattr(self, lo) is None) != (getattr(self, hi) is None):
                 raise ValueError(f"fields {lo}, {hi}: provide both or neither, got "
                                  f"{lo}={getattr(self, lo)!r}, {hi}={getattr(self, hi)!r}")
-        # Fixed bounds of the requested cells: (s, t) first, then the bounded
-        # cells' 0 < m < M, then the 0 < m <= M of the other rows taking (m, M).
-        rules = {(ROWS[ineq].bounds, ROWS[ineq].cell == "bounded") for ineq in self.inequalities
-                 if ROWS[ineq].bounds in (("s", "t"), ("m", "M"))}
-        for (lo_name, hi_name), strict in sorted(rules, key=lambda r: (r[0][0] != "s", not r[1])):
-            lo, hi = getattr(self, lo_name), getattr(self, hi_name)
-            if lo is not None and not (0 < lo < hi if strict else 0 < lo <= hi):
-                raise ValueError(f"fields {lo_name}, {hi_name} need 0 < {lo_name} "
-                                 f"{'<' if strict else '<='} {hi_name}, got {lo_name}={lo!r}, "
-                                 f"{hi_name}={hi!r}")
+        # Fixed bounds of the requested cells, by each cell's ordering rule.
+        used = {ROWS[ineq].cell for ineq in self.inequalities}
+        for cell in certs.CELLS:
+            try:
+                if cell in used and (fixed := cell.fixed(self)):
+                    cell.vet_order([fixed[0]], [fixed[1]])
+            except HypothesisError as exc:
+                raise ValueError(f"fields {', '.join(cell.bounds)} {exc}") from None
         for ineq in self.inequalities:
             _vet_constant(ineq, self)
 
@@ -120,16 +119,16 @@ def _vet_constant(ineq: str, config: SuiteConfig) -> None:
     """Refuse fixed cell bounds at which ``ineq``'s constant is not a finite
     number: the row's constant, which its certificates multiply."""
     row = ROWS[ineq]
-    values = [getattr(config, name, None) for name in row.bounds]
-    if row.constant is None or None in values:
+    names, values = row.cell.bounds, row.cell.fixed(config)
+    if row.constant is None or values is None:
         return
     try:
         ok = all(map(math.isfinite, np.atleast_1d(row.constant(*values))))
     except ArithmeticError:  # a Python float overflow or a division by zero
         ok = False
     if not ok:
-        raise ValueError(f"fields {', '.join(row.bounds)}: the constant of {ineq} is not a finite "
-                         f"number at " + ", ".join(f"{n}={v!r}" for n, v in zip(row.bounds, values)))
+        raise ValueError(f"fields {', '.join(names)}: the constant of {ineq} is not a finite "
+                         f"number at " + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)))
 
 
 def _resolve_inequalities(spec) -> tuple:
@@ -186,16 +185,26 @@ class _DimPools:
         return self.f_monotone + self.g_decreasing
 
 
+def _parsed(config: SuiteConfig, name: str, parse) -> list:
+    """``parse`` of each spec of the config field ``name``; a refusal names both."""
+    out = []
+    for spec in getattr(config, name):
+        try:
+            out.append(parse(spec))
+        except (ValueError, ArithmeticError, LoewnerLabError) as exc:
+            raise type(exc)(f"field {name}: {spec}: {exc}") from exc
+    return out
+
+
 def _build_pools(config: SuiteConfig, dim: int) -> _DimPools:
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
-    maps = [parse_map(spec, dim, rng) for spec in config.maps]
+    maps = _parsed(config, "maps", lambda spec: parse_map(spec, dim, rng))
     unital = [mp for mp in maps if check_unital(mp).is_unital]
-    kernels = [parse_kernel(spec) for spec in config.kernels]
+    kernels = _parsed(config, "kernels", parse_kernel)
     tau_ge = [k for k in kernels if kernel_dominance(GEOMETRIC, k).holds]
     sigma_le = [k for k in kernels if kernel_dominance(k, GEOMETRIC).holds]
     norms = []
-    for spec in config.norms:
-        kind = parse_norm(spec)
+    for kind in _parsed(config, "norms", parse_norm):
         if kind.variant == "kyfan" and int(kind.param) > dim:
             kind = parse_norm(f"kyfan:{dim}")
         norms.append(kind)
@@ -206,9 +215,9 @@ def _build_pools(config: SuiteConfig, dim: int) -> _DimPools:
         kernels=kernels,
         tau_ge_sharp=tau_ge or [GEOMETRIC],
         sigma_le_sharp=sigma_le or [GEOMETRIC],
-        f_monotone=[parse_function(spec) for spec in config.monotone_fns],
-        g_decreasing=[parse_function(spec) for spec in config.decreasing_fns],
-        g_convex=[parse_function(spec) for spec in config.convex_fns],
+        f_monotone=_parsed(config, "monotone_fns", parse_function),
+        g_decreasing=_parsed(config, "decreasing_fns", parse_function),
+        g_convex=_parsed(config, "convex_fns", parse_function),
         norms=norms,
     )
 
@@ -217,88 +226,16 @@ def _pick(pool, index: int):
     return pool[index % len(pool)]
 
 
-def _sample_st(rngs: list, config: SuiteConfig, force_st_ge_1: bool = False) -> list:
-    """Each stream's sandwich cell (s, t): the config's when it fixes them,
-    else two log-uniform draws from ``sandwich_range``, sorted."""
-    if config.s is not None and config.t is not None:
-        cells = [(float(config.s), float(config.t))] * len(rngs)
-    else:
-        lo, hi = config.sandwich_range
-        cells = [(a, b) if a <= b else (b, a)
-                 for a, b in log_uniform_rows(rngs, (lo, hi), (lo, hi)).tolist()]
-    return [_st_ge_1(s, t) for s, t in cells] if force_st_ge_1 else cells
-
-
-def _sample_mM(rngs: list, config: SuiteConfig) -> list:
-    """Each stream's cell (m, M): the config's when it fixes them, else m
-    log-uniform in [0.5, 2] and M = m times a log-uniform draw in [1.5, 8]."""
-    if config.m is not None and config.M is not None:
-        return [(float(config.m), float(config.M))] * len(rngs)
-    return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
-
-
 def _instance_blob(k: int, **stacks) -> dict:
     """Slice k of each named stack, in the report's form; None names no matrix."""
     return {name: {"dim": X.dim, "data": X.data[k].ravel().tolist()}
             for name, X in stacks.items() if X is not None}
 
 
-def _draw_sandwich(rngs: list, dim: int, config: SuiteConfig, corner: bool,
-                   force_st_ge_1: bool = False):
-    cells = _sample_st(rngs, config, force_st_ge_1)
-    return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
-
-
-def _draw_bounded(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    cells = _sample_mM(rngs, config)
-    return (*_bounded_pair(rngs, dim, *_cols(cells), corner=corner), cells)
-
-
-def _draw_order(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    """Pairs A <= B with the spectrum of A in [m, M]."""
-    cells = _sample_mM(rngs, config)
-    A = _spd(rngs, dim, [m for m, _ in cells], [M for _, M in cells])
-    return A, A + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]), cells
-
-
-def _draw_free(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    return _spd(rngs, dim, 0.25, 4.0), _spd(rngs, dim, 0.25, 4.0), [()] * len(rngs)
-
-
-def _draw_alpha(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    return None, None, [tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()]
-
-
-def _draw_specht(rngs: list, dim: int, config: SuiteConfig, corner: bool):
-    if config.m is not None and config.M is not None:
-        return None, None, [(float(config.m), float(config.M))] * len(rngs)
-    return None, None, [(1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()]
-
-
-# The samplers the rows name: each returns the stacks ``(A, B, cells)`` of the
-# trial streams ``rngs`` (A and B None without matrices), drawing every
-# trial's cell first, then all trials' matrices as one stack; ``corner``
-# makes the first trial the commuting boundary instance.
-_SAMPLERS = {
-    "sandwich": _draw_sandwich,
-    "sandwich_st_ge_1": partial(_draw_sandwich, force_st_ge_1=True),  # s*t >= 1 by reflection
-    "bounded": _draw_bounded,
-    "order": _draw_order,
-    "free": _draw_free,
-    "alpha": _draw_alpha,
-    "specht": _draw_specht,
-}
-
-
 def _inequality(ineq: str) -> certs.Row:
     if ineq not in ROWS:
         raise ValueError(f"unknown inequality id {ineq!r}")
     return ROWS[ineq]
-
-
-def _sampler(ineq: str):
-    row = _inequality(ineq)
-    return _SAMPLERS[row.sampler or row.cell]
 
 
 def _picked(row: certs.Row, trials: list, pools: _DimPools) -> dict:
@@ -326,7 +263,7 @@ def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:
     """
     rngs = [SplitMix64(x) for x in derive_seeds(config.seed, (fnv1a64(ineq), dim), trials)]
     corner = trials[0] == 0 and ROWS[ineq].audit
-    return _sampler(ineq)(rngs, dim, config, corner)
+    return ROWS[ineq].cell.draw(rngs, dim, config, corner)
 
 
 # Matrix entries per stack at most (trials times dim^2), which 200 trials of dim 8 and 60 of
@@ -531,11 +468,6 @@ def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Repor
     return run_suite(hunted)
 
 
-# The cells probe searches: the config fields of the cell's bounds and their
-# defaults.
-_PROBE_CELLS = {"bounded": ("m", "M", 1.0, 4.0), "sandwich": ("s", "t", 0.25, 4.0)}
-
-
 def _moved(inst: tuple, move: tuple, lo: float, hi: float) -> tuple:
     """The instance ``(q_a, lam_a, q_c, lam_c)`` after one ``_draw_move``
     move, with eigenvalues clipped to [lo, hi]; it shares the arrays the move
@@ -574,19 +506,20 @@ def _draw_move(rng: SplitMix64, dim: int) -> tuple:
     return kind, i, j, 0.2 * rng.normal()
 
 
-def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, n_random: int):
+def _probe_starts(cell: certs.Cell, dim: int, rng: SplitMix64, lo: float, hi: float,
+                  n_random: int):
     """Corner instances (extremal, anti-aligned spectra) plus random starts,
     each the eigen-coordinates ``(q_a, lam_a, q_c, lam_c)`` of one instance.
 
     A bounded instance carries the spectra of A and B in [m, M]; a sandwich
-    one carries the spectrum of A and that of C in [s, t].
+    one carries the spectrum of A in ``A_SPECTRUM`` and that of C in [s, t].
     """
-    bounded = family == "bounded"
+    bounded = cell is certs.BOUNDED
     corner = np.array([hi if j % 2 == 0 else lo for j in range(dim)])
     if bounded:
         a_corner, a_lo, a_hi = np.array([lo if j % 2 == 0 else hi for j in range(dim)]), lo, hi
     else:
-        a_corner, a_lo, a_hi = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), 0.25, 4.0
+        a_corner, (a_lo, a_hi) = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), A_SPECTRUM
     eye = np.eye(dim)
     q = random_orthogonal(dim, rng)
     starts = [(eye, a_corner, eye, corner), (q, a_corner, q if bounded else eye, corner)]
@@ -597,14 +530,14 @@ def _probe_starts(family: str, dim: int, rng: SplitMix64, lo: float, hi: float, 
     return starts
 
 
-def _probe_stacks(family: str, insts: list, bounds: tuple) -> tuple:
+def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:
     """The stacks ``(A, B, cells)`` of the given instances, built as a draw
     builds its pairs: A = Q_a^T diag(lam_a) Q_a, and C the same of C's
     coordinates, which is B in a bounded cell and gives B = A^(1/2) C A^(1/2)
     in a sandwich cell."""
     q_a, lam_a, q_c, lam_c = (np.stack(x) for x in zip(*insts))
     A, C = _compose(q_a, lam_a), _compose(q_c, lam_c)
-    return A, C if family == "bounded" else _sandwiched(A, C), [bounds] * len(insts)
+    return A, C if cell is certs.BOUNDED else _sandwiched(A, C), [bounds] * len(insts)
 
 
 def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: _DimPools, tol_rel: float):
@@ -668,11 +601,11 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     a time.
     """
     moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
-    family = ROWS[ineq].cell
+    cell = ROWS[ineq].cell
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
         cands = [_moved(best, move, *bounds) for move in moves[step:step + window]]
-        ratios = _probe_evaluate(ineq, _probe_stacks(family, cands, bounds), pick, config,
+        ratios = _probe_evaluate(ineq, _probe_stacks(cell, cands, bounds), pick, config,
                                  pools, above=best_ratio)
         hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
         if hit is None:
@@ -693,15 +626,12 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     are probed.
     """
     start = time.perf_counter()
-    family = _inequality(inequality_id).cell
-    if family == "scalar":
+    cell = _inequality(inequality_id).cell
+    if cell in (certs.ALPHA, certs.SPECHT):
         raise ValueError(f"{inequality_id!r} has no matrix instances to probe")
-    if family not in _PROBE_CELLS:
+    if cell.probe is None:
         raise ValueError(f"probing {inequality_id!r} is not supported")
-    lo_name, hi_name, lo, hi = _PROBE_CELLS[family]
-    if getattr(config, lo_name) is not None:  # SuiteConfig sets both bounds or neither
-        lo, hi = getattr(config, lo_name), getattr(config, hi_name)
-    cell, bounds = {lo_name: lo, hi_name: hi}, (lo, hi)
+    bounds = cell.fixed(config) or cell.probe
     if len(config.dims) != 1:
         raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]
@@ -712,9 +642,9 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     best_ratio = -math.inf
     best_inst = None
     best_pick = 0
-    starts = _probe_starts(family, dim, rng, lo, hi, config.trials)
+    starts = _probe_starts(cell, dim, rng, *bounds, config.trials)
     # each chunk is built once, so every pick reads the same solved stacks
-    chunks = [_probe_stacks(family, chunk, bounds) for chunk in _chunks(starts, dim)]
+    chunks = [_probe_stacks(cell, chunk, bounds) for chunk in _chunks(starts, dim)]
     by_pick = [[ratio for stacks in chunks
                 for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
                for pick in range(n_picks)]
@@ -727,10 +657,10 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         raise LoewnerLabError("probe found no feasible instance")
     best_inst, best_ratio, accepted = _refine(inequality_id, best_inst, best_ratio, best_pick,
                                               rng, config, pools, bounds)
-    A, B, _ = _probe_stacks(family, [best_inst], bounds)
+    A, B, _ = _probe_stacks(cell, [best_inst], bounds)
     probe_payload = {
         "inequality": inequality_id,
-        "cell": cell,
+        "cell": dict(zip(cell.bounds, bounds)),
         "dim": dim,
         "max_ratio": best_ratio,
         "refine_steps": config.probe_refine_steps,

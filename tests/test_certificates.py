@@ -629,14 +629,15 @@ def test_each_constant_is_declared_once(ineq, multiplier, monkeypatch):
     pools = suite._build_pools(config, 2)
     trials = suite._stacks(ineq, range(6), pools)[0]
     stack = suite._evaluate_trial(ineq, 2, trials, config, pools)
-    cells = list(zip(*(stack.sides[0].params[name] for name in row.bounds)))
+    cells = list(zip(*(stack.sides[0].params[name] for name in row.cell.bounds)))
     factors = [1.0] * len(cells) if row.carry is None else row.carry(SimpleNamespace(
-        **suite._picked(row, trials, pools), **dict(zip(row.bounds, map(list, zip(*cells))))))
+        **suite._picked(row, trials, pools),
+        **dict(zip(row.cell.bounds, map(list, zip(*cells))))))
     for k, (cell, factor) in enumerate(zip(cells, factors)):
         constant = row.constant(*cell)
         constants = constant if isinstance(constant, tuple) else (constant * factor,)
         assert [side.constant[k] for side in stack.sides] == [c * multiplier for c in constants]
-    if set(row.bounds) <= {"s", "t", "m", "M"}:
+    if set(row.cell.bounds) <= {"s", "t", "m", "M"}:
         monkeypatch.setitem(ROWS, ineq, dataclasses.replace(row, constant=lambda *b: math.inf))
         with pytest.raises(ValueError, match=f"the constant of {ineq} is not a finite number"):
-            SuiteConfig(inequalities=(ineq,), **dict(zip(row.bounds, cells[0])))
+            SuiteConfig(inequalities=(ineq,), **dict(zip(row.cell.bounds, cells[0])))

@@ -278,7 +278,7 @@ _CELL_IDS = {"sandwich": "midpoint", "st-ge-1": "strengthened-remark", "bounded"
 @given(kind=st.sampled_from(sorted(_CELL_IDS)), dim=st.integers(1, 16),
        trials=st.integers(1, 7), seed=st.integers(0, 2**64 - 1), fixed=st.booleans())
 def test_stacked_cell_draw_matches_a_trial_by_trial_draw(kind, dim, trials, seed, fixed):
-    from loewner_lab.suite import SuiteConfig, _sampler
+    from loewner_lab.suite import ROWS, SuiteConfig
 
     ineq = _CELL_IDS[kind]
     cell = dict(s=0.5, t=3.0, m=1.0, M=4.0) if fixed else {}
@@ -286,7 +286,7 @@ def test_stacked_cell_draw_matches_a_trial_by_trial_draw(kind, dim, trials, seed
     seeds = [derive_seed(seed, k) for k in range(trials)]
     rngs = [SplitMix64(x) for x in seeds]
     corner = kind.endswith("-corner")
-    A, B, cells = _sampler(ineq)(rngs, dim, config, corner)
+    A, B, cells = ROWS[ineq].cell.draw(rngs, dim, config, corner)
     assert len(A) == len(B) == len(cells) == trials
     for k, rng in enumerate(rngs):
         ref_rng = SplitMix64(seeds[k])
@@ -353,13 +353,13 @@ def test_block_seeds_and_cell_draws_match_each_trials_stream(ineq, dim, trials, 
        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
        spare=st.booleans())
 def test_scalar_cell_block_leaves_each_stream_as_its_draws_do(ineq, seeds, spare):
-    from loewner_lab.suite import SuiteConfig, _sampler
+    from loewner_lab.suite import ROWS, SuiteConfig
 
     rngs, refs = [SplitMix64(x) for x in seeds], [SplitMix64(x) for x in seeds]
     if spare:  # a held Box-Muller spare is left as it is
         for rng in rngs + refs:
             rng.normal()
-    cells = _sampler(ineq)(rngs, 3, SuiteConfig(inequalities=(ineq,)), False)[2]
+    cells = ROWS[ineq].cell.draw(rngs, 3, SuiteConfig(inequalities=(ineq,)), False)[2]
     for rng, ref, got in zip(rngs, refs, cells):
         assert got == _ref_cell(ineq, ref, False)
         assert (rng._state, rng._spare) == (ref._state, ref._spare)

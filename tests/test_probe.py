@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_lab import SplitMix64, SymMatrix, suite
+from loewner_lab.certificates import BOUNDED, SANDWICH
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
 from loewner_lab.spectral import SymStack, decompose
 from loewner_lab.suite import SuiteConfig
 
-PROBED_IDS = [i for i, entry in suite.ROWS.items()
-              if entry.cell in ("bounded", "sandwich")]
+PROBED_IDS = [i for i, entry in suite.ROWS.items() if entry.cell.probe is not None]
 
 
 def _rotate(q, rng):
@@ -54,30 +54,30 @@ def _perturb(inst, rng, lo, hi):
     return q_a, lam_a, q_c, lam_c
 
 
-def _instance_matrices(family, inst):
+def _instance_matrices(cell, inst):
     """The instance's (A, B), built one matrix at a time: the reference for
     ``suite._probe_stacks``."""
     q_a, lam_a, q_c, lam_c = inst
     A = SymMatrix(q_a.T @ np.diag(lam_a) @ q_a)
     C = SymMatrix(q_c.T @ np.diag(lam_c) @ q_c)
-    if family == "bounded":
+    if cell is BOUNDED:
         return A, C
     root = decompose(A).root
     return A, SymMatrix(root @ C.data @ root)
 
 
-def _reference_stacks(family, insts, bounds):
-    A, B = zip(*(_instance_matrices(family, inst) for inst in insts))
+def _reference_stacks(cell, insts, bounds):
+    A, B = zip(*(_instance_matrices(cell, inst) for inst in insts))
     return SymStack.of(A), SymStack.of(B), [bounds] * len(insts)
 
 
 def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds):
     """The hill climb one candidate at a time: the reference for ``suite._refine``."""
-    family = suite.ROWS[ineq].cell
+    cell = suite.ROWS[ineq].cell
     accepted = 0
     for _ in range(config.probe_refine_steps):
         cand = _perturb(best, rng, *bounds)
-        ratio = suite._probe_evaluate(ineq, _reference_stacks(family, [cand], bounds), pick,
+        ratio = suite._probe_evaluate(ineq, _reference_stacks(cell, [cand], bounds), pick,
                                       config, pools)[0]
         if ratio is not None and ratio > best_ratio:
             best_ratio, best = ratio, cand
@@ -130,12 +130,12 @@ def _climb_setup(steps):
     config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=2, seed=4,
                          probe_refine_steps=steps)
     pools = suite._build_pools(config, 3)
-    best = suite._probe_starts("bounded", 3, SplitMix64(1), *BOUNDS, 0)[1]
+    best = suite._probe_starts(BOUNDED, 3, SplitMix64(1), *BOUNDS, 0)[1]
     return config, pools, best
 
 
 def _key(inst):
-    A, B = _instance_matrices("bounded", inst)
+    A, B = _instance_matrices(BOUNDED, inst)
     return A.data.tobytes() + B.data.tobytes()
 
 
@@ -191,7 +191,7 @@ def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
         return [value]
 
     monkeypatch.setattr(suite, "_probe_ratios", ratios)
-    stacks = suite._probe_stacks("bounded", insts, BOUNDS)
+    stacks = suite._probe_stacks(BOUNDED, insts, BOUNDS)
     assert suite._probe_evaluate("polya-szego", stacks, 0, config, pools, above=1.0) == [
         None, 0.5, 2.0]
 
@@ -210,19 +210,20 @@ def test_windows_double_up_to_64_moves(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(["bounded", "sandwich"]), dim=st.integers(1, 16),
+@given(bounded=st.booleans(), dim=st.integers(1, 16),
        n=st.integers(0, 4), seed=st.integers(0, 2**64 - 1), wide=st.booleans())
-def test_probe_stacks_equal_the_instances_built_one_by_one(family, dim, n, seed, wide):
+def test_probe_stacks_equal_the_instances_built_one_by_one(bounded, dim, n, seed, wide):
     # the corner starts, random starts, and each of them after one move
-    bounds = {("bounded", False): (1.0, 4.0), ("bounded", True): (1e-3, 1e3),
-              ("sandwich", False): (0.25, 4.0), ("sandwich", True): (0.5, 0.8)}[family, wide]
+    cell = BOUNDED if bounded else SANDWICH
+    bounds = {(True, False): (1.0, 4.0), (True, True): (1e-3, 1e3),
+              (False, False): (0.25, 4.0), (False, True): (0.5, 0.8)}[bounded, wide]
     rng = SplitMix64(seed)
-    starts = suite._probe_starts(family, dim, rng, *bounds, n)
+    starts = suite._probe_starts(cell, dim, rng, *bounds, n)
     insts = starts + [suite._moved(inst, suite._draw_move(rng, dim), *bounds) for inst in starts]
-    A, B, cells = suite._probe_stacks(family, insts, bounds)
+    A, B, cells = suite._probe_stacks(cell, insts, bounds)
     assert cells == [bounds] * len(insts)
     for k, inst in enumerate(insts):
-        a, b = _instance_matrices(family, inst)
+        a, b = _instance_matrices(cell, inst)
         assert A.data[k].tobytes() == a.data.tobytes()
         assert B.data[k].tobytes() == b.data.tobytes()
 
@@ -233,9 +234,9 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     # eigendecomposed again at a later pick.  The sandwich cell has s*t != 1:
     # at s*t = 1, diaz-metcalf, klamkin-mclenaghan and strengthened-remark
     # solve sqrt(st) A = 1.0 * A as a new matrix of A's entries at every pick.
-    family = suite.ROWS[ineq].cell
-    cell = {"s": 0.5, "t": 4.0} if family == "sandwich" else {}
-    config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=4, seed=5, **cell)
+    cell = suite.ROWS[ineq].cell
+    fixed = {} if cell is BOUNDED else {"s": 0.5, "t": 4.0}
+    config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=4, seed=5, **fixed)
     starts, solved = [], []
     real_starts, real_eigh = suite._probe_starts, np.linalg.eigh
 
@@ -260,5 +261,5 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     # start 0 is diagonal, and a pinching map gives a diagonal matrix back as
     # a new matrix of the same entries
     for inst in starts[1:]:
-        for X in _instance_matrices(family, inst):
+        for X in _instance_matrices(cell, inst):
             assert scan.count(X.data.tobytes()) <= 1

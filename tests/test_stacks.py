@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from loewner_lab import SplitMix64, SymMatrix, geometric, matrix_function, suite
 from loewner_lab.certificates import (
     ALL_INEQUALITIES,
+    ALPHA,
+    BOUNDED,
+    SANDWICH,
+    SANDWICH_ST_GE_1,
+    SPECHT,
     Certificate,
     _norm_ratio_diag,
     check_alpha_scaling,
@@ -31,8 +36,8 @@ from loewner_lab.maps import map_catalog
 from loewner_lab.spectral import SymStack, decompose, loewner_slack, op_norm, spectrum
 from loewner_lab.suite import SuiteConfig
 
-MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell != "scalar"]
-PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell in ("bounded", "sandwich")]
+MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell not in (ALPHA, SPECHT)]
+PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell.probe is not None]
 
 
 def _outcome(evaluate) -> str:
@@ -87,13 +92,13 @@ def test_every_id_stacked_equals_stacks_of_one(ineq, dim):
 def test_probe_starts_stacked_equal_one_by_one(ineq):
     config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=6, seed=5)
     pools = suite._build_pools(config, 3)
-    family = suite.ROWS[ineq].cell
-    bounds = (1.0, 4.0) if family == "bounded" else (0.25, 4.0)
-    starts = suite._probe_starts(family, 3, SplitMix64(9), *bounds, 6)
-    stacks = suite._probe_stacks(family, starts, bounds)  # read again at every pick
+    cell = suite.ROWS[ineq].cell
+    bounds = (1.0, 4.0) if cell is BOUNDED else (0.25, 4.0)
+    starts = suite._probe_starts(cell, 3, SplitMix64(9), *bounds, 6)
+    stacks = suite._probe_stacks(cell, starts, bounds)  # read again at every pick
     for pick in range(6):
         stacked = suite._probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
-        alone = [suite._probe_evaluate(ineq, suite._probe_stacks(family, [inst], bounds), pick,
+        alone = [suite._probe_evaluate(ineq, suite._probe_stacks(cell, [inst], bounds), pick,
                                        config, pools)[0]
                  for inst in starts]
         assert stacked == alone
@@ -194,7 +199,8 @@ def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
         monkeypatch.setattr(certificates, name, tracked(getattr(certificates, name)))
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
-    ids = tuple(i for i in ALL_INEQUALITIES if suite.ROWS[i].cell in ("sandwich", "bounded"))
+    ids = tuple(i for i in ALL_INEQUALITIES
+                if suite.ROWS[i].cell in (SANDWICH, SANDWICH_ST_GE_1, BOUNDED))
     suite.run_suite(SuiteConfig(inequalities=ids, dims=(1, 2, 3), trials=30, seed=4))
     assert len(vets) >= 3 * len(ids) and solves
     assert not any(solves)
@@ -213,7 +219,7 @@ def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
     for corner in (False, True):
         calls.clear()
         rngs = [SplitMix64(derive_seed(5, k)) for k in range(6)]
-        suite._sampler(ineq)(rngs, dim, config, corner)
+        suite.ROWS[ineq].cell.draw(rngs, dim, config, corner)
         counts.append(list(calls))
     assert counts[0] == counts[1] and counts[0]
 

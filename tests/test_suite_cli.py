@@ -16,10 +16,11 @@ from loewner_lab import certificates, suite
 from loewner_lab.certificates import (
     ALL_INEQUALITIES,
     AUDIT_INEQUALITIES,
+    CELLS,
     NON_AUDIT_INEQUALITIES,
     ROWS,
 )
-from loewner_lab.errors import ConditionCapError, EigenSolverError
+from loewner_lab.errors import ConditionCapError, EigenSolverError, HypothesisError
 from loewner_lab.generate import derive_seed, fnv1a64, random_bounded_pair
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
@@ -72,10 +73,10 @@ class TestSuiteConfig:
         assert again == cfg
 
     def test_table_declares_every_id_in_order(self):
-        # the checked ids come first, then the audit family, each with a sampler
+        # the checked ids come first, then the audit family, each on a declared cell
         assert ALL_INEQUALITIES == NON_AUDIT_INEQUALITIES + AUDIT_INEQUALITIES == tuple(ROWS)
         assert len(ALL_INEQUALITIES) == 21
-        assert all(callable(suite._sampler(ineq)) for ineq in ALL_INEQUALITIES)
+        assert all(any(ROWS[ineq].cell is cell for cell in CELLS) for ineq in ALL_INEQUALITIES)
 
     def test_degenerate_bounded_cell_fails_before_any_trial(self, monkeypatch, capsys):
         calls = []
@@ -190,6 +191,60 @@ class TestSuiteConfig:
         assert code == 2
         assert calls == []
         assert capsys.readouterr().err.startswith(f"error: field {field} ")
+
+    @pytest.mark.parametrize("flag, spec, field", [
+        ("--phi", "kraus:x", "maps"),
+        ("--phi", "congruence:random:2x", "maps"),
+        ("--phi", "mix:0.5@identity+x@identity", "maps"),
+        ("--phi", "ntrace:0", "maps"),
+        ("--norm", "schatten:abc", "norms"),
+        ("--tau", "heinz:x", "kernels"),
+        ("--f", "power:x", "monotone_fns"),
+        ("--g", "inv_power:2", "decreasing_fns"),
+    ])
+    def test_bad_pool_spec_names_its_field(self, flag, spec, field, monkeypatch, capsys):
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "2",
+                         flag, spec])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith(f"error: field {field}: {spec}: ")
+
+    def test_pinching_blocks_pass_through_phi(self, tmp_path):
+        # a comma before a digit stays inside the pinching spec
+        path = tmp_path / "report.json"
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "3", "--trials", "2",
+                         "--phi", "identity,pinching:1,2", "--report", str(path)])
+        assert code == 0
+        assert load_report(str(path))["config"]["maps"] == ["identity", "pinching:1,2"]
+
+    @pytest.mark.parametrize("ineq", [i for i in ALL_INEQUALITIES if len(ROWS[i].cell.bounds) == 2])
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 1.0), (-2.0, -1.0)])
+    def test_config_and_vet_refuse_bounds_with_one_text(self, ineq, lo, hi):
+        # SuiteConfig refuses fixed bounds with the fields' names before the
+        # text that the row's vets raise for one slice of the same bounds
+        # (s * t >= 1 at each, so strengthened-remark reaches its sandwich vet)
+        row = ROWS[ineq]
+        a, b = row.cell.bounds
+        strict = row.cell is certificates.BOUNDED
+        config = SuiteConfig(inequalities=(ineq,), dims=(2,), trials=1, seed=3)
+        pools = suite._build_pools(config, 2)
+        A, B, _ = suite._draw(ineq, 2, [0], config)
+        try:
+            certificates.check_stack(row, A, B, [(lo, hi)], suite._picked(row, [0], pools))
+            vet = None
+        except HypothesisError as exc:
+            vet = str(exc)
+        if (0 < lo < hi) if strict else (0 < lo <= hi):  # another check may refuse the slice
+            SuiteConfig(inequalities=(ineq,), **{a: lo, b: hi})
+            assert vet is None or not vet.startswith("need 0 <")
+            return
+        assert vet == f"need 0 < {a} {'<' if strict else '<='} {b}, got {a}={lo!r}, {b}={hi!r}"
+        with pytest.raises(ValueError) as fixed:
+            SuiteConfig(inequalities=(ineq,), **{a: lo, b: hi})
+        assert str(fixed.value) == f"fields {a}, {b} {vet}"
 
     def test_no_inequality_is_refused(self):
         with pytest.raises(ValueError, match="^field inequalities "):

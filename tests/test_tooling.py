@@ -73,3 +73,18 @@ def test_check_span_fires_once_per_evaluated_stack(monkeypatch):
     names = tracer.arrays()[0]
     assert "certificates.check" in tracer.names and stacks
     assert (names == tracer.names.index("certificates.check")).sum() >= len(stacks)
+
+
+def test_every_inequality_id_is_spelled_once_in_the_source():
+    # each id is declared by its row alone: no other table of the package
+    # names it as a string literal
+    import ast
+
+    from loewner_lab.certificates import ALL_INEQUALITIES
+
+    src = Path(suite.__file__).resolve().parent
+    literals = [node.value for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {ineq: literals.count(ineq) for ineq in ALL_INEQUALITIES} == {
+        ineq: 1 for ineq in ALL_INEQUALITIES}
