@@ -4,14 +4,15 @@ into certificates.
 
 Each statement has the shape lhs <= c * base on a hypothesis cell, with the
 constant c a function of the cell's bounds (m, M) or (s, t).  A ``Cell``
-holds its bound names, its ordering rule, its draw of a stack of trials and
-probe's default bounds; each cell is one object, told apart by identity.  A
-row holds what verify, hunt, probe, recheck and the one-instance checks
-need: its cell and pools, the hypotheses to vet, the sides and the
-constant.  ``check_stack`` evaluates a row on a stack and returns its
-results as columns (``Sides``); a ``Certificate`` with matrix sides is
-built only for the slices that are asked for.  Inequality failure is data
-(``holds`` is False); only *hypothesis* violations raise.
+holds its bound names, its ordering rule, its draw of a stack of trials, the
+check of its hypothesis and probe's default bounds; each cell is one object,
+told apart by identity.  A row holds what verify, hunt, probe, recheck and
+the one-instance checks need: its cell and pools, its own hypotheses, the
+sides and the constant.  ``check_stack`` checks a stack once, evaluates a
+row on it and returns one ``StackResult``, its results as columns; a
+``Certificate`` with matrix sides is built only for the slices that are
+asked for.  Inequality failure is data (``holds`` is False); only
+*hypothesis* violations raise.
 
 The norm-ratio family is audit-class: verdicts may legitimately be negative
 and are reported, never asserted.
@@ -138,6 +139,27 @@ def _slice(side, k: int):
     return float(side[k])
 
 
+class StackResult:
+    """A row evaluated on a stack of trials: one Sides per certificate of a
+    trial, the stacks A and B (None for a scalar row), and, as lists, each
+    trial's ``slack``, ``holds`` and ``ratio``, the minimum, conjunction and
+    maximum over its certificates as Python's min, all and max take them (a
+    nan is kept only where it comes first)."""
+
+    def __init__(self, sides: list, A: SymStack | None, B: SymStack | None):
+        self.sides, self.A, self.B = sides, A, B
+        slack, holds, ratio = sides[0].slack, sides[0].holds, sides[0].ratio
+        for more in sides[1:]:
+            slack = np.where(more.slack < slack, more.slack, slack)
+            holds = holds & more.holds
+            ratio = np.where(more.ratio > ratio, more.ratio, ratio)
+        self.slack, self.holds, self.ratio = slack.tolist(), holds.tolist(), ratio.tolist()
+
+    def certificates(self, k: int) -> list:
+        """Trial k's certificates, with their sides."""
+        return [side.certificate(k) for side in self.sides]
+
+
 @dataclass(frozen=True, eq=False)
 class Cell:
     """One hypothesis cell, told apart from the others by identity.
@@ -145,16 +167,21 @@ class Cell:
     ``bounds`` names the bounds that the trials' cells hold; two (lo, hi)
     need 0 < lo < hi when ``strict``, else 0 < lo <= hi.  ``sample(rngs,
     config)`` draws each stream's bounds where the config does not fix
-    them, and ``pair(rngs, dim, cells, corner)`` the stacks ``(A, B,
-    cells)`` in them (None for a cell without matrices).  ``probe`` holds
-    probe's default bounds, or None where probe does not search the cell.
+    them, ``reflect(*bounds)`` moves those bounds into the cell (probe's
+    too), and ``pair(rngs, dim, cells, corner)`` draws the stacks ``(A, B,
+    cells)`` in them (None for a cell without matrices).  ``check(x)``
+    raises for the stack x where a slice breaks the cell's hypothesis, by
+    the ordering rule first (None: no hypothesis).  ``probe`` holds probe's
+    default bounds, or None where probe does not search the cell.
     """
 
     bounds: tuple
     sample: Callable | None = None
     pair: Callable | None = None
+    check: Callable | None = None
     strict: bool = False
     probe: tuple | None = None
+    reflect: Callable = lambda *bounds: bounds
 
     def fixed(self, config) -> tuple | None:
         """The config's values of the bounds when it fixes them, else None."""
@@ -165,8 +192,9 @@ class Cell:
         """The stacks ``(A, B, cells)`` of the trial streams ``rngs``;
         ``corner`` makes the first trial the commuting boundary instance."""
         values = self.fixed(config)
-        cells = (self.sample(rngs, config) if values is None
-                 else [tuple(float(v) for v in values)] * len(rngs))
+        cells = [self.reflect(*cell) for cell in (
+            self.sample(rngs, config) if values is None
+            else [tuple(float(v) for v in values)] * len(rngs))]
         return (None, None, cells) if self.pair is None else self.pair(rngs, dim, cells, corner)
 
     def vet_order(self, lo: list, hi: list) -> None:
@@ -183,17 +211,17 @@ class Row:
     """One inequality id, declared once, with its ``statement`` as documentation.
 
     ``cell`` is the row's hypothesis ``Cell``, which names the bounds of the
-    trials' cells and draws the row's stacks.  ``pool`` names the map pool,
-    or None: trial i takes map i, and a stack's maps share their output
-    dimension.  Each of ``picks`` is ``(name, pool, offset)``: trial i
-    takes item ``i + offset`` of the pool, cyclically.  ``vets`` check the
-    hypotheses on the stack in order.  ``sides(x)`` evaluates the sides on
-    the stack ``x`` (lhs and base, unless the form reads more) and
-    ``form(row, x)`` turns them into Sides.  ``constant(*bounds)`` is the
-    constant at multiplier 1 on one cell's bounds, or None when the row
-    takes none; ``carry`` gives a factor per slice that the constant
-    carries, and ``params`` holds parameters shared by every slice, or
-    computed from ``x``.
+    trials' cells, draws the row's stacks and checks them.  ``pool`` names
+    the map pool, or None: trial i takes map i, and a stack's maps share
+    their output dimension.  Each of ``picks`` is ``(name, pool, offset)``:
+    trial i takes item ``i + offset`` of the pool, cyclically.  ``vets``
+    check the row's own hypotheses on the stack in order, after the cell's
+    check.  ``sides(x)`` evaluates the sides on the stack ``x`` (lhs and
+    base, unless the form reads more) and ``form(row, x)`` turns them into
+    Sides.  ``constant(*bounds)`` is the constant at multiplier 1 on one
+    cell's bounds, or None when the row takes none; ``carry`` gives a
+    factor per slice that the constant carries, and ``params`` holds
+    parameters shared by every slice, or computed from ``x``.
     """
 
     id: str
@@ -212,14 +240,15 @@ class Row:
 
 def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, picks: dict, *,
                 constant_multiplier: float = 1.0,
-                tol_rel: float = LOEWNER_TOL_REL) -> list[Sides]:
+                tol_rel: float = LOEWNER_TOL_REL) -> StackResult:
     """Evaluate ``row`` on a stack of trials.
 
     A and B hold one slice per trial (None for a scalar row), ``cells``
     holds each trial's cell bounds, and ``picks`` the maps ``phi`` (when the
     row takes them) and each pick's values, one per trial; the sides read
-    ``x.phi(X)``, each slice of X under its own map.  Returns one Sides per
-    certificate of a trial.  A violated hypothesis raises.
+    ``x.phi(X)``, each slice of X under its own map.  The cell's check and
+    then the row's vets run once, at ``tol_rel``: a violated hypothesis
+    raises.  Returns the stack's one result.
     """
     x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
@@ -227,9 +256,9 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
                            **picks})
     if x.phi is not None:
         x.maps, x.phi = x.phi, partial(apply_each, x.phi)
-    for vet in row.vets:
+    for vet in (row.cell.check, *row.vets) if row.cell.check else row.vets:
         vet(x)
-    return (row.form or _plain)(row, x)
+    return StackResult((row.form or _plain)(row, x), A, B)
 
 
 def _cols(cells: list) -> list:
@@ -376,8 +405,7 @@ def _scalar_sandwich(row: Row, x) -> list[Sides]:
     behind the sandwich lemma, at the worst point of a grid in [s, t]."""
     c = _constants(row, x)
     worst = []
-    for s, t in zip(x.s, x.t):
-        c2 = row.constant(s, t)[1]
+    for s, t, (_, c2) in zip(x.s, x.t, c):
         xs = np.geomspace(s, t, x.grid_points).tolist()
         worst.append(_worst_on_grid(
             [v for v in xs for _ in range(2)],
@@ -459,44 +487,48 @@ def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
 
 
 def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
-    SANDWICH.vet_order(s, t)
     SandwichPair(A, B, s, t).verify(tol_rel)
 
 
 def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
-    BOUNDED.vet_order(m, M)
     BoundedPair(A, B, m, M).verify(tol_rel)
 
 
-# The rows' vets, each a check of the stack x.
-
-def _sandwich(x) -> None:
-    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
-
-
-def _bounded(x) -> None:
-    _vet_bounded(x.A, x.B, x.m, x.M, x.tol_rel)
-
+# The cells' checks and the rows' vets, each a check of the stack x.  A cell's check
+# calls _vet_sandwich and _vet_bounded by name, so a wrapper set on the names sees it.
 
 def _ordered(x) -> None:
     """The bounds of each slice keep the ordering rule of the row's cell."""
     x.cell.vet_order(*(getattr(x, name) for name in x.cell.bounds))
 
 
+def _sandwich(x) -> None:
+    _ordered(x)
+    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
+
+
+def _sandwich_st_ge_1(x) -> None:
+    _ordered(x)
+    for s, t in zip(x.s, x.t):
+        if not math.sqrt(s * t) >= 1.0:
+            raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
+    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
+
+
+def _bounded(x) -> None:
+    _ordered(x)
+    _vet_bounded(x.A, x.B, x.m, x.M, x.tol_rel)
+
+
 def _order(x) -> None:
-    """A <= B up to the tolerance, and the spectrum of A within [m, M]."""
+    """The ordering rule, A <= B up to the tolerance, and the spectrum of A within [m, M]."""
+    _ordered(x)
     with np.errstate(over="ignore"):
         scale = (op_norm(x.A) + op_norm(x.B)).tolist()
     for slack, sc in zip(loewner_slack(x.A, x.B).tolist(), scale):
         if not slack >= -max(1e-12, x.tol_rel * max(1.0, sc)):
             raise HypothesisError(f"order hypothesis A <= B fails (slack {slack:.3e})")
     verify_spectrum("A", x.A, x.m, x.M, x.tol_rel)
-
-
-def _st_at_least_one(x) -> None:
-    for s, t in zip(x.s, x.t):
-        if not math.sqrt(s * t) >= 1.0:
-            raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
 
 
 def _unital(x) -> None:
@@ -587,9 +619,7 @@ def _spread_mM(rngs: list, config) -> list:
     return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
 
 
-def _sandwich_cells(rngs: list, dim: int, cells: list, corner: bool,
-                    reflect: bool = False) -> tuple:
-    cells = [_st_ge_1(s, t) for s, t in cells] if reflect else cells
+def _sandwich_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
     return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
 
 
@@ -607,16 +637,17 @@ def _free_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
     return _spd(rngs, dim, *A_SPECTRUM), _spd(rngs, dim, *A_SPECTRUM), cells
 
 
-SANDWICH = Cell(("s", "t"), _sorted_st, _sandwich_cells, probe=(0.25, 4.0))
-SANDWICH_ST_GE_1 = Cell(("s", "t"), _sorted_st, partial(_sandwich_cells, reflect=True),
-                        probe=(0.25, 4.0))  # s*t >= 1 by reflection
-BOUNDED = Cell(("m", "M"), _spread_mM, _bounded_cells, strict=True, probe=(1.0, 4.0))
-ORDER = Cell(("m", "M"), _spread_mM, _order_cells)
+SANDWICH = Cell(("s", "t"), _sorted_st, _sandwich_cells, _sandwich, probe=(0.25, 4.0))
+SANDWICH_ST_GE_1 = Cell(("s", "t"), _sorted_st, _sandwich_cells, _sandwich_st_ge_1,
+                        probe=(0.25, 4.0), reflect=_st_ge_1)
+BOUNDED = Cell(("m", "M"), _spread_mM, _bounded_cells, _bounded, strict=True, probe=(1.0, 4.0))
+ORDER = Cell(("m", "M"), _spread_mM, _order_cells, _order)
 FREE = Cell((), pair=_free_cells)  # with no bounds, a config always fixes them
 ALPHA = Cell(("alpha",), lambda rngs, config: [
-    tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()])
+    tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()],
+    check=_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")))
 SPECHT = Cell(("m", "M"), lambda rngs, config: [
-    (1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()])
+    (1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()], check=_ordered)
 # In the order SuiteConfig checks fixed bounds: (s, t), then 0 < m < M, then 0 < m <= M.
 CELLS = (SANDWICH, SANDWICH_ST_GE_1, BOUNDED, ORDER, FREE, ALPHA, SPECHT)
 
@@ -727,10 +758,9 @@ def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float 
     per_slice = {"phi", *(name for name, *_ in row.picks)}
     picks = {name: [v] * len(cells) if name in per_slice and not isinstance(v, (list, tuple))
              else v for name, v in picks.items()}
-    sides = check_stack(row, A, B, cells, picks, constant_multiplier=constant_multiplier,
-                        tol_rel=tol_rel)
-    out = [tuple(s.certificate(k) for s in sides) if len(sides) > 1 else sides[0].certificate(k)
-           for k in range(len(cells))]
+    result = check_stack(row, A, B, cells, picks, constant_multiplier=constant_multiplier,
+                         tol_rel=tol_rel)
+    out = [tuple(c) if len(c) > 1 else c[0] for c in map(result.certificates, range(len(cells)))]
     return out if stacked else out[0]
 
 
@@ -743,15 +773,14 @@ ando_check = _api(_row(
 check_polya_szego = _api(_row(
     "polya-szego",
     "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
-    cell=BOUNDED, constant=polya_szego_constant, pool="maps", vets=(_bounded,),
-    sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)),
-                     x.phi(geometric(x.A, x.B)))))
+    cell=BOUNDED, constant=polya_szego_constant, pool="maps",
+    sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)), x.phi(geometric(x.A, x.B)))))
 
 check_kantorovich_f = _api(_row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
     cell=BOUNDED, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
-    vets=(_bounded, _means, _F_MONOTONE),
+    vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
                                  _fn_of(x.phi(x.B), x.f)),
                      _fn_of(x.phi(kernel_mean(x.sigma, x.A, x.B)), x.f))))
@@ -759,7 +788,7 @@ check_kantorovich_f = _api(_row(
 _SANDWICH_LEMMA = _row(
     "sandwich-lemma", "Two-sided mean comparison under the sandwich condition: "
     "c1 (A nabla B) <= A # B <= c2 (A ! B).",
-    cell=SANDWICH, constant=sandwich_lemma_constants, vets=(_sandwich,),
+    cell=SANDWICH, constant=sandwich_lemma_constants,
     form=_two_sided, params={"mode": "matrix"},
     sides=lambda x: (geometric(x.A, x.B), arithmetic(x.A, x.B), harmonic(x.A, x.B)))
 
@@ -768,14 +797,13 @@ _ALPHA_SCALING = _row(
     "increasing f, and g(alpha t) >= g(t)/alpha for monotone decreasing g.",
     cell=ALPHA, constant=lambda alpha: alpha,
     picks=(("f", "scaling_fns", 0),), form=_scaling,
-    vets=(_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")),
-          _each("f", _vet_class, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)))
+    vets=(_each("f", _vet_class, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING),))
 
 check_main_monotone = _api(_row(
     "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
     cell=SANDWICH, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
-    vets=(_sandwich, _means, _F_MONOTONE),
+    vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
                      x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
@@ -784,7 +812,7 @@ check_main_decreasing = _api(_row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
     cell=SANDWICH, constant=sandwich_constant, pool="maps",
-    picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_sandwich, _means, _G_DECREASING),
+    picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_means, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
                                  x.phi(_fn_of(x.B, x.g))))))
@@ -795,7 +823,7 @@ _GRUSS_F = _row(
     "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
     "<= (M-m)^2/(4Mm) f(M).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
-    picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _bounded, _means, _FN_MONOTONE),
+    picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _means, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.fn)),
@@ -807,7 +835,7 @@ _GRUSS_G = _row(
     "<= (M-m)^2/(4Mm) g(m).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
     picks=_KERNELS + (("fn", "g_decreasing", 0),),
-    vets=(_unital, _bounded, _means, _FN_DECREASING),
+    vets=(_unital, _means, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
     params={"family": "decreasing"},
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.fn))
@@ -817,35 +845,34 @@ _GRUSS_G = _row(
 check_squared = _api(_row(
     "squared", "Squaring an operator inequality: A <= B with m I <= A <= M I gives "
     "A^2 <= (M+m)^2/(4Mm) B^2.",
-    cell=ORDER, constant=kantorovich_constant, vets=(_ordered, _order),
+    cell=ORDER, constant=kantorovich_constant,
     sides=lambda x: (_square(x.A), _square(x.B))))
 
 _SQUARED_F = _row(
     "squared-consequence-f", "Squared geometric-mean reversal for monotone f, with "
     "K = (M+m)^2/(4Mm): (f(A) # f(B))^2 <= K^2 f(A # B)^2.",
     cell=BOUNDED, constant=lambda m, M: kantorovich_constant(m, M) ** 2,
-    picks=(("f", "f_monotone", 0),), vets=(_bounded, _F_MONOTONE),
+    picks=(("f", "f_monotone", 0),), vets=(_F_MONOTONE,),
     sides=lambda x: _squared_means(x, x.f))
 
 _SQUARED_G = _row(
     "squared-consequence-g", "Squared geometric-mean reversal for decreasing g, with "
     "K = (M+m)^2/(4Mm): g(A # B)^2 <= K^2 (g(A) # g(B))^2.",
     cell=BOUNDED, constant=_SQUARED_F.constant,
-    picks=(("g", "g_decreasing", 0),), vets=(_bounded, _G_DECREASING),
+    picks=(("g", "g_decreasing", 0),), vets=(_G_DECREASING,),
     sides=lambda x: _squared_means(x, x.g)[::-1])
 
 check_midpoint = _api(_row(
     "midpoint", "Midpoint bound under the sandwich condition: "
     "(sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 (A # B).",
     cell=SANDWICH, constant=lambda s, t: 0.5 * (math.sqrt(s) + math.sqrt(t)),
-    vets=(_sandwich,),
     sides=lambda x: (0.5 * (x.A * _root_st(x.s, x.t) + x.B), geometric(x.A, x.B))))
 
 check_diaz_metcalf = _api(_row(
     "diaz-metcalf", "Diaz-Metcalf type bound: "
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
     cell=SANDWICH, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
-    vets=(_sandwich, _means, _F_MONOTONE),
+    vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
                      x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
@@ -857,13 +884,13 @@ check_klamkin_mclenaghan = _api(_row(
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
     cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
     pool="maps", picks=(("sigma", "kernels", 0), ("f", "f_monotone", 0)),
-    vets=(_sandwich, _means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
+    vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
 
 check_specht_bound = _api(_row(
     "specht-bound", "Arithmetic-geometric comparison via Specht's ratio: "
     "(M+m)/2 <= S(M/m) sqrt(Mm).",
     cell=SPECHT, constant=lambda m, M: specht_ratio(M / m),
-    vets=(_ordered,), form=_against_rhs,
+    form=_against_rhs,
     sides=lambda x: (np.array([0.5 * (M + m) for m, M in zip(x.m, x.M)]),
                      np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)]))))
 
@@ -874,7 +901,7 @@ check_strengthened_remark = _api(_row(
     "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
     cell=SANDWICH_ST_GE_1, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
     pool="maps", picks=_REVERSAL,
-    vets=(_st_at_least_one, _sandwich, _means, _F_MONOTONE), form=_links, sides=_link_sides))
+    vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides))
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
 # negative, and are recorded, never asserted.
@@ -884,7 +911,7 @@ _row("norm-ratio-tau", "||g(A) tau g(B)||/||A tau B|| <= C(s,t) ||g(Y)/Y||, Y = 
      "tau >= #.",
      cell=SANDWICH, constant=sandwich_constant, audit=True,
      picks=(("kernel", "tau_ge_sharp", 0),) + _NORM_PICKS,
-     vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
+     vets=(_G_CONVEX, _each("kernel", lambda k: _hyp(
          kernel_dominance(GEOMETRIC, k).holds,
          f"tau_side needs a kernel dominating the geometric one, got {k.id!r}"))),
      params={"mode": "tau_side"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
@@ -892,19 +919,19 @@ _row("norm-ratio-sharp", "||g(A) # g(B)||/||A # B|| <= C(s,t) ||g(Y)/Y||, Y = A 
      "sigma <= #.",
      cell=SANDWICH, constant=sandwich_constant, audit=True,
      picks=(("kernel", "sigma_le_sharp", 0),) + _NORM_PICKS,
-     vets=(_G_CONVEX, _sandwich, _each("kernel", lambda k: _hyp(
+     vets=(_G_CONVEX, _each("kernel", lambda k: _hyp(
          kernel_dominance(k, GEOMETRIC).holds,
          f"sharp_side needs a kernel dominated by the geometric one, got {k.id!r}"))),
      params={"mode": "sharp_side"}, sides=lambda x: _norm_sides(x, GEOMETRIC, x.kernel))
 _row("norm-ratio-power4", "||g(A) tau g(B)||/||A tau B|| <= C(s,t)^2 ||g(Y)/Y||, Y = A # B.",
      cell=SANDWICH, constant=lambda s, t: sandwich_constant(s, t) ** 2, audit=True,
      picks=(("kernel", "kernels", 0),) + _NORM_PICKS,
-     vets=(_G_CONVEX, _sandwich, _each("kernel", _vet_mean_kernel)),
+     vets=(_G_CONVEX, _each("kernel", _vet_mean_kernel)),
      params={"mode": "power4"}, sides=lambda x: _norm_sides(x, x.kernel, GEOMETRIC))
 _row("norm-ratio-eq15", "||g(A) # g(B)||/||A # B|| <= 2 K^2 ||g(Y)/Y||, Y = A # B, "
      "K = (M+m)/(2 sqrt(Mm)).",
      cell=BOUNDED, constant=lambda m, M: 2.0 * polya_szego_constant(m, M) ** 2,
-     audit=True, picks=_NORM_PICKS, vets=(_G_CONVEX, _bounded),
+     audit=True, picks=_NORM_PICKS, vets=(_G_CONVEX,),
      params={"mode": "eq15", "kernel": GEOMETRIC.id,
              "s": lambda x: [m / M for m, M in zip(x.m, x.M)],
              "t": lambda x: [M / m for m, M in zip(x.m, x.M)]},
@@ -918,7 +945,7 @@ AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
 # The one-instance checks of the rows that share a signature.
 
 _SANDWICH_MODES = {"matrix": _SANDWICH_LEMMA, "scalar": replace(
-    _SANDWICH_LEMMA, vets=(_ordered,), form=_scalar_sandwich,
+    _SANDWICH_LEMMA, cell=replace(SANDWICH, check=_ordered), form=_scalar_sandwich,
     params={"mode": "scalar"})}
 _GRUSS = {row.params["family"]: _api(row) for row in (_GRUSS_F, _GRUSS_G)}
 _NORM_RATIO = {row.params["mode"]: row for row in ROWS.values() if row.audit}

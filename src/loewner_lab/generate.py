@@ -254,8 +254,7 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
 
     These are the extreme eigenvalues of A^(-1/2) B A^(-1/2), which
     ``inner_matrix`` remembers on A, solved, for the first partner B: the
-    generator's check, the certificate's check and the means of the same
-    pair solve it once.
+    sandwich cell's check and the means of the same pair solve it once.
     """
     A, B = as_sym(A), as_sym(B)
     _positive_definite(decompose(A))
@@ -315,19 +314,17 @@ def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = LOEWNER_TOL_
 
 
 def _sandwich_pair(rngs, dim: int, s, t, corner: bool = False) -> tuple:
-    """The stacks (A, B) of one verified sandwich pair per stream, with the
-    spectrum of A in ``A_SPECTRUM`` and B = A^(1/2) C A^(1/2); ``s`` and
-    ``t`` hold one value per stream.
+    """The stacks (A, B) of one sandwich pair per stream, with the spectrum
+    of A in ``A_SPECTRUM`` and B = A^(1/2) C A^(1/2), C with spectrum in
+    [s, t]; ``s`` and ``t`` hold one value per stream.
 
     A ``corner`` pins slice 0 to the commuting boundary pair A = diag(1, 4,
-    1, ...), C = diag(t, s, t, ...).  A keeps its decomposition and, from
-    ``verify``, the pair's sandwich scalars, which the certificates of the
-    same stacks read again.
+    1, ...), C = diag(t, s, t, ...).  The pair is built, not verified: A
+    keeps its decomposition, from which the sandwich cell's check solves
+    the inner matrix that the certificates of the same stacks read again.
     """
     A = _spd(rngs, dim, *A_SPECTRUM, (1.0, 4.0) if corner else None)
-    B = _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
-    SandwichPair(A, B, s, t).verify()  # refuses an A that is not positive definite first
-    return A, B
+    return A, _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
 
 
 def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
@@ -342,22 +339,23 @@ def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPai
 
 
 def _bounded_pair(rngs, dim: int, m, M, corner: bool = False) -> tuple:
-    """The stacks (A, B) of one verified independent pair per stream, each
-    decomposed; ``m`` and ``M`` hold one value per stream.  A ``corner``
+    """The stacks (A, B) of one independent pair per stream, both spectra
+    in [m, M]; ``m`` and ``M`` hold one value per stream.  A ``corner``
     pins slice 0 to the commuting boundary pair with anti-aligned spectra:
-    m, M, m, ... for A and M, m, M, ... for B."""
+    m, M, m, ... for A and M, m, M, ... for B.  The pair is built, not
+    verified: the bounded cell's check decomposes A and B."""
     a_corner, b_corner = ((m[0], M[0]), (M[0], m[0])) if corner else (None, None)
-    A, B = _spd(rngs, dim, m, M, a_corner), _spd(rngs, dim, m, M, b_corner)
-    BoundedPair(A, B, m, M).verify()
-    return A, B
+    return _spd(rngs, dim, m, M, a_corner), _spd(rngs, dim, m, M, b_corner)
 
 
 def random_bounded_pair(dim: int, m: float, M: float, seed: int) -> BoundedPair:
-    """Seeded independent pair with both spectra in [m, M], 0 < m < M."""
+    """Seeded independent pair with both spectra in [m, M], 0 < m < M, verified."""
     if not 0 < m < M:
         raise ValueError(f"need 0 < m < M, got m={m!r}, M={M!r}")
     A, B = _bounded_pair([SplitMix64(seed)], dim, [m], [M])
-    return BoundedPair(A.matrices()[0], B.matrices()[0], float(m), float(M))
+    pair = BoundedPair(A.matrices()[0], B.matrices()[0], float(m), float(M))
+    pair.verify()
+    return pair
 
 
 def quadratic_form_slack(

@@ -96,6 +96,21 @@ class SuiteConfig:
         if not 0 < self.constant_multiplier < math.inf:
             raise ValueError("field constant_multiplier must be a finite number > 0, "
                              f"got {self.constant_multiplier!r}")
+        try:
+            lo, hi = self.sandwich_range
+            ordered = 0 < lo <= hi < math.inf
+        except (TypeError, ValueError):  # not two numbers
+            ordered = False
+        if not ordered:
+            raise ValueError("field sandwich_range must be two numbers 0 < lo <= hi < inf, "
+                             f"got {self.sandwich_range!r}")
+        for name in ("kernels", "monotone_fns", "decreasing_fns", "convex_fns", "maps", "norms"):
+            specs = getattr(self, name)
+            if not isinstance(specs, (list, tuple)) or not all(isinstance(x, str) for x in specs):
+                raise ValueError(f"field {name} must hold spec strings, got {specs!r}")
+        for name in ("max_recorded_violations", "probe_refine_steps"):
+            if not (isinstance(count := getattr(self, name), int) and count >= 0):
+                raise ValueError(f"field {name} must be an integer >= 0, got {count!r}")
         for lo, hi in (("s", "t"), ("m", "M")):
             if (getattr(self, lo) is None) != (getattr(self, hi) is None):
                 raise ValueError(f"fields {lo}, {hi}: provide both or neither, got "
@@ -293,32 +308,8 @@ def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
             for stack in _chunks(group, max(pools.dim, out_dim))]
 
 
-class _Stack:
-    """One evaluated stack of trials, as columns.
-
-    ``sides`` holds one ``certs.Sides`` per certificate of a trial.
-    ``slack``, ``holds`` and ``ratio`` are their per-trial minimum, conjunction
-    and maximum as lists, taken as Python's min, all and max take a trial's
-    certificates: a later value replaces an earlier one only when it is
-    smaller (larger), so a nan is kept only where it comes first.
-    """
-
-    def __init__(self, sides: list, A: SymStack | None, B: SymStack | None):
-        self.sides, self.A, self.B = sides, A, B
-        slack, holds, ratio = sides[0].slack, sides[0].holds, sides[0].ratio
-        for more in sides[1:]:
-            slack = np.where(more.slack < slack, more.slack, slack)
-            holds = holds & more.holds
-            ratio = np.where(more.ratio > ratio, more.ratio, ratio)
-        self.slack, self.holds, self.ratio = slack.tolist(), holds.tolist(), ratio.tolist()
-
-    def certificates(self, k: int) -> list:
-        """Trial k's certificates, with their sides."""
-        return [side.certificate(k) for side in self.sides]
-
-
 def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
-                    pools: _DimPools) -> _Stack:
+                    pools: _DimPools) -> certs.StackResult:
     """Draw the given trials of one cell, whose maps share an output
     dimension, as one stack and evaluate them on it, each with its own map.
 
@@ -327,9 +318,9 @@ def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
     """
     A, B, cells = _draw(ineq, dim, trials, config)
     row = ROWS[ineq]
-    return _Stack(certs.check_stack(row, A, B, cells, _picked(row, trials, pools),
-                                    constant_multiplier=config.constant_multiplier,
-                                    tol_rel=config.tol_rel), A, B)
+    return certs.check_stack(row, A, B, cells, _picked(row, trials, pools),
+                             constant_multiplier=config.constant_multiplier,
+                             tol_rel=config.tol_rel)
 
 
 def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
@@ -541,16 +532,12 @@ def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:
 
 
 def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: _DimPools, tol_rel: float):
-    """The largest finite ratio of each instance's certificates, or None."""
+    """Each instance's ratio, the largest of its certificates', where it is finite, else None."""
     A, B, cells = stacks
     row = ROWS[ineq]
-    sides = certs.check_stack(row, A, B, cells, _picked(row, [pick] * len(cells), pools),
-                              tol_rel=tol_rel)
-    out = []
-    for ratios in zip(*(side.ratio.tolist() for side in sides)):
-        finite = [r for r in ratios if math.isfinite(r)]
-        out.append(max(finite) if finite else None)
-    return out
+    ratios = certs.check_stack(row, A, B, cells, _picked(row, [pick] * len(cells), pools),
+                               tol_rel=tol_rel).ratio
+    return [r if math.isfinite(r) else None for r in ratios]
 
 
 def _probe_evaluate(ineq, stacks, pick, config, pools, above=math.inf) -> list:
@@ -623,7 +610,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     factors, accepting ratio increases, for ``probe_refine_steps`` steps
     (see ``_refine``).
     Constants are taken at multiplier 1.  Only sandwich and bounded cells
-    are probed.
+    are probed, within the bounds that a draw of the cell takes: a cell that
+    reflects its bounds is searched in the reflected ones.
     """
     start = time.perf_counter()
     cell = _inequality(inequality_id).cell
@@ -631,7 +619,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         raise ValueError(f"{inequality_id!r} has no matrix instances to probe")
     if cell.probe is None:
         raise ValueError(f"probing {inequality_id!r} is not supported")
-    bounds = cell.fixed(config) or cell.probe
+    bounds = cell.reflect(*(cell.fixed(config) or cell.probe))
     if len(config.dims) != 1:
         raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]

@@ -149,6 +149,15 @@ class TestSandwichLemma:
             lower, upper = check_sandwich_lemma(pair.A, pair.B, s, t)
             assert lower.holds and upper.holds
 
+    def test_scalar_mode_checks_the_multiplied_constant(self):
+        # (x+1)/2 <= c2 sqrt(x) at x = 4 needs c2 >= 1.25, the constant at
+        # multiplier 1: 0.9 of it fails there
+        cert = check_sandwich_lemma(None, None, 0.25, 4.0, mode="scalar",
+                                    constant_multiplier=0.9)
+        assert cert.constant == pytest.approx(1.125, rel=1e-15)
+        assert not cert.holds and cert.slack < 0
+        assert cert.rhs == pytest.approx(1.125 * 2.0, rel=1e-15)
+
 
 class TestAlphaScaling:
     def test_sqrt_ratio_half(self):
@@ -299,6 +308,13 @@ class TestGruss:
         with pytest.raises(HypothesisError):
             check_gruss(TRACE_HALF, GEOMETRIC, GEOMETRIC, INV, A14, A41, 1.0, 4.0, "monotone")
 
+    def test_cell_refusal_comes_before_the_unital_refusal(self):
+        # a non-unital map on a pair outside its cell: the cell's check runs first
+        ten_trace = MixtureMap((20.0,), (TRACE_HALF,))
+        with pytest.raises(HypothesisError, match="^bound hypothesis fails for A") as info:
+            check_gruss(ten_trace, GEOMETRIC, GEOMETRIC, IDENT, A14, A41, 2.0, 4.0, "monotone")
+        assert not isinstance(info.value, NotUnitalError)
+
 
 class TestNormRatioAudit:
     def test_eq15_commuting_hand_values(self):
@@ -342,6 +358,11 @@ class TestNormRatioAudit:
     def test_function_class_gate(self):
         with pytest.raises(HypothesisError):
             check_norm_ratio("eq15", GEOMETRIC, SQRT, A14, A41, m=1.0, M=4.0)
+
+    def test_cell_refusal_comes_before_the_function_class_refusal(self):
+        # sqrt is not convex, and the pair's tightest scalars [0.25, 4] leave [0.5, 2]
+        with pytest.raises(HypothesisError, match="^sandwich hypothesis fails"):
+            check_norm_ratio("tau_side", ARITHMETIC, SQRT, A14, A41, s=0.5, t=2.0)
 
     def test_st_below_one_uses_alternate_constant(self):
         pair = random_sandwich_pair(2, 0.5, 0.8, 77)
@@ -527,6 +548,12 @@ class TestStrengthenedRemark:
                 IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, 0.25, 0.9
             )
 
+    def test_negative_s_is_refused_by_the_ordering_rule(self):
+        # the ordering rule runs before sqrt(s*t), which a negative s*t would not reach
+        with pytest.raises(HypothesisError) as info:
+            check_strengthened_remark(IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, A14, A41, -1, 2)
+        assert str(info.value) == "need 0 < s <= t, got s=-1, t=2"
+
     def test_monotone_link_on_spectra(self):
         # f increasing and sqrt(st) >= 1 push f(sqrt(st) A) above f(A)
         pair = random_sandwich_pair(3, 1.0, 4.0, 97)
@@ -641,3 +668,34 @@ def test_each_constant_is_declared_once(ineq, multiplier, monkeypatch):
         monkeypatch.setitem(ROWS, ineq, dataclasses.replace(row, constant=lambda *b: math.inf))
         with pytest.raises(ValueError, match=f"the constant of {ineq} is not a finite number"):
             SuiteConfig(inequalities=(ineq,), **dict(zip(row.cell.bounds, cells[0])))
+
+
+def test_each_cell_hypothesis_is_declared_once():
+    # a cell with bounds checks its hypothesis, and no row's vets repeat a cell's check
+    from loewner_lab.certificates import CELLS
+
+    assert all((cell.check is not None) == bool(cell.bounds) for cell in CELLS)
+    checks = [cell.check for cell in CELLS if cell.check is not None]
+    for ineq, row in ROWS.items():
+        assert not any(vet is check for vet in row.vets for check in checks), ineq
+
+
+def test_each_sandwich_or_bounded_stack_is_verified_once(monkeypatch):
+    # the draw builds a pair and the cell's check verifies it, once per stack
+    from loewner_lab.certificates import BOUNDED, SANDWICH, SANDWICH_ST_GE_1
+
+    verified, stacks = [], []
+    for cls in (SandwichPair, BoundedPair):
+        real = cls.verify
+        monkeypatch.setattr(cls, "verify", lambda self, *args, real=real: verified.append(
+            self) or real(self, *args))
+    real_evaluate = suite._evaluate_trial
+    monkeypatch.setattr(suite, "_evaluate_trial", lambda *args: stacks.append(
+        args[0]) or real_evaluate(*args))
+    ids = ("midpoint", "strengthened-remark", "polya-szego", "gruss-f", "norm-ratio-eq15",
+           "squared", "ando", "alpha-scaling")
+    suite.run_suite(SuiteConfig(inequalities=ids, dims=(2, 3), trials=12, seed=7))
+    paired = [ineq for ineq in stacks
+              if ROWS[ineq].cell in (SANDWICH, SANDWICH_ST_GE_1, BOUNDED)]
+    assert len(paired) >= 10
+    assert len(verified) == len(paired)

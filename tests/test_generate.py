@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,14 @@ from loewner_lab import (
     spectrum_bounds,
 )
 from loewner_lab.generate import derive_seed, fnv1a64, mix64
-from loewner_lab.spectral import op_norm
+from loewner_lab.spectral import LOEWNER_TOL_REL, op_norm
+
+
+def _check_cell(cell, A, B, cells):
+    """The cell's hypothesis check on drawn stacks, as ``check_stack`` runs it."""
+    if cell.check is not None:
+        cell.check(SimpleNamespace(A=A, B=B, cell=cell, tol_rel=LOEWNER_TOL_REL,
+                                   **dict(zip(cell.bounds, map(list, zip(*cells))))))
 
 
 class TestSplitMix:
@@ -288,6 +297,9 @@ def test_stacked_cell_draw_matches_a_trial_by_trial_draw(kind, dim, trials, seed
     corner = kind.endswith("-corner")
     A, B, cells = ROWS[ineq].cell.draw(rngs, dim, config, corner)
     assert len(A) == len(B) == len(cells) == trials
+    # the draw only builds: the cell's check solves the inner matrix and B
+    assert A._inner is None and B._dec is None
+    _check_cell(ROWS[ineq].cell, A, B, cells)
     for k, rng in enumerate(rngs):
         ref_rng = SplitMix64(seeds[k])
         a, b, ref_cell, bounds = _ref_trial(kind.removesuffix("-corner"), ref_rng,
@@ -398,17 +410,22 @@ def test_log_uniform_rows_match_the_scalar_draws(seeds, ranges, spare):
 
 
 def test_a_cell_is_drawn_with_one_solve_per_stack(monkeypatch):
+    # the draw solves a sandwich A's roots alone; its cell's check then solves
+    # the inner matrix, or a bounded or ordered pair's A and B, each once per stack
     from loewner_lab import suite
 
     calls = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
-    for ineq, solves in (("polya-szego", [(40, 3, 3)] * 2), ("midpoint", [(40, 3, 3)] * 2),
-                         ("ando", []), ("squared", [])):
+    one = [(40, 3, 3)]
+    for ineq, drawn, checked in (("polya-szego", [], one * 2), ("midpoint", one, one * 2),
+                                 ("ando", [], []), ("squared", [], one * 2)):
         calls.clear()
         config = suite.SuiteConfig(inequalities=(ineq,), dims=(3,), trials=40)
-        assert len(suite._draw(ineq, 3, range(40), config)[2]) == 40
-        assert calls == solves, ineq
+        A, B, cells = suite._draw(ineq, 3, range(40), config)
+        assert len(cells) == 40 and calls == drawn, ineq
+        _check_cell(suite.ROWS[ineq].cell, A, B, cells)
+        assert calls == checked, ineq
 
 
 def test_streams_out_of_lockstep_are_refused():

@@ -263,3 +263,18 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     for inst in starts[1:]:
         for X in _instance_matrices(cell, inst):
             assert scan.count(X.data.tobytes()) <= 1
+
+
+def test_reflected_cell_is_probed_where_its_draw_reflects_it(tmp_path):
+    # strengthened-remark's draw reflects (0.5, 0.8) into s*t >= 1, as (1.25, 2.0);
+    # probe searches those bounds, so it finds the instances that verify draws
+    def probe(s, t):
+        path = tmp_path / f"probe-{s}.json"
+        code = cli_main(["probe", "--ineq", "strengthened-remark", "--s", s, "--t", t,
+                         "--dims", "2", "--trials", "2", "--report", str(path)])
+        return code, suite.load_report(str(path))["probe"] if code == 0 else None
+
+    code, reflected = probe("0.5", "0.8")
+    assert code == 0
+    assert reflected["cell"] == {"s": 1.25, "t": 2.0}
+    assert probe("1.25", "2.0") == (0, reflected)

@@ -3,6 +3,7 @@ gives as a stack of one, and a cell really is evaluated as stacks."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -176,11 +177,12 @@ def test_solver_calls_do_not_grow_with_the_trials(ineq, monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
-    # the certificates get the generator's stacks, whose A remembers the inner
-    # matrix that the generator's check solved; an audit cell's first stack
-    # holds the commuting corner (trial 0) as its slice 0, solved with the
-    # drawn trials, so the certificates' hypothesis checks solve nothing
+def test_each_stacks_inner_matrix_is_solved_once_by_the_cell_check(monkeypatch):
+    # the cell's check solves a sandwich stack's inner matrix, which A
+    # remembers, and decomposes a bounded stack's A and B; an audit cell's
+    # first stack holds the commuting corner (trial 0) as its slice 0, solved
+    # with the drawn trials.  The means read those solves: nothing that a
+    # check solved is solved again
     from loewner_lab import certificates
 
     vets, inside, solves = [], [], []
@@ -198,28 +200,34 @@ def test_sandwich_vet_reads_the_generators_solve(monkeypatch):
     for name in ("_vet_sandwich", "_vet_bounded"):
         monkeypatch.setattr(certificates, name, tracked(getattr(certificates, name)))
     real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(bool(inside)) or real_eigh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solves.append(
+        (bool(inside), a.tobytes())) or real_eigh(a))
     ids = tuple(i for i in ALL_INEQUALITIES
                 if suite.ROWS[i].cell in (SANDWICH, SANDWICH_ST_GE_1, BOUNDED))
     suite.run_suite(SuiteConfig(inequalities=ids, dims=(1, 2, 3), trials=30, seed=4))
-    assert len(vets) >= 3 * len(ids) and solves
-    assert not any(solves)
+    checked = [key for within, key in solves if within]
+    assert len(vets) >= 3 * len(ids) and checked
+    assert len(set(checked)) == len(checked)
+    assert not set(checked) & {key for within, key in solves if not within}
 
 
 @pytest.mark.parametrize("ineq", ["norm-ratio-tau", "norm-ratio-eq15"])
 @pytest.mark.parametrize("dim", [1, 4])
 def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
-    # drawing a cell with its corner pinned makes the same solver calls as
-    # drawing it without, from the same streams
+    # drawing a cell with its corner pinned and checking it makes the same
+    # solver calls as drawing and checking it without, from the same streams
     calls = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
     config = SuiteConfig(inequalities=(ineq,))
+    cell = suite.ROWS[ineq].cell
     counts = []
     for corner in (False, True):
         calls.clear()
         rngs = [SplitMix64(derive_seed(5, k)) for k in range(6)]
-        suite.ROWS[ineq].cell.draw(rngs, dim, config, corner)
+        A, B, cells = cell.draw(rngs, dim, config, corner)
+        cell.check(SimpleNamespace(A=A, B=B, cell=cell, tol_rel=config.tol_rel,
+                                   **dict(zip(cell.bounds, map(list, zip(*cells))))))
         counts.append(list(calls))
     assert counts[0] == counts[1] and counts[0]
 

@@ -67,6 +67,37 @@ class TestSuiteConfig:
             SuiteConfig(**fields)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("name, value", [
+        ("sandwich_range", (4.0, 0.25)),
+        ("sandwich_range", (0.0, 1.0)),
+        ("sandwich_range", ("a", 1)),
+        ("sandwich_range", (1.0, 2.0, 3.0)),
+        ("maps", (1,)),
+        ("kernels", (None,)),
+        ("norms", (2,)),
+        ("max_recorded_violations", -1),
+        ("probe_refine_steps", -1),
+    ])
+    def test_bad_field_is_refused_by_name_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                            name, value):
+        # in the library, and in the config of a report that recheck reads
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValueError, match=f"^field {name} "):
+            SuiteConfig(inequalities=("midpoint",), **{name: value})
+        path = tmp_path / "hunt.json"
+        cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
+                  "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
+        data = json.loads(path.read_text())
+        data["loewner_lab_report"]["config"][name] = value
+        path.write_text(json.dumps(data))
+        calls.clear()
+        capsys.readouterr()
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: field {name} ")
+        assert calls == []
+
     def test_round_trip_through_dict(self):
         cfg = small_config()
         again = config_from_dict(cfg.to_dict())

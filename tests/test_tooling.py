@@ -75,6 +75,25 @@ def test_check_span_fires_once_per_evaluated_stack(monkeypatch):
     assert (names == tracer.names.index("certificates.check")).sum() >= len(stacks)
 
 
+def test_vet_span_fires_once_per_sandwich_or_bounded_stack(monkeypatch):
+    # the cells' checks call _vet_sandwich and _vet_bounded through the
+    # module's names, which the tracer wraps: a cell that held either
+    # function itself would hide the checks from the certificates.vet span
+    tracer = _load("spans").Tracer()
+    stacks = []
+    tracer.install()
+    try:
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: stacks.append(a) or real(*a))
+        suite.run_suite(suite.SuiteConfig(inequalities=("midpoint", "polya-szego"), dims=(2, 3),
+                                          trials=3, seed=7))
+    finally:
+        tracer.uninstall()
+    names = tracer.arrays()[0]
+    assert "certificates.vet" in tracer.names and stacks
+    assert (names == tracer.names.index("certificates.vet")).sum() >= len(stacks)
+
+
 def test_every_inequality_id_is_spelled_once_in_the_source():
     # each id is declared by its row alone: no other table of the package
     # names it as a string literal
