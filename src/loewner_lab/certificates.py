@@ -292,7 +292,7 @@ def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) 
     cols.update((name, getattr(x, name)) for name in row.cell.bounds)
     for name, value in row.params.items():
         cols[name] = value(x) if callable(value) else [value] * x.n
-    if x.A is not None:
+    if row.cell.pair is not None:  # the dimension of the matrices the cell holds
         cols["dim"] = [x.A.dim] * x.n
     cols.update(params)
     return Sides(row.id, cols, lhs, rhs, np.asarray(c, dtype=float), slack,
@@ -732,7 +732,7 @@ def _api(row: Row) -> Callable:
     """The row's one-instance check: ``check(phi, *picks, A, B, *bounds)``,
     with phi when the row takes a map and no A, B for a scalar row."""
     names = (("phi",) if row.pool else ()) + tuple(name for name, *_ in row.picks)
-    matrices = row.cell not in (ALPHA, SPECHT)
+    matrices = row.cell.pair is not None
 
     def check(*args, constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
         k = len(names)
@@ -945,7 +945,7 @@ AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
 # The one-instance checks of the rows that share a signature.
 
 _SANDWICH_MODES = {"matrix": _SANDWICH_LEMMA, "scalar": replace(
-    _SANDWICH_LEMMA, cell=replace(SANDWICH, check=_ordered), form=_scalar_sandwich,
+    _SANDWICH_LEMMA, cell=replace(SANDWICH, pair=None, check=_ordered), form=_scalar_sandwich,
     params={"mode": "scalar"})}
 _GRUSS = {row.params["family"]: _api(row) for row in (_GRUSS_F, _GRUSS_G)}
 _NORM_RATIO = {row.params["mode"]: row for row in ROWS.values() if row.audit}

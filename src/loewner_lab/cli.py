@@ -51,7 +51,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SuiteConfig:
     kwargs = {
         "inequalities": tuple(x.strip() for x in args.ineq.split(",") if x.strip()),
-        "dims": tuple(x for x in args.dims.split(",") if x.strip()),
+        "dims": _dims(args.dims),
         "trials": args.trials,
         "seed": args.seed,
         "tol_rel": args.tol,
@@ -68,6 +68,15 @@ def _config_from_args(args) -> SuiteConfig:
         if flag:
             kwargs[name] = _specs(flag)
     return SuiteConfig(**kwargs)
+
+
+def _dims(flag: str) -> tuple:
+    """The dimensions of a comma list, as integers."""
+    dims = tuple(x for x in flag.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in dims)
+    except ValueError:
+        raise ValueError(f"field dims must hold integers, got {dims!r}") from None
 
 
 def _specs(flag: str) -> tuple:

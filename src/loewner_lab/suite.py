@@ -81,10 +81,14 @@ class SuiteConfig:
         self.inequalities = _resolve_inequalities(self.inequalities)
         if not self.inequalities:
             raise ValueError("field inequalities must name at least one inequality id")
-        try:
-            self.dims = tuple(int(d) for d in self.dims)
-        except ValueError:
-            raise ValueError(f"field dims must hold integers, got {self.dims!r}") from None
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in _NUMBER_TYPES and (isinstance(value, bool)
+                                            or not isinstance(value, _NUMBER_TYPES[f.type])):
+                raise ValueError(f"field {f.name} must be of type {f.type}, got {value!r}")
+        self.dims = tuple(self.dims)
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in self.dims):
+            raise ValueError(f"field dims must hold integers, got {self.dims!r}")
         if not self.dims:
             raise ValueError("field dims must name at least one dimension")
         if self.trials < 1:
@@ -109,7 +113,7 @@ class SuiteConfig:
             if not isinstance(specs, (list, tuple)) or not all(isinstance(x, str) for x in specs):
                 raise ValueError(f"field {name} must hold spec strings, got {specs!r}")
         for name in ("max_recorded_violations", "probe_refine_steps"):
-            if not (isinstance(count := getattr(self, name), int) and count >= 0):
+            if (count := getattr(self, name)) < 0:
                 raise ValueError(f"field {name} must be an integer >= 0, got {count!r}")
         for lo, hi in (("s", "t"), ("m", "M")):
             if (getattr(self, lo) is None) != (getattr(self, hi) is None):
@@ -162,9 +166,10 @@ def _resolve_inequalities(spec) -> tuple:
     return tuple(dict.fromkeys(out))
 
 
-# The values each annotation of a SuiteConfig field reads from a report or a to_dict.
-_JSON_TYPES = {"tuple": (list, tuple), "int": int, "float": (int, float),
-               "float | None": (int, float, type(None))}
+# The values each annotation of a SuiteConfig number field takes (never a bool), and
+# that each annotation reads from a report or a to_dict.
+_NUMBER_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
+_JSON_TYPES = {"tuple": (list, tuple), **_NUMBER_TYPES}
 
 
 def config_from_dict(data: dict) -> SuiteConfig:
@@ -397,7 +402,81 @@ class Report:
         return all(stats["violations"] == 0 for stats in self.results.values())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
+        return "".join(self._pieces())
+
+    def _pieces(self) -> list:
+        """The report's file in consecutive pieces: the text of
+        ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+        return _json_pieces(self.to_payload(), []) + ["\n"]
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# json's spelling of the floats whose repr it does not take.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _json_pieces(value, out: list, pad: str = "\n") -> list:
+    """``out`` with the text of ``json.dumps(value, indent=2, sort_keys=True)``
+    appended in pieces; ``pad`` is a newline and the indent of value's line.
+
+    Containers are dicts with str keys, lists and tuples, and scalars are
+    str, int, float, bool and None (subclasses too, as json takes them);
+    anything else raises TypeError.  json's indented encoder is pure Python,
+    item by item; this one writes a list of floats, a matrix's entries, in
+    one join.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return out
+        inner = pad + "  "
+        sep = "," + inner
+        if set(map(type, value)) == {float}:
+            text = sep.join(map(float.__repr__, value))
+            if "n" in text:  # a nan or an inf, which json spells NaN or Infinity
+                text = sep.join(map(_json_float, value))
+            out.append("[" + inner + text + pad + "]")
+            return out
+        start = "[" + inner
+        for item in value:
+            out.append(start)
+            start = sep
+            _json_pieces(item, out, inner)
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return out
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}: {key!r}")
+        inner = pad + "  "
+        start = "{" + inner
+        for key in sorted(value):
+            out.append(start + _encode_str(key) + ": ")
+            start = "," + inner
+            _json_pieces(value[key], out, inner)
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
 
 
 def run_suite(config: SuiteConfig) -> Report:
@@ -662,8 +741,9 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
 
 
 def write_report(report: Report, path: str) -> None:
+    pieces = report._pieces()
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
+        handle.writelines(pieces)
 
 
 def load_report(path: str) -> dict:

@@ -143,6 +143,13 @@ class TestSandwichLemma:
             assert cert.holds
             assert cert.params["mode"] == "scalar"
 
+    def test_scalar_mode_ignores_the_matrices(self):
+        # its certificate, params included, reads nothing of A and B
+        blind = check_sandwich_lemma(None, None, 0.25, 4.0, mode="scalar")
+        given = check_sandwich_lemma(A14, A41, 0.25, 4.0, mode="scalar")
+        assert given.params == blind.params
+        assert given.to_json() == blind.to_json()
+
     def test_random_pairs_both_branches(self):
         for seed, (s, t) in enumerate([(0.5, 0.9), (1.5, 3.0), (0.25, 4.0)]):
             pair = random_sandwich_pair(3, s, t, derive_seed(500, seed))

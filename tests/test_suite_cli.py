@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loewner_lab import (
     SymMatrix,
@@ -97,6 +98,26 @@ class TestSuiteConfig:
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert capsys.readouterr().err.startswith(f"error: field {name} ")
         assert calls == []
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"tol_rel": "a"}, "tol_rel"),
+        ({"tol_rel": None}, "tol_rel"),
+        ({"constant_multiplier": "x"}, "constant_multiplier"),
+        ({"trials": "3"}, "trials"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"s": "a", "t": 1.0}, "s"),
+        ({"m": 1.0, "M": True}, "M"),
+        ({"max_recorded_violations": True}, "max_recorded_violations"),
+        ({"dims": ("3",)}, "dims"),
+        ({"dims": (2.0,)}, "dims"),
+        ({"dims": (True,)}, "dims"),
+    ])
+    def test_mistyped_library_value_is_refused_by_name(self, fields, name):
+        # a number field takes a number of its annotation, never a bool or a str
+        with pytest.raises(ValueError, match=f"^field {name} "):
+            SuiteConfig(inequalities=("midpoint",), **fields)
 
     def test_round_trip_through_dict(self):
         cfg = small_config()
@@ -596,6 +617,60 @@ class TestReportIO:
         path.write_text(json.dumps({"dim": 2, "data": [1.0, 0.5 + 1e-12, 0.5, 1.0]}))
         x = load_matrix(str(path))
         assert x.data[0, 1] == x.data[1, 0]
+
+
+_KEYS = st.text() | st.sampled_from(["", '"', "\\", "\x00", "\n\t\x1f", "é", "\u2028", "😀",
+                                     "a\"b"])
+_FLOATS = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                          1.7976931348623157e308])
+           | st.floats().map(np.float64))
+_SCALARS = (_FLOATS | st.integers() | st.integers(2**64, 2**80) | st.integers(-2**80, -2**64)
+            | st.booleans() | st.none() | _KEYS)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.lists(_FLOATS)
+                   | st.dictionaries(_KEYS, inner)),
+    max_leaves=40)
+
+
+class TestReportWriter:
+    """The report writer gives the bytes of json.dumps(payload, indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def _oracle(payload) -> str:
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOADS)
+    def test_generated_payload_gives_the_bytes_of_json_dumps(self, payload):
+        assert "".join(suite._json_pieces(payload, [])) == self._oracle(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), "", 0, -0.0, math.nan, [math.nan], [-math.inf, math.inf, -0.0],
+        [5e-324, 1.7976931348623157e308, np.float64(0.1)], [np.float64(math.nan), 1.0],
+        [1.0, 2, None, math.nan, True], {"a": {}, "b": [], "c": [[]], "d": {"e": ()}},
+        [2**64 + 1, -(2**70)], {'"\\\x00\x7f': "é\u2028😀"}, [True, False, None],
+    ])
+    def test_edge_payload_gives_the_bytes_of_json_dumps(self, payload):
+        assert "".join(suite._json_pieces(payload, [])) == self._oracle(payload)
+
+    @pytest.mark.parametrize("payload", [
+        np.int64(3), [1.0, np.int64(3)], {"a": {1, 2}}, {1: "a"}, {"a": 1, None: 2},
+        np.float32(1.5), object(),
+    ])
+    def test_other_type_or_key_is_refused(self, payload):
+        with pytest.raises(TypeError):
+            suite._json_pieces(payload, [])
+
+    def test_hunt_report_file_is_the_bytes_of_json_dumps(self, tmp_path):
+        report = hunt_counterexamples(SuiteConfig(inequalities=("all",), dims=(12,), trials=4,
+                                                  seed=7), 0.9)
+        assert len(collect_violations(report.to_payload()["loewner_lab_report"])) >= 10
+        path = tmp_path / "hunt.json"
+        write_report(report, str(path))
+        expected = self._oracle(report.to_payload()) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        assert report.to_json() == expected
 
 
 class TestRecheck:

@@ -107,3 +107,18 @@ def test_every_inequality_id_is_spelled_once_in_the_source():
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert {ineq: literals.count(ineq) for ineq in ALL_INEQUALITIES} == {
         ineq: 1 for ineq in ALL_INEQUALITIES}
+
+
+def test_no_json_call_in_the_source_indents():
+    # the report writer is the one indented serializer: json's indented
+    # encoder runs in pure Python
+    import ast
+
+    src = Path(suite.__file__).resolve().parent
+    indented = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dump", "dumps")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                and any(kw.arg == "indent" for kw in node.keywords)]
+    assert indented == []
