@@ -214,7 +214,9 @@ class Row:
     trials' cells, draws the row's stacks and checks them.  ``pool`` names
     the map pool, or None: trial i takes map i, and a stack's maps share
     their output dimension.  Each of ``picks`` is ``(name, pool, offset)``:
-    trial i takes item ``i + offset`` of the pool, cyclically.  ``vets``
+    trial i takes item ``i + offset`` of the pool, cyclically.  A pool is
+    named by the SuiteConfig field of its specs, or by the pool the suite
+    derives from one (``unital_maps``, for instance).  ``vets``
     check the row's own hypotheses on the stack in order, after the cell's
     check.  ``sides(x)`` evaluates the sides on the stack ``x`` (lhs and
     base, unless the form reads more) and ``form(row, x)`` turns them into
@@ -716,7 +718,7 @@ def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
 
 ROWS: dict[str, Row] = {}
 _KERNELS = (("tau", "kernels", 0), ("sigma", "kernels", 1))
-_REVERSAL = _KERNELS + (("f", "f_monotone", 0),)
+_REVERSAL = _KERNELS + (("f", "monotone_fns", 0),)
 _F_MONOTONE, _FN_MONOTONE = _each("f", _vet_monotone), _each("fn", _vet_monotone)
 _G_DECREASING, _FN_DECREASING = (_each(name, _vet_class, OPERATOR_MONOTONE_DECREASING)
                                  for name in ("g", "fn"))
@@ -812,7 +814,7 @@ check_main_decreasing = _api(_row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
     cell=SANDWICH, constant=sandwich_constant, pool="maps",
-    picks=_KERNELS + (("g", "g_decreasing", 0),), vets=(_means, _G_DECREASING),
+    picks=_KERNELS + (("g", "decreasing_fns", 0),), vets=(_means, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
                                  x.phi(_fn_of(x.B, x.g))))))
@@ -823,7 +825,7 @@ _GRUSS_F = _row(
     "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
     "<= (M-m)^2/(4Mm) f(M).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
-    picks=_KERNELS + (("fn", "f_monotone", 0),), vets=(_unital, _means, _FN_MONOTONE),
+    picks=_KERNELS + (("fn", "monotone_fns", 0),), vets=(_unital, _means, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.fn)),
@@ -834,7 +836,7 @@ _GRUSS_G = _row(
     "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
     "<= (M-m)^2/(4Mm) g(m).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
-    picks=_KERNELS + (("fn", "g_decreasing", 0),),
+    picks=_KERNELS + (("fn", "decreasing_fns", 0),),
     vets=(_unital, _means, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
     params={"family": "decreasing"},
@@ -852,14 +854,14 @@ _SQUARED_F = _row(
     "squared-consequence-f", "Squared geometric-mean reversal for monotone f, with "
     "K = (M+m)^2/(4Mm): (f(A) # f(B))^2 <= K^2 f(A # B)^2.",
     cell=BOUNDED, constant=lambda m, M: kantorovich_constant(m, M) ** 2,
-    picks=(("f", "f_monotone", 0),), vets=(_F_MONOTONE,),
+    picks=(("f", "monotone_fns", 0),), vets=(_F_MONOTONE,),
     sides=lambda x: _squared_means(x, x.f))
 
 _SQUARED_G = _row(
     "squared-consequence-g", "Squared geometric-mean reversal for decreasing g, with "
     "K = (M+m)^2/(4Mm): g(A # B)^2 <= K^2 (g(A) # g(B))^2.",
     cell=BOUNDED, constant=_SQUARED_F.constant,
-    picks=(("g", "g_decreasing", 0),), vets=(_G_DECREASING,),
+    picks=(("g", "decreasing_fns", 0),), vets=(_G_DECREASING,),
     sides=lambda x: _squared_means(x, x.g)[::-1])
 
 check_midpoint = _api(_row(
@@ -883,7 +885,7 @@ check_klamkin_mclenaghan = _api(_row(
     "P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2) "
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
     cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
-    pool="maps", picks=(("sigma", "kernels", 0), ("f", "f_monotone", 0)),
+    pool="maps", picks=(("sigma", "kernels", 0), ("f", "monotone_fns", 0)),
     vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
 
 check_specht_bound = _api(_row(
@@ -905,7 +907,7 @@ check_strengthened_remark = _api(_row(
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
 # negative, and are recorded, never asserted.
-_NORM_PICKS = (("g", "g_convex", 0), ("norm", "norms", 0))
+_NORM_PICKS = (("g", "convex_fns", 0), ("norm", "norms", 0))
 
 _row("norm-ratio-tau", "||g(A) tau g(B)||/||A tau B|| <= C(s,t) ||g(Y)/Y||, Y = A # B, "
      "tau >= #.",

@@ -27,6 +27,17 @@ from .spectral import LOEWNER_TOL_REL
 from .suite import SuiteConfig, hunt_counterexamples, probe_tightness, run_suite, write_report
 
 
+# The flags that restrict a pool, the SuiteConfig field of its specs, and the
+# pool as the flags' help names it.
+_POOL_FLAGS = (
+    (("tau", "sigma"), "kernels", "kernel pool"),
+    (("f",), "monotone_fns", "monotone functions"),
+    (("g",), "decreasing_fns", "decreasing functions"),
+    (("phi",), "maps", "map pool"),
+    (("norm",), "norms", "norm pool"),
+)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ineq", default="all-non-audit",
                         help="comma list of inequality ids, or all / all-non-audit")
@@ -35,48 +46,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=LOEWNER_TOL_REL,
                         help="relative slack tolerance")
-    parser.add_argument("--s", type=float, default=None)
-    parser.add_argument("--t", type=float, default=None)
-    parser.add_argument("--m", type=float, default=None)
-    parser.add_argument("--M", type=float, default=None)
-    parser.add_argument("--tau", default=None, help="restrict kernel pool (comma list)")
-    parser.add_argument("--sigma", default=None, help="restrict kernel pool (comma list)")
-    parser.add_argument("--f", default=None, help="restrict monotone functions (comma list)")
-    parser.add_argument("--g", default=None, help="restrict decreasing functions (comma list)")
-    parser.add_argument("--phi", default=None, help="restrict map pool (comma list)")
-    parser.add_argument("--norm", default=None, help="restrict norm pool (comma list)")
+    for name in ("s", "t", "m", "M"):
+        parser.add_argument(f"--{name}", type=float, default=None)
+    for flags, _, text in _POOL_FLAGS:
+        for flag in flags:
+            parser.add_argument(f"--{flag}", default=None, help=f"restrict {text} (comma list)")
     parser.add_argument("--report", default=None, help="write the JSON report here")
 
 
 def _config_from_args(args) -> SuiteConfig:
-    kwargs = {
-        "inequalities": tuple(x.strip() for x in args.ineq.split(",") if x.strip()),
-        "dims": _dims(args.dims),
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol_rel": args.tol,
-        "s": args.s,
-        "t": args.t,
-        "m": args.m,
-        "M": args.M,
-    }
-    kernels = [spec for flag in (args.tau, args.sigma) if flag for spec in _specs(flag)]
-    if kernels:
-        kwargs["kernels"] = tuple(dict.fromkeys(kernels))
-    for name, flag in (("monotone_fns", args.f), ("decreasing_fns", args.g), ("maps", args.phi),
-                       ("norms", args.norm)):
-        if flag:
-            kwargs[name] = _specs(flag)
+    kwargs = {name: getattr(args, name) for name in ("trials", "seed", "s", "t", "m", "M")}
+    kwargs.update(
+        inequalities=tuple(x.strip() for x in args.ineq.split(",") if x.strip()),
+        # a dimension that is no decimal integer stays a str, which SuiteConfig refuses
+        dims=tuple(int(x) if x.strip().isdecimal() else x for x in args.dims.split(",")
+                   if x.strip()),
+        tol_rel=args.tol)
+    for flags, name, _ in _POOL_FLAGS:
+        specs = [spec for flag in flags if getattr(args, flag)
+                 for spec in _specs(getattr(args, flag))]
+        if specs:  # --tau and --sigma fill one pool, which takes each kernel once
+            kwargs[name] = tuple(dict.fromkeys(specs)) if len(flags) > 1 else specs
     return SuiteConfig(**kwargs)
-
-
-def _dims(flag: str) -> tuple:
-    """The dimensions of a comma list, as integers."""
-    dims = tuple(x for x in flag.split(",") if x.strip())
-    try:
-        return tuple(int(x) for x in dims)
-    except ValueError:
-        raise ValueError(f"field dims must hold integers, got {dims!r}") from None
 
 
 def _specs(flag: str) -> tuple:

@@ -49,12 +49,60 @@ SCHEMA_VERSION = 1
 _DEFAULT_NORMS = ("operator", "trace", "frobenius", "kyfan:2", "schatten:3")
 
 
+def _typed(value, kind, items=None) -> bool:
+    """Whether ``value`` is a ``kind`` and, when ``items`` is given, each of
+    its items an ``items``; a bool is never taken for a number."""
+    return (not isinstance(value, bool) and isinstance(value, kind)
+            and (items is None or all(_typed(x, items) for x in value)))
+
+
+_NUMBER, _OPTIONAL = (int, float), (int, float, type(None))
+_SPECS = (tuple, str)
+_COUNT = (int, None, (lambda n: n >= 0, "be an integer >= 0"))
+# The ids that name a group of inequalities.
+_GROUPS = {"all": ALL_INEQUALITIES, "all-non-audit": NON_AUDIT_INEQUALITIES}
+
+# Each SuiteConfig field once, as (kind, items, *rules): its value is a kind
+# (a list is taken as a tuple) whose items, unless items is None, are each an
+# items, never a bool; then it passes each rule (test, text).  A refusal reads
+# "field <name> must <text>, got <value>", and a value of another type must
+# be of the field's annotated type.  A library caller and the config of a
+# report (config_from_dict) meet the same checks.
+_FIELDS = {
+    "inequalities": (tuple, str, (bool, "name at least one inequality id"),
+                     (lambda ids: all(i in ROWS or i in _GROUPS for i in ids),
+                      "name inequality ids, all or all-non-audit")),
+    "dims": (tuple, int, (bool, "name at least one dimension"),
+             (lambda dims: all(1 <= d <= 16 for d in dims), "stay within [1, 16]")),
+    "trials": (int, None, (lambda n: n >= 1, "be >= 1")),
+    "seed": (int, None),
+    "tol_rel": (_NUMBER, None, (lambda x: 0 <= x < math.inf,  # also refuses nan
+                                "be a finite number >= 0")),
+    "s": (_OPTIONAL, None),
+    "t": (_OPTIONAL, None),
+    "sandwich_range": (tuple, _NUMBER, (lambda r: len(r) == 2 and 0 < r[0] <= r[1] < math.inf,
+                                        "be two numbers 0 < lo <= hi < inf")),
+    "m": (_OPTIONAL, None),
+    "M": (_OPTIONAL, None),
+    "kernels": _SPECS,
+    "monotone_fns": _SPECS,
+    "decreasing_fns": _SPECS,
+    "convex_fns": _SPECS,
+    "maps": _SPECS,
+    "norms": _SPECS,
+    "constant_multiplier": (_NUMBER, None, (lambda x: 0 < x < math.inf, "be a finite number > 0")),
+    "max_recorded_violations": _COUNT,
+    "probe_refine_steps": _COUNT,
+}
+
+
 @dataclass
 class SuiteConfig:
-    """Description of a randomized verification campaign."""
+    """Description of a randomized verification campaign; ``_FIELDS`` holds
+    each field's checks."""
 
-    inequalities: tuple = NON_AUDIT_INEQUALITIES
-    dims: tuple = (2, 3, 4)
+    inequalities: tuple[str, ...] = NON_AUDIT_INEQUALITIES
+    dims: tuple[int, ...] = (2, 3, 4)
     trials: int = 50
     seed: int = 0
     tol_rel: float = LOEWNER_TOL_REL
@@ -62,59 +110,34 @@ class SuiteConfig:
     # from sandwich_range (sorted per trial).
     s: float | None = None
     t: float | None = None
-    sandwich_range: tuple = (0.25, 4.0)
+    sandwich_range: tuple[float, float] = (0.25, 4.0)
     # Two-sided bounds: fixed when m/M given, otherwise sampled with a
     # moderate spread to keep the means well conditioned.
     m: float | None = None
     M: float | None = None
-    kernels: tuple = DEFAULT_KERNEL_SPECS
-    monotone_fns: tuple = DEFAULT_MONOTONE_SPECS
-    decreasing_fns: tuple = DEFAULT_DECREASING_SPECS
-    convex_fns: tuple = DEFAULT_CONVEX_SPECS
-    maps: tuple = DEFAULT_MAP_SPECS
-    norms: tuple = _DEFAULT_NORMS
+    kernels: tuple[str, ...] = DEFAULT_KERNEL_SPECS
+    monotone_fns: tuple[str, ...] = DEFAULT_MONOTONE_SPECS
+    decreasing_fns: tuple[str, ...] = DEFAULT_DECREASING_SPECS
+    convex_fns: tuple[str, ...] = DEFAULT_CONVEX_SPECS
+    maps: tuple[str, ...] = DEFAULT_MAP_SPECS
+    norms: tuple[str, ...] = _DEFAULT_NORMS
     constant_multiplier: float = 1.0
     max_recorded_violations: int = 10
     probe_refine_steps: int = 200
 
     def __post_init__(self):
-        self.inequalities = _resolve_inequalities(self.inequalities)
-        if not self.inequalities:
-            raise ValueError("field inequalities must name at least one inequality id")
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type in _NUMBER_TYPES and (isinstance(value, bool)
-                                            or not isinstance(value, _NUMBER_TYPES[f.type])):
+            value, (kind, items, *rules) = getattr(self, f.name), _FIELDS[f.name]
+            if isinstance(value, list):  # as a report's JSON gives a tuple back
+                value = tuple(value)
+            if not _typed(value, kind, items):
                 raise ValueError(f"field {f.name} must be of type {f.type}, got {value!r}")
-        self.dims = tuple(self.dims)
-        if not all(isinstance(d, int) and not isinstance(d, bool) for d in self.dims):
-            raise ValueError(f"field dims must hold integers, got {self.dims!r}")
-        if not self.dims:
-            raise ValueError("field dims must name at least one dimension")
-        if self.trials < 1:
-            raise ValueError(f"field trials must be >= 1, got {self.trials!r}")
-        if any(d < 1 or d > 16 for d in self.dims):
-            raise ValueError(f"field dims must stay within [1, 16], got {self.dims!r}")
-        if not 0 <= self.tol_rel < math.inf:  # also refuses nan
-            raise ValueError(f"field tol_rel must be a finite number >= 0, got {self.tol_rel!r}")
-        if not 0 < self.constant_multiplier < math.inf:
-            raise ValueError("field constant_multiplier must be a finite number > 0, "
-                             f"got {self.constant_multiplier!r}")
-        try:
-            lo, hi = self.sandwich_range
-            ordered = 0 < lo <= hi < math.inf
-        except (TypeError, ValueError):  # not two numbers
-            ordered = False
-        if not ordered:
-            raise ValueError("field sandwich_range must be two numbers 0 < lo <= hi < inf, "
-                             f"got {self.sandwich_range!r}")
-        for name in ("kernels", "monotone_fns", "decreasing_fns", "convex_fns", "maps", "norms"):
-            specs = getattr(self, name)
-            if not isinstance(specs, (list, tuple)) or not all(isinstance(x, str) for x in specs):
-                raise ValueError(f"field {name} must hold spec strings, got {specs!r}")
-        for name in ("max_recorded_violations", "probe_refine_steps"):
-            if (count := getattr(self, name)) < 0:
-                raise ValueError(f"field {name} must be an integer >= 0, got {count!r}")
+            for test, text in rules:
+                if not test(value):
+                    raise ValueError(f"field {f.name} must {text}, got {value!r}")
+            setattr(self, f.name, value)
+        self.inequalities = tuple(dict.fromkeys(
+            ineq for item in self.inequalities for ineq in _GROUPS.get(item, (item,))))
         for lo, hi in (("s", "t"), ("m", "M")):
             if (getattr(self, lo) is None) != (getattr(self, hi) is None):
                 raise ValueError(f"fields {lo}, {hi}: provide both or neither, got "
@@ -150,59 +173,13 @@ def _vet_constant(ineq: str, config: SuiteConfig) -> None:
                          f"number at " + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)))
 
 
-def _resolve_inequalities(spec) -> tuple:
-    if isinstance(spec, str):
-        spec = (spec,)
-    out: list[str] = []
-    for item in spec:
-        if item == "all":
-            out.extend(ALL_INEQUALITIES)
-        elif item == "all-non-audit":
-            out.extend(NON_AUDIT_INEQUALITIES)
-        elif item in ALL_INEQUALITIES:
-            out.append(item)
-        else:
-            raise ValueError(f"unknown inequality id {item!r}")
-    return tuple(dict.fromkeys(out))
-
-
-# The values each annotation of a SuiteConfig number field takes (never a bool), and
-# that each annotation reads from a report or a to_dict.
-_NUMBER_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
-_JSON_TYPES = {"tuple": (list, tuple), **_NUMBER_TYPES}
-
-
 def config_from_dict(data: dict) -> SuiteConfig:
-    """The SuiteConfig of a report's ``config``; a field SuiteConfig lacks,
-    or a value of another JSON type than the field's, is refused by name."""
-    _object(data, "config")
-    types = {f.name: f.type for f in dataclasses.fields(SuiteConfig)}
-    for name, value in data.items():
-        if name not in types:
+    """The SuiteConfig of a report's ``config``: a field SuiteConfig lacks is
+    refused by name, and every value meets the checks of its field."""
+    for name in _object(data, "config"):
+        if name not in _FIELDS:
             raise ValueError(f"field config.{name} is not a configuration field")
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[name]]):
-            raise ValueError(f"field config.{name} must be of type {types[name]}, got {value!r}")
-    # JSON lists come back from the config's tuple fields only.
-    return SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-
-
-@dataclass
-class _DimPools:
-    dim: int
-    maps: list
-    unital_maps: list
-    kernels: list
-    tau_ge_sharp: list
-    sigma_le_sharp: list
-    f_monotone: list
-    g_decreasing: list
-    g_convex: list
-    norms: list
-
-    @property
-    def scaling_fns(self) -> list:
-        """alpha-scaling's pool: the monotone functions, then the decreasing ones."""
-        return self.f_monotone + self.g_decreasing
+    return SuiteConfig(**data)
 
 
 def _parsed(config: SuiteConfig, name: str, parse) -> list:
@@ -216,30 +193,26 @@ def _parsed(config: SuiteConfig, name: str, parse) -> list:
     return out
 
 
-def _build_pools(config: SuiteConfig, dim: int) -> _DimPools:
+def _build_pools(config: SuiteConfig, dim: int) -> dict:
+    """The pools of one dimension, by name: each spec field of the config,
+    parsed, and the pools the rows derive from them (the unital maps, the
+    kernels above and below the geometric mean, and alpha-scaling's
+    monotone then decreasing functions)."""
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
-    maps = _parsed(config, "maps", lambda spec: parse_map(spec, dim, rng))
-    unital = [mp for mp in maps if check_unital(mp).is_unital]
-    kernels = _parsed(config, "kernels", parse_kernel)
-    tau_ge = [k for k in kernels if kernel_dominance(GEOMETRIC, k).holds]
-    sigma_le = [k for k in kernels if kernel_dominance(k, GEOMETRIC).holds]
-    norms = []
-    for kind in _parsed(config, "norms", parse_norm):
-        if kind.variant == "kyfan" and int(kind.param) > dim:
-            kind = parse_norm(f"kyfan:{dim}")
-        norms.append(kind)
-    return _DimPools(
-        dim=dim,
-        maps=maps,
-        unital_maps=unital,
-        kernels=kernels,
-        tau_ge_sharp=tau_ge or [GEOMETRIC],
-        sigma_le_sharp=sigma_le or [GEOMETRIC],
-        f_monotone=_parsed(config, "monotone_fns", parse_function),
-        g_decreasing=_parsed(config, "decreasing_fns", parse_function),
-        g_convex=_parsed(config, "convex_fns", parse_function),
-        norms=norms,
+    parsers = {"maps": lambda spec: parse_map(spec, dim, rng), "kernels": parse_kernel,
+               "norms": parse_norm, "monotone_fns": parse_function,
+               "decreasing_fns": parse_function, "convex_fns": parse_function}
+    pools = {name: _parsed(config, name, parse) for name, parse in parsers.items()}
+    kernels = pools["kernels"]
+    pools.update(
+        norms=[parse_norm(f"kyfan:{dim}") if kind.variant == "kyfan" and int(kind.param) > dim
+               else kind for kind in pools["norms"]],
+        unital_maps=[mp for mp in pools["maps"] if check_unital(mp).is_unital],
+        tau_ge_sharp=[k for k in kernels if kernel_dominance(GEOMETRIC, k).holds] or [GEOMETRIC],
+        sigma_le_sharp=[k for k in kernels if kernel_dominance(k, GEOMETRIC).holds] or [GEOMETRIC],
+        scaling_fns=pools["monotone_fns"] + pools["decreasing_fns"],
     )
+    return pools
 
 
 def _pick(pool, index: int):
@@ -258,10 +231,10 @@ def _inequality(ineq: str) -> certs.Row:
     return ROWS[ineq]
 
 
-def _picked(row: certs.Row, trials: list, pools: _DimPools) -> dict:
+def _picked(row: certs.Row, trials: list, pools: dict) -> dict:
     """The row's map and each of its picks, one per trial of ``trials``."""
     picks = row.picks if row.pool is None else (("phi", row.pool, 0), *row.picks)
-    return {name: [_pick(getattr(pools, pool), trial + offset) for trial in trials]
+    return {name: [_pick(pools[pool], trial + offset) for trial in trials]
             for name, pool, offset in picks}
 
 
@@ -269,8 +242,8 @@ def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
     return derive_seed(config.seed, fnv1a64(ineq), dim, trial)
 
 
-def _vet_pools(ineq: str, pools: _DimPools) -> None:
-    if ROWS[ineq].pool == "unital_maps" and not pools.unital_maps:
+def _vet_pools(ineq: str, pools: dict) -> None:
+    if ROWS[ineq].pool == "unital_maps" and not pools["unital_maps"]:
         raise ValueError(f"{ineq} needs at least one unital map in the pool")
 
 
@@ -299,7 +272,7 @@ def _chunks(items: list, dim: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
+def _stacks(ineq: str, dim: int, trials, pools: dict) -> list[list[int]]:
     """The trials whose maps share an output dimension, in stacks within
     ``_STACK_ENTRIES``: maps, kernels, functions and cells may vary by slice.
     The default pool gives two groups: ``ntrace:1`` maps to dimension 1, and
@@ -307,14 +280,14 @@ def _stacks(ineq: str, trials, pools: _DimPools) -> list[list[int]]:
     pool = ROWS[ineq].pool
     groups: dict = {}
     for trial in trials:
-        out_dim = _pick(getattr(pools, pool), trial).output_dim if pool else pools.dim
+        out_dim = _pick(pools[pool], trial).output_dim if pool else dim
         groups.setdefault(out_dim, []).append(trial)
     return [stack for out_dim, group in groups.items()
-            for stack in _chunks(group, max(pools.dim, out_dim))]
+            for stack in _chunks(group, max(dim, out_dim))]
 
 
 def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
-                    pools: _DimPools) -> certs.StackResult:
+                    pools: dict) -> certs.StackResult:
     """Draw the given trials of one cell, whose maps share an output
     dimension, as one stack and evaluate them on it, each with its own map.
 
@@ -328,7 +301,7 @@ def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
                              tol_rel=config.tol_rel)
 
 
-def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -> list:
+def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: dict) -> list:
     """Every trial's ``(stack, slice)``, in trial order: the cell is drawn and
     evaluated one stack of ``_stacks`` at a time, one per output dimension
     of the maps while it fits ``_STACK_ENTRIES``.
@@ -339,7 +312,7 @@ def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: _DimPools) -
     """
     out = [None] * config.trials
     try:
-        for trials in _stacks(ineq, range(config.trials), pools):
+        for trials in _stacks(ineq, dim, range(config.trials), pools):
             stack = _evaluate_trial(ineq, dim, trials, config, pools)
             for k, trial in enumerate(trials):
                 out[trial] = (stack, k)
@@ -610,7 +583,7 @@ def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:
     return A, C if cell is certs.BOUNDED else _sandwiched(A, C), [bounds] * len(insts)
 
 
-def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: _DimPools, tol_rel: float):
+def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: dict, tol_rel: float):
     """Each instance's ratio, the largest of its certificates', where it is finite, else None."""
     A, B, cells = stacks
     row = ROWS[ineq]
@@ -653,7 +626,7 @@ _WINDOW_FIRST, _WINDOW_MOST = 4, 64
 
 
 def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix64,
-            config: SuiteConfig, pools: _DimPools, bounds: tuple) -> tuple[tuple, float, int]:
+            config: SuiteConfig, pools: dict, bounds: tuple) -> tuple[tuple, float, int]:
     """Hill-climb from the instance ``best`` in the cell ``bounds`` for
     ``config.probe_refine_steps`` moves: returns the best instance, its
     ratio and the number of accepted moves.
@@ -705,7 +678,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     pools = _build_pools(config, dim)
     _vet_pools(inequality_id, pools)
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
-    n_picks = max(len(pools.maps), len(pools.kernels), len(pools.f_monotone))
+    n_picks = max(len(pools["maps"]), len(pools["kernels"]), len(pools["monotone_fns"]))
     best_ratio = -math.inf
     best_inst = None
     best_pick = 0
@@ -766,20 +739,18 @@ def load_matrix(path: str) -> SymMatrix:
     """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if "dim" not in data:
-        raise ValueError("matrix file is missing field 'dim'")
-    if "data" not in data:
-        raise ValueError("matrix file is missing field 'data'")
-    n = data["dim"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"field 'dim' must be a positive integer, got {n!r}")
-    entries = data["data"]
+    _vet_fields(data, {"dim": int, "data": list}, "the matrix file")
+    n, entries = data["dim"], data["data"]
+    if n < 1:
+        raise ValueError(f"field dim must be a positive integer, got {n!r}")
     if len(entries) != n * n:
-        raise ValueError(f"field 'data' must hold {n * n} numbers, got {len(entries)}")
+        raise ValueError(f"field data must hold {n * n} numbers, got {len(entries)}")
+    if not _typed(entries, list, _NUMBER):
+        raise ValueError(f"field data must hold numbers, got {entries!r}")
     raw = np.array(entries, dtype=float).reshape(n, n)
     asym = float(np.linalg.norm(raw - raw.T))
     if asym > 1e-8 * max(1.0, float(np.linalg.norm(raw))):
-        raise ValueError(f"field 'data' is asymmetric beyond tolerance ({asym:.3e})")
+        raise ValueError(f"field data is asymmetric beyond tolerance ({asym:.3e})")
     return SymMatrix(raw)
 
 
@@ -795,6 +766,16 @@ def _object(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"field {field} must be an object, got {value!r}")
     return value
+
+
+def _vet_fields(record, types: dict, where: str) -> None:
+    """Refuse a field of the JSON object ``record`` that is missing or not of
+    its type in ``types`` (never a bool), by name; no other value has fields."""
+    for name, kind in types.items():
+        value = record.get(name) if isinstance(record, dict) else None
+        if not _typed(value, kind):
+            raise ValueError(f"field {name} of {where} is missing or of the wrong type: "
+                             f"{value!r}")
 
 
 def collect_violations(report_body: dict) -> list:
@@ -824,10 +805,8 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
     if not 0 <= index < len(violations):
         raise IndexError(f"violation index {index} out of range 0..{len(violations) - 1}")
     record = _object(violations[index], f"violation {index}")
-    for name, kind in (("inequality", str), ("dim", int), ("trial", int), ("slack", (int, float))):
-        if isinstance(record.get(name), bool) or not isinstance(record.get(name), kind):
-            raise ValueError(f"field {name} of violation {index} is missing or of the wrong "
-                             f"type: {record.get(name)!r}")
+    _vet_fields(record, {"inequality": str, "dim": int, "trial": int, "slack": _NUMBER},
+                f"violation {index}")
     if "config" not in body:
         raise ValueError("field config is missing from the report")
     config = config_from_dict(body["config"])

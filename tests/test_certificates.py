@@ -661,7 +661,7 @@ def test_each_constant_is_declared_once(ineq, multiplier, monkeypatch):
     config = SuiteConfig(inequalities=(ineq,), dims=(2,), trials=6, seed=7,
                          constant_multiplier=multiplier)
     pools = suite._build_pools(config, 2)
-    trials = suite._stacks(ineq, range(6), pools)[0]
+    trials = suite._stacks(ineq, 2, range(6), pools)[0]
     stack = suite._evaluate_trial(ineq, 2, trials, config, pools)
     cells = list(zip(*(stack.sides[0].params[name] for name in row.cell.bounds)))
     factors = [1.0] * len(cells) if row.carry is None else row.carry(SimpleNamespace(

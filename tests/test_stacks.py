@@ -55,7 +55,7 @@ def _outcome(evaluate) -> str:
 def _stacked_rows(ineq, dim, trials, config, pools):
     """The cell's (stack, slice) pairs in trial order, one ``_evaluate_trial`` call per stack."""
     out = [None] * trials
-    for stack in suite._stacks(ineq, range(trials), pools):
+    for stack in suite._stacks(ineq, dim, range(trials), pools):
         evaluated = suite._evaluate_trial(ineq, dim, stack, config, pools)
         for k, trial in enumerate(stack):
             out[trial] = (evaluated, k)
@@ -140,7 +140,7 @@ def test_default_pool_cell_is_one_stack_per_output_dim(ineq, dim, monkeypatch):
     # trial of that dimension
     config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=60, seed=3)
     row = suite.ROWS[ineq]
-    pool = getattr(suite._build_pools(config, dim), row.pool) if row.pool else None
+    pool = suite._build_pools(config, dim)[row.pool] if row.pool else None
     expected: dict = {}
     for trial in range(60):
         out_dim = pool[trial % len(pool)].output_dim if pool else dim
@@ -156,9 +156,9 @@ def test_default_pool_cell_is_one_stack_per_output_dim(ineq, dim, monkeypatch):
 def test_stacks_split_beyond_the_entry_budget():
     # 2**15 entries hold 128 trials of dim 16: 130 trials make two stacks of 65
     pools = suite._build_pools(SuiteConfig(), 16)
-    assert suite._stacks("squared", range(130), pools) == [list(range(65)),
-                                                           list(range(65, 130))]
-    assert suite._stacks("squared", range(128), pools) == [list(range(128))]
+    assert suite._stacks("squared", 16, range(130), pools) == [list(range(65)),
+                                                               list(range(65, 130))]
+    assert suite._stacks("squared", 16, range(128), pools) == [list(range(128))]
 
 
 @pytest.mark.parametrize("ineq", MATRIX_IDS)

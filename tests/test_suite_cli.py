@@ -78,6 +78,9 @@ class TestSuiteConfig:
         ("norms", (2,)),
         ("max_recorded_violations", -1),
         ("probe_refine_steps", -1),
+        ("dims", 3),
+        ("inequalities", 5),
+        ("sandwich_range", (True, 2.0)),
     ])
     def test_bad_field_is_refused_by_name_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                             name, value):
@@ -86,7 +89,7 @@ class TestSuiteConfig:
         real = suite._evaluate_trial
         monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
         with pytest.raises(ValueError, match=f"^field {name} "):
-            SuiteConfig(inequalities=("midpoint",), **{name: value})
+            SuiteConfig(**{"inequalities": ("midpoint",), name: value})
         path = tmp_path / "hunt.json"
         cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
                   "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
@@ -113,16 +116,21 @@ class TestSuiteConfig:
         ({"dims": ("3",)}, "dims"),
         ({"dims": (2.0,)}, "dims"),
         ({"dims": (True,)}, "dims"),
+        ({"dims": 3}, "dims"),
+        ({"inequalities": 5}, "inequalities"),
+        ({"sandwich_range": (True, 2.0)}, "sandwich_range"),
     ])
     def test_mistyped_library_value_is_refused_by_name(self, fields, name):
-        # a number field takes a number of its annotation, never a bool or a str
+        # a number field takes a number of its annotation, never a bool or a str,
+        # and a tuple field a list or tuple of such items
         with pytest.raises(ValueError, match=f"^field {name} "):
-            SuiteConfig(inequalities=("midpoint",), **fields)
+            SuiteConfig(**{"inequalities": ("midpoint",), **fields})
 
     def test_round_trip_through_dict(self):
         cfg = small_config()
-        again = config_from_dict(cfg.to_dict())
-        assert again == cfg
+        assert config_from_dict(cfg.to_dict()) == cfg
+        # a report's JSON gives the tuple fields back as lists
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_table_declares_every_id_in_order(self):
         # the checked ids come first, then the audit family, each on a declared cell
@@ -557,7 +565,7 @@ class TestReportIO:
         (lambda body: body["config"].update(colour="red"), "config.colour"),
         (lambda body: body.pop("config"), "config"),
         (lambda body: body["results"]["polya-szego"]["violating_instances"][0].pop("dim"), "dim"),
-        (lambda body: body["config"].update(trials="50"), "config.trials"),
+        (lambda body: body["config"].update(trials="50"), "trials"),
         pytest.param(lambda body: body.update(results={"x": []}), "results.x",
                      id="results-entry-not-an-object"),
         # a violation at a trial the campaign never ran
@@ -604,6 +612,18 @@ class TestReportIO:
             load_matrix(str(path))
         path.write_text(json.dumps({"dim": "two", "data": [1.0]}))
         with pytest.raises(ValueError, match="dim"):
+            load_matrix(str(path))
+
+    @pytest.mark.parametrize("content, field", [
+        pytest.param("5", "dim", id="a-number"),
+        pytest.param('{"dim": true, "data": [1.0]}', "dim", id="dim-true"),
+        pytest.param('{"dim": 1, "data": 4}', "data", id="data-a-number"),
+        pytest.param('{"dim": 1, "data": [true]}', "data", id="data-holds-a-bool"),
+    ])
+    def test_mistyped_matrix_file_is_refused_by_field(self, tmp_path, content, field):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"^field {field} "):
             load_matrix(str(path))
 
     def test_matrix_loader_rejects_asymmetry(self, tmp_path):

@@ -52,7 +52,7 @@ def test_every_probe_step_passes_through_a_step_function(monkeypatch):
                                probe_refine_steps=10)
     suite.probe_tightness("polya-szego", config)
     pools = suite._build_pools(config, 2)
-    n_picks = max(len(pools.maps), len(pools.kernels), len(pools.f_monotone))
+    n_picks = max(len(pools["maps"]), len(pools["kernels"]), len(pools["monotone_fns"]))
     assert calls.count(("_probe_evaluate", False)) >= n_picks  # the start scan
     assert calls.count(("_probe_evaluate", True)) >= 1  # the refine windows
 
@@ -122,3 +122,22 @@ def test_no_json_call_in_the_source_indents():
                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
                 and any(kw.arg == "indent" for kw in node.keywords)]
     assert indented == []
+
+
+def test_every_config_field_has_one_table_entry():
+    # SuiteConfig's checks are declared once per field, in the _FIELDS literal
+    import ast
+    import dataclasses
+
+    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_FIELDS"])
+    keys = [key.value for key in table.keys]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(suite.SuiteConfig))
+
+
+def test_every_pool_a_row_names_is_built():
+    pools = suite._build_pools(suite.SuiteConfig(), 2)
+    named = {(row.id, pool) for row in suite.ROWS.values()
+             for pool in [row.pool, *(pool for _, pool, _ in row.picks)] if pool is not None}
+    assert {(ineq, pool) for ineq, pool in named if pool not in pools} == set()
