@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spectral import twinned
+from .spectral import parse_spec, twinned
 
 # Grid-based checks are necessary-condition tests, not proofs; they exist so
 # user-supplied kernels can be screened against the mean hypotheses.
@@ -55,18 +55,6 @@ def eval_kernel(kernel: ScalarKernel, t: float) -> float:
     return float(kernel.fn(t))
 
 
-def _arithmetic(t: float) -> float:
-    return 0.5 * (1.0 + t)
-
-
-def _geometric(t: float) -> float:
-    return math.sqrt(t)
-
-
-def _harmonic(t: float) -> float:
-    return 2.0 * t / (1.0 + t)
-
-
 def _logarithmic(t: float) -> float:
     # Removable singularity at t = 1; the quadratic error of the midpoint
     # surrogate is ~(t-1)^2/12, far below double precision at this cutoff.
@@ -75,9 +63,9 @@ def _logarithmic(t: float) -> float:
     return (t - 1.0) / math.log(t)
 
 
-ARITHMETIC = ScalarKernel("arithmetic", twinned(_arithmetic))
-GEOMETRIC = ScalarKernel("geometric", twinned(_geometric, np.sqrt))
-HARMONIC = ScalarKernel("harmonic", twinned(_harmonic))
+ARITHMETIC = ScalarKernel("arithmetic", twinned(lambda t: 0.5 * (1.0 + t)))
+GEOMETRIC = ScalarKernel("geometric", twinned(lambda t: math.sqrt(t), np.sqrt))
+HARMONIC = ScalarKernel("harmonic", twinned(lambda t: 2.0 * t / (1.0 + t)))
 LOGARITHMIC = ScalarKernel("logarithmic", _logarithmic)
 
 
@@ -100,21 +88,13 @@ def kernel_catalog() -> tuple[ScalarKernel, ...]:
     return tuple(map(parse_kernel, DEFAULT_KERNEL_SPECS))
 
 
+_KERNEL_SPECS = {"arithmetic": ARITHMETIC, "geometric": GEOMETRIC, "harmonic": HARMONIC,
+                 "logarithmic": LOGARITHMIC, "heinz": heinz}
+
+
 def parse_kernel(spec: str) -> ScalarKernel:
     """Parse a kernel identifier such as 'geometric' or 'heinz:0.25'."""
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name == "arithmetic":
-        return ARITHMETIC
-    if name == "geometric":
-        return GEOMETRIC
-    if name == "harmonic":
-        return HARMONIC
-    if name == "logarithmic":
-        return LOGARITHMIC
-    if name == "heinz":
-        return heinz(float(arg))
-    raise ValueError(f"unknown kernel {spec!r}")
+    return parse_spec("kernel", spec, _KERNEL_SPECS)
 
 
 # Function classes used by the inequality checks.
@@ -139,14 +119,15 @@ class MonotoneFunction:
 
 
 def power(p: float) -> MonotoneFunction:
-    """t^p: operator monotone for p in (0, 1], convex with value 0 at 0 for p in (1, 2]."""
+    """t^p: operator monotone for p in (0, 1], convex with value 0 at 0 for p
+    in (1, 2]; power(1) is ``IDENTITY_FN``."""
     p = float(p)
     if not 0.0 < p <= 2.0:
         raise ValueError(f"power exponent must lie in (0, 2], got {p!r}")
+    if p == 1.0:
+        return IDENTITY_FN
     klass = OPERATOR_MONOTONE if p <= 1.0 else OPERATOR_CONVEX_ZERO
-    fn = lambda t: t**p
-    # t**1.0 is t exactly; other exponents go through libm's pow
-    return MonotoneFunction(f"power:{p:g}", twinned(fn) if p == 1.0 else fn, klass)
+    return MonotoneFunction(f"power:{p:g}", lambda t: t**p, klass)
 
 
 def inv_power(p: float) -> MonotoneFunction:
@@ -176,7 +157,8 @@ def shifted_inverse(c: float) -> MonotoneFunction:
 
 LOG1P = MonotoneFunction("log1p", math.log1p, OPERATOR_MONOTONE)
 SQUARE = MonotoneFunction("square", twinned(lambda t: t * t), OPERATOR_CONVEX_ZERO)
-IDENTITY_FN = power(1.0)
+# t**1.0 is t exactly, so its twin is itself; other powers go through libm's pow.
+IDENTITY_FN = MonotoneFunction("power:1", twinned(lambda t: t**1.0), OPERATOR_MONOTONE)
 
 
 def monotone_catalog() -> tuple[MonotoneFunction, ...]:
@@ -191,25 +173,14 @@ def convex_zero_catalog() -> tuple[MonotoneFunction, ...]:
     return tuple(map(parse_function, DEFAULT_CONVEX_SPECS))
 
 
+_FUNCTION_SPECS = {"id": IDENTITY_FN, "identity": IDENTITY_FN, "power": power,
+                   "inv_power": inv_power, "rational": rational,
+                   "shifted_inverse": shifted_inverse, "log1p": LOG1P, "square": SQUARE}
+
+
 def parse_function(spec: str) -> MonotoneFunction:
     """Parse a function identifier such as 'power:0.5' or 'inv_power:1'."""
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name in ("id", "identity") or (name == "power" and float(arg) == 1.0):
-        return IDENTITY_FN
-    if name == "power":
-        return power(float(arg))
-    if name == "inv_power":
-        return inv_power(float(arg))
-    if name == "rational":
-        return rational(float(arg))
-    if name == "shifted_inverse":
-        return shifted_inverse(float(arg))
-    if name == "log1p":
-        return LOG1P
-    if name == "square":
-        return SQUARE
-    raise ValueError(f"unknown function {spec!r}")
+    return parse_spec("function", spec, _FUNCTION_SPECS)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .spectral import SymMatrix, SymStack, _frozen, as_sym, by_distinct, op_norm, per_slice
+from .spectral import (SymMatrix, SymStack, _frozen, as_sym, by_distinct, op_norm, parse_spec,
+                       per_slice)
 
 UNITALITY_TOL = 1e-10
 
 
 class MapSpec:
-    """Base class for structurally described positive linear maps."""
+    """Base class for structurally described positive linear maps; each map
+    sets its ``input_dim`` and ``output_dim`` once, as it is built."""
 
     input_dim: int
     output_dim: int
     label: str
+
+    def _set_dims(self, input_dim: int, output_dim: int) -> None:
+        object.__setattr__(self, "input_dim", input_dim)
+        object.__setattr__(self, "output_dim", output_dim)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         """The image of a matrix, or of each slice of a stack."""
@@ -45,13 +51,8 @@ class IdentityMap(MapSpec):
     dim: int
     label: str = "identity"
 
-    @property
-    def input_dim(self) -> int:
-        return self.dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.dim
+    def __post_init__(self):
+        self._set_dims(self.dim, self.dim)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         return self._check_input(X)
@@ -73,14 +74,7 @@ class CongruenceMap(MapSpec):
             raise ValueError("V must have full column rank")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
-
-    @property
-    def input_dim(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.v.shape[1]
+        self._set_dims(*v.shape)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
@@ -111,14 +105,7 @@ class KrausSumMap(MapSpec):
         for v in vs:
             v.setflags(write=False)
         object.__setattr__(self, "vs", vs)
-
-    @property
-    def input_dim(self) -> int:
-        return self.vs[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.vs[0].shape[1]
+        self._set_dims(*shape)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
@@ -149,14 +136,7 @@ class PinchingMap(MapSpec):
         mask.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_mask", mask)
-
-    @property
-    def input_dim(self) -> int:
-        return self._mask.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self._mask.shape[0]
+        self._set_dims(n, n)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
@@ -174,14 +154,7 @@ class NormalizedTraceMap(MapSpec):
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ValueError("dimensions must be positive")
-
-    @property
-    def input_dim(self) -> int:
-        return self.in_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.out_dim
+        self._set_dims(self.in_dim, self.out_dim)
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
@@ -209,20 +182,12 @@ class MixtureMap(MapSpec):
             raise ValueError("weights must be nonnegative")
         if sum(weights) <= 0:
             raise ValueError("weights must have positive sum")
-        in_dims = {c.input_dim for c in components}
-        out_dims = {c.output_dim for c in components}
-        if len(in_dims) != 1 or len(out_dims) != 1:
+        dims = {(c.input_dim, c.output_dim) for c in components}
+        if len(dims) != 1:
             raise ValueError("components must share input and output dimensions")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", components)
-
-    @property
-    def input_dim(self) -> int:
-        return self.components[0].input_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.components[0].output_dim
+        self._set_dims(*dims.pop())
 
     def apply(self, X: SymMatrix) -> SymMatrix:
         X = self._check_input(X)
@@ -270,62 +235,72 @@ def check_unital(phi: MapSpec) -> UnitalityVerdict:
     return UnitalityVerdict(is_unital=deviation <= UNITALITY_TOL, deviation=deviation)
 
 
+def _ntrace(arg: str, dim: int, rng, spec: str) -> MapSpec:
+    k = dim if arg.strip().lower() == "full" else int(arg)
+    return NormalizedTraceMap(dim, k, label=f"ntrace:{k}")
+
+
+def _congruence(arg: str, dim: int, rng, spec: str) -> MapSpec:
+    sub, _, shape = arg.partition(":")
+    if sub.strip().lower() != "random":
+        raise ValueError(f"unknown congruence form {spec!r}")
+    if shape:
+        rows, _, cols = shape.partition("x")
+        r, c = int(rows), int(cols)
+    else:
+        r, c = dim, dim
+    if r != dim:
+        raise ValueError(f"congruence rows {r} must equal the instance dim {dim}")
+    if rng is None:
+        raise ValueError("random congruence map needs an rng")
+    return CongruenceMap(rng.normal_matrix(r, c), label=f"congruence:random:{r}x{c}")
+
+
+def _kraus(arg: str, dim: int, rng, spec: str) -> MapSpec:
+    n = int(arg)
+    if rng is None:
+        raise ValueError("random kraus map needs an rng")
+    return KrausSumMap(tuple(rng.normal_matrix(dim, dim) for _ in range(n)), label=f"kraus:{n}")
+
+
+def _pinching(arg: str, dim: int, rng, spec: str) -> MapSpec:
+    if arg.strip().lower() in ("", "halves"):
+        first = max(1, dim // 2)
+        sizes = [first, dim - first] if dim - first > 0 else [first]
+    else:
+        sizes = [int(x) for x in arg.split(",")]
+    if sum(sizes) != dim:
+        raise ValueError(f"pinching block sizes {sizes} must sum to dim {dim}")
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return PinchingMap(tuple(blocks), label=f"pinching:{','.join(str(s) for s in sizes)}")
+
+
+def _mix(arg: str, dim: int, rng, spec: str) -> MapSpec:
+    weights, comps = [], []
+    for part in arg.split("+"):
+        w, _, sub = part.partition("@")
+        weights.append(float(w))
+        comps.append(parse_map(sub, dim, rng))
+    return MixtureMap(tuple(weights), tuple(comps), label=f"mix:{arg}")
+
+
+_MAP_FAMILIES = {"identity": lambda arg, dim, rng, spec: IdentityMap(dim), "ntrace": _ntrace,
+                 "congruence": _congruence, "kraus": _kraus, "pinching": _pinching, "mix": _mix}
+
+
 def parse_map(spec: str, dim: int, rng=None) -> MapSpec:
-    """Build a map from its CLI token for a given input dimension.
+    """Build a map from its CLI token for a given input dimension: the
+    builder of its family in ``_MAP_FAMILIES`` takes the token's argument,
+    the dimension, ``rng`` (which random factors draw from) and the token.
 
     Vocabulary: ``identity``, ``ntrace:k`` (``ntrace:full`` for k = dim),
     ``congruence:random:RxC``, ``kraus:n``, ``pinching:b1,b2,...`` (block
-    sizes), ``mix:w@spec+w@spec``.  Random factors draw from ``rng``.
+    sizes), ``mix:w@spec+w@spec``.
     """
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name == "identity":
-        return IdentityMap(dim)
-    if name == "ntrace":
-        k = dim if arg.strip().lower() == "full" else int(arg)
-        return NormalizedTraceMap(dim, k, label=f"ntrace:{k}")
-    if name == "congruence":
-        sub, _, shape = arg.partition(":")
-        if sub.strip().lower() != "random":
-            raise ValueError(f"unknown congruence form {spec!r}")
-        if shape:
-            rows, _, cols = shape.partition("x")
-            r, c = int(rows), int(cols)
-        else:
-            r, c = dim, dim
-        if r != dim:
-            raise ValueError(f"congruence rows {r} must equal the instance dim {dim}")
-        if rng is None:
-            raise ValueError("random congruence map needs an rng")
-        v = rng.normal_matrix(r, c)
-        return CongruenceMap(v, label=f"congruence:random:{r}x{c}")
-    if name == "kraus":
-        n = int(arg)
-        if rng is None:
-            raise ValueError("random kraus map needs an rng")
-        vs = tuple(rng.normal_matrix(dim, dim) for _ in range(n))
-        return KrausSumMap(vs, label=f"kraus:{n}")
-    if name == "pinching":
-        if arg.strip().lower() in ("", "halves"):
-            first = max(1, dim // 2)
-            sizes = [first, dim - first] if dim - first > 0 else [first]
-        else:
-            sizes = [int(x) for x in arg.split(",")]
-        if sum(sizes) != dim:
-            raise ValueError(f"pinching block sizes {sizes} must sum to dim {dim}")
-        blocks, start = [], 0
-        for size in sizes:
-            blocks.append(tuple(range(start, start + size)))
-            start += size
-        return PinchingMap(tuple(blocks), label=f"pinching:{','.join(str(s) for s in sizes)}")
-    if name == "mix":
-        weights, comps = [], []
-        for part in arg.split("+"):
-            w, _, sub = part.partition("@")
-            weights.append(float(w))
-            comps.append(parse_map(sub, dim, rng))
-        return MixtureMap(tuple(weights), tuple(comps), label=f"mix:{arg}")
-    raise ValueError(f"unknown map {spec!r}")
+    return parse_spec("map", spec, _MAP_FAMILIES, dim, rng, spec)
 
 
 DEFAULT_MAP_SPECS = (

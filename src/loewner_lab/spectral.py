@@ -469,22 +469,30 @@ def loewner_slack(X: SymMatrix, Y: SymMatrix):
     return _per_matrix(decompose(Y - X).eigenvalues[..., 0])
 
 
+def parse_spec(kind: str, spec: str, table: dict, *context):
+    """The object that a ``name:arg`` spec names in ``table`` by its stripped,
+    lower-cased name: the entry itself, or a constructor's result on ``arg``
+    and ``context``.  A name the table lacks is refused as an unknown ``kind``."""
+    name, _, arg = spec.partition(":")
+    entry = table.get(name.strip().lower())
+    if entry is None:
+        raise ValueError(f"unknown {kind} {spec!r}")
+    return entry(arg, *context) if callable(entry) else entry
+
+
 @dataclass(frozen=True)
 class NormKind:
-    """A unitarily invariant norm: operator, trace, frobenius, kyfan, schatten."""
+    """A unitarily invariant norm: one variant of ``_NORMS`` and its parameter."""
 
     variant: str
     param: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("operator", "trace", "frobenius", "kyfan", "schatten"):
+        if self.variant not in _NORMS:
             raise ValueError(f"unknown norm variant {self.variant!r}")
-        if self.variant == "kyfan":
-            if self.param is None or int(self.param) < 1 or self.param != int(self.param):
-                raise ValueError("kyfan norm needs an integer order k >= 1")
-        if self.variant == "schatten":
-            if self.param is None or self.param < 1:
-                raise ValueError("schatten norm needs p >= 1")
+        rule = _NORMS[self.variant][2]
+        if rule is not None and not rule[0](self.param):
+            raise ValueError(rule[1])
 
     @property
     def label(self) -> str:
@@ -492,6 +500,33 @@ class NormKind:
             return self.variant
         return f"{self.variant}:{self.param:g}"
 
+
+def _ky_fan_sum(sv: np.ndarray, k) -> float:
+    k = int(k)
+    if not 1 <= k <= sv.size:
+        raise ValueError(f"kyfan order {k} out of range 1..{sv.size}")
+    return sv[:k].sum()
+
+
+# Each norm variant once, as (names, parse, rule, value): its spec names and
+# its norm from a spec's argument; the rule its parameter must meet, as a
+# test and the refusal when the test fails (None: any parameter); and its
+# value(sv, param) on the descending singular values sv.
+_NORMS = {
+    "operator": (("operator", "op"), lambda arg: OPERATOR, None, lambda sv, _: sv[0]),
+    "trace": (("trace", "nuclear"), lambda arg: TRACE, None, lambda sv, _: sv.sum()),
+    "frobenius": (("frobenius", "fro"), lambda arg: FROBENIUS, None,
+                  lambda sv, _: np.sqrt((sv**2).sum())),
+    "kyfan": (("kyfan",), lambda arg: ky_fan(int(arg)),
+              (lambda k: k is not None and int(k) >= 1 and k == int(k),
+               "kyfan norm needs an integer order k >= 1"), _ky_fan_sum),
+    "schatten": (("schatten",), lambda arg: schatten(float(arg)),
+                 (lambda p: not (p is None or p < 1), "schatten norm needs p >= 1"),
+                 lambda sv, p: (sv ** float(p)).sum() ** (1.0 / float(p))),
+}
+_NORM_SPECS = {name: parse for names, parse, *_ in _NORMS.values() for name in names}
+# The default norm pool, as the specs that parse_norm reads.
+DEFAULT_NORM_SPECS = ("operator", "trace", "frobenius", "kyfan:2", "schatten:3")
 
 OPERATOR = NormKind("operator")
 TRACE = NormKind("trace")
@@ -508,19 +543,7 @@ def schatten(p: float) -> NormKind:
 
 def parse_norm(spec: str) -> NormKind:
     """Parse a norm identifier such as 'operator' or 'kyfan:2'."""
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name in ("operator", "op"):
-        return OPERATOR
-    if name in ("trace", "nuclear"):
-        return TRACE
-    if name in ("frobenius", "fro"):
-        return FROBENIUS
-    if name == "kyfan":
-        return ky_fan(int(arg))
-    if name == "schatten":
-        return schatten(float(arg))
-    raise ValueError(f"unknown norm {spec!r}")
+    return parse_spec("norm", spec, _NORM_SPECS)
 
 
 def singular_values(X: SymMatrix) -> np.ndarray:
@@ -534,27 +557,9 @@ def ui_norm(X: SymMatrix, kind: NormKind):
     """Evaluate a unitarily invariant norm from the singular values; for a
     stack, ``kind`` is one norm or one per slice."""
     sv = singular_values(X)
-    if sv.ndim == 1:
-        return _norm(sv, kind)
-    return np.array([_norm(row, k) for row, k in zip(sv, per_slice(kind, as_sym(X)))])
-
-
-def _norm(sv: np.ndarray, kind: NormKind) -> float:
-    if kind.variant == "operator":
-        return float(sv[0])
-    if kind.variant == "trace":
-        return float(sv.sum())
-    if kind.variant == "frobenius":
-        return float(np.sqrt((sv**2).sum()))
-    if kind.variant == "kyfan":
-        k = int(kind.param)
-        if not 1 <= k <= sv.size:
-            raise ValueError(f"kyfan order {k} out of range 1..{sv.size}")
-        return float(sv[:k].sum())
-    if kind.variant == "schatten":
-        p = float(kind.param)
-        return float((sv**p).sum() ** (1.0 / p))
-    raise ValueError(f"unknown norm variant {kind.variant!r}")
+    rows, kinds = ([sv], [kind]) if sv.ndim == 1 else (sv, per_slice(kind, as_sym(X)))
+    values = [float(_NORMS[k.variant][3](row, k.param)) for row, k in zip(rows, kinds)]
+    return values[0] if sv.ndim == 1 else np.array(values)
 
 
 def op_norm(X: SymMatrix):

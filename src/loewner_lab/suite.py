@@ -41,12 +41,10 @@ from .kernels import (
     parse_kernel,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import LOEWNER_TOL_REL, SymMatrix, SymStack, parse_norm
+from .spectral import DEFAULT_NORM_SPECS, LOEWNER_TOL_REL, SymMatrix, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-
-_DEFAULT_NORMS = ("operator", "trace", "frobenius", "kyfan:2", "schatten:3")
 
 
 def _typed(value, kind, items=None) -> bool:
@@ -120,7 +118,7 @@ class SuiteConfig:
     decreasing_fns: tuple[str, ...] = DEFAULT_DECREASING_SPECS
     convex_fns: tuple[str, ...] = DEFAULT_CONVEX_SPECS
     maps: tuple[str, ...] = DEFAULT_MAP_SPECS
-    norms: tuple[str, ...] = _DEFAULT_NORMS
+    norms: tuple[str, ...] = DEFAULT_NORM_SPECS
     constant_multiplier: float = 1.0
     max_recorded_violations: int = 10
     probe_refine_steps: int = 200
@@ -242,9 +240,21 @@ def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
     return derive_seed(config.seed, fnv1a64(ineq), dim, trial)
 
 
+# The config fields behind each derived pool that can be empty (the kernels
+# above and below the geometric mean fall back to it).
+_SOURCES = {"unital_maps": "maps", "scaling_fns": "monotone_fns or decreasing_fns"}
+
+
 def _vet_pools(ineq: str, pools: dict) -> None:
-    if ROWS[ineq].pool == "unital_maps" and not pools["unital_maps"]:
-        raise ValueError(f"{ineq} needs at least one unital map in the pool")
+    """Refuse an empty pool that the row of ``ineq`` reads, by the config
+    field or fields behind it, before any trial picks from it."""
+    row = ROWS[ineq]
+    for pool in (row.pool, *(pool for _, pool, _ in row.picks)):
+        if pool is None or pools[pool]:
+            continue
+        if pool == "unital_maps" and pools["maps"]:
+            raise ValueError(f"{ineq} needs at least one unital map in the pool")
+        raise ValueError(f"field {_SOURCES.get(pool, pool)} must name at least one spec for {ineq}")
 
 
 def _draw(ineq: str, dim: int, trials, config: SuiteConfig) -> tuple:

@@ -34,10 +34,13 @@ from loewner_lab.kernels import (
     IDENTITY_FN,
     LOG1P,
     SQUARE,
+    parse_function,
+    parse_kernel,
     power,
     rational,
     shifted_inverse,
 )
+from loewner_lab.maps import MapSpec, parse_map
 from loewner_lab.spectral import SymStack, spectrum
 
 
@@ -423,3 +426,64 @@ def test_as_sym_passthrough_and_coercion():
     assert as_sym(x) is x
     y = as_sym([[1.0, 0.0], [0.0, 2.0]])
     assert isinstance(y, SymMatrix)
+
+
+def _map3(spec):
+    return parse_map(spec, 3, SplitMix64(0))
+
+
+@pytest.mark.parametrize("parse, spec, want", [
+    (parse_kernel, "arithmetic", "arithmetic"),
+    (parse_kernel, "geometric", "geometric"),
+    (parse_kernel, "harmonic", "harmonic"),
+    (parse_kernel, "logarithmic", "logarithmic"),
+    (parse_kernel, "heinz:0.25", "heinz:0.25"),
+    (parse_kernel, " Heinz:0.5", "heinz:0.5"),
+    (parse_function, "id", "power:1"),
+    (parse_function, "identity", "power:1"),
+    (parse_function, "power:1", "power:1"),
+    (parse_function, "power:0.5", "power:0.5"),
+    (parse_function, "power:1.5", "power:1.5"),
+    (parse_function, "log1p", "log1p"),
+    (parse_function, "rational:1", "rational:1"),
+    (parse_function, "inv_power:0.5", "inv_power:0.5"),
+    (parse_function, "shifted_inverse:1", "shifted_inverse:1"),
+    (parse_function, "square", "square"),
+    (parse_norm, "operator", "operator"),
+    (parse_norm, "op", "operator"),
+    (parse_norm, "trace", "trace"),
+    (parse_norm, "nuclear", "trace"),
+    (parse_norm, "frobenius", "frobenius"),
+    (parse_norm, "fro", "frobenius"),
+    (parse_norm, "kyfan:2", "kyfan:2"),
+    (parse_norm, "schatten:3", "schatten:3"),
+    (_map3, "identity", ("identity", 3, 3)),
+    (_map3, "ntrace:1", ("ntrace:1", 3, 1)),
+    (_map3, "ntrace:full", ("ntrace:3", 3, 3)),
+    (_map3, "pinching:halves", ("pinching:1,2", 3, 3)),
+    (_map3, "pinching:1,2", ("pinching:1,2", 3, 3)),
+    (_map3, "congruence:random", ("congruence:random:3x3", 3, 3)),
+    (_map3, "congruence:random:3x2", ("congruence:random:3x2", 3, 2)),
+    (_map3, "kraus:2", ("kraus:2", 3, 3)),
+    (_map3, "mix:0.5@identity+0.5@ntrace:full", ("mix:0.5@identity+0.5@ntrace:full", 3, 3)),
+    # one unknown name per vocabulary, and the refusals of the map families' own arguments
+    (parse_kernel, "median", "ValueError: unknown kernel 'median'"),
+    (parse_function, "cube", "ValueError: unknown function 'cube'"),
+    (parse_norm, "spectralish", "ValueError: unknown norm 'spectralish'"),
+    (parse_norm, "kyfan:2.5", "ValueError: invalid literal for int() with base 10: '2.5'"),
+    (_map3, "choi", "ValueError: unknown map 'choi'"),
+    (_map3, "Congruence:Foo", "ValueError: unknown congruence form 'Congruence:Foo'"),
+    (lambda spec: parse_map(spec, 3), "kraus:2", "ValueError: random kraus map needs an rng"),
+], ids=lambda v: getattr(v, "__name__", "refused" if str(v).startswith("ValueError") else None))
+def test_every_vocabulary_spec_round_trips(parse, spec, want):
+    # each spec of the four vocabularies gives its pinned id or label, and a
+    # map its pinned dimensions; a refusal keeps its pinned text
+    try:
+        got = parse(spec)
+    except ValueError as exc:
+        assert f"ValueError: {exc}" == want
+        return
+    if isinstance(got, MapSpec):
+        assert (got.label, got.input_dim, got.output_dim) == want
+    else:
+        assert (got.id if hasattr(got, "id") else got.label) == want

@@ -68,33 +68,47 @@ class TestSuiteConfig:
             SuiteConfig(**fields)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("name, value", [
-        ("sandwich_range", (4.0, 0.25)),
-        ("sandwich_range", (0.0, 1.0)),
-        ("sandwich_range", ("a", 1)),
-        ("sandwich_range", (1.0, 2.0, 3.0)),
-        ("maps", (1,)),
-        ("kernels", (None,)),
-        ("norms", (2,)),
-        ("max_recorded_violations", -1),
-        ("probe_refine_steps", -1),
-        ("dims", 3),
-        ("inequalities", 5),
-        ("sandwich_range", (True, 2.0)),
-    ])
+    @pytest.mark.parametrize("fields, ineq", [
+        *(({name: value}, "polya-szego") for name, value in [
+            ("sandwich_range", (4.0, 0.25)),
+            ("sandwich_range", (0.0, 1.0)),
+            ("sandwich_range", ("a", 1)),
+            ("sandwich_range", (1.0, 2.0, 3.0)),
+            ("maps", (1,)),
+            ("kernels", (None,)),
+            ("norms", (2,)),
+            ("max_recorded_violations", -1),
+            ("probe_refine_steps", -1),
+            ("dims", 3),
+            ("inequalities", 5),
+            ("sandwich_range", (True, 2.0)),
+        ]),
+        # an empty pool that the inequality's row reads, named by the field
+        # behind it: alpha-scaling reads the monotone and decreasing functions
+        ({"maps": ()}, "polya-szego"),
+        ({"kernels": ()}, "ando"),
+        ({"monotone_fns": ()}, "main-monotone"),
+        ({"decreasing_fns": ()}, "main-decreasing"),
+        ({"convex_fns": ()}, "norm-ratio-tau"),
+        ({"norms": ()}, "norm-ratio-tau"),
+        ({"monotone_fns": (), "decreasing_fns": ()}, "alpha-scaling"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
     def test_bad_field_is_refused_by_name_before_any_trial(self, tmp_path, capsys, monkeypatch,
-                                                            name, value):
+                                                            fields, ineq):
         # in the library, and in the config of a report that recheck reads
+        name = next(iter(fields))
         calls = []
         real = suite._evaluate_trial
         monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
         with pytest.raises(ValueError, match=f"^field {name} "):
-            SuiteConfig(**{"inequalities": ("midpoint",), name: value})
+            run_suite(SuiteConfig(**{"inequalities": (ineq,), "dims": (2,), "trials": 2,
+                                     **fields}))
+        assert calls == []
         path = tmp_path / "hunt.json"
-        cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
+        cli_main(["hunt", "--ineq", ineq, "--dims", "2", "--trials", "20", "--seed", "7",
                   "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
         data = json.loads(path.read_text())
-        data["loewner_lab_report"]["config"][name] = value
+        data["loewner_lab_report"]["config"].update(fields)
         path.write_text(json.dumps(data))
         calls.clear()
         capsys.readouterr()

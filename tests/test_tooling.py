@@ -141,3 +141,37 @@ def test_every_pool_a_row_names_is_built():
     named = {(row.id, pool) for row in suite.ROWS.values()
              for pool in [row.pool, *(pool for _, pool, _ in row.picks)] if pool is not None}
     assert {(ineq, pool) for ineq, pool in named if pool not in pools} == set()
+
+
+def _functions(module):
+    """``(class name or None, node)`` of each function and method a module defines."""
+    import ast
+
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node.name, f) for f in node.body if isinstance(f, ast.FunctionDef))
+
+
+def test_each_norm_variant_and_map_dimension_is_declared_once():
+    # the norm table holds every variant, and NormKind, parse_norm and
+    # ui_norm read it rather than naming a variant; each map sets its
+    # dimensions where it is built, with no property that derives them
+    import ast
+
+    from loewner_lab import maps, spectral
+
+    kinds = [spectral.OPERATOR, spectral.TRACE, spectral.FROBENIUS, spectral.ky_fan(2),
+             spectral.schatten(3)] + [spectral.parse_norm(s) for s in spectral.DEFAULT_NORM_SPECS]
+    variants = {kind.variant for kind in kinds}
+    assert variants <= set(spectral._NORMS)
+    readers = {("NormKind", "__post_init__"), (None, "parse_norm"), (None, "ui_norm")}
+    bodies = [node for owner, node in _functions(spectral) if (owner, node.name) in readers]
+    assert len(bodies) == len(readers)
+    named = [f"{node.name}: {lit.value!r}" for node in bodies for lit in ast.walk(node)
+             if isinstance(lit, ast.Constant) and lit.value in variants | {"op", "nuclear", "fro"}]
+    assert named == []
+    derived = [f"{owner}.{node.name}" for owner, node in _functions(maps)
+               if owner is not None and node.name in ("input_dim", "output_dim")]
+    assert derived == []
