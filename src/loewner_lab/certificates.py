@@ -301,13 +301,6 @@ def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) 
                  np.asarray(ratio, dtype=float), tol, slack >= -tol)
 
 
-def _times(base, c: list):
-    if isinstance(base, SymStack):
-        return base * c
-    with np.errstate(over="ignore"):  # an overflow gives inf, as in floats
-        return base * np.asarray(c)
-
-
 def _norm_ratio_diag(lhs, base):
     """lhs / base per entry; degenerate 0/0 cases (exact equality witnesses)
     read as ratio 1, and x/0 as inf."""
@@ -329,7 +322,8 @@ def _plain(row: Row, x, against_rhs: bool = False) -> list[Sides]:
     """lhs <= c * base, with the ratio of lhs to base, or to c * base."""
     lhs, base = row.sides(x)
     c = _constants(row, x)
-    rhs = _times(base, c)
+    with np.errstate(over="ignore"):  # an overflow gives inf, as in floats
+        rhs = base * np.asarray(c)
     return [_columns(row, x, lhs, rhs, c, _ratio(lhs, rhs if against_rhs else base))]
 
 

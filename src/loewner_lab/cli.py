@@ -130,8 +130,8 @@ def _cmd_scalarcheck(args) -> int:
 
     grid = default_grid()
     for kernel in kernel_catalog():
-        low = kernel_dominance(HARMONIC, kernel, grid)
-        high = kernel_dominance(kernel, ARITHMETIC, grid)
+        low = kernel_dominance(HARMONIC, kernel)
+        high = kernel_dominance(kernel, ARITHMETIC)
         check(f"dominance harmonic <= {kernel.id} <= arithmetic",
               low.holds and high.holds,
               f"margins {low.margin:.2e}, {high.margin:.2e}")

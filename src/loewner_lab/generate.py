@@ -23,7 +23,6 @@ import numpy as np
 from .errors import HypothesisError, NotPositiveDefiniteError
 from .spectral import (
     LOEWNER_TOL_REL,
-    SpectralDecomposition,
     SymMatrix,
     SymStack,
     as_sym,
@@ -242,12 +241,6 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
     return _spd([SplitMix64(seed)], dim, lam_lo, lam_hi).matrices()[0]
 
 
-def _positive_definite(dec: SpectralDecomposition) -> None:
-    """Of a matrix, or of every slice of a stack."""
-    if (dec.eigenvalues[..., 0] <= 0.0).any():
-        raise NotPositiveDefiniteError("first argument must be positive definite")
-
-
 def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
     """Tightest scalars (s*, t*) with s* A <= B <= t* A, or their arrays over
     the slices of two stacks.
@@ -257,7 +250,8 @@ def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
     sandwich cell's check and the means of the same pair solve it once.
     """
     A, B = as_sym(A), as_sym(B)
-    _positive_definite(decompose(A))
+    if (decompose(A).eigenvalues[..., 0] <= 0.0).any():
+        raise NotPositiveDefiniteError("first argument must be positive definite")
     return spectrum_bounds(inner_matrix(A, B))
 
 

@@ -141,16 +141,18 @@ def inv_power(p: float) -> MonotoneFunction:
 def rational(c: float) -> MonotoneFunction:
     """t / (t + c) for c > 0: operator monotone."""
     c = float(c)
-    if c <= 0:
-        raise ValueError(f"rational shift must be positive, got {c!r}")
+    if not 0 < c < math.inf:
+        need = "positive" if math.isfinite(c) else "a finite number"
+        raise ValueError(f"rational shift must be {need}, got {c!r}")
     return MonotoneFunction(f"rational:{c:g}", twinned(lambda t: t / (t + c)), OPERATOR_MONOTONE)
 
 
 def shifted_inverse(c: float) -> MonotoneFunction:
     """1 / (t + c) for c >= 0: operator monotone decreasing."""
     c = float(c)
-    if c < 0:
-        raise ValueError(f"shifted_inverse shift must be nonnegative, got {c!r}")
+    if not 0 <= c < math.inf:
+        need = "nonnegative" if math.isfinite(c) else "a finite number"
+        raise ValueError(f"shifted_inverse shift must be {need}, got {c!r}")
     return MonotoneFunction(f"shifted_inverse:{c:g}", twinned(lambda t: 1.0 / (t + c)),
                             OPERATOR_MONOTONE_DECREASING)
 

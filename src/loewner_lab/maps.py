@@ -10,6 +10,7 @@ its own map, with one BLAS call per product for each distinct map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,8 @@ class PinchingMap(MapSpec):
         n = len(flat)
         if n == 0 or sorted(flat) != list(range(n)):
             raise ValueError("blocks must partition the index range exactly")
+        if not all(blocks):
+            raise ValueError(f"blocks must each hold at least one index, got {blocks}")
         mask = np.zeros((n, n))
         for b in blocks:
             idx = np.array(b)
@@ -178,8 +181,9 @@ class MixtureMap(MapSpec):
         components = tuple(self.components)
         if len(weights) != len(components) or not components:
             raise ValueError("need matching, nonempty weights and components")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("weights must be nonnegative" if all(map(math.isfinite, weights))
+                             else f"weights must be finite numbers, got {weights}")
         if sum(weights) <= 0:
             raise ValueError("weights must have positive sum")
         dims = {(c.input_dim, c.output_dim) for c in components}

@@ -15,6 +15,7 @@ results of a stack come as one array entry per slice.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -203,19 +204,14 @@ def _fro(a: np.ndarray):
     """Frobenius norm of a matrix, or of each matrix of a stack; one BLAS dot
     each.  Where that sum of squares overflows, the matrix is scaled by its
     largest entry first."""
-    if a.ndim == 2:
-        flat = a.ravel()
-        norm = math.sqrt(float(flat.dot(flat)))
-        if math.isfinite(norm):
-            return norm
-    else:
-        flat = a.reshape(len(a), 1, a.shape[1] * a.shape[2])
-        norm = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
-        if np.isfinite(norm).all():
-            return norm
-    big = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    scaled = big[..., 0, 0] * _fro(a / big)  # an all-zero slice keeps its plain norm
-    return float(scaled) if a.ndim == 2 else np.where(np.isfinite(norm), norm, scaled)
+    flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    norm = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    if np.isfinite(norm).all():
+        return norm
+    # a slice below 1 is not scaled, so an all-zero slice gives no 0/0
+    big = np.maximum(np.abs(a).max(axis=(-2, -1), keepdims=True), 1.0)
+    scaled = big[..., 0, 0] * _fro(a / big)
+    return np.where(np.isfinite(norm), norm, scaled)
 
 
 @lru_cache(maxsize=None)
@@ -256,14 +252,14 @@ def _eigh(a: np.ndarray):
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-    stack, qt = a.ndim == 3, q.swapaxes(-1, -2)
+    qt = q.swapaxes(-1, -2)
     # No entry exceeds ||A||_op, so below 1e150 no sum of squares can overflow.
-    big = np.abs(w).max(initial=0.0) if stack else max(-float(w[0]), float(w[-1]))
+    big = np.abs(w).max(initial=0.0)
     with np.errstate(over="ignore", invalid="ignore") if big > 1e150 else nullcontext():
-        residual = _fro((q * (w[:, None, :] if stack else w)) @ qt - a)
+        residual = _fro((q * w[..., None, :]) @ qt - a)
         orth = _fro(qt @ q - _eye(a.shape[-1]))
         norm = _fro(a)
-    return w, q, residual, np.maximum(1.0, norm) if stack else max(1.0, norm), orth
+    return w, q, residual, np.maximum(1.0, norm), orth
 
 
 def _misses_contract(residual, scale, orth, dim: int):
@@ -420,9 +416,6 @@ def _walk(fns: list, lams: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-_RELATIONS = ("LE", "GE", "EQ", "INCOMPARABLE")
-
-
 @dataclass(frozen=True)
 class LoewnerVerdict:
     """Outcome of a Loewner-order comparison of two symmetric matrices.
@@ -437,16 +430,12 @@ class LoewnerVerdict:
     slack_ge: float
 
 
-def default_loewner_tol(X: SymMatrix, Y: SymMatrix) -> float:
-    return LOEWNER_TOL_REL * max(1.0, op_norm(X) + op_norm(Y))
-
-
 def loewner_compare(X: SymMatrix, Y: SymMatrix, tol: float | None = None) -> LoewnerVerdict:
     """Compare X and Y in the Loewner order up to a nonnegative tolerance."""
     X, Y = as_sym(X), as_sym(Y)
     require_same_shape(X, Y)
     if tol is None:
-        tol = default_loewner_tol(X, Y)
+        tol = LOEWNER_TOL_REL * max(1.0, op_norm(X) + op_norm(Y))
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     diff = decompose(Y - X).eigenvalues
@@ -492,13 +481,20 @@ class NormKind:
             raise ValueError(f"unknown norm variant {self.variant!r}")
         rule = _NORMS[self.variant][2]
         if rule is not None and not rule[0](self.param):
-            raise ValueError(rule[1])
+            finite = not isinstance(self.param, numbers.Real) or math.isfinite(self.param)
+            raise ValueError(rule[1] if finite else
+                             f"{self.variant} norm needs a finite parameter, got {self.param!r}")
 
     @property
     def label(self) -> str:
         if self.param is None:
             return self.variant
         return f"{self.variant}:{self.param:g}"
+
+    def fit(self, dim: int) -> "NormKind":
+        """The norm as it applies at dimension ``dim``, by its variant's fit, if any."""
+        fit = _NORMS[self.variant][4]
+        return self if fit is None else NormKind(self.variant, float(fit(self.param, dim)))
 
 
 def _ky_fan_sum(sv: np.ndarray, k) -> float:
@@ -508,21 +504,22 @@ def _ky_fan_sum(sv: np.ndarray, k) -> float:
     return sv[:k].sum()
 
 
-# Each norm variant once, as (names, parse, rule, value): its spec names and
-# its norm from a spec's argument; the rule its parameter must meet, as a
-# test and the refusal when the test fails (None: any parameter); and its
-# value(sv, param) on the descending singular values sv.
+# Each norm variant once, as (names, parse, rule, value, fit): its spec names
+# and its norm from a spec's argument; the rule its parameter must meet, as a
+# test and the refusal when the test fails (None: any parameter); its
+# value(sv, param) on the descending singular values sv; and its parameter's
+# fit(param, dim) to a dimension (None: the norm applies at every dimension).
 _NORMS = {
-    "operator": (("operator", "op"), lambda arg: OPERATOR, None, lambda sv, _: sv[0]),
-    "trace": (("trace", "nuclear"), lambda arg: TRACE, None, lambda sv, _: sv.sum()),
+    "operator": (("operator", "op"), lambda arg: OPERATOR, None, lambda sv, _: sv[0], None),
+    "trace": (("trace", "nuclear"), lambda arg: TRACE, None, lambda sv, _: sv.sum(), None),
     "frobenius": (("frobenius", "fro"), lambda arg: FROBENIUS, None,
-                  lambda sv, _: np.sqrt((sv**2).sum())),
+                  lambda sv, _: np.sqrt((sv**2).sum()), None),
     "kyfan": (("kyfan",), lambda arg: ky_fan(int(arg)),
-              (lambda k: k is not None and int(k) >= 1 and k == int(k),
-               "kyfan norm needs an integer order k >= 1"), _ky_fan_sum),
+              (lambda k: isinstance(k, numbers.Real) and 1 <= k < math.inf and k == int(k),
+               "kyfan norm needs an integer order k >= 1"), _ky_fan_sum, min),
     "schatten": (("schatten",), lambda arg: schatten(float(arg)),
-                 (lambda p: not (p is None or p < 1), "schatten norm needs p >= 1"),
-                 lambda sv, p: (sv ** float(p)).sum() ** (1.0 / float(p))),
+                 (lambda p: p is not None and 1 <= p < math.inf, "schatten norm needs p >= 1"),
+                 lambda sv, p: (sv ** float(p)).sum() ** (1.0 / float(p)), None),
 }
 _NORM_SPECS = {name: parse for names, parse, *_ in _NORMS.values() for name in names}
 # The default norm pool, as the specs that parse_norm reads.
@@ -557,9 +554,9 @@ def ui_norm(X: SymMatrix, kind: NormKind):
     """Evaluate a unitarily invariant norm from the singular values; for a
     stack, ``kind`` is one norm or one per slice."""
     sv = singular_values(X)
-    rows, kinds = ([sv], [kind]) if sv.ndim == 1 else (sv, per_slice(kind, as_sym(X)))
+    rows, kinds = sv.reshape(-1, sv.shape[-1]), per_slice(kind, as_sym(X))
     values = [float(_NORMS[k.variant][3](row, k.param)) for row, k in zip(rows, kinds)]
-    return values[0] if sv.ndim == 1 else np.array(values)
+    return _per_matrix(np.array(values).reshape(sv.shape[:-1]))
 
 
 def op_norm(X: SymMatrix):

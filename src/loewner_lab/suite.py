@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,8 +203,7 @@ def _build_pools(config: SuiteConfig, dim: int) -> dict:
     pools = {name: _parsed(config, name, parse) for name, parse in parsers.items()}
     kernels = pools["kernels"]
     pools.update(
-        norms=[parse_norm(f"kyfan:{dim}") if kind.variant == "kyfan" and int(kind.param) > dim
-               else kind for kind in pools["norms"]],
+        norms=[kind.fit(dim) for kind in pools["norms"]],
         unital_maps=[mp for mp in pools["maps"] if check_unital(mp).is_unital],
         tau_ge_sharp=[k for k in kernels if kernel_dominance(GEOMETRIC, k).holds] or [GEOMETRIC],
         sigma_le_sharp=[k for k in kernels if kernel_dominance(k, GEOMETRIC).holds] or [GEOMETRIC],
@@ -221,12 +220,6 @@ def _instance_blob(k: int, **stacks) -> dict:
     """Slice k of each named stack, in the report's form; None names no matrix."""
     return {name: {"dim": X.dim, "data": X.data[k].ravel().tolist()}
             for name, X in stacks.items() if X is not None}
-
-
-def _inequality(ineq: str) -> certs.Row:
-    if ineq not in ROWS:
-        raise ValueError(f"unknown inequality id {ineq!r}")
-    return ROWS[ineq]
 
 
 def _picked(row: certs.Row, trials: list, pools: dict) -> dict:
@@ -337,19 +330,6 @@ def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: dict) -> lis
             raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
                             f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
     return out
-
-
-@dataclass
-class InequalityStats:
-    trials: int = 0
-    holds_count: int = 0
-    violations: int = 0
-    min_slack: float | None = None
-    max_ratio: float | None = None
-    violating_instances: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass
@@ -472,24 +452,25 @@ def run_suite(config: SuiteConfig) -> Report:
         for pools in pools_by_dim.values():
             _vet_pools(ineq, pools)
     for ineq in config.inequalities:
-        stats = InequalityStats()
+        stats = {"trials": 0, "holds_count": 0, "violations": 0, "min_slack": None,
+                 "max_ratio": None, "violating_instances": []}
         for dim in config.dims:
             cell = _evaluate_cell(ineq, dim, config, pools_by_dim[dim])
             for trial, (stack, k) in enumerate(cell):
-                stats.trials += 1
+                stats["trials"] += 1
                 trial_slack, trial_ratio = stack.slack[k], stack.ratio[k]
-                if stats.min_slack is None or trial_slack < stats.min_slack:
-                    stats.min_slack = trial_slack
+                if stats["min_slack"] is None or trial_slack < stats["min_slack"]:
+                    stats["min_slack"] = trial_slack
                 if math.isfinite(trial_ratio) and (
-                    stats.max_ratio is None or trial_ratio > stats.max_ratio
+                    stats["max_ratio"] is None or trial_ratio > stats["max_ratio"]
                 ):
-                    stats.max_ratio = trial_ratio
+                    stats["max_ratio"] = trial_ratio
                 if stack.holds[k]:
-                    stats.holds_count += 1
+                    stats["holds_count"] += 1
                 else:
-                    stats.violations += 1
-                    if len(stats.violating_instances) < config.max_recorded_violations:
-                        stats.violating_instances.append(
+                    stats["violations"] += 1
+                    if len(stats["violating_instances"]) < config.max_recorded_violations:
+                        stats["violating_instances"].append(
                             {
                                 "inequality": ineq,
                                 "dim": dim,
@@ -501,11 +482,9 @@ def run_suite(config: SuiteConfig) -> Report:
                                 "instance": _instance_blob(k, A=stack.A, B=stack.B),
                             }
                         )
-        bucket = audit_results if ROWS[ineq].audit else results
-        entry = stats.to_dict()
         if ROWS[ineq].audit:
-            entry["violation_rate"] = stats.violations / stats.trials
-        bucket[ineq] = entry
+            stats["violation_rate"] = stats["violations"] / stats["trials"]
+        (audit_results if ROWS[ineq].audit else results)[ineq] = stats
     report = Report(
         config=config.to_dict(),
         results=results,
@@ -676,8 +655,10 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     reflects its bounds is searched in the reflected ones.
     """
     start = time.perf_counter()
-    cell = _inequality(inequality_id).cell
-    if cell in (certs.ALPHA, certs.SPECHT):
+    if inequality_id not in ROWS:
+        raise ValueError(f"unknown inequality id {inequality_id!r}")
+    cell = ROWS[inequality_id].cell
+    if cell.pair is None:
         raise ValueError(f"{inequality_id!r} has no matrix instances to probe")
     if cell.probe is None:
         raise ValueError(f"probing {inequality_id!r} is not supported")
@@ -688,7 +669,7 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     pools = _build_pools(config, dim)
     _vet_pools(inequality_id, pools)
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
-    n_picks = max(len(pools["maps"]), len(pools["kernels"]), len(pools["monotone_fns"]))
+    n_picks = max(len(pools[name]) for name, checks in _FIELDS.items() if checks is _SPECS)
     best_ratio = -math.inf
     best_inst = None
     best_pick = 0

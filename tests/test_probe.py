@@ -278,3 +278,18 @@ def test_reflected_cell_is_probed_where_its_draw_reflects_it(tmp_path):
     assert code == 0
     assert reflected["cell"] == {"s": 1.25, "t": 2.0}
     assert probe("1.25", "2.0") == (0, reflected)
+
+
+def test_probe_scans_every_item_of_the_largest_spec_pool(tmp_path, monkeypatch):
+    # the pick count is the size of the largest spec pool, whichever field
+    # holds it: here the three norms, with one map, kernel and monotone and
+    # decreasing function, and the two default convex functions
+    picks = set()
+    real = suite._probe_evaluate
+    monkeypatch.setattr(suite, "_probe_evaluate",
+                        lambda ineq, stacks, pick, *a, **k: picks.add(pick)
+                        or real(ineq, stacks, pick, *a, **k))
+    assert cli_main(["probe", "--ineq", "norm-ratio-eq15", "--phi", "identity", "--tau",
+                     "geometric", "--f", "id", "--g", "inv_power:1", "--norm", "op,fro,nuclear",
+                     "--dims", "2", "--trials", "2", "--report", str(tmp_path / "probe.json")]) == 0
+    assert picks == {0, 1, 2}

@@ -41,7 +41,7 @@ from loewner_lab.kernels import (
     shifted_inverse,
 )
 from loewner_lab.maps import MapSpec, parse_map
-from loewner_lab.spectral import SymStack, spectrum
+from loewner_lab.spectral import NormKind, SymStack, spectrum
 
 
 def random_sym(dim, seed, scale=1.0):
@@ -474,6 +474,27 @@ def _map3(spec):
     (_map3, "choi", "ValueError: unknown map 'choi'"),
     (_map3, "Congruence:Foo", "ValueError: unknown congruence form 'Congruence:Foo'"),
     (lambda spec: parse_map(spec, 3), "kraus:2", "ValueError: random kraus map needs an rng"),
+    # a parameter must be a finite number, and a finite one out of range keeps its text
+    (parse_norm, "schatten:0.5", "ValueError: schatten norm needs p >= 1"),
+    (parse_norm, "schatten:nan", "ValueError: schatten norm needs a finite parameter, got nan"),
+    (parse_norm, "schatten:inf", "ValueError: schatten norm needs a finite parameter, got inf"),
+    (parse_function, "rational:0", "ValueError: rational shift must be positive, got 0.0"),
+    (parse_function, "rational:inf", "ValueError: rational shift must be a finite number, got inf"),
+    (parse_function, "shifted_inverse:-1",
+     "ValueError: shifted_inverse shift must be nonnegative, got -1.0"),
+    (parse_function, "shifted_inverse:nan",
+     "ValueError: shifted_inverse shift must be a finite number, got nan"),
+    (_map3, "mix:-1@identity", "ValueError: weights must be nonnegative"),
+    (_map3, "mix:nan@identity", "ValueError: weights must be finite numbers, got (nan,)"),
+    (_map3, "pinching:0,2", "ValueError: pinching block sizes [0, 2] must sum to dim 3"),
+    (_map3, "pinching:0,3",
+     "ValueError: blocks must each hold at least one index, got ((), (0, 1, 2))"),
+    # kyfan:K reads K with int(), so the CLI's nan and inf fail there; the
+    # library's order must be a finite integer, and a str keeps its text
+    (parse_norm, "kyfan:inf", "ValueError: invalid literal for int() with base 10: 'inf'"),
+    (lambda k: NormKind("kyfan", k), math.inf,
+     "ValueError: kyfan norm needs a finite parameter, got inf"),
+    (lambda k: NormKind("kyfan", k), "2", "ValueError: kyfan norm needs an integer order k >= 1"),
 ], ids=lambda v: getattr(v, "__name__", "refused" if str(v).startswith("ValueError") else None))
 def test_every_vocabulary_spec_round_trips(parse, spec, want):
     # each spec of the four vocabularies gives its pinned id or label, and a

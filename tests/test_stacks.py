@@ -34,7 +34,17 @@ from loewner_lab.kernels import (
     monotone_catalog,
 )
 from loewner_lab.maps import map_catalog
-from loewner_lab.spectral import SymStack, decompose, loewner_slack, op_norm, spectrum
+from loewner_lab.spectral import (
+    DEFAULT_NORM_SPECS,
+    SymStack,
+    _eigh,
+    decompose,
+    loewner_slack,
+    op_norm,
+    parse_norm,
+    spectrum,
+    ui_norm,
+)
 from loewner_lab.suite import SuiteConfig
 
 MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell not in (ALPHA, SPECHT)]
@@ -263,6 +273,21 @@ def test_stacked_spectral_layer_matches_single_matrices():
         image = phi.apply(A)
         for k, X in enumerate(mats):
             assert image.data[k].tobytes() == phi.apply(X).data.tobytes(), phi.label
+    # a matrix and its one-slice stack run one path: each norm variant, and the
+    # contract figures of a decompose whose sums of squares overflow, so that
+    # _fro takes its rescaled path
+    one = SymStack(mats[0].data[None])
+    for kind in map(parse_norm, DEFAULT_NORM_SPECS):  # one spec per variant
+        assert np.float64(ui_norm(mats[0], kind)).tobytes() == ui_norm(one, kind).tobytes()
+    big = mats[0].data * 1e200
+    assert np.abs(big).max() > 1.4e154  # its square overflows, so _fro rescales
+    dec, dec_one = decompose(SymMatrix(big)), decompose(SymStack(big[None]))
+    assert dec.eigenvalues.tobytes() == dec_one.eigenvalues[0].tobytes()
+    assert dec.basis.tobytes() == dec_one.basis[0].tobytes()
+    beside_zero = decompose(SymStack(np.stack([np.zeros_like(big), big])))  # no 0/0 rescale
+    assert beside_zero.basis[1].tobytes() == dec.basis.tobytes()
+    single, stacked = _eigh(big), _eigh(big[None])  # (w, q, residual, scale, orth)
+    assert [np.asarray(x).tobytes() for x in single] == [y[0].tobytes() for y in stacked]
 
 
 def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):

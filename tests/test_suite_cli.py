@@ -41,6 +41,23 @@ def small_config(**overrides):
     return SuiteConfig(**base)
 
 
+# Pool specs that do not parse: a parameter that is not a finite number, and
+# an empty pinching block (pinching:0,2 is pinching:0,3 at dimension 2). Each
+# is refused as "field <name>: <spec>: ...", where a field's own checks read
+# "field <name> must ...".
+_UNPARSED_SPECS = [
+    pytest.param({"norms": ("schatten:nan",)}, "norm-ratio-tau", id="schatten:nan"),
+    pytest.param({"norms": ("schatten:inf",)}, "norm-ratio-tau", id="schatten:inf"),
+    pytest.param({"monotone_fns": ("rational:nan",)}, "main-monotone", id="rational:nan"),
+    pytest.param({"monotone_fns": ("rational:inf",)}, "main-monotone", id="rational:inf"),
+    pytest.param({"decreasing_fns": ("shifted_inverse:nan",)}, "main-decreasing",
+                 id="shifted_inverse:nan"),
+    pytest.param({"maps": ("mix:nan@identity",)}, "polya-szego", id="mix:nan@identity"),
+    pytest.param({"maps": ("mix:inf@identity",)}, "polya-szego", id="mix:inf@identity"),
+    pytest.param({"maps": ("pinching:0,2",)}, "polya-szego", id="pinching:0,2"),
+]
+
+
 class TestSuiteConfig:
     def test_all_non_audit_expansion(self):
         cfg = SuiteConfig(inequalities=("all-non-audit",))
@@ -92,15 +109,19 @@ class TestSuiteConfig:
         ({"convex_fns": ()}, "norm-ratio-tau"),
         ({"norms": ()}, "norm-ratio-tau"),
         ({"monotone_fns": (), "decreasing_fns": ()}, "alpha-scaling"),
+        *_UNPARSED_SPECS,
     ], ids=lambda v: "-".join(v) if isinstance(v, dict) else v)
     def test_bad_field_is_refused_by_name_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                             fields, ineq):
-        # in the library, and in the config of a report that recheck reads
+        # in the library, and in the config of a report that recheck reads; a
+        # spec that does not parse is refused as "field <name>: <spec>: ..."
         name = next(iter(fields))
+        unparsed = (fields, ineq) in [case.values for case in _UNPARSED_SPECS]
+        prefix = f"field {name}{':' if unparsed else ' '}"
         calls = []
         real = suite._evaluate_trial
         monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
-        with pytest.raises(ValueError, match=f"^field {name} "):
+        with pytest.raises(ValueError, match=f"^{prefix}"):
             run_suite(SuiteConfig(**{"inequalities": (ineq,), "dims": (2,), "trials": 2,
                                      **fields}))
         assert calls == []
@@ -113,7 +134,7 @@ class TestSuiteConfig:
         calls.clear()
         capsys.readouterr()
         assert cli_main(["recheck", str(path), "0"]) == 2
-        assert capsys.readouterr().err.startswith(f"error: field {name} ")
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
         assert calls == []
 
     @pytest.mark.parametrize("fields, name", [
@@ -581,13 +602,13 @@ class TestReportIO:
         (lambda body: body["results"]["polya-szego"]["violating_instances"][0].pop("dim"), "dim"),
         (lambda body: body["config"].update(trials="50"), "trials"),
         pytest.param(lambda body: body.update(results={"x": []}), "results.x",
-                     id="results-entry-not-an-object"),
+                     id="entry-not-an-object"),
         # a violation at a trial the campaign never ran
-        pytest.param(lambda body: _first_violation(body).update(dim=0), "dim", id="dim-0"),
+        pytest.param(lambda body: _first_violation(body).update(dim=0), "dim", id="0"),
         pytest.param(lambda body: _first_violation(body).update(dim=3), "dim",
-                     id="dim-outside-the-dims"),
+                     id="outside-the-dims"),
         pytest.param(lambda body: _first_violation(body).update(trial=-1), "trial",
-                     id="trial-negative"),
+                     id="negative"),
     ])
     def test_malformed_report_is_refused_by_field(self, tmp_path, capsys, edit, field):
         path = tmp_path / "hunt.json"
@@ -600,9 +621,9 @@ class TestReportIO:
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert capsys.readouterr().err.startswith(f"error: field {field} ")
 
-    @pytest.mark.parametrize("content", [pytest.param("5", id="a-number"),
+    @pytest.mark.parametrize("content", [pytest.param("5", id="number"),
                                          pytest.param('{"loewner_lab_report": [1]}',
-                                                      id="a-list-body")])
+                                                      id="list-body")])
     def test_report_that_is_no_object_is_refused_by_field(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_text(content)
@@ -629,10 +650,10 @@ class TestReportIO:
             load_matrix(str(path))
 
     @pytest.mark.parametrize("content, field", [
-        pytest.param("5", "dim", id="a-number"),
-        pytest.param('{"dim": true, "data": [1.0]}', "dim", id="dim-true"),
-        pytest.param('{"dim": 1, "data": 4}', "data", id="data-a-number"),
-        pytest.param('{"dim": 1, "data": [true]}', "data", id="data-holds-a-bool"),
+        pytest.param("5", "dim", id="number"),
+        pytest.param('{"dim": true, "data": [1.0]}', "dim", id="true"),
+        pytest.param('{"dim": 1, "data": 4}', "data", id="a-number"),
+        pytest.param('{"dim": 1, "data": [true]}', "data", id="holds-a-bool"),
     ])
     def test_mistyped_matrix_file_is_refused_by_field(self, tmp_path, content, field):
         path = tmp_path / "m.json"

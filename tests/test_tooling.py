@@ -156,8 +156,11 @@ def _functions(module):
 
 def test_each_norm_variant_and_map_dimension_is_declared_once():
     # the norm table holds every variant, and NormKind, parse_norm and
-    # ui_norm read it rather than naming a variant; each map sets its
-    # dimensions where it is built, with no property that derives them
+    # ui_norm read it rather than naming a variant; so does the suite, which
+    # fits each norm to a dimension by the table, and asks a cell whether it
+    # holds matrices rather than naming cells; each map sets its dimensions
+    # where it is built, with no property that derives them; and a matrix
+    # runs the spectral layer's stack code, with no branch on ndim
     import ast
 
     from loewner_lab import maps, spectral
@@ -172,6 +175,21 @@ def test_each_norm_variant_and_map_dimension_is_declared_once():
     named = [f"{node.name}: {lit.value!r}" for node in bodies for lit in ast.walk(node)
              if isinstance(lit, ast.Constant) and lit.value in variants | {"op", "nuclear", "fro"}]
     assert named == []
+
+    def names(node):  # every name and attribute that the node reads
+        return {getattr(sub, "attr", getattr(sub, "id", None)) for sub in ast.walk(node)}
+
+    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    in_suite = [lit.value for lit in ast.walk(tree) if isinstance(lit, ast.Constant)
+                and lit.value in variants | {"op", "nuclear", "fro"}]
+    assert in_suite == []
+    assert names(tree) & {"ALPHA", "SPECHT"} == set()
+    one_path = {(None, "_eigh"), (None, "_fro"), (None, "ui_norm")}
+    bodies = [node for owner, node in _functions(spectral) if (owner, node.name) in one_path]
+    assert len(bodies) == len(one_path)
+    by_ndim = [node.name for node in bodies for cmp in ast.walk(node)
+               if isinstance(cmp, ast.Compare) and "ndim" in names(cmp)]
+    assert by_ndim == []
     derived = [f"{owner}.{node.name}" for owner, node in _functions(maps)
                if owner is not None and node.name in ("input_dim", "output_dim")]
     assert derived == []
