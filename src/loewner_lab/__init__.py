@@ -6,23 +6,9 @@ from .certificates import (
     ALL_INEQUALITIES,
     AUDIT_INEQUALITIES,
     NON_AUDIT_INEQUALITIES,
+    ROWS,
     Certificate,
-    ando_check,
-    check_alpha_scaling,
-    check_diaz_metcalf,
-    check_gruss,
-    check_kantorovich_f,
-    check_klamkin_mclenaghan,
-    check_main_decreasing,
-    check_main_monotone,
-    check_midpoint,
-    check_norm_ratio,
-    check_polya_szego,
-    check_sandwich_lemma,
-    check_specht_bound,
-    check_squared,
-    check_squared_consequences,
-    check_strengthened_remark,
+    check_stack,
 )
 from .errors import (
     ConditionCapError,
@@ -40,10 +26,7 @@ from .generate import (
     SplitMix64,
     derive_seed,
     estimate_sandwich,
-    quadratic_form_slack,
-    random_bounded_pair,
     random_orthogonal,
-    random_sandwich_pair,
     random_spd,
 )
 from .kernels import (
@@ -79,9 +62,7 @@ from .maps import (
     MixtureMap,
     NormalizedTraceMap,
     PinchingMap,
-    apply_map,
     check_unital,
-    map_catalog,
     parse_map,
 )
 from .means import MeanContext, arithmetic, geometric, harmonic, kernel_mean, mean
@@ -109,12 +90,10 @@ from .suite import (
     Report,
     SuiteConfig,
     hunt_counterexamples,
-    load_matrix,
     load_report,
     probe_tightness,
     recheck,
     run_suite,
-    save_matrix,
     write_report,
 )
 

@@ -6,13 +6,13 @@ Each statement has the shape lhs <= c * base on a hypothesis cell, with the
 constant c a function of the cell's bounds (m, M) or (s, t).  A ``Cell``
 holds its bound names, its ordering rule, its draw of a stack of trials, the
 check of its hypothesis and probe's default bounds; each cell is one object,
-told apart by identity.  A row holds what verify, hunt, probe, recheck and
-the one-instance checks need: its cell and pools, its own hypotheses, the
-sides and the constant.  ``check_stack`` checks a stack once, evaluates a
-row on it and returns one ``StackResult``, its results as columns; a
-``Certificate`` with matrix sides is built only for the slices that are
-asked for.  Inequality failure is data (``holds`` is False); only
-*hypothesis* violations raise.
+told apart by identity.  A row holds what verify, hunt, probe and recheck
+need: its cell and pools, its own hypotheses, the sides and the constant.
+``check_stack``, the one entry point to a certificate, checks a stack
+once, evaluates a row on it and returns one ``StackResult``, its results
+as columns; a ``Certificate`` with matrix sides is built only for the
+slices that are asked for.  Inequality failure is data (``holds`` is
+False); only *hypothesis* violations raise.
 
 The norm-ratio family is audit-class: verdicts may legitimately be negative
 and are reported, never asserted.
@@ -57,7 +57,6 @@ from .maps import apply_each, check_unital
 from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_inverse
 from .spectral import (
     LOEWNER_TOL_REL,
-    OPERATOR,
     SymMatrix,
     SymStack,
     _apply,
@@ -396,20 +395,20 @@ def _scaling(row: Row, x) -> list[Sides]:
                      grid_points=[len(points)] * x.n, worst_t=worst_t)]
 
 
-def _scalar_sandwich(row: Row, x) -> list[Sides]:
+def _scalar_sandwich(row: Row, x, grid_points: int = 200) -> list[Sides]:
     """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x)
     behind the sandwich lemma, at the worst point of a grid in [s, t]."""
     c = _constants(row, x)
     worst = []
     for s, t, (_, c2) in zip(x.s, x.t, c):
-        xs = np.geomspace(s, t, x.grid_points).tolist()
+        xs = np.geomspace(s, t, grid_points).tolist()
         worst.append(_worst_on_grid(
             [v for v in xs for _ in range(2)],
             np.array([y for v in xs for y in (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0))]),
             np.array([y for v in xs for y in (c2 * math.sqrt(v), c2 / math.sqrt(v))])))
     worst_x, lhs, rhs, ratio = (list(col) for col in zip(*worst))
     return [_columns(row, x, np.array(lhs), np.array(rhs), [c_k[1] for c_k in c], ratio,
-                     grid_points=[x.grid_points] * x.n, worst_x=worst_x)]
+                     grid_points=[grid_points] * x.n, worst_x=worst_x)]
 
 
 def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -724,62 +723,26 @@ def _row(inequality_id: str, statement: str, **fields) -> Row:
     return row
 
 
-def _api(row: Row) -> Callable:
-    """The row's one-instance check: ``check(phi, *picks, A, B, *bounds)``,
-    with phi when the row takes a map and no A, B for a scalar row."""
-    names = (("phi",) if row.pool else ()) + tuple(name for name, *_ in row.picks)
-    matrices = row.cell.pair is not None
-
-    def check(*args, constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
-        k = len(names)
-        A, B = args[k:k + 2] if matrices else (None, None)
-        return _one(row, dict(zip(names, args)), A, B, args[k + 2 * matrices:],
-                    constant_multiplier, tol_rel)
-
-    check.__doc__ = row.statement
-    return check
-
-
-def _one(row: Row, picks: dict, A, B, bounds: tuple, constant_multiplier: float = 1.0,
-         tol_rel: float = LOEWNER_TOL_REL):
-    """One instance's certificate (a tuple of them when a trial has more); given
-    SymStacks and one value per slice for each bound (a map or pick given once
-    serves every slice), the list of every slice's."""
-    stacked = isinstance(A, SymStack)
-    if stacked:
-        cells = list(zip(*bounds)) if bounds else [()] * len(A)
-    else:
-        A, B = (None if X is None else SymStack.of([X]) for X in (A, B))
-        cells = [tuple(bounds)]
-    per_slice = {"phi", *(name for name, *_ in row.picks)}
-    picks = {name: [v] * len(cells) if name in per_slice and not isinstance(v, (list, tuple))
-             else v for name, v in picks.items()}
-    result = check_stack(row, A, B, cells, picks, constant_multiplier=constant_multiplier,
-                         tol_rel=tol_rel)
-    out = [tuple(c) if len(c) > 1 else c[0] for c in map(result.certificates, range(len(cells)))]
-    return out if stacked else out[0]
-
-
-ando_check = _api(_row(
+_row(
     "ando", "Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B).",
     cell=FREE, pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
     sides=lambda x: (x.phi(kernel_mean(x.sigma, x.A, x.B)),
-                     kernel_mean(x.sigma, x.phi(x.A), x.phi(x.B)))))
+                     kernel_mean(x.sigma, x.phi(x.A), x.phi(x.B))))
 
-check_polya_szego = _api(_row(
+_row(
     "polya-szego",
     "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
     cell=BOUNDED, constant=polya_szego_constant, pool="maps",
-    sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)), x.phi(geometric(x.A, x.B)))))
+    sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)), x.phi(geometric(x.A, x.B))))
 
-check_kantorovich_f = _api(_row(
+_row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
     cell=BOUNDED, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
                                  _fn_of(x.phi(x.B), x.f)),
-                     _fn_of(x.phi(kernel_mean(x.sigma, x.A, x.B)), x.f))))
+                     _fn_of(x.phi(kernel_mean(x.sigma, x.A, x.B)), x.f)))
 
 _SANDWICH_LEMMA = _row(
     "sandwich-lemma", "Two-sided mean comparison under the sandwich condition: "
@@ -788,34 +751,34 @@ _SANDWICH_LEMMA = _row(
     form=_two_sided, params={"mode": "matrix"},
     sides=lambda x: (geometric(x.A, x.B), arithmetic(x.A, x.B), harmonic(x.A, x.B)))
 
-_ALPHA_SCALING = _row(
+_row(
     "alpha-scaling", "Scaling bounds for alpha >= 1: f(alpha t) <= alpha f(t) for monotone "
     "increasing f, and g(alpha t) >= g(t)/alpha for monotone decreasing g.",
     cell=ALPHA, constant=lambda alpha: alpha,
     picks=(("f", "scaling_fns", 0),), form=_scaling,
     vets=(_each("f", _vet_class, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING),))
 
-check_main_monotone = _api(_row(
+_row(
     "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
     cell=SANDWICH, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
-                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))))
 
-check_main_decreasing = _api(_row(
+_row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
     cell=SANDWICH, constant=sandwich_constant, pool="maps",
     picks=_KERNELS + (("g", "decreasing_fns", 0),), vets=(_means, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
-                                 x.phi(_fn_of(x.B, x.g))))))
+                                 x.phi(_fn_of(x.B, x.g)))))
 
 # The Grüss bounds are lhs <= c I on a unital map, where c carries f(M) or g(m);
 # their sides are the lhs alone.
-_GRUSS_F = _row(
+_row(
     "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
     "<= (M-m)^2/(4Mm) f(M).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
@@ -826,7 +789,7 @@ _GRUSS_F = _row(
                                  x.phi(_fn_of(x.B, x.fn)))
                      - x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.fn))))
 
-_GRUSS_G = _row(
+_row(
     "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
     "<= (M-m)^2/(4Mm) g(m).",
     cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
@@ -838,11 +801,11 @@ _GRUSS_G = _row(
                      - kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.fn)),
                                    x.phi(_fn_of(x.B, x.fn)))))
 
-check_squared = _api(_row(
+_row(
     "squared", "Squaring an operator inequality: A <= B with m I <= A <= M I gives "
     "A^2 <= (M+m)^2/(4Mm) B^2.",
     cell=ORDER, constant=kantorovich_constant,
-    sides=lambda x: (_square(x.A), _square(x.B))))
+    sides=lambda x: (_square(x.A), _square(x.B)))
 
 _SQUARED_F = _row(
     "squared-consequence-f", "Squared geometric-mean reversal for monotone f, with "
@@ -851,53 +814,53 @@ _SQUARED_F = _row(
     picks=(("f", "monotone_fns", 0),), vets=(_F_MONOTONE,),
     sides=lambda x: _squared_means(x, x.f))
 
-_SQUARED_G = _row(
+_row(
     "squared-consequence-g", "Squared geometric-mean reversal for decreasing g, with "
     "K = (M+m)^2/(4Mm): g(A # B)^2 <= K^2 (g(A) # g(B))^2.",
     cell=BOUNDED, constant=_SQUARED_F.constant,
     picks=(("g", "decreasing_fns", 0),), vets=(_G_DECREASING,),
     sides=lambda x: _squared_means(x, x.g)[::-1])
 
-check_midpoint = _api(_row(
+_row(
     "midpoint", "Midpoint bound under the sandwich condition: "
     "(sqrt(st) A + B)/2 <= (sqrt(s)+sqrt(t))/2 (A # B).",
     cell=SANDWICH, constant=lambda s, t: 0.5 * (math.sqrt(s) + math.sqrt(t)),
-    sides=lambda x: (0.5 * (x.A * _root_st(x.s, x.t) + x.B), geometric(x.A, x.B))))
+    sides=lambda x: (0.5 * (x.A * _root_st(x.s, x.t) + x.B), geometric(x.A, x.B)))
 
-check_diaz_metcalf = _api(_row(
+_row(
     "diaz-metcalf", "Diaz-Metcalf type bound: "
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
     cell=SANDWICH, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
-                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f)))))
+                     x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))))
 
-check_klamkin_mclenaghan = _api(_row(
+_row(
     "klamkin-mclenaghan", "Klamkin-McLenaghan type bound, with P = phi(f(A sigma B)), "
     "F = phi(f(sqrt(st) A)), G = phi(f(B)) and T = P^(-1/2) F P^(-1/2): "
     "P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2) "
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
     cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
     pool="maps", picks=(("sigma", "kernels", 0), ("f", "monotone_fns", 0)),
-    vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides))
+    vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides)
 
-check_specht_bound = _api(_row(
+_row(
     "specht-bound", "Arithmetic-geometric comparison via Specht's ratio: "
     "(M+m)/2 <= S(M/m) sqrt(Mm).",
     cell=SPECHT, constant=lambda m, M: specht_ratio(M / m),
     form=_against_rhs,
     sides=lambda x: (np.array([0.5 * (M + m) for m, M in zip(x.m, x.M)]),
-                     np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)]))))
+                     np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)])))
 
 # sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
-check_strengthened_remark = _api(_row(
+_row(
     "strengthened-remark", "Two-link strengthening, valid when sqrt(st) >= 1: "
     "phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B)) "
     "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
     cell=SANDWICH_ST_GE_1, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
     pool="maps", picks=_REVERSAL,
-    vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides))
+    vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides)
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
 # negative, and are recorded, never asserted.
@@ -938,58 +901,7 @@ NON_AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if not row.audit)
 AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
 
 
-# The one-instance checks of the rows that share a signature.
-
-_SANDWICH_MODES = {"matrix": _SANDWICH_LEMMA, "scalar": replace(
-    _SANDWICH_LEMMA, cell=replace(SANDWICH, pair=None, check=_ordered), form=_scalar_sandwich,
-    params={"mode": "scalar"})}
-_GRUSS = {row.params["family"]: _api(row) for row in (_GRUSS_F, _GRUSS_G)}
-_NORM_RATIO = {row.params["mode"]: row for row in ROWS.values() if row.audit}
-
-
-def check_sandwich_lemma(A, B, s, t, mode: str = "matrix", grid_points: int = 200, *,
-                         constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
-    """Matrix mode returns the certificate pair (lower, upper) of
-    c1 (A nabla B) <= A # B <= c2 (A ! B); scalar mode checks the underlying
-    scalar bounds for (x+1)/2 and (1/x+1)/2 on a grid in [s, t] and ignores
-    A and B."""
-    if mode not in _SANDWICH_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _one(_SANDWICH_MODES[mode], {"grid_points": grid_points}, A, B, (s, t),
-                constant_multiplier, tol_rel)
-
-
-def check_alpha_scaling(fn: MonotoneFunction, alpha: float, grid=None, *,
-                        constant_multiplier: float = 1.0, tol_rel: float = LOEWNER_TOL_REL):
-    """The alpha-scaling bound of ``fn`` on ``grid`` (default_grid() if None)."""
-    return _one(_ALPHA_SCALING, {"f": fn, "grid": grid}, None, None, (alpha,),
-                constant_multiplier, tol_rel)
-
-
-def check_gruss(phi, tau, sigma, fn, A, B, m, M, family: str, **kw):
-    """The Grüss bound of ``family``, "monotone" (gruss-f) or "decreasing" (gruss-g);
-    a non-unital map is refused with an explanatory error."""
-    if family not in _GRUSS:
-        raise ValueError(f"unknown family {family!r}")
-    return _GRUSS[family](phi, tau, sigma, fn, A, B, m, M, **kw)
-
-
-def check_squared_consequences(fn, A, B, m, M, **kw):
-    """The squared reversal of ``fn``'s class: squared-consequence-f for a
-    monotone function, squared-consequence-g for a decreasing one."""
-    first = fn[0] if isinstance(A, SymStack) else fn
-    _vet_class(first, OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING)
-    row = _SQUARED_F if first.klass == OPERATOR_MONOTONE else _SQUARED_G
-    return _one(row, {row.picks[0][0]: fn}, A, B, (m, M), **kw)
-
-
-def check_norm_ratio(mode: str, kernel, g, A, B, s=None, t=None, m=None, M=None, norm=OPERATOR,
-                     **kw):
-    """AUDIT: the norm-ratio bound of ``mode`` (tau_side, sharp_side, power4
-    or eq15; eq15 takes m and M and the geometric kernel, the others s and t)."""
-    row = _NORM_RATIO.get(mode)
-    _hyp(row is not None, f"unknown norm-ratio mode {mode!r}")
-    lo, hi = row.cell.bounds
-    bounds = tuple({"s": s, "t": t, "m": m, "M": M}[name] for name in (lo, hi))
-    _hyp(None not in bounds, f"{mode} mode needs {lo} and {hi}")
-    return _one(row, {"kernel": kernel, "g": g, "norm": norm}, A, B, bounds, **kw)
+# scalarcheck's row: the scalar bounds behind the sandwich lemma, on a grid in
+# each cell, with the cell's ordering rule as its one hypothesis.
+SCALAR_SANDWICH = replace(_SANDWICH_LEMMA, cell=replace(SANDWICH, pair=None, check=_ordered),
+                          form=_scalar_sandwich, params={"mode": "scalar"})

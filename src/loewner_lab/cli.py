@@ -7,7 +7,7 @@ import re
 import sys
 
 from . import suite as suite_mod
-from .certificates import check_sandwich_lemma
+from .certificates import SCALAR_SANDWICH, check_stack
 from .errors import LoewnerLabError
 from .generate import SplitMix64, derive_seed
 from .kernels import (
@@ -151,10 +151,10 @@ def _cmd_scalarcheck(args) -> int:
     )
     check("sandwich constant continuous across s*t = 1", boundary_gap <= 1e-12,
           f"max gap {boundary_gap:.2e}")
-    for s, t in ((0.25, 4.0), (0.5, 0.8), (2.0, 3.0)):
-        cert = check_sandwich_lemma(None, None, s, t, mode="scalar")
-        check(f"scalar sandwich bounds on [{s}, {t}]", cert.holds,
-              f"min slack {cert.slack:.2e}")
+    cells = [(0.25, 4.0), (0.5, 0.8), (2.0, 3.0)]
+    sandwich = check_stack(SCALAR_SANDWICH, None, None, cells, {})
+    for (s, t), holds, slack in zip(cells, sandwich.holds, sandwich.slack):
+        check(f"scalar sandwich bounds on [{s}, {t}]", holds, f"min slack {slack:.2e}")
     print(f"done: {failures} failures")
     return 0 if failures == 0 else 1
 

@@ -321,17 +321,6 @@ def _sandwich_pair(rngs, dim: int, s, t, corner: bool = False) -> tuple:
     return A, _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
 
 
-def random_sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
-    """Seeded pair satisfying s A <= B <= t A, built as B = A^(1/2) C A^(1/2)
-    with C drawn with spectrum in [s, t]."""
-    if not 0 < s <= t:
-        raise ValueError(f"need 0 < s <= t, got s={s!r}, t={t!r}")
-    A, B = _sandwich_pair([SplitMix64(seed)], dim, [s], [t])
-    pair = SandwichPair(A.matrices()[0], B.matrices()[0], float(s), float(t))
-    pair.verify()  # remembers the scalars on pair.A
-    return pair
-
-
 def _bounded_pair(rngs, dim: int, m, M, corner: bool = False) -> tuple:
     """The stacks (A, B) of one independent pair per stream, both spectra
     in [m, M]; ``m`` and ``M`` hold one value per stream.  A ``corner``
@@ -340,32 +329,3 @@ def _bounded_pair(rngs, dim: int, m, M, corner: bool = False) -> tuple:
     verified: the bounded cell's check decomposes A and B."""
     a_corner, b_corner = ((m[0], M[0]), (M[0], m[0])) if corner else (None, None)
     return _spd(rngs, dim, m, M, a_corner), _spd(rngs, dim, m, M, b_corner)
-
-
-def random_bounded_pair(dim: int, m: float, M: float, seed: int) -> BoundedPair:
-    """Seeded independent pair with both spectra in [m, M], 0 < m < M, verified."""
-    if not 0 < m < M:
-        raise ValueError(f"need 0 < m < M, got m={m!r}, M={M!r}")
-    A, B = _bounded_pair([SplitMix64(seed)], dim, [m], [M])
-    pair = BoundedPair(A.matrices()[0], B.matrices()[0], float(m), float(M))
-    pair.verify()
-    return pair
-
-
-def quadratic_form_slack(
-    X: SymMatrix, Y: SymMatrix, samples: int = 1000, seed: int = 0
-) -> float:
-    """Brute-force Loewner oracle: min of v^T (Y - X) v over random unit vectors.
-
-    Always an upper bound on lambda_min(Y - X); used to cross-check the
-    eigensolver-based comparison, never to replace it.  The vectors are the
-    rows of one ``normal_matrix(samples, n)`` draw, and all the quadratic
-    forms are evaluated at once.
-    """
-    X, Y = as_sym(X), as_sym(Y)
-    diff = (Y - X).data
-    v = SplitMix64(seed).normal_matrix(samples, diff.shape[0])
-    norms = np.linalg.norm(v, axis=1)
-    v = v[norms != 0.0] / norms[norms != 0.0, None]
-    forms = np.einsum("ij,jk,ik->i", v, diff, v)
-    return float(forms.min()) if forms.size else math.inf

@@ -167,14 +167,6 @@ def monotone_catalog() -> tuple[MonotoneFunction, ...]:
     return tuple(map(parse_function, DEFAULT_MONOTONE_SPECS))
 
 
-def decreasing_catalog() -> tuple[MonotoneFunction, ...]:
-    return tuple(map(parse_function, DEFAULT_DECREASING_SPECS))
-
-
-def convex_zero_catalog() -> tuple[MonotoneFunction, ...]:
-    return tuple(map(parse_function, DEFAULT_CONVEX_SPECS))
-
-
 _FUNCTION_SPECS = {"id": IDENTITY_FN, "identity": IDENTITY_FN, "power": power,
                    "inv_power": inv_power, "rational": rational,
                    "shifted_inverse": shifted_inverse, "log1p": LOG1P, "square": SQUARE}

@@ -205,11 +205,6 @@ def _image_shape(phi: MapSpec, X: SymMatrix) -> tuple:
     return X.data.shape[:-2] + (phi.output_dim, phi.output_dim)
 
 
-def apply_map(phi: MapSpec, X: SymMatrix) -> SymMatrix:
-    """Apply a positive linear map to a symmetric matrix."""
-    return phi.apply(X)
-
-
 def apply_each(phis, X: SymStack) -> SymStack:
     """Each slice of X under its own map of ``phis`` (one per slice, or one
     for all), all of one output dimension: each distinct map is applied
@@ -315,8 +310,3 @@ DEFAULT_MAP_SPECS = (
     "congruence:random",
     "kraus:2",
 )
-
-
-def map_catalog(dim: int, rng) -> list[MapSpec]:
-    """The default map pool for a given dimension."""
-    return [parse_map(spec, dim, rng) for spec in DEFAULT_MAP_SPECS]

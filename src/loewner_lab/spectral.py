@@ -19,7 +19,6 @@ import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +68,6 @@ class SymMatrix:
     def identity(cls, dim: int) -> "SymMatrix":
         return cls(np.eye(dim))
 
-    @classmethod
-    def diagonal(cls, values: Sequence[float]) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         require_same_shape(self, other)
         return type(self)(self.data + other.data)
@@ -96,9 +91,6 @@ class SymMatrix:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SymMatrix":
-        return type(self)(-self.data)
-
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
 
@@ -119,19 +111,6 @@ class SymStack(SymMatrix):
         if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
             raise ValueError(f"expected a nonempty stack of square matrices, got shape {a.shape}")
         self._fill(sym_entries(a))
-
-    @classmethod
-    def of(cls, mats: Sequence) -> "SymStack":
-        """The stack of the given matrices of one dimension; it takes over
-        their decompositions when every one of them holds one."""
-        mats = [as_sym(m) for m in mats]
-        out = cls.__new__(cls)._fill(_frozen(np.stack([m.data for m in mats])))
-        decs = [m._dec for m in mats]
-        if all(dec is not None for dec in decs):
-            object.__setattr__(out, "_dec", SpectralDecomposition(
-                eigenvalues=_frozen(np.stack([dec.eigenvalues for dec in decs])),
-                basis=_frozen(np.stack([dec.basis for dec in decs]))))
-        return out
 
     def __len__(self) -> int:
         return len(self.data)

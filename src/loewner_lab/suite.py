@@ -41,7 +41,7 @@ from .kernels import (
     parse_kernel,
 )
 from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
-from .spectral import DEFAULT_NORM_SPECS, LOEWNER_TOL_REL, SymMatrix, SymStack, parse_norm
+from .spectral import DEFAULT_NORM_SPECS, LOEWNER_TOL_REL, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -191,20 +191,28 @@ def _parsed(config: SuiteConfig, name: str, parse) -> list:
     return out
 
 
+def _with_unitality(phi) -> tuple:
+    """``(phi, whether phi is unital)``.  SymMatrix refuses an image of the
+    identity that is not finite, and ``_parsed`` names the map's spec."""
+    with np.errstate(over="ignore"):  # the refusal, not numpy's warning, reports an overflow
+        return phi, check_unital(phi).is_unital
+
+
 def _build_pools(config: SuiteConfig, dim: int) -> dict:
     """The pools of one dimension, by name: each spec field of the config,
     parsed, and the pools the rows derive from them (the unital maps, the
     kernels above and below the geometric mean, and alpha-scaling's
     monotone then decreasing functions)."""
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
-    parsers = {"maps": lambda spec: parse_map(spec, dim, rng), "kernels": parse_kernel,
-               "norms": parse_norm, "monotone_fns": parse_function,
+    parsers = {"maps": lambda spec: _with_unitality(parse_map(spec, dim, rng)),
+               "kernels": parse_kernel, "norms": parse_norm, "monotone_fns": parse_function,
                "decreasing_fns": parse_function, "convex_fns": parse_function}
     pools = {name: _parsed(config, name, parse) for name, parse in parsers.items()}
-    kernels = pools["kernels"]
+    kernels, maps = pools["kernels"], pools["maps"]
     pools.update(
+        maps=[phi for phi, _ in maps],
         norms=[kind.fit(dim) for kind in pools["norms"]],
-        unital_maps=[mp for mp in pools["maps"] if check_unital(mp).is_unital],
+        unital_maps=[phi for phi, unital in maps if unital],
         tau_ge_sharp=[k for k in kernels if kernel_dominance(GEOMETRIC, k).holds] or [GEOMETRIC],
         sigma_le_sharp=[k for k in kernels if kernel_dominance(k, GEOMETRIC).holds] or [GEOMETRIC],
         scaling_fns=pools["monotone_fns"] + pools["decreasing_fns"],
@@ -721,35 +729,6 @@ def load_report(path: str) -> dict:
             raise ValueError(f"field {name}: the report has {body.get(name)!r}, "
                              f"this tool reads {ours!r}")
     return body
-
-
-def load_matrix(path: str) -> SymMatrix:
-    """Load {"dim": n, "data": [n*n row-major]} JSON; symmetrize on load.
-
-    Asymmetry above 1e-8 relative (Frobenius) is rejected.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    _vet_fields(data, {"dim": int, "data": list}, "the matrix file")
-    n, entries = data["dim"], data["data"]
-    if n < 1:
-        raise ValueError(f"field dim must be a positive integer, got {n!r}")
-    if len(entries) != n * n:
-        raise ValueError(f"field data must hold {n * n} numbers, got {len(entries)}")
-    if not _typed(entries, list, _NUMBER):
-        raise ValueError(f"field data must hold numbers, got {entries!r}")
-    raw = np.array(entries, dtype=float).reshape(n, n)
-    asym = float(np.linalg.norm(raw - raw.T))
-    if asym > 1e-8 * max(1.0, float(np.linalg.norm(raw))):
-        raise ValueError(f"field data is asymmetric beyond tolerance ({asym:.3e})")
-    return SymMatrix(raw)
-
-
-def save_matrix(X: SymMatrix, path: str) -> None:
-    payload = {"dim": X.dim, "data": X.data.ravel().tolist()}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
 
 
 def _object(value, field: str) -> dict:

@@ -18,18 +18,11 @@ from loewner_lab import (
     NotUnitalError,
     SplitMix64,
     SymMatrix,
-    check_gruss,
-    check_midpoint,
-    check_norm_ratio,
-    check_polya_szego,
-    check_sandwich_lemma,
-    check_specht_bound,
     loewner_compare,
     loewner_matrix_psd_test,
     matrix_function,
     op_norm,
     parse_function,
-    quadratic_form_slack,
     random_spd,
     sandwich_constant,
     specht_ratio,
@@ -39,9 +32,10 @@ from loewner_lab.generate import derive_seed
 from loewner_lab.kernels import ARITHMETIC, SQUARE, monotone_catalog
 from loewner_lab.spectral import OPERATOR
 from loewner_lab.suite import SuiteConfig, load_report, probe_tightness
+from oracles import certify, quadratic_form_slack
 
-A14 = SymMatrix.diagonal([1.0, 4.0])
-A41 = SymMatrix.diagonal([4.0, 1.0])
+A14 = SymMatrix(np.diag([1.0, 4.0]))
+A41 = SymMatrix(np.diag([4.0, 1.0]))
 
 ACCEPTANCE_ARGS = [
     "verify", "--ineq", "all-non-audit", "--dims", "2,3,4,6,8",
@@ -93,9 +87,9 @@ def test_criterion_01_randomized_theorem_suite(acceptance_run):
 
 
 def test_criterion_02_equality_witnesses():
-    polya = check_polya_szego(NormalizedTraceMap(2, 1), A14, A41, 1.0, 4.0)
-    midpoint = check_midpoint(A14, A41, 0.25, 4.0)
-    lower, upper = check_sandwich_lemma(A14, A41, 0.25, 4.0)
+    polya = certify("polya-szego", A14, A41, 1.0, 4.0, phi=NormalizedTraceMap(2, 1))
+    midpoint = certify("midpoint", A14, A41, 0.25, 4.0)
+    lower, upper = certify("sandwich-lemma", A14, A41, 0.25, 4.0)
     ok = (
         abs(polya.ratio - 1.25) <= 1e-10
         and abs(polya.slack) <= 1e-10
@@ -137,9 +131,9 @@ def test_criterion_04_swing_identity():
 def test_criterion_05_specht_comparison():
     ok = True
     for ratio in np.geomspace(1.01, 100.0, 200):
-        cert = check_specht_bound(1.0, float(ratio))
+        cert = certify("specht-bound", None, None, 1.0, float(ratio))
         ok = ok and cert.holds
-    equal = check_specht_bound(2.0, 2.0)
+    equal = certify("specht-bound", None, None, 2.0, 2.0)
     ok = ok and abs(equal.slack) <= 1e-12 and specht_ratio(1.0) == 1.0
     _line(ok, "criterion-5 Specht comparison", f"degenerate slack {equal.slack:.2e}")
 
@@ -155,12 +149,12 @@ def test_criterion_06_unitality_regression():
     )
     refused = False
     try:
-        check_gruss(ten_trace, GEOMETRIC, GEOMETRIC, ident, A14, A41, 1.0, 4.0, "monotone")
+        certify("gruss-f", A14, A41, 1.0, 4.0, phi=ten_trace, tau=GEOMETRIC, sigma=GEOMETRIC,
+                fn=ident)
     except NotUnitalError:
         refused = True
-    unital = check_gruss(
-        NormalizedTraceMap(2, 1), GEOMETRIC, GEOMETRIC, ident, A14, A41, 1.0, 4.0, "monotone"
-    )
+    unital = certify("gruss-f", A14, A41, 1.0, 4.0, phi=NormalizedTraceMap(2, 1), tau=GEOMETRIC,
+                     sigma=GEOMETRIC, fn=ident)
     ok = (
         abs(difference - 10.0) <= 1e-9
         and difference > 2.25
@@ -174,15 +168,11 @@ def test_criterion_06_unitality_regression():
 
 
 def test_criterion_07_norm_ratio_audit_regression(tmp_path):
-    tau_cert = check_norm_ratio(
-        "tau_side", ARITHMETIC, SQUARE, A14, A41, s=0.25, t=4.0, norm=OPERATOR
-    )
-    power4_cert = check_norm_ratio(
-        "power4", ARITHMETIC, SQUARE, A14, A41, s=0.25, t=4.0, norm=OPERATOR
-    )
-    eq15_cert = check_norm_ratio(
-        "eq15", GEOMETRIC, SQUARE, A14, A41, m=1.0, M=4.0, norm=OPERATOR
-    )
+    tau_cert = certify("norm-ratio-tau", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE,
+                       norm=OPERATOR)
+    power4_cert = certify("norm-ratio-power4", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE,
+                          norm=OPERATOR)
+    eq15_cert = certify("norm-ratio-eq15", A14, A41, 1.0, 4.0, g=SQUARE, norm=OPERATOR)
     # exit code stays 0 even when an audit report records violations
     path = tmp_path / "audit.json"
     code = cli_main([

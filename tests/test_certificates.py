@@ -14,39 +14,23 @@ from loewner_lab import (
     NotUnitalError,
     SplitMix64,
     SymMatrix,
-    check_alpha_scaling,
-    check_diaz_metcalf,
-    check_gruss,
-    check_kantorovich_f,
-    check_klamkin_mclenaghan,
-    check_main_decreasing,
-    check_main_monotone,
-    check_midpoint,
-    check_norm_ratio,
-    check_polya_szego,
-    check_sandwich_lemma,
-    check_specht_bound,
-    check_squared,
-    check_squared_consequences,
-    check_strengthened_remark,
     estimate_sandwich,
     matrix_function,
     op_norm,
     parse_function,
-    random_bounded_pair,
-    random_sandwich_pair,
     random_spd,
     specht_ratio,
 )
 from loewner_lab.suite import SuiteConfig
 from loewner_lab import suite
-from loewner_lab.certificates import ALL_INEQUALITIES, ROWS
-from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed, quadratic_form_slack
+from loewner_lab.certificates import ALL_INEQUALITIES, ROWS, SCALAR_SANDWICH
+from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed
 from loewner_lab.kernels import ARITHMETIC, HARMONIC
 from loewner_lab.spectral import OPERATOR, loewner_slack
+from oracles import bounded_pair, certify, quadratic_form_slack, sandwich_pair
 
-A14 = SymMatrix.diagonal([1.0, 4.0])
-A41 = SymMatrix.diagonal([4.0, 1.0])
+A14 = SymMatrix(np.diag([1.0, 4.0]))
+A41 = SymMatrix(np.diag([4.0, 1.0]))
 SQRT = parse_function("power:0.5")
 IDENT = parse_function("id")
 INV = parse_function("inv_power:1")
@@ -56,7 +40,7 @@ TRACE_HALF = NormalizedTraceMap(2, 1)
 
 class TestPolyaSzego:
     def test_trace_map_equality_witness(self):
-        cert = check_polya_szego(TRACE_HALF, A14, A41, 1.0, 4.0)
+        cert = certify("polya-szego", A14, A41, 1.0, 4.0, phi=TRACE_HALF)
         np.testing.assert_allclose(cert.lhs.data, [[2.5]], atol=1e-10)
         assert cert.constant == pytest.approx(1.25, abs=1e-14)
         assert cert.ratio == pytest.approx(1.25, abs=1e-10)
@@ -65,31 +49,30 @@ class TestPolyaSzego:
 
     def test_same_matrix_ratio_one(self):
         a = random_spd(3, 1.0, 4.0, 5)
-        cert = check_polya_szego(IdentityMap(3), a, a, 1.0, 4.0)
+        cert = certify("polya-szego", a, a, 1.0, 4.0, phi=IdentityMap(3))
         assert cert.holds
         assert cert.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_hypothesis_violation_refused(self):
         with pytest.raises(HypothesisError):
-            check_polya_szego(TRACE_HALF, A14, A41, 2.0, 4.0)
+            certify("polya-szego", A14, A41, 2.0, 4.0, phi=TRACE_HALF)
         with pytest.raises(HypothesisError):
-            check_polya_szego(TRACE_HALF, A14, A41, 4.0, 1.0)
+            certify("polya-szego", A14, A41, 4.0, 1.0, phi=TRACE_HALF)
 
     def test_refusal_is_the_generators_bounded_check(self):
         # an out-of-cell pair: the check refuses it with BoundedPair.verify's text
         with pytest.raises(HypothesisError) as generator:
             BoundedPair(A14, A41, 2.0, 4.0).verify()
         with pytest.raises(HypothesisError) as certificate:
-            check_polya_szego(TRACE_HALF, A14, A41, 2.0, 4.0)
+            certify("polya-szego", A14, A41, 2.0, 4.0, phi=TRACE_HALF)
         assert str(certificate.value) == str(generator.value)
         assert str(generator.value).startswith("bound hypothesis fails for A: spectrum [1, 4]")
 
 
 class TestKantorovichF:
     def test_commuting_hand_values(self):
-        cert = check_kantorovich_f(
-            IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, A14, A41, 1.0, 4.0
-        )
+        cert = certify("kantorovich-f", A14, A41, 1.0, 4.0, phi=IdentityMap(2), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=SQRT)
         root2 = math.sqrt(2.0)
         np.testing.assert_allclose(cert.lhs.data, np.diag([root2, root2]), atol=1e-10)
         np.testing.assert_allclose(
@@ -100,20 +83,20 @@ class TestKantorovichF:
 
     def test_same_matrix_ratio_one(self):
         a = random_spd(2, 1.0, 4.0, 9)
-        cert = check_kantorovich_f(
-            TRACE_HALF, GEOMETRIC, ARITHMETIC, SQRT, a, a, 1.0, 4.0
-        )
+        cert = certify("kantorovich-f", a, a, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                       sigma=ARITHMETIC, f=SQRT)
         assert cert.holds
         assert cert.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_monotone_class(self):
         with pytest.raises(HypothesisError):
-            check_kantorovich_f(TRACE_HALF, GEOMETRIC, GEOMETRIC, INV, A14, A41, 1.0, 4.0)
+            certify("kantorovich-f", A14, A41, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=INV)
 
 
 class TestSandwichLemma:
     def test_double_equality_witness(self):
-        lower, upper = check_sandwich_lemma(A14, A41, 0.25, 4.0)
+        lower, upper = certify("sandwich-lemma", A14, A41, 0.25, 4.0)
         assert abs(lower.slack) <= 1e-10
         assert abs(upper.slack) <= 1e-10
         assert lower.holds and upper.holds
@@ -122,7 +105,7 @@ class TestSandwichLemma:
 
     def test_degenerate_pair(self):
         a = random_spd(3, 0.5, 2.0, 3)
-        lower, upper = check_sandwich_lemma(a, a, 1.0, 1.0)
+        lower, upper = certify("sandwich-lemma", a, a, 1.0, 1.0)
         assert lower.constant == pytest.approx(1.0)
         assert upper.constant == pytest.approx(1.0)
         assert abs(lower.slack) <= 1e-9 * op_norm(a)
@@ -131,36 +114,35 @@ class TestSandwichLemma:
     def test_two_sided_substitution_reproduces_classical_constants(self):
         m, M = 1.0, 4.0
         s, t = m / M, M / m
-        pair = random_bounded_pair(3, m, M, 11)
-        lower, upper = check_sandwich_lemma(pair.A, pair.B, s, t)
+        pair = bounded_pair(3, m, M, 11)
+        lower, upper = certify("sandwich-lemma", pair.A, pair.B, s, t)
         assert lower.constant == pytest.approx(2 * math.sqrt(M * m) / (M + m), rel=1e-14)
         assert upper.constant == pytest.approx((M + m) / (2 * math.sqrt(M * m)), rel=1e-14)
         assert lower.holds and upper.holds
 
     def test_scalar_mode_grid(self):
         for s, t in ((0.25, 4.0), (0.5, 0.8), (2.0, 3.0)):
-            cert = check_sandwich_lemma(None, None, s, t, mode="scalar")
+            cert = certify(SCALAR_SANDWICH, None, None, s, t)
             assert cert.holds
             assert cert.params["mode"] == "scalar"
 
     def test_scalar_mode_ignores_the_matrices(self):
         # its certificate, params included, reads nothing of A and B
-        blind = check_sandwich_lemma(None, None, 0.25, 4.0, mode="scalar")
-        given = check_sandwich_lemma(A14, A41, 0.25, 4.0, mode="scalar")
+        blind = certify(SCALAR_SANDWICH, None, None, 0.25, 4.0)
+        given = certify(SCALAR_SANDWICH, A14, A41, 0.25, 4.0)
         assert given.params == blind.params
         assert given.to_json() == blind.to_json()
 
     def test_random_pairs_both_branches(self):
         for seed, (s, t) in enumerate([(0.5, 0.9), (1.5, 3.0), (0.25, 4.0)]):
-            pair = random_sandwich_pair(3, s, t, derive_seed(500, seed))
-            lower, upper = check_sandwich_lemma(pair.A, pair.B, s, t)
+            pair = sandwich_pair(3, s, t, derive_seed(500, seed))
+            lower, upper = certify("sandwich-lemma", pair.A, pair.B, s, t)
             assert lower.holds and upper.holds
 
     def test_scalar_mode_checks_the_multiplied_constant(self):
         # (x+1)/2 <= c2 sqrt(x) at x = 4 needs c2 >= 1.25, the constant at
         # multiplier 1: 0.9 of it fails there
-        cert = check_sandwich_lemma(None, None, 0.25, 4.0, mode="scalar",
-                                    constant_multiplier=0.9)
+        cert = certify(SCALAR_SANDWICH, None, None, 0.25, 4.0, constant_multiplier=0.9)
         assert cert.constant == pytest.approx(1.125, rel=1e-15)
         assert not cert.holds and cert.slack < 0
         assert cert.rhs == pytest.approx(1.125 * 2.0, rel=1e-15)
@@ -168,26 +150,26 @@ class TestSandwichLemma:
 
 class TestAlphaScaling:
     def test_sqrt_ratio_half(self):
-        cert = check_alpha_scaling(SQRT, 4.0)
+        cert = certify("alpha-scaling", None, None, 4.0, f=SQRT)
         assert cert.holds
         assert cert.ratio == pytest.approx(0.5, rel=1e-12)
 
     def test_inverse_exact_equality(self):
-        cert = check_alpha_scaling(INV, 4.0)
+        cert = certify("alpha-scaling", None, None, 4.0, f=INV)
         assert cert.holds
         assert cert.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_log1p_default_grid(self):
-        cert = check_alpha_scaling(parse_function("log1p"), 2.0)
+        cert = certify("alpha-scaling", None, None, 2.0, f=parse_function("log1p"))
         assert cert.holds
 
     def test_alpha_below_one_refused(self):
         with pytest.raises(HypothesisError):
-            check_alpha_scaling(SQRT, 0.5)
+            certify("alpha-scaling", None, None, 0.5, f=SQRT)
 
     def test_convex_class_refused(self):
         with pytest.raises(HypothesisError):
-            check_alpha_scaling(SQUARE_FN, 2.0)
+            certify("alpha-scaling", None, None, 2.0, f=SQUARE_FN)
 
     # An explicit grid with a point where f is undefined, at t or at alpha t:
     # f's own error, at the first such point, for twinned and plain functions.
@@ -205,15 +187,14 @@ class TestAlphaScaling:
     def test_undefined_grid_point_raises_the_functions_error(self, spec, alpha, grid, error,
                                                              text):
         with pytest.raises(error) as info:
-            check_alpha_scaling(parse_function(spec), alpha, grid)
+            certify("alpha-scaling", None, None, alpha, f=parse_function(spec), grid=grid)
         assert type(info.value) is error and str(info.value) == text
 
 
 class TestMainMonotone:
     def test_trace_map_hand_values(self):
-        cert = check_main_monotone(
-            TRACE_HALF, GEOMETRIC, GEOMETRIC, SQRT, A14, A41, 0.25, 4.0
-        )
+        cert = certify("main-monotone", A14, A41, 0.25, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=SQRT)
         np.testing.assert_allclose(cert.lhs.data, [[1.5]], atol=1e-10)
         np.testing.assert_allclose(cert.rhs.data, [[1.5625 * math.sqrt(2.0)]], atol=1e-10)
         assert cert.constant == pytest.approx(1.5625, abs=1e-14)
@@ -221,9 +202,8 @@ class TestMainMonotone:
 
     def test_degenerate_equality(self):
         a = random_spd(3, 0.5, 2.0, 21)
-        cert = check_main_monotone(
-            IdentityMap(3), GEOMETRIC, GEOMETRIC, SQRT, a, a, 1.0, 1.0
-        )
+        cert = certify("main-monotone", a, a, 1.0, 1.0, phi=IdentityMap(3), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=SQRT)
         assert cert.constant == pytest.approx(1.0)
         assert abs(cert.slack) <= 1e-9 * max(1.0, op_norm(a))
 
@@ -232,41 +212,37 @@ class TestMainMonotone:
 
         too_big = ScalarKernel("overshoot", lambda t: 1.0 + t)
         with pytest.raises(HypothesisError):
-            check_main_monotone(TRACE_HALF, too_big, GEOMETRIC, SQRT, A14, A41, 0.25, 4.0)
+            certify("main-monotone", A14, A41, 0.25, 4.0, phi=TRACE_HALF, tau=too_big,
+                    sigma=GEOMETRIC, f=SQRT)
 
 
 class TestMainDecreasing:
     def test_commuting_inverses(self):
-        cert = check_main_decreasing(
-            IdentityMap(2), GEOMETRIC, GEOMETRIC, INV, A14, A41, 0.25, 4.0
-        )
+        cert = certify("main-decreasing", A14, A41, 0.25, 4.0, phi=IdentityMap(2), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, g=INV)
         np.testing.assert_allclose(cert.lhs.data, np.diag([0.5, 0.5]), atol=1e-10)
         np.testing.assert_allclose(cert.rhs.data, 1.5625 * np.diag([0.5, 0.5]), atol=1e-10)
         assert cert.holds
 
     def test_degenerate_equality(self):
         a = random_spd(2, 0.5, 2.0, 31)
-        cert = check_main_decreasing(
-            IdentityMap(2), ARITHMETIC, HARMONIC, INV, a, a, 1.0, 1.0
-        )
+        cert = certify("main-decreasing", a, a, 1.0, 1.0, phi=IdentityMap(2), tau=ARITHMETIC,
+                       sigma=HARMONIC, g=INV)
         assert abs(cert.slack) <= 1e-9 * max(1.0, op_norm(a))
 
     def test_randomized_nabla_harmonic(self):
         shifted = parse_function("shifted_inverse:1")
         for seed in range(5):
-            pair = random_sandwich_pair(3, 0.5, 3.0, derive_seed(600, seed))
-            cert = check_main_decreasing(
-                NormalizedTraceMap(3, 1), ARITHMETIC, HARMONIC, shifted,
-                pair.A, pair.B, 0.5, 3.0,
-            )
+            pair = sandwich_pair(3, 0.5, 3.0, derive_seed(600, seed))
+            cert = certify("main-decreasing", pair.A, pair.B, 0.5, 3.0,
+                           phi=NormalizedTraceMap(3, 1), tau=ARITHMETIC, sigma=HARMONIC, g=shifted)
             assert cert.holds
 
 
 class TestGruss:
     def test_trace_map_hand_values(self):
-        cert = check_gruss(
-            TRACE_HALF, GEOMETRIC, GEOMETRIC, SQRT, A14, A41, 1.0, 4.0, "monotone"
-        )
+        cert = certify("gruss-f", A14, A41, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                       sigma=GEOMETRIC, fn=SQRT)
         diff = 1.5 - math.sqrt(2.0)
         np.testing.assert_allclose(cert.lhs.data, [[diff]], atol=1e-10)
         assert cert.constant == pytest.approx(1.125, abs=1e-12)
@@ -274,16 +250,14 @@ class TestGruss:
 
     def test_same_matrix_zero_difference(self):
         a = random_spd(2, 1.0, 4.0, 41)
-        cert = check_gruss(
-            TRACE_HALF, GEOMETRIC, GEOMETRIC, SQRT, a, a, 1.0, 4.0, "monotone"
-        )
+        cert = certify("gruss-f", a, a, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC, sigma=GEOMETRIC,
+                       fn=SQRT)
         assert cert.holds
         assert float(np.max(np.abs(cert.lhs.data))) <= 1e-9
 
     def test_decreasing_family(self):
-        cert = check_gruss(
-            TRACE_HALF, GEOMETRIC, GEOMETRIC, INV, A14, A41, 1.0, 4.0, "decreasing"
-        )
+        cert = certify("gruss-g", A14, A41, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                       sigma=GEOMETRIC, fn=INV)
         assert cert.constant == pytest.approx((9.0 / 16.0) * 1.0, abs=1e-12)
         assert cert.holds
 
@@ -301,33 +275,33 @@ class TestGruss:
         assert difference == pytest.approx(10.0, abs=1e-10)
         assert difference > bound
         with pytest.raises(NotUnitalError):
-            check_gruss(ten_trace, GEOMETRIC, GEOMETRIC, IDENT, A14, A41, 1.0, 4.0, "monotone")
+            certify("gruss-f", A14, A41, 1.0, 4.0, phi=ten_trace, tau=GEOMETRIC, sigma=GEOMETRIC,
+                    fn=IDENT)
 
     def test_unital_map_passes_same_instance(self):
-        cert = check_gruss(
-            TRACE_HALF, GEOMETRIC, GEOMETRIC, IDENT, A14, A41, 1.0, 4.0, "monotone"
-        )
+        cert = certify("gruss-f", A14, A41, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                       sigma=GEOMETRIC, fn=IDENT)
         np.testing.assert_allclose(cert.lhs.data, [[0.5]], atol=1e-10)
         assert cert.constant == pytest.approx(2.25, abs=1e-12)
         assert cert.holds
 
     def test_family_class_mismatch(self):
         with pytest.raises(HypothesisError):
-            check_gruss(TRACE_HALF, GEOMETRIC, GEOMETRIC, INV, A14, A41, 1.0, 4.0, "monotone")
+            certify("gruss-f", A14, A41, 1.0, 4.0, phi=TRACE_HALF, tau=GEOMETRIC, sigma=GEOMETRIC,
+                    fn=INV)
 
     def test_cell_refusal_comes_before_the_unital_refusal(self):
         # a non-unital map on a pair outside its cell: the cell's check runs first
         ten_trace = MixtureMap((20.0,), (TRACE_HALF,))
         with pytest.raises(HypothesisError, match="^bound hypothesis fails for A") as info:
-            check_gruss(ten_trace, GEOMETRIC, GEOMETRIC, IDENT, A14, A41, 2.0, 4.0, "monotone")
+            certify("gruss-f", A14, A41, 2.0, 4.0, phi=ten_trace, tau=GEOMETRIC, sigma=GEOMETRIC,
+                    fn=IDENT)
         assert not isinstance(info.value, NotUnitalError)
 
 
 class TestNormRatioAudit:
     def test_eq15_commuting_hand_values(self):
-        cert = check_norm_ratio(
-            "eq15", GEOMETRIC, SQUARE_FN, A14, A41, m=1.0, M=4.0, norm=OPERATOR
-        )
+        cert = certify("norm-ratio-eq15", A14, A41, 1.0, 4.0, g=SQUARE_FN, norm=OPERATOR)
         assert cert.lhs == pytest.approx(2.0, abs=1e-10)
         assert cert.rhs == pytest.approx(6.25, abs=1e-10)
         assert cert.holds
@@ -335,47 +309,42 @@ class TestNormRatioAudit:
     def test_tau_side_pinned_violation(self):
         # audit regression: the arithmetic-mean numerator exceeds the stated
         # bound on this commuting instance; recorded, not raised
-        cert = check_norm_ratio(
-            "tau_side", ARITHMETIC, SQUARE_FN, A14, A41, s=0.25, t=4.0, norm=OPERATOR
-        )
+        cert = certify("norm-ratio-tau", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE_FN,
+                       norm=OPERATOR)
         assert cert.lhs == pytest.approx(3.4, abs=1e-10)
         assert cert.rhs == pytest.approx(3.125, abs=1e-10)
         assert not cert.holds
 
     def test_power4_same_instance_holds(self):
-        cert = check_norm_ratio(
-            "power4", ARITHMETIC, SQUARE_FN, A14, A41, s=0.25, t=4.0, norm=OPERATOR
-        )
+        cert = certify("norm-ratio-power4", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE_FN,
+                       norm=OPERATOR)
         assert cert.lhs == pytest.approx(3.4, abs=1e-10)
         assert cert.rhs == pytest.approx(1.5625**2 * 2.0, abs=1e-10)
         assert cert.holds
 
     def test_sharp_side_requires_dominated_kernel(self):
         with pytest.raises(HypothesisError):
-            check_norm_ratio(
-                "sharp_side", ARITHMETIC, SQUARE_FN, A14, A41, s=0.25, t=4.0
-            )
+            certify("norm-ratio-sharp", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE_FN,
+                    norm=OPERATOR)
 
     def test_tau_side_requires_dominating_kernel(self):
         with pytest.raises(HypothesisError):
-            check_norm_ratio(
-                "tau_side", HARMONIC, SQUARE_FN, A14, A41, s=0.25, t=4.0
-            )
+            certify("norm-ratio-tau", A14, A41, 0.25, 4.0, kernel=HARMONIC, g=SQUARE_FN,
+                    norm=OPERATOR)
 
     def test_function_class_gate(self):
         with pytest.raises(HypothesisError):
-            check_norm_ratio("eq15", GEOMETRIC, SQRT, A14, A41, m=1.0, M=4.0)
+            certify("norm-ratio-eq15", A14, A41, 1.0, 4.0, g=SQRT, norm=OPERATOR)
 
     def test_cell_refusal_comes_before_the_function_class_refusal(self):
         # sqrt is not convex, and the pair's tightest scalars [0.25, 4] leave [0.5, 2]
         with pytest.raises(HypothesisError, match="^sandwich hypothesis fails"):
-            check_norm_ratio("tau_side", ARITHMETIC, SQRT, A14, A41, s=0.5, t=2.0)
+            certify("norm-ratio-tau", A14, A41, 0.5, 2.0, kernel=ARITHMETIC, g=SQRT, norm=OPERATOR)
 
     def test_st_below_one_uses_alternate_constant(self):
-        pair = random_sandwich_pair(2, 0.5, 0.8, 77)
-        cert = check_norm_ratio(
-            "tau_side", ARITHMETIC, SQUARE_FN, pair.A, pair.B, s=0.5, t=0.8
-        )
+        pair = sandwich_pair(2, 0.5, 0.8, 77)
+        cert = certify("norm-ratio-tau", pair.A, pair.B, 0.5, 0.8, kernel=ARITHMETIC, g=SQUARE_FN,
+                       norm=OPERATOR)
         from loewner_lab import sandwich_constant
 
         assert cert.constant == pytest.approx(sandwich_constant(0.5, 0.8), rel=1e-14)
@@ -383,12 +352,12 @@ class TestNormRatioAudit:
 
 class TestSquared:
     def test_trivial_identity_case(self):
-        cert = check_squared(SymMatrix.identity(2), SymMatrix.diagonal([1.0, 2.0]), 1.0, 1.0)
+        cert = certify("squared", SymMatrix.identity(2), SymMatrix(np.diag([1.0, 2.0])), 1.0, 1.0)
         assert cert.constant == pytest.approx(1.0)
         assert cert.holds
 
     def test_diagonal_hand_values(self):
-        cert = check_squared(A14, SymMatrix.diagonal([2.0, 5.0]), 1.0, 4.0)
+        cert = certify("squared", A14, SymMatrix(np.diag([2.0, 5.0])), 1.0, 4.0)
         np.testing.assert_allclose(cert.lhs.data, np.diag([1.0, 16.0]), atol=1e-12)
         np.testing.assert_allclose(
             cert.rhs.data, (25.0 / 16.0) * np.diag([4.0, 25.0]), atol=1e-10
@@ -397,10 +366,11 @@ class TestSquared:
 
     def test_order_hypothesis_refused(self):
         with pytest.raises(HypothesisError):
-            check_squared(SymMatrix.diagonal([2.0, 2.0]), SymMatrix.diagonal([1.0, 3.0]), 1.0, 2.0)
+            certify("squared", SymMatrix(np.diag([2.0, 2.0])), SymMatrix(np.diag([1.0, 3.0])), 1.0,
+                    2.0)
 
     def test_consequence_monotone_commuting(self):
-        cert = check_squared_consequences(SQRT, A14, A41, 1.0, 4.0)
+        cert = certify("squared-consequence-f", A14, A41, 1.0, 4.0, f=SQRT)
         np.testing.assert_allclose(cert.lhs.data, np.diag([2.0, 2.0]), atol=1e-10)
         np.testing.assert_allclose(
             cert.rhs.data, (25.0 / 16.0) ** 2 * np.diag([2.0, 2.0]), atol=1e-9
@@ -409,14 +379,14 @@ class TestSquared:
 
     def test_consequence_decreasing_random(self):
         for seed in range(5):
-            pair = random_bounded_pair(3, 1.0, 4.0, derive_seed(700, seed))
-            cert = check_squared_consequences(INV, pair.A, pair.B, 1.0, 4.0)
+            pair = bounded_pair(3, 1.0, 4.0, derive_seed(700, seed))
+            cert = certify("squared-consequence-g", pair.A, pair.B, 1.0, 4.0, g=INV)
             assert cert.holds
 
 
 class TestMidpoint:
     def test_equality_witness(self):
-        cert = check_midpoint(A14, A41, 0.25, 4.0)
+        cert = certify("midpoint", A14, A41, 0.25, 4.0)
         np.testing.assert_allclose(cert.lhs.data, np.diag([2.5, 2.5]), atol=1e-12)
         np.testing.assert_allclose(cert.rhs.data, np.diag([2.5, 2.5]), atol=1e-10)
         assert abs(cert.slack) <= 1e-10
@@ -427,28 +397,27 @@ class TestMidpoint:
         with pytest.raises(HypothesisError) as generator:
             SandwichPair(A14, A41, 0.5, 2.0).verify()
         with pytest.raises(HypothesisError) as certificate:
-            check_midpoint(A14, A41, 0.5, 2.0)
+            certify("midpoint", A14, A41, 0.5, 2.0)
         assert str(certificate.value) == str(generator.value)
         assert str(generator.value).startswith("sandwich hypothesis fails: tightest [0.25, 4]")
 
     def test_degenerate(self):
         a = random_spd(3, 0.5, 2.0, 51)
-        cert = check_midpoint(a, a, 1.0, 1.0)
+        cert = certify("midpoint", a, a, 1.0, 1.0)
         assert abs(cert.slack) <= 1e-9 * max(1.0, op_norm(a))
         assert cert.holds
 
     def test_random_pairs(self):
         for seed in range(10):
             s, t = (0.5, 3.0) if seed % 2 else (0.3, 0.9)
-            pair = random_sandwich_pair(3, s, t, derive_seed(800, seed))
-            assert check_midpoint(pair.A, pair.B, s, t).holds
+            pair = sandwich_pair(3, s, t, derive_seed(800, seed))
+            assert certify("midpoint", pair.A, pair.B, s, t).holds
 
 
 class TestDiazMetcalf:
     def test_commuting_hand_values(self):
-        cert = check_diaz_metcalf(
-            IdentityMap(2), GEOMETRIC, GEOMETRIC, IDENT, A14, A41, 0.25, 4.0
-        )
+        cert = certify("diaz-metcalf", A14, A41, 0.25, 4.0, phi=IdentityMap(2), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=IDENT)
         np.testing.assert_allclose(cert.lhs.data, np.diag([2.0, 2.0]), atol=1e-10)
         assert cert.constant == pytest.approx(1.5625, abs=1e-14)
         assert cert.slack == pytest.approx(1.125, abs=1e-9)
@@ -456,19 +425,17 @@ class TestDiazMetcalf:
 
     def test_degenerate_equality(self):
         a = random_spd(2, 0.5, 2.0, 61)
-        cert = check_diaz_metcalf(
-            IdentityMap(2), ARITHMETIC, GEOMETRIC, IDENT, a, a, 1.0, 1.0
-        )
+        cert = certify("diaz-metcalf", a, a, 1.0, 1.0, phi=IdentityMap(2), tau=ARITHMETIC,
+                       sigma=GEOMETRIC, f=IDENT)
         assert cert.constant == pytest.approx(1.0)
         assert abs(cert.slack) <= 1e-9 * max(1.0, op_norm(a))
 
     def test_branch_on_root_st(self):
         # the branch variable is sqrt(st), not st
         s, t = 0.25, 2.0  # st = 0.5 < 1
-        pair = random_sandwich_pair(2, s, t, 71)
-        cert = check_diaz_metcalf(
-            IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, s, t
-        )
+        pair = sandwich_pair(2, s, t, 71)
+        cert = certify("diaz-metcalf", pair.A, pair.B, s, t, phi=IdentityMap(2), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=SQRT)
         expected = (math.sqrt(s) + math.sqrt(t)) ** 2 / (4.0 * math.sqrt(s * t))
         assert cert.constant == pytest.approx(expected, rel=1e-14)
         assert cert.holds
@@ -476,16 +443,16 @@ class TestDiazMetcalf:
 
 class TestKlamkinMcLenaghan:
     def test_commuting_hand_values(self):
-        cert = check_klamkin_mclenaghan(
-            IdentityMap(2), GEOMETRIC, IDENT, A14, A41, 0.25, 4.0
-        )
+        cert = certify("klamkin-mclenaghan", A14, A41, 0.25, 4.0, phi=IdentityMap(2),
+                       sigma=GEOMETRIC, f=IDENT)
         np.testing.assert_allclose(cert.lhs.data, np.zeros((2, 2)), atol=1e-10)
         np.testing.assert_allclose(cert.rhs.data, 0.625 * np.eye(2), atol=1e-10)
         assert cert.holds
 
     def test_degenerate_double_zero(self):
         a = random_spd(2, 0.5, 2.0, 81)
-        cert = check_klamkin_mclenaghan(IdentityMap(2), GEOMETRIC, IDENT, a, a, 1.0, 1.0)
+        cert = certify("klamkin-mclenaghan", a, a, 1.0, 1.0, phi=IdentityMap(2), sigma=GEOMETRIC,
+                       f=IDENT)
         assert float(np.max(np.abs(cert.lhs.data))) <= 1e-9
         assert float(np.max(np.abs(cert.rhs.data))) <= 1e-9
         assert cert.holds
@@ -506,64 +473,61 @@ class TestKlamkinMcLenaghan:
 
     def test_random_pairs_both_branches(self):
         for seed, (s, t) in enumerate([(0.5, 0.9), (1.2, 3.0), (0.25, 4.0)]):
-            pair = random_sandwich_pair(3, s, t, derive_seed(1000, seed))
-            cert = check_klamkin_mclenaghan(
-                IdentityMap(3), GEOMETRIC, SQRT, pair.A, pair.B, s, t
-            )
+            pair = sandwich_pair(3, s, t, derive_seed(1000, seed))
+            cert = certify("klamkin-mclenaghan", pair.A, pair.B, s, t, phi=IdentityMap(3),
+                           sigma=GEOMETRIC, f=SQRT)
             assert cert.holds
 
 
 class TestSpechtBound:
     def test_hand_value(self):
-        cert = check_specht_bound(1.0, 4.0)
+        cert = certify("specht-bound", None, None, 1.0, 4.0)
         assert cert.lhs == pytest.approx(2.5)
         assert cert.rhs == pytest.approx(2.0 * specht_ratio(4.0), rel=1e-12)
         assert cert.rhs == pytest.approx(2.5274814424316223, rel=1e-12)
         assert cert.holds
 
     def test_degenerate_equality(self):
-        cert = check_specht_bound(3.0, 3.0)
+        cert = certify("specht-bound", None, None, 3.0, 3.0)
         assert cert.slack == pytest.approx(0.0, abs=1e-12)
         assert cert.holds
 
     def test_grid_sweep(self):
         for ratio in np.geomspace(1.01, 100.0, 50):
-            assert check_specht_bound(1.0, float(ratio)).holds
+            assert certify("specht-bound", None, None, 1.0, float(ratio)).holds
 
 
 class TestStrengthenedRemark:
     def test_st_equal_one_first_link_equality(self):
-        pair = random_sandwich_pair(2, 0.5, 2.0, 91)
-        cert = check_strengthened_remark(
-            IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, 0.5, 2.0
-        )
+        pair = sandwich_pair(2, 0.5, 2.0, 91)
+        cert = certify("strengthened-remark", pair.A, pair.B, 0.5, 2.0, phi=IdentityMap(2),
+                       tau=GEOMETRIC, sigma=GEOMETRIC, f=SQRT)
         assert cert.holds
         assert abs(cert.params["slack_link1"]) <= 1e-9 * max(1.0, op_norm(pair.A))
 
     def test_randomized_st_above_one(self):
         for seed in range(5):
-            pair = random_sandwich_pair(3, 1.0, 4.0, derive_seed(1100, seed))
-            cert = check_strengthened_remark(
-                IdentityMap(3), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, 1.0, 4.0
-            )
+            pair = sandwich_pair(3, 1.0, 4.0, derive_seed(1100, seed))
+            cert = certify("strengthened-remark", pair.A, pair.B, 1.0, 4.0, phi=IdentityMap(3),
+                           tau=GEOMETRIC, sigma=GEOMETRIC, f=SQRT)
             assert cert.holds
 
     def test_refused_below_one(self):
-        pair = random_sandwich_pair(2, 0.25, 0.9, 95)
+        pair = sandwich_pair(2, 0.25, 0.9, 95)
         with pytest.raises(HypothesisError):
-            check_strengthened_remark(
-                IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, 0.25, 0.9
-            )
+            certify("strengthened-remark", pair.A, pair.B, 0.25, 0.9, phi=IdentityMap(2),
+                    tau=GEOMETRIC, sigma=GEOMETRIC, f=SQRT)
 
     def test_negative_s_is_refused_by_the_ordering_rule(self):
         # the ordering rule runs before sqrt(s*t), which a negative s*t would not reach
         with pytest.raises(HypothesisError) as info:
-            check_strengthened_remark(IdentityMap(2), GEOMETRIC, GEOMETRIC, SQRT, A14, A41, -1, 2)
+            certify("strengthened-remark", A14, A41, -1, 2, phi=IdentityMap(2), tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=SQRT)
         assert str(info.value) == "need 0 < s <= t, got s=-1, t=2"
 
     def test_monotone_link_on_spectra(self):
         # f increasing and sqrt(st) >= 1 push f(sqrt(st) A) above f(A)
-        pair = random_sandwich_pair(3, 1.0, 4.0, 97)
+        pair = sandwich_pair(3, 1.0, 4.0, 97)
         scaled = matrix_function(2.0 * pair.A, math.sqrt)
         base = matrix_function(pair.A, math.sqrt)
         assert loewner_slack(base, scaled) >= -1e-10
@@ -571,19 +535,18 @@ class TestStrengthenedRemark:
 
 class TestCertificateInvariants:
     def test_scale_invariance_of_identity_function_checks(self):
-        pair = random_sandwich_pair(3, 0.5, 3.0, 101)
+        pair = sandwich_pair(3, 0.5, 3.0, 101)
         s_star, t_star = estimate_sandwich(pair.A, pair.B)
         for c in (0.125, 8.0):
             ca, cb = c * pair.A, c * pair.B
             ss, ts = estimate_sandwich(ca, cb)
             assert ss == pytest.approx(s_star, rel=1e-9)
             assert ts == pytest.approx(t_star, rel=1e-9)
-            assert check_midpoint(ca, cb, 0.5, 3.0).holds
-            low, up = check_sandwich_lemma(ca, cb, 0.5, 3.0)
+            assert certify("midpoint", ca, cb, 0.5, 3.0).holds
+            low, up = certify("sandwich-lemma", ca, cb, 0.5, 3.0)
             assert low.holds and up.holds
-            assert check_diaz_metcalf(
-                IdentityMap(3), GEOMETRIC, GEOMETRIC, IDENT, ca, cb, 0.5, 3.0
-            ).holds
+            assert certify("diaz-metcalf", ca, cb, 0.5, 3.0, phi=IdentityMap(3), tau=GEOMETRIC,
+                           sigma=GEOMETRIC, f=IDENT).holds
 
     def test_specialization_coherence_with_two_sided_constant(self):
         from loewner_lab import sandwich_constant
@@ -598,39 +561,44 @@ class TestCertificateInvariants:
 
     def test_main_monotone_specializes_to_kantorovich_form(self):
         m, M = 1.0, 4.0
-        pair = random_bounded_pair(3, m, M, 303)
-        main = check_main_monotone(
-            IdentityMap(3), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, m / M, M / m
-        )
-        kant = check_kantorovich_f(
-            IdentityMap(3), GEOMETRIC, GEOMETRIC, SQRT, pair.A, pair.B, m, M
-        )
+        pair = bounded_pair(3, m, M, 303)
+        main = certify("main-monotone", pair.A, pair.B, m / M, M / m, phi=IdentityMap(3),
+                       tau=GEOMETRIC, sigma=GEOMETRIC, f=SQRT)
+        kant = certify("kantorovich-f", pair.A, pair.B, m, M, phi=IdentityMap(3), tau=GEOMETRIC,
+                       sigma=GEOMETRIC, f=SQRT)
         assert main.constant == pytest.approx(kant.constant, rel=1e-14)
         assert main.holds and kant.holds
 
     def test_positive_verdicts_agree_with_quadratic_oracle(self):
         # a held operator certificate can never be refuted by sampled
         # quadratic forms (dims <= 4)
-        sand = random_sandwich_pair(4, 0.5, 3.0, 404)
-        bound = random_bounded_pair(4, 1.0, 4.0, 405)
-        upper = random_sandwich_pair(4, 1.0, 3.0, 408)
+        sand = sandwich_pair(4, 0.5, 3.0, 404)
+        bound = bounded_pair(4, 1.0, 4.0, 405)
+        upper = sandwich_pair(4, 1.0, 3.0, 408)
         phi = IdentityMap(4)
         a_sq = random_spd(4, 1.0, 3.0, 406)
         b_sq = a_sq + random_spd(4, 0.1, 1.0, 407)
         certs = [
-            check_midpoint(sand.A, sand.B, 0.5, 3.0),
-            check_sandwich_lemma(sand.A, sand.B, 0.5, 3.0)[0],
-            check_sandwich_lemma(sand.A, sand.B, 0.5, 3.0)[1],
-            check_main_monotone(phi, GEOMETRIC, GEOMETRIC, SQRT, sand.A, sand.B, 0.5, 3.0),
-            check_main_decreasing(phi, GEOMETRIC, GEOMETRIC, INV, sand.A, sand.B, 0.5, 3.0),
-            check_diaz_metcalf(phi, GEOMETRIC, GEOMETRIC, SQRT, sand.A, sand.B, 0.5, 3.0),
-            check_klamkin_mclenaghan(phi, GEOMETRIC, SQRT, sand.A, sand.B, 0.5, 3.0),
-            check_strengthened_remark(phi, GEOMETRIC, GEOMETRIC, SQRT, upper.A, upper.B, 1.0, 3.0),
-            check_polya_szego(phi, bound.A, bound.B, 1.0, 4.0),
-            check_kantorovich_f(phi, GEOMETRIC, GEOMETRIC, SQRT, bound.A, bound.B, 1.0, 4.0),
-            check_gruss(phi, GEOMETRIC, GEOMETRIC, SQRT, bound.A, bound.B, 1.0, 4.0, "monotone"),
-            check_squared(a_sq, b_sq, 1.0, 3.0),
-            check_squared_consequences(SQRT, bound.A, bound.B, 1.0, 4.0),
+            certify("midpoint", sand.A, sand.B, 0.5, 3.0),
+            certify("sandwich-lemma", sand.A, sand.B, 0.5, 3.0)[0],
+            certify("sandwich-lemma", sand.A, sand.B, 0.5, 3.0)[1],
+            certify("main-monotone", sand.A, sand.B, 0.5, 3.0, phi=phi, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=SQRT),
+            certify("main-decreasing", sand.A, sand.B, 0.5, 3.0, phi=phi, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, g=INV),
+            certify("diaz-metcalf", sand.A, sand.B, 0.5, 3.0, phi=phi, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=SQRT),
+            certify("klamkin-mclenaghan", sand.A, sand.B, 0.5, 3.0, phi=phi, sigma=GEOMETRIC,
+                    f=SQRT),
+            certify("strengthened-remark", upper.A, upper.B, 1.0, 3.0, phi=phi, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=SQRT),
+            certify("polya-szego", bound.A, bound.B, 1.0, 4.0, phi=phi),
+            certify("kantorovich-f", bound.A, bound.B, 1.0, 4.0, phi=phi, tau=GEOMETRIC,
+                    sigma=GEOMETRIC, f=SQRT),
+            certify("gruss-f", bound.A, bound.B, 1.0, 4.0, phi=phi, tau=GEOMETRIC, sigma=GEOMETRIC,
+                    fn=SQRT),
+            certify("squared", a_sq, b_sq, 1.0, 3.0),
+            certify("squared-consequence-f", bound.A, bound.B, 1.0, 4.0, f=SQRT),
         ]
         for i, cert in enumerate(certs):
             assert cert.holds, cert.inequality_id
@@ -639,13 +607,13 @@ class TestCertificateInvariants:
             )
 
     def test_certificate_serialization_fields(self):
-        cert = check_specht_bound(1.0, 4.0)
+        cert = certify("specht-bound", None, None, 1.0, 4.0)
         blob = cert.to_json()
         assert set(blob) == {
             "inequality_id", "params", "lhs", "rhs", "constant",
             "slack", "ratio", "holds", "tol",
         }
-        mat_cert = check_midpoint(A14, A41, 0.25, 4.0)
+        mat_cert = certify("midpoint", A14, A41, 0.25, 4.0)
         blob = mat_cert.to_json()
         assert blob["lhs"]["dim"] == 2
         assert len(blob["lhs"]["data"]) == 4

@@ -10,15 +10,13 @@ from loewner_lab import (
     SymMatrix,
     estimate_sandwich,
     loewner_compare,
-    quadratic_form_slack,
-    random_bounded_pair,
     random_orthogonal,
-    random_sandwich_pair,
     random_spd,
     spectrum_bounds,
 )
 from loewner_lab.generate import derive_seed, fnv1a64, mix64
 from loewner_lab.spectral import LOEWNER_TOL_REL, op_norm
+from oracles import bounded_pair, quadratic_form_slack, sandwich_pair
 
 
 def _check_cell(cell, A, B, cells):
@@ -109,28 +107,24 @@ class TestRandomSpd:
 
 class TestSandwichPair:
     def test_degenerate_s_equals_t_forces_b_equals_a(self):
-        pair = random_sandwich_pair(3, 1.0, 1.0, 7)
+        pair = sandwich_pair(3, 1.0, 1.0, 7)
         scale = op_norm(pair.A)
         assert op_norm(pair.B - pair.A) <= 1e-12 * max(1.0, scale)
 
     def test_scaled_copy(self):
-        pair = random_sandwich_pair(3, 2.0, 2.0, 7)
+        pair = sandwich_pair(3, 2.0, 2.0, 7)
         assert op_norm(pair.B - 2.0 * pair.A) <= 1e-11 * max(1.0, op_norm(pair.B))
 
     def test_estimates_inside_claimed_interval(self):
         for seed in range(20):
-            pair = random_sandwich_pair(2, 0.25, 4.0, seed)
+            pair = sandwich_pair(2, 0.25, 4.0, seed)
             s_star, t_star = estimate_sandwich(pair.A, pair.B)
             assert s_star >= 0.25 - 1e-9
             assert t_star <= 4.0 + 1e-9
 
-    def test_rejects_bad_scalars(self):
-        with pytest.raises(ValueError):
-            random_sandwich_pair(2, 4.0, 0.25, 0)
-
     def test_loewner_certified(self):
         for seed in range(5):
-            pair = random_sandwich_pair(3, 0.5, 3.0, seed)
+            pair = sandwich_pair(3, 0.5, 3.0, seed)
             assert loewner_compare(0.5 * pair.A, pair.B).relation in ("LE", "EQ")
             assert loewner_compare(pair.B, 3.0 * pair.A).relation in ("LE", "EQ")
 
@@ -138,7 +132,7 @@ class TestSandwichPair:
 class TestBoundedPair:
     def test_spectra_within_bounds(self):
         for seed in range(10):
-            pair = random_bounded_pair(2, 1.0, 4.0, seed)
+            pair = bounded_pair(2, 1.0, 4.0, seed)
             for x in (pair.A, pair.B):
                 lo, hi = spectrum_bounds(x)
                 assert lo >= 1.0 - 1e-12
@@ -146,32 +140,26 @@ class TestBoundedPair:
 
     def test_loewner_bounds(self):
         for seed in range(5):
-            pair = random_bounded_pair(3, 0.5, 2.0, seed)
+            pair = bounded_pair(3, 0.5, 2.0, seed)
             eye = SymMatrix.identity(3)
             for x in (pair.A, pair.B):
                 assert loewner_compare(0.5 * eye, x, 1e-9).relation in ("LE", "EQ")
                 assert loewner_compare(x, 2.0 * eye, 1e-9).relation in ("LE", "EQ")
 
     def test_near_degenerate_spread(self):
-        pair = random_bounded_pair(3, 1.0, 1.0 + 1e-9, 3)
+        pair = bounded_pair(3, 1.0, 1.0 + 1e-9, 3)
         assert op_norm(pair.A - SymMatrix.identity(3)) <= 1e-8
 
     def test_determinism(self):
-        a = random_bounded_pair(3, 1.0, 4.0, 5)
-        b = random_bounded_pair(3, 1.0, 4.0, 5)
+        a = bounded_pair(3, 1.0, 4.0, 5)
+        b = bounded_pair(3, 1.0, 4.0, 5)
         assert np.array_equal(a.A.data, b.A.data)
         assert np.array_equal(a.B.data, b.B.data)
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            random_bounded_pair(2, 4.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            random_bounded_pair(2, 1.0, 1.0, 0)
 
     def test_bridge_to_sandwich_condition(self):
         # two-sided bounds (m, M) imply the sandwich scalars (m/M, M/m)
         for seed in range(10):
-            pair = random_bounded_pair(3, 1.0, 4.0, seed)
+            pair = bounded_pair(3, 1.0, 4.0, seed)
             s_star, t_star = estimate_sandwich(pair.A, pair.B)
             assert s_star >= 0.25 - 1e-9
             assert t_star <= 4.0 + 1e-9
@@ -179,7 +167,7 @@ class TestBoundedPair:
 
 class TestEstimateSandwich:
     def test_commuting_hand_values(self):
-        s, t = estimate_sandwich(SymMatrix.diagonal([1.0, 4.0]), SymMatrix.diagonal([4.0, 1.0]))
+        s, t = estimate_sandwich(SymMatrix(np.diag([1.0, 4.0])), SymMatrix(np.diag([4.0, 1.0])))
         assert s == pytest.approx(0.25, abs=1e-12)
         assert t == pytest.approx(4.0, abs=1e-12)
 
@@ -190,7 +178,7 @@ class TestEstimateSandwich:
         assert t == pytest.approx(1.0, abs=1e-10)
 
     def test_memo_matches_a_fresh_computation(self, monkeypatch):
-        pair = random_sandwich_pair(4, 0.5, 3.0, 31)  # verify() fills the memo
+        pair = sandwich_pair(4, 0.5, 3.0, 31)  # verify() fills the memo
         calls = []
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))

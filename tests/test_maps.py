@@ -13,21 +13,24 @@ from loewner_lab import (
     PinchingMap,
     SplitMix64,
     SymMatrix,
-    ando_check,
-    apply_map,
     check_unital,
     kernel_catalog,
-    map_catalog,
     parse_map,
 )
+from loewner_lab.certificates import ROWS, check_stack
 from loewner_lab.cli import main as cli_main
 from loewner_lab.generate import derive_seed, _spd
-from loewner_lab.maps import apply_each
+from loewner_lab.maps import DEFAULT_MAP_SPECS, apply_each
 from loewner_lab.kernels import GEOMETRIC
 from loewner_lab.spectral import SymStack, op_norm
+from oracles import certify
 
-A14 = SymMatrix.diagonal([1.0, 4.0])
-A41 = SymMatrix.diagonal([4.0, 1.0])
+A14 = SymMatrix(np.diag([1.0, 4.0]))
+A41 = SymMatrix(np.diag([4.0, 1.0]))
+
+
+def _default_maps(dim, rng):
+    return [parse_map(spec, dim, rng) for spec in DEFAULT_MAP_SPECS]
 
 
 def psd(dim, seed):
@@ -39,54 +42,54 @@ def psd(dim, seed):
 class TestApply:
     def test_identity(self):
         x = psd(3, 1)
-        np.testing.assert_allclose(apply_map(IdentityMap(3), x).data, x.data)
+        np.testing.assert_allclose(IdentityMap(3).apply(x).data, x.data)
 
     def test_normalized_trace_scalar_output(self):
-        out = apply_map(NormalizedTraceMap(2, 1), A14)
+        out = NormalizedTraceMap(2, 1).apply(A14)
         np.testing.assert_allclose(out.data, [[2.5]])
 
     def test_congruence_projects_entry(self):
-        out = apply_map(CongruenceMap(np.array([[1.0], [0.0]])), A14)
+        out = CongruenceMap(np.array([[1.0], [0.0]])).apply(A14)
         np.testing.assert_allclose(out.data, [[1.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            apply_map(IdentityMap(3), A14)
+            IdentityMap(3).apply(A14)
 
     def test_pinching_zeroes_cross_blocks(self):
         x = SymMatrix([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        out = apply_map(PinchingMap(((0, 1), (2,))), x)
+        out = PinchingMap(((0, 1), (2,))).apply(x)
         expected = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 6.0]])
         np.testing.assert_allclose(out.data, expected)
 
     def test_kraus_sum(self):
         v1 = np.eye(2)
         v2 = 2.0 * np.eye(2)
-        out = apply_map(KrausSumMap((v1, v2)), A14)
+        out = KrausSumMap((v1, v2)).apply(A14)
         np.testing.assert_allclose(out.data, 5.0 * A14.data)
 
     def test_mixture(self):
         phi = MixtureMap((0.5, 2.0), (IdentityMap(2), IdentityMap(2)))
-        np.testing.assert_allclose(apply_map(phi, A14).data, 2.5 * A14.data)
+        np.testing.assert_allclose(phi.apply(A14).data, 2.5 * A14.data)
 
     def test_linearity(self):
         rng = SplitMix64(3)
-        pool = map_catalog(3, rng)
+        pool = _default_maps(3, rng)
         for phi in pool:
             x = psd(3, derive_seed(10, 1))
             y = psd(3, derive_seed(10, 2))
-            combo = apply_map(phi, SymMatrix(2.0 * x.data - 0.7 * y.data))
-            parts = 2.0 * apply_map(phi, x) - 0.7 * apply_map(phi, y)
+            combo = phi.apply(SymMatrix(2.0 * x.data - 0.7 * y.data))
+            parts = 2.0 * phi.apply(x) - 0.7 * phi.apply(y)
             scale = max(1.0, op_norm(combo))
             assert np.linalg.norm((combo - parts).data) <= 1e-10 * scale, phi.label
 
     def test_positivity_on_random_psd(self):
         rng = SplitMix64(4)
-        pool = map_catalog(3, rng)
+        pool = _default_maps(3, rng)
         for phi in pool:
             for seed in range(200):
                 x = psd(3, derive_seed(20, seed))
-                image = apply_map(phi, x)
+                image = phi.apply(x)
                 lo = float(np.linalg.eigvalsh(image.data)[0])
                 assert lo >= -1e-10 * max(1.0, op_norm(image)), phi.label
 
@@ -148,7 +151,7 @@ class TestUnitality:
 
     def test_catalog_flags(self):
         rng = SplitMix64(5)
-        flags = {phi.label: check_unital(phi).is_unital for phi in map_catalog(3, rng)}
+        flags = {phi.label: check_unital(phi).is_unital for phi in _default_maps(3, rng)}
         assert flags["identity"]
         assert flags["ntrace:1"]
         assert flags["ntrace:3"]
@@ -158,19 +161,19 @@ class TestUnitality:
 class TestAndoCheck:
     def test_identity_map_equality(self):
         a, b = psd(3, 31) + SymMatrix.identity(3), psd(3, 32) + SymMatrix.identity(3)
-        cert = ando_check(IdentityMap(3), GEOMETRIC, a, b)
+        cert = certify("ando", a, b, phi=IdentityMap(3), sigma=GEOMETRIC)
         assert cert.holds
         assert abs(cert.slack) <= 1e-10 * max(1.0, op_norm(a) + op_norm(b))
 
     def test_trace_map_hand_values(self):
-        cert = ando_check(NormalizedTraceMap(2, 1), GEOMETRIC, A14, A41)
+        cert = certify("ando", A14, A41, phi=NormalizedTraceMap(2, 1), sigma=GEOMETRIC)
         np.testing.assert_allclose(cert.lhs.data, [[2.0]], atol=1e-12)
         np.testing.assert_allclose(cert.rhs.data, [[2.5]], atol=1e-12)
         assert cert.holds
 
     def test_pinching_fixes_diagonal_instances(self):
         phi = PinchingMap(((0,), (1,)))
-        cert = ando_check(phi, GEOMETRIC, A14, A41)
+        cert = certify("ando", A14, A41, phi=phi, sigma=GEOMETRIC)
         assert cert.holds
         assert abs(cert.slack) <= 1e-10
 
@@ -178,18 +181,19 @@ class TestAndoCheck:
         # 200 random PD pairs per (map, kernel) combination, as one stack each
         dim = 3
         rng = SplitMix64(derive_seed(77, dim))
-        pool = map_catalog(dim, rng)
+        pool = _default_maps(dim, rng)
         pair_rng = SplitMix64(derive_seed(88, dim))
         pairs = [
             (_spd([pair_rng], dim, 0.25, 4.0).matrices()[0],
              _spd([pair_rng], dim, 0.25, 4.0).matrices()[0])
             for _ in range(200)
         ]
-        A, B = (SymStack.of(mats) for mats in zip(*pairs))
+        A, B = (SymStack(np.stack([m.data for m in mats])) for mats in zip(*pairs))
         for phi in pool:
             for kernel in kernel_catalog():
-                certs = ando_check(phi, [kernel] * len(pairs), A, B)
-                failing = [idx for idx, cert in enumerate(certs) if not cert.holds]
+                result = check_stack(ROWS["ando"], A, B, [()] * len(pairs),
+                                     {"phi": [phi] * len(pairs), "sigma": [kernel] * len(pairs)})
+                failing = [idx for idx, holds in enumerate(result.holds) if not holds]
                 assert failing == [], (phi.label, kernel.id, failing)
 
 
@@ -203,7 +207,7 @@ class TestParseMap:
         assert parse_map("congruence:random:3x2", 3, rng).output_dim == 2
         assert parse_map("kraus:2", 3, rng).label == "kraus:2"
         mixed = parse_map("mix:20@ntrace:1", 2, rng)
-        np.testing.assert_allclose(apply_map(mixed, A14).data, [[50.0]])
+        np.testing.assert_allclose(mixed.apply(A14).data, [[50.0]])
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -67,8 +67,9 @@ def _instance_matrices(cell, inst):
 
 
 def _reference_stacks(cell, insts, bounds):
-    A, B = zip(*(_instance_matrices(cell, inst) for inst in insts))
-    return SymStack.of(A), SymStack.of(B), [bounds] * len(insts)
+    pairs = [_instance_matrices(cell, inst) for inst in insts]
+    A, B = (SymStack(np.stack([X.data for X in Xs])) for Xs in zip(*pairs))
+    return A, B, [bounds] * len(insts)
 
 
 def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds):

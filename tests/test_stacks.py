@@ -20,20 +20,20 @@ from loewner_lab.certificates import (
     SPECHT,
     Certificate,
     _norm_ratio_diag,
-    check_alpha_scaling,
 )
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import collect_violations, load_report
 from loewner_lab.errors import EigenSolverError, LoewnerLabError
 from loewner_lab.generate import derive_seed, fnv1a64, random_spd
 from loewner_lab.kernels import (
+    DEFAULT_DECREASING_SPECS,
     GEOMETRIC,
     OPERATOR_MONOTONE,
-    decreasing_catalog,
     default_grid,
     monotone_catalog,
+    parse_function,
 )
-from loewner_lab.maps import map_catalog
+from loewner_lab.maps import DEFAULT_MAP_SPECS, parse_map
 from loewner_lab.spectral import (
     DEFAULT_NORM_SPECS,
     SymStack,
@@ -46,6 +46,7 @@ from loewner_lab.spectral import (
     ui_norm,
 )
 from loewner_lab.suite import SuiteConfig
+from oracles import certify
 
 MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell not in (ALPHA, SPECHT)]
 PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell.probe is not None]
@@ -245,7 +246,7 @@ def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
 def test_stacked_spectral_layer_matches_single_matrices():
     mats = [random_spd(dim, 0.5, 3.0, derive_seed(3, k)) for k, dim in enumerate([4] * 7)]
     others = [random_spd(4, 0.5, 3.0, derive_seed(4, k)) for k in range(7)]
-    A, B = SymStack.of(mats), SymStack.of(others)
+    A, B = (SymStack(np.stack([X.data for X in Xs])) for Xs in (mats, others))
     # mapped functions, numpy twins, and functions that some slices share
     fns = [math.sqrt, math.log1p, lambda x: 1.0 / x, math.sqrt, lambda x: x * x, GEOMETRIC.fn,
            GEOMETRIC.fn]
@@ -269,7 +270,8 @@ def test_stacked_spectral_layer_matches_single_matrices():
         }
         for name, value in single.items():
             assert np.asarray(stacked[name][k]).tobytes() == np.asarray(value).tobytes(), name
-    for phi in map_catalog(4, SplitMix64(1)):
+    rng = SplitMix64(1)
+    for phi in [parse_map(spec, 4, rng) for spec in DEFAULT_MAP_SPECS]:
         image = phi.apply(A)
         for k, X in enumerate(mats):
             assert image.data[k].tobytes() == phi.apply(X).data.tobytes(), phi.label
@@ -290,8 +292,11 @@ def test_stacked_spectral_layer_matches_single_matrices():
     assert [np.asarray(x).tobytes() for x in single] == [y[0].tobytes() for y in stacked]
 
 
+_SCALING_FNS = monotone_catalog() + tuple(map(parse_function, DEFAULT_DECREASING_SPECS))
+
+
 def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):
-    """check_alpha_scaling as a loop over the grid, one point at a time."""
+    """The alpha-scaling certificate as a loop over the grid, one point at a time."""
     points = default_grid() if grid is None else tuple(grid)
     worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
     for x in points:
@@ -313,8 +318,9 @@ def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(1.0, 8.0), multiplier=st.sampled_from([1.0, 0.9, 0.5]))
 def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
-    for fn in monotone_catalog() + decreasing_catalog():
-        got = check_alpha_scaling(fn, alpha, constant_multiplier=multiplier).to_json()
+    for fn in _SCALING_FNS:
+        got = certify("alpha-scaling", None, None, alpha, f=fn,
+                      constant_multiplier=multiplier).to_json()
         assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
 
 
@@ -323,8 +329,9 @@ def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
        grid=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
 def test_alpha_scaling_on_an_explicit_grid_matches_the_grid_loop(alpha, multiplier, grid):
     # a grid may repeat points; both function classes are covered
-    for fn in monotone_catalog() + decreasing_catalog():
-        got = check_alpha_scaling(fn, alpha, grid, constant_multiplier=multiplier).to_json()
+    for fn in _SCALING_FNS:
+        got = certify("alpha-scaling", None, None, alpha, f=fn, grid=grid,
+                      constant_multiplier=multiplier).to_json()
         assert got == _alpha_scaling_reference(fn, alpha, multiplier, grid), fn.id
 
 

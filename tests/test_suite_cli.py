@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loewner_lab import (
-    SymMatrix,
-    load_matrix,
-    load_report,
-    save_matrix,
-    write_report,
-)
+from loewner_lab import load_report, write_report
 from loewner_lab import certificates, suite
 from loewner_lab.certificates import (
     ALL_INEQUALITIES,
@@ -22,7 +16,7 @@ from loewner_lab.certificates import (
     ROWS,
 )
 from loewner_lab.errors import ConditionCapError, EigenSolverError, HypothesisError
-from loewner_lab.generate import derive_seed, fnv1a64, random_bounded_pair
+from loewner_lab.generate import derive_seed, fnv1a64
 from loewner_lab.cli import main as cli_main
 from loewner_lab.suite import (
     SuiteConfig,
@@ -33,6 +27,7 @@ from loewner_lab.suite import (
     recheck,
     run_suite,
 )
+from oracles import bounded_pair
 
 
 def small_config(**overrides):
@@ -55,6 +50,9 @@ _UNPARSED_SPECS = [
     pytest.param({"maps": ("mix:nan@identity",)}, "polya-szego", id="mix:nan@identity"),
     pytest.param({"maps": ("mix:inf@identity",)}, "polya-szego", id="mix:inf@identity"),
     pytest.param({"maps": ("pinching:0,2",)}, "polya-szego", id="pinching:0,2"),
+    # finite weights whose image of the identity overflows
+    pytest.param({"maps": ("mix:1e308@identity+1e308@identity",)}, "polya-szego",
+                 id="mix:1e308@identity+1e308@identity"),
 ]
 
 
@@ -397,7 +395,7 @@ class TestRunSuite:
         config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=5, seed=5,
                              m=1.0, M=4.0)
         seed = derive_seed(5, fnv1a64("polya-szego"), 3, 3)
-        bad = random_bounded_pair(3, 1.0, 4.0, seed).A.data
+        bad = bounded_pair(3, 1.0, 4.0, seed).A.data
         real_eigh = np.linalg.eigh
 
         def eigh(a):
@@ -609,6 +607,24 @@ class TestReportIO:
                      id="outside-the-dims"),
         pytest.param(lambda body: _first_violation(body).update(trial=-1), "trial",
                      id="negative"),
+        # a field of another JSON type; a bool is never taken for a number
+        pytest.param(lambda body: _first_violation(body).update(trial=True), "trial",
+                     id="trial-true"),
+        pytest.param(lambda body: _first_violation(body).update(trial=1.0), "trial",
+                     id="trial-a-float"),
+        pytest.param(lambda body: _first_violation(body).update(slack=True), "slack",
+                     id="slack-true"),
+        pytest.param(lambda body: _first_violation(body).update(slack="-0.5"), "slack",
+                     id="slack-a-string"),
+        pytest.param(lambda body: _first_violation(body).update(inequality=5), "inequality",
+                     id="inequality-a-number"),
+        pytest.param(lambda body: body["results"]["polya-szego"].update(violating_instances=[5]),
+                     "violation 0", id="violation-not-an-object"),
+        pytest.param(lambda body: body["results"]["polya-szego"].update(violating_instances=4),
+                     "results.polya-szego.violating_instances", id="instances-not-a-list"),
+        pytest.param(lambda body: body.update(results=[]), "results",
+                     id="results-not-an-object"),
+        pytest.param(lambda body: body.update(config=5), "config", id="config-not-an-object"),
     ])
     def test_malformed_report_is_refused_by_field(self, tmp_path, capsys, edit, field):
         path = tmp_path / "hunt.json"
@@ -629,49 +645,6 @@ class TestReportIO:
         path.write_text(content)
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert capsys.readouterr().err.startswith("error: field loewner_lab_report ")
-
-    def test_matrix_round_trip_bit_equal(self, tmp_path):
-        x = SymMatrix([[1.0, 0.25], [0.25, 2.0 / 3.0]])
-        path = tmp_path / "m.json"
-        save_matrix(x, str(path))
-        again = load_matrix(str(path))
-        assert np.array_equal(x.data, again.data)
-
-    def test_matrix_loader_errors_name_fields(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"data": [1.0]}))
-        with pytest.raises(ValueError, match="dim"):
-            load_matrix(str(path))
-        path.write_text(json.dumps({"dim": 2, "data": [1.0, 2.0]}))
-        with pytest.raises(ValueError, match="data"):
-            load_matrix(str(path))
-        path.write_text(json.dumps({"dim": "two", "data": [1.0]}))
-        with pytest.raises(ValueError, match="dim"):
-            load_matrix(str(path))
-
-    @pytest.mark.parametrize("content, field", [
-        pytest.param("5", "dim", id="number"),
-        pytest.param('{"dim": true, "data": [1.0]}', "dim", id="true"),
-        pytest.param('{"dim": 1, "data": 4}', "data", id="a-number"),
-        pytest.param('{"dim": 1, "data": [true]}', "data", id="holds-a-bool"),
-    ])
-    def test_mistyped_matrix_file_is_refused_by_field(self, tmp_path, content, field):
-        path = tmp_path / "m.json"
-        path.write_text(content)
-        with pytest.raises(ValueError, match=f"^field {field} "):
-            load_matrix(str(path))
-
-    def test_matrix_loader_rejects_asymmetry(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"dim": 2, "data": [1.0, 0.5, 0.0, 1.0]}))
-        with pytest.raises(ValueError, match="asymmetric"):
-            load_matrix(str(path))
-
-    def test_loader_symmetrizes_small_noise(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"dim": 2, "data": [1.0, 0.5 + 1e-12, 0.5, 1.0]}))
-        x = load_matrix(str(path))
-        assert x.data[0, 1] == x.data[1, 0]
 
 
 _KEYS = st.text() | st.sampled_from(["", '"', "\\", "\x00", "\n\t\x1f", "é", "\u2028", "😀",
@@ -815,6 +788,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "FAIL" not in captured.out
+        assert [line for line in captured.out.splitlines() if "scalar sandwich" in line] == [
+            "PASS scalar sandwich bounds on [0.25, 4.0] (min slack 0.00e+00)",
+            "PASS scalar sandwich bounds on [0.5, 0.8] (min slack 1.45e-01)",
+            "PASS scalar sandwich bounds on [2.0, 3.0] (min slack 2.42e-01)",
+        ]
+
+    def test_map_whose_image_of_the_identity_overflows_is_refused_by_its_spec(self, capsys):
+        # the weights are finite, but phi(I) is not: refused once, at pool build,
+        # with the field and the spec, and without numpy's overflow warning
+        spec = "mix:1e308@identity+1e308@identity"
+        code = cli_main(["verify", "--ineq", "polya-szego", "--dims", "2", "--trials", "2",
+                         "--phi", spec])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: field maps: {spec}: matrix entries must be finite, and so must their "
+            "average with the transpose (entries above about 9e307 overflow)\n")
 
     def test_recheck_cli(self, tmp_path, capsys):
         path = tmp_path / "hunt.json"

@@ -59,8 +59,8 @@ def test_every_probe_step_passes_through_a_step_function(monkeypatch):
 
 def test_check_span_fires_once_per_evaluated_stack(monkeypatch):
     # the tracer times the certificates layer through its functions named
-    # check_* or ando_check, so the evaluator that a campaign calls once per
-    # stack must carry such a name
+    # check_*, so the evaluator that a campaign calls once per stack must
+    # carry such a name
     tracer = _load("spans").Tracer()
     stacks = []
     tracer.install()
@@ -92,6 +92,31 @@ def test_vet_span_fires_once_per_sandwich_or_bounded_stack(monkeypatch):
     names = tracer.arrays()[0]
     assert "certificates.vet" in tracer.names and stacks
     assert (names == tracer.names.index("certificates.vet")).sum() >= len(stacks)
+
+
+def test_check_stack_is_the_one_entry_point_and_readme_lists_every_export():
+    # certificates binds no check_* name but check_stack, so the tracer's
+    # certificates.check span times one call per stack; and the package root
+    # exports exactly the names that README's Library section gives a reason for
+    import ast
+    import re
+
+    from loewner_lab import certificates
+
+    tree = ast.parse(Path(certificates.__file__).read_text(encoding="utf-8"))
+    bound = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    bound += [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)]
+    assert [name for name in bound if name.startswith("check_")
+            or name.endswith("_check")] == ["check_stack"]
+    root = Path(suite.__file__).resolve().parent / "__init__.py"
+    exported = [alias.name for node in ast.parse(root.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    listed = [name for line in library.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`(\w+)`", line.split(" | ")[0])]
+    assert sorted(listed) == sorted(set(listed)) == sorted(exported)
 
 
 def test_every_inequality_id_is_spelled_once_in_the_source():
