@@ -73,8 +73,7 @@ from .spectral import (
     LoewnerVerdict,
     NormKind,
     SpectralDecomposition,
-    SymMatrix,
-    as_sym,
+    SymStack,
     decompose,
     ky_fan,
     loewner_compare,

@@ -57,7 +57,6 @@ from .maps import apply_each, check_unital
 from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_inverse
 from .spectral import (
     LOEWNER_TOL_REL,
-    SymMatrix,
     SymStack,
     _apply,
     _eye,
@@ -83,8 +82,8 @@ class Certificate:
 
     inequality_id: str
     params: dict
-    lhs: SymMatrix | float
-    rhs: SymMatrix | float
+    lhs: SymStack | float
+    rhs: SymStack | float
     constant: float
     slack: float
     ratio: float
@@ -98,7 +97,7 @@ class Certificate:
 
 
 def _side_to_json(side):
-    if isinstance(side, SymMatrix):
+    if isinstance(side, SymStack):
         return {"dim": side.dim, "data": side.data.ravel().tolist()}
     return float(side)
 
@@ -125,7 +124,7 @@ class Sides:
     holds: np.ndarray
 
     def certificate(self, k: int) -> Certificate:
-        """Slice k's certificate; its matrix sides share the stack's entries."""
+        """Slice k's certificate; its matrix sides are one-slice views of the stacks."""
         return Certificate(self.inequality_id, {name: col[k] for name, col in self.params.items()},
                            _slice(self.lhs, k), _slice(self.rhs, k), float(self.constant[k]),
                            float(self.slack[k]), float(self.ratio[k]), bool(self.holds[k]),
@@ -134,7 +133,7 @@ class Sides:
 
 def _slice(side, k: int):
     if isinstance(side, SymStack):
-        return SymMatrix.__new__(SymMatrix)._fill(side.data[k])
+        return SymStack.__new__(SymStack)._fill(side.data[k:k + 1])
     return float(side[k])
 
 
@@ -375,15 +374,12 @@ def _links(row: Row, x) -> list[Sides]:
 
 def _scaling(row: Row, x) -> list[Sides]:
     """f(alpha t) <= alpha f(t) for increasing f, and g(t)/alpha <= g(alpha t)
-    for decreasing g, each at the worst point of a grid of t."""
+    for decreasing g, each at the worst point of ``default_grid()``."""
     c = _constants(row, x)
-    grid = getattr(x, "grid", None)
-    points = tuple(grid) if grid is not None else default_grid()
-    grid_array = _default_points() if grid is None else np.array(points, dtype=float)
+    points = default_grid()
     # f(t), then f(alpha t), as one (trials, points) block each
-    f_t = ([_on_default_grid(fn) for fn in x.f] if grid is None
-           else _on_grid(x.f, np.broadcast_to(grid_array, (x.n, len(points)))))
-    f_alpha_t = _on_grid(x.f, np.array(x.alpha, dtype=float)[:, None] * grid_array)
+    f_t = [_on_default_grid(fn) for fn in x.f]
+    f_alpha_t = _on_grid(x.f, np.array(x.alpha, dtype=float)[:, None] * _default_points())
     worst = []
     for fn, alpha, c_k, at_t, at_alpha_t in zip(x.f, x.alpha, c, f_t, f_alpha_t):
         if fn.klass == OPERATOR_MONOTONE:

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NotPositiveDefiniteError
-from .spectral import (
-    LOEWNER_TOL_REL,
-    SymMatrix,
-    SymStack,
-    as_sym,
-    decompose,
-    inner_matrix,
-    spectrum_bounds,
-)
+from .spectral import LOEWNER_TOL_REL, SymStack, decompose, inner_matrix, spectrum_bounds
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -228,8 +220,9 @@ def _spd(rngs, dim: int, lam_lo, lam_hi, corner: tuple | None = None) -> SymStac
     return _compose(q, lam)
 
 
-def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
-    """Random SPD matrix with spectrum drawn uniformly from [lam_lo, lam_hi].
+def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymStack:
+    """Random SPD matrix with spectrum drawn uniformly from [lam_lo, lam_hi],
+    as a stack of one slice.
 
     The recommended eigenvalue range is within [1e-3, 1e3], to respect the
     condition cap of the means module.
@@ -238,43 +231,42 @@ def random_spd(dim: int, lam_lo: float, lam_hi: float, seed: int) -> SymMatrix:
         raise ValueError(f"need 0 < lam_lo <= lam_hi, got [{lam_lo!r}, {lam_hi!r}]")
     if dim < 1:
         raise ValueError("dim must be positive")
-    return _spd([SplitMix64(seed)], dim, lam_lo, lam_hi).matrices()[0]
+    return _spd([SplitMix64(seed)], dim, lam_lo, lam_hi)
 
 
-def estimate_sandwich(A: SymMatrix, B: SymMatrix) -> tuple:
-    """Tightest scalars (s*, t*) with s* A <= B <= t* A, or their arrays over
+def estimate_sandwich(A: SymStack, B: SymStack) -> tuple:
+    """The arrays of tightest scalars (s*, t*) with s* A <= B <= t* A over
     the slices of two stacks.
 
     These are the extreme eigenvalues of A^(-1/2) B A^(-1/2), which
     ``inner_matrix`` remembers on A, solved, for the first partner B: the
     sandwich cell's check and the means of the same pair solve it once.
     """
-    A, B = as_sym(A), as_sym(B)
-    if (decompose(A).eigenvalues[..., 0] <= 0.0).any():
+    if (decompose(A).eigenvalues[:, 0] <= 0.0).any():
         raise NotPositiveDefiniteError("first argument must be positive definite")
     return spectrum_bounds(inner_matrix(A, B))
 
 
-def _slices(*values) -> zip:
-    """The values' rows as Python floats: one row for a pair's scalars, one
-    per slice for a stack's sequences or arrays."""
-    return zip(*(np.atleast_1d(v).tolist() for v in values))
+def _slices(X: SymStack, *values) -> zip:
+    """The values' rows as Python floats, one per slice of X: each value is
+    a number for every slice, or a sequence or array with one per slice."""
+    return zip(*(np.broadcast_to(v, len(X)).tolist() for v in values))
 
 
 @dataclass(frozen=True)
 class SandwichPair:
-    """A PD pair with certified sandwich scalars: s A <= B <= t A; or two
-    stacks with one s and one t per slice."""
+    """Two stacks of PD pairs with certified sandwich scalars: s A <= B <= t A,
+    with s and t one number or one per slice."""
 
-    A: SymMatrix
-    B: SymMatrix
+    A: SymStack
+    B: SymStack
     s: float
     t: float
 
     def verify(self, tol_rel: float = LOEWNER_TOL_REL) -> None:
         """Raise for the first slice whose tightest scalars leave [s, t], or
         are not numbers."""
-        for lo, hi, s, t in _slices(*estimate_sandwich(self.A, self.B), self.s, self.t):
+        for lo, hi, s, t in _slices(self.A, *estimate_sandwich(self.A, self.B), self.s, self.t):
             tol = max(1e-12, tol_rel * max(1.0, t))
             if not (lo >= s - tol and hi <= t + tol):
                 raise HypothesisError(f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
@@ -283,11 +275,11 @@ class SandwichPair:
 
 @dataclass(frozen=True)
 class BoundedPair:
-    """A PD pair with two-sided scalar bounds: m I <= A, B <= M I; or two
-    stacks with one m and one M per slice."""
+    """Two stacks of PD pairs with two-sided scalar bounds: m I <= A, B <= M I,
+    with m and M one number or one per slice."""
 
-    A: SymMatrix
-    B: SymMatrix
+    A: SymStack
+    B: SymStack
     m: float
     M: float
 
@@ -297,10 +289,10 @@ class BoundedPair:
             verify_spectrum(name, X, self.m, self.M, tol_rel)
 
 
-def verify_spectrum(name: str, X: SymMatrix, m, M, tol_rel: float = LOEWNER_TOL_REL) -> None:
+def verify_spectrum(name: str, X: SymStack, m, M, tol_rel: float = LOEWNER_TOL_REL) -> None:
     """Raise for the first slice of X whose spectrum leaves [m, M], or is not
     a number; ``m`` and ``M`` are scalars or one value per slice."""
-    for lo, hi, m_k, M_k in _slices(*spectrum_bounds(X), m, M):
+    for lo, hi, m_k, M_k in _slices(X, *spectrum_bounds(X), m, M):
         tol = max(1e-12, tol_rel * max(1.0, M_k))
         if not (lo >= m_k - tol and hi <= M_k + tol):
             raise HypothesisError(f"bound hypothesis fails for {name}: spectrum "

@@ -4,8 +4,9 @@ Each map is described by what it does (congruence, Kraus sum, pinching,
 normalized trace, nonnegative mixture) rather than by an abstract matrix
 representation.  Positivity is a consequence of the structure; unitality is
 checked, never assumed.  ``apply`` maps a SymStack slice by slice, with one
-BLAS call per product for the whole stack; ``apply_each`` gives each slice
-its own map, with one BLAS call per product for each distinct map.
+BLAS call per product for the whole stack, and a single matrix is a stack of
+one slice; ``apply_each`` gives each slice its own map, with one BLAS call
+per product for each distinct map.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .spectral import (SymMatrix, SymStack, _frozen, as_sym, by_distinct, op_norm, parse_spec,
-                       per_slice)
+from .spectral import SymStack, _frozen, by_distinct, op_norm, parse_spec, per_slice
 
 UNITALITY_TOL = 1e-10
 
@@ -34,12 +34,11 @@ class MapSpec:
         object.__setattr__(self, "input_dim", input_dim)
         object.__setattr__(self, "output_dim", output_dim)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
-        """The image of a matrix, or of each slice of a stack."""
+    def apply(self, X: SymStack) -> SymStack:
+        """The image of each slice of a stack."""
         raise NotImplementedError
 
-    def _check_input(self, X: SymMatrix) -> SymMatrix:
-        X = as_sym(X)
+    def _check_input(self, X: SymStack) -> SymStack:
         if X.dim != self.input_dim:
             raise DimensionMismatchError(
                 f"map {self.label!r} expects dim {self.input_dim}, got {X.dim}"
@@ -55,7 +54,7 @@ class IdentityMap(MapSpec):
     def __post_init__(self):
         self._set_dims(self.dim, self.dim)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         return self._check_input(X)
 
 
@@ -77,9 +76,9 @@ class CongruenceMap(MapSpec):
         object.__setattr__(self, "v", v)
         self._set_dims(*v.shape)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         X = self._check_input(X)
-        return type(X)(self.v.T @ X.data @ self.v)
+        return SymStack(self.v.T @ X.data @ self.v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +107,12 @@ class KrausSumMap(MapSpec):
         object.__setattr__(self, "vs", vs)
         self._set_dims(*shape)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         X = self._check_input(X)
         acc = np.zeros(_image_shape(self, X))
         for v in self.vs:
             acc += v.T @ X.data @ v
-        return type(X)(acc)
+        return SymStack(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +140,9 @@ class PinchingMap(MapSpec):
         object.__setattr__(self, "_mask", mask)
         self._set_dims(n, n)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         X = self._check_input(X)
-        return type(X)(X.data * self._mask)
+        return SymStack(X.data * self._mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +158,10 @@ class NormalizedTraceMap(MapSpec):
             raise ValueError("dimensions must be positive")
         self._set_dims(self.in_dim, self.out_dim)
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         X = self._check_input(X)
         value = np.trace(X.data, axis1=-2, axis2=-1) / self.in_dim
-        return type(X)(value[..., None, None] * np.eye(self.out_dim))
+        return SymStack(value[:, None, None] * np.eye(self.out_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +192,16 @@ class MixtureMap(MapSpec):
         object.__setattr__(self, "components", components)
         self._set_dims(*dims.pop())
 
-    def apply(self, X: SymMatrix) -> SymMatrix:
+    def apply(self, X: SymStack) -> SymStack:
         X = self._check_input(X)
         acc = np.zeros(_image_shape(self, X))
         for w, comp in zip(self.weights, self.components):
             acc += w * comp.apply(X).data
-        return type(X)(acc)
+        return SymStack(acc)
 
 
-def _image_shape(phi: MapSpec, X: SymMatrix) -> tuple:
-    return X.data.shape[:-2] + (phi.output_dim, phi.output_dim)
+def _image_shape(phi: MapSpec, X: SymStack) -> tuple:
+    return len(X), phi.output_dim, phi.output_dim
 
 
 def apply_each(phis, X: SymStack) -> SymStack:
@@ -229,8 +228,8 @@ class UnitalityVerdict:
 
 def check_unital(phi: MapSpec) -> UnitalityVerdict:
     """Measure ||phi(I) - I||_op; unital iff it clears UNITALITY_TOL."""
-    image = phi.apply(SymMatrix.identity(phi.input_dim))
-    deviation = op_norm(image - SymMatrix.identity(phi.output_dim))
+    image = phi.apply(SymStack.identity(phi.input_dim))
+    deviation = float(op_norm(image - SymStack.identity(phi.output_dim))[0])
     return UnitalityVerdict(is_unital=deviation <= UNITALITY_TOL, deviation=deviation)
 
 

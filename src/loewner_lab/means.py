@@ -5,9 +5,9 @@ the first argument:  A^(1/2) k(A^(-1/2) B A^(-1/2)) A^(1/2).  Symmetry of the
 result in (A, B) is therefore a *testable property* of the kernel, never an
 assumption of the implementation.
 
-Every mean takes two SymStacks as well as two matrices and works slice by
-slice, with one LAPACK call per solve and one BLAS call per product for the
-whole stack; kernels and contexts may then vary by slice.
+Every mean takes two SymStacks and works slice by slice, with one LAPACK
+call per solve and one BLAS call per product for the whole stack; kernels
+and contexts may vary by slice, and a single pair is a stack of one slice.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ConditionCapError, NotPositiveDefiniteError
 from .kernels import GEOMETRIC, ScalarKernel
 from .spectral import (
-    SymMatrix,
-    as_sym,
+    SymStack,
     decompose,
     inner_matrix,
     matrix_function,
@@ -47,67 +46,62 @@ class MeanContext:
             raise ValueError("cond_cap must exceed 1")
 
 
-def _require_pd(name: str, lam_min) -> None:
-    """``lam_min`` is the smallest eigenvalue of a matrix, or one per slice."""
-    for lam in np.atleast_1d(lam_min).tolist():
+def _require_pd(name: str, lam_min: np.ndarray) -> None:
+    """``lam_min`` holds the smallest eigenvalue of each slice."""
+    for lam in lam_min.tolist():
         if lam <= 0.0:
             raise NotPositiveDefiniteError(
                 f"{name} must be positive definite (lambda_min = {lam:.3e})"
             )
 
 
-def mean(ctx: MeanContext, A: SymMatrix, B: SymMatrix) -> SymMatrix:
-    """Kernel-driven mean of two positive definite matrices, or of two stacks
-    slice by slice with ``ctx`` one context or one per slice."""
-    A = as_sym(A)
+def mean(ctx: MeanContext, A: SymStack, B: SymStack) -> SymStack:
+    """Kernel-driven mean of two stacks of positive definite matrices, slice
+    by slice, with ``ctx`` one context or one per slice."""
     ctxs = per_slice(ctx, A)
     return _mean(A, B, [c.kernel.fn for c in ctxs], [c.cond_cap for c in ctxs])
 
 
-def _mean(A: SymMatrix, B: SymMatrix, kernels: list, caps: list) -> SymMatrix:
-    A, B = as_sym(A), as_sym(B)
+def _mean(A: SymStack, B: SymStack, kernels: list, caps: list) -> SymStack:
     require_same_shape(A, B)
     dec = decompose(A)
     w = dec.eigenvalues
-    _require_pd("first argument", w[..., 0])
-    for cond, cap in zip(np.atleast_1d(w[..., -1] / w[..., 0]).tolist(), caps):
+    _require_pd("first argument", w[:, 0])
+    for cond, cap in zip((w[:, -1] / w[:, 0]).tolist(), caps):
         if cond > cap:
             raise ConditionCapError(f"condition number {cond:.3e} exceeds cap {cap:.3e}")
-    _require_pd("second argument", spectrum(B)[..., 0])
+    _require_pd("second argument", spectrum(B)[:, 0])
     transformed = matrix_function(inner_matrix(A, B), kernels)
-    return type(A)(dec.root @ transformed.data @ dec.root)
+    return SymStack(dec.root @ transformed.data @ dec.root)
 
 
-def kernel_mean(kernel: ScalarKernel, A: SymMatrix, B: SymMatrix) -> SymMatrix:
-    """The mean of ``kernel`` under the default condition cap; for stacks,
-    ``kernel`` is one kernel or one per slice."""
-    A = as_sym(A)
+def kernel_mean(kernel: ScalarKernel, A: SymStack, B: SymStack) -> SymStack:
+    """The mean of ``kernel`` under the default condition cap; ``kernel`` is
+    one kernel or one per slice."""
     kernels = per_slice(kernel, A)
     return _mean(A, B, [k.fn for k in kernels], [DEFAULT_COND_CAP] * len(kernels))
 
 
-def arithmetic(A: SymMatrix, B: SymMatrix) -> SymMatrix:
+def arithmetic(A: SymStack, B: SymStack) -> SymStack:
     """(A + B) / 2."""
-    A, B = as_sym(A), as_sym(B)
     require_same_shape(A, B)
-    return type(A)(0.5 * (A.data + B.data))
+    return SymStack(0.5 * (A.data + B.data))
 
 
 _reciprocal = twinned(lambda lam: 1.0 / lam)
 
 
-def spectral_inverse(X: SymMatrix) -> SymMatrix:
-    X = as_sym(X)
-    _require_pd("matrix to invert", spectrum(X)[..., 0])
+def spectral_inverse(X: SymStack) -> SymStack:
+    _require_pd("matrix to invert", spectrum(X)[:, 0])
     return matrix_function(X, _reciprocal)
 
 
-def harmonic(A: SymMatrix, B: SymMatrix) -> SymMatrix:
+def harmonic(A: SymStack, B: SymStack) -> SymStack:
     """((A^-1 + B^-1) / 2)^-1 for positive definite A, B."""
     return spectral_inverse(arithmetic(spectral_inverse(A), spectral_inverse(B)))
 
 
-def geometric(A: SymMatrix, B: SymMatrix) -> SymMatrix:
+def geometric(A: SymStack, B: SymStack) -> SymStack:
     """A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(1/2)."""
     return kernel_mean(GEOMETRIC, A, B)
 

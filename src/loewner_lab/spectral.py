@@ -1,15 +1,13 @@
-"""Dense real symmetric matrix algebra.
+"""Dense real symmetric matrix algebra on stacks of matrices.
 
 Eigendecomposition with an explicit accuracy contract, spectral matrix
 functions, Loewner-order comparison, and the unitarily invariant norms
 (operator, trace, Frobenius, Ky Fan, Schatten).
 
-``decompose``, ``spectrum``, ``spectrum_bounds``, ``matrix_function``,
-``loewner_slack``, ``op_norm`` and ``ui_norm`` take a SymStack as well as a
-SymMatrix: a stack is solved with one LAPACK call and multiplied with one
-BLAS call per product, slice by slice bit for bit as if each matrix were
-alone, and a single matrix is the one-slice case of the same code.  Scalar
-results of a stack come as one array entry per slice.
+Every function takes SymStacks: a stack is solved with one LAPACK call and
+multiplied with one BLAS call per product, slice by slice bit for bit as if
+each matrix were alone, and a single matrix is a stack of one slice.
+Scalar results come as one array entry per slice.
 """
 
 from __future__ import annotations
@@ -33,78 +31,20 @@ ORTHONORMALITY_RTOL = 1e-12
 LOEWNER_TOL_REL = 1e-9
 
 
-class SymMatrix:
-    """Dense real symmetric matrix.
+class SymStack:
+    """k real symmetric matrices of one dimension, as one read-only (k, n, n)
+    array; a single matrix is a stack of one slice.
 
     Entries are averaged with their transpose and frozen at construction,
     so instances are exactly symmetric, finite, and immutable.  Spectral
     results are remembered in write-once slots: ``decompose`` fills ``_dec``
     once its contract passes, ``spectrum`` fills ``_evals``, and
     ``inner_matrix`` fills ``_inner`` with A^(-1/2) B A^(-1/2) for one partner B.
+    Arguments that vary by slice (scalar functions, kernels, constants) are
+    passed as sequences with one entry per slice.
     """
 
     __slots__ = ("data", "_dec", "_evals", "_inner")
-
-    def __init__(self, entries) -> None:
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-        self._fill(sym_entries(a))
-
-    def _fill(self, data: np.ndarray) -> "SymMatrix":
-        object.__setattr__(self, "data", data)
-        for slot in ("_dec", "_evals", "_inner"):
-            object.__setattr__(self, slot, None)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[-1]
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        require_same_shape(self, other)
-        return type(self)(self.data + other.data)
-
-    def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        require_same_shape(self, other)
-        return type(self)(self.data - other.data)
-
-    def __mul__(self, scalar) -> "SymMatrix":
-        """The matrix times a number, or each slice of a stack times one
-        number or its own.  When every factor is exactly 1.0 and the product
-        keeps the operand's shape, that is the operand itself, with what it
-        remembers, since x * 1.0 == x bit for bit."""
-        scalar = np.asarray(scalar, dtype=float)
-        if scalar.ndim:  # one factor per slice
-            scalar = scalar[:, None, None]
-        if (scalar == 1.0).all() and np.broadcast(scalar, self.data).shape == self.data.shape:
-            return self
-        with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
-            return type(self)(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(dim={self.dim})"
-
-
-class SymStack(SymMatrix):
-    """k real symmetric matrices of one dimension, as one read-only (k, n, n) array.
-
-    Each slice is what SymMatrix would store for it, and the stack keeps its
-    spectra in the same write-once slots.  Arguments that vary by slice
-    (scalar functions, kernels, constants) are passed as sequences with one
-    entry per slice.
-    """
-
-    __slots__ = ()
 
     def __init__(self, entries) -> None:
         a = np.asarray(entries, dtype=float)
@@ -112,15 +52,54 @@ class SymStack(SymMatrix):
             raise ValueError(f"expected a nonempty stack of square matrices, got shape {a.shape}")
         self._fill(sym_entries(a))
 
+    def _fill(self, data: np.ndarray) -> "SymStack":
+        object.__setattr__(self, "data", data)
+        for slot in ("_dec", "_evals", "_inner"):
+            object.__setattr__(self, slot, None)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymStack is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[-1]
+
     def __len__(self) -> int:
         return len(self.data)
 
-    def matrices(self) -> list[SymMatrix]:
-        """One SymMatrix per slice, sharing the stack's entries."""
-        return [SymMatrix.__new__(SymMatrix)._fill(a) for a in self.data]
+    @classmethod
+    def identity(cls, dim: int) -> "SymStack":
+        """The identity of dimension ``dim``, as a stack of one slice."""
+        return cls(np.eye(dim)[None])
+
+    def __add__(self, other: "SymStack") -> "SymStack":
+        require_same_shape(self, other)
+        return SymStack(self.data + other.data)
+
+    def __sub__(self, other: "SymStack") -> "SymStack":
+        require_same_shape(self, other)
+        return SymStack(self.data - other.data)
+
+    def __mul__(self, scalar) -> "SymStack":
+        """Each slice times one number or its own.  When every factor is
+        exactly 1.0 and the product keeps the operand's shape, that is the
+        operand itself, with what it remembers, since x * 1.0 == x bit for bit."""
+        scalar = np.asarray(scalar, dtype=float)
+        if scalar.ndim:  # one factor per slice
+            scalar = scalar[:, None, None]
+        if (scalar == 1.0).all() and np.broadcast(scalar, self.data).shape == self.data.shape:
+            return self
+        with np.errstate(over="ignore"):  # sym_entries refuses an overflowing product
+            return SymStack(self.data * scalar)
+
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"SymStack(k={len(self)}, dim={self.dim})"
+
+
+SymMatrix = SymStack  # kept: the benchmark's tracer wraps SymMatrix.__init__ by this name
 
 
 # Entries up to half the largest double are finite and cannot overflow in a + a^T.
@@ -128,8 +107,8 @@ _HALF_MAX = float(np.finfo(float).max) / 2
 
 
 def sym_entries(a: np.ndarray) -> np.ndarray:
-    """The read-only entries SymMatrix stores for a matrix or each matrix of
-    a stack: averaged with the transpose, and finite once averaged, so that
+    """The read-only entries SymStack stores for each matrix of a stack:
+    averaged with the transpose, and finite once averaged, so that
     entries whose average overflows are refused like inf and nan."""
     if np.abs(a).max(initial=0.0) <= _HALF_MAX:  # an empty stack has nothing to check
         a = 0.5 * (a + a.swapaxes(-1, -2))
@@ -143,10 +122,10 @@ def sym_entries(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def per_slice(value, X: SymMatrix) -> list:
+def per_slice(value, X: SymStack) -> list:
     """``value`` once per slice of X: a list or tuple is taken to hold one
     entry per slice already, anything else is repeated."""
-    count = len(X.data) if X.data.ndim == 3 else 1
+    count = len(X)
     if not isinstance(value, (list, tuple)):
         return [value] * count
     if len(value) != count:
@@ -154,20 +133,8 @@ def per_slice(value, X: SymMatrix) -> list:
     return value
 
 
-def _per_matrix(x):
-    """A per-slice result as a float for one matrix, as the array itself for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def as_sym(x) -> SymMatrix:
-    """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
-    if isinstance(x, SymMatrix):
-        return x
-    return SymMatrix(x)
-
-
-def require_same_shape(x: SymMatrix, y: SymMatrix) -> None:
-    """Two matrices of one dimension, or two stacks of as many slices of one dimension."""
+def require_same_shape(x: SymStack, y: SymStack) -> None:
+    """Two stacks of as many slices of one dimension."""
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if x.data.shape != y.data.shape:
@@ -180,9 +147,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _fro(a: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix of a stack; one BLAS dot
-    each.  Where that sum of squares overflows, the matrix is scaled by its
-    largest entry first."""
+    """Frobenius norm of each matrix of a stack; one BLAS dot each.  Where
+    that sum of squares overflows, the matrix is scaled by its largest entry
+    first."""
     flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
     norm = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     if np.isfinite(norm).all():
@@ -199,7 +166,7 @@ def _eye(n: int) -> np.ndarray:
 
 
 def _root(w: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Q diag(w^(1/2)) Q^T, or Q diag(w^(-1/2)) Q^T, for one eigenpair set or a stack."""
+    """Q diag(w^(1/2)) Q^T, or Q diag(w^(-1/2)) Q^T, for each eigenpair set of a stack."""
     r = np.sqrt(w)
     if inverse:
         r = 1.0 / r
@@ -208,7 +175,8 @@ def _root(w: np.ndarray, q: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and an orthonormal eigenbasis (columns), read-only."""
+    """Eigenvalues (ascending) and an orthonormal eigenbasis (columns) of
+    each slice, read-only: (k, n) and (k, n, n)."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -225,7 +193,7 @@ class SpectralDecomposition:
 
 
 def _eigh(a: np.ndarray):
-    """np.linalg.eigh of a matrix or a stack, with the contract's figures per matrix:
+    """np.linalg.eigh of a stack, with the contract's figures per matrix:
     (w, q, residual, scale, orth)."""
     try:
         w, q = np.linalg.eigh(a)
@@ -245,9 +213,8 @@ def _misses_contract(residual, scale, orth, dim: int):
     return (residual > RECONSTRUCTION_RTOL * scale) | (orth > ORTHONORMALITY_RTOL * dim)
 
 
-def decompose(A: SymMatrix) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix, or each slice of a stack, enforcing
-    the accuracy contract.
+def decompose(A: SymStack) -> SpectralDecomposition:
+    """Eigendecompose each slice of a stack, enforcing the accuracy contract.
 
     The reconstruction error ||Q diag(w) Q^T - A||_F must stay below
     ``RECONSTRUCTION_RTOL * max(1, ||A||_F)`` and the basis must be
@@ -256,15 +223,14 @@ def decompose(A: SymMatrix) -> SpectralDecomposition:
     raised.  A decomposition that passes is remembered on A, so each matrix
     is solved once; a failed one is not.
     """
-    A = as_sym(A)
     dec = A._dec  # read the slot once; it only ever holds a decomposition that passed
     if dec is not None:
         return dec
     w, q, residual, scale, orth = _eigh(A.data)
-    missed = np.atleast_1d(_misses_contract(residual, scale, orth, A.dim))
+    missed = _misses_contract(residual, scale, orth, A.dim)
     if missed.any():
         k = int(missed.argmax())
-        residual, scale, orth = (float(np.atleast_1d(x)[k]) for x in (residual, scale, orth))
+        residual, scale, orth = (float(x[k]) for x in (residual, scale, orth))
         if residual > RECONSTRUCTION_RTOL * scale:
             raise EigenSolverError(
                 f"reconstruction residual {residual:.3e} exceeds contract "
@@ -279,13 +245,13 @@ def decompose(A: SymMatrix) -> SpectralDecomposition:
     return dec
 
 
-def spectrum(X: SymMatrix) -> np.ndarray:
-    """Ascending eigenvalues from the eigenvalue-only solver, remembered on X.
+def spectrum(X: SymStack) -> np.ndarray:
+    """Ascending eigenvalues of each slice from the eigenvalue-only solver,
+    remembered on X.
 
     Kept apart from ``decompose``: the two LAPACK routines can differ in the
     last ulp, and each caller keeps the solver it has always used.
     """
-    X = as_sym(X)
     w = X._evals
     if w is None:
         w = _frozen(np.linalg.eigvalsh(X.data))
@@ -293,9 +259,8 @@ def spectrum(X: SymMatrix) -> np.ndarray:
     return w
 
 
-def inner_matrix(A: SymMatrix, B: SymMatrix) -> SymMatrix:
-    """A^(-1/2) B A^(-1/2) of a positive definite A, or of each slice of two
-    stacks.
+def inner_matrix(A: SymStack, B: SymStack) -> SymStack:
+    """A^(-1/2) B A^(-1/2) of each slice of two stacks, A positive definite.
 
     It is remembered on A for A's first partner B, and keeps its own
     decomposition once solved, so that the means of (A, B) and
@@ -305,7 +270,7 @@ def inner_matrix(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     if memo is not None and memo[0] is B:
         return memo[1]
     inv_root = decompose(A).inv_root
-    X = type(A)(inv_root @ B.data @ inv_root)
+    X = SymStack(inv_root @ B.data @ inv_root)
     if memo is None:
         object.__setattr__(A, "_inner", (B, X))
     return X
@@ -323,9 +288,9 @@ def twinned(fn, twin=None):
     return fn
 
 
-def matrix_function(A: SymMatrix, fn) -> SymMatrix:
-    """Apply a scalar function to a symmetric matrix through its spectrum;
-    for a stack, ``fn`` is one function or one per slice.
+def matrix_function(A: SymStack, fn) -> SymStack:
+    """Apply a scalar function to each slice of a stack through its
+    spectrum; ``fn`` is one function or one per slice.
 
     Each distinct function is applied once to the eigenvalues of the slices
     that take it: through its numpy twin (see ``twinned``), or else by one
@@ -334,9 +299,8 @@ def matrix_function(A: SymMatrix, fn) -> SymMatrix:
     naming the first offending one: ``fn`` is undefined there (raises or
     overflows) or not finite.
     """
-    A = as_sym(A)
     dec = decompose(A)
-    lams = dec.eigenvalues.reshape(-1, A.dim)
+    lams = dec.eigenvalues
     fns = per_slice(fn, A)
     try:
         values = by_distinct(fns, _apply, lams)
@@ -346,8 +310,7 @@ def matrix_function(A: SymMatrix, fn) -> SymMatrix:
     if not finite:
         values = _walk(fns, lams)
     q = dec.basis
-    values = values.reshape(dec.eigenvalues.shape)
-    return type(A)((q * values[..., None, :]) @ q.swapaxes(-1, -2))
+    return SymStack((q * values[:, None, :]) @ q.swapaxes(-1, -2))
 
 
 def by_distinct(items: list, apply, data: np.ndarray) -> np.ndarray:
@@ -397,7 +360,8 @@ def _walk(fns: list, lams: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LoewnerVerdict:
-    """Outcome of a Loewner-order comparison of two symmetric matrices.
+    """Outcome of a Loewner-order comparison of two symmetric matrices, each
+    a stack of one slice.
 
     ``slack_le`` is the smallest eigenvalue of Y - X; ``slack_ge`` of X - Y.
     EQ wins over LE/GE when both slacks clear the tolerance, so verdicts
@@ -409,15 +373,17 @@ class LoewnerVerdict:
     slack_ge: float
 
 
-def loewner_compare(X: SymMatrix, Y: SymMatrix, tol: float | None = None) -> LoewnerVerdict:
-    """Compare X and Y in the Loewner order up to a nonnegative tolerance."""
-    X, Y = as_sym(X), as_sym(Y)
+def loewner_compare(X: SymStack, Y: SymStack, tol: float | None = None) -> LoewnerVerdict:
+    """Compare two matrices, each a stack of one slice, in the Loewner order
+    up to a nonnegative tolerance."""
     require_same_shape(X, Y)
+    if len(X) != 1:
+        raise ValueError(f"loewner_compare takes two one-slice stacks, got {len(X)} slices")
     if tol is None:
-        tol = LOEWNER_TOL_REL * max(1.0, op_norm(X) + op_norm(Y))
+        tol = LOEWNER_TOL_REL * max(1.0, float(op_norm(X)[0] + op_norm(Y)[0]))
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    diff = decompose(Y - X).eigenvalues
+    diff = decompose(Y - X).eigenvalues[0]
     slack_le = float(diff[0])
     slack_ge = float(-diff[-1])
     if slack_le >= -tol and slack_ge >= -tol:
@@ -431,10 +397,9 @@ def loewner_compare(X: SymMatrix, Y: SymMatrix, tol: float | None = None) -> Loe
     return LoewnerVerdict(relation=relation, slack_le=slack_le, slack_ge=slack_ge)
 
 
-def loewner_slack(X: SymMatrix, Y: SymMatrix):
-    """Smallest eigenvalue of Y - X (nonnegative iff X <= Y), per slice for stacks."""
-    X, Y = as_sym(X), as_sym(Y)
-    return _per_matrix(decompose(Y - X).eigenvalues[..., 0])
+def loewner_slack(X: SymStack, Y: SymStack) -> np.ndarray:
+    """Smallest eigenvalue of Y - X (nonnegative iff X <= Y) of each slice."""
+    return decompose(Y - X).eigenvalues[:, 0]
 
 
 def parse_spec(kind: str, spec: str, table: dict, *context):
@@ -522,29 +487,25 @@ def parse_norm(spec: str) -> NormKind:
     return parse_spec("norm", spec, _NORM_SPECS)
 
 
-def singular_values(X: SymMatrix) -> np.ndarray:
-    """Singular values of a symmetric matrix (absolute eigenvalues), descending;
-    one row per slice for a stack."""
-    X = as_sym(X)
+def singular_values(X: SymStack) -> np.ndarray:
+    """Singular values (absolute eigenvalues), descending, one row per slice."""
     return np.sort(np.abs(spectrum(X)), axis=-1)[..., ::-1]
 
 
-def ui_norm(X: SymMatrix, kind: NormKind):
-    """Evaluate a unitarily invariant norm from the singular values; for a
-    stack, ``kind`` is one norm or one per slice."""
-    sv = singular_values(X)
-    rows, kinds = sv.reshape(-1, sv.shape[-1]), per_slice(kind, as_sym(X))
-    values = [float(_NORMS[k.variant][3](row, k.param)) for row, k in zip(rows, kinds)]
-    return _per_matrix(np.array(values).reshape(sv.shape[:-1]))
+def ui_norm(X: SymStack, kind: NormKind) -> np.ndarray:
+    """A unitarily invariant norm of each slice, from its singular values;
+    ``kind`` is one norm or one per slice."""
+    kinds = per_slice(kind, X)
+    return np.array([float(_NORMS[k.variant][3](row, k.param))
+                     for row, k in zip(singular_values(X), kinds)])
 
 
-def op_norm(X: SymMatrix):
-    """Largest absolute eigenvalue, per slice for stacks."""
-    return _per_matrix(np.abs(spectrum(X)).max(axis=-1))
+def op_norm(X: SymStack) -> np.ndarray:
+    """Largest absolute eigenvalue of each slice."""
+    return np.abs(spectrum(X)).max(axis=-1)
 
 
-def spectrum_bounds(X: SymMatrix):
-    """Extreme eigenvalues (lambda_min, lambda_max) of a symmetric matrix,
-    or their arrays over the slices of a stack."""
-    w = decompose(as_sym(X)).eigenvalues
-    return _per_matrix(w[..., 0]), _per_matrix(w[..., -1])
+def spectrum_bounds(X: SymStack) -> tuple:
+    """The arrays of extreme eigenvalues (lambda_min, lambda_max) over the slices."""
+    w = decompose(X).eigenvalues
+    return w[:, 0], w[:, -1]

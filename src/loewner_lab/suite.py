@@ -71,7 +71,8 @@ _FIELDS = {
                      (lambda ids: all(i in ROWS or i in _GROUPS for i in ids),
                       "name inequality ids, all or all-non-audit")),
     "dims": (tuple, int, (bool, "name at least one dimension"),
-             (lambda dims: all(1 <= d <= 16 for d in dims), "stay within [1, 16]")),
+             (lambda dims: all(1 <= d <= 16 for d in dims), "stay within [1, 16]"),
+             (lambda dims: len(set(dims)) == len(dims), "name each dimension once")),
     "trials": (int, None, (lambda n: n >= 1, "be >= 1")),
     "seed": (int, None),
     "tol_rel": (_NUMBER, None, (lambda x: 0 <= x < math.inf,  # also refuses nan
@@ -192,7 +193,7 @@ def _parsed(config: SuiteConfig, name: str, parse) -> list:
 
 
 def _with_unitality(phi) -> tuple:
-    """``(phi, whether phi is unital)``.  SymMatrix refuses an image of the
+    """``(phi, whether phi is unital)``.  SymStack refuses an image of the
     identity that is not finite, and ``_parsed`` names the map's spec."""
     with np.errstate(over="ignore"):  # the refusal, not numpy's warning, reports an overflow
         return phi, check_unital(phi).is_unital
@@ -352,14 +353,12 @@ class Report:
     results: dict
     audit_results: dict
     probe: dict | None = None
-    tool_version: str = TOOL_VERSION
-    schema_version: int = SCHEMA_VERSION
     wall_time_s: float = 0.0
 
     def to_payload(self) -> dict:
         body = {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": TOOL_VERSION,
             "config": self.config,
             "results": self.results,
             "audit_results": self.audit_results,

@@ -17,7 +17,6 @@ from loewner_lab import (
     NormalizedTraceMap,
     NotUnitalError,
     SplitMix64,
-    SymMatrix,
     loewner_compare,
     loewner_matrix_psd_test,
     matrix_function,
@@ -32,10 +31,10 @@ from loewner_lab.generate import derive_seed
 from loewner_lab.kernels import ARITHMETIC, SQUARE, monotone_catalog
 from loewner_lab.spectral import OPERATOR
 from loewner_lab.suite import SuiteConfig, load_report, probe_tightness
-from oracles import certify, quadratic_form_slack
+from oracles import certify, one, quadratic_form_slack
 
-A14 = SymMatrix(np.diag([1.0, 4.0]))
-A41 = SymMatrix(np.diag([4.0, 1.0]))
+A14 = one(np.diag([1.0, 4.0]))
+A41 = one(np.diag([4.0, 1.0]))
 
 ACCEPTANCE_ARGS = [
     "verify", "--ineq", "all-non-audit", "--dims", "2,3,4,6,8",
@@ -121,8 +120,8 @@ def test_criterion_04_swing_identity():
         root = matrix_function(t_mat, math.sqrt)
         inv_root = matrix_function(t_mat, lambda x: 1.0 / math.sqrt(x))
         swing = root - inv_root
-        left = t_mat.data + inv.data
-        right = swing.data @ swing.data + 2.0 * np.eye(dim)
+        left = t_mat.data[0] + inv.data[0]
+        right = swing.data[0] @ swing.data[0] + 2.0 * np.eye(dim)
         rel = np.linalg.norm(left - right) / max(1.0, np.linalg.norm(left))
         worst = max(worst, rel)
     _line(worst <= 1e-9, "criterion-4 swing identity", f"worst residual {worst:.2e}")
@@ -145,7 +144,7 @@ def test_criterion_06_unitality_regression():
 
     difference = float(
         (geometric(ten_trace.apply(A14), ten_trace.apply(A41))
-         - ten_trace.apply(geometric(A14, A41))).data[0, 0]
+         - ten_trace.apply(geometric(A14, A41))).data[0, 0, 0]
     )
     refused = False
     try:
@@ -160,7 +159,7 @@ def test_criterion_06_unitality_regression():
         and difference > 2.25
         and refused
         and unital.holds
-        and abs(float(unital.lhs.data[0, 0]) - 0.5) <= 1e-10
+        and abs(float(unital.lhs.data[0, 0, 0]) - 0.5) <= 1e-10
         and abs(unital.constant - 2.25) <= 1e-12
     )
     _line(ok, "criterion-6 unitality counterexample regression",
@@ -227,7 +226,7 @@ def test_criterion_10_oracle_cross_checks():
         dim = 2 + i % 3  # dims 2..4
         x = random_spd(dim, 0.25, 4.0, derive_seed(1010, i))
         y = random_spd(dim, 0.25, 4.0, derive_seed(1011, i))
-        tol = 1e-9 * max(1.0, op_norm(x) + op_norm(y))
+        tol = 1e-9 * max(1.0, op_norm(x)[0] + op_norm(y)[0])
         verdict = loewner_compare(x, y, tol)
         checked_pairs += 1
         if verdict.relation in ("LE", "EQ"):
@@ -239,7 +238,7 @@ def test_criterion_10_oracle_cross_checks():
         if verdict.relation == "INCOMPARABLE":
             # both directions carry substantial negativity on random pairs;
             # the sampler must see it in both signs
-            scale = op_norm(y - x)
+            scale = op_norm(y - x)[0]
             if min(verdict.slack_le, verdict.slack_ge) < -0.05 * scale:
                 if (
                     quadratic_form_slack(x, y, 1000, i) >= 0.0

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from loewner_lab import (
     SplitMix64,
-    SymMatrix,
+    SymStack,
     estimate_sandwich,
     loewner_compare,
     random_orthogonal,
     random_spd,
     spectrum_bounds,
 )
-from loewner_lab.generate import derive_seed, fnv1a64, mix64
+from loewner_lab.errors import HypothesisError
+from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed, fnv1a64, mix64
 from loewner_lab.spectral import LOEWNER_TOL_REL, op_norm
-from oracles import bounded_pair, quadratic_form_slack, sandwich_pair
+from oracles import bounded_pair, one, quadratic_form_slack, sandwich_pair
 
 
 def _check_cell(cell, A, B, cells):
@@ -81,7 +82,7 @@ def test_bulk_draws_match_the_scalar_stream_bit_for_bit(seed, draws):
 class TestRandomSpd:
     def test_constant_spectrum_gives_identity(self):
         out = random_spd(3, 1.0, 1.0, 123)
-        np.testing.assert_allclose(out.data, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], np.eye(3), atol=1e-12)
 
     def test_determinism_bit_identical(self):
         a = random_spd(4, 0.5, 2.0, 42)
@@ -90,7 +91,7 @@ class TestRandomSpd:
 
     def test_spectrum_within_range(self):
         for seed in range(10):
-            lo, hi = spectrum_bounds(random_spd(2, 1.0, 9.0, seed))
+            (lo,), (hi,) = spectrum_bounds(random_spd(2, 1.0, 9.0, seed))
             assert lo >= 1.0 - 1e-9
             assert hi <= 9.0 + 1e-9
 
@@ -108,17 +109,17 @@ class TestRandomSpd:
 class TestSandwichPair:
     def test_degenerate_s_equals_t_forces_b_equals_a(self):
         pair = sandwich_pair(3, 1.0, 1.0, 7)
-        scale = op_norm(pair.A)
-        assert op_norm(pair.B - pair.A) <= 1e-12 * max(1.0, scale)
+        scale = op_norm(pair.A)[0]
+        assert op_norm(pair.B - pair.A)[0] <= 1e-12 * max(1.0, scale)
 
     def test_scaled_copy(self):
         pair = sandwich_pair(3, 2.0, 2.0, 7)
-        assert op_norm(pair.B - 2.0 * pair.A) <= 1e-11 * max(1.0, op_norm(pair.B))
+        assert op_norm(pair.B - 2.0 * pair.A)[0] <= 1e-11 * max(1.0, op_norm(pair.B)[0])
 
     def test_estimates_inside_claimed_interval(self):
         for seed in range(20):
             pair = sandwich_pair(2, 0.25, 4.0, seed)
-            s_star, t_star = estimate_sandwich(pair.A, pair.B)
+            (s_star,), (t_star,) = estimate_sandwich(pair.A, pair.B)
             assert s_star >= 0.25 - 1e-9
             assert t_star <= 4.0 + 1e-9
 
@@ -134,21 +135,21 @@ class TestBoundedPair:
         for seed in range(10):
             pair = bounded_pair(2, 1.0, 4.0, seed)
             for x in (pair.A, pair.B):
-                lo, hi = spectrum_bounds(x)
+                (lo,), (hi,) = spectrum_bounds(x)
                 assert lo >= 1.0 - 1e-12
                 assert hi <= 4.0 + 1e-12
 
     def test_loewner_bounds(self):
         for seed in range(5):
             pair = bounded_pair(3, 0.5, 2.0, seed)
-            eye = SymMatrix.identity(3)
+            eye = SymStack.identity(3)
             for x in (pair.A, pair.B):
                 assert loewner_compare(0.5 * eye, x, 1e-9).relation in ("LE", "EQ")
                 assert loewner_compare(x, 2.0 * eye, 1e-9).relation in ("LE", "EQ")
 
     def test_near_degenerate_spread(self):
         pair = bounded_pair(3, 1.0, 1.0 + 1e-9, 3)
-        assert op_norm(pair.A - SymMatrix.identity(3)) <= 1e-8
+        assert op_norm(pair.A - SymStack.identity(3))[0] <= 1e-8
 
     def test_determinism(self):
         a = bounded_pair(3, 1.0, 4.0, 5)
@@ -160,20 +161,33 @@ class TestBoundedPair:
         # two-sided bounds (m, M) imply the sandwich scalars (m/M, M/m)
         for seed in range(10):
             pair = bounded_pair(3, 1.0, 4.0, seed)
-            s_star, t_star = estimate_sandwich(pair.A, pair.B)
+            (s_star,), (t_star,) = estimate_sandwich(pair.A, pair.B)
             assert s_star >= 0.25 - 1e-9
             assert t_star <= 4.0 + 1e-9
 
 
+def test_a_pair_check_reads_one_number_as_every_slices_bound():
+    # one s, t (or m, M) for a stack of two: the second slice, outside the
+    # bounds, is refused as well as the first would be
+    A = SymStack(np.stack([np.eye(2), np.eye(2)]))
+    B = SymStack(np.stack([np.eye(2), 3.0 * np.eye(2)]))
+    with pytest.raises(HypothesisError, match=r"tightest \[3, 3\] outside \[0.5, 2\]"):
+        SandwichPair(A, B, 0.5, 2.0).verify()
+    with pytest.raises(HypothesisError, match=r"for B: spectrum \[3, 3\] outside \[1, 2\]"):
+        BoundedPair(A, B, 1.0, 2.0).verify()
+    with pytest.raises(ValueError):  # one bound per slice, or one for all
+        BoundedPair(A, B, [1.0, 1.0, 1.0], 2.0).verify()
+
+
 class TestEstimateSandwich:
     def test_commuting_hand_values(self):
-        s, t = estimate_sandwich(SymMatrix(np.diag([1.0, 4.0])), SymMatrix(np.diag([4.0, 1.0])))
+        (s,), (t,) = estimate_sandwich(one(np.diag([1.0, 4.0])), one(np.diag([4.0, 1.0])))
         assert s == pytest.approx(0.25, abs=1e-12)
         assert t == pytest.approx(4.0, abs=1e-12)
 
     def test_same_matrix(self):
         a = random_spd(3, 0.5, 2.0, 8)
-        s, t = estimate_sandwich(a, a)
+        (s,), (t,) = estimate_sandwich(a, a)
         assert s == pytest.approx(1.0, abs=1e-10)
         assert t == pytest.approx(1.0, abs=1e-10)
 
@@ -182,17 +196,18 @@ class TestEstimateSandwich:
         calls = []
         real = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
-        remembered = estimate_sandwich(pair.A, pair.B)
+        remembered = [x.tolist() for x in estimate_sandwich(pair.A, pair.B)]
         assert calls == []
-        fresh = estimate_sandwich(SymMatrix(pair.A.data), SymMatrix(pair.B.data))
+        fresh = [x.tolist() for x in estimate_sandwich(SymStack(pair.A.data),
+                                                       SymStack(pair.B.data))]
         assert remembered == fresh
-        other = estimate_sandwich(pair.A, 2.0 * pair.B)  # another partner is solved
-        assert other == pytest.approx((2.0 * fresh[0], 2.0 * fresh[1]), rel=1e-12)
-        assert estimate_sandwich(pair.A, pair.B) == fresh
+        (s,), (t,) = estimate_sandwich(pair.A, 2.0 * pair.B)  # another partner is solved
+        assert (s, t) == pytest.approx((2.0 * fresh[0][0], 2.0 * fresh[1][0]), rel=1e-12)
+        assert [x.tolist() for x in estimate_sandwich(pair.A, pair.B)] == fresh
 
     def test_scalar_multiple(self):
         a = random_spd(3, 0.5, 2.0, 9)
-        s, t = estimate_sandwich(a, 2.0 * a)
+        (s,), (t,) = estimate_sandwich(a, 2.0 * a)
         assert s == pytest.approx(2.0, abs=1e-10)
         assert t == pytest.approx(2.0, abs=1e-10)
 
@@ -202,7 +217,7 @@ def test_quadratic_form_slack_upper_bounds_lambda_min():
     y = random_spd(3, 0.5, 2.0, 22)
     from loewner_lab import loewner_slack
 
-    assert quadratic_form_slack(x, y, 500, 0) >= loewner_slack(x, y) - 1e-12
+    assert quadratic_form_slack(x, y, 500, 0) >= loewner_slack(x, y)[0] - 1e-12
 
 
 # A trial-by-trial reference for the stacked cell draw: every draw is a scalar
@@ -427,7 +442,7 @@ def test_streams_out_of_lockstep_are_refused():
 
 def _quadratic_form_slack_rows(X, Y, samples, seed):
     """The oracle one sampled row at a time: the reference for the block form."""
-    diff = (Y - X).data
+    diff = (Y - X).data[0]
     rng = SplitMix64(seed)
     best = np.inf
     for _ in range(samples):
@@ -442,7 +457,7 @@ def test_quadratic_form_oracle_matches_the_row_loop(dim):
     for seed in range(5):
         X = random_spd(dim, 0.5, 2.0, derive_seed(seed, 1))
         Y = random_spd(dim, 0.5, 2.0, derive_seed(seed, 2))
-        diff = (Y - X).data
+        diff = (Y - X).data[0]
         # each form sums dim^2 products of entries below 1 in size with diff's
         # entries, after a normalization: both sides round within this
         tol = 2 * (dim + 2) * np.finfo(float).eps * np.abs(diff).sum()

@@ -12,7 +12,6 @@ from loewner_lab import (
     NormalizedTraceMap,
     PinchingMap,
     SplitMix64,
-    SymMatrix,
     check_unital,
     kernel_catalog,
     parse_map,
@@ -23,10 +22,10 @@ from loewner_lab.generate import derive_seed, _spd
 from loewner_lab.maps import DEFAULT_MAP_SPECS, apply_each
 from loewner_lab.kernels import GEOMETRIC
 from loewner_lab.spectral import SymStack, op_norm
-from oracles import certify
+from oracles import certify, one
 
-A14 = SymMatrix(np.diag([1.0, 4.0]))
-A41 = SymMatrix(np.diag([4.0, 1.0]))
+A14 = one(np.diag([1.0, 4.0]))
+A41 = one(np.diag([4.0, 1.0]))
 
 
 def _default_maps(dim, rng):
@@ -36,7 +35,7 @@ def _default_maps(dim, rng):
 def psd(dim, seed):
     rng = SplitMix64(seed)
     raw = rng.normal_matrix(dim, dim)
-    return SymMatrix(raw @ raw.T)
+    return one(raw @ raw.T)
 
 
 class TestApply:
@@ -46,21 +45,21 @@ class TestApply:
 
     def test_normalized_trace_scalar_output(self):
         out = NormalizedTraceMap(2, 1).apply(A14)
-        np.testing.assert_allclose(out.data, [[2.5]])
+        np.testing.assert_allclose(out.data[0], [[2.5]])
 
     def test_congruence_projects_entry(self):
         out = CongruenceMap(np.array([[1.0], [0.0]])).apply(A14)
-        np.testing.assert_allclose(out.data, [[1.0]])
+        np.testing.assert_allclose(out.data[0], [[1.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             IdentityMap(3).apply(A14)
 
     def test_pinching_zeroes_cross_blocks(self):
-        x = SymMatrix([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        x = one([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
         out = PinchingMap(((0, 1), (2,))).apply(x)
         expected = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 6.0]])
-        np.testing.assert_allclose(out.data, expected)
+        np.testing.assert_allclose(out.data[0], expected)
 
     def test_kraus_sum(self):
         v1 = np.eye(2)
@@ -78,9 +77,9 @@ class TestApply:
         for phi in pool:
             x = psd(3, derive_seed(10, 1))
             y = psd(3, derive_seed(10, 2))
-            combo = phi.apply(SymMatrix(2.0 * x.data - 0.7 * y.data))
+            combo = phi.apply(SymStack(2.0 * x.data - 0.7 * y.data))
             parts = 2.0 * phi.apply(x) - 0.7 * phi.apply(y)
-            scale = max(1.0, op_norm(combo))
+            scale = max(1.0, op_norm(combo)[0])
             assert np.linalg.norm((combo - parts).data) <= 1e-10 * scale, phi.label
 
     def test_positivity_on_random_psd(self):
@@ -90,8 +89,8 @@ class TestApply:
             for seed in range(200):
                 x = psd(3, derive_seed(20, seed))
                 image = phi.apply(x)
-                lo = float(np.linalg.eigvalsh(image.data)[0])
-                assert lo >= -1e-10 * max(1.0, op_norm(image)), phi.label
+                lo = float(np.linalg.eigvalsh(image.data[0])[0])
+                assert lo >= -1e-10 * max(1.0, op_norm(image)[0]), phi.label
 
 
 class TestValidation:
@@ -160,15 +159,15 @@ class TestUnitality:
 
 class TestAndoCheck:
     def test_identity_map_equality(self):
-        a, b = psd(3, 31) + SymMatrix.identity(3), psd(3, 32) + SymMatrix.identity(3)
+        a, b = psd(3, 31) + SymStack.identity(3), psd(3, 32) + SymStack.identity(3)
         cert = certify("ando", a, b, phi=IdentityMap(3), sigma=GEOMETRIC)
         assert cert.holds
-        assert abs(cert.slack) <= 1e-10 * max(1.0, op_norm(a) + op_norm(b))
+        assert abs(cert.slack) <= 1e-10 * max(1.0, op_norm(a)[0] + op_norm(b)[0])
 
     def test_trace_map_hand_values(self):
         cert = certify("ando", A14, A41, phi=NormalizedTraceMap(2, 1), sigma=GEOMETRIC)
-        np.testing.assert_allclose(cert.lhs.data, [[2.0]], atol=1e-12)
-        np.testing.assert_allclose(cert.rhs.data, [[2.5]], atol=1e-12)
+        np.testing.assert_allclose(cert.lhs.data[0], [[2.0]], atol=1e-12)
+        np.testing.assert_allclose(cert.rhs.data[0], [[2.5]], atol=1e-12)
         assert cert.holds
 
     def test_pinching_fixes_diagonal_instances(self):
@@ -184,11 +183,10 @@ class TestAndoCheck:
         pool = _default_maps(dim, rng)
         pair_rng = SplitMix64(derive_seed(88, dim))
         pairs = [
-            (_spd([pair_rng], dim, 0.25, 4.0).matrices()[0],
-             _spd([pair_rng], dim, 0.25, 4.0).matrices()[0])
+            (_spd([pair_rng], dim, 0.25, 4.0), _spd([pair_rng], dim, 0.25, 4.0))
             for _ in range(200)
         ]
-        A, B = (SymStack(np.stack([m.data for m in mats])) for mats in zip(*pairs))
+        A, B = (SymStack(np.concatenate([m.data for m in mats])) for mats in zip(*pairs))
         for phi in pool:
             for kernel in kernel_catalog():
                 result = check_stack(ROWS["ando"], A, B, [()] * len(pairs),
@@ -207,7 +205,7 @@ class TestParseMap:
         assert parse_map("congruence:random:3x2", 3, rng).output_dim == 2
         assert parse_map("kraus:2", 3, rng).label == "kraus:2"
         mixed = parse_map("mix:20@ntrace:1", 2, rng)
-        np.testing.assert_allclose(mixed.apply(A14).data, [[50.0]])
+        np.testing.assert_allclose(mixed.apply(A14).data[0], [[50.0]])
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -235,8 +233,8 @@ def test_apply_each_gives_each_slice_its_maps_bits(picks, seed):
     image = apply_each([maps[i] for i in picks], X)
     assert image.data.shape == (len(picks), 3, 3)
     for k, i in enumerate(picks):
-        alone = maps[i].apply(SymMatrix(X.data[k]))
-        assert image.data[k].tobytes() == alone.data.tobytes(), maps[i].label
+        alone = maps[i].apply(SymStack(X.data[k:k + 1]))
+        assert image.data[k].tobytes() == alone.data[0].tobytes(), maps[i].label
 
 
 def test_apply_each_refuses_maps_of_two_output_dims():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner_lab import SplitMix64, SymMatrix, suite
+from loewner_lab import SplitMix64, suite
 from loewner_lab.certificates import BOUNDED, SANDWICH
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
 from loewner_lab.spectral import SymStack, decompose
 from loewner_lab.suite import SuiteConfig
+from oracles import one
 
 PROBED_IDS = [i for i, entry in suite.ROWS.items() if entry.cell.probe is not None]
 
@@ -58,17 +59,17 @@ def _instance_matrices(cell, inst):
     """The instance's (A, B), built one matrix at a time: the reference for
     ``suite._probe_stacks``."""
     q_a, lam_a, q_c, lam_c = inst
-    A = SymMatrix(q_a.T @ np.diag(lam_a) @ q_a)
-    C = SymMatrix(q_c.T @ np.diag(lam_c) @ q_c)
+    A = one(q_a.T @ np.diag(lam_a) @ q_a)
+    C = one(q_c.T @ np.diag(lam_c) @ q_c)
     if cell is BOUNDED:
         return A, C
     root = decompose(A).root
-    return A, SymMatrix(root @ C.data @ root)
+    return A, SymStack(root @ C.data @ root)
 
 
 def _reference_stacks(cell, insts, bounds):
     pairs = [_instance_matrices(cell, inst) for inst in insts]
-    A, B = (SymStack(np.stack([X.data for X in Xs])) for Xs in zip(*pairs))
+    A, B = (SymStack(np.concatenate([X.data for X in Xs])) for Xs in zip(*pairs))
     return A, B, [bounds] * len(insts)
 
 
@@ -225,8 +226,8 @@ def test_probe_stacks_equal_the_instances_built_one_by_one(bounded, dim, n, seed
     assert cells == [bounds] * len(insts)
     for k, inst in enumerate(insts):
         a, b = _instance_matrices(cell, inst)
-        assert A.data[k].tobytes() == a.data.tobytes()
-        assert B.data[k].tobytes() == b.data.tobytes()
+        assert A.data[k].tobytes() == a.data[0].tobytes()
+        assert B.data[k].tobytes() == b.data[0].tobytes()
 
 
 @pytest.mark.parametrize("ineq", PROBED_IDS)
@@ -263,7 +264,7 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     # a new matrix of the same entries
     for inst in starts[1:]:
         for X in _instance_matrices(cell, inst):
-            assert scan.count(X.data.tobytes()) <= 1
+            assert scan.count(X.data[0].tobytes()) <= 1
 
 
 def test_reflected_cell_is_probed_where_its_draw_reflects_it(tmp_path):

@@ -13,8 +13,7 @@ from loewner_lab import (
     DomainError,
     EigenSolverError,
     SplitMix64,
-    SymMatrix,
-    as_sym,
+    SymStack,
     decompose,
     ky_fan,
     loewner_compare,
@@ -27,7 +26,7 @@ from loewner_lab import (
     ui_norm,
 )
 from loewner_lab.generate import derive_seed, random_orthogonal
-from oracles import quadratic_form_slack
+from oracles import one, quadratic_form_slack
 from loewner_lab.kernels import (
     GEOMETRIC,
     HARMONIC,
@@ -41,64 +40,70 @@ from loewner_lab.kernels import (
     shifted_inverse,
 )
 from loewner_lab.maps import MapSpec, parse_map
-from loewner_lab.spectral import NormKind, SymStack, spectrum
+from loewner_lab.spectral import NormKind, spectrum
 
 
 def random_sym(dim, seed, scale=1.0):
     rng = SplitMix64(seed)
     raw = rng.normal_matrix(dim, dim) * scale
-    return SymMatrix(raw)
+    return one(raw)
 
 
-class TestSymMatrix:
+class TestSymStack:
     def test_symmetrizes_on_construction(self):
-        x = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-        np.testing.assert_allclose(x.data, [[1.0, 1.0], [1.0, 3.0]])
+        x = one([[1.0, 2.0], [0.0, 3.0]])
+        np.testing.assert_allclose(x.data, [[[1.0, 1.0], [1.0, 3.0]]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            SymMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+            one([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    def test_rejects_a_matrix_that_is_not_a_stack(self):
+        # a single matrix is a stack of one slice, never a 2-d array
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            SymStack(np.eye(2))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            SymMatrix([[1.0, np.inf], [np.inf, 1.0]])
+            one([[1.0, np.inf], [np.inf, 1.0]])
 
     def test_data_is_read_only(self):
-        x = SymMatrix.identity(2)
+        x = SymStack.identity(2)
         with pytest.raises(ValueError):
-            x.data[0, 0] = 5.0
+            x.data[0, 0, 0] = 5.0
 
     def test_add_requires_matching_dims(self):
         with pytest.raises(DimensionMismatchError):
-            SymMatrix.identity(2) + SymMatrix.identity(3)
+            SymStack.identity(2) + SymStack.identity(3)
 
 
 class TestDecompose:
     def test_diagonal_input(self):
-        dec = decompose(SymMatrix(np.diag([3.0, 1.0])))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0])
-        np.testing.assert_allclose(np.abs(dec.basis), np.eye(2)[:, ::-1], atol=1e-14)
+        dec = decompose(one(np.diag([3.0, 1.0])))
+        np.testing.assert_allclose(dec.eigenvalues[0], [1.0, 3.0])
+        np.testing.assert_allclose(np.abs(dec.basis[0]), np.eye(2)[:, ::-1], atol=1e-14)
 
     def test_two_by_two_hand_values(self):
         # char poly of [[2,1],[1,2]] gives (2-l)^2 = 1, so l in {1, 3}
-        dec = decompose(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-12)
+        dec = decompose(one([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(dec.eigenvalues[0], [1.0, 3.0], atol=1e-12)
 
     def test_identity(self):
-        dec = decompose(SymMatrix.identity(5))
-        np.testing.assert_allclose(dec.eigenvalues, np.ones(5))
+        dec = decompose(SymStack.identity(5))
+        np.testing.assert_allclose(dec.eigenvalues[0], np.ones(5))
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 9, 16])
     def test_reconstruction_contract(self, dim):
         for seed in range(4):
             a = random_sym(dim, derive_seed(11, dim, seed), scale=3.0)
             dec = decompose(a)
-            rebuilt = dec.basis @ np.diag(dec.eigenvalues) @ dec.basis.T
-            err = np.linalg.norm(rebuilt - a.data)
-            assert err <= 1e-12 * max(1.0, np.linalg.norm(a.data))
-            orth = np.linalg.norm(dec.basis.T @ dec.basis - np.eye(dim))
+            q, w, data = dec.basis[0], dec.eigenvalues[0], a.data[0]
+            rebuilt = q @ np.diag(w) @ q.T
+            err = np.linalg.norm(rebuilt - data)
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(data))
+            orth = np.linalg.norm(q.T @ q - np.eye(dim))
             assert orth <= 1e-12 * dim
-            assert np.all(np.diff(dec.eigenvalues) >= 0)
+            assert np.all(np.diff(w) >= 0)
 
 
 class TestSpectralMemo:
@@ -144,7 +149,7 @@ class TestSpectralMemo:
         kernel_mean(LOGARITHMIC, a, b)
         assert len(calls) == 1
         assert a._inner[0] is b
-        other = SymMatrix(b.data)  # another partner is solved, and not remembered
+        other = SymStack(b.data)  # another partner is solved, and not remembered
         geometric(a, other)
         geometric(a, other)
         assert len(calls) == 3 and a._inner[0] is b
@@ -153,18 +158,18 @@ class TestSpectralMemo:
 
     def test_product_by_ones_is_the_operand(self):
         x = random_sym(3, 4)
-        stack = SymStack(np.stack([x.data, random_sym(3, 5).data]))
+        stack = SymStack(np.concatenate([x.data, random_sym(3, 5).data]))
         decompose(stack)
         assert x * 1.0 is x and 1 * x is x
         assert stack * 1.0 is stack and stack * [1.0, 1.0] is stack
         assert 1.0 * stack is stack and stack * np.ones(2) is stack
         assert stack * [1.0, 2.0] is not stack and x * 2.0 is not x
-        assert (stack * [1.0, 2.0]).data[0].tobytes() == x.data.tobytes()
+        assert (stack * [1.0, 2.0]).data[0].tobytes() == x.data[0].tobytes()
         with pytest.raises(ValueError):
             stack * [1.0, 1.0, 1.0]
 
     def test_memo_is_the_same_read_only_object(self):
-        x = SymMatrix(random_sym(3, 5).data @ random_sym(3, 5).data + np.eye(3))
+        x = SymStack(random_sym(3, 5).data @ random_sym(3, 5).data + np.eye(3))
         dec = decompose(x)
         assert decompose(x) is dec
         assert spectrum(x) is spectrum(x)
@@ -174,7 +179,7 @@ class TestSpectralMemo:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         np.testing.assert_allclose(dec.root @ dec.root, x.data, atol=1e-12)
-        np.testing.assert_allclose(dec.inv_root @ x.data @ dec.inv_root, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(dec.inv_root @ x.data @ dec.inv_root, [np.eye(3)], atol=1e-12)
 
     def test_failed_contract_is_not_remembered(self, monkeypatch):
         x = random_sym(4, 3)
@@ -189,21 +194,21 @@ class TestSpectralMemo:
 
 class TestMatrixFunction:
     def test_diagonal_sqrt(self):
-        out = matrix_function(SymMatrix(np.diag([4.0, 9.0])), math.sqrt)
-        np.testing.assert_allclose(out.data, np.diag([2.0, 3.0]), atol=1e-12)
+        out = matrix_function(one(np.diag([4.0, 9.0])), math.sqrt)
+        np.testing.assert_allclose(out.data[0], np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_identity_function(self):
         a = random_sym(4, 99)
         out = matrix_function(a, lambda x: x)
-        np.testing.assert_allclose(out.data, a.data, atol=1e-12 * max(1, op_norm(a)))
+        np.testing.assert_allclose(out.data, a.data, atol=1e-12 * max(1, op_norm(a)[0]))
 
     def test_square_by_direct_multiplication(self):
-        a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+        a = one([[2.0, 1.0], [1.0, 2.0]])
         out = matrix_function(a, lambda x: x * x)
-        np.testing.assert_allclose(out.data, [[5.0, 4.0], [4.0, 5.0]], atol=1e-12)
+        np.testing.assert_allclose(out.data[0], [[5.0, 4.0], [4.0, 5.0]], atol=1e-12)
 
     def test_domain_error_names_eigenvalue(self):
-        a = SymMatrix(np.diag([0.0, 1.0]))
+        a = one(np.diag([0.0, 1.0]))
         with pytest.raises(DomainError, match="0.0"):
             matrix_function(a, lambda x: 1.0 / x)
 
@@ -247,26 +252,22 @@ class TestMatrixFunction:
         with pytest.raises(error) as info:
             matrix_function(stack, fns if isinstance(fns, list) else [fns] * len(diagonals))
         assert str(info.value) == text
-        if len(diagonals) == 1:  # a single matrix raises as its stack of one does
-            with pytest.raises(error) as info:
-                matrix_function(SymMatrix(np.diag(diagonals[0])), fns)
-            assert str(info.value) == text
 
     def test_commutes_with_argument(self):
         for seed in range(5):
             a = random_sym(5, derive_seed(23, seed))
             fa = matrix_function(a, lambda x: math.exp(0.3 * x))
-            comm = a.data @ fa.data - fa.data @ a.data
-            scale = op_norm(a) * op_norm(fa)
+            comm = a.data[0] @ fa.data[0] - fa.data[0] @ a.data[0]
+            scale = op_norm(a)[0] * op_norm(fa)[0]
             assert np.linalg.norm(comm) <= 1e-10 * max(1.0, scale)
 
     def test_spectral_mapping(self):
         for seed in range(5):
             a = random_sym(6, derive_seed(37, seed))
             fa = matrix_function(a, lambda x: x**3 - x)
-            image = np.sort([(x**3 - x) for x in decompose(a).eigenvalues])
+            image = np.sort([(x**3 - x) for x in decompose(a).eigenvalues[0]])
             np.testing.assert_allclose(
-                np.sort(decompose(fa).eigenvalues), image, atol=1e-10 * max(1, op_norm(fa))
+                np.sort(decompose(fa).eigenvalues[0]), image, atol=1e-10 * max(1, op_norm(fa)[0])
             )
 
 
@@ -313,7 +314,7 @@ def test_each_twin_gives_its_scalar_functions_bits(xs):
 
 class TestLoewnerCompare:
     def test_diagonal_gap(self):
-        v = loewner_compare(SymMatrix(np.diag([1.0, 2.0])), SymMatrix(np.diag([2.0, 3.0])), 1e-9)
+        v = loewner_compare(one(np.diag([1.0, 2.0])), one(np.diag([2.0, 3.0])), 1e-9)
         assert v.relation == "LE"
         assert v.slack_le == pytest.approx(1.0)
 
@@ -322,14 +323,19 @@ class TestLoewnerCompare:
         assert loewner_compare(x, x, 1e-9).relation == "EQ"
 
     def test_incomparable(self):
-        v = loewner_compare(SymMatrix(np.diag([1.0, 2.0])), SymMatrix(np.diag([2.0, 1.0])), 1e-9)
+        v = loewner_compare(one(np.diag([1.0, 2.0])), one(np.diag([2.0, 1.0])), 1e-9)
         assert v.relation == "INCOMPARABLE"
         assert v.slack_le == pytest.approx(-1.0)
         assert v.slack_ge == pytest.approx(-1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            loewner_compare(SymMatrix.identity(2), SymMatrix.identity(3))
+            loewner_compare(SymStack.identity(2), SymStack.identity(3))
+
+    def test_refuses_a_stack_of_more_than_one_slice(self):
+        x = SymStack(np.stack([np.eye(2), 2.0 * np.eye(2)]))
+        with pytest.raises(ValueError, match="two one-slice stacks, got 2 slices"):
+            loewner_compare(x, x)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -349,7 +355,7 @@ class TestLoewnerCompare:
             dim = 2 + seed % 5  # dims 2..6
             x = random_sym(dim, derive_seed(71, seed))
             y = random_sym(dim, derive_seed(72, seed))
-            tol = 1e-9 * max(1.0, op_norm(x) + op_norm(y))
+            tol = 1e-9 * max(1.0, op_norm(x)[0] + op_norm(y)[0])
             verdict = loewner_compare(x, y, tol)
             if verdict.relation in ("LE", "EQ"):
                 assert quadratic_form_slack(x, y, 1000, seed) >= -tol
@@ -359,23 +365,23 @@ class TestLoewnerCompare:
 
 class TestNorms:
     def test_operator_norm_diagonal(self):
-        assert ui_norm(SymMatrix(np.diag([2.0, -3.0])), OPERATOR) == pytest.approx(3.0)
+        assert ui_norm(one(np.diag([2.0, -3.0])), OPERATOR)[0] == pytest.approx(3.0)
 
     def test_trace_norm_identity(self):
-        assert ui_norm(SymMatrix.identity(4), TRACE) == pytest.approx(4.0)
+        assert ui_norm(SymStack.identity(4), TRACE)[0] == pytest.approx(4.0)
 
     def test_schatten2_hand_value(self):
         # singular values of [[2,1],[1,2]] are {1, 3}
-        value = ui_norm(SymMatrix([[2.0, 1.0], [1.0, 2.0]]), schatten(2))
+        value = ui_norm(one([[2.0, 1.0], [1.0, 2.0]]), schatten(2))[0]
         assert value == pytest.approx(math.sqrt(10.0), rel=1e-12)
 
     def test_frobenius_matches_schatten2(self):
         x = random_sym(5, 17)
-        assert ui_norm(x, FROBENIUS) == pytest.approx(ui_norm(x, schatten(2)), rel=1e-12)
+        assert ui_norm(x, FROBENIUS)[0] == pytest.approx(ui_norm(x, schatten(2))[0], rel=1e-12)
 
     def test_ky_fan_out_of_range(self):
         with pytest.raises(ValueError):
-            ui_norm(SymMatrix.identity(3), ky_fan(4))
+            ui_norm(SymStack.identity(3), ky_fan(4))
 
     def test_parse_norm(self):
         assert parse_norm("operator") == OPERATOR
@@ -391,9 +397,9 @@ class TestNorms:
         for seed in range(5):
             x = random_sym(5, derive_seed(301, seed))
             u = random_orthogonal(5, SplitMix64(derive_seed(302, seed)))
-            rotated = SymMatrix(u.T @ x.data @ u)
-            base = ui_norm(x, kind)
-            assert abs(ui_norm(rotated, kind) - base) <= 1e-9 * base
+            rotated = SymStack(u.T @ x.data @ u)
+            base = ui_norm(x, kind)[0]
+            assert abs(ui_norm(rotated, kind)[0] - base) <= 1e-9 * base
 
     @pytest.mark.parametrize(
         "kind", [OPERATOR, TRACE, FROBENIUS, ky_fan(2), schatten(3), schatten(1.5)]
@@ -403,31 +409,26 @@ class TestNorms:
         rng = SplitMix64(404)
         for _ in range(20):
             raw = rng.normal_matrix(4, 4)
-            x = SymMatrix(raw @ raw.T)
+            x = one(raw @ raw.T)
             bump = rng.normal_matrix(4, 4)
-            y = SymMatrix(x.data + bump @ bump.T)
+            y = SymStack(x.data + bump @ bump.T)
             assert loewner_compare(x, y).relation in ("LE", "EQ")
-            assert ui_norm(x, kind) <= ui_norm(y, kind) + 1e-9
+            assert ui_norm(x, kind)[0] <= ui_norm(y, kind)[0] + 1e-9
 
 
 class TestSpectrumBounds:
     def test_diagonal(self):
-        assert spectrum_bounds(SymMatrix(np.diag([1.0, 4.0]))) == (1.0, 4.0)
+        lo, hi = spectrum_bounds(one(np.diag([1.0, 4.0])))
+        assert (lo.tolist(), hi.tolist()) == ([1.0], [4.0])
 
     def test_identity(self):
-        assert spectrum_bounds(SymMatrix.identity(3)) == (1.0, 1.0)
+        lo, hi = spectrum_bounds(SymStack.identity(3))
+        assert (lo.tolist(), hi.tolist()) == ([1.0], [1.0])
 
     def test_hand_computed(self):
-        lo, hi = spectrum_bounds(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(3.0, abs=1e-12)
-
-
-def test_as_sym_passthrough_and_coercion():
-    x = SymMatrix.identity(2)
-    assert as_sym(x) is x
-    y = as_sym([[1.0, 0.0], [0.0, 2.0]])
-    assert isinstance(y, SymMatrix)
+        lo, hi = spectrum_bounds(one([[2.0, 1.0], [1.0, 2.0]]))
+        assert lo[0] == pytest.approx(1.0, abs=1e-12)
+        assert hi[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def _map3(spec):

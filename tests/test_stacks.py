@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner_lab import SplitMix64, SymMatrix, geometric, matrix_function, suite
+from loewner_lab import SplitMix64, certificates, geometric, matrix_function, suite
 from loewner_lab.certificates import (
     ALL_INEQUALITIES,
     ALPHA,
@@ -46,7 +46,7 @@ from loewner_lab.spectral import (
     ui_norm,
 )
 from loewner_lab.suite import SuiteConfig
-from oracles import certify
+from oracles import certify, one
 
 MATRIX_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell not in (ALPHA, SPECHT)]
 PROBED_IDS = [i for i in ALL_INEQUALITIES if suite.ROWS[i].cell.probe is not None]
@@ -246,7 +246,7 @@ def test_audit_corner_is_solved_inside_its_stack(ineq, dim, monkeypatch):
 def test_stacked_spectral_layer_matches_single_matrices():
     mats = [random_spd(dim, 0.5, 3.0, derive_seed(3, k)) for k, dim in enumerate([4] * 7)]
     others = [random_spd(4, 0.5, 3.0, derive_seed(4, k)) for k in range(7)]
-    A, B = (SymStack(np.stack([X.data for X in Xs])) for Xs in (mats, others))
+    A, B = (SymStack(np.concatenate([X.data for X in Xs])) for Xs in (mats, others))
     # mapped functions, numpy twins, and functions that some slices share
     fns = [math.sqrt, math.log1p, lambda x: 1.0 / x, math.sqrt, lambda x: x * x, GEOMETRIC.fn,
            GEOMETRIC.fn]
@@ -259,7 +259,7 @@ def test_stacked_spectral_layer_matches_single_matrices():
         "op_norm": op_norm(B),
     }
     for k, (X, Y) in enumerate(zip(mats, others)):
-        X, Y = SymMatrix(X.data), SymMatrix(Y.data)  # solved afresh, one at a time
+        X, Y = SymStack(X.data), SymStack(Y.data)  # solved afresh, one at a time
         single = {
             "decompose": decompose(X).basis,
             "spectrum": spectrum(Y),
@@ -269,35 +269,34 @@ def test_stacked_spectral_layer_matches_single_matrices():
             "op_norm": op_norm(Y),
         }
         for name, value in single.items():
-            assert np.asarray(stacked[name][k]).tobytes() == np.asarray(value).tobytes(), name
+            assert stacked[name][k].tobytes() == value[0].tobytes(), name
     rng = SplitMix64(1)
     for phi in [parse_map(spec, 4, rng) for spec in DEFAULT_MAP_SPECS]:
         image = phi.apply(A)
         for k, X in enumerate(mats):
-            assert image.data[k].tobytes() == phi.apply(X).data.tobytes(), phi.label
-    # a matrix and its one-slice stack run one path: each norm variant, and the
+            assert image.data[k].tobytes() == phi.apply(X).data[0].tobytes(), phi.label
+    # a slice alone and in a stack run one path: each norm variant, and the
     # contract figures of a decompose whose sums of squares overflow, so that
     # _fro takes its rescaled path
-    one = SymStack(mats[0].data[None])
     for kind in map(parse_norm, DEFAULT_NORM_SPECS):  # one spec per variant
-        assert np.float64(ui_norm(mats[0], kind)).tobytes() == ui_norm(one, kind).tobytes()
-    big = mats[0].data * 1e200
+        assert ui_norm(A, kind)[:1].tobytes() == ui_norm(mats[0], kind).tobytes()
+    big = mats[0].data[0] * 1e200
     assert np.abs(big).max() > 1.4e154  # its square overflows, so _fro rescales
-    dec, dec_one = decompose(SymMatrix(big)), decompose(SymStack(big[None]))
-    assert dec.eigenvalues.tobytes() == dec_one.eigenvalues[0].tobytes()
-    assert dec.basis.tobytes() == dec_one.basis[0].tobytes()
+    dec = decompose(SymStack(big[None]))
     beside_zero = decompose(SymStack(np.stack([np.zeros_like(big), big])))  # no 0/0 rescale
-    assert beside_zero.basis[1].tobytes() == dec.basis.tobytes()
-    single, stacked = _eigh(big), _eigh(big[None])  # (w, q, residual, scale, orth)
-    assert [np.asarray(x).tobytes() for x in single] == [y[0].tobytes() for y in stacked]
+    assert beside_zero.eigenvalues[1].tobytes() == dec.eigenvalues[0].tobytes()
+    assert beside_zero.basis[1].tobytes() == dec.basis[0].tobytes()
+    alone = _eigh(big[None])  # (w, q, residual, scale, orth)
+    beside = _eigh(np.stack([np.zeros_like(big), big]))
+    assert [x[0].tobytes() for x in alone] == [y[1].tobytes() for y in beside]
 
 
 _SCALING_FNS = monotone_catalog() + tuple(map(parse_function, DEFAULT_DECREASING_SPECS))
 
 
-def _alpha_scaling_reference(fn, alpha, constant_multiplier, grid=None):
+def _alpha_scaling_reference(fn, alpha, constant_multiplier):
     """The alpha-scaling certificate as a loop over the grid, one point at a time."""
-    points = default_grid() if grid is None else tuple(grid)
+    points = default_grid()
     worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
     for x in points:
         if fn.klass == OPERATOR_MONOTONE:
@@ -324,25 +323,14 @@ def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
         assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
 
 
-@settings(max_examples=40, deadline=None)
-@given(alpha=st.floats(1.0, 8.0), multiplier=st.sampled_from([1.0, 0.9]),
-       grid=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40))
-def test_alpha_scaling_on_an_explicit_grid_matches_the_grid_loop(alpha, multiplier, grid):
-    # a grid may repeat points; both function classes are covered
-    for fn in _SCALING_FNS:
-        got = certify("alpha-scaling", None, None, alpha, f=fn, grid=grid,
-                      constant_multiplier=multiplier).to_json()
-        assert got == _alpha_scaling_reference(fn, alpha, multiplier, grid), fn.id
-
-
 def test_overflowing_average_is_refused():
     with pytest.raises(ValueError, match="overflow"):
-        SymMatrix([[1e308, 1e308], [1e308, 1.0]])
+        one([[1e308, 1e308], [1e308, 1.0]])
     with pytest.raises(ValueError, match="finite"):
-        SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
+        one([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(ValueError, match="finite"):
         SymStack(np.full((2, 2, 2), np.inf))
-    assert SymMatrix([[8e307, 8e307], [8e307, 1.0]]).data[0, 1] == 8e307
+    assert one([[8e307, 8e307], [8e307, 1.0]]).data[0, 0, 1] == 8e307
 
 
 def test_overflowing_cell_exits_with_the_overflow(capsys):
@@ -354,17 +342,18 @@ def test_overflowing_cell_exits_with_the_overflow(capsys):
 
 
 def test_results_are_columnar(monkeypatch, tmp_path, capsys):
-    # a campaign keeps its results as columns per stack: a SymMatrix view of
-    # one slice is built only for the sides of a recorded violation
+    # a campaign keeps its results as columns per stack: a one-slice view of
+    # a side is built only for the sides of a recorded violation
     views = []
-    real = SymMatrix._fill
+    real = certificates._slice
 
-    def fill(self, data):
-        if type(self) is SymMatrix and isinstance(data.base, np.ndarray) and data.base.ndim == 3:
-            views.append(data)
-        return real(self, data)
+    def view(side, k):
+        out = real(side, k)
+        if isinstance(out, SymStack):
+            views.append(out)
+        return out
 
-    monkeypatch.setattr(SymMatrix, "_fill", fill)
+    monkeypatch.setattr(certificates, "_slice", view)
     assert cli_main(["verify", "--ineq", "all-non-audit", "--dims", "2,3", "--trials", "20",
                      "--seed", "7"]) == 0
     assert views == []
@@ -375,3 +364,4 @@ def test_results_are_columnar(monkeypatch, tmp_path, capsys):
     recorded = collect_violations(load_report(str(path)))
     assert len(recorded) == 10  # of more violations: the report keeps the first ten
     assert len(views) == 2 * len(recorded)  # each one certificate with two matrix sides
+    assert all(len(X) == 1 and X.data.base is not None for X in views)  # views, not copies

@@ -74,6 +74,8 @@ class TestSuiteConfig:
         ({"trials": 0}, "field trials must be >= 1, got 0"),
         ({"dims": (2, 17)}, "field dims must stay within [1, 16], got (2, 17)"),
         ({"dims": (0,)}, "field dims must stay within [1, 16], got (0,)"),
+        ({"dims": (2, 2)}, "field dims must name each dimension once, got (2, 2)"),
+        ({"dims": [3, 2, 3]}, "field dims must name each dimension once, got (3, 2, 3)"),
         ({"s": 0.5}, "fields s, t: provide both or neither, got s=0.5, t=None"),
         ({"t": 2.0}, "fields s, t: provide both or neither, got s=None, t=2.0"),
         ({"M": 4.0}, "fields m, M: provide both or neither, got m=None, M=4.0"),
@@ -233,6 +235,20 @@ class TestSuiteConfig:
         assert capsys.readouterr().err == (
             "error: fields m, M: the constant of kantorovich-f is not a finite number at "
             "m=1e+200, M=1e+201\n")
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--ineq", "polya-szego"],
+        ["hunt", "--ineq", "midpoint", "--override-constant", "0.5"],
+    ])
+    def test_repeated_dimension_fails_before_any_trial(self, command, monkeypatch, capsys):
+        # a dimension named twice would run its trials twice and count them twice
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        assert cli_main(command + ["--dims", "2,2", "--trials", "3"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: field dims must name each dimension once, got (2, 2)\n")
 
     @pytest.mark.parametrize("ineq, cell", [
         ("gruss-f", ("m", 1e-200, "M", 2e-200)),  # (M - m) ** 2 underflows to 0, then / 0
@@ -573,6 +589,10 @@ class TestReportIO:
         assert body["schema_version"] == 1
         assert body["config"]["seed"] == 7
         assert set(body["results"]) == set(report.results)
+        # the versions are the tool's own, never a field a caller could set
+        assert (body["schema_version"], body["tool_version"]) == (
+            suite.SCHEMA_VERSION, suite.TOOL_VERSION)
+        assert not {"schema_version", "tool_version"} & set(vars(report))
 
     def test_top_level_key_required(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -636,6 +656,18 @@ class TestReportIO:
         capsys.readouterr()
         assert cli_main(["recheck", str(path), "0"]) == 2
         assert capsys.readouterr().err.startswith(f"error: field {field} ")
+
+    def test_report_whose_config_repeats_a_dimension_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "hunt.json"
+        cli_main(["hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "20", "--seed", "7",
+                  "--m", "1", "--M", "4", "--override-constant", "0.8", "--report", str(path)])
+        data = json.loads(path.read_text())
+        data["loewner_lab_report"]["config"]["dims"] = [2, 2]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli_main(["recheck", str(path), "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: field dims must name each dimension once, got (2, 2)\n")
 
     @pytest.mark.parametrize("content", [pytest.param("5", id="number"),
                                          pytest.param('{"loewner_lab_report": [1]}',

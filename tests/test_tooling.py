@@ -218,3 +218,50 @@ def test_each_norm_variant_and_map_dimension_is_declared_once():
     derived = [f"{owner}.{node.name}" for owner, node in _functions(maps)
                if owner is not None and node.name in ("input_dim", "output_dim")]
     assert derived == []
+
+
+def test_one_matrix_type():
+    # a single matrix is a stack of one slice: spectral defines one class that
+    # holds matrix entries, SymMatrix is only the name the benchmark's tracer
+    # wraps, and no function of the spectral, means and maps layers coerces a
+    # matrix, or branches on whether it got one matrix or a stack; a refusal
+    # of malformed input (an if whose body only raises) is no such branch
+    import ast
+
+    import numpy as np
+
+    from loewner_lab import generate, maps, means, spectral
+
+    tree = ast.parse(Path(spectral.__file__).read_text(encoding="utf-8"))
+    holders = [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+               for stmt in node.body if isinstance(stmt, ast.Assign)
+               and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]
+               and "data" in ast.literal_eval(stmt.value)]
+    assert holders == ["SymStack"]
+    assert spectral.SymMatrix is spectral.SymStack
+    assert [name for name in ("as_sym", "_per_matrix") if hasattr(spectral, name)] == []
+    assert not hasattr(spectral.SymStack, "matrices")
+    found = []
+    for module in (spectral, means, maps):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        refusals = {id(sub) for node in ast.walk(tree) if isinstance(node, ast.If)
+                    and all(isinstance(stmt, ast.Raise) for stmt in node.body)
+                    for sub in ast.walk(node.test)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "atleast_1d":
+                found.append(f"{module.__name__}:{node.lineno} atleast_1d")
+            if isinstance(node, ast.Compare) and id(node) not in refusals and "ndim" in {
+                    getattr(sub, "attr", None) for sub in ast.walk(node)}:
+                found.append(f"{module.__name__}:{node.lineno} ndim")
+    assert found == []
+    src = Path(spectral.__file__).resolve().parent
+    named = [(path.name, line.split("#")[0].strip()) for path in sorted(src.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines() if "SymMatrix" in line]
+    assert named == [("spectral.py", "SymMatrix = SymStack")]
+    # each scalar result of a one-slice stack is an array with one entry
+    A = spectral.SymStack(np.diag([1.0, 4.0])[None])
+    B = spectral.SymStack(np.diag([4.0, 1.0])[None])
+    results = [spectral.op_norm(A), spectral.loewner_slack(A, B),
+               spectral.ui_norm(A, spectral.TRACE), *spectral.spectrum_bounds(A),
+               *generate.estimate_sandwich(A, B)]
+    assert [(type(r), r.shape) for r in results] == [(np.ndarray, (1,))] * len(results)
