@@ -7,7 +7,6 @@ from .certificates import (
     AUDIT_INEQUALITIES,
     NON_AUDIT_INEQUALITIES,
     ROWS,
-    Certificate,
     check_stack,
 )
 from .errors import (

@@ -10,9 +10,9 @@ told apart by identity.  A row holds what verify, hunt, probe and recheck
 need: its cell and pools, its own hypotheses, the sides and the constant.
 ``check_stack``, the one entry point to a certificate, checks a stack
 once, evaluates a row on it and returns one ``StackResult``, its results
-as columns; a ``Certificate`` with matrix sides is built only for the
-slices that are asked for.  Inequality failure is data (``holds`` is
-False); only *hypothesis* violations raise.
+as columns: a certificate is one slice of a ``Sides``, which a report
+writes straight from the columns.  Inequality failure is data (``holds``
+is False); only *hypothesis* violations raise.
 
 The norm-ratio family is audit-class: verdicts may legitimately be negative
 and are reported, never asserted.
@@ -71,35 +71,11 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """One evaluated inequality instance.
-
-    ``slack`` is lambda_min(RHS - LHS) for operator inequalities and
-    RHS - LHS for scalar ones; ``holds`` iff slack clears -tol, where tol
-    scales with the magnitudes involved.
-    """
-
-    inequality_id: str
-    params: dict
-    lhs: SymStack | float
-    rhs: SymStack | float
-    constant: float
-    slack: float
-    ratio: float
-    holds: bool
-    tol: float
-
-    def to_json(self) -> dict:
-        return {**vars(self), "params": dict(self.params), "lhs": _side_to_json(self.lhs),
-                "rhs": _side_to_json(self.rhs),
-                "ratio": self.ratio if math.isfinite(self.ratio) else None}
-
-
-def _side_to_json(side):
+def slice_to_json(side, k: int):
+    """Slice k of a stack in the report's form, or entry k of a scalar side."""
     if isinstance(side, SymStack):
-        return {"dim": side.dim, "data": side.data.ravel().tolist()}
-    return float(side)
+        return {"dim": side.dim, "data": side.data[k].ravel().tolist()}
+    return float(side[k])
 
 
 @dataclass(frozen=True)
@@ -110,7 +86,8 @@ class Sides:
     slack is lambda_min(rhs - lhs), and float arrays for a scalar one,
     whose slack is rhs - lhs.  ``constant``, ``slack``, ``ratio``, ``tol``
     and ``holds`` are arrays with one entry per slice, and ``params`` maps
-    each parameter name to its list of per-slice values.
+    each parameter name to its list of per-slice values.  A slice holds iff
+    its slack clears -tol, where tol scales with the magnitudes involved.
     """
 
     inequality_id: str
@@ -123,18 +100,15 @@ class Sides:
     tol: np.ndarray
     holds: np.ndarray
 
-    def certificate(self, k: int) -> Certificate:
-        """Slice k's certificate; its matrix sides are one-slice views of the stacks."""
-        return Certificate(self.inequality_id, {name: col[k] for name, col in self.params.items()},
-                           _slice(self.lhs, k), _slice(self.rhs, k), float(self.constant[k]),
-                           float(self.slack[k]), float(self.ratio[k]), bool(self.holds[k]),
-                           float(self.tol[k]))
-
-
-def _slice(side, k: int):
-    if isinstance(side, SymStack):
-        return SymStack.__new__(SymStack)._fill(side.data[k:k + 1])
-    return float(side[k])
+    def to_json(self, k: int) -> dict:
+        """Slice k's certificate in the report's form; a ratio that is not finite is None."""
+        ratio = float(self.ratio[k])
+        return {"inequality_id": self.inequality_id,
+                "params": {name: col[k] for name, col in self.params.items()},
+                "lhs": slice_to_json(self.lhs, k), "rhs": slice_to_json(self.rhs, k),
+                "constant": float(self.constant[k]), "slack": float(self.slack[k]),
+                "ratio": ratio if math.isfinite(ratio) else None,
+                "holds": bool(self.holds[k]), "tol": float(self.tol[k])}
 
 
 class StackResult:
@@ -153,9 +127,9 @@ class StackResult:
             ratio = np.where(more.ratio > ratio, more.ratio, ratio)
         self.slack, self.holds, self.ratio = slack.tolist(), holds.tolist(), ratio.tolist()
 
-    def certificates(self, k: int) -> list:
-        """Trial k's certificates, with their sides."""
-        return [side.certificate(k) for side in self.sides]
+    def to_json(self, k: int) -> list:
+        """Trial k's certificates in the report's form."""
+        return [side.to_json(k) for side in self.sides]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +222,16 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     row takes them) and each pick's values, one per trial; the sides read
     ``x.phi(X)``, each slice of X under its own map.  The cell's check and
     then the row's vets run once, at ``tol_rel``: a violated hypothesis
-    raises.  Returns the stack's one result.
+    raises.  Returns the stack's one result.  A pick the row does not read,
+    or one that is missing or not one value per trial, is refused first.
     """
+    reads = {name for name, *_ in row.picks} | ({"phi"} if row.pool else set())
+    for name in sorted(reads | set(picks)):
+        if name not in reads:
+            raise ValueError(f"pick {name} of {row.id}: the row does not read it")
+        if name not in picks or len(picks[name]) != len(cells):
+            raise ValueError(f"pick {name} of {row.id}: {len(picks.get(name, ()))} values "
+                             f"for {len(cells)} trials")
     x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
                            "cell": row.cell, **dict(zip(row.cell.bounds, _cols(cells))),

@@ -23,7 +23,6 @@ from .kernels import (
     sandwich_constant,
     specht_ratio,
 )
-from .spectral import LOEWNER_TOL_REL
 from .suite import SuiteConfig, hunt_counterexamples, probe_tightness, run_suite, write_report
 
 
@@ -39,12 +38,14 @@ _POOL_FLAGS = (
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ineq", default="all-non-audit",
+    # the defaults are SuiteConfig's, written as the flags spell them
+    parser.add_argument("--ineq", default=",".join(SuiteConfig.inequalities),
                         help="comma list of inequality ids, or all / all-non-audit")
-    parser.add_argument("--dims", default="2,3,4", help="comma list of dimensions")
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=LOEWNER_TOL_REL,
+    parser.add_argument("--dims", default=",".join(map(str, SuiteConfig.dims)),
+                        help="comma list of dimensions")
+    parser.add_argument("--trials", type=int, default=SuiteConfig.trials)
+    parser.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    parser.add_argument("--tol", type=float, default=SuiteConfig.tol_rel,
                         help="relative slack tolerance")
     for name in ("s", "t", "m", "M"):
         parser.add_argument(f"--{name}", type=float, default=None)
@@ -103,8 +104,7 @@ def _cmd_hunt(args) -> int:
 def _cmd_probe(args) -> int:
     ids = [x.strip() for x in args.ineq.split(",") if x.strip()]
     if len(ids) != 1 or ids[0] in ("all", "all-non-audit"):
-        print("probe needs exactly one inequality id", file=sys.stderr)
-        return 2
+        raise ValueError(f"field inequalities: probe takes one inequality id, got {args.ineq!r}")
     config = _config_from_args(args)
     return _finish(probe_tightness(ids[0], config), args)
 

@@ -191,8 +191,8 @@ def kernel_dominance(
 ) -> DominanceVerdict:
     """Check k1(t) <= k2(t) + tol on a grid, reporting the argmin of k2 - k1.
 
-    On the default grid the verdict is cached per kernel pair, as
-    ``mean_kernel_gaps`` is; an explicit grid is walked on every call.
+    On the default grid the verdict is cached per kernel pair; an explicit
+    grid is walked on every call.
     """
     if grid is None:
         return _default_dominance(k1, k2)
@@ -286,13 +286,8 @@ def sandwich_constant(s: float, t: float) -> float:
     return half_sum**2 / (s * t)
 
 
-@lru_cache(maxsize=128)
 def mean_kernel_gaps(kernel: ScalarKernel) -> tuple[float, float]:
-    """Worst margins of (harmonic <= kernel, kernel <= arithmetic) on the default grid.
-
-    Cached per kernel instance; the certificate layer uses this to vet the
-    mean hypotheses without re-walking the grid on every trial.
-    """
+    """Worst margins of (harmonic <= kernel, kernel <= arithmetic) on the default grid."""
     lower = kernel_dominance(HARMONIC, kernel)
     upper = kernel_dominance(kernel, ARITHMETIC)
     return lower.margin, upper.margin

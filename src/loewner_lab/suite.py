@@ -227,8 +227,7 @@ def _pick(pool, index: int):
 
 def _instance_blob(k: int, **stacks) -> dict:
     """Slice k of each named stack, in the report's form; None names no matrix."""
-    return {name: {"dim": X.dim, "data": X.data[k].ravel().tolist()}
-            for name, X in stacks.items() if X is not None}
+    return {name: certs.slice_to_json(X, k) for name, X in stacks.items() if X is not None}
 
 
 def _picked(row: certs.Row, trials: list, pools: dict) -> dict:
@@ -485,7 +484,7 @@ def run_suite(config: SuiteConfig) -> Report:
                                 "trial_seed": _trial_seed(config, ineq, dim, trial),
                                 "slack": trial_slack,
                                 "ratio": trial_ratio if math.isfinite(trial_ratio) else None,
-                                "certificates": [c.to_json() for c in stack.certificates(k)],
+                                "certificates": stack.to_json(k),
                                 "instance": _instance_blob(k, A=stack.A, B=stack.B),
                             }
                         )

@@ -18,17 +18,16 @@ def one(entries) -> SymStack:
 
 
 def certify(row, A, B, *bounds, constant_multiplier=1.0, tol_rel=LOEWNER_TOL_REL, **picks):
-    """The certificate of one instance of ``row`` (a row or its id), as
-    ``check_stack`` gives it for a stack of one trial, or the tuple of them
-    when a trial has more than one.  A and B are one-slice stacks (None
-    where the row's cell holds none), ``bounds`` are the cell's bounds,
-    and each pick the row names, ``phi`` for its map, is given once."""
+    """The certificate of one instance of ``row`` (a row or its id): the
+    one-trial ``Sides`` that ``check_stack`` gives for a stack of one trial,
+    or the tuple of them when a trial has more than one, so each scalar of
+    the certificate is entry 0 of its column.  A and B are one-slice stacks
+    (None where the row's cell holds none), ``bounds`` are the cell's
+    bounds, and each pick, ``phi`` for the row's map, is given once."""
     row = ROWS[row] if isinstance(row, str) else row
-    per_trial = {"phi", *(name for name, *_ in row.picks)}
-    picks = {name: [v] if name in per_trial else v for name, v in picks.items()}
-    certs = check_stack(row, A, B, [bounds], picks, constant_multiplier=constant_multiplier,
-                        tol_rel=tol_rel).certificates(0)
-    return certs[0] if len(certs) == 1 else tuple(certs)
+    sides = check_stack(row, A, B, [bounds], {name: [v] for name, v in picks.items()},
+                        constant_multiplier=constant_multiplier, tol_rel=tol_rel).sides
+    return sides[0] if len(sides) == 1 else tuple(sides)
 
 
 def sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:

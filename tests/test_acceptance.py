@@ -90,14 +90,14 @@ def test_criterion_02_equality_witnesses():
     midpoint = certify("midpoint", A14, A41, 0.25, 4.0)
     lower, upper = certify("sandwich-lemma", A14, A41, 0.25, 4.0)
     ok = (
-        abs(polya.ratio - 1.25) <= 1e-10
-        and abs(polya.slack) <= 1e-10
-        and abs(midpoint.slack) <= 1e-10
-        and abs(lower.slack) <= 1e-10
-        and abs(upper.slack) <= 1e-10
+        abs(polya.ratio[0] - 1.25) <= 1e-10
+        and abs(polya.slack[0]) <= 1e-10
+        and abs(midpoint.slack[0]) <= 1e-10
+        and abs(lower.slack[0]) <= 1e-10
+        and abs(upper.slack[0]) <= 1e-10
     )
     _line(ok, "criterion-2 equality witnesses",
-          f"polya ratio {polya.ratio:.12f}, midpoint slack {midpoint.slack:.2e}")
+          f"polya ratio {polya.ratio[0]:.12f}, midpoint slack {midpoint.slack[0]:.2e}")
 
 
 def test_criterion_03_constant_coherence():
@@ -131,10 +131,10 @@ def test_criterion_05_specht_comparison():
     ok = True
     for ratio in np.geomspace(1.01, 100.0, 200):
         cert = certify("specht-bound", None, None, 1.0, float(ratio))
-        ok = ok and cert.holds
+        ok = ok and cert.holds[0]
     equal = certify("specht-bound", None, None, 2.0, 2.0)
-    ok = ok and abs(equal.slack) <= 1e-12 and specht_ratio(1.0) == 1.0
-    _line(ok, "criterion-5 Specht comparison", f"degenerate slack {equal.slack:.2e}")
+    ok = ok and abs(equal.slack[0]) <= 1e-12 and specht_ratio(1.0) == 1.0
+    _line(ok, "criterion-5 Specht comparison", f"degenerate slack {equal.slack[0]:.2e}")
 
 
 def test_criterion_06_unitality_regression():
@@ -180,20 +180,20 @@ def test_criterion_07_norm_ratio_audit_regression(tmp_path):
     ])
     audit_stats = load_report(str(path))["audit_results"]["norm-ratio-tau"]
     ok = (
-        abs(tau_cert.lhs - 3.4) <= 1e-10
-        and abs(tau_cert.rhs - 3.125) <= 1e-10
-        and not tau_cert.holds
-        and power4_cert.holds
-        and abs(power4_cert.rhs - 4.8828125) <= 1e-10
-        and eq15_cert.holds
-        and abs(eq15_cert.rhs - 6.25) <= 1e-10
+        abs(tau_cert.lhs[0] - 3.4) <= 1e-10
+        and abs(tau_cert.rhs[0] - 3.125) <= 1e-10
+        and not tau_cert.holds[0]
+        and power4_cert.holds[0]
+        and abs(power4_cert.rhs[0] - 4.8828125) <= 1e-10
+        and eq15_cert.holds[0]
+        and abs(eq15_cert.rhs[0] - 6.25) <= 1e-10
         and code == 0
         and audit_stats["violations"] >= 1
         and audit_stats["violating_instances"]
     )
     _line(ok, "criterion-7 norm-ratio audit regression",
-          f"tau {tau_cert.lhs:.3f}>{tau_cert.rhs:.3f} recorded, "
-          f"power4<= {power4_cert.rhs:.4f}, eq15<= {eq15_cert.rhs:.2f}, exit {code}")
+          f"tau {tau_cert.lhs[0]:.3f}>{tau_cert.rhs[0]:.3f} recorded, "
+          f"power4<= {power4_cert.rhs[0]:.4f}, eq15<= {eq15_cert.rhs[0]:.2f}, exit {code}")
 
 
 def test_criterion_08_sensitivity_hunt(tmp_path):

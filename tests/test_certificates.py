@@ -124,15 +124,15 @@ class TestSandwichLemma:
     def test_scalar_mode_grid(self):
         for s, t in ((0.25, 4.0), (0.5, 0.8), (2.0, 3.0)):
             cert = certify(SCALAR_SANDWICH, None, None, s, t)
-            assert cert.holds
-            assert cert.params["mode"] == "scalar"
+            assert cert.holds[0]
+            assert cert.params["mode"][0] == "scalar"
 
     def test_scalar_mode_ignores_the_matrices(self):
         # its certificate, params included, reads nothing of A and B
         blind = certify(SCALAR_SANDWICH, None, None, 0.25, 4.0)
         given = certify(SCALAR_SANDWICH, A14, A41, 0.25, 4.0)
         assert given.params == blind.params
-        assert given.to_json() == blind.to_json()
+        assert given.to_json(0) == blind.to_json(0)
 
     def test_random_pairs_both_branches(self):
         for seed, (s, t) in enumerate([(0.5, 0.9), (1.5, 3.0), (0.25, 4.0)]):
@@ -508,8 +508,8 @@ class TestStrengthenedRemark:
         pair = sandwich_pair(2, 0.5, 2.0, 91)
         cert = certify("strengthened-remark", pair.A, pair.B, 0.5, 2.0, phi=IdentityMap(2),
                        tau=GEOMETRIC, sigma=GEOMETRIC, f=SQRT)
-        assert cert.holds
-        assert abs(cert.params["slack_link1"]) <= 1e-9 * max(1.0, op_norm(pair.A)[0])
+        assert cert.holds[0]
+        assert abs(cert.params["slack_link1"][0]) <= 1e-9 * max(1.0, op_norm(pair.A)[0])
 
     def test_randomized_st_above_one(self):
         for seed in range(5):
@@ -614,13 +614,13 @@ class TestCertificateInvariants:
 
     def test_certificate_serialization_fields(self):
         cert = certify("specht-bound", None, None, 1.0, 4.0)
-        blob = cert.to_json()
+        blob = cert.to_json(0)
         assert set(blob) == {
             "inequality_id", "params", "lhs", "rhs", "constant",
             "slack", "ratio", "holds", "tol",
         }
         mat_cert = certify("midpoint", A14, A41, 0.25, 4.0)
-        blob = mat_cert.to_json()
+        blob = mat_cert.to_json(0)
         assert blob["lhs"]["dim"] == 2
         assert len(blob["lhs"]["data"]) == 4
 

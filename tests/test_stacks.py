@@ -18,7 +18,6 @@ from loewner_lab.certificates import (
     SANDWICH,
     SANDWICH_ST_GE_1,
     SPECHT,
-    Certificate,
     _norm_ratio_diag,
 )
 from loewner_lab.cli import main as cli_main
@@ -59,8 +58,8 @@ def _outcome(evaluate) -> str:
         rows = evaluate()
     except LoewnerLabError as exc:
         return f"error {type(exc).__name__}"
-    return json.dumps([[stack.slack[k], stack.holds[k], stack.ratio[k],
-                        [c.to_json() for c in stack.certificates(k)]] for stack, k in rows])
+    return json.dumps([[stack.slack[k], stack.holds[k], stack.ratio[k], stack.to_json(k)]
+                       for stack, k in rows])
 
 
 def _stacked_rows(ineq, dim, trials, config, pools):
@@ -308,10 +307,11 @@ def _alpha_scaling_reference(fn, alpha, constant_multiplier):
         worst_ratio = max(worst_ratio, float(_norm_ratio_diag(lhs, rhs)))
     x, lhs, rhs = worst
     slack, tol = rhs - lhs, 1e-9 * max(1.0, abs(lhs) + abs(rhs))
-    return Certificate("alpha-scaling",
-                       {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": x},
-                       lhs, rhs, alpha * constant_multiplier, slack, worst_ratio,
-                       slack >= -tol, tol).to_json()
+    return {"inequality_id": "alpha-scaling",
+            "params": {"f": fn.id, "alpha": alpha, "grid_points": len(points), "worst_t": x},
+            "lhs": lhs, "rhs": rhs, "constant": alpha * constant_multiplier, "slack": slack,
+            "ratio": worst_ratio if math.isfinite(worst_ratio) else None,
+            "holds": slack >= -tol, "tol": tol}
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,7 +319,7 @@ def _alpha_scaling_reference(fn, alpha, constant_multiplier):
 def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
     for fn in _SCALING_FNS:
         got = certify("alpha-scaling", None, None, alpha, f=fn,
-                      constant_multiplier=multiplier).to_json()
+                      constant_multiplier=multiplier).to_json(0)
         assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
 
 
@@ -341,27 +341,48 @@ def test_overflowing_cell_exits_with_the_overflow(capsys):
     assert "must be finite" in err and "overflow" in err
 
 
+_SQRT = parse_function("power:0.5")
+_PAIR = (random_spd(2, 1.0, 4.0, 1), random_spd(2, 1.0, 4.0, 2))
+
+
+@pytest.mark.parametrize("ineq, pair, cells, picks, message", [
+    pytest.param("alpha-scaling", (None, None), [(2.0,)], {"f": [_SQRT], "grid": [[1.0, -1.0]]},
+                 "pick grid of alpha-scaling: the row does not read it", id="unread"),
+    pytest.param("alpha-scaling", (None, None), [(2.0,), (3.0,), (4.0,)], {"f": [_SQRT]},
+                 "pick f of alpha-scaling: 1 values for 3 trials", id="short"),
+    pytest.param("alpha-scaling", (None, None), [(2.0,)], {},
+                 "pick f of alpha-scaling: 0 values for 1 trials", id="missing"),
+    # a row with a map pool reads its map, phi, too
+    pytest.param("polya-szego", _PAIR, [(1.0, 4.0)], {},
+                 "pick phi of polya-szego: 0 values for 1 trials", id="missing-map"),
+])
+def test_picks_are_refused_unless_one_value_per_trial_of_each_pick_the_row_reads(
+        ineq, pair, cells, picks, message):
+    with pytest.raises(ValueError) as info:
+        certificates.check_stack(certificates.ROWS[ineq], *pair, cells, picks)
+    assert str(info.value) == message
+
+
 def test_results_are_columnar(monkeypatch, tmp_path, capsys):
-    # a campaign keeps its results as columns per stack: a one-slice view of
-    # a side is built only for the sides of a recorded violation
-    views = []
-    real = certificates._slice
+    # a campaign keeps its results as columns per stack: a stack's slice is
+    # written only for the sides and instance of a recorded violation
+    written = []
+    real = certificates.slice_to_json
 
-    def view(side, k):
-        out = real(side, k)
-        if isinstance(out, SymStack):
-            views.append(out)
-        return out
+    def write(side, k):
+        if isinstance(side, SymStack):
+            written.append((side, k))
+        return real(side, k)
 
-    monkeypatch.setattr(certificates, "_slice", view)
+    monkeypatch.setattr(certificates, "slice_to_json", write)
     assert cli_main(["verify", "--ineq", "all-non-audit", "--dims", "2,3", "--trials", "20",
                      "--seed", "7"]) == 0
-    assert views == []
+    assert written == []
     path = tmp_path / "hunt.json"
     assert cli_main(["hunt", "--ineq", "polya-szego", "--m", "1", "--M", "4", "--dims", "2",
                      "--trials", "50", "--override-constant", "0.8", "--seed", "7",
                      "--report", str(path)]) == 1
     recorded = collect_violations(load_report(str(path)))
     assert len(recorded) == 10  # of more violations: the report keeps the first ten
-    assert len(views) == 2 * len(recorded)  # each one certificate with two matrix sides
-    assert all(len(X) == 1 and X.data.base is not None for X in views)  # views, not copies
+    # each one certificate with two matrix sides, and its instance A and B
+    assert len(written) == 4 * len(recorded)

@@ -17,7 +17,7 @@ from loewner_lab.certificates import (
 )
 from loewner_lab.errors import ConditionCapError, EigenSolverError, HypothesisError
 from loewner_lab.generate import derive_seed, fnv1a64
-from loewner_lab.cli import main as cli_main
+from loewner_lab.cli import _config_from_args, build_parser, main as cli_main
 from loewner_lab.suite import (
     SuiteConfig,
     collect_violations,
@@ -814,6 +814,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: gruss-f needs at least one unital map in the pool" in err
+
+    @pytest.mark.parametrize("ineq", ["polya-szego,midpoint", "all", "all-non-audit"])
+    def test_probe_refuses_more_than_one_id_by_its_field(self, ineq, capsys):
+        assert cli_main(["probe", "--ineq", ineq, "--trials", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: field inequalities: probe takes one inequality id, got {ineq!r}\n")
+
+    def test_verify_without_flags_builds_the_default_config(self):
+        # the common flags take their defaults from SuiteConfig, declared there once
+        args = build_parser().parse_args(["verify"])
+        assert _config_from_args(args) == SuiteConfig()
 
     def test_scalarcheck(self, capsys):
         code = cli_main(["scalarcheck"])

@@ -265,3 +265,35 @@ def test_one_matrix_type():
                spectral.ui_norm(A, spectral.TRACE), *spectral.spectrum_bounds(A),
                *generate.estimate_sandwich(A, B)]
     assert [(type(r), r.shape) for r in results] == [(np.ndarray, (1,))] * len(results)
+
+
+def test_one_result_type():
+    # a certificate is one slice of its Sides, written straight from the
+    # columns: no module defines a one-instance Certificate class, one
+    # function of the package (the slice writer) spells a stack's slice in
+    # the report's form {"dim", "data"}, and Sides writes itself rather
+    # than building another type
+    import ast
+
+    from loewner_lab import certificates
+
+    src = Path(suite.__file__).resolve().parent
+    classes, writers = [], []
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.ClassDef):
+            classes.append(f"{path.name}:{node.name}")
+        if isinstance(node, ast.FunctionDef):
+            owner = f"{path.name}:{node.name}"
+        if isinstance(node, ast.Dict) and any(
+                isinstance(key, ast.Constant) and key.value == "data" for key in node.keys):
+            writers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert [name for name in classes if name.endswith(":Certificate")] == []
+    assert writers == ["certificates.py:slice_to_json"]
+    methods = {node.name for owner, node in _functions(certificates) if owner == "Sides"}
+    assert "to_json" in methods and "certificate" not in methods
