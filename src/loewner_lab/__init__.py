@@ -54,7 +54,6 @@ from .kernels import (
     specht_ratio,
 )
 from .maps import (
-    CongruenceMap,
     IdentityMap,
     KrausSumMap,
     MapSpec,

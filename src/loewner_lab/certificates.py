@@ -453,10 +453,11 @@ def _vet_nonnegative(fn: MonotoneFunction) -> None:
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
 
 
-def _vet_class(fn: MonotoneFunction, *classes: str) -> None:
+def _vet_class(fn: MonotoneFunction, *classes: str) -> MonotoneFunction:
     if fn.klass not in classes:
         raise HypothesisError(
             f"function {fn.id!r} has class {fn.klass!r}, expected one of {classes}")
+    return fn
 
 
 def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spectral import parse_spec, twinned
+from .spectral import param_id, parse_spec, twinned
 
 # Grid-based checks are necessary-condition tests, not proofs; they exist so
 # user-supplied kernels can be screened against the mean hypotheses.
@@ -74,7 +74,8 @@ def heinz(nu: float) -> ScalarKernel:
     nu = float(nu)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"heinz parameter must lie in [0, 1], got {nu!r}")
-    return ScalarKernel(f"heinz:{nu:g}", lambda t: 0.5 * (t**nu + t ** (1.0 - nu)))
+    return ScalarKernel(f"heinz:{param_id(nu)}",
+                        lambda t: 0.5 * (t**nu + t ** (1.0 - nu)))
 
 
 # The default pools, as the specs that parse_kernel and parse_function read.
@@ -127,7 +128,7 @@ def power(p: float) -> MonotoneFunction:
     if p == 1.0:
         return IDENTITY_FN
     klass = OPERATOR_MONOTONE if p <= 1.0 else OPERATOR_CONVEX_ZERO
-    return MonotoneFunction(f"power:{p:g}", lambda t: t**p, klass)
+    return MonotoneFunction(f"power:{param_id(p)}", lambda t: t**p, klass)
 
 
 def inv_power(p: float) -> MonotoneFunction:
@@ -135,7 +136,8 @@ def inv_power(p: float) -> MonotoneFunction:
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"inv_power exponent must lie in (0, 1], got {p!r}")
-    return MonotoneFunction(f"inv_power:{p:g}", lambda t: t ** (-p), OPERATOR_MONOTONE_DECREASING)
+    return MonotoneFunction(f"inv_power:{param_id(p)}", lambda t: t ** (-p),
+                            OPERATOR_MONOTONE_DECREASING)
 
 
 def rational(c: float) -> MonotoneFunction:
@@ -144,7 +146,8 @@ def rational(c: float) -> MonotoneFunction:
     if not 0 < c < math.inf:
         need = "positive" if math.isfinite(c) else "a finite number"
         raise ValueError(f"rational shift must be {need}, got {c!r}")
-    return MonotoneFunction(f"rational:{c:g}", twinned(lambda t: t / (t + c)), OPERATOR_MONOTONE)
+    return MonotoneFunction(f"rational:{param_id(c)}", twinned(lambda t: t / (t + c)),
+                            OPERATOR_MONOTONE)
 
 
 def shifted_inverse(c: float) -> MonotoneFunction:
@@ -153,7 +156,7 @@ def shifted_inverse(c: float) -> MonotoneFunction:
     if not 0 <= c < math.inf:
         need = "nonnegative" if math.isfinite(c) else "a finite number"
         raise ValueError(f"shifted_inverse shift must be {need}, got {c!r}")
-    return MonotoneFunction(f"shifted_inverse:{c:g}", twinned(lambda t: 1.0 / (t + c)),
+    return MonotoneFunction(f"shifted_inverse:{param_id(c)}", twinned(lambda t: 1.0 / (t + c)),
                             OPERATOR_MONOTONE_DECREASING)
 
 

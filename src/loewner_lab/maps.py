@@ -1,12 +1,12 @@
 """Structural catalog of positive linear maps and their application.
 
-Each map is described by what it does (congruence, Kraus sum, pinching,
-normalized trace, nonnegative mixture) rather than by an abstract matrix
-representation.  Positivity is a consequence of the structure; unitality is
-checked, never assumed.  ``apply`` maps a SymStack slice by slice, with one
-BLAS call per product for the whole stack, and a single matrix is a stack of
-one slice; ``apply_each`` gives each slice its own map, with one BLAS call
-per product for each distinct map.
+Each map is described by what it does (Kraus sum, of which a congruence is
+one term; pinching, normalized trace, nonnegative mixture) rather than by an
+abstract matrix representation.  Positivity is a consequence of the
+structure; unitality is checked, never assumed.  ``apply`` maps a SymStack
+slice by slice, with one BLAS call per product for the whole stack, and a
+single matrix is a stack of one slice; ``apply_each`` gives each slice its
+own map, with one BLAS call per product for each distinct map.
 """
 
 from __future__ import annotations
@@ -59,34 +59,12 @@ class IdentityMap(MapSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class CongruenceMap(MapSpec):
-    """X -> V^T X V for a full-column-rank rectangular V."""
-
-    v: np.ndarray
-    label: str = "congruence"
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("V must be a nonempty 2-d matrix")
-        sv = np.linalg.svd(v, compute_uv=False)  # min(rows, cols) values: a wide V lacks rank
-        if sv.size < v.shape[1] or sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise ValueError("V must have full column rank")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        self._set_dims(*v.shape)
-
-    def apply(self, X: SymStack) -> SymStack:
-        X = self._check_input(X)
-        return SymStack(self.v.T @ X.data @ self.v)
-
-
-@dataclass(frozen=True, eq=False)
 class KrausSumMap(MapSpec):
-    """X -> sum_i V_i^T X V_i with all V_i of equal shape.
+    """X -> sum_i V_i^T X V_i with all V_i of one nonempty R x C shape; the
+    congruence X -> V^T X V is the sum of one term.
 
-    The vertically stacked V_i must have trivial kernel so that positive
-    definiteness is preserved.
+    The vertically stacked V_i must have full column rank (trivial kernel) so
+    that positive definiteness is preserved.
     """
 
     vs: tuple
@@ -94,11 +72,11 @@ class KrausSumMap(MapSpec):
 
     def __post_init__(self):
         vs = tuple(np.array(v, dtype=float) for v in self.vs)
-        if not vs:
-            raise ValueError("need at least one Kraus term")
-        shape = vs[0].shape
-        if any(v.ndim != 2 or v.shape != shape for v in vs):
-            raise ValueError("all Kraus terms must share one rectangular shape")
+        shape = vs[0].shape if vs else ()
+        if len(shape) != 2 or 0 in shape or any(v.shape != shape for v in vs):
+            raise ValueError(f"need nonempty 2-d Kraus terms of one shape, got shapes "
+                             f"{[v.shape for v in vs]}")
+        # min(rows, cols) singular values: factors with more columns than rows lack rank
         sv = np.linalg.svd(np.vstack(vs), compute_uv=False)
         if sv.size < shape[1] or sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise ValueError("stacked Kraus terms must have full column rank")
@@ -251,7 +229,7 @@ def _congruence(arg: str, dim: int, rng, spec: str) -> MapSpec:
         raise ValueError(f"congruence rows {r} must equal the instance dim {dim}")
     if rng is None:
         raise ValueError("random congruence map needs an rng")
-    return CongruenceMap(rng.normal_matrix(r, c), label=f"congruence:random:{r}x{c}")
+    return KrausSumMap((rng.normal_matrix(r, c),), label=f"congruence:random:{r}x{c}")
 
 
 def _kraus(arg: str, dim: int, rng, spec: str) -> MapSpec:

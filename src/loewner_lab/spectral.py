@@ -413,6 +413,12 @@ def parse_spec(kind: str, spec: str, table: dict, *context):
     return entry(arg, *context) if callable(entry) else entry
 
 
+def param_id(x: float) -> str:
+    """A parameter as an id spells it: ``:g`` if that reads back as the same float, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class NormKind:
     """A unitarily invariant norm: one variant of ``_NORMS`` and its parameter."""
@@ -433,7 +439,7 @@ class NormKind:
     def label(self) -> str:
         if self.param is None:
             return self.variant
-        return f"{self.variant}:{self.param:g}"
+        return f"{self.variant}:{param_id(self.param)}"
 
     def fit(self, dim: int) -> "NormKind":
         """The norm as it applies at dimension ``dim``, by its variant's fit, if any."""

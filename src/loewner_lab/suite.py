@@ -36,6 +36,9 @@ from .kernels import (
     DEFAULT_KERNEL_SPECS,
     DEFAULT_MONOTONE_SPECS,
     GEOMETRIC,
+    OPERATOR_CONVEX_ZERO,
+    OPERATOR_MONOTONE,
+    OPERATOR_MONOTONE_DECREASING,
     kernel_dominance,
     parse_function,
     parse_kernel,
@@ -199,15 +202,22 @@ def _with_unitality(phi) -> tuple:
         return phi, check_unital(phi).is_unital
 
 
-def _build_pools(config: SuiteConfig, dim: int) -> dict:
-    """The pools of one dimension, by name: each spec field of the config,
-    parsed, and the pools the rows derive from them (the unital maps, the
-    kernels above and below the geometric mean, and alpha-scaling's
-    monotone then decreasing functions)."""
+# The class of each function pool, which each function of its field must have.
+_FN_CLASSES = {"monotone_fns": OPERATOR_MONOTONE, "decreasing_fns": OPERATOR_MONOTONE_DECREASING,
+               "convex_fns": OPERATOR_CONVEX_ZERO}
+
+
+def _build_pools(config: SuiteConfig, dim: int, inequalities=()) -> dict:
+    """The pools of one dimension, by name, vetted for ``inequalities``
+    (``_vet_pools``): each spec field of the config, parsed (a function of
+    another class than its pool's is refused), and the pools the rows derive
+    from them (the unital maps, the kernels above and below the geometric
+    mean, and alpha-scaling's monotone then decreasing functions)."""
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
     parsers = {"maps": lambda spec: _with_unitality(parse_map(spec, dim, rng)),
-               "kernels": parse_kernel, "norms": parse_norm, "monotone_fns": parse_function,
-               "decreasing_fns": parse_function, "convex_fns": parse_function}
+               "kernels": parse_kernel, "norms": parse_norm,
+               **{name: lambda spec, klass=klass: certs._vet_class(parse_function(spec), klass)
+                  for name, klass in _FN_CLASSES.items()}}
     pools = {name: _parsed(config, name, parse) for name, parse in parsers.items()}
     kernels, maps = pools["kernels"], pools["maps"]
     pools.update(
@@ -218,6 +228,8 @@ def _build_pools(config: SuiteConfig, dim: int) -> dict:
         sigma_le_sharp=[k for k in kernels if kernel_dominance(k, GEOMETRIC).holds] or [GEOMETRIC],
         scaling_fns=pools["monotone_fns"] + pools["decreasing_fns"],
     )
+    for ineq in inequalities:
+        _vet_pools(ineq, pools)
     return pools
 
 
@@ -453,10 +465,7 @@ def run_suite(config: SuiteConfig) -> Report:
     start = time.perf_counter()
     results: dict = {}
     audit_results: dict = {}
-    pools_by_dim = {dim: _build_pools(config, dim) for dim in config.dims}
-    for ineq in config.inequalities:
-        for pools in pools_by_dim.values():
-            _vet_pools(ineq, pools)
+    pools_by_dim = {dim: _build_pools(config, dim, config.inequalities) for dim in config.dims}
     for ineq in config.inequalities:
         stats = {"trials": 0, "holds_count": 0, "violations": 0, "min_slack": None,
                  "max_ratio": None, "violating_instances": []}
@@ -491,13 +500,8 @@ def run_suite(config: SuiteConfig) -> Report:
         if ROWS[ineq].audit:
             stats["violation_rate"] = stats["violations"] / stats["trials"]
         (audit_results if ROWS[ineq].audit else results)[ineq] = stats
-    report = Report(
-        config=config.to_dict(),
-        results=results,
-        audit_results=audit_results,
-    )
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return Report(config=config.to_dict(), results=results, audit_results=audit_results,
+                  wall_time_s=time.perf_counter() - start)
 
 
 def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Report:
@@ -670,10 +674,9 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         raise ValueError(f"probing {inequality_id!r} is not supported")
     bounds = cell.reflect(*(cell.fixed(config) or cell.probe))
     if len(config.dims) != 1:
-        raise ValueError(f"fields dims: probe takes one dimension, got {config.dims}")
+        raise ValueError(f"field dims: probe takes one dimension, got {config.dims}")
     dim = config.dims[0]
-    pools = _build_pools(config, dim)
-    _vet_pools(inequality_id, pools)
+    pools = _build_pools(config, dim, [inequality_id])
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
     n_picks = max(len(pools[name]) for name, checks in _FIELDS.items() if checks is _SPECS)
     best_ratio = -math.inf
@@ -705,9 +708,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
         "best_instance": _instance_blob(0, A=A, B=B),
         "pick_index": best_pick,
     }
-    report = Report(config=config.to_dict(), results={}, audit_results={}, probe=probe_payload)
-    report.wall_time_s = time.perf_counter() - start
-    return report
+    return Report(config=config.to_dict(), results={}, audit_results={}, probe=probe_payload,
+                  wall_time_s=time.perf_counter() - start)
 
 
 def write_report(report: Report, path: str) -> None:
@@ -783,8 +785,7 @@ def recheck(report_path: str, index: int) -> tuple[bool, dict]:
         if record[name] not in values:
             raise ValueError(f"field {name} of violation {index} names no {name} the campaign "
                              f"ran: {record[name]!r}")
-    pools = _build_pools(config, record["dim"])
-    _vet_pools(record["inequality"], pools)
+    pools = _build_pools(config, record["dim"], [record["inequality"]])
     stack = _evaluate_trial(record["inequality"], record["dim"], [record["trial"]], config, pools)
     slack, holds = stack.slack[0], stack.holds[0]
     reproduced = (not holds) and abs(slack - record["slack"]) <= 1e-12 * max(1.0, abs(slack))

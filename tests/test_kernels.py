@@ -23,17 +23,23 @@ from loewner_lab import (
     loewner_matrix_psd_test,
     parse_function,
     parse_kernel,
+    parse_norm,
     power,
     sandwich_constant,
     specht_ratio,
 )
 from loewner_lab.kernels import (
+    DEFAULT_CONVEX_SPECS,
+    DEFAULT_DECREASING_SPECS,
+    DEFAULT_KERNEL_SPECS,
+    DEFAULT_MONOTONE_SPECS,
     OPERATOR_CONVEX_ZERO,
     OPERATOR_MONOTONE,
     OPERATOR_MONOTONE_DECREASING,
     divided_difference_matrix,
     monotone_catalog,
 )
+from loewner_lab.spectral import DEFAULT_NORM_SPECS
 
 
 class TestEvalKernel:
@@ -226,6 +232,34 @@ class TestCatalogParsing:
         assert parse_function("id").id == "power:1"
         with pytest.raises(ValueError):
             parse_function("cube")
+
+    def test_parameters_that_differ_past_six_digits_get_distinct_ids(self):
+        # an id names its function: a parameter that :g would round is spelled
+        # by its repr, and one that :g spells exactly keeps its short text
+        assert heinz(0.1234567).id == "heinz:0.1234567"
+        assert heinz(0.1234568).id == "heinz:0.1234568"
+        assert parse_norm("schatten:2.0000001").label == "schatten:2.0000001"
+        assert parse_function("rational:1e-07").id == "rational:1e-07"
+        ids = [parse_kernel("heinz:0.1234567").id, parse_kernel("heinz:0.1234568").id,
+               parse_function("power:0.3333333").id, parse_function("power:0.33333333").id,
+               parse_function("inv_power:0.1234567").id, parse_function("inv_power:0.1234568").id,
+               parse_function("rational:2.0000001").id, parse_function("rational:2.0000002").id,
+               parse_function("shifted_inverse:1.0000001").id,
+               parse_function("shifted_inverse:1.0000002").id,
+               parse_norm("schatten:2.0000001").label, parse_norm("schatten:2.0000002").label]
+        assert len(set(ids)) == len(ids)
+
+    def test_every_default_spec_keeps_its_id(self):
+        # the reports of the default pools name these ids
+        kernels = [parse_kernel(spec).id for spec in DEFAULT_KERNEL_SPECS]
+        assert kernels == ["arithmetic", "geometric", "harmonic", "logarithmic", "heinz:0.25"]
+        fns = [parse_function(spec).id for spec in
+               DEFAULT_MONOTONE_SPECS + DEFAULT_DECREASING_SPECS + DEFAULT_CONVEX_SPECS]
+        assert fns == ["power:0.5", "power:1", "log1p", "rational:1", "inv_power:1",
+                       "inv_power:0.5", "shifted_inverse:1", "square", "power:1.5"]
+        norms = [parse_norm(spec).label for spec in DEFAULT_NORM_SPECS]
+        assert norms == ["operator", "trace", "frobenius", "kyfan:2", "schatten:3"]
+        assert parse_norm("kyfan:2").fit(1).label == "kyfan:1"
 
     def test_power_range_validation(self):
         with pytest.raises(ValueError):

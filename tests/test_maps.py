@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_lab import (
-    CongruenceMap,
     DimensionMismatchError,
     IdentityMap,
     KrausSumMap,
@@ -48,7 +47,8 @@ class TestApply:
         np.testing.assert_allclose(out.data[0], [[2.5]])
 
     def test_congruence_projects_entry(self):
-        out = CongruenceMap(np.array([[1.0], [0.0]])).apply(A14)
+        # a congruence V^T X V is a Kraus sum of one term
+        out = KrausSumMap((np.array([[1.0], [0.0]]),)).apply(A14)
         np.testing.assert_allclose(out.data[0], [[1.0]])
 
     def test_dimension_mismatch(self):
@@ -96,16 +96,33 @@ class TestApply:
 class TestValidation:
     def test_congruence_requires_full_column_rank(self):
         with pytest.raises(ValueError):
-            CongruenceMap(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            KrausSumMap((np.array([[1.0, 1.0], [1.0, 1.0]]),))
 
     def test_wide_congruence_factor_is_refused(self, capsys):
         # a 2x3 V has only two singular values, so it cannot have rank 3
-        with pytest.raises(ValueError, match="^V must have full column rank$"):
-            CongruenceMap(SplitMix64(4).normal_matrix(2, 3))
+        with pytest.raises(ValueError, match="^stacked Kraus terms must have full column rank$"):
+            KrausSumMap((SplitMix64(4).normal_matrix(2, 3),))
         code = cli_main(["verify", "--ineq", "ando", "--dims", "2", "--trials", "5",
                          "--phi", "congruence:random:2x3"])
         assert code == 2
-        assert "V must have full column rank" in capsys.readouterr().err
+        assert "stacked Kraus terms must have full column rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vs", [(np.zeros((3, 0)),), (np.zeros((0, 3)),), (),
+                                    (np.ones(3),), (np.eye(2), np.eye(3))])
+    def test_empty_or_mismatched_kraus_factors_are_refused(self, vs):
+        # an empty factor has no singular values to test: it is refused by
+        # shape, as a ValueError, before any rank test
+        with pytest.raises(ValueError, match=r"^need nonempty 2-d Kraus terms of one shape, "
+                                             r"got shapes \["):
+            KrausSumMap(vs)
+
+    def test_congruence_without_columns_is_refused_by_field(self, capsys):
+        code = cli_main(["verify", "--ineq", "ando", "--dims", "2", "--trials", "5",
+                         "--phi", "congruence:random:2x0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: field maps: congruence:random:2x0: need nonempty 2-d Kraus terms of one "
+            "shape, got shapes [(2, 0)]\n")
 
     def test_wide_kraus_factors_are_refused(self):
         rng = SplitMix64(4)
@@ -144,7 +161,7 @@ class TestUnitality:
 
     def test_scaled_congruence_not_unital(self):
         # V = 2I gives phi(I) = 4I, deviation 3
-        verdict = check_unital(CongruenceMap(2.0 * np.eye(3)))
+        verdict = check_unital(KrausSumMap((2.0 * np.eye(3),)))
         assert not verdict.is_unital
         assert verdict.deviation == pytest.approx(3.0)
 

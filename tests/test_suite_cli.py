@@ -552,7 +552,7 @@ class TestProbe:
 
     def test_several_dims_are_refused(self):
         cfg = SuiteConfig(inequalities=("midpoint",), dims=(2, 5), trials=2)
-        with pytest.raises(ValueError, match=r"fields dims: probe takes one dimension, "
+        with pytest.raises(ValueError, match=r"^field dims: probe takes one dimension, "
                                              r"got \(2, 5\)"):
             probe_tightness("midpoint", cfg)
 
@@ -820,6 +820,45 @@ class TestCli:
         assert cli_main(["probe", "--ineq", ineq, "--trials", "2"]) == 2
         assert capsys.readouterr().err == (
             f"error: field inequalities: probe takes one inequality id, got {ineq!r}\n")
+
+    def test_probe_refuses_several_dims_by_its_field(self, monkeypatch, capsys):
+        calls = []
+        real = suite._probe_evaluate
+        monkeypatch.setattr(suite, "_probe_evaluate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert cli_main(["probe", "--ineq", "polya-szego", "--dims", "2,3"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: field dims: probe takes one dimension, got (2, 3)\n")
+
+    @pytest.mark.parametrize("args, field, spec, klass, expected", [
+        (["--ineq", "norm-ratio-tau", "--g", "square"], "decreasing_fns", "square",
+         "operator_convex_zero", "operator_monotone_decreasing"),
+        (["--ineq", "main-decreasing", "--g", "square"], "decreasing_fns", "square",
+         "operator_convex_zero", "operator_monotone_decreasing"),
+        (["--ineq", "alpha-scaling", "--f", "inv_power:1"], "monotone_fns", "inv_power:1",
+         "operator_monotone_decreasing", "operator_monotone"),
+        (["--ineq", "ando", "--f", "power:1.5"], "monotone_fns", "power:1.5",
+         "operator_convex_zero", "operator_monotone"),
+    ])
+    def test_function_of_another_class_than_its_pool_is_refused_by_field(
+            self, args, field, spec, klass, expected, monkeypatch, capsys):
+        # refused as the pools are built, before any trial, whether or not a
+        # requested row reads the pool
+        calls = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: calls.append(a) or real(*a))
+        assert cli_main(["verify", *args, "--dims", "2", "--trials", "3"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: field {field}: {spec}: function {spec!r} has class {klass!r}, "
+            f"expected one of ({expected!r},)\n")
+
+    def test_convex_pool_takes_only_convex_functions(self):
+        with pytest.raises(HypothesisError, match=r"^field convex_fns: log1p: function 'log1p' "
+                                                  r"has class 'operator_monotone'"):
+            run_suite(SuiteConfig(inequalities=("ando",), dims=(2,), trials=1,
+                                  convex_fns=("square", "log1p")))
 
     def test_verify_without_flags_builds_the_default_config(self):
         # the common flags take their defaults from SuiteConfig, declared there once

@@ -297,3 +297,24 @@ def test_one_result_type():
     assert writers == ["certificates.py:slice_to_json"]
     methods = {node.name for owner, node in _functions(certificates) if owner == "Sides"}
     assert "to_json" in methods and "certificate" not in methods
+
+
+def test_one_term_sum_map():
+    # a congruence V^T X V is a Kraus sum of one term: no module defines a
+    # class CongruenceMap, and a congruence spec builds a one-term KrausSumMap
+    # with the label and dimensions that its spec names
+    import ast
+
+    from loewner_lab import KrausSumMap, SplitMix64, parse_map
+
+    src = Path(suite.__file__).resolve().parent
+    classes = [f"{path.name}:{node.name}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert [name for name in classes if name.endswith(":CongruenceMap")] == []
+    phi = parse_map("congruence:random", 3, SplitMix64(1))
+    assert type(phi) is KrausSumMap
+    assert [v.shape for v in phi.vs] == [(3, 3)]
+    assert phi.label == "congruence:random:3x3"
+    assert (phi.input_dim, phi.output_dim) == (3, 3)
+    assert parse_map("congruence:random:3x2", 3, SplitMix64(1)).output_dim == 2
