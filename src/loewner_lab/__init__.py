@@ -36,7 +36,6 @@ from .kernels import (
     LOGARITHMIC,
     SQUARE,
     MonotoneFunction,
-    ScalarKernel,
     default_grid,
     eval_kernel,
     heinz,

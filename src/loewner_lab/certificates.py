@@ -46,7 +46,6 @@ from .kernels import (
     OPERATOR_MONOTONE_DECREASING,
     SQUARE,
     MonotoneFunction,
-    ScalarKernel,
     default_grid,
     kernel_dominance,
     mean_kernel_gaps,
@@ -438,7 +437,7 @@ def _hyp(condition: bool, message: str) -> None:
 
 
 @lru_cache(maxsize=128)
-def _vet_mean_kernel(kernel: ScalarKernel) -> None:
+def _vet_mean_kernel(kernel: MonotoneFunction) -> None:
     lower, upper = mean_kernel_gaps(kernel)
     _hyp(
         lower >= -1e-12 and upper >= -1e-12,

@@ -128,14 +128,13 @@ def _cmd_scalarcheck(args) -> int:
         suffix = f" ({detail})" if detail else ""
         print(f"{'PASS' if ok else 'FAIL'} {label}{suffix}")
 
-    grid = default_grid()
     for kernel in kernel_catalog():
         low = kernel_dominance(HARMONIC, kernel)
         high = kernel_dominance(kernel, ARITHMETIC)
         check(f"dominance harmonic <= {kernel.id} <= arithmetic",
               low.holds and high.holds,
               f"margins {low.margin:.2e}, {high.margin:.2e}")
-        check(f"symmetry {kernel.id}", is_symmetric_kernel(kernel, grid))
+        check(f"symmetry {kernel.id}", is_symmetric_kernel(kernel))
     rng = SplitMix64(derive_seed(args.seed, 0x5CA1AB1E))
     point_sets = [[rng.uniform(1e-3, 1e3) for _ in range(5)] for _ in range(20)]
     for fn in monotone_catalog():
@@ -143,7 +142,7 @@ def _cmd_scalarcheck(args) -> int:
         check(f"loewner psd screen accepts {fn.id}", ok)
     rejected = sum(0 if loewner_matrix_psd_test(SQUARE, pts) else 1 for pts in point_sets)
     check("loewner psd screen rejects square", rejected >= 1, f"{rejected}/20 rejected")
-    worst = min(specht_ratio(h) for h in grid)
+    worst = min(specht_ratio(h) for h in default_grid())
     check("specht ratio >= 1 on grid", worst >= 1.0 - 1e-12, f"min {worst:.6f}")
     boundary_gap = max(
         abs(sandwich_constant(s, 1.0 / s) - (0.5 * (s**0.5 + (1.0 / s) ** 0.5)) ** 2)

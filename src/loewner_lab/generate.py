@@ -148,10 +148,10 @@ def normal_rows(rngs, n: int) -> np.ndarray:
     """n ``normal()`` draws of each stream, as a (streams, n) block, bit for bit.
 
     The streams advance in lockstep, so all of them hold a Box-Muller spare
-    or none does; each hands on its own spare as ``normal`` does.  log, cos
-    and sin stay per element in libm, whose results numpy's SIMD versions
-    need not match; numpy's products and square roots are correctly
-    rounded, as Python's are.
+    or none does; each hands on its own spare as ``normal`` does.  log stays
+    per element in libm, which numpy's SIMD log need not match; numpy's cos
+    and sin match libm's bits where the scalar-stream guard test passes, and
+    its products and square roots are correctly rounded, as Python's are.
     """
     spares = [rng._spare for rng in rngs]
     held = [z for z in spares if z is not None]
@@ -162,12 +162,12 @@ def normal_rows(rngs, n: int) -> np.ndarray:
     u = _unit_rows(rngs, 2 * pairs)
     count = len(rngs) * pairs
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[:, 0::2].ravel().tolist()), float, count))
-    angle = ((2.0 * math.pi) * u[:, 1::2]).ravel().tolist()
+    angle = ((2.0 * math.pi) * u[:, 1::2]).ravel()
     out = np.empty((len(rngs), head + 2 * pairs))
     if head:
         out[:, 0] = held
-    for col, fn in ((head, math.cos), (head + 1, math.sin)):
-        out[:, col::2] = (r * np.fromiter(map(fn, angle), float, count)).reshape(len(rngs), pairs)
+    for col, fn in ((head, np.cos), (head + 1, np.sin)):
+        out[:, col::2] = (r * fn(angle)).reshape(len(rngs), pairs)
     if n:
         tail = out[:, n].tolist() if out.shape[1] > n else [None] * len(rngs)
         for rng, z in zip(rngs, tail):

@@ -34,20 +34,34 @@ def default_grid() -> tuple[float, ...]:
     return tuple(float(t) for t in np.geomspace(_GRID_LO, _GRID_HI, _GRID_POINTS))
 
 
-@dataclass(frozen=True)
-class ScalarKernel:
-    """Representing function of a binary operator mean.
+# Function classes used by the inequality checks.
+OPERATOR_MONOTONE = "operator_monotone"
+OPERATOR_MONOTONE_DECREASING = "operator_monotone_decreasing"
+OPERATOR_CONVEX_ZERO = "operator_convex_zero"
 
-    Normalized so that ``fn(1) == 1`` and positive on (0, inf).  The ``id``
-    doubles as the CLI selection token and must uniquely identify the
-    function (it keys internal caches).
+_CLASSES = (OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING, OPERATOR_CONVEX_ZERO)
+
+
+@dataclass(frozen=True)
+class MonotoneFunction:
+    """A cataloged scalar function together with its operator-order class.
+
+    A mean's kernel is one of class ``OPERATOR_MONOTONE``, positive on
+    (0, inf) and normalized so that ``fn(1) == 1``: by Kubo-Ando (Math. Ann.
+    246, 1980) each operator mean is its representing function.  The ``id``
+    is the CLI selection token and unique to the function (it keys caches).
     """
 
     id: str
     fn: Callable[[float], float]
+    klass: str
+
+    def __post_init__(self):
+        if self.klass not in _CLASSES:
+            raise ValueError(f"unknown function class {self.klass!r}")
 
 
-def eval_kernel(kernel: ScalarKernel, t: float) -> float:
+def eval_kernel(kernel: MonotoneFunction, t: float) -> float:
     """Evaluate a kernel at t > 0."""
     t = float(t)
     if t <= 0:
@@ -63,19 +77,20 @@ def _logarithmic(t: float) -> float:
     return (t - 1.0) / math.log(t)
 
 
-ARITHMETIC = ScalarKernel("arithmetic", twinned(lambda t: 0.5 * (1.0 + t)))
-GEOMETRIC = ScalarKernel("geometric", twinned(lambda t: math.sqrt(t), np.sqrt))
-HARMONIC = ScalarKernel("harmonic", twinned(lambda t: 2.0 * t / (1.0 + t)))
-LOGARITHMIC = ScalarKernel("logarithmic", _logarithmic)
+ARITHMETIC = MonotoneFunction("arithmetic", twinned(lambda t: 0.5 * (1.0 + t)), OPERATOR_MONOTONE)
+GEOMETRIC = MonotoneFunction("geometric", twinned(lambda t: math.sqrt(t), np.sqrt),
+                             OPERATOR_MONOTONE)
+HARMONIC = MonotoneFunction("harmonic", twinned(lambda t: 2.0 * t / (1.0 + t)), OPERATOR_MONOTONE)
+LOGARITHMIC = MonotoneFunction("logarithmic", _logarithmic, OPERATOR_MONOTONE)
 
 
-def heinz(nu: float) -> ScalarKernel:
+def heinz(nu: float) -> MonotoneFunction:
     """Heinz-family kernel (t^nu + t^(1-nu))/2 for nu in [0, 1]."""
     nu = float(nu)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"heinz parameter must lie in [0, 1], got {nu!r}")
-    return ScalarKernel(f"heinz:{param_id(nu)}",
-                        lambda t: 0.5 * (t**nu + t ** (1.0 - nu)))
+    return MonotoneFunction(f"heinz:{param_id(nu)}",
+                            lambda t: 0.5 * (t**nu + t ** (1.0 - nu)), OPERATOR_MONOTONE)
 
 
 # The default pools, as the specs that parse_kernel and parse_function read.
@@ -85,7 +100,7 @@ DEFAULT_DECREASING_SPECS = ("inv_power:1", "inv_power:0.5", "shifted_inverse:1")
 DEFAULT_CONVEX_SPECS = ("square", "power:1.5")
 
 
-def kernel_catalog() -> tuple[ScalarKernel, ...]:
+def kernel_catalog() -> tuple[MonotoneFunction, ...]:
     return tuple(map(parse_kernel, DEFAULT_KERNEL_SPECS))
 
 
@@ -93,30 +108,9 @@ _KERNEL_SPECS = {"arithmetic": ARITHMETIC, "geometric": GEOMETRIC, "harmonic": H
                  "logarithmic": LOGARITHMIC, "heinz": heinz}
 
 
-def parse_kernel(spec: str) -> ScalarKernel:
+def parse_kernel(spec: str) -> MonotoneFunction:
     """Parse a kernel identifier such as 'geometric' or 'heinz:0.25'."""
     return parse_spec("kernel", spec, _KERNEL_SPECS)
-
-
-# Function classes used by the inequality checks.
-OPERATOR_MONOTONE = "operator_monotone"
-OPERATOR_MONOTONE_DECREASING = "operator_monotone_decreasing"
-OPERATOR_CONVEX_ZERO = "operator_convex_zero"
-
-_CLASSES = (OPERATOR_MONOTONE, OPERATOR_MONOTONE_DECREASING, OPERATOR_CONVEX_ZERO)
-
-
-@dataclass(frozen=True)
-class MonotoneFunction:
-    """A cataloged scalar function together with its operator-order class."""
-
-    id: str
-    fn: Callable[[float], float]
-    klass: str
-
-    def __post_init__(self):
-        if self.klass not in _CLASSES:
-            raise ValueError(f"unknown function class {self.klass!r}")
 
 
 def power(p: float) -> MonotoneFunction:
@@ -189,22 +183,12 @@ class DominanceVerdict:
     margin: float
 
 
-def kernel_dominance(
-    k1: ScalarKernel, k2: ScalarKernel, grid: Sequence[float] | None = None
-) -> DominanceVerdict:
-    """Check k1(t) <= k2(t) + tol on a grid, reporting the argmin of k2 - k1.
-
-    On the default grid the verdict is cached per kernel pair; an explicit
-    grid is walked on every call.
-    """
-    if grid is None:
-        return _default_dominance(k1, k2)
-    points = tuple(grid)
-    if not points:
-        raise ValueError("grid must be nonempty")
-    worst_t = points[0]
-    margin = math.inf
-    for t in points:
+@lru_cache(maxsize=128)
+def kernel_dominance(k1: MonotoneFunction, k2: MonotoneFunction) -> DominanceVerdict:
+    """Check k1(t) <= k2(t) + tol on the default grid, reporting the argmin of
+    k2 - k1; the verdict is cached per kernel pair."""
+    worst_t, margin = default_grid()[0], math.inf
+    for t in default_grid():
         gap = eval_kernel(k2, t) - eval_kernel(k1, t)
         if gap < margin:
             margin = gap
@@ -212,15 +196,9 @@ def kernel_dominance(
     return DominanceVerdict(holds=margin >= -DOMINANCE_TOL, worst_t=float(worst_t), margin=float(margin))
 
 
-@lru_cache(maxsize=128)
-def _default_dominance(k1: ScalarKernel, k2: ScalarKernel) -> DominanceVerdict:
-    return kernel_dominance(k1, k2, default_grid())
-
-
-def is_symmetric_kernel(kernel: ScalarKernel, grid: Sequence[float] | None = None) -> bool:
-    """True iff k(t) == t * k(1/t) within tolerance on the grid."""
-    points = grid if grid is not None else default_grid()
-    for t in points:
+def is_symmetric_kernel(kernel: MonotoneFunction) -> bool:
+    """True iff k(t) == t * k(1/t) within tolerance on the default grid."""
+    for t in default_grid():
         kt = eval_kernel(kernel, t)
         if abs(kt - t * eval_kernel(kernel, 1.0 / t)) > SYMMETRY_RTOL * (1.0 + kt):
             return False
@@ -289,7 +267,7 @@ def sandwich_constant(s: float, t: float) -> float:
     return half_sum**2 / (s * t)
 
 
-def mean_kernel_gaps(kernel: ScalarKernel) -> tuple[float, float]:
+def mean_kernel_gaps(kernel: MonotoneFunction) -> tuple[float, float]:
     """Worst margins of (harmonic <= kernel, kernel <= arithmetic) on the default grid."""
     lower = kernel_dominance(HARMONIC, kernel)
     upper = kernel_dominance(kernel, ARITHMETIC)

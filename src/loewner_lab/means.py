@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionCapError, NotPositiveDefiniteError
-from .kernels import GEOMETRIC, ScalarKernel
+from .kernels import GEOMETRIC, MonotoneFunction
 from .spectral import (
     SymStack,
     decompose,
@@ -38,7 +38,7 @@ DEFAULT_COND_CAP = 1e8
 class MeanContext:
     """A representing kernel plus the condition-number cap for the congruence."""
 
-    kernel: ScalarKernel
+    kernel: MonotoneFunction
     cond_cap: float = DEFAULT_COND_CAP
 
     def __post_init__(self):
@@ -75,7 +75,7 @@ def _mean(A: SymStack, B: SymStack, kernels: list, caps: list) -> SymStack:
     return SymStack(dec.root @ transformed.data @ dec.root)
 
 
-def kernel_mean(kernel: ScalarKernel, A: SymStack, B: SymStack) -> SymStack:
+def kernel_mean(kernel: MonotoneFunction, A: SymStack, B: SymStack) -> SymStack:
     """The mean of ``kernel`` under the default condition cap; ``kernel`` is
     one kernel or one per slice."""
     kernels = per_slice(kernel, A)

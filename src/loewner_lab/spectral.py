@@ -454,6 +454,15 @@ def _ky_fan_sum(sv: np.ndarray, k) -> float:
     return sv[:k].sum()
 
 
+def _schatten_sum(sv: np.ndarray, p) -> float:
+    """(sum sv^p)^(1/p), taken over sv / sv[0] where the sum overflows or underflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        total = (sv ** float(p)).sum()
+    if sv[0] > 0 and not np.finfo(float).tiny <= total < math.inf:
+        return sv[0] * _schatten_sum(sv / sv[0], p)
+    return total ** (1.0 / float(p))
+
+
 # Each norm variant once, as (names, parse, rule, value, fit): its spec names
 # and its norm from a spec's argument; the rule its parameter must meet, as a
 # test and the refusal when the test fails (None: any parameter); its
@@ -469,7 +478,7 @@ _NORMS = {
                "kyfan norm needs an integer order k >= 1"), _ky_fan_sum, min),
     "schatten": (("schatten",), lambda arg: schatten(float(arg)),
                  (lambda p: p is not None and 1 <= p < math.inf, "schatten norm needs p >= 1"),
-                 lambda sv, p: (sv ** float(p)).sum() ** (1.0 / float(p)), None),
+                 _schatten_sum, None),
 }
 _NORM_SPECS = {name: parse for names, parse, *_ in _NORMS.values() for name in names}
 # The default norm pool, as the specs that parse_norm reads.

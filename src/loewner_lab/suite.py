@@ -266,7 +266,7 @@ def _vet_pools(ineq: str, pools: dict) -> None:
         if pool is None or pools[pool]:
             continue
         if pool == "unital_maps" and pools["maps"]:
-            raise ValueError(f"{ineq} needs at least one unital map in the pool")
+            raise ValueError(f"field maps: {ineq} needs at least one unital map in the pool")
         raise ValueError(f"field {_SOURCES.get(pool, pool)} must name at least one spec for {ineq}")
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,9 +216,7 @@ class TestMainMonotone:
         assert abs(cert.slack) <= 1e-9 * max(1.0, op_norm(a)[0])
 
     def test_dominance_hypothesis_enforced(self):
-        from loewner_lab import ScalarKernel
-
-        too_big = ScalarKernel("overshoot", lambda t: 1.0 + t)
+        too_big = MonotoneFunction("overshoot", lambda t: 1.0 + t, OPERATOR_MONOTONE)
         with pytest.raises(HypothesisError):
             certify("main-monotone", A14, A41, 0.25, 4.0, phi=TRACE_HALF, tau=too_big,
                     sigma=GEOMETRIC, f=SQRT)
@@ -321,6 +320,28 @@ class TestNormRatioAudit:
         assert cert.lhs == pytest.approx(3.4, abs=1e-10)
         assert cert.rhs == pytest.approx(3.125, abs=1e-10)
         assert not cert.holds
+
+    def test_exact_counterexample(self):
+        # A = diag(1, 1/4) and B = diag(1/4, 1) commute, so in exact arithmetic
+        # the sides of norm-ratio-tau (arithmetic kernel, square, operator norm,
+        # s = 1/4, t = 4) are ratios of diagonals: lhs = ||A^2 nabla B^2|| /
+        # ||A nabla B|| = (17/32) / (5/8) and rhs = C(1/4, 4) ||Y^2 / Y||,
+        # Y = A # B = diag(1/2, 1/2), with C(1/4, 4) = ((1/2 + 2) / 2)^2
+        a, b = (F(1), F(1, 4)), (F(1, 4), F(1))
+        y = (F(1, 2), F(1, 2))
+        assert [v * v for v in y] == [p * q for p, q in zip(a, b)]
+        numerator = max((p * p + q * q) / 2 for p, q in zip(a, b))
+        lhs = numerator / max((p + q) / 2 for p, q in zip(a, b))
+        constant = ((F(1, 2) + 2) / 2) ** 2
+        rhs = constant * max(v * v / v for v in y)
+        assert (lhs, rhs, constant) == (F(17, 20), F(25, 32), F(25, 16))
+        assert lhs / rhs == F(136, 125) > 1
+        cert = certify("norm-ratio-tau", one(np.diag([1.0, 0.25])), one(np.diag([0.25, 1.0])),
+                       0.25, 4.0, kernel=ARITHMETIC, g=SQUARE_FN, norm=OPERATOR)
+        assert not cert.holds[0]
+        assert cert.rhs[0] == 0.78125
+        assert abs(cert.lhs[0] - 0.85) <= math.ulp(0.85)
+        assert cert.constant[0] == 1.5625
 
     def test_power4_same_instance_holds(self):
         cert = certify("norm-ratio-power4", A14, A41, 0.25, 4.0, kernel=ARITHMETIC, g=SQUARE_FN,

@@ -12,7 +12,7 @@ from loewner_lab import (
     LOGARITHMIC,
     SQUARE,
     DomainError,
-    ScalarKernel,
+    MonotoneFunction,
     SplitMix64,
     default_grid,
     eval_kernel,
@@ -79,15 +79,12 @@ class TestDominance:
         assert kernel_dominance(GEOMETRIC, ARITHMETIC).holds
 
     def test_reversed_fails_with_reported_witness(self):
-        # on this grid the worst violation of arithmetic <= geometric is at t=4
-        verdict = kernel_dominance(ARITHMETIC, GEOMETRIC, grid=[0.5, 1.0, 2.0, 4.0])
+        # on the default grid the worst violation of arithmetic <= geometric
+        # is at its top end, t = 1e4: sqrt(1e4) - (1 + 1e4)/2 = -4900.5
+        verdict = kernel_dominance(ARITHMETIC, GEOMETRIC)
         assert not verdict.holds
-        assert verdict.worst_t == pytest.approx(4.0)
-        assert verdict.margin == pytest.approx(-0.5)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_dominance(HARMONIC, GEOMETRIC, grid=[])
+        assert verdict.worst_t == 1e4
+        assert verdict.margin == pytest.approx(-4900.5)
 
     @pytest.mark.parametrize("kernel", kernel_catalog(), ids=lambda k: k.id)
     def test_catalog_between_harmonic_and_arithmetic(self, kernel):
@@ -103,8 +100,8 @@ class TestSymmetricKernels:
         assert is_symmetric_kernel(heinz(0.25))
 
     def test_weighted_average_not_symmetric(self):
-        lopsided = ScalarKernel("lopsided", lambda t: (1.0 + 2.0 * t) / 3.0)
-        assert not is_symmetric_kernel(lopsided, grid=[2.0])
+        lopsided = MonotoneFunction("lopsided", lambda t: (1.0 + 2.0 * t) / 3.0, OPERATOR_MONOTONE)
+        assert not is_symmetric_kernel(lopsided)
 
     @pytest.mark.parametrize("kernel", kernel_catalog(), ids=lambda k: k.id)
     def test_catalog_symmetric(self, kernel):
@@ -275,7 +272,3 @@ class TestCatalogParsing:
 def test_default_grid_screens_are_computed_once():
     assert default_grid() is default_grid()
     assert kernel_dominance(HARMONIC, GEOMETRIC) is kernel_dominance(HARMONIC, GEOMETRIC)
-    grid = [0.5, 1.0, 2.0]
-    explicit = kernel_dominance(HARMONIC, GEOMETRIC, grid)
-    assert explicit == kernel_dominance(HARMONIC, GEOMETRIC, grid)
-    assert explicit is not kernel_dominance(HARMONIC, GEOMETRIC, grid)

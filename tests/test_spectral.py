@@ -375,6 +375,18 @@ class TestNorms:
         value = ui_norm(one([[2.0, 1.0], [1.0, 2.0]]), schatten(2))[0]
         assert value == pytest.approx(math.sqrt(10.0), rel=1e-12)
 
+    @pytest.mark.parametrize("scale, p", [(10.0, 1000.0), (1e-3, 400.0)])
+    def test_schatten_at_large_p_neither_overflows_nor_underflows(self, scale, p):
+        # (2 * scale)^p overflows at scale 10 and underflows to 0 at scale 1e-3,
+        # while the norm is the largest singular value 2 * scale to double precision
+        value = ui_norm(one(scale * np.diag([2.0, 1.0, 0.5])), schatten(p))[0]
+        assert value == pytest.approx(2.0 * scale, rel=1e-12)
+
+    def test_schatten_keeps_the_plain_sum_where_it_is_finite(self):
+        x = random_sym(5, 23)
+        sv = np.sort(np.abs(spectrum(x)[0]))[::-1]
+        assert ui_norm(x, schatten(3))[0] == (sv**3.0).sum() ** (1.0 / 3.0)
+
     def test_frobenius_matches_schatten2(self):
         x = random_sym(5, 17)
         assert ui_norm(x, FROBENIUS)[0] == pytest.approx(ui_norm(x, schatten(2))[0], rel=1e-12)

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ class TestSuiteConfig:
                          "--phi", "kraus:2"])
         assert code == 2
         assert calls == []
-        assert ("error: gruss-f needs at least one unital map in the pool"
+        assert ("error: field maps: gruss-f needs at least one unital map in the pool"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["verify", "probe"])
@@ -789,6 +791,17 @@ class TestCli:
         ])
         assert code == 0
 
+    def test_large_schatten_norm_gives_a_finite_min_slack(self, capsys):
+        # the p-th powers of schatten:1000 overflow unless they are rescaled
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", "--ineq", "norm-ratio-tau", "--dims", "3", "--trials",
+                             "5", "--norm", "schatten:1000"])
+        assert code == 0
+        assert caught == []
+        slack = re.search(r"min slack (\S+)\)", capsys.readouterr().out).group(1)
+        assert math.isfinite(float(slack))
+
     def test_hunt_exit_one_on_violation(self, tmp_path):
         code = cli_main([
             "hunt", "--ineq", "polya-szego", "--dims", "2", "--trials", "50",
@@ -813,7 +826,7 @@ class TestCli:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: gruss-f needs at least one unital map in the pool" in err
+        assert "error: field maps: gruss-f needs at least one unital map in the pool" in err
 
     @pytest.mark.parametrize("ineq", ["polya-szego,midpoint", "all", "all-non-audit"])
     def test_probe_refuses_more_than_one_id_by_its_field(self, ineq, capsys):

@@ -318,3 +318,33 @@ def test_one_term_sum_map():
     assert phi.label == "congruence:random:3x3"
     assert (phi.input_dim, phi.output_dim) == (3, 3)
     assert parse_map("congruence:random:3x2", 3, SplitMix64(1)).output_dim == 2
+
+
+def test_one_scalar_function_type():
+    # a mean's kernel is an operator monotone MonotoneFunction normalized at 1:
+    # no module defines a ScalarKernel, every default kernel parses to a
+    # MonotoneFunction of class OPERATOR_MONOTONE with fn(1) == 1, and the
+    # kernel screens run on the one default grid, so neither takes a grid
+    import ast
+
+    from loewner_lab import kernels
+
+    src = Path(suite.__file__).resolve().parent
+    defined = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Assign):
+                defined += [f"{path.name}:{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+    assert [name for name in defined if name.endswith(":ScalarKernel")] == []
+    for spec in kernels.DEFAULT_KERNEL_SPECS:
+        kernel = kernels.parse_kernel(spec)
+        assert type(kernel) is kernels.MonotoneFunction
+        assert kernel.klass == kernels.OPERATOR_MONOTONE
+        assert kernel.fn(1.0) == 1.0
+    screens = {node.name: [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+               for _, node in _functions(kernels)
+               if node.name in ("kernel_dominance", "is_symmetric_kernel")}
+    assert screens == {"kernel_dominance": ["k1", "k2"], "is_symmetric_kernel": ["kernel"]}
+    assert not hasattr(kernels, "_default_dominance")
