@@ -37,7 +37,6 @@ from .kernels import (
     SQUARE,
     MonotoneFunction,
     default_grid,
-    eval_kernel,
     heinz,
     inv_power,
     is_symmetric_kernel,

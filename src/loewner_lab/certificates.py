@@ -49,6 +49,8 @@ from .kernels import (
     default_grid,
     kernel_dominance,
     mean_kernel_gaps,
+    on_grid,
+    on_points,
     sandwich_constant,
     specht_ratio,
 )
@@ -57,10 +59,7 @@ from .means import arithmetic, geometric, harmonic, kernel_mean, spectral_invers
 from .spectral import (
     LOEWNER_TOL_REL,
     SymStack,
-    _apply,
     _eye,
-    _frozen,
-    by_distinct,
     loewner_slack,
     matrix_function,
     op_norm,
@@ -358,9 +357,9 @@ def _scaling(row: Row, x) -> list[Sides]:
     for decreasing g, each at the worst point of ``default_grid()``."""
     c = _constants(row, x)
     points = default_grid()
-    # f(t), then f(alpha t), as one (trials, points) block each
-    f_t = [_on_default_grid(fn) for fn in x.f]
-    f_alpha_t = _on_grid(x.f, np.array(x.alpha, dtype=float)[:, None] * _default_points())
+    # f(t) of each trial, then f(alpha t) as one (trials, points) block
+    f_t = [on_grid(fn) for fn in x.f]
+    f_alpha_t = on_points(x.f, np.array(x.alpha, dtype=float)[:, None] * points)
     worst = []
     for fn, alpha, c_k, at_t, at_alpha_t in zip(x.f, x.alpha, c, f_t, f_alpha_t):
         if fn.klass == OPERATOR_MONOTONE:
@@ -372,20 +371,24 @@ def _scaling(row: Row, x) -> list[Sides]:
                      grid_points=[len(points)] * x.n, worst_t=worst_t)]
 
 
-def _scalar_sandwich(row: Row, x, grid_points: int = 200) -> list[Sides]:
+# The number of points of the scalar sandwich's grid in [s, t].
+_SANDWICH_GRID_POINTS = 200
+
+
+def _scalar_sandwich(row: Row, x) -> list[Sides]:
     """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x)
     behind the sandwich lemma, at the worst point of a grid in [s, t]."""
     c = _constants(row, x)
     worst = []
     for s, t, (_, c2) in zip(x.s, x.t, c):
-        xs = np.geomspace(s, t, grid_points).tolist()
+        xs = np.geomspace(s, t, _SANDWICH_GRID_POINTS).tolist()
         worst.append(_worst_on_grid(
             [v for v in xs for _ in range(2)],
             np.array([y for v in xs for y in (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0))]),
             np.array([y for v in xs for y in (c2 * math.sqrt(v), c2 / math.sqrt(v))])))
     worst_x, lhs, rhs, ratio = (list(col) for col in zip(*worst))
     return [_columns(row, x, np.array(lhs), np.array(rhs), [c_k[1] for c_k in c], ratio,
-                     grid_points=[grid_points] * x.n, worst_x=worst_x)]
+                     grid_points=[_SANDWICH_GRID_POINTS] * x.n, worst_x=worst_x)]
 
 
 def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -395,37 +398,11 @@ def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     candidates = slack < math.inf  # a nan or +inf slack is never the worst
     if candidates.any():
         i = int(np.where(candidates, slack, math.inf).argmin())
-        worst = (points[i], float(lhs[i]), float(rhs[i]))
+        worst = (float(points[i]), float(lhs[i]), float(rhs[i]))
     else:
-        worst = (points[0], 0.0, 0.0)
+        worst = (float(points[0]), 0.0, 0.0)
     ratio = _norm_ratio_diag(lhs, rhs)
     return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest
-
-
-@lru_cache(maxsize=None)
-def _default_points() -> np.ndarray:
-    return _frozen(np.array(default_grid()))
-
-
-@lru_cache(maxsize=16)  # the pools of one dim hold 7 functions; each entry holds 400 floats
-def _on_default_grid(fn: MonotoneFunction) -> np.ndarray:
-    """fn(t) at every point of ``default_grid()``, computed once per function."""
-    return _frozen(_mapped(fn, default_grid()))
-
-
-def _mapped(fn: MonotoneFunction, points) -> np.ndarray:
-    """fn(t) at each of ``points``, by one map of the scalar function."""
-    return np.fromiter(map(fn.fn, points), float, len(points))
-
-
-def _on_grid(fns: list, t: np.ndarray) -> np.ndarray:
-    """fn(t) along each row of ``t`` for the row's function, by the twin/map
-    rule of ``matrix_function``; where a value is not finite, the rows are mapped
-    point by point, so a point where fn is undefined raises fn's own error."""
-    values = by_distinct([fn.fn for fn in fns], _apply, t)
-    if np.isfinite(values).all():
-        return values
-    return np.array([_mapped(fn, row) for fn, row in zip(fns, t.tolist())])
 
 
 # Hypotheses.  The per-slice checks raise HypothesisError themselves rather
@@ -448,7 +425,7 @@ def _vet_mean_kernel(kernel: MonotoneFunction) -> None:
 
 @lru_cache(maxsize=128)
 def _vet_nonnegative(fn: MonotoneFunction) -> None:
-    worst = min(_on_default_grid(fn))
+    worst = on_grid(fn).min()  # a nan is the minimum, and is refused
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
 
 

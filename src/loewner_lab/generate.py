@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NotPositiveDefiniteError
-from .spectral import LOEWNER_TOL_REL, SymStack, decompose, inner_matrix, spectrum_bounds
+from .spectral import LOEWNER_TOL_REL, SymStack, _apply, decompose, inner_matrix, spectrum_bounds
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -135,13 +135,14 @@ def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:
 def log_uniform_rows(rngs, *ranges: tuple) -> np.ndarray:
     """One ``log_uniform(lo, hi)`` draw per ``(lo, hi)`` of ``ranges`` from
     each stream, in that order, as a (streams, ranges) block, bit for bit;
-    exp stays per element in libm, as ``normal_rows`` keeps log."""
+    exp stays per element in libm (``_apply`` maps math.exp, which has no
+    numpy twin), as ``normal_rows`` keeps log."""
     for lo, hi in ranges:
         if not 0 < lo <= hi:
             raise ValueError("log_uniform needs 0 < lo <= hi")
     lo, hi = (np.array([math.log(x) for x in col]) for col in zip(*ranges))
     x = lo + (hi - lo) * _unit_rows(rngs, len(ranges))
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return _apply(math.exp, x)
 
 
 def normal_rows(rngs, n: int) -> np.ndarray:
@@ -160,8 +161,7 @@ def normal_rows(rngs, n: int) -> np.ndarray:
     head = 1 if held and n else 0
     pairs = (n - head + 1) // 2
     u = _unit_rows(rngs, 2 * pairs)
-    count = len(rngs) * pairs
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[:, 0::2].ravel().tolist()), float, count))
+    r = np.sqrt(-2.0 * _apply(math.log, u[:, 0::2]).ravel())
     angle = ((2.0 * math.pi) * u[:, 1::2]).ravel()
     out = np.empty((len(rngs), head + 2 * pairs))
     if head:

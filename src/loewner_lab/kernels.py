@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spectral import param_id, parse_spec, twinned
+from .spectral import _apply, _frozen, by_distinct, param_id, parse_spec, twinned
 
 # Grid-based checks are necessary-condition tests, not proofs; they exist so
 # user-supplied kernels can be screened against the mean hypotheses.
@@ -29,9 +29,10 @@ _GRID_HI = 1e4
 
 
 @lru_cache(maxsize=None)
-def default_grid() -> tuple[float, ...]:
-    """400 logarithmically spaced points in [1e-4, 1e4], computed once."""
-    return tuple(float(t) for t in np.geomspace(_GRID_LO, _GRID_HI, _GRID_POINTS))
+def default_grid() -> np.ndarray:
+    """400 logarithmically spaced points in [1e-4, 1e4], as one read-only
+    array computed once."""
+    return _frozen(np.geomspace(_GRID_LO, _GRID_HI, _GRID_POINTS))
 
 
 # Function classes used by the inequality checks.
@@ -61,12 +62,22 @@ class MonotoneFunction:
             raise ValueError(f"unknown function class {self.klass!r}")
 
 
-def eval_kernel(kernel: MonotoneFunction, t: float) -> float:
-    """Evaluate a kernel at t > 0."""
-    t = float(t)
-    if t <= 0:
-        raise DomainError(f"kernel {kernel.id!r} requires t > 0, got {t!r}")
-    return float(kernel.fn(t))
+def on_points(fns: Sequence[MonotoneFunction], t: np.ndarray) -> np.ndarray:
+    """fn(t) along each row of ``t`` for the row's function, by the twin-or-map
+    rule of ``spectral._apply``; where a value is not finite, each row is
+    evaluated point by point, so a point where fn raises raises fn's own
+    error, and one where fn is nan or infinite keeps that value."""
+    values = by_distinct([fn.fn for fn in fns], _apply, t)
+    if np.isfinite(values).all():
+        return values
+    return np.array([[float(fn.fn(p)) for p in row] for fn, row in zip(fns, t.tolist())])
+
+
+@lru_cache(maxsize=32)  # the default pools hold 14 kernels and functions, of 400 floats each
+def on_grid(fn: MonotoneFunction) -> np.ndarray:
+    """fn(t) at every point of ``default_grid()``, as one read-only array
+    computed once per function."""
+    return _frozen(on_points([fn], default_grid()[None])[0])
 
 
 def _logarithmic(t: float) -> float:
@@ -185,24 +196,22 @@ class DominanceVerdict:
 
 @lru_cache(maxsize=128)
 def kernel_dominance(k1: MonotoneFunction, k2: MonotoneFunction) -> DominanceVerdict:
-    """Check k1(t) <= k2(t) + tol on the default grid, reporting the argmin of
-    k2 - k1; the verdict is cached per kernel pair."""
-    worst_t, margin = default_grid()[0], math.inf
-    for t in default_grid():
-        gap = eval_kernel(k2, t) - eval_kernel(k1, t)
-        if gap < margin:
-            margin = gap
-            worst_t = t
-    return DominanceVerdict(holds=margin >= -DOMINANCE_TOL, worst_t=float(worst_t), margin=float(margin))
+    """Check k1(t) <= k2(t) + tol on the default grid, reporting the first
+    argmin of k2 - k1, where a nan comes first and fails; the verdict is
+    cached per kernel pair."""
+    gap = on_grid(k2) - on_grid(k1)
+    i = int(gap.argmin())
+    margin = float(gap[i])
+    return DominanceVerdict(holds=margin >= -DOMINANCE_TOL, worst_t=float(default_grid()[i]),
+                            margin=margin)
 
 
 def is_symmetric_kernel(kernel: MonotoneFunction) -> bool:
-    """True iff k(t) == t * k(1/t) within tolerance on the default grid."""
-    for t in default_grid():
-        kt = eval_kernel(kernel, t)
-        if abs(kt - t * eval_kernel(kernel, 1.0 / t)) > SYMMETRY_RTOL * (1.0 + kt):
-            return False
-    return True
+    """True iff k(t) == t * k(1/t) within tolerance at every point of the
+    default grid; a nan fails."""
+    t = default_grid()
+    kt, k_inv = on_points([kernel] * 2, np.stack([t, 1.0 / t]))
+    return bool((abs(kt - t * k_inv) <= SYMMETRY_RTOL * (1.0 + kt)).all())
 
 
 def divided_difference_matrix(fn: Callable[[float], float], points: Sequence[float]) -> np.ndarray:
@@ -268,7 +277,8 @@ def sandwich_constant(s: float, t: float) -> float:
 
 
 def mean_kernel_gaps(kernel: MonotoneFunction) -> tuple[float, float]:
-    """Worst margins of (harmonic <= kernel, kernel <= arithmetic) on the default grid."""
+    """Worst margins of (harmonic <= kernel, kernel <= arithmetic) on the
+    default grid; a kernel with a nan value there has nan margins."""
     lower = kernel_dominance(HARMONIC, kernel)
     upper = kernel_dominance(kernel, ARITHMETIC)
     return lower.margin, upper.margin

@@ -334,9 +334,12 @@ def by_distinct(items: list, apply, data: np.ndarray) -> np.ndarray:
 
 
 def _apply(f, lams: np.ndarray) -> np.ndarray:
+    """The scalar function f at every entry of an array: through its numpy
+    twin (see ``twinned``), or else by one ``map`` in libm, the one place a
+    scalar function meets an array."""
     twin = getattr(f, "twin", None)
     if twin is not None:
-        with np.errstate(all="ignore"):  # a value that is not finite goes to _walk
+        with np.errstate(all="ignore"):  # each caller redoes a value that is not finite
             return twin(lams)
     return np.fromiter(map(f, lams.ravel().tolist()), float, lams.size).reshape(lams.shape)
 
@@ -454,13 +457,15 @@ def _ky_fan_sum(sv: np.ndarray, k) -> float:
     return sv[:k].sum()
 
 
-def _schatten_sum(sv: np.ndarray, p) -> float:
-    """(sum sv^p)^(1/p), taken over sv / sv[0] where the sum overflows or underflows."""
+def _schatten_sum(sv: np.ndarray, p, root=None) -> float:
+    """(sum sv^p)^(1/p), or root(sum sv^p) for a given root, taken over
+    sv / sv[0] where the sum is not a finite normal double (it overflows or
+    underflows)."""
     with np.errstate(over="ignore", under="ignore"):
         total = (sv ** float(p)).sum()
     if sv[0] > 0 and not np.finfo(float).tiny <= total < math.inf:
-        return sv[0] * _schatten_sum(sv / sv[0], p)
-    return total ** (1.0 / float(p))
+        return sv[0] * _schatten_sum(sv / sv[0], p, root)
+    return total ** (1.0 / float(p)) if root is None else root(total)
 
 
 # Each norm variant once, as (names, parse, rule, value, fit): its spec names
@@ -472,7 +477,7 @@ _NORMS = {
     "operator": (("operator", "op"), lambda arg: OPERATOR, None, lambda sv, _: sv[0], None),
     "trace": (("trace", "nuclear"), lambda arg: TRACE, None, lambda sv, _: sv.sum(), None),
     "frobenius": (("frobenius", "fro"), lambda arg: FROBENIUS, None,
-                  lambda sv, _: np.sqrt((sv**2).sum()), None),
+                  lambda sv, _: _schatten_sum(sv, 2, np.sqrt), None),
     "kyfan": (("kyfan",), lambda arg: ky_fan(int(arg)),
               (lambda k: isinstance(k, numbers.Real) and 1 <= k < math.inf and k == int(k),
                "kyfan norm needs an integer order k >= 1"), _ky_fan_sum, min),

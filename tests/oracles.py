@@ -1,6 +1,6 @@
 """Test references beside the library: a matrix as a stack of one slice,
-one instance through the evaluator, seeded pairs drawn one at a time, and a
-brute-force Loewner oracle."""
+one instance through the evaluator, seeded pairs drawn one at a time, a
+brute-force Loewner oracle, and the kernel screens as loops over the grid."""
 
 import math
 
@@ -9,6 +9,8 @@ import numpy as np
 from loewner_lab.certificates import ROWS, check_stack
 from loewner_lab.generate import (BoundedPair, SandwichPair, SplitMix64, _bounded_pair,
                                   _sandwich_pair)
+from loewner_lab.kernels import (DOMINANCE_TOL, SYMMETRY_RTOL, DominanceVerdict,
+                                 default_grid)
 from loewner_lab.spectral import LOEWNER_TOL_REL, SymStack
 
 
@@ -63,3 +65,27 @@ def quadratic_form_slack(X, Y, samples: int = 1000, seed: int = 0) -> float:
     v = v[norms != 0.0] / norms[norms != 0.0, None]
     forms = np.einsum("ij,jk,ik->i", v, diff, v)
     return float(forms.min()) if forms.size else math.inf
+
+
+def kernel_dominance_loop(k1, k2) -> DominanceVerdict:
+    """``kernels.kernel_dominance`` as a loop over the default grid, one
+    point at a time: the first smallest k2(t) - k1(t) (a nan gap is never
+    smaller, so the loop skips it)."""
+    grid = default_grid().tolist()
+    worst_t, margin = grid[0], math.inf
+    for t in grid:
+        gap = float(k2.fn(t)) - float(k1.fn(t))
+        if gap < margin:
+            margin, worst_t = gap, t
+    return DominanceVerdict(holds=margin >= -DOMINANCE_TOL, worst_t=worst_t, margin=margin)
+
+
+def is_symmetric_kernel_loop(kernel) -> bool:
+    """``kernels.is_symmetric_kernel`` as a loop over the default grid that
+    stops at the first point where k(t) and t * k(1/t) differ (a nan never
+    differs)."""
+    for t in default_grid().tolist():
+        kt = float(kernel.fn(t))
+        if abs(kt - t * float(kernel.fn(1.0 / t))) > SYMMETRY_RTOL * (1.0 + kt):
+            return False
+    return True

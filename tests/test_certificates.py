@@ -221,6 +221,14 @@ class TestMainMonotone:
             certify("main-monotone", A14, A41, 0.25, 4.0, phi=TRACE_HALF, tau=too_big,
                     sigma=GEOMETRIC, f=SQRT)
 
+    def test_nan_kernel_refused(self):
+        # a kernel that is nan on part of the grid is not between ! and nabla
+        part_nan = MonotoneFunction("nan-above-100", lambda t: math.sqrt(t) if t <= 100.0
+                                    else math.nan, OPERATOR_MONOTONE)
+        with pytest.raises(HypothesisError, match="margins nan, nan"):
+            certify("main-monotone", A14, A41, 0.25, 4.0, phi=TRACE_HALF, tau=GEOMETRIC,
+                    sigma=part_nan, f=SQRT)
+
 
 class TestMainDecreasing:
     def test_commuting_inverses(self):

@@ -15,7 +15,6 @@ from loewner_lab import (
     MonotoneFunction,
     SplitMix64,
     default_grid,
-    eval_kernel,
     heinz,
     is_symmetric_kernel,
     kernel_catalog,
@@ -37,37 +36,44 @@ from loewner_lab.kernels import (
     OPERATOR_MONOTONE,
     OPERATOR_MONOTONE_DECREASING,
     divided_difference_matrix,
+    mean_kernel_gaps,
     monotone_catalog,
+    on_grid,
 )
 from loewner_lab.spectral import DEFAULT_NORM_SPECS
+from oracles import is_symmetric_kernel_loop, kernel_dominance_loop
+
+# A kernel that is nan on all of the default grid, and the geometric kernel
+# made nan above t = 100: the per-point loops skip a nan and pass both.
+NAN_KERNELS = (
+    MonotoneFunction("nan", lambda t: math.nan, OPERATOR_MONOTONE),
+    MonotoneFunction("nan-above-100", lambda t: math.sqrt(t) if t <= 100.0 else math.nan,
+                     OPERATOR_MONOTONE),
+)
 
 
 class TestEvalKernel:
     def test_geometric(self):
-        assert eval_kernel(GEOMETRIC, 4.0) == pytest.approx(2.0)
+        assert GEOMETRIC.fn(4.0) == pytest.approx(2.0)
 
     def test_harmonic(self):
-        assert eval_kernel(HARMONIC, 4.0) == pytest.approx(1.6)
+        assert HARMONIC.fn(4.0) == pytest.approx(1.6)
 
     @pytest.mark.parametrize("kernel", kernel_catalog(), ids=lambda k: k.id)
     def test_normalized_at_one(self, kernel):
-        assert eval_kernel(kernel, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            eval_kernel(GEOMETRIC, 0.0)
+        assert kernel.fn(1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_logarithmic_stable_near_one(self):
         # limiting value is 1 and the surrogate branch agrees with the exact
         # formula to second order at the hand-off
-        assert eval_kernel(LOGARITHMIC, 1.0) == 1.0
+        assert LOGARITHMIC.fn(1.0) == 1.0
         for t in (1.0 + 1e-9, 1.0 - 1e-9):
-            assert eval_kernel(LOGARITHMIC, t) == pytest.approx(0.5 * (1 + t), abs=1e-15)
+            assert LOGARITHMIC.fn(t) == pytest.approx(0.5 * (1 + t), abs=1e-15)
         for t in (1.0 + 1e-7, 0.999, 1.001):
             exact = (t - 1.0) / math.log(t)
-            assert eval_kernel(LOGARITHMIC, t) == pytest.approx(exact, rel=1e-12)
-        below = eval_kernel(LOGARITHMIC, 1.0 - 2e-8)
-        above = eval_kernel(LOGARITHMIC, 1.0 + 2e-8)
+            assert LOGARITHMIC.fn(t) == pytest.approx(exact, rel=1e-12)
+        below = LOGARITHMIC.fn(1.0 - 2e-8)
+        above = LOGARITHMIC.fn(1.0 + 2e-8)
         assert abs(above - below) < 1e-7
 
 
@@ -90,6 +96,38 @@ class TestDominance:
     def test_catalog_between_harmonic_and_arithmetic(self, kernel):
         assert kernel_dominance(HARMONIC, kernel).holds
         assert kernel_dominance(kernel, ARITHMETIC).holds
+
+
+# The default kernels and a Heinz kernel off the default pool, in every
+# ordered pair: the array screens give the per-point loops' bits.
+_SCREENED = tuple(map(parse_kernel, DEFAULT_KERNEL_SPECS + ("heinz:0.1",)))
+
+
+@pytest.mark.parametrize("k1", _SCREENED, ids=lambda k: k.id)
+@pytest.mark.parametrize("k2", _SCREENED, ids=lambda k: k.id)
+def test_dominance_matches_the_grid_loop(k1, k2):
+    got, want = kernel_dominance(k1, k2), kernel_dominance_loop(k1, k2)
+    assert got.holds is want.holds
+    assert got.worst_t.hex() == want.worst_t.hex()
+    assert got.margin.hex() == want.margin.hex()
+
+
+@pytest.mark.parametrize("kernel", _SCREENED, ids=lambda k: k.id)
+def test_symmetry_matches_the_grid_loop(kernel):
+    assert is_symmetric_kernel(kernel) is is_symmetric_kernel_loop(kernel)
+
+
+@pytest.mark.parametrize("kernel", NAN_KERNELS, ids=lambda k: k.id)
+def test_screens_refuse_a_nan_kernel(kernel):
+    # the loops let it through; the array screens meet the nan and fail it
+    assert kernel_dominance_loop(HARMONIC, kernel).holds
+    assert is_symmetric_kernel_loop(kernel)
+    lower, upper = kernel_dominance(HARMONIC, kernel), kernel_dominance(kernel, ARITHMETIC)
+    assert not lower.holds and math.isnan(lower.margin)
+    assert not upper.holds and math.isnan(upper.margin)
+    assert lower.worst_t == default_grid()[np.isnan(on_grid(kernel)).argmax()]
+    assert not is_symmetric_kernel(kernel)
+    assert all(map(math.isnan, mean_kernel_gaps(kernel)))
 
 
 class TestSymmetricKernels:
@@ -271,4 +309,5 @@ class TestCatalogParsing:
 
 def test_default_grid_screens_are_computed_once():
     assert default_grid() is default_grid()
+    assert on_grid(GEOMETRIC) is on_grid(GEOMETRIC)
     assert kernel_dominance(HARMONIC, GEOMETRIC) is kernel_dominance(HARMONIC, GEOMETRIC)

@@ -391,6 +391,20 @@ class TestNorms:
         x = random_sym(5, 17)
         assert ui_norm(x, FROBENIUS)[0] == pytest.approx(ui_norm(x, schatten(2))[0], rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_frobenius_neither_overflows_nor_underflows(self, scale):
+        # the sum of squares of scale * I_2 overflows to inf at 1e200 and
+        # underflows to 0 at 1e-200, while the norm is sqrt(2) * scale
+        x = one(scale * np.eye(2))
+        value = ui_norm(x, FROBENIUS)[0]
+        assert value == pytest.approx(math.sqrt(2.0) * scale, rel=1e-15)
+        assert value == pytest.approx(ui_norm(x, schatten(2))[0], rel=1e-12)
+
+    def test_frobenius_keeps_the_plain_sum_where_it_is_finite(self):
+        x = random_sym(5, 17)
+        sv = np.sort(np.abs(spectrum(x)[0]))[::-1]
+        assert ui_norm(x, FROBENIUS)[0] == np.sqrt((sv**2).sum())
+
     def test_ky_fan_out_of_range(self):
         with pytest.raises(ValueError):
             ui_norm(SymStack.identity(3), ky_fan(4))

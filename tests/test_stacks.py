@@ -295,7 +295,7 @@ _SCALING_FNS = monotone_catalog() + tuple(map(parse_function, DEFAULT_DECREASING
 
 def _alpha_scaling_reference(fn, alpha, constant_multiplier):
     """The alpha-scaling certificate as a loop over the grid, one point at a time."""
-    points = default_grid()
+    points = default_grid().tolist()
     worst_slack, worst, worst_ratio = math.inf, (points[0], 0.0, 0.0), 0.0
     for x in points:
         if fn.klass == OPERATOR_MONOTONE:

@@ -348,3 +348,25 @@ def test_one_scalar_function_type():
                if node.name in ("kernel_dominance", "is_symmetric_kernel")}
     assert screens == {"kernel_dominance": ["k1", "k2"], "is_symmetric_kernel": ["kernel"]}
     assert not hasattr(kernels, "_default_dominance")
+
+
+def test_one_elementwise_path():
+    # a scalar function meets an array in one place, spectral._apply: np.fromiter
+    # is spelled once in the package, there; the default grid and a function's
+    # values on it are shared cached arrays, so neither takes a write
+    import inspect
+
+    import pytest
+
+    from loewner_lab import kernels, spectral
+
+    src = Path(suite.__file__).resolve().parent
+    spelled = {path.name: path.read_text(encoding="utf-8").count("np.fromiter")
+               for path in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in spelled.items() if n} == {"spectral.py": 1}
+    assert inspect.getsource(spectral._apply).count("np.fromiter") == 1
+    for shared in (kernels.default_grid(), kernels.on_grid(kernels.GEOMETRIC)):
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+    assert kernels.on_grid(kernels.GEOMETRIC) is kernels.on_grid(kernels.GEOMETRIC)
+    assert not hasattr(kernels, "eval_kernel")
