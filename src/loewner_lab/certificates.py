@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -76,7 +76,7 @@ def slice_to_json(side, k: int):
     return float(side[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sides:
     """One certificate per slice of a stack, as columns.
 
@@ -86,17 +86,24 @@ class Sides:
     and ``holds`` are arrays with one entry per slice, and ``params`` maps
     each parameter name to its list of per-slice values.  A slice holds iff
     its slack clears -tol, where tol scales with the magnitudes involved.
+
+    ``lhs``, ``constant`` and ``ratio`` are computed with the Sides; the
+    verdict columns, ``rhs``, ``slack``, ``tol``, ``holds`` and ``params``,
+    are computed by ``verdict()`` on the first read of any of them.
     """
 
     inequality_id: str
-    params: dict
     lhs: SymStack | np.ndarray
-    rhs: SymStack | np.ndarray
     constant: np.ndarray
-    slack: np.ndarray
     ratio: np.ndarray
-    tol: np.ndarray
-    holds: np.ndarray
+    verdict: Callable = field(repr=False)
+    _VERDICT = ("rhs", "slack", "tol", "holds", "params")
+
+    def __getattr__(self, name: str):  # only for an attribute not yet set
+        if name not in self._VERDICT:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(self._VERDICT, self.verdict()))
+        return self.__dict__[name]
 
     def to_json(self, k: int) -> dict:
         """Slice k's certificate in the report's form; a ratio that is not finite is None."""
@@ -112,18 +119,28 @@ class Sides:
 class StackResult:
     """A row evaluated on a stack of trials: one Sides per certificate of a
     trial, the stacks A and B (None for a scalar row), and, as lists, each
-    trial's ``slack``, ``holds`` and ``ratio``, the minimum, conjunction and
-    maximum over its certificates as Python's min, all and max take them (a
-    nan is kept only where it comes first)."""
+    trial's ``ratio``, ``slack`` and ``holds``, the maximum, minimum and
+    conjunction over its certificates as Python's max, min and all take
+    them (a nan is kept only where it comes first); ``slack`` and
+    ``holds`` are computed on their first read."""
 
     def __init__(self, sides: list, A: SymStack | None, B: SymStack | None):
         self.sides, self.A, self.B = sides, A, B
-        slack, holds, ratio = sides[0].slack, sides[0].holds, sides[0].ratio
+        ratio = sides[0].ratio
         for more in sides[1:]:
-            slack = np.where(more.slack < slack, more.slack, slack)
-            holds = holds & more.holds
             ratio = np.where(more.ratio > ratio, more.ratio, ratio)
-        self.slack, self.holds, self.ratio = slack.tolist(), holds.tolist(), ratio.tolist()
+        self.ratio = ratio.tolist()
+
+    @cached_property
+    def slack(self) -> list:
+        slack = self.sides[0].slack
+        for more in self.sides[1:]:
+            slack = np.where(more.slack < slack, more.slack, slack)
+        return slack.tolist()
+
+    @cached_property
+    def holds(self) -> list:
+        return np.logical_and.reduce([side.holds for side in self.sides]).tolist()
 
     def to_json(self, k: int) -> list:
         """Trial k's certificates in the report's form."""
@@ -220,8 +237,10 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     row takes them) and each pick's values, one per trial; the sides read
     ``x.phi(X)``, each slice of X under its own map.  The cell's check and
     then the row's vets run once, at ``tol_rel``: a violated hypothesis
-    raises.  Returns the stack's one result.  A pick the row does not read,
-    or one that is missing or not one value per trial, is refused first.
+    raises.  Returns the stack's one result, whose verdict columns are
+    solved on their first read, which raises where they cannot be.  A pick
+    the row does not read, or one that is missing or not one value per
+    trial, is refused first.
     """
     reads = {name for name, *_ in row.picks} | ({"phi"} if row.pool else set())
     for name in sorted(reads | set(picks)):
@@ -256,27 +275,32 @@ def _constants(row: Row, x) -> list:
     return [tuple(v * x.mult for v in c) if isinstance(c, tuple) else c * x.mult for c in raw]
 
 
-def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, scale=None, **params) -> Sides:
-    """The Sides of lhs <= rhs, one slice per trial; ``params`` adds per-slice columns."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, as in floats
-        if not isinstance(lhs, SymStack):
-            slack, scale = rhs - lhs, np.abs(lhs) + np.abs(rhs)
-        if slack is None:
-            slack = loewner_slack(lhs, rhs)
-        if scale is None:
-            scale = op_norm(lhs) + op_norm(rhs)
-    tol = x.tol_rel * np.fmax(1.0, scale)  # fmax reads a nan scale as 1.0, as max() does
-    cols = {} if x.phi is None else {"map": [phi.label for phi in x.maps]}
-    for name, *_ in row.picks:
-        cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
-    cols.update((name, getattr(x, name)) for name in row.cell.bounds)
-    for name, value in row.params.items():
-        cols[name] = value(x) if callable(value) else [value] * x.n
-    if row.cell.pair is not None:  # the dimension of the matrices the cell holds
-        cols["dim"] = [x.A.dim] * x.n
-    cols.update(params)
-    return Sides(row.id, cols, lhs, rhs, np.asarray(c, dtype=float), slack,
-                 np.asarray(ratio, dtype=float), tol, slack >= -tol)
+def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, **params) -> Sides:
+    """The Sides of lhs <= rhs, one slice per trial; ``params`` adds per-slice
+    columns.  ``rhs`` may be a function that makes it, and ``slack(lhs, rhs)``
+    may give the slack, the tolerance's scale and more columns: each is
+    called on the first read of a verdict column."""
+    def verdict() -> tuple:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf, as in floats
+            right = rhs() if callable(rhs) else rhs
+            if slack is not None:
+                low, scale, more = slack(lhs, right)
+            elif isinstance(lhs, SymStack):
+                low, scale, more = loewner_slack(lhs, right), op_norm(lhs) + op_norm(right), {}
+            else:
+                low, scale, more = right - lhs, np.abs(lhs) + np.abs(right), {}
+        tol = x.tol_rel * np.fmax(1.0, scale)  # fmax reads a nan scale as 1.0, as max() does
+        cols = {} if x.phi is None else {"map": [phi.label for phi in x.maps]}
+        for name, *_ in row.picks:
+            cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
+        cols.update((name, getattr(x, name)) for name in row.cell.bounds)
+        for name, value in row.params.items():
+            cols[name] = value(x) if callable(value) else [value] * x.n
+        if row.cell.pair is not None:  # the dimension of the matrices the cell holds
+            cols["dim"] = [x.A.dim] * x.n
+        cols.update(params, **more)
+        return right, low, tol, low >= -tol, cols
+    return Sides(row.id, lhs, np.asarray(c, dtype=float), np.asarray(ratio, dtype=float), verdict)
 
 
 def _norm_ratio_diag(lhs, base):
@@ -300,9 +324,11 @@ def _plain(row: Row, x, against_rhs: bool = False) -> list[Sides]:
     """lhs <= c * base, with the ratio of lhs to base, or to c * base."""
     lhs, base = row.sides(x)
     c = _constants(row, x)
+    if not against_rhs:
+        return [_columns(row, x, lhs, lambda: base * np.asarray(c), c, _ratio(lhs, base))]
     with np.errstate(over="ignore"):  # an overflow gives inf, as in floats
         rhs = base * np.asarray(c)
-    return [_columns(row, x, lhs, rhs, c, _ratio(lhs, rhs if against_rhs else base))]
+    return [_columns(row, x, lhs, rhs, c, _ratio(lhs, rhs))]
 
 
 _against_rhs = partial(_plain, against_rhs=True)
@@ -315,8 +341,8 @@ def _top(row: Row, x) -> list[Sides]:
     top, cs = spectrum(lhs)[:, -1], np.asarray(c)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(cs > 0, top / cs, np.where(np.abs(top) < 1e-300, 1.0, math.inf))
-    eye = SymStack(np.broadcast_to(_eye(lhs.dim), lhs.data.shape))
-    return [_columns(row, x, lhs, eye * c, c, ratio)]
+    eye = partial(SymStack, np.broadcast_to(_eye(lhs.dim), lhs.data.shape))
+    return [_columns(row, x, lhs, lambda: eye() * c, c, ratio)]
 
 
 def _klamkin(row: Row, x) -> list[Sides]:
@@ -334,7 +360,7 @@ def _two_sided(row: Row, x) -> list[Sides]:
     c1, c2 = (list(col) for col in zip(*_constants(row, x)))
     lower = nabla * c1
     return [_columns(row, x, lower, sharp, c1, _ratio(lower, sharp), side=["nabla_lower"] * x.n),
-            _columns(row, x, sharp, harm * c2, c2, _ratio(sharp, harm),
+            _columns(row, x, sharp, lambda: harm * c2, c2, _ratio(sharp, harm),
                      side=["harmonic_upper"] * x.n)]
 
 
@@ -343,13 +369,13 @@ def _links(row: Row, x) -> list[Sides]:
     ratio is of left to base."""
     left, middle, base = row.sides(x)
     c = _constants(row, x)
-    rhs = base * c
-    link1, link2 = loewner_slack(left, middle), loewner_slack(middle, rhs)
-    with np.errstate(over="ignore"):
-        scale = op_norm(left) + op_norm(middle) + op_norm(rhs)
-    return [_columns(row, x, left, rhs, c, _ratio(left, base),
-                     slack=np.where(link2 < link1, link2, link1), scale=scale,
-                     slack_link1=link1.tolist(), slack_link2=link2.tolist())]
+
+    def slack(left, rhs) -> tuple:
+        link1, link2 = loewner_slack(left, middle), loewner_slack(middle, rhs)
+        return (np.where(link2 < link1, link2, link1),
+                op_norm(left) + op_norm(middle) + op_norm(rhs),
+                {"slack_link1": link1.tolist(), "slack_link2": link2.tolist()})
+    return [_columns(row, x, left, lambda: base * c, c, _ratio(left, base), slack=slack)]
 
 
 def _scaling(row: Row, x) -> list[Sides]:
@@ -395,11 +421,10 @@ def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
     scalar bound checked at each of ``points`` (a point may repeat)."""
     slack = rhs - lhs
-    candidates = slack < math.inf  # a nan or +inf slack is never the worst
-    if candidates.any():
-        i = int(np.where(candidates, slack, math.inf).argmin())
+    i = int(slack.argmin())  # a nan slack is the worst, so its trial fails
+    if slack[i] != math.inf:
         worst = (float(points[i]), float(lhs[i]), float(rhs[i]))
-    else:
+    else:  # no slack is below +inf
         worst = (float(points[0]), 0.0, 0.0)
     ratio = _norm_ratio_diag(lhs, rhs)
     return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -158,6 +159,7 @@ def _cmd_scalarcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache  # one parser serves every call: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loewner-lab",

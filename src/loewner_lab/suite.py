@@ -319,9 +319,11 @@ def _evaluate_trial(ineq: str, dim: int, trials: list, config: SuiteConfig,
     """
     A, B, cells = _draw(ineq, dim, trials, config)
     row = ROWS[ineq]
-    return certs.check_stack(row, A, B, cells, _picked(row, trials, pools),
-                             constant_multiplier=config.constant_multiplier,
-                             tol_rel=config.tol_rel)
+    stack = certs.check_stack(row, A, B, cells, _picked(row, trials, pools),
+                              constant_multiplier=config.constant_multiplier,
+                              tol_rel=config.tol_rel)
+    stack.holds  # solves the verdict columns here, so a failure is raised at its trial
+    return stack
 
 
 def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: dict) -> list:

@@ -27,7 +27,7 @@ from loewner_lab import suite
 from loewner_lab.certificates import ALL_INEQUALITIES, ROWS, SCALAR_SANDWICH
 from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed
 from loewner_lab.kernels import (ARITHMETIC, HARMONIC, OPERATOR_MONOTONE,
-                                 OPERATOR_MONOTONE_DECREASING, MonotoneFunction)
+                                 OPERATOR_MONOTONE_DECREASING, MonotoneFunction, default_grid)
 from loewner_lab.spectral import OPERATOR, loewner_slack, twinned
 from oracles import bounded_pair, certify, one, quadratic_form_slack, sandwich_pair
 
@@ -197,6 +197,20 @@ class TestAlphaScaling:
         with pytest.raises(error) as info:
             certify("alpha-scaling", None, None, alpha, f=f)
         assert type(info.value) is error and str(info.value) == text
+
+    # A function that is nan on part of the default grid fails there, at the
+    # first grid point t whose alpha t is above 100: a nan slack is the worst.
+    @pytest.mark.parametrize("fn, klass", [
+        (lambda t: math.nan if t > 100.0 else math.sqrt(t), OPERATOR_MONOTONE),
+        (lambda t: math.nan if t > 100.0 else 1.0 / math.sqrt(t), OPERATOR_MONOTONE_DECREASING),
+    ], ids=["increasing", "decreasing"])
+    def test_nan_on_part_of_the_grid_fails(self, fn, klass):
+        f = MonotoneFunction("nan-above-100", fn, klass)
+        cert = certify("alpha-scaling", None, None, 2.0, f=f)
+        assert not cert.holds[0]
+        assert math.isnan(cert.slack[0])
+        first_nan = min(t for t in default_grid().tolist() if 2.0 * t > 100.0)
+        assert cert.params["worst_t"] == [first_nan]
 
 
 class TestMainMonotone:

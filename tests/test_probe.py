@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner_lab import SplitMix64, suite
+from loewner_lab import SplitMix64, certificates, suite
 from loewner_lab.certificates import BOUNDED, SANDWICH
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
@@ -123,6 +123,20 @@ def test_probe_with_the_most_accepted_moves_is_pinned(tmp_path):
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "7483bb1af0d3a97a6d97e9868969a8314a40567844856210eea69ec24086a745")
+
+
+@pytest.mark.parametrize("ineq", PROBED_IDS)
+def test_probe_never_solves_a_slack(ineq, monkeypatch):
+    # probe climbs on the ratio alone: its certificates' slacks are never solved
+    config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=2, seed=1,
+                         probe_refine_steps=40)
+    want = suite.probe_tightness(ineq, config).to_json()
+
+    def loewner_slack(X, Y):
+        raise AssertionError("probe solved a slack")
+
+    monkeypatch.setattr(certificates, "loewner_slack", loewner_slack)
+    assert suite.probe_tightness(ineq, config).to_json() == want
 
 
 BOUNDS = (1.0, 4.0)

@@ -32,6 +32,123 @@ from loewner_lab.suite import (
 from oracles import bounded_pair
 
 
+# Each command's --help at 80 columns, as it read when main built a parser per call.
+_HELP = {
+    "": """\
+usage: loewner-lab [-h] {verify,hunt,probe,scalarcheck,recheck} ...
+
+Verify, hunt, and probe operator-mean inequalities on positive definite
+matrices.
+
+positional arguments:
+  {verify,hunt,probe,scalarcheck,recheck}
+    verify              run a randomized certificate suite
+    hunt                re-run with a scaled constant, collecting violations
+    probe               hill-climb for the largest observed ratio
+    scalarcheck         run the scalar-kernel invariants
+    recheck             re-evaluate a recorded violation
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "verify": """\
+usage: loewner-lab verify [-h] [--ineq INEQ] [--dims DIMS] [--trials TRIALS]
+                          [--seed SEED] [--tol TOL] [--s S] [--t T] [--m M]
+                          [--M M] [--tau TAU] [--sigma SIGMA] [--f F] [--g G]
+                          [--phi PHI] [--norm NORM] [--report REPORT]
+
+options:
+  -h, --help       show this help message and exit
+  --ineq INEQ      comma list of inequality ids, or all / all-non-audit
+  --dims DIMS      comma list of dimensions
+  --trials TRIALS
+  --seed SEED
+  --tol TOL        relative slack tolerance
+  --s S
+  --t T
+  --m M
+  --M M
+  --tau TAU        restrict kernel pool (comma list)
+  --sigma SIGMA    restrict kernel pool (comma list)
+  --f F            restrict monotone functions (comma list)
+  --g G            restrict decreasing functions (comma list)
+  --phi PHI        restrict map pool (comma list)
+  --norm NORM      restrict norm pool (comma list)
+  --report REPORT  write the JSON report here
+""",
+    "hunt": """\
+usage: loewner-lab hunt [-h] [--ineq INEQ] [--dims DIMS] [--trials TRIALS]
+                        [--seed SEED] [--tol TOL] [--s S] [--t T] [--m M]
+                        [--M M] [--tau TAU] [--sigma SIGMA] [--f F] [--g G]
+                        [--phi PHI] [--norm NORM] [--report REPORT]
+                        --override-constant OVERRIDE_CONSTANT
+
+options:
+  -h, --help            show this help message and exit
+  --ineq INEQ           comma list of inequality ids, or all / all-non-audit
+  --dims DIMS           comma list of dimensions
+  --trials TRIALS
+  --seed SEED
+  --tol TOL             relative slack tolerance
+  --s S
+  --t T
+  --m M
+  --M M
+  --tau TAU             restrict kernel pool (comma list)
+  --sigma SIGMA         restrict kernel pool (comma list)
+  --f F                 restrict monotone functions (comma list)
+  --g G                 restrict decreasing functions (comma list)
+  --phi PHI             restrict map pool (comma list)
+  --norm NORM           restrict norm pool (comma list)
+  --report REPORT       write the JSON report here
+  --override-constant OVERRIDE_CONSTANT
+                        positive multiplier applied to every constant
+""",
+    "probe": """\
+usage: loewner-lab probe [-h] [--ineq INEQ] [--dims DIMS] [--trials TRIALS]
+                         [--seed SEED] [--tol TOL] [--s S] [--t T] [--m M]
+                         [--M M] [--tau TAU] [--sigma SIGMA] [--f F] [--g G]
+                         [--phi PHI] [--norm NORM] [--report REPORT]
+
+options:
+  -h, --help       show this help message and exit
+  --ineq INEQ      comma list of inequality ids, or all / all-non-audit
+  --dims DIMS      comma list of dimensions
+  --trials TRIALS
+  --seed SEED
+  --tol TOL        relative slack tolerance
+  --s S
+  --t T
+  --m M
+  --M M
+  --tau TAU        restrict kernel pool (comma list)
+  --sigma SIGMA    restrict kernel pool (comma list)
+  --f F            restrict monotone functions (comma list)
+  --g G            restrict decreasing functions (comma list)
+  --phi PHI        restrict map pool (comma list)
+  --norm NORM      restrict norm pool (comma list)
+  --report REPORT  write the JSON report here
+""",
+    "scalarcheck": """\
+usage: loewner-lab scalarcheck [-h] [--seed SEED]
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED
+""",
+    "recheck": """\
+usage: loewner-lab recheck [-h] report_path index
+
+positional arguments:
+  report_path
+  index
+
+options:
+  -h, --help   show this help message and exit
+""",
+}
+
+
 def small_config(**overrides):
     base = dict(inequalities=("all",), dims=(2, 3), trials=6, seed=7)
     base.update(overrides)
@@ -433,6 +550,34 @@ class TestRunSuite:
         assert seen == [[0, 2, 3, 4], [0], [1], [2], [3]]
         assert str(info.value).startswith(
             f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
+
+    def test_slack_error_surfaces_at_its_own_trial(self, monkeypatch):
+        # trial 3's slack solve fails, in its stack and alone: the verdict
+        # columns are solved in _evaluate_trial, so the stack falls back to
+        # trial by trial, as a failing draw does, and trial 3 names itself
+        config = SuiteConfig(inequalities=("polya-szego",), dims=(3,), trials=5, seed=5,
+                             m=1.0, M=4.0)
+        seed = derive_seed(5, fnv1a64("polya-szego"), 3, 3)
+        pools = suite._build_pools(config, 3)
+        bad = suite._evaluate_trial("polya-szego", 3, [3], config, pools).sides[0].lhs.data[0]
+        real_slack = certificates.loewner_slack
+
+        def loewner_slack(X, Y):
+            if (X.data == bad).all(axis=(-2, -1)).any():
+                raise EigenSolverError("the slack solve fails")
+            return real_slack(X, Y)
+
+        monkeypatch.setattr(certificates, "loewner_slack", loewner_slack)
+        seen = []
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial",
+                            lambda *a: seen.append(list(a[2])) or real(*a))
+        with pytest.raises(EigenSolverError) as info:
+            run_suite(config)
+        assert seen == [[0, 2, 3, 4], [0], [1], [2], [3]]
+        assert str(info.value) == (f"inequality polya-szego, dim 3, trial 3, trial_seed "
+                                   f"{seed}: the slack solve fails")
+        assert isinstance(info.value.__cause__, EigenSolverError)
 
     def test_only_recorded_violations_are_serialized(self, monkeypatch):
         blobs = []
@@ -872,6 +1017,29 @@ class TestCli:
                                                   r"has class 'operator_monotone'"):
             run_suite(SuiteConfig(inequalities=("ando",), dims=(2,), trials=1,
                                   convex_fns=("square", "log1p")))
+
+    @pytest.mark.parametrize("command", list(_HELP))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            cli_main([command, "--help"] if command else ["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == _HELP[command]
+
+    def test_one_parser_serves_every_command(self, tmp_path, capsys):
+        # the cached parser keeps no state from one command to the next: probe
+        # after verify still searches its own default dimension, 2
+        assert build_parser() is build_parser()
+        assert cli_main(["verify", "--ineq", "midpoint", "--dims", "3", "--trials", "2"]) == 0
+        path = tmp_path / "probe.json"
+        assert cli_main(["probe", "--ineq", "midpoint", "--trials", "2",
+                         "--report", str(path)]) == 0
+        body = load_report(str(path))
+        assert (body["config"]["dims"], body["probe"]["dim"]) == ([2], 2)
+        with pytest.raises(SystemExit) as info:
+            cli_main([])
+        assert info.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
     def test_verify_without_flags_builds_the_default_config(self):
         # the common flags take their defaults from SuiteConfig, declared there once
