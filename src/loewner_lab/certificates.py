@@ -7,7 +7,7 @@ constant c a function of the cell's bounds (m, M) or (s, t).  A ``Cell``
 holds its bound names, its ordering rule, its draw of a stack of trials, the
 check of its hypothesis and probe's default bounds; each cell is one object,
 told apart by identity.  A row holds what verify, hunt, probe and recheck
-need: its cell and pools, its own hypotheses, the sides and the constant.
+need: its cell and picks, its own hypotheses, the sides and the constant.
 ``check_stack``, the one entry point to a certificate, checks a stack
 once, evaluates a row on it and returns one ``StackResult``, its results
 as columns: a certificate is one slice of a ``Sides``, which a report
@@ -198,12 +198,12 @@ class Row:
     """One inequality id, declared once, with its ``statement`` as documentation.
 
     ``cell`` is the row's hypothesis ``Cell``, which names the bounds of the
-    trials' cells, draws the row's stacks and checks them.  ``pool`` names
-    the map pool, or None: trial i takes map i, and a stack's maps share
-    their output dimension.  Each of ``picks`` is ``(name, pool, offset)``:
-    trial i takes item ``i + offset`` of the pool, cyclically.  A pool is
-    named by the SuiteConfig field of its specs, or by the pool the suite
-    derives from one (``unital_maps``, for instance).  ``vets``
+    trials' cells, draws the row's stacks and checks them.  Each of
+    ``picks`` is ``(name, pool, offset)``: trial i takes item ``i + offset``
+    of the pool, cyclically.  A pool is named by the SuiteConfig field of its
+    specs, or by the pool the suite derives from one (``unital_maps``, for
+    instance).  A row that takes a map picks it first, as ``phi``, and a
+    stack's maps share their output dimension.  ``vets``
     check the row's own hypotheses on the stack in order, after the cell's
     check.  ``sides(x)`` evaluates the sides on the stack ``x`` (lhs and
     base, unless the form reads more) and ``form(row, x)`` turns them into
@@ -219,7 +219,6 @@ class Row:
     sides: Callable | None = None
     constant: Callable | None = None
     carry: Callable | None = None
-    pool: str | None = None
     picks: tuple = ()
     vets: tuple = ()
     form: Callable | None = None
@@ -233,28 +232,27 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     """Evaluate ``row`` on a stack of trials.
 
     A and B hold one slice per trial (None for a scalar row), ``cells``
-    holds each trial's cell bounds, and ``picks`` the maps ``phi`` (when the
-    row takes them) and each pick's values, one per trial; the sides read
-    ``x.phi(X)``, each slice of X under its own map.  The cell's check and
-    then the row's vets run once, at ``tol_rel``: a violated hypothesis
-    raises.  Returns the stack's one result, whose verdict columns are
-    solved on their first read, which raises where they cannot be.  A pick
-    the row does not read, or one that is missing or not one value per
-    trial, is refused first.
+    holds each trial's cell bounds, and ``picks`` each pick's values, one
+    per trial; the sides read ``x.phi(X)``, each slice of X under its own
+    map, the pick ``phi``.  The cell's check and then the row's vets run
+    once, at ``tol_rel``: a violated hypothesis raises.  Returns the stack's
+    one result, whose verdict columns are solved on their first read, which
+    raises where they cannot be.  A pick the row does not read, or one that
+    is missing or not one value per trial, is refused first.
     """
-    reads = {name for name, *_ in row.picks} | ({"phi"} if row.pool else set())
+    reads = {name for name, *_ in row.picks}
     for name in sorted(reads | set(picks)):
         if name not in reads:
             raise ValueError(f"pick {name} of {row.id}: the row does not read it")
         if name not in picks or len(picks[name]) != len(cells):
             raise ValueError(f"pick {name} of {row.id}: {len(picks.get(name, ()))} values "
                              f"for {len(cells)} trials")
-    x = SimpleNamespace(**{"A": A, "B": B, "phi": None, "n": len(cells),
+    x = SimpleNamespace(**{"A": A, "B": B, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
                            "cell": row.cell, **dict(zip(row.cell.bounds, _cols(cells))),
                            **picks})
-    if x.phi is not None:
-        x.maps, x.phi = x.phi, partial(apply_each, x.phi)
+    if "phi" in picks:
+        x.map, x.phi = x.phi, partial(apply_each, x.phi)
     for vet in (row.cell.check, *row.vets) if row.cell.check else row.vets:
         vet(x)
     return StackResult((row.form or _plain)(row, x), A, B)
@@ -290,9 +288,9 @@ def _columns(row: Row, x, lhs, rhs, c, ratio, slack=None, **params) -> Sides:
             else:
                 low, scale, more = right - lhs, np.abs(lhs) + np.abs(right), {}
         tol = x.tol_rel * np.fmax(1.0, scale)  # fmax reads a nan scale as 1.0, as max() does
-        cols = {} if x.phi is None else {"map": [phi.label for phi in x.maps]}
-        for name, *_ in row.picks:
-            cols[name] = [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
+        picked = ["map" if name == "phi" else name for name, *_ in row.picks]  # phi is column map
+        cols = {name: [v.label if hasattr(v, "label") else v.id for v in getattr(x, name)]
+                for name in picked}
         cols.update((name, getattr(x, name)) for name in row.cell.bounds)
         for name, value in row.params.items():
             cols[name] = value(x) if callable(value) else [value] * x.n
@@ -508,7 +506,7 @@ def _order(x) -> None:
 
 def _unital(x) -> None:
     """phi(I) = I for each map: the scalar bound on the right of a Grüss bound presumes it."""
-    for phi in {id(phi): phi for phi in x.maps}.values():
+    for phi in {id(phi): phi for phi in x.map}.values():
         verdict = check_unital(phi)
         if not verdict.is_unital:
             raise NotUnitalError(
@@ -690,8 +688,9 @@ def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
 # The rows, in report order: the 17 checked ids, then the audit family.
 
 ROWS: dict[str, Row] = {}
+_MAP, _UNITAL_MAP = ("phi", "maps", 0), ("phi", "unital_maps", 0)
 _KERNELS = (("tau", "kernels", 0), ("sigma", "kernels", 1))
-_REVERSAL = _KERNELS + (("f", "monotone_fns", 0),)
+_REVERSAL = (_MAP, *_KERNELS, ("f", "monotone_fns", 0))
 _F_MONOTONE, _FN_MONOTONE = _each("f", _vet_monotone), _each("fn", _vet_monotone)
 _G_DECREASING, _FN_DECREASING = (_each(name, _vet_class, OPERATOR_MONOTONE_DECREASING)
                                  for name in ("g", "fn"))
@@ -705,20 +704,20 @@ def _row(inequality_id: str, statement: str, **fields) -> Row:
 
 _row(
     "ando", "Map-mean exchange: phi(A sigma B) <= phi(A) sigma phi(B).",
-    cell=FREE, pool="maps", picks=(("sigma", "kernels", 0),), form=_against_rhs,
+    cell=FREE, picks=(_MAP, ("sigma", "kernels", 0)), form=_against_rhs,
     sides=lambda x: (x.phi(kernel_mean(x.sigma, x.A, x.B)),
                      kernel_mean(x.sigma, x.phi(x.A), x.phi(x.B))))
 
 _row(
     "polya-szego",
     "Geometric-mean reversal: phi(A) # phi(B) <= (M+m)/(2 sqrt(Mm)) phi(A # B).",
-    cell=BOUNDED, constant=polya_szego_constant, pool="maps",
+    cell=BOUNDED, constant=polya_szego_constant, picks=(_MAP,),
     sides=lambda x: (geometric(x.phi(x.A), x.phi(x.B)), x.phi(geometric(x.A, x.B))))
 
 _row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
-    cell=BOUNDED, constant=kantorovich_constant, pool="maps", picks=_REVERSAL,
+    cell=BOUNDED, constant=kantorovich_constant, picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
                                  _fn_of(x.phi(x.B), x.f)),
@@ -741,7 +740,7 @@ _row(
 _row(
     "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
-    cell=SANDWICH, constant=sandwich_constant, pool="maps", picks=_REVERSAL,
+    cell=SANDWICH, constant=sandwich_constant, picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
@@ -750,8 +749,8 @@ _row(
 _row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
-    cell=SANDWICH, constant=sandwich_constant, pool="maps",
-    picks=_KERNELS + (("g", "decreasing_fns", 0),), vets=(_means, _G_DECREASING),
+    cell=SANDWICH, constant=sandwich_constant,
+    picks=(_MAP, *_KERNELS, ("g", "decreasing_fns", 0)), vets=(_means, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
                                  x.phi(_fn_of(x.B, x.g)))))
@@ -761,8 +760,9 @@ _row(
 _row(
     "gruss-f", "Difference bound: phi(f(A)) tau phi(f(B)) - phi(f(A sigma B)) "
     "<= (M-m)^2/(4Mm) f(M).",
-    cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
-    picks=_KERNELS + (("fn", "monotone_fns", 0),), vets=(_unital, _means, _FN_MONOTONE),
+    cell=BOUNDED, constant=gruss_constant,
+    picks=(_UNITAL_MAP, *_KERNELS, ("fn", "monotone_fns", 0)),
+    vets=(_unital, _means, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.fn)),
@@ -772,8 +772,8 @@ _row(
 _row(
     "gruss-g", "Difference bound: phi(g(A tau B)) - phi(g(A)) sigma phi(g(B)) "
     "<= (M-m)^2/(4Mm) g(m).",
-    cell=BOUNDED, constant=gruss_constant, pool="unital_maps",
-    picks=_KERNELS + (("fn", "decreasing_fns", 0),),
+    cell=BOUNDED, constant=gruss_constant,
+    picks=(_UNITAL_MAP, *_KERNELS, ("fn", "decreasing_fns", 0)),
     vets=(_unital, _means, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
     params={"family": "decreasing"},
@@ -810,7 +810,7 @@ _row(
 _row(
     "diaz-metcalf", "Diaz-Metcalf type bound: "
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
-    cell=SANDWICH, constant=diaz_metcalf_constant, pool="maps", picks=_REVERSAL,
+    cell=SANDWICH, constant=diaz_metcalf_constant, picks=_REVERSAL,
     vets=(_means, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
@@ -822,7 +822,7 @@ _row(
     "P^(-1/2) G P^(-1/2) - P^(1/2) F^(-1) P^(1/2) "
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
     cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
-    pool="maps", picks=(("sigma", "kernels", 0), ("f", "monotone_fns", 0)),
+    picks=(_MAP, ("sigma", "kernels", 0), ("f", "monotone_fns", 0)),
     vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides)
 
 _row(
@@ -839,8 +839,7 @@ _row(
     "phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B)) "
     "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
     cell=SANDWICH_ST_GE_1, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
-    pool="maps", picks=_REVERSAL,
-    vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides)
+    picks=_REVERSAL, vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides)
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
 # negative, and are recorded, never asserted.

@@ -27,17 +27,6 @@ from .kernels import (
 from .suite import SuiteConfig, hunt_counterexamples, probe_tightness, run_suite, write_report
 
 
-# The flags that restrict a pool, the SuiteConfig field of its specs, and the
-# pool as the flags' help names it.
-_POOL_FLAGS = (
-    (("tau", "sigma"), "kernels", "kernel pool"),
-    (("f",), "monotone_fns", "monotone functions"),
-    (("g",), "decreasing_fns", "decreasing functions"),
-    (("phi",), "maps", "map pool"),
-    (("norm",), "norms", "norm pool"),
-)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     # the defaults are SuiteConfig's, written as the flags spell them
     parser.add_argument("--ineq", default=",".join(SuiteConfig.inequalities),
@@ -50,7 +39,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="relative slack tolerance")
     for name in ("s", "t", "m", "M"):
         parser.add_argument(f"--{name}", type=float, default=None)
-    for flags, _, text in _POOL_FLAGS:
+    for _, flags, text in suite_mod.SPEC_POOLS.values():
         for flag in flags:
             parser.add_argument(f"--{flag}", default=None, help=f"restrict {text} (comma list)")
     parser.add_argument("--report", default=None, help="write the JSON report here")
@@ -64,7 +53,7 @@ def _config_from_args(args) -> SuiteConfig:
         dims=tuple(int(x) if x.strip().isdecimal() else x for x in args.dims.split(",")
                    if x.strip()),
         tol_rel=args.tol)
-    for flags, name, _ in _POOL_FLAGS:
+    for name, (_, flags, _) in suite_mod.SPEC_POOLS.items():
         specs = [spec for flag in flags if getattr(args, flag)
                  for spec in _specs(getattr(args, flag))]
         if specs:  # --tau and --sigma fill one pool, which takes each kernel once
@@ -103,11 +92,7 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    ids = [x.strip() for x in args.ineq.split(",") if x.strip()]
-    if len(ids) != 1 or ids[0] in ("all", "all-non-audit"):
-        raise ValueError(f"field inequalities: probe takes one inequality id, got {args.ineq!r}")
-    config = _config_from_args(args)
-    return _finish(probe_tightness(ids[0], config), args)
+    return _finish(probe_tightness(_config_from_args(args)), args)
 
 
 def _cmd_recheck(args) -> int:

@@ -58,10 +58,30 @@ def _typed(value, kind, items=None) -> bool:
 
 
 _NUMBER, _OPTIONAL = (int, float), (int, float, type(None))
-_SPECS = (tuple, str)
 _COUNT = (int, None, (lambda n: n >= 0, "be an integer >= 0"))
 # The ids that name a group of inequalities.
 _GROUPS = {"all": ALL_INEQUALITIES, "all-non-audit": NON_AUDIT_INEQUALITIES}
+
+
+def _functions(klass: str):
+    """The parser of a function pool: a function of another class than ``klass`` is refused."""
+    return lambda spec, dim, rng: certs._vet_class(parse_function(spec), klass)
+
+
+# Each spec pool once, by the SuiteConfig field of its specs, in --help's
+# order, as (parse, flags, text): parse(spec, dim, rng) is one spec's item at
+# the dimension dim, where rng is the dimension's map stream; the CLI flags
+# restrict the pool, which their help calls text.  The parsers look up their
+# functions when called, so a wrapper set on a module's name sees the call.
+SPEC_POOLS = {
+    "kernels": (lambda spec, dim, rng: parse_kernel(spec), ("tau", "sigma"), "kernel pool"),
+    "monotone_fns": (_functions(OPERATOR_MONOTONE), ("f",), "monotone functions"),
+    "decreasing_fns": (_functions(OPERATOR_MONOTONE_DECREASING), ("g",), "decreasing functions"),
+    "convex_fns": (_functions(OPERATOR_CONVEX_ZERO), (), "convex functions"),
+    "maps": (lambda spec, dim, rng: _with_unitality(parse_map(spec, dim, rng)), ("phi",),
+             "map pool"),
+    "norms": (lambda spec, dim, rng: parse_norm(spec).fit(dim), ("norm",), "norm pool"),
+}
 
 # Each SuiteConfig field once, as (kind, items, *rules): its value is a kind
 # (a list is taken as a tuple) whose items, unless items is None, are each an
@@ -86,12 +106,7 @@ _FIELDS = {
                                         "be two numbers 0 < lo <= hi < inf")),
     "m": (_OPTIONAL, None),
     "M": (_OPTIONAL, None),
-    "kernels": _SPECS,
-    "monotone_fns": _SPECS,
-    "decreasing_fns": _SPECS,
-    "convex_fns": _SPECS,
-    "maps": _SPECS,
-    "norms": _SPECS,
+    **dict.fromkeys(SPEC_POOLS, (tuple, str)),
     "constant_multiplier": (_NUMBER, None, (lambda x: 0 < x < math.inf, "be a finite number > 0")),
     "max_recorded_violations": _COUNT,
     "probe_refine_steps": _COUNT,
@@ -184,45 +199,32 @@ def config_from_dict(data: dict) -> SuiteConfig:
     return SuiteConfig(**data)
 
 
-def _parsed(config: SuiteConfig, name: str, parse) -> list:
-    """``parse`` of each spec of the config field ``name``; a refusal names both."""
-    out = []
-    for spec in getattr(config, name):
-        try:
-            out.append(parse(spec))
-        except (ValueError, ArithmeticError, LoewnerLabError) as exc:
-            raise type(exc)(f"field {name}: {spec}: {exc}") from exc
-    return out
-
-
 def _with_unitality(phi) -> tuple:
     """``(phi, whether phi is unital)``.  SymStack refuses an image of the
-    identity that is not finite, and ``_parsed`` names the map's spec."""
+    identity that is not finite, and ``_build_pools`` names the map's spec."""
     with np.errstate(over="ignore"):  # the refusal, not numpy's warning, reports an overflow
         return phi, check_unital(phi).is_unital
 
 
-# The class of each function pool, which each function of its field must have.
-_FN_CLASSES = {"monotone_fns": OPERATOR_MONOTONE, "decreasing_fns": OPERATOR_MONOTONE_DECREASING,
-               "convex_fns": OPERATOR_CONVEX_ZERO}
-
-
 def _build_pools(config: SuiteConfig, dim: int, inequalities=()) -> dict:
     """The pools of one dimension, by name, vetted for ``inequalities``
-    (``_vet_pools``): each spec field of the config, parsed (a function of
-    another class than its pool's is refused), and the pools the rows derive
-    from them (the unital maps, the kernels above and below the geometric
-    mean, and alpha-scaling's monotone then decreasing functions)."""
+    (``_vet_pools``): each spec pool of the config, parsed in the order of
+    ``SPEC_POOLS`` (a refusal names the field and the spec), and the pools
+    the rows derive from them (the unital maps, the kernels above and below
+    the geometric mean, and alpha-scaling's monotone then decreasing
+    functions)."""
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("map-pool"), dim))
-    parsers = {"maps": lambda spec: _with_unitality(parse_map(spec, dim, rng)),
-               "kernels": parse_kernel, "norms": parse_norm,
-               **{name: lambda spec, klass=klass: certs._vet_class(parse_function(spec), klass)
-                  for name, klass in _FN_CLASSES.items()}}
-    pools = {name: _parsed(config, name, parse) for name, parse in parsers.items()}
+    pools: dict = {}
+    for name, (parse, *_) in SPEC_POOLS.items():
+        pools[name] = []
+        for spec in getattr(config, name):
+            try:
+                pools[name].append(parse(spec, dim, rng))
+            except (ValueError, ArithmeticError, LoewnerLabError) as exc:
+                raise type(exc)(f"field {name}: {spec}: {exc}") from exc
     kernels, maps = pools["kernels"], pools["maps"]
     pools.update(
         maps=[phi for phi, _ in maps],
-        norms=[kind.fit(dim) for kind in pools["norms"]],
         unital_maps=[phi for phi, unital in maps if unital],
         tau_ge_sharp=[k for k in kernels if kernel_dominance(GEOMETRIC, k).holds] or [GEOMETRIC],
         sigma_le_sharp=[k for k in kernels if kernel_dominance(k, GEOMETRIC).holds] or [GEOMETRIC],
@@ -243,10 +245,9 @@ def _instance_blob(k: int, **stacks) -> dict:
 
 
 def _picked(row: certs.Row, trials: list, pools: dict) -> dict:
-    """The row's map and each of its picks, one per trial of ``trials``."""
-    picks = row.picks if row.pool is None else (("phi", row.pool, 0), *row.picks)
+    """Each of the row's picks, one per trial of ``trials``."""
     return {name: [_pick(pools[pool], trial + offset) for trial in trials]
-            for name, pool, offset in picks}
+            for name, pool, offset in row.picks}
 
 
 def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:
@@ -261,9 +262,8 @@ _SOURCES = {"unital_maps": "maps", "scaling_fns": "monotone_fns or decreasing_fn
 def _vet_pools(ineq: str, pools: dict) -> None:
     """Refuse an empty pool that the row of ``ineq`` reads, by the config
     field or fields behind it, before any trial picks from it."""
-    row = ROWS[ineq]
-    for pool in (row.pool, *(pool for _, pool, _ in row.picks)):
-        if pool is None or pools[pool]:
+    for _, pool, _ in ROWS[ineq].picks:
+        if pools[pool]:
             continue
         if pool == "unital_maps" and pools["maps"]:
             raise ValueError(f"field maps: {ineq} needs at least one unital map in the pool")
@@ -296,15 +296,14 @@ def _chunks(items: list, dim: int) -> list[list]:
 
 
 def _stacks(ineq: str, dim: int, trials, pools: dict) -> list[list[int]]:
-    """The trials whose maps share an output dimension, in stacks within
-    ``_STACK_ENTRIES``: maps, kernels, functions and cells may vary by slice.
-    The default pool gives two groups: ``ntrace:1`` maps to dimension 1, and
-    every other map keeps the dimension."""
-    pool = ROWS[ineq].pool
+    """The trials whose maps, their ``phi`` picks, share an output dimension,
+    in stacks within ``_STACK_ENTRIES``: maps, kernels, functions and cells
+    may vary by slice.  The default pool gives two groups: ``ntrace:1`` maps
+    to dimension 1, and every other map keeps the dimension."""
+    maps = _picked(ROWS[ineq], trials, pools).get("phi")
     groups: dict = {}
-    for trial in trials:
-        out_dim = _pick(pools[pool], trial).output_dim if pool else dim
-        groups.setdefault(out_dim, []).append(trial)
+    for k, trial in enumerate(trials):
+        groups.setdefault(maps[k].output_dim if maps else dim, []).append(trial)
     return [stack for out_dim, group in groups.items()
             for stack in _chunks(group, max(dim, out_dim))]
 
@@ -656,8 +655,9 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     return best, best_ratio, accepted
 
 
-def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
-    """Random search plus coordinate hill-climb for the largest observed ratio.
+def probe_tightness(config: SuiteConfig) -> Report:
+    """Random search plus coordinate hill-climb for the largest observed
+    ratio of the config's one inequality, at its one dimension.
 
     Perturbs eigenvalues (clipped to the hypothesis cell) and orthogonal
     factors, accepting ratio increases, for ``probe_refine_steps`` steps
@@ -667,8 +667,10 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     reflects its bounds is searched in the reflected ones.
     """
     start = time.perf_counter()
-    if inequality_id not in ROWS:
-        raise ValueError(f"unknown inequality id {inequality_id!r}")
+    if len(config.inequalities) != 1:
+        raise ValueError(f"field inequalities: probe takes one inequality id, "
+                         f"got {config.inequalities}")
+    inequality_id, = config.inequalities
     cell = ROWS[inequality_id].cell
     if cell.pair is None:
         raise ValueError(f"{inequality_id!r} has no matrix instances to probe")
@@ -680,7 +682,8 @@ def probe_tightness(inequality_id: str, config: SuiteConfig) -> Report:
     dim = config.dims[0]
     pools = _build_pools(config, dim, [inequality_id])
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
-    n_picks = max(len(pools[name]) for name, checks in _FIELDS.items() if checks is _SPECS)
+    # the largest spec pool's size, so every item of every pool is tried, and one pick at least
+    n_picks = max(1, *(len(pools[name]) for name in SPEC_POOLS))
     best_ratio = -math.inf
     best_inst = None
     best_pick = 0

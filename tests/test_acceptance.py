@@ -213,7 +213,7 @@ def test_criterion_09_probe_tightness():
     cfg = SuiteConfig(
         inequalities=("polya-szego",), dims=(2,), trials=40, seed=11, m=1.0, M=4.0
     )
-    report = probe_tightness("polya-szego", cfg)
+    report = probe_tightness(cfg)
     ratio = report.probe["max_ratio"]
     _line(ratio >= 1.2375, "criterion-9 probe tightness", f"max ratio {ratio:.6f}")
 

@@ -87,7 +87,7 @@ def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds)
     return best, best_ratio, accepted
 
 
-def _probe(ineq, config, refine, monkeypatch):
+def _probe(config, refine, monkeypatch):
     """The probe report's JSON, and the stream's state after the climb."""
     states = []
 
@@ -98,7 +98,7 @@ def _probe(ineq, config, refine, monkeypatch):
         return out
 
     monkeypatch.setattr(suite, "_refine", climb)
-    return suite.probe_tightness(ineq, config).to_json(), states
+    return suite.probe_tightness(config).to_json(), states
 
 
 @pytest.mark.parametrize("ineq", PROBED_IDS)
@@ -110,8 +110,8 @@ def test_windowed_climb_equals_the_sequential_one(ineq, dim, monkeypatch):
         seed = (7 * PROBED_IDS.index(ineq) + 3 * dim + k) % 11
         config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=2, seed=seed,
                              probe_refine_steps=steps)
-        got = _probe(ineq, config, windowed, monkeypatch)
-        want = _probe(ineq, config, _sequential_refine, monkeypatch)
+        got = _probe(config, windowed, monkeypatch)
+        want = _probe(config, _sequential_refine, monkeypatch)
         assert got == want, (steps, seed)
 
 
@@ -130,13 +130,13 @@ def test_probe_never_solves_a_slack(ineq, monkeypatch):
     # probe climbs on the ratio alone: its certificates' slacks are never solved
     config = SuiteConfig(inequalities=(ineq,), dims=(3,), trials=2, seed=1,
                          probe_refine_steps=40)
-    want = suite.probe_tightness(ineq, config).to_json()
+    want = suite.probe_tightness(config).to_json()
 
     def loewner_slack(X, Y):
         raise AssertionError("probe solved a slack")
 
     monkeypatch.setattr(certificates, "loewner_slack", loewner_slack)
-    assert suite.probe_tightness(ineq, config).to_json() == want
+    assert suite.probe_tightness(config).to_json() == want
 
 
 BOUNDS = (1.0, 4.0)
@@ -271,7 +271,7 @@ def test_start_scan_solves_each_start_once(ineq, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(suite, "_refine", stop)
     with pytest.raises(ScanOver):
-        suite.probe_tightness(ineq, config)
+        suite.probe_tightness(config)
     scan = list(solved)  # the reference builder below solves too
     assert len(starts) == 6
     # start 0 is diagonal, and a pinching map gives a diagonal matrix back as

@@ -1,0 +1,60 @@
+"""Metamorphic relations of the certificates: each relation is declared once
+and run over every row of ``ROWS`` that it applies to; a row it skips is
+skipped for a stated reason."""
+
+import numpy as np
+import pytest
+
+from loewner_lab import SplitMix64, suite
+from loewner_lab.certificates import ROWS, check_stack
+from loewner_lab.generate import random_orthogonal
+from loewner_lab.spectral import SymStack
+from loewner_lab.suite import SuiteConfig
+
+# The maps that commute with a rotation: phi(Q X Q^T) is Q phi(X) Q^T, or
+# phi(X) itself for ntrace:1.  Pinching, congruence and Kraus maps are not
+# covariant, so the relation keeps them out of the pool.
+COVARIANT_MAPS = ("identity", "ntrace:full", "ntrace:1")
+TRIALS = 12
+# The rows that the relation skips, each with its reason.
+SKIPPED = {ineq: "a scalar row has no matrices to rotate"
+           for ineq, row in ROWS.items() if row.cell.pair is None}
+
+
+def _rotated(X: SymStack, q: np.ndarray) -> SymStack:
+    return SymStack(q @ X.data @ q.transpose(0, 2, 1))
+
+
+def assert_orthogonal_covariance(ineq: str, dim: int, seed: int) -> None:
+    """Rotating A and B by a seeded orthogonal Q per trial rotates both sides
+    and so keeps each certificate's slack within its tol and its ratio
+    within 1e-12 of max(1, |ratio|)."""
+    row = ROWS[ineq]
+    config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=TRIALS, seed=seed,
+                         maps=COVARIANT_MAPS)
+    pools = suite._build_pools(config, dim, [ineq])
+    for trials in suite._stacks(ineq, dim, range(TRIALS), pools):
+        A, B, cells = suite._draw(ineq, dim, trials, config)
+        q = random_orthogonal(dim, [SplitMix64(seed * TRIALS + trial) for trial in trials])
+        picks = suite._picked(row, trials, pools)
+        base = check_stack(row, A, B, cells, picks)
+        turned = check_stack(row, _rotated(A, q), _rotated(B, q), cells, picks)
+        for side, side_turned in zip(base.sides, turned.sides):
+            assert np.all(np.abs(side_turned.slack - side.slack) <= side.tol), (ineq, trials)
+            # a Grüss ratio is of a difference that nearly cancels, and may be
+            # near 0: it is compared relative to max(1, |ratio|)
+            finite = np.isfinite(side.ratio)
+            assert np.array_equal(side.ratio[~finite], side_turned.ratio[~finite])
+            assert np.allclose(side_turned.ratio[finite], side.ratio[finite], rtol=1e-12,
+                               atol=1e-12), (ineq, trials)
+
+
+@pytest.mark.parametrize("ineq", [i for i in ROWS if i not in SKIPPED])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_orthogonal_covariance(ineq, dim):
+    assert_orthogonal_covariance(ineq, dim, seed=dim)
+
+
+def test_every_skipped_row_is_a_scalar_row():
+    # the other 19 rows run the relation
+    assert sorted(SKIPPED) == ["alpha-scaling", "specht-bound"]

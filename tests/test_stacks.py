@@ -149,8 +149,8 @@ def test_default_pool_cell_is_one_stack_per_output_dim(ineq, dim, monkeypatch):
     # per output dimension of the maps its trials pick, each with every
     # trial of that dimension
     config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=60, seed=3)
-    row = suite.ROWS[ineq]
-    pool = suite._build_pools(config, dim)[row.pool] if row.pool else None
+    maps = next((pool for name, pool, _ in suite.ROWS[ineq].picks if name == "phi"), None)
+    pool = suite._build_pools(config, dim)[maps] if maps else None
     expected: dict = {}
     for trial in range(60):
         out_dim = pool[trial % len(pool)].output_dim if pool else dim
@@ -160,7 +160,7 @@ def test_default_pool_cell_is_one_stack_per_output_dim(ineq, dim, monkeypatch):
     monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: seen.append(list(a[2])) or real(*a))
     suite.run_suite(config)
     assert seen == list(expected.values())
-    assert len(seen) == (2 if row.pool else 1)
+    assert len(seen) == (2 if pool else 1)
 
 
 def test_stacks_split_beyond_the_entry_budget():

@@ -679,21 +679,21 @@ class TestProbe:
         cfg = SuiteConfig(
             inequalities=("polya-szego",), dims=(2,), trials=20, seed=11, m=1.0, M=4.0
         )
-        report = probe_tightness("polya-szego", cfg)
+        report = probe_tightness(cfg)
         assert report.probe["max_ratio"] >= 0.99 * 1.25
 
     def test_degenerate_sandwich_forces_ratio_one(self):
         cfg = SuiteConfig(
             inequalities=("main-monotone",), dims=(2,), trials=10, seed=13, s=1.0, t=1.0
         )
-        report = probe_tightness("main-monotone", cfg)
+        report = probe_tightness(cfg)
         assert report.probe["max_ratio"] == pytest.approx(1.0, abs=1e-9)
 
     def test_midpoint_probe_reaches_constant(self):
         cfg = SuiteConfig(
             inequalities=("midpoint",), dims=(2,), trials=20, seed=17, s=0.25, t=4.0
         )
-        report = probe_tightness("midpoint", cfg)
+        report = probe_tightness(cfg)
         # ratio tops out at the constant (sqrt(s)+sqrt(t))/2 = 1.25
         assert report.probe["max_ratio"] >= 0.99 * 1.25
 
@@ -701,7 +701,22 @@ class TestProbe:
         cfg = SuiteConfig(inequalities=("midpoint",), dims=(2, 5), trials=2)
         with pytest.raises(ValueError, match=r"^field dims: probe takes one dimension, "
                                              r"got \(2, 5\)"):
-            probe_tightness("midpoint", cfg)
+            probe_tightness(cfg)
+
+    def test_probe_reads_its_one_id_from_the_config(self):
+        cfg = SuiteConfig(inequalities=("midpoint",), dims=(2,), trials=2, probe_refine_steps=5)
+        payload = probe_tightness(cfg).to_payload()["loewner_lab_report"]
+        assert payload["config"]["inequalities"] == ("midpoint",)
+        assert payload["probe"]["inequality"] == "midpoint"
+
+    def test_probe_with_every_spec_pool_empty_scans_one_pick(self):
+        # midpoint reads no pool, so verify holds on this config, and probe scans pick 0
+        cfg = SuiteConfig(inequalities=("midpoint",), dims=(2,), trials=2,
+                          **dict.fromkeys(suite.SPEC_POOLS, ()))
+        assert run_suite(cfg).results["midpoint"]["holds_count"] == 2
+        report = probe_tightness(cfg)
+        assert report.probe["pick_index"] == 0
+        assert math.isfinite(report.probe["max_ratio"])
 
     def test_probe_cli_defaults_to_one_dimension(self, capsys):
         code = cli_main(["probe", "--ineq", "midpoint", "--trials", "2"])
@@ -710,7 +725,7 @@ class TestProbe:
 
     def test_scalar_inequalities_not_probeable(self):
         with pytest.raises(ValueError):
-            probe_tightness("specht-bound", small_config())
+            probe_tightness(small_config(inequalities=("specht-bound",)))
 
     @pytest.mark.parametrize("ineq", ALL_INEQUALITIES)
     def test_probe_accepts_exactly_sandwich_and_bounded_cells(self, ineq):
@@ -718,9 +733,9 @@ class TestProbe:
                           probe_refine_steps=3)
         if ineq in ("ando", "squared", "specht-bound", "alpha-scaling"):
             with pytest.raises(ValueError):
-                probe_tightness(ineq, cfg)
+                probe_tightness(cfg)
         else:
-            assert math.isfinite(probe_tightness(ineq, cfg).probe["max_ratio"])
+            assert math.isfinite(probe_tightness(cfg).probe["max_ratio"])
 
 
 def _first_violation(body: dict) -> dict:
@@ -974,10 +989,20 @@ class TestCli:
         assert "error: field maps: gruss-f needs at least one unital map in the pool" in err
 
     @pytest.mark.parametrize("ineq", ["polya-szego,midpoint", "all", "all-non-audit"])
-    def test_probe_refuses_more_than_one_id_by_its_field(self, ineq, capsys):
+    def test_probe_refuses_more_than_one_id_by_its_field(self, ineq, monkeypatch, capsys):
+        # the library and the CLI refuse with one text, naming the expanded ids
+        calls = []
+        real = suite._probe_evaluate
+        monkeypatch.setattr(suite, "_probe_evaluate",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        config = SuiteConfig(inequalities=tuple(ineq.split(",")), dims=(2,), trials=2)
+        message = f"field inequalities: probe takes one inequality id, got {config.inequalities}"
+        with pytest.raises(ValueError) as info:
+            probe_tightness(config)
+        assert str(info.value) == message
         assert cli_main(["probe", "--ineq", ineq, "--trials", "2"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: field inequalities: probe takes one inequality id, got {ineq!r}\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
 
     def test_probe_refuses_several_dims_by_its_field(self, monkeypatch, capsys):
         calls = []

@@ -50,7 +50,7 @@ def test_every_probe_step_passes_through_a_step_function(monkeypatch):
             (name, "above" in kw)) or real(*a, **kw))
     config = suite.SuiteConfig(inequalities=("polya-szego",), dims=(2,), trials=3, seed=7,
                                probe_refine_steps=10)
-    suite.probe_tightness("polya-szego", config)
+    suite.probe_tightness(config)
     pools = suite._build_pools(config, 2)
     n_picks = max(len(pools["maps"]), len(pools["kernels"]), len(pools["monotone_fns"]))
     assert calls.count(("_probe_evaluate", False)) >= n_picks  # the start scan
@@ -149,23 +149,44 @@ def test_no_json_call_in_the_source_indents():
     assert indented == []
 
 
-def test_every_config_field_has_one_table_entry():
-    # SuiteConfig's checks are declared once per field, in the _FIELDS literal
+def test_every_config_field_is_declared_once():
+    # SuiteConfig's checks are declared once per field: each spec pool's in
+    # the SPEC_POOLS literal, which _FIELDS reads, and every other field's in
+    # the _FIELDS literal
     import ast
     import dataclasses
 
     tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_FIELDS"])
-    keys = [key.value for key in table.keys]
-    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(suite.SuiteConfig))
+    tables = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    keys = [key.value for name in ("_FIELDS", "SPEC_POOLS") for key in tables[name].keys
+            if key is not None]  # None is _FIELDS' ** of SPEC_POOLS
+    fields = [f.name for f in dataclasses.fields(suite.SuiteConfig)]
+    assert sorted(keys) == sorted(fields)
+    assert sorted(suite._FIELDS) == sorted(fields)
+
+
+def test_cli_pool_flags_are_the_pool_table_flags():
+    # the CLI's pool flags are the table's, and each restricts its own pool
+    flags = {flag: name for name, (_, names, _) in suite.SPEC_POOLS.items() for flag in names}
+    for command in ("verify", "hunt", "probe"):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        assert {action.dest for action in sub._actions
+                if (action.help or "").startswith("restrict ")} == set(flags)
+    for flag, name in flags.items():
+        spec = getattr(suite.SuiteConfig, name)[-1]
+        args = cli.build_parser().parse_args(["verify", f"--{flag}", spec])
+        assert getattr(cli._config_from_args(args), name) == (spec,)
 
 
 def test_every_pool_a_row_names_is_built():
+    # a row's map is one of its picks, phi, which every row that takes a map picks first
     pools = suite._build_pools(suite.SuiteConfig(), 2)
-    named = {(row.id, pool) for row in suite.ROWS.values()
-             for pool in [row.pool, *(pool for _, pool, _ in row.picks)] if pool is not None}
+    named = {(row.id, pool) for row in suite.ROWS.values() for _, pool, _ in row.picks}
     assert {(ineq, pool) for ineq, pool in named if pool not in pools} == set()
+    assert {row.id: [name for name, *_ in row.picks].index("phi") for row in suite.ROWS.values()
+            if any(name == "phi" for name, *_ in row.picks)} == dict.fromkeys(
+        [i for i in suite.ROWS if "phi(" in suite.ROWS[i].statement], 0)
 
 
 def _functions(module):
