@@ -64,6 +64,7 @@ from .spectral import (
     matrix_function,
     op_norm,
     spectrum,
+    spectrum_bounds,
     twinned,
     ui_norm,
 )
@@ -496,8 +497,8 @@ def _bounded(x) -> None:
 def _order(x) -> None:
     """The ordering rule, A <= B up to the tolerance, and the spectrum of A within [m, M]."""
     _ordered(x)
-    with np.errstate(over="ignore"):
-        scale = (op_norm(x.A) + op_norm(x.B)).tolist()
+    with np.errstate(over="ignore"):  # the largest absolute eigenvalues of A and B
+        scale = sum(np.abs(spectrum_bounds(X)).max(axis=0) for X in (x.A, x.B)).tolist()
     for slack, sc in zip(loewner_slack(x.A, x.B).tolist(), scale):
         if not slack >= -max(1e-12, x.tol_rel * max(1.0, sc)):
             raise HypothesisError(f"order hypothesis A <= B fails (slack {slack:.3e})")

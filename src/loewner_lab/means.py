@@ -25,7 +25,6 @@ from .spectral import (
     matrix_function,
     per_slice,
     require_same_shape,
-    spectrum,
     twinned,
 )
 
@@ -46,13 +45,11 @@ class MeanContext:
             raise ValueError("cond_cap must exceed 1")
 
 
-def _require_pd(name: str, lam_min: np.ndarray) -> None:
-    """``lam_min`` holds the smallest eigenvalue of each slice."""
+def _require_pd(name: str, lam_min: np.ndarray, of: str = "lambda_min") -> None:
+    """``lam_min`` holds the smallest eigenvalue of each slice, ``of`` names it."""
     for lam in lam_min.tolist():
         if lam <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"{name} must be positive definite (lambda_min = {lam:.3e})"
-            )
+            raise NotPositiveDefiniteError(f"{name} must be positive definite ({of} = {lam:.3e})")
 
 
 def mean(ctx: MeanContext, A: SymStack, B: SymStack) -> SymStack:
@@ -63,6 +60,8 @@ def mean(ctx: MeanContext, A: SymStack, B: SymStack) -> SymStack:
 
 
 def _mean(A: SymStack, B: SymStack, kernels: list, caps: list) -> SymStack:
+    """B is positive definite exactly when A^(-1/2) B A^(-1/2) is (Sylvester's
+    law of inertia), so B is checked on the decomposition that the kernel reads."""
     require_same_shape(A, B)
     dec = decompose(A)
     w = dec.eigenvalues
@@ -70,8 +69,10 @@ def _mean(A: SymStack, B: SymStack, kernels: list, caps: list) -> SymStack:
     for cond, cap in zip((w[:, -1] / w[:, 0]).tolist(), caps):
         if cond > cap:
             raise ConditionCapError(f"condition number {cond:.3e} exceeds cap {cap:.3e}")
-    _require_pd("second argument", spectrum(B)[:, 0])
-    transformed = matrix_function(inner_matrix(A, B), kernels)
+    inner = inner_matrix(A, B)
+    _require_pd("second argument", decompose(inner).eigenvalues[:, 0],
+                "lambda_min of A^(-1/2) B A^(-1/2)")
+    transformed = matrix_function(inner, kernels)
     return SymStack(dec.root @ transformed.data @ dec.root)
 
 
@@ -92,7 +93,8 @@ _reciprocal = twinned(lambda lam: 1.0 / lam)
 
 
 def spectral_inverse(X: SymStack) -> SymStack:
-    _require_pd("matrix to invert", spectrum(X)[:, 0])
+    """X^-1 of each slice, checked positive definite on the decomposition it inverts."""
+    _require_pd("matrix to invert", decompose(X).eigenvalues[:, 0])
     return matrix_function(X, _reciprocal)
 
 

@@ -249,8 +249,8 @@ def spectrum(X: SymStack) -> np.ndarray:
     """Ascending eigenvalues of each slice from the eigenvalue-only solver,
     remembered on X.
 
-    Kept apart from ``decompose``: the two LAPACK routines can differ in the
-    last ulp, and each caller keeps the solver it has always used.
+    Kept apart from ``decompose``, as the two LAPACK routines can differ in the
+    last ulp: it serves the spectra and tolerances that a report writes.
     """
     w = X._evals
     if w is None:

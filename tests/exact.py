@@ -61,3 +61,33 @@ def midpoint(A, B, s, t):
     c = (sqrt(s) + sqrt(t)) / 2
     lhs = tuple((sqrt(s * t) * a + b) / 2 for a, b in zip(A, B))
     return lhs, tuple(c * y for y in geometric(A, B)), c
+
+
+def _half_sum(s, t) -> Fraction:
+    return (sqrt(s) + sqrt(t)) / 2
+
+
+def sandwich_lemma(A, B, s, t):
+    """c1 (A nabla B) <= A # B <= c2 (A ! B), as its two statements: the
+    lower (c1 (A nabla B), A # B, c1) and the upper (A # B, c2 (A ! B), c2)."""
+    half_sum = _half_sum(s, t)
+    c1, c2 = (1 / half_sum, half_sum) if s * t >= 1 else (
+        sqrt(s * t) / half_sum, half_sum / sqrt(s * t))
+    sharp = geometric(A, B)
+    return ((tuple(c1 * y for y in arithmetic(A, B)), sharp, c1),
+            (sharp, tuple(c2 * y for y in harmonic(A, B)), c2))
+
+
+def main_monotone(A, B, s, t, phi, tau, sigma, f):
+    """phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B))."""
+    c = _half_sum(s, t) ** 2 / (1 if s * t >= 1 else s * t)
+    lhs = tau(phi(tuple(map(f, A))), phi(tuple(map(f, B))))
+    return lhs, tuple(c * y for y in phi(tuple(map(f, sigma(A, B))))), c
+
+
+def diaz_metcalf(A, B, s, t, phi, tau, sigma, f):
+    """phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B))."""
+    root_st = sqrt(s * t)
+    c = _half_sum(s, t) ** 2 / (1 if root_st >= 1 else root_st)
+    lhs = tau(phi(tuple(f(root_st * a) for a in A)), phi(tuple(map(f, B))))
+    return lhs, tuple(c * y for y in phi(tuple(map(f, sigma(A, B))))), c

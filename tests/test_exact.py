@@ -1,6 +1,6 @@
-"""Exact corner proofs: at three commuting corners that attain their
-constants, the evaluator's float sides and constant are the paper's exact
-values to within a few ulps, and each certificate still holds."""
+"""Exact corner proofs: at six commuting corners that attain their
+constants, the evaluator's float sides, constant, ratio and slack are the
+paper's exact values to within a few ulps, and each certificate still holds."""
 
 import math
 from fractions import Fraction
@@ -18,15 +18,36 @@ ULPS = 4
 A, B = exact.diag(1, 4), exact.diag(4, 1)
 NTRACE_1 = parse_map("ntrace:1", 2, SplitMix64(0))
 
-# (id, cell bounds, picks, the exact (lhs, rhs, c)), each corner attaining c
+S, T = Fraction(1, 4), Fraction(4)
+REVERSAL = ({"phi": NTRACE_1, "tau": ARITHMETIC, "sigma": HARMONIC,
+             "f": parse_function("power:1")},
+            (exact.ntrace_1, exact.arithmetic, exact.harmonic, lambda x: x))
+
+
+def _attained(lhs, rhs, c) -> list:
+    """The one certificate lhs <= c * base, its sides equal: its ratio of lhs to base is c."""
+    return [(lhs, rhs, c, c)]
+
+
+def _sandwich_lemma() -> list:
+    # c1 (A nabla B) <= A # B carries its constant on the left, so its sides' ratio is 1
+    lower, upper = exact.sandwich_lemma(A, B, S, T)
+    return [(*lower, Fraction(1)), (*upper, upper[2])]
+
+
+# (id, cell bounds, picks, the exact (lhs, rhs, c, ratio) of each certificate), each
+# corner attaining its constants
 CORNERS = [
     ("polya-szego", (1, 4), {"phi": NTRACE_1},
-     exact.polya_szego(A, B, Fraction(1), Fraction(4), exact.ntrace_1)),
-    ("kantorovich-f", (1, 4),
-     {"phi": NTRACE_1, "tau": ARITHMETIC, "sigma": HARMONIC, "f": parse_function("power:1")},
-     exact.kantorovich_f(A, B, Fraction(1), Fraction(4), exact.ntrace_1, exact.arithmetic,
-                         exact.harmonic, lambda x: x)),
-    ("midpoint", (Fraction(1, 4), 4), {}, exact.midpoint(A, B, Fraction(1, 4), Fraction(4))),
+     _attained(*exact.polya_szego(A, B, Fraction(1), Fraction(4), exact.ntrace_1))),
+    ("kantorovich-f", (1, 4), REVERSAL[0],
+     _attained(*exact.kantorovich_f(A, B, Fraction(1), Fraction(4), *REVERSAL[1]))),
+    ("midpoint", (S, T), {}, _attained(*exact.midpoint(A, B, S, T))),
+    ("sandwich-lemma", (S, T), {}, _sandwich_lemma()),
+    ("main-monotone", (S, T), REVERSAL[0],
+     _attained(*exact.main_monotone(A, B, S, T, *REVERSAL[1]))),
+    ("diaz-metcalf", (S, T), REVERSAL[0],
+     _attained(*exact.diaz_metcalf(A, B, S, T, *REVERSAL[1]))),
 ]
 
 
@@ -37,22 +58,31 @@ def _close(got, want) -> bool:
 
 
 def test_the_exact_corners_attain_their_constants():
-    # both sides are equal, so the ratio of the sides is the constant
-    assert [(lhs, rhs, c) for _, _, _, (lhs, rhs, c) in CORNERS] == [
-        ((Fraction(5, 2),), (Fraction(5, 2),), Fraction(5, 4)),
-        ((Fraction(5, 2),), (Fraction(5, 2),), Fraction(25, 16)),
-        ((Fraction(5, 2),) * 2, (Fraction(5, 2),) * 2, Fraction(5, 4)),
+    # both sides are equal, so the ratio of lhs to its base is the constant
+    half, two = Fraction(5, 2), Fraction(2)
+    assert [cert for *_, certs in CORNERS for cert in certs] == [
+        ((half,), (half,), Fraction(5, 4), Fraction(5, 4)),
+        ((half,), (half,), Fraction(25, 16), Fraction(25, 16)),
+        ((half,) * 2, (half,) * 2, Fraction(5, 4), Fraction(5, 4)),
+        ((two,) * 2, (two,) * 2, Fraction(4, 5), Fraction(1)),
+        ((two,) * 2, (two,) * 2, Fraction(5, 4), Fraction(5, 4)),
+        ((half,), (half,), Fraction(25, 16), Fraction(25, 16)),
+        ((half,), (half,), Fraction(25, 16), Fraction(25, 16)),
     ]
 
 
 @pytest.mark.parametrize("ineq, bounds, picks, want", CORNERS, ids=[c[0] for c in CORNERS])
 def test_float_certificate_meets_the_exact_corner(ineq, bounds, picks, want):
-    lhs, rhs, c = want
-    sides = certify(ineq, one(np.diag(np.array(A, dtype=float))),
-                    one(np.diag(np.array(B, dtype=float))), *map(float, bounds), **picks)
-    assert _close(sides.lhs.data[0], np.diag(lhs))
-    assert _close(sides.rhs.data[0], np.diag(rhs))
-    assert _close(sides.constant[0], c)
-    assert _close(sides.ratio[0], c)
-    assert sides.slack[0] >= -sides.tol[0]
-    assert sides.holds[0]
+    got = certify(ineq, one(np.diag(np.array(A, dtype=float))),
+                  one(np.diag(np.array(B, dtype=float))), *map(float, bounds), **picks)
+    got = got if isinstance(got, tuple) else (got,)
+    assert len(got) == len(want)
+    for sides, (lhs, rhs, c, ratio) in zip(got, want):
+        assert _close(sides.lhs.data[0], np.diag(lhs))
+        assert _close(sides.rhs.data[0], np.diag(rhs))
+        assert _close(sides.constant[0], c)
+        assert _close(sides.ratio[0], ratio)
+        # the sides are equal, so the exact slack is 0
+        assert abs(sides.slack[0]) <= ULPS * math.ulp(float(max(rhs)))
+        assert sides.slack[0] >= -sides.tol[0]
+        assert sides.holds[0]

@@ -414,7 +414,8 @@ def test_log_uniform_rows_match_the_scalar_draws(seeds, ranges, spare):
 
 def test_a_cell_is_drawn_with_one_solve_per_stack(monkeypatch):
     # the draw solves a sandwich A's roots alone; its cell's check then solves
-    # the inner matrix, or a bounded or ordered pair's A and B, each once per stack
+    # the inner matrix, or a bounded pair's A and B, or an ordered pair's B - A,
+    # A and B, each once per stack
     from loewner_lab import suite
 
     calls = []
@@ -422,13 +423,30 @@ def test_a_cell_is_drawn_with_one_solve_per_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
     one = [(40, 3, 3)]
     for ineq, drawn, checked in (("polya-szego", [], one * 2), ("midpoint", one, one * 2),
-                                 ("ando", [], []), ("squared", [], one * 2)):
+                                 ("ando", [], []), ("squared", [], one * 3)):
         calls.clear()
         config = suite.SuiteConfig(inequalities=(ineq,), dims=(3,), trials=40)
         A, B, cells = suite._draw(ineq, 3, range(40), config)
         assert len(cells) == 40 and calls == drawn, ineq
         _check_cell(suite.ROWS[ineq].cell, A, B, cells)
         assert calls == checked, ineq
+
+
+def test_a_squared_stack_solves_a_and_b_with_one_driver(monkeypatch):
+    # the order check reads its tolerance scale from the decompositions that
+    # verify_spectrum and the squares read, so no eigvalsh solve of A or B is left
+    from loewner_lab import suite
+
+    solved = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or real(a))
+    config = suite.SuiteConfig(inequalities=("squared",), dims=(3,), trials=40)
+    pools = suite._build_pools(config, 3, config.inequalities)
+    trials = list(range(40))
+    assert suite._stacks("squared", 3, trials, pools) == [trials]
+    suite._evaluate_trial("squared", 3, trials, config, pools).holds
+    A, B, _ = suite._draw("squared", 3, trials, config)
+    assert solved and not any(np.array_equal(a, X.data) for a in solved for X in (A, B))
 
 
 def test_streams_out_of_lockstep_are_refused():

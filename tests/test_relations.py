@@ -8,6 +8,7 @@ import pytest
 from loewner_lab import SplitMix64, suite
 from loewner_lab.certificates import ROWS, check_stack
 from loewner_lab.generate import random_orthogonal
+from loewner_lab.kernels import DEFAULT_DECREASING_SPECS, DEFAULT_MONOTONE_SPECS
 from loewner_lab.spectral import SymStack
 from loewner_lab.suite import SuiteConfig
 
@@ -16,8 +17,8 @@ from loewner_lab.suite import SuiteConfig
 # covariant, so the relation keeps them out of the pool.
 COVARIANT_MAPS = ("identity", "ntrace:full", "ntrace:1")
 TRIALS = 12
-# The rows that the relation skips, each with its reason.
-SKIPPED = {ineq: "a scalar row has no matrices to rotate"
+# The rows that the relations skip, each with its reason.
+SKIPPED = {ineq: "a scalar row has no matrices to rotate or scale"
            for ineq, row in ROWS.items() if row.cell.pair is None}
 
 
@@ -56,5 +57,53 @@ def test_orthogonal_covariance(ineq, dim):
 
 
 def test_every_skipped_row_is_a_scalar_row():
-    # the other 19 rows run the relation
+    # the other 19 rows run the relations
     assert sorted(SKIPPED) == ["alpha-scaling", "specht-bound"]
+
+
+# Homogeneity: every mean, map and norm is homogeneous, and so is a power
+# function, so scaling A, B and the cell's (m, M) by one factor scales both
+# sides alike. These default functions are not homogeneous, so the relation
+# keeps them out of the pools; (s, t) bound B against A, so they stay.
+NOT_HOMOGENEOUS = {"log1p": "log(1 + x) is not a power of x",
+                   "rational:1": "x / (x + 1) is not a power of x",
+                   "shifted_inverse:1": "1 / (x + 1) is not a power of x"}
+HOMOGENEOUS_PICKS = {
+    name: tuple(spec for spec in specs if spec not in NOT_HOMOGENEOUS)
+    for name, specs in (("monotone_fns", DEFAULT_MONOTONE_SPECS),
+                        ("decreasing_fns", DEFAULT_DECREASING_SPECS))}
+SCALE = 4.0
+
+
+def assert_homogeneity(ineq: str, dim: int, seed: int) -> None:
+    """Scaling A and B by 4, and (m, M) by 4 where the cell has them, keeps
+    each trial's verdict and its ratio within 1e-12 of max(1, |ratio|)."""
+    row = ROWS[ineq]
+    config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=TRIALS, seed=seed,
+                         **HOMOGENEOUS_PICKS)
+    pools = suite._build_pools(config, dim, [ineq])
+    scales = row.cell.bounds == ("m", "M")
+    for trials in suite._stacks(ineq, dim, range(TRIALS), pools):
+        A, B, cells = suite._draw(ineq, dim, trials, config)
+        picks = suite._picked(row, trials, pools)
+        base = check_stack(row, A, B, cells, picks)
+        scaled = check_stack(row, A * SCALE, B * SCALE,
+                             [tuple(SCALE * v for v in cell) for cell in cells] if scales
+                             else cells, picks)
+        assert scaled.holds == base.holds, (ineq, trials)
+        ratio, ratio_scaled = np.array(base.ratio), np.array(scaled.ratio)
+        finite = np.isfinite(ratio)
+        assert np.array_equal(ratio[~finite], ratio_scaled[~finite])
+        assert np.all(np.abs(ratio_scaled - ratio)[finite]
+                      <= 1e-12 * np.maximum(1.0, np.abs(ratio[finite]))), (ineq, trials)
+
+
+@pytest.mark.parametrize("ineq", [i for i in ROWS if i not in SKIPPED])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_homogeneity(ineq, dim):
+    assert_homogeneity(ineq, dim, seed=dim)
+
+
+def test_homogeneous_pools_keep_the_powers():
+    assert HOMOGENEOUS_PICKS == {"monotone_fns": ("power:0.5", "power:1"),
+                                 "decreasing_fns": ("inv_power:1", "inv_power:0.5")}

@@ -134,6 +134,13 @@ class TestSpectralMemo:
         decompose(y)
         assert len(calls) == 4
 
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+        return calls
+
     def test_means_and_sandwich_scalars_solve_the_inner_matrix_once(self, monkeypatch):
         from loewner_lab import estimate_sandwich, geometric, harmonic, kernel_mean
         from loewner_lab.generate import random_spd
@@ -142,6 +149,7 @@ class TestSpectralMemo:
         a, b = random_spd(4, 0.5, 3.0, 11), random_spd(4, 0.5, 3.0, 12)
         decompose(a)
         calls = self.count_eigh(monkeypatch)
+        values_only = self.count_eigvalsh(monkeypatch)
         estimate_sandwich(a, b)
         assert len(calls) == 1  # A^(-1/2) B A^(-1/2), remembered on a for b
         geometric(a, b)
@@ -155,6 +163,27 @@ class TestSpectralMemo:
         assert len(calls) == 3 and a._inner[0] is b
         harmonic(a, b)  # solves b and the arithmetic mean of the inverses
         assert len(calls) == 5
+        assert values_only == []  # each definiteness check reads a decomposition
+
+    def test_a_mean_and_an_inverse_check_definiteness_on_what_they_solve(self, monkeypatch):
+        from loewner_lab import kernel_mean
+        from loewner_lab.kernels import LOGARITHMIC
+        from loewner_lab.means import spectral_inverse
+
+        calls = self.count_eigh(monkeypatch)
+        values_only = self.count_eigvalsh(monkeypatch)
+        kernel_mean(LOGARITHMIC, one(np.diag([1.0, 4.0])), one(np.diag([4.0, 1.0])))
+        assert len(calls) == 2  # A, then the inner matrix
+        spectral_inverse(one(np.diag([1.0, 4.0])))
+        assert len(calls) == 3 and values_only == []
+
+    def test_an_indefinite_second_argument_is_refused_by_its_inner_matrix(self):
+        from loewner_lab import NotPositiveDefiniteError, geometric
+
+        B = one(np.array([[1.0, 3.0], [3.0, 1.0]]))  # eigenvalues -2 and 4
+        with pytest.raises(NotPositiveDefiniteError, match=r"^second argument must be positive "
+                           r"definite \(lambda_min of A\^\(-1/2\) B A\^\(-1/2\) = -"):
+            geometric(one(np.diag([1.0, 4.0])), B)
 
     def test_product_by_ones_is_the_operand(self):
         x = random_sym(3, 4)
