@@ -468,36 +468,29 @@ def run_suite(config: SuiteConfig) -> Report:
     audit_results: dict = {}
     pools_by_dim = {dim: _build_pools(config, dim, config.inequalities) for dim in config.dims}
     for ineq in config.inequalities:
-        stats = {"trials": 0, "holds_count": 0, "violations": 0, "min_slack": None,
-                 "max_ratio": None, "violating_instances": []}
-        for dim in config.dims:
+        slacks, ratios, violating, holds = [], [], [], 0
+        for dim in config.dims:  # one cell's stacks alive at a time
             cell = _evaluate_cell(ineq, dim, config, pools_by_dim[dim])
             for trial, (stack, k) in enumerate(cell):
-                stats["trials"] += 1
                 trial_slack, trial_ratio = stack.slack[k], stack.ratio[k]
-                if stats["min_slack"] is None or trial_slack < stats["min_slack"]:
-                    stats["min_slack"] = trial_slack
-                if math.isfinite(trial_ratio) and (
-                    stats["max_ratio"] is None or trial_ratio > stats["max_ratio"]
-                ):
-                    stats["max_ratio"] = trial_ratio
+                slacks.append(trial_slack)
+                ratios.append(trial_ratio)
                 if stack.holds[k]:
-                    stats["holds_count"] += 1
-                else:
-                    stats["violations"] += 1
-                    if len(stats["violating_instances"]) < config.max_recorded_violations:
-                        stats["violating_instances"].append(
-                            {
-                                "inequality": ineq,
-                                "dim": dim,
-                                "trial": trial,
-                                "trial_seed": _trial_seed(config, ineq, dim, trial),
-                                "slack": trial_slack,
-                                "ratio": trial_ratio if math.isfinite(trial_ratio) else None,
-                                "certificates": stack.to_json(k),
-                                "instance": _instance_blob(k, A=stack.A, B=stack.B),
-                            }
-                        )
+                    holds += 1
+                elif len(violating) < config.max_recorded_violations:
+                    violating.append({
+                        "inequality": ineq, "dim": dim, "trial": trial,
+                        "trial_seed": _trial_seed(config, ineq, dim, trial),
+                        "slack": trial_slack,
+                        "ratio": trial_ratio if math.isfinite(trial_ratio) else None,
+                        "certificates": stack.to_json(k),
+                        "instance": _instance_blob(k, A=stack.A, B=stack.B),
+                    })
+        # min and max keep the first of equal items, and a nan only where it comes first
+        stats = {"trials": len(slacks), "holds_count": holds, "violations": len(slacks) - holds,
+                 "min_slack": min(slacks),
+                 "max_ratio": max(filter(math.isfinite, ratios), default=None),
+                 "violating_instances": violating}
         if ROWS[ineq].audit:
             stats["violation_rate"] = stats["violations"] / stats["trials"]
         (audit_results if ROWS[ineq].audit else results)[ineq] = stats
@@ -592,31 +585,26 @@ def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: dict, tol_rel: flo
     return [r if math.isfinite(r) else None for r in ratios]
 
 
-def _probe_evaluate(ineq, stacks, pick, config, pools, above=math.inf) -> list:
+def _probe_evaluate(ineq, stacks, pick, config, pools) -> list:
     """The largest finite ratio of each instance's certificates at ``pick``,
     or None where the check refuses the instance or no ratio is finite;
     ``stacks`` are the instances' ``(A, B, cells)``.
 
     The stacks are evaluated as they are; if that raises, each slice is
-    evaluated alone, in order, up to the first whose ratio exceeds ``above``,
-    so the list may end there.
+    evaluated alone, in order, to the end.
     """
+    try:
+        return _probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
+    except Exception:  # each slice meets its own error below
+        pass
     A, B, cells = stacks
-    if len(cells) > 1:
-        try:
-            return _probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
-        except Exception:  # each slice meets its own error below
-            pass
     out = []
     for k in range(len(cells)):
-        one = stacks if len(cells) == 1 else (
-            SymStack(A.data[k:k + 1]), SymStack(B.data[k:k + 1]), cells[k:k + 1])
+        one = SymStack(A.data[k:k + 1]), SymStack(B.data[k:k + 1]), cells[k:k + 1]
         try:
             out += _probe_ratios(ineq, one, pick, pools, config.tol_rel)
         except LoewnerLabError:
             out.append(None)
-        if out[-1] is not None and out[-1] > above:
-            break
     return out
 
 
@@ -644,8 +632,7 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
         cands = [_moved(best, move, *bounds) for move in moves[step:step + window]]
-        ratios = _probe_evaluate(ineq, _probe_stacks(cell, cands, bounds), pick, config,
-                                 pools, above=best_ratio)
+        ratios = _probe_evaluate(ineq, _probe_stacks(cell, cands, bounds), pick, config, pools)
         hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
         if hit is None:
             step, window = step + len(cands), min(2 * window, _WINDOW_MOST)
@@ -684,20 +671,17 @@ def probe_tightness(config: SuiteConfig) -> Report:
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
     # the largest spec pool's size, so every item of every pool is tried, and one pick at least
     n_picks = max(1, *(len(pools[name]) for name in SPEC_POOLS))
-    best_ratio = -math.inf
-    best_inst = None
-    best_pick = 0
     starts = _probe_starts(cell, dim, rng, *bounds, config.trials)
     # each chunk is built once, so every pick reads the same solved stacks
     chunks = [_probe_stacks(cell, chunk, bounds) for chunk in _chunks(starts, dim)]
     by_pick = [[ratio for stacks in chunks
                 for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
                for pick in range(n_picks)]
-    for k, inst in enumerate(starts):  # start-major, pick-minor, as one start at a time
-        for pick in range(n_picks):
-            ratio = by_pick[pick][k]
-            if ratio is not None and ratio > best_ratio:
-                best_ratio, best_inst, best_pick = ratio, inst, pick
+    # the first largest ratio, start-major and pick-minor, as one start at a time
+    best_ratio, best_inst, best_pick = max(
+        ((by_pick[pick][k], inst, pick) for k, inst in enumerate(starts)
+         for pick in range(n_picks) if by_pick[pick][k] is not None),
+        key=lambda best: best[0], default=(None, None, None))
     if best_inst is None:
         raise LoewnerLabError("probe found no feasible instance")
     best_inst, best_ratio, accepted = _refine(inequality_id, best_inst, best_ratio, best_pick,

@@ -418,6 +418,26 @@ class TestSquared:
         with pytest.raises(HypothesisError):
             certify("squared", one(np.diag([2.0, 2.0])), one(np.diag([1.0, 3.0])), 1.0, 2.0)
 
+    def test_near_sharp_at_dim_2(self):
+        # A at m and M, and B rotated, with its small eigenvalue near the
+        # harmonic mean 2mM/(m+M) = 1.6 and a large one: A^2 <= K B^2 is
+        # within 0.22% of its constant K = 25/16, though the ratio of norms
+        # reads 1.6e-5; an ORDER draw keeps ||B - A|| <= max(1e-2, M - m)
+        theta = 0.15 * math.pi
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        B = one(rot @ np.diag([1.62, 1000.0]) @ rot.T)
+        assert loewner_slack(A14, B)[0] == pytest.approx(2.0e-4, rel=0.01)
+        b_inv = np.linalg.inv(B.data[0])
+        top = np.linalg.eigvalsh(b_inv @ np.diag([1.0, 16.0]) @ b_inv)[-1]
+        assert top / (25 / 16) == pytest.approx(0.99781, abs=1e-5)
+        cert = certify("squared", A14, B, 1.0, 4.0)
+        assert cert.holds
+        assert cert.slack[0] == pytest.approx(8.99e-3, rel=1e-3)
+        assert cert.ratio[0] == pytest.approx(1.6e-5)
+        cert = certify("squared", A14, B, 1.0, 4.0, constant_multiplier=0.99)
+        assert not cert.holds
+        assert cert.slack[0] == pytest.approx(-3.20e-2, rel=1e-3)
+
     def test_consequence_monotone_commuting(self):
         cert = certify("squared-consequence-f", A14, A41, 1.0, 4.0, f=SQRT)
         np.testing.assert_allclose(cert.lhs.data[0], np.diag([2.0, 2.0]), atol=1e-10)

@@ -163,7 +163,7 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
     cands = [suite._moved(best, move, *BOUNDS) for move in moves]
     after = suite._moved(cands[2], moves[3], *BOUNDS)
     assert _key(after) != _key(cands[3])
-    script = iter([LoewnerLabError("refused"), 0.5, 2.0, 1.5])
+    script = iter([LoewnerLabError("refused"), 0.5, 2.0, 3.0, 1.5])
     alone, windows = [], []
 
     def ratios(ineq, stacks, pick, pools, tol_rel):
@@ -185,9 +185,10 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
     inst, ratio, accepted = suite._refine("polya-szego", best, 1.0, 0, rng, config, pools,
                                           BOUNDS)
     # move 0 is refused (None), move 1 falls short, move 2 is accepted and ends
-    # the window: move 3 is never evaluated alone against the old best
+    # the window: move 3 is evaluated alone against the old best too, and its
+    # larger ratio is dropped, since the first accepted move ends the window
     assert windows == [4, 1]
-    assert alone == [_key(cands[0]), _key(cands[1]), _key(cands[2]), _key(after)]
+    assert alone == [*map(_key, cands), _key(after)]
     assert (ratio, accepted) == (2.0, 1)
     assert _key(inst) == _key(cands[2])
     assert (rng._state, rng._spare) == (reference._state, reference._spare)
@@ -196,7 +197,7 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
 def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
     config, pools, best = _climb_setup(3)
     insts = [suite._moved(best, suite._draw_move(SplitMix64(k), 3), *BOUNDS) for k in range(4)]
-    script = iter([LoewnerLabError("refused"), 0.5, 2.0])
+    script = iter([LoewnerLabError("refused"), 0.5, 2.0, 1.5])
 
     def ratios(ineq, stacks, pick, pools, tol_rel):
         if len(stacks[2]) > 1:
@@ -208,8 +209,9 @@ def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
 
     monkeypatch.setattr(suite, "_probe_ratios", ratios)
     stacks = suite._probe_stacks(BOUNDED, insts, BOUNDS)
-    assert suite._probe_evaluate("polya-szego", stacks, 0, config, pools, above=1.0) == [
-        None, 0.5, 2.0]
+    # every slice is evaluated alone, to the end
+    assert suite._probe_evaluate("polya-szego", stacks, 0, config, pools) == [
+        None, 0.5, 2.0, 1.5]
 
 
 def test_windows_double_up_to_64_moves(monkeypatch):

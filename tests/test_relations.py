@@ -8,7 +8,8 @@ import pytest
 from loewner_lab import SplitMix64, suite
 from loewner_lab.certificates import ROWS, check_stack
 from loewner_lab.generate import random_orthogonal
-from loewner_lab.kernels import DEFAULT_DECREASING_SPECS, DEFAULT_MONOTONE_SPECS
+from loewner_lab.kernels import (DEFAULT_DECREASING_SPECS, DEFAULT_KERNEL_SPECS,
+                                 DEFAULT_MONOTONE_SPECS, is_symmetric_kernel, parse_kernel)
 from loewner_lab.spectral import SymStack
 from loewner_lab.suite import SuiteConfig
 
@@ -107,3 +108,56 @@ def test_homogeneity(ineq, dim):
 def test_homogeneous_pools_keep_the_powers():
     assert HOMOGENEOUS_PICKS == {"monotone_fns": ("power:0.5", "power:1"),
                                  "decreasing_fns": ("inv_power:1", "inv_power:0.5")}
+
+
+# Swap symmetry: every default kernel k is symmetric, k(x) = x k(1/x), so
+# A sigma B = B sigma A, and s A <= B <= t A is (1/t) B <= A <= (1/s) B, so
+# swapping A and B, with a sandwich cell's (s, t) -> (1/t, 1/s), keeps both
+# sides of these rows; (m, M) bound A and B alike, and the free cell has no
+# bounds, so they keep their cell.
+NOT_SWAPPED = {
+    "squared": "its order cell A <= B is not symmetric, so the swapped pair is refused",
+    "strengthened-remark": "its reflected cell sends s t >= 1 to s t <= 1, which is refused",
+    **dict.fromkeys(("midpoint", "diaz-metcalf", "klamkin-mclenaghan"),
+                    "it weights A by sqrt(st), so the swap moves the ratio"),
+    **SKIPPED,
+}
+
+
+def _swapped(cells: list, sandwich: bool) -> list:
+    return [(1.0 / t, 1.0 / s) for s, t in cells] if sandwich else cells
+
+
+def assert_swap_symmetry(ineq: str, dim: int, seed: int) -> None:
+    """Swapping A and B, and (s, t) to (1/t, 1/s) in a sandwich cell, keeps
+    each trial's verdict and its ratio within 1e-12 of max(1, |ratio|)."""
+    row = ROWS[ineq]
+    config = SuiteConfig(inequalities=(ineq,), dims=(dim,), trials=TRIALS, seed=seed)
+    pools = suite._build_pools(config, dim, [ineq])
+    sandwich = row.cell.bounds == ("s", "t")
+    for trials in suite._stacks(ineq, dim, range(TRIALS), pools):
+        A, B, cells = suite._draw(ineq, dim, trials, config)
+        picks = suite._picked(row, trials, pools)
+        base = check_stack(row, A, B, cells, picks)
+        swapped = check_stack(row, B, A, _swapped(cells, sandwich), picks)
+        assert swapped.holds == base.holds, (ineq, trials)
+        ratio, ratio_swapped = np.array(base.ratio), np.array(swapped.ratio)
+        finite = np.isfinite(ratio)
+        assert np.array_equal(ratio[~finite], ratio_swapped[~finite])
+        assert np.all(np.abs(ratio_swapped - ratio)[finite]
+                      <= 1e-12 * np.maximum(1.0, np.abs(ratio[finite]))), (ineq, trials)
+
+
+@pytest.mark.parametrize("ineq", [i for i in ROWS if i not in NOT_SWAPPED])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_swap_symmetry(ineq, dim):
+    assert_swap_symmetry(ineq, dim, seed=dim)
+
+
+def test_swap_symmetry_runs_on_the_symmetric_rows_of_the_default_kernels():
+    assert all(is_symmetric_kernel(parse_kernel(spec)) for spec in DEFAULT_KERNEL_SPECS)
+    assert [i for i in ROWS if i not in NOT_SWAPPED] == [
+        "ando", "polya-szego", "kantorovich-f", "sandwich-lemma", "main-monotone",
+        "main-decreasing", "gruss-f", "gruss-g", "squared-consequence-f",
+        "squared-consequence-g", "norm-ratio-tau", "norm-ratio-sharp", "norm-ratio-power4",
+        "norm-ratio-eq15"]

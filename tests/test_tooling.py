@@ -43,11 +43,14 @@ def test_every_step_function_resolves():
 def test_every_probe_step_passes_through_a_step_function(monkeypatch):
     # the clock samples probe-sweep only where the start scan and the refine
     # windows call a step function through the module global
-    calls = []
+    calls, refining = [], []
+    real_refine = suite._refine
+    monkeypatch.setattr(suite, "_refine",
+                        lambda *a: refining.append(True) or real_refine(*a))
     for name in _load("speed").STEP_FUNCTIONS:
         real = getattr(suite, name)
         monkeypatch.setattr(suite, name, lambda *a, real=real, name=name, **kw: calls.append(
-            (name, "above" in kw)) or real(*a, **kw))
+            (name, bool(refining))) or real(*a, **kw))
     config = suite.SuiteConfig(inequalities=("polya-szego",), dims=(2,), trials=3, seed=7,
                                probe_refine_steps=10)
     suite.probe_tightness(config)
