@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import HypothesisError, NotUnitalError
 from .generate import (
-    A_SPECTRUM,
     BoundedPair,
     SandwichPair,
     _bounded_pair,
@@ -155,16 +154,24 @@ class Cell:
     ``bounds`` names the bounds that the trials' cells hold; two (lo, hi)
     need 0 < lo < hi when ``strict``, else 0 < lo <= hi.  ``sample(rngs,
     config)`` draws each stream's bounds where the config does not fix
-    them, ``reflect(*bounds)`` moves those bounds into the cell (probe's
-    too), and ``pair(rngs, dim, cells, corner)`` draws the stacks ``(A, B,
-    cells)`` in them (None for a cell without matrices).  ``check(x)``
-    raises for the stack x where a slice breaks the cell's hypothesis, by
-    the ordering rule first (None: no hypothesis).  ``probe`` holds probe's
-    default bounds, or None where probe does not search the cell.
+    them, and ``reflect(*bounds)`` moves those bounds into the cell (probe's
+    too).  A cell with matrices declares its instance once, for the draw
+    and for probe, as A = Q_a^T diag(lam_a) Q_a and C the same of C's
+    coordinates: ``spectra(*bounds)`` gives the (lo, hi) ranges of lam_a
+    and of lam_c, ``corner(*bounds)`` the (x, y) patterns x, y, x, ... of
+    A and of C at the commuting boundary instance (None: the cell has
+    none), and ``pair(A, C)`` the stacks (A, B) (None: the cell holds no
+    matrices); each bound is one number, or one per slice in ``spectra``.
+    ``check(x)`` raises for the stack x where a slice breaks the cell's
+    hypothesis, by the ordering rule first (None: no hypothesis).
+    ``probe`` holds probe's default bounds, or None where probe does not
+    search the cell.
     """
 
     bounds: tuple
     sample: Callable | None = None
+    spectra: Callable | None = None
+    corner: Callable | None = None
     pair: Callable | None = None
     check: Callable | None = None
     strict: bool = False
@@ -177,13 +184,20 @@ class Cell:
         return None if None in values else values
 
     def draw(self, rngs: list, dim: int, config, corner: bool = False) -> tuple:
-        """The stacks ``(A, B, cells)`` of the trial streams ``rngs``;
-        ``corner`` makes the first trial the commuting boundary instance."""
+        """The stacks ``(A, B, cells)`` of the trial streams ``rngs``, A
+        drawn first and then C, each with spectra uniform in its range;
+        ``corner`` makes the first trial the commuting boundary instance
+        where the cell has one."""
         values = self.fixed(config)
         cells = [self.reflect(*cell) for cell in (
             self.sample(rngs, config) if values is None
             else [tuple(float(v) for v in values)] * len(rngs))]
-        return (None, None, cells) if self.pair is None else self.pair(rngs, dim, cells, corner)
+        if self.pair is None:
+            return None, None, cells
+        pins = self.corner(*cells[0]) if corner and self.corner else (None, None)
+        A, C = (_spd(rngs, dim, *spectrum, pin)
+                for spectrum, pin in zip(self.spectra(*_cols(cells)), pins))
+        return (*self.pair(A, C), cells)
 
     def vet_order(self, lo: list, hi: list) -> None:
         """Raise for the first slice whose bounds break the ordering rule."""
@@ -593,30 +607,23 @@ def _spread_mM(rngs: list, config) -> list:
     return [(m, m * r) for m, r in log_uniform_rows(rngs, (0.5, 2.0), (1.5, 8.0)).tolist()]
 
 
-def _sandwich_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
-    return (*_sandwich_pair(rngs, dim, *_cols(cells), corner=corner), cells)
-
-
-def _bounded_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
-    return (*_bounded_pair(rngs, dim, *_cols(cells), corner=corner), cells)
-
-
-def _order_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
-    """Pairs A <= B with the spectrum of A in [m, M]."""
-    A = _spd(rngs, dim, *_cols(cells))
-    return A, A + _spd(rngs, dim, 1e-3, [max(1e-2, M - m) for m, M in cells]), cells
-
-
-def _free_cells(rngs: list, dim: int, cells: list, corner: bool) -> tuple:
-    return _spd(rngs, dim, *A_SPECTRUM), _spd(rngs, dim, *A_SPECTRUM), cells
-
-
-SANDWICH = Cell(("s", "t"), _sorted_st, _sandwich_cells, _sandwich, probe=(0.25, 4.0))
-SANDWICH_ST_GE_1 = Cell(("s", "t"), _sorted_st, _sandwich_cells, _sandwich_st_ge_1,
-                        probe=(0.25, 4.0), reflect=_st_ge_1)
-BOUNDED = Cell(("m", "M"), _spread_mM, _bounded_cells, _bounded, strict=True, probe=(1.0, 4.0))
-ORDER = Cell(("m", "M"), _spread_mM, _order_cells, _order)
-FREE = Cell((), pair=_free_cells)  # with no bounds, a config always fixes them
+# The spectrum range of A in a sandwich cell and of A and C in the free cell.  A cell's
+# draw calls _spd, and its pairing _sandwich_pair or _bounded_pair, by name, so a
+# wrapper set on the names sees it.
+A_SPECTRUM = (0.25, 4.0)
+SANDWICH = Cell(("s", "t"), _sorted_st, spectra=lambda s, t: (A_SPECTRUM, (s, t)),
+                corner=lambda s, t: ((1.0, 4.0), (t, s)),
+                pair=lambda A, C: _sandwich_pair(A, C), check=_sandwich, probe=(0.25, 4.0))
+SANDWICH_ST_GE_1 = replace(SANDWICH, check=_sandwich_st_ge_1, reflect=_st_ge_1)
+BOUNDED = Cell(("m", "M"), _spread_mM, spectra=lambda m, M: ((m, M), (m, M)),
+               corner=lambda m, M: ((m, M), (M, m)),
+               pair=lambda A, C: _bounded_pair(A, C), check=_bounded, strict=True,
+               probe=(1.0, 4.0))
+ORDER = Cell(("m", "M"), _spread_mM,  # A <= B = A + C
+             spectra=lambda m, M: ((m, M), (1e-3, np.maximum(1e-2, np.subtract(M, m)))),
+             pair=lambda A, C: (A, A + C), check=_order)
+FREE = Cell((), spectra=lambda: (A_SPECTRUM, A_SPECTRUM),  # no bounds: a config fixes them
+            pair=lambda A, C: _bounded_pair(A, C))
 ALPHA = Cell(("alpha",), lambda rngs, config: [
     tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()],
     check=_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")))

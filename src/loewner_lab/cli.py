@@ -72,10 +72,8 @@ def _finish(report, args) -> int:
     for section_name, section in (("results", report.results), ("audit", report.audit_results)):
         for ineq, stats in section.items():
             status = "ok" if stats["violations"] == 0 else f"{stats['violations']} violations"
-            slack = stats["min_slack"]
-            slack_text = "n/a" if slack is None else f"{slack:.3e}"
             print(f"[{section_name}] {ineq}: {stats['holds_count']}/{stats['trials']} hold "
-                  f"({status}, min slack {slack_text})")
+                  f"({status}, min slack {stats['min_slack']:.3e})")
     if report.probe is not None:
         print(f"[probe] {report.probe['inequality']}: max ratio "
               f"{report.probe['max_ratio']:.6f} over cell {report.probe['cell']}")

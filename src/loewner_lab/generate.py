@@ -27,8 +27,6 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # mix64's constants as numpy scalars, for the bulk stream.
 _GAMMA64, _MIX1, _MIX2 = (np.uint64(c) for c in (GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-# The spectrum range of A in a sandwich pair and of both matrices of a free pair.
-A_SPECTRUM = (0.25, 4.0)
 
 
 def mix64(z: int) -> int:
@@ -198,12 +196,6 @@ def _compose(q: np.ndarray, lam: np.ndarray) -> SymStack:
     return SymStack(q.swapaxes(1, 2) @ diag @ q)
 
 
-def _sandwiched(A: SymStack, C: SymStack) -> SymStack:
-    """A^(1/2) C A^(1/2) for each slice, from A's remembered decomposition."""
-    root = decompose(A).root
-    return SymStack(root @ C.data @ root)
-
-
 def _spd(rngs, dim: int, lam_lo, lam_hi, corner: tuple | None = None) -> SymStack:
     """Q^T diag(lam) Q for each stream, as one SymStack, with lam uniform in
     [lam_lo, lam_hi] and Q from ``random_orthogonal``; ``lam_lo`` and
@@ -299,25 +291,17 @@ def verify_spectrum(name: str, X: SymStack, m, M, tol_rel: float = LOEWNER_TOL_R
                                   f"[{lo:.6g}, {hi:.6g}] outside [{m_k:.6g}, {M_k:.6g}]")
 
 
-def _sandwich_pair(rngs, dim: int, s, t, corner: bool = False) -> tuple:
-    """The stacks (A, B) of one sandwich pair per stream, with the spectrum
-    of A in ``A_SPECTRUM`` and B = A^(1/2) C A^(1/2), C with spectrum in
-    [s, t]; ``s`` and ``t`` hold one value per stream.
-
-    A ``corner`` pins slice 0 to the commuting boundary pair A = diag(1, 4,
-    1, ...), C = diag(t, s, t, ...).  The pair is built, not verified: A
-    keeps its decomposition, from which the sandwich cell's check solves
-    the inner matrix that the certificates of the same stacks read again.
-    """
-    A = _spd(rngs, dim, *A_SPECTRUM, (1.0, 4.0) if corner else None)
-    return A, _sandwiched(A, _spd(rngs, dim, s, t, (t[0], s[0]) if corner else None))
+def _sandwich_pair(A: SymStack, C: SymStack) -> tuple:
+    """The sandwich pairing: (A, B) with B = A^(1/2) C A^(1/2) for each
+    slice, from A's remembered decomposition, so s A <= B <= t A where C's
+    spectrum lies in [s, t].  The pair is built, not verified: A keeps its
+    decomposition, from which the sandwich cell's check solves the inner
+    matrix that the certificates of the same stacks read again."""
+    root = decompose(A).root
+    return A, SymStack(root @ C.data @ root)
 
 
-def _bounded_pair(rngs, dim: int, m, M, corner: bool = False) -> tuple:
-    """The stacks (A, B) of one independent pair per stream, both spectra
-    in [m, M]; ``m`` and ``M`` hold one value per stream.  A ``corner``
-    pins slice 0 to the commuting boundary pair with anti-aligned spectra:
-    m, M, m, ... for A and M, m, M, ... for B.  The pair is built, not
+def _bounded_pair(A: SymStack, C: SymStack) -> tuple:
+    """The independent pairing: (A, B) with B = C.  The pair is built, not
     verified: the bounded cell's check decomposes A and B."""
-    a_corner, b_corner = ((m[0], M[0]), (M[0], m[0])) if corner else (None, None)
-    return _spd(rngs, dim, m, M, a_corner), _spd(rngs, dim, m, M, b_corner)
+    return A, C

@@ -21,14 +21,12 @@ from . import certificates as certs
 from .certificates import ALL_INEQUALITIES, NON_AUDIT_INEQUALITIES, ROWS
 from .errors import HypothesisError, LoewnerLabError
 from .generate import (
-    A_SPECTRUM,
     SplitMix64,
     derive_seed,
     derive_seeds,
     fnv1a64,
     random_orthogonal,
     _compose,
-    _sandwiched,
 )
 from .kernels import (
     DEFAULT_CONVEX_SPECS,
@@ -504,13 +502,14 @@ def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Repor
     return run_suite(hunted)
 
 
-def _moved(inst: tuple, move: tuple, lo: float, hi: float) -> tuple:
+def _moved(inst: tuple, move: tuple, spectra: tuple) -> tuple:
     """The instance ``(q_a, lam_a, q_c, lam_c)`` after one ``_draw_move``
-    move, with eigenvalues clipped to [lo, hi]; it shares the arrays the move
-    keeps."""
+    move, with the eigenvalues of A and of C clipped to their ranges in
+    ``spectra``, the cell's; it shares the arrays the move keeps."""
     kind, i, j, x = move
     q_a, lam_a, q_c, lam_c = inst
-    if kind < 2:  # shift one eigenvalue, clipped to the cell
+    if kind < 2:  # shift one eigenvalue, clipped to its range
+        lo, hi = spectra[kind]
         lam = (lam_a if kind == 0 else lam_c).copy()
         lam[i] = float(np.clip(lam[i] + 0.2 * (hi - lo) * x, lo, hi))
         lam_a, lam_c = (lam, lam_c) if kind == 0 else (lam_a, lam)
@@ -529,8 +528,9 @@ def _draw_move(rng: SplitMix64, dim: int) -> tuple:
     """One hill-climb move ``(kind, i, j, x)``; the draws depend on ``dim`` only.
 
     Kinds 0 and 1 shift eigenvalue i of A or of C by x times a fifth of the
-    cell's width; kinds 2 and 3 rotate the factor of A or of C by the angle
-    x in the (i, j) plane, which is no move at dim 1 (i is None).
+    width of its spectrum's range; kinds 2 and 3 rotate the factor of A or
+    of C by the angle x in the (i, j) plane, which is no move at dim 1 (i
+    is None).
     """
     kind = rng.choice_index(4)
     if kind < 2:
@@ -545,35 +545,28 @@ def _draw_move(rng: SplitMix64, dim: int) -> tuple:
 def _probe_starts(cell: certs.Cell, dim: int, rng: SplitMix64, lo: float, hi: float,
                   n_random: int):
     """Corner instances (extremal, anti-aligned spectra) plus random starts,
-    each the eigen-coordinates ``(q_a, lam_a, q_c, lam_c)`` of one instance.
-
-    A bounded instance carries the spectra of A and B in [m, M]; a sandwich
-    one carries the spectrum of A in ``A_SPECTRUM`` and that of C in [s, t].
+    each the eigen-coordinates ``(q_a, lam_a, q_c, lam_c)`` of one instance,
+    with the cell's corner patterns and spectrum ranges at the bounds (lo, hi).
     """
-    bounded = cell is certs.BOUNDED
-    corner = np.array([hi if j % 2 == 0 else lo for j in range(dim)])
-    if bounded:
-        a_corner, a_lo, a_hi = np.array([lo if j % 2 == 0 else hi for j in range(dim)]), lo, hi
-    else:
-        a_corner, (a_lo, a_hi) = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), A_SPECTRUM
-    eye = np.eye(dim)
-    q = random_orthogonal(dim, rng)
-    starts = [(eye, a_corner, eye, corner), (q, a_corner, q if bounded else eye, corner)]
+    (a_range, c_range), eye = cell.spectra(lo, hi), np.eye(dim)
+    a_corner, c_corner = (np.array([x[j % 2] for j in range(dim)]) for x in cell.corner(lo, hi))
+    q_c = q = random_orthogonal(dim, rng)
+    if cell is not certs.BOUNDED:  # probe's own sandwich corner (ROADMAP item 12)
+        a_corner, q_c = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), eye
+    starts = [(eye, a_corner, eye, c_corner), (q, a_corner, q_c, c_corner)]
     for _ in range(n_random):
-        lam_a = rng.uniforms(dim, a_lo, a_hi)
-        lam_c = rng.uniforms(dim, lo, hi)
+        lam_a = rng.uniforms(dim, *a_range)
+        lam_c = rng.uniforms(dim, *c_range)
         starts.append((random_orthogonal(dim, rng), lam_a, random_orthogonal(dim, rng), lam_c))
     return starts
 
 
 def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:
     """The stacks ``(A, B, cells)`` of the given instances, built as a draw
-    builds its pairs: A = Q_a^T diag(lam_a) Q_a, and C the same of C's
-    coordinates, which is B in a bounded cell and gives B = A^(1/2) C A^(1/2)
-    in a sandwich cell."""
+    builds its pairs: A = Q_a^T diag(lam_a) Q_a, C the same of C's
+    coordinates, and (A, B) the cell's pairing of A and C."""
     q_a, lam_a, q_c, lam_c = (np.stack(x) for x in zip(*insts))
-    A, C = _compose(q_a, lam_a), _compose(q_c, lam_c)
-    return A, C if cell is certs.BOUNDED else _sandwiched(A, C), [bounds] * len(insts)
+    return (*cell.pair(_compose(q_a, lam_a), _compose(q_c, lam_c)), [bounds] * len(insts))
 
 
 def _probe_ratios(ineq: str, stacks: tuple, pick: int, pools: dict, tol_rel: float):
@@ -629,9 +622,10 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     """
     moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
     cell = ROWS[ineq].cell
+    spectra = cell.spectra(*bounds)
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
-        cands = [_moved(best, move, *bounds) for move in moves[step:step + window]]
+        cands = [_moved(best, move, spectra) for move in moves[step:step + window]]
         ratios = _probe_evaluate(ineq, _probe_stacks(cell, cands, bounds), pick, config, pools)
         hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
         if hit is None:
@@ -646,9 +640,9 @@ def probe_tightness(config: SuiteConfig) -> Report:
     """Random search plus coordinate hill-climb for the largest observed
     ratio of the config's one inequality, at its one dimension.
 
-    Perturbs eigenvalues (clipped to the hypothesis cell) and orthogonal
-    factors, accepting ratio increases, for ``probe_refine_steps`` steps
-    (see ``_refine``).
+    Perturbs eigenvalues (each clipped to its range in the cell) and
+    orthogonal factors, accepting ratio increases, for
+    ``probe_refine_steps`` steps (see ``_refine``).
     Constants are taken at multiplier 1.  Only sandwich and bounded cells
     are probed, within the bounds that a draw of the cell takes: a cell that
     reflects its bounds is searched in the reflected ones.

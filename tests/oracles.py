@@ -3,12 +3,12 @@ one instance through the evaluator, seeded pairs drawn one at a time, a
 brute-force Loewner oracle, and the kernel screens as loops over the grid."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from loewner_lab.certificates import ROWS, check_stack
-from loewner_lab.generate import (BoundedPair, SandwichPair, SplitMix64, _bounded_pair,
-                                  _sandwich_pair)
+from loewner_lab.certificates import BOUNDED, ROWS, SANDWICH, check_stack
+from loewner_lab.generate import BoundedPair, SandwichPair, SplitMix64
 from loewner_lab.kernels import (DOMINANCE_TOL, SYMMETRY_RTOL, DominanceVerdict,
                                  default_grid)
 from loewner_lab.spectral import LOEWNER_TOL_REL, SymStack
@@ -35,7 +35,7 @@ def certify(row, A, B, *bounds, constant_multiplier=1.0, tol_rel=LOEWNER_TOL_REL
 def sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
     """A seeded pair with s A <= B <= t A, drawn as one trial of a sandwich
     cell and verified (which remembers the scalars on A)."""
-    A, B = _sandwich_pair([SplitMix64(seed)], dim, [s], [t])
+    A, B, _ = SANDWICH.draw([SplitMix64(seed)], dim, SimpleNamespace(s=s, t=t))
     pair = SandwichPair(A, B, float(s), float(t))
     pair.verify()
     return pair
@@ -44,7 +44,7 @@ def sandwich_pair(dim: int, s: float, t: float, seed: int) -> SandwichPair:
 def bounded_pair(dim: int, m: float, M: float, seed: int) -> BoundedPair:
     """A seeded independent pair with both spectra in [m, M], drawn as one
     trial of a bounded cell and verified."""
-    A, B = _bounded_pair([SplitMix64(seed)], dim, [m], [M])
+    A, B, _ = BOUNDED.draw([SplitMix64(seed)], dim, SimpleNamespace(m=m, M=M))
     pair = BoundedPair(A, B, float(m), float(M))
     pair.verify()
     return pair

@@ -4,6 +4,7 @@ moves, evaluated as stacks, give what evaluating one move at a time gives."""
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewner_lab import SplitMix64, certificates, suite
-from loewner_lab.certificates import BOUNDED, SANDWICH
+from loewner_lab.certificates import A_SPECTRUM, BOUNDED, SANDWICH
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
 from loewner_lab.spectral import SymStack, decompose
@@ -37,17 +38,17 @@ def _rotate(q, rng):
     return q @ rot
 
 
-def _perturb(inst, rng, lo, hi):
-    """One move drawn and applied in one step, as the sequential climb did."""
+def _perturb(inst, rng, spectra):
+    """One move drawn and applied in one step, as the sequential climb did:
+    an eigenvalue of A or of C moves within its own range of ``spectra``."""
     q_a, lam_a, q_c, lam_c = (x.copy() for x in inst)
     dim = lam_a.size
     move = rng.choice_index(4)
-    if move == 0:
+    if move < 2:
+        lam = lam_a if move == 0 else lam_c
+        lo, hi = spectra[move]
         j = rng.choice_index(dim)
-        lam_a[j] = float(np.clip(lam_a[j] + 0.2 * (hi - lo) * rng.normal(), lo, hi))
-    elif move == 1:
-        j = rng.choice_index(dim)
-        lam_c[j] = float(np.clip(lam_c[j] + 0.2 * (hi - lo) * rng.normal(), lo, hi))
+        lam[j] = float(np.clip(lam[j] + 0.2 * (hi - lo) * rng.normal(), lo, hi))
     elif move == 2:
         q_a = _rotate(q_a, rng)
     else:
@@ -78,7 +79,7 @@ def _sequential_refine(ineq, best, best_ratio, pick, rng, config, pools, bounds)
     cell = suite.ROWS[ineq].cell
     accepted = 0
     for _ in range(config.probe_refine_steps):
-        cand = _perturb(best, rng, *bounds)
+        cand = _perturb(best, rng, cell.spectra(*bounds))
         ratio = suite._probe_evaluate(ineq, _reference_stacks(cell, [cand], bounds), pick,
                                       config, pools)[0]
         if ratio is not None and ratio > best_ratio:
@@ -140,6 +141,7 @@ def test_probe_never_solves_a_slack(ineq, monkeypatch):
 
 
 BOUNDS = (1.0, 4.0)
+SPECTRA = BOUNDED.spectra(*BOUNDS)
 
 
 def _climb_setup(steps):
@@ -160,8 +162,8 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
     reference = SplitMix64(2)
     moves = [suite._draw_move(reference, 3) for _ in range(4)]
     # the four moves from the old best, and move 3 from the best after move 2
-    cands = [suite._moved(best, move, *BOUNDS) for move in moves]
-    after = suite._moved(cands[2], moves[3], *BOUNDS)
+    cands = [suite._moved(best, move, SPECTRA) for move in moves]
+    after = suite._moved(cands[2], moves[3], SPECTRA)
     assert _key(after) != _key(cands[3])
     script = iter([LoewnerLabError("refused"), 0.5, 2.0, 3.0, 1.5])
     alone, windows = [], []
@@ -196,7 +198,7 @@ def test_window_that_raises_is_evaluated_one_move_at_a_time(monkeypatch):
 
 def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
     config, pools, best = _climb_setup(3)
-    insts = [suite._moved(best, suite._draw_move(SplitMix64(k), 3), *BOUNDS) for k in range(4)]
+    insts = [suite._moved(best, suite._draw_move(SplitMix64(k), 3), SPECTRA) for k in range(4)]
     script = iter([LoewnerLabError("refused"), 0.5, 2.0, 1.5])
 
     def ratios(ineq, stacks, pick, pools, tol_rel):
@@ -227,6 +229,67 @@ def test_windows_double_up_to_64_moves(monkeypatch):
     assert windows == [4, 8, 16, 32, 64, 64, 12]
 
 
+def test_corner_starts_are_pinned():
+    # starts 0 and 1 at dim 3: the bounded cell's draw corner, with one shared
+    # rotation in start 1, and probe's own sandwich corner, with C unrotated
+    eye = np.eye(3)
+    for cell, bounds, lam_a, lam_c, both in ((SANDWICH, (0.25, 4.0), [0.5, 0.75, 1.0],
+                                              [4.0, 0.25, 4.0], False),
+                                             (BOUNDED, BOUNDS, [1.0, 4.0, 1.0],
+                                              [4.0, 1.0, 4.0], True)):
+        (q_a0, lam_a0, q_c0, lam_c0), (q, lam_a1, q_c1, lam_c1) = suite._probe_starts(
+            cell, 3, SplitMix64(1), *bounds, 0)
+        assert hashlib.sha256(q.tobytes()).hexdigest() == (
+            "04e63e2f4cfffb08f60f88c0e5a60d639ce18a908fa2eef52e2a1bb7320f8153")
+        assert [x.tolist() for x in (lam_a0, lam_c0, lam_a1, lam_c1)] == [lam_a, lam_c] * 2
+        for x, want in ((q_a0, eye), (q_c0, eye), (q_c1, q if both else eye)):
+            assert x.tobytes() == want.tobytes()
+
+
+def test_bounded_corner_start_is_the_draws_corner():
+    start = suite._probe_starts(BOUNDED, 3, SplitMix64(1), *BOUNDS, 0)[0]
+    A, B, _ = suite._probe_stacks(BOUNDED, [start], BOUNDS)
+    drawn = BOUNDED.draw([SplitMix64(k) for k in range(3)], 3,
+                         SimpleNamespace(m=BOUNDS[0], M=BOUNDS[1]), corner=True)
+    assert A.data[0].tobytes() == drawn[0].data[0].tobytes()
+    assert B.data[0].tobytes() == drawn[1].data[0].tobytes()
+
+
+@pytest.mark.parametrize("st", [(0.9, 1.1), (2.0, 3.0)])
+def test_moves_keep_each_spectrum_in_its_own_range(st):
+    # at fixed (s, t) a sandwich A's spectrum still ranges over A_SPECTRUM:
+    # a move of A is scaled and clipped by A_SPECTRUM, and one of C by [s, t]
+    spectra = SANDWICH.spectra(*st)
+    assert spectra == (A_SPECTRUM, st)
+    rng = SplitMix64(3)
+    insts = suite._probe_starts(SANDWICH, 4, rng, *st, 2)
+    kinds = set()
+    for inst in insts:
+        for _ in range(20):
+            kind, i, j, x = move = suite._draw_move(rng, 4)
+            got = suite._moved(inst, move, spectra)
+            if kind < 2:
+                (lo, hi), k = spectra[kind], 1 + 2 * kind
+                want = inst[k].copy()
+                want[i] = min(max(want[i] + 0.2 * (hi - lo) * x, lo), hi)
+                assert got[k].tolist() == want.tolist()
+                kinds.add(kind)
+    assert kinds == {0, 1}
+    # probe's sandwich corner holds A's eigenvalue 0.5, outside [s, t]: a
+    # move of it stays in A_SPECTRUM, and is not pulled into [s, t]
+    moved = suite._moved(insts[0], (0, 3, None, 0.1), spectra)[1]
+    assert moved.tolist() == [0.5, 0.75, 1.0, 0.5 + 0.2 * 3.75 * 0.1]
+
+
+@pytest.mark.parametrize("ineq", ["main-monotone", "strengthened-remark"])
+@pytest.mark.parametrize("st", [(0.9, 1.1), (2.0, 3.0)])
+def test_windowed_climb_at_fixed_bounds_equals_the_sequential_one(ineq, st, monkeypatch):
+    config = SuiteConfig(inequalities=(ineq,), dims=(4,), trials=10, seed=3,
+                         probe_refine_steps=200, s=st[0], t=st[1])
+    assert (_probe(config, suite._refine, monkeypatch)
+            == _probe(config, _sequential_refine, monkeypatch))
+
+
 @settings(max_examples=60, deadline=None)
 @given(bounded=st.booleans(), dim=st.integers(1, 16),
        n=st.integers(0, 4), seed=st.integers(0, 2**64 - 1), wide=st.booleans())
@@ -237,7 +300,8 @@ def test_probe_stacks_equal_the_instances_built_one_by_one(bounded, dim, n, seed
               (False, False): (0.25, 4.0), (False, True): (0.5, 0.8)}[bounded, wide]
     rng = SplitMix64(seed)
     starts = suite._probe_starts(cell, dim, rng, *bounds, n)
-    insts = starts + [suite._moved(inst, suite._draw_move(rng, dim), *bounds) for inst in starts]
+    spectra = cell.spectra(*bounds)
+    insts = starts + [suite._moved(inst, suite._draw_move(rng, dim), spectra) for inst in starts]
     A, B, cells = suite._probe_stacks(cell, insts, bounds)
     assert cells == [bounds] * len(insts)
     for k, inst in enumerate(insts):

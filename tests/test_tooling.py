@@ -97,6 +97,34 @@ def test_vet_span_fires_once_per_sandwich_or_bounded_stack(monkeypatch):
     assert (names == tracer.names.index("certificates.vet")).sum() >= len(stacks)
 
 
+def test_draw_spans_fire_once_per_sandwich_or_bounded_stack(monkeypatch):
+    # a cell's draw calls _spd and its pairing, _sandwich_pair or
+    # _bounded_pair, through the names that the tracer wraps: a cell that
+    # held one of them itself would hide its draws from the generate spans
+    from loewner_lab import certificates as certs
+
+    tracer = _load("spans").Tracer()
+    stacks = []
+    tracer.install()
+    try:
+        real = suite._evaluate_trial
+        monkeypatch.setattr(suite, "_evaluate_trial", lambda *a: stacks.append(a) or real(*a))
+        suite.run_suite(suite.SuiteConfig(inequalities=("midpoint", "polya-szego"), dims=(2, 3),
+                                          trials=3, seed=7))
+    finally:
+        tracer.uninstall()
+    names = tracer.arrays()[0]
+    cells = [suite.ROWS[stack[0]].cell for stack in stacks]
+
+    def fired(span):
+        return (names == tracer.names.index(span)).sum() if span in tracer.names else 0
+
+    assert cells.count(certs.SANDWICH) and cells.count(certs.BOUNDED)
+    assert fired("generate.spd") >= 2 * len(stacks)  # A, then C
+    assert fired("generate.sandwich_pair") >= cells.count(certs.SANDWICH)
+    assert fired("generate.bounded_pair") >= cells.count(certs.BOUNDED)
+
+
 def test_check_stack_is_the_one_entry_point_and_readme_lists_every_export():
     # certificates binds no check_* name but check_stack, so the tracer's
     # certificates.check span times one call per stack; and the package root
@@ -206,8 +234,9 @@ def _functions(module):
 def test_each_norm_variant_and_map_dimension_is_declared_once():
     # the norm table holds every variant, and NormKind, parse_norm and
     # ui_norm read it rather than naming a variant; so does the suite, which
-    # fits each norm to a dimension by the table, and asks a cell whether it
-    # holds matrices rather than naming cells; each map sets its dimensions
+    # fits each norm to a dimension by the table, and reads a cell's
+    # declaration rather than naming cells (but for probe's own sandwich
+    # corner), with no spectrum or pairing of its own; each map sets its dimensions
     # where it is built, with no property that derives them; and a matrix
     # runs the spectral layer's stack code, with no branch on ndim
     import ast
@@ -232,7 +261,19 @@ def test_each_norm_variant_and_map_dimension_is_declared_once():
     in_suite = [lit.value for lit in ast.walk(tree) if isinstance(lit, ast.Constant)
                 and lit.value in variants | {"op", "nuclear", "fro"}]
     assert in_suite == []
-    assert names(tree) & {"ALPHA", "SPECHT"} == set()
+    from loewner_lab import certificates as certs
+
+    cells = {name for name, value in vars(certs).items()
+             if any(value is cell for cell in certs.CELLS)}
+    assert len(cells) == len(certs.CELLS)
+    starts, = [node for node in tree.body if getattr(node, "name", None) == "_probe_starts"]
+    assert {name for node in tree.body if node is not starts for name in names(node)} & cells \
+        == set()
+    assert names(starts) & cells == {"BOUNDED"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    drawn = {"A_SPECTRUM", "_spd", "_sandwich_pair", "_bounded_pair"}
+    assert (imported | names(tree)) & drawn == set()
     one_path = {(None, "_eigh"), (None, "_fro"), (None, "ui_norm")}
     bodies = [node for owner, node in _functions(spectral) if (owner, node.name) in one_path]
     assert len(bodies) == len(one_path)
