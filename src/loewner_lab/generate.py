@@ -239,10 +239,16 @@ def estimate_sandwich(A: SymStack, B: SymStack) -> tuple:
     return spectrum_bounds(inner_matrix(A, B))
 
 
-def _slices(X: SymStack, *values) -> zip:
-    """The values' rows as Python floats, one per slice of X: each value is
-    a number for every slice, or a sequence or array with one per slice."""
-    return zip(*(np.broadcast_to(v, len(X)).tolist() for v in values))
+def _vet_range(what: str, lo, hi, m, M, tol_rel: float) -> None:
+    """Raise, after ``what``, for the first slice whose [lo, hi] is not a number or
+    leaves [m, M] beyond the tolerance; ``m`` and ``M`` are numbers or one per slice."""
+    m, M = np.broadcast_to(m, lo.shape), np.broadcast_to(M, lo.shape)
+    tol = np.maximum(1e-12, tol_rel * np.maximum(1.0, M))
+    outside = ~((lo >= m - tol) & (hi <= M + tol))
+    if outside.any():
+        k = int(outside.argmax())
+        raise HypothesisError("{} [{:.6g}, {:.6g}] outside [{:.6g}, {:.6g}]".format(
+            what, *(v[k].item() for v in (lo, hi, m, M))))
 
 
 @dataclass(frozen=True)
@@ -258,11 +264,8 @@ class SandwichPair:
     def verify(self, tol_rel: float = LOEWNER_TOL_REL) -> None:
         """Raise for the first slice whose tightest scalars leave [s, t], or
         are not numbers."""
-        for lo, hi, s, t in _slices(self.A, *estimate_sandwich(self.A, self.B), self.s, self.t):
-            tol = max(1e-12, tol_rel * max(1.0, t))
-            if not (lo >= s - tol and hi <= t + tol):
-                raise HypothesisError(f"sandwich hypothesis fails: tightest [{lo:.6g}, {hi:.6g}] "
-                                      f"outside [{s:.6g}, {t:.6g}]")
+        _vet_range("sandwich hypothesis fails: tightest", *estimate_sandwich(self.A, self.B),
+                   self.s, self.t, tol_rel)
 
 
 @dataclass(frozen=True)
@@ -284,11 +287,7 @@ class BoundedPair:
 def verify_spectrum(name: str, X: SymStack, m, M, tol_rel: float = LOEWNER_TOL_REL) -> None:
     """Raise for the first slice of X whose spectrum leaves [m, M], or is not
     a number; ``m`` and ``M`` are scalars or one value per slice."""
-    for lo, hi, m_k, M_k in _slices(X, *spectrum_bounds(X), m, M):
-        tol = max(1e-12, tol_rel * max(1.0, M_k))
-        if not (lo >= m_k - tol and hi <= M_k + tol):
-            raise HypothesisError(f"bound hypothesis fails for {name}: spectrum "
-                                  f"[{lo:.6g}, {hi:.6g}] outside [{m_k:.6g}, {M_k:.6g}]")
+    _vet_range(f"bound hypothesis fails for {name}: spectrum", *spectrum_bounds(X), m, M, tol_rel)
 
 
 def _sandwich_pair(A: SymStack, C: SymStack) -> tuple:

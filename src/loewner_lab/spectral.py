@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -200,12 +199,12 @@ def _eigh(a: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
     qt = q.swapaxes(-1, -2)
-    # No entry exceeds ||A||_op, so below 1e150 no sum of squares can overflow.
-    big = np.abs(w).max(initial=0.0)
-    with np.errstate(over="ignore", invalid="ignore") if big > 1e150 else nullcontext():
-        residual = _fro((q * w[..., None, :]) @ qt - a)
-        orth = _fro(qt @ q - _eye(a.shape[-1]))
-        norm = _fro(a)
+    m = np.empty((3, *a.shape))  # residual, orthonormality defect and A, for one _fro pass
+    with np.errstate(over="ignore", invalid="ignore"):  # _fro rescales where a sum overflows
+        np.subtract(np.matmul(q * w[..., None, :], qt, out=m[0]), a, out=m[0])
+        np.subtract(np.matmul(qt, q, out=m[1]), _eye(a.shape[-1]), out=m[1])
+        m[2] = a
+        residual, orth, norm = _fro(m)
     return w, q, residual, np.maximum(1.0, norm), orth
 
 

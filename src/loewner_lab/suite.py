@@ -505,15 +505,21 @@ def hunt_counterexamples(config: SuiteConfig, constant_override: float) -> Repor
 def _moved(inst: tuple, move: tuple, spectra: tuple) -> tuple:
     """The instance ``(q_a, lam_a, q_c, lam_c)`` after one ``_draw_move``
     move, with the eigenvalues of A and of C clipped to their ranges in
-    ``spectra``, the cell's; it shares the arrays the move keeps."""
+    ``spectra``, the cell's; it shares the arrays the move keeps, and is
+    ``inst`` itself where the move changes nothing."""
     kind, i, j, x = move
     q_a, lam_a, q_c, lam_c = inst
     if kind < 2:  # shift one eigenvalue, clipped to its range
         lo, hi = spectra[kind]
-        lam = (lam_a if kind == 0 else lam_c).copy()
-        lam[i] = float(np.clip(lam[i] + 0.2 * (hi - lo) * x, lo, hi))
+        old = lam_a if kind == 0 else lam_c
+        lam = old.copy()
+        lam[i] = min(max(old.item(i) + 0.2 * (hi - lo) * x, lo), hi)
+        if lam[i] == old[i]:
+            return inst
         lam_a, lam_c = (lam, lam_c) if kind == 0 else (lam_a, lam)
-    elif i is not None:  # rotate one orthogonal factor in the (i, j) plane
+    elif i is None:  # a rotation at dim 1
+        return inst
+    else:  # rotate one orthogonal factor in the (i, j) plane
         rot = np.eye(q_a.shape[0])
         c, s = math.cos(x), math.sin(x)
         rot[i, i] = c
@@ -618,7 +624,8 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     one stack against the current best; the first accepted move in the
     window ends it, and the window after it starts at the next move.  This
     accepts the same moves, with the same ratios, as evaluating one move at
-    a time.
+    a time.  A move that changes nothing gives the best instance itself,
+    whose ratio, ``best_ratio``, is no increase: it is not evaluated.
     """
     moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
     cell = ROWS[ineq].cell
@@ -626,7 +633,10 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     accepted, step, window = 0, 0, _WINDOW_FIRST
     while step < len(moves):
         cands = [_moved(best, move, spectra) for move in moves[step:step + window]]
-        ratios = _probe_evaluate(ineq, _probe_stacks(cell, cands, bounds), pick, config, pools)
+        fresh = [cand for cand in cands if cand is not best]
+        scored = iter(_probe_evaluate(ineq, _probe_stacks(cell, fresh, bounds), pick, config,
+                                      pools) if fresh else ())
+        ratios = [None if cand is best else next(scored) for cand in cands]
         hit = next((k for k, r in enumerate(ratios) if r is not None and r > best_ratio), None)
         if hit is None:
             step, window = step + len(cands), min(2 * window, _WINDOW_MOST)
@@ -663,18 +673,20 @@ def probe_tightness(config: SuiteConfig) -> Report:
     dim = config.dims[0]
     pools = _build_pools(config, dim, [inequality_id])
     rng = SplitMix64(derive_seed(config.seed, fnv1a64("probe"), fnv1a64(inequality_id), dim))
-    # the largest spec pool's size, so every item of every pool is tried, and one pick at least
+    # as many picks as the largest spec pool has items, less those repeating an earlier pick's items
     n_picks = max(1, *(len(pools[name]) for name in SPEC_POOLS))
+    firsts = {tuple(id(item) for item, in _picked(ROWS[inequality_id], [pick], pools).values()):
+              pick for pick in reversed(range(n_picks))}
     starts = _probe_starts(cell, dim, rng, *bounds, config.trials)
     # each chunk is built once, so every pick reads the same solved stacks
     chunks = [_probe_stacks(cell, chunk, bounds) for chunk in _chunks(starts, dim)]
-    by_pick = [[ratio for stacks in chunks
-                for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
-               for pick in range(n_picks)]
-    # the first largest ratio, start-major and pick-minor, as one start at a time
+    by_pick = {pick: [ratio for stacks in chunks
+                      for ratio in _probe_evaluate(inequality_id, stacks, pick, config, pools)]
+               for pick in sorted(firsts.values())}
+    # the first largest ratio, start-major and pick-minor, as one start at a time: no repeat wins
     best_ratio, best_inst, best_pick = max(
         ((by_pick[pick][k], inst, pick) for k, inst in enumerate(starts)
-         for pick in range(n_picks) if by_pick[pick][k] is not None),
+         for pick in by_pick if by_pick[pick][k] is not None),
         key=lambda best: best[0], default=(None, None, None))
     if best_inst is None:
         raise LoewnerLabError("probe found no feasible instance")

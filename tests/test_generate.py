@@ -9,13 +9,21 @@ from loewner_lab import (
     SplitMix64,
     SymStack,
     estimate_sandwich,
+    generate,
     loewner_compare,
     random_orthogonal,
     random_spd,
     spectrum_bounds,
 )
 from loewner_lab.errors import HypothesisError
-from loewner_lab.generate import BoundedPair, SandwichPair, derive_seed, fnv1a64, mix64
+from loewner_lab.generate import (
+    BoundedPair,
+    SandwichPair,
+    derive_seed,
+    fnv1a64,
+    mix64,
+    verify_spectrum,
+)
 from loewner_lab.spectral import LOEWNER_TOL_REL, op_norm
 from oracles import bounded_pair, one, quadratic_form_slack, sandwich_pair
 
@@ -177,6 +185,33 @@ def test_a_pair_check_reads_one_number_as_every_slices_bound():
         BoundedPair(A, B, 1.0, 2.0).verify()
     with pytest.raises(ValueError):  # one bound per slice, or one for all
         BoundedPair(A, B, [1.0, 1.0, 1.0], 2.0).verify()
+
+
+def test_a_pair_check_names_its_first_failing_slice():
+    # per-slice bounds that slice 0 keeps and slices 1 and 2 leave: the
+    # message holds slice 1's values
+    A = SymStack(np.stack([np.eye(2)] * 3))
+    B = SymStack(np.stack([np.eye(2), 3.0 * np.eye(2), 5.0 * np.eye(2)]))
+    with pytest.raises(HypothesisError, match=r"^sandwich hypothesis fails: tightest \[3, 3\] "
+                                              r"outside \[0.5, 2\]$"):
+        SandwichPair(A, B, [0.5, 0.5, 0.25], [4.0, 2.0, 1.5]).verify()
+    with pytest.raises(HypothesisError, match=r"^bound hypothesis fails for X: spectrum \[3, 3\] "
+                                              r"outside \[1, 2\]$"):
+        verify_spectrum("X", B, [0.5, 1, 6.0], [2.0, 2, 8.0])
+    SandwichPair(A, B, [0.5, 2.0, 4.0], [4.0, 3.0, 5.0]).verify()
+    verify_spectrum("X", B, [1.0, 3.0, 5.0], 5.0)
+
+
+def test_a_pair_check_refuses_a_spectrum_that_is_no_number(monkeypatch):
+    # a nan bound of slice 1 fails both comparisons, whichever side it is on
+    A = SymStack(np.stack([np.eye(2)] * 3))
+    nan = np.array([1.0, np.nan, 1.0])
+    monkeypatch.setattr(generate, "spectrum_bounds", lambda X: (np.ones(3), nan))
+    with pytest.raises(HypothesisError, match=r"for A: spectrum \[1, nan\] outside \[0.5, 2\]"):
+        verify_spectrum("A", A, 0.5, 2.0)
+    monkeypatch.setattr(generate, "estimate_sandwich", lambda A, B: (nan, np.ones(3)))
+    with pytest.raises(HypothesisError, match=r"tightest \[nan, 1\] outside \[0.5, 2\]"):
+        SandwichPair(A, A, 0.5, 2.0).verify()
 
 
 class TestEstimateSandwich:

@@ -217,16 +217,31 @@ def test_refused_move_in_a_fallen_back_window_reads_as_none(monkeypatch):
 
 
 def test_windows_double_up_to_64_moves(monkeypatch):
+    # windows are counted in moves, also moves that change nothing: those give
+    # the best instance itself, which never reaches the window's stack
     config, pools, best = _climb_setup(200)
-    windows = []
+    moved, windows = [], []
+    real_moved, real_stacks = suite._moved, suite._probe_stacks
+
+    def move(inst, *args):
+        out = real_moved(inst, *args)
+        moved.append(out is inst)
+        return out
+
+    def stacks(cell, insts, bounds):
+        assert all(inst is not best for inst in insts)
+        return real_stacks(cell, insts, bounds)
 
     def refuse_all(ineq, stacks, *args, **kwargs):
-        windows.append(len(stacks[2]))
+        windows.append(len(moved) - sum(windows))
         return [None] * len(stacks[2])
 
+    monkeypatch.setattr(suite, "_moved", move)
+    monkeypatch.setattr(suite, "_probe_stacks", stacks)
     monkeypatch.setattr(suite, "_probe_evaluate", refuse_all)
     suite._refine("polya-szego", best, 1.0, 0, SplitMix64(2), config, pools, BOUNDS)
     assert windows == [4, 8, 16, 32, 64, 64, 12]
+    assert 0 < sum(moved) < len(moved)  # best's eigenvalues at the bounds stay put
 
 
 def test_corner_starts_are_pinned():
@@ -279,6 +294,120 @@ def test_moves_keep_each_spectrum_in_its_own_range(st):
     # move of it stays in A_SPECTRUM, and is not pulled into [s, t]
     moved = suite._moved(insts[0], (0, 3, None, 0.1), spectra)[1]
     assert moved.tolist() == [0.5, 0.75, 1.0, 0.5 + 0.2 * 3.75 * 0.1]
+
+
+def test_moves_that_change_nothing_give_the_instance_itself():
+    # the corner start's eigenvalues sit at the bounds (1, 4): a move outward
+    # is clipped back, and a step that rounds away leaves the value too
+    corner = suite._probe_starts(BOUNDED, 3, SplitMix64(1), *BOUNDS, 0)[0]
+    assert [corner[1].tolist(), corner[3].tolist()] == [[1.0, 4.0, 1.0], [4.0, 1.0, 4.0]]
+    for move in ((0, 0, None, -1.0), (0, 1, None, 2.0), (0, 0, None, 1e-300),
+                 (1, 0, None, 0.5), (1, 1, None, -3.0), (1, 2, None, -1e-300)):
+        assert suite._moved(corner, move, SPECTRA) is corner, move
+    # a rotation at dim 1 is no move
+    rng = SplitMix64(5)
+    single = suite._probe_starts(BOUNDED, 1, rng, *BOUNDS, 1)[2]
+    rotations = [m for m in (suite._draw_move(rng, 1) for _ in range(20)) if m[0] >= 2]
+    assert {m[0] for m in rotations} == {2, 3}
+    for move in rotations:
+        assert move[1:] == (None, None, None)
+        assert suite._moved(single, move, SPECTRA) is single
+    # any other move gives a new instance, which keeps the arrays it does not move
+    for move, kept in (((0, 0, None, 0.5), (0, 2, 3)), ((1, 0, None, -0.5), (0, 1, 2)),
+                       ((2, 0, 1, 0.1), (1, 2, 3)), ((3, 1, 2, -0.1), (0, 1, 3))):
+        got = suite._moved(corner, move, SPECTRA)
+        assert got is not corner
+        assert [got[k] is corner[k] for k in range(4)] == [k in kept for k in range(4)]
+
+
+@pytest.mark.parametrize("old", [1.0, 3.0, 6.0])
+@pytest.mark.parametrize("x", [-6.0, -5.0, -2.0, -1e-300, 0.0, 1e-300, 2.0, 3.0, 5.0, 6.0])
+def test_eigenvalue_moves_clip_as_numpy_does(old, x):
+    # a range of width 5, so a move's step is x itself: values inside, at and
+    # beyond each bound give numpy's clip bit for bit, and an unchanged value
+    # gives the instance itself
+    spectra = ((1.0, 6.0), (1.0, 6.0))
+    inst = (np.eye(2), np.array([old, 2.0]), np.eye(2), np.array([2.0, old]))
+    want = float(np.clip(old + 0.2 * 5.0 * x, 1.0, 6.0))
+    for kind, k, i in ((0, 1, 0), (1, 3, 1)):
+        got = suite._moved(inst, (kind, i, None, x), spectra)
+        assert got[k][i].tobytes() == np.float64(want).tobytes()
+        assert (got is inst) == (want == old)
+
+
+class _ScanOver(Exception):
+    pass
+
+
+def _scanned_picks(config, monkeypatch) -> list:
+    """The pick of each ``_probe_evaluate`` call of the start scan, in order."""
+    picks, real = [], suite._probe_evaluate
+
+    def stop(*args):
+        raise _ScanOver
+
+    monkeypatch.setattr(suite, "_probe_evaluate", lambda ineq, stacks, pick, *a: picks.append(
+        pick) or real(ineq, stacks, pick, *a))
+    monkeypatch.setattr(suite, "_refine", stop)
+    with pytest.raises(_ScanOver):
+        suite.probe_tightness(config)
+    return picks
+
+
+_EIGHT_NORMS = ("op", "fro", "nuclear", "trace", "kyfan:2", "kyfan:3", "schatten:3", "schatten:4")
+
+
+@pytest.mark.parametrize("ineq, fields, picks", [
+    ("sandwich-lemma", {}, [0]), ("midpoint", {}, [0]),
+    ("squared-consequence-f", {}, [0, 1, 2, 3]), ("squared-consequence-g", {}, [0, 1, 2]),
+    # eight picks of eight norms: polya-szego reads only the six maps
+    ("polya-szego", {"norms": _EIGHT_NORMS}, [0, 1, 2, 3, 4, 5]),
+    # 130 starts of dim 16 are two chunks, each evaluated once
+    ("sandwich-lemma", {"dims": (16,), "trials": 128}, [0, 0]),
+    ("midpoint", {"dims": (16,), "trials": 128}, [0, 0]),
+])
+def test_start_scan_skips_repeated_picks(ineq, fields, picks, monkeypatch):
+    # of as many picks as the largest spec pool has items (six at the
+    # defaults), the first of each combination of the row's pool items is
+    # scanned, once per chunk of starts: a row with no picks scans pick 0
+    config = SuiteConfig(**{"inequalities": (ineq,), "dims": (3,), "trials": 4, "seed": 1,
+                            **fields})
+    dim, = config.dims
+    pools = suite._build_pools(config, dim)
+    assert max(len(pools[name]) for name in suite.SPEC_POOLS) == (8 if "norms" in fields else 6)
+    assert len(suite._chunks(list(range(config.trials + 2)), dim)) == picks.count(0)
+    assert _scanned_picks(config, monkeypatch) == picks
+
+
+@pytest.mark.parametrize("args, sha", [
+    (["--ineq", "sandwich-lemma", "--seed", "0"],
+     "5bc9a3a8fdece6d096912ed38c1076fefbfc6532f0d137361f299db21556255f"),
+    (["--ineq", "sandwich-lemma", "--seed", "1"],
+     "449fedbf1a827e1aacf276fa8b303db92339c804e425c8e3678d915e02248650"),
+    (["--ineq", "sandwich-lemma", "--seed", "2"],
+     "25d2cb3d12d7dbfa002f72e5317d535a651b74b138d2fed16fbafbd836562cd3"),
+    (["--ineq", "midpoint", "--seed", "0"],
+     "fcd9df94e0a5e152efdfc5c94f8290291841d13da0ade1b5b51a90c61b1a201d"),
+    (["--ineq", "midpoint", "--seed", "1"],
+     "1577797525931599cd34aea3ec2cb6be79f9ca05b02f3f68b1b4e72cafc2f2ec"),
+    (["--ineq", "midpoint", "--seed", "2"],
+     "f64e09104b4ae8a1e4cf2e582870bb1769fc6e1c9536cb4ce4ad13a68b195958"),
+    (["--ineq", "squared-consequence-g", "--seed", "0"],
+     "712fcb5d3f2f1e0457c22786e3367811974193430604b00cde867753438d9f55"),
+    (["--ineq", "squared-consequence-g", "--seed", "1"],
+     "d0889cd8a0646fc916c7f8b742b2644f6304d1a6ceaf5e95d8fb8b3924612377"),
+    (["--ineq", "squared-consequence-g", "--seed", "2"],
+     "b7a85b1bc3577df8679b202805b25305780997563e2ccfe4748888ee4693c0b1"),
+    # eight norms make eight picks of the six maps: picks 6 and 7 repeat 0 and 1
+    (["--ineq", "polya-szego", "--seed", "1",
+      "--norm", "op,fro,nuclear,trace,kyfan:2,kyfan:3,schatten:3,schatten:4"],
+     "ba7397948ff5706c4df600405f276c563617fb9e0b8b4c4e02b94bf91dbebf97"),
+])
+def test_probes_that_skip_repeated_picks_are_pinned(args, sha, tmp_path):
+    # the report bytes of evaluating every pick, before repeated ones were skipped
+    path = tmp_path / "probe.json"
+    assert cli_main(["probe", *args, "--dims", "3", "--trials", "4", "--report", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("ineq", ["main-monotone", "strengthened-remark"])

@@ -37,6 +37,7 @@ from loewner_lab.spectral import (
     DEFAULT_NORM_SPECS,
     SymStack,
     _eigh,
+    _fro,
     decompose,
     loewner_slack,
     op_norm,
@@ -288,6 +289,30 @@ def test_stacked_spectral_layer_matches_single_matrices():
     alone = _eigh(big[None])  # (w, q, residual, scale, orth)
     beside = _eigh(np.stack([np.zeros_like(big), big]))
     assert [x[0].tobytes() for x in alone] == [y[1].tobytes() for y in beside]
+
+
+def _contract_figures_one_at_a_time(a):
+    """(residual, scale, orth) of ``_eigh``, each figure with its own ``_fro``
+    call: the reference for its one pass over the three."""
+    w, q = np.linalg.eigh(a)
+    qt = q.swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _fro((q * w[..., None, :]) @ qt - a)
+        orth = _fro(qt @ q - np.eye(a.shape[-1]))
+        norm = _fro(a)
+    return residual, np.maximum(1.0, norm), orth
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6, 16])
+def test_contract_figures_in_one_pass_equal_one_figure_at_a_time(dim):
+    # plain stacks, and one whose sums of squares overflow beside a zero and a
+    # plain slice, so that _fro rescales some figures of the pass and not others
+    a = np.concatenate([random_spd(dim, 0.01, 100.0, seed).data for seed in range(3)])
+    big = a[0] * 1e200
+    for stack in (a[:1], a, np.stack([a[1], np.zeros_like(big), big, a[2]])):
+        w, q, *figures = _eigh(stack)
+        want = _contract_figures_one_at_a_time(stack)
+        assert [x.tobytes() for x in figures] == [y.tobytes() for y in want]
 
 
 _SCALING_FNS = monotone_catalog() + tuple(map(parse_function, DEFAULT_DECREASING_SPECS))
