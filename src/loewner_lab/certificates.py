@@ -689,7 +689,9 @@ def _norm_sides(x, lhs_kernel, rhs_kernel) -> tuple:
     num = ui_norm(kernel_mean(lhs_kernel, _fn_of(x.A, x.g), _fn_of(x.B, x.g)), x.norm).tolist()
     den = ui_norm(kernel_mean(lhs_kernel, x.A, x.B), x.norm).tolist()
     target = kernel_mean(rhs_kernel, x.A, x.B)
-    base = ui_norm(matrix_function(target, [lambda v, g=g: g.fn(v) / v for g in x.g]), x.norm)
+    # one quotient per distinct g, which matrix_function applies once to its slices
+    quotient = {id(g): lambda v, g=g: g.fn(v) / v for g in x.g}
+    base = ui_norm(matrix_function(target, [quotient[id(g)] for g in x.g]), x.norm)
     return np.array([n / d for n, d in zip(num, den)]), base
 
 

@@ -92,10 +92,6 @@ class SplitMix64:
         self._spare = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
-    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """n ``uniform(lo, hi)`` draws, bit for bit; the one-stream ``uniform_rows``."""
-        return uniform_rows([self], n, lo, hi)[0]
-
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols ``normal()`` draws in row-major order, bit for bit; the
         one-stream ``normal_rows``."""
@@ -120,6 +116,12 @@ def _unit_rows(rngs, n: int) -> np.ndarray:
         rng._state = state
     z = states[:, None] + np.arange(1, n + 1, dtype=np.uint64) * _GAMMA64
     return ((_mix64(z) >> 11).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _advanced(rng: SplitMix64, offsets) -> list:
+    """Copies of ``rng``, each as it stands after as many more ``uniform()``
+    draws as one of ``offsets``, holding no Box-Muller spare."""
+    return [SplitMix64(rng._state + k * GAMMA) for k in offsets]
 
 
 def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:

@@ -25,7 +25,10 @@ from .generate import (
     derive_seed,
     derive_seeds,
     fnv1a64,
+    normal_rows,
     random_orthogonal,
+    uniform_rows,
+    _advanced,
     _compose,
 )
 from .kernels import (
@@ -553,6 +556,13 @@ def _probe_starts(cell: certs.Cell, dim: int, rng: SplitMix64, lo: float, hi: fl
     """Corner instances (extremal, anti-aligned spectra) plus random starts,
     each the eigen-coordinates ``(q_a, lam_a, q_c, lam_c)`` of one instance,
     with the cell's corner patterns and spectrum ranges at the bounds (lo, hi).
+
+    The random starts are drawn from ``rng`` as one start at a time would
+    draw lam_a, lam_c, Q_a and Q_c, and leave it where that would.  A start
+    takes 2 dim + 2 dim^2 uniforms, so all are drawn as one block of copies
+    of the stream, each that many draws on from the last.  A Box-Muller
+    spare that ``rng`` holds after the corner's Q passes from each start to
+    the next: the sine of the start's last pair of uniforms.
     """
     (a_range, c_range), eye = cell.spectra(lo, hi), np.eye(dim)
     a_corner, c_corner = (np.array([x[j % 2] for j in range(dim)]) for x in cell.corner(lo, hi))
@@ -560,11 +570,19 @@ def _probe_starts(cell: certs.Cell, dim: int, rng: SplitMix64, lo: float, hi: fl
     if cell is not certs.BOUNDED:  # probe's own sandwich corner (ROADMAP item 12)
         a_corner, q_c = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), eye
     starts = [(eye, a_corner, eye, c_corner), (q, a_corner, q_c, c_corner)]
-    for _ in range(n_random):
-        lam_a = rng.uniforms(dim, *a_range)
-        lam_c = rng.uniforms(dim, *c_range)
-        starts.append((random_orthogonal(dim, rng), lam_a, random_orthogonal(dim, rng), lam_c))
-    return starts
+    per = 2 * dim + 2 * dim * dim
+    *streams, after = _advanced(rng, range(0, per * n_random + 1, per))
+    if rng._spare is not None:
+        ends = _advanced(rng, range(per - 2, per * n_random, per))
+        spares = [rng._spare, *normal_rows(ends, 2)[:, 1].tolist()]
+        for stream, spare in zip(streams, spares):
+            stream._spare = spare
+        rng._spare = spares[-1]
+    rng._state = after._state
+    lam_a = uniform_rows(streams, dim, *a_range)
+    lam_c = uniform_rows(streams, dim, *c_range)
+    q_a = random_orthogonal(dim, streams)
+    return starts + list(zip(q_a, lam_a, random_orthogonal(dim, streams), lam_c))
 
 
 def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:
@@ -590,13 +608,18 @@ def _probe_evaluate(ineq, stacks, pick, config, pools) -> list:
     ``stacks`` are the instances' ``(A, B, cells)``.
 
     The stacks are evaluated as they are; if that raises, each slice is
-    evaluated alone, in order, to the end.
+    evaluated alone, in order, to the end.  A stack of one slice was that
+    slice alone already: its error is the slice's own.
     """
+    A, B, cells = stacks
     try:
         return _probe_ratios(ineq, stacks, pick, pools, config.tol_rel)
+    except LoewnerLabError:
+        if len(cells) == 1:
+            return [None]
     except Exception:  # each slice meets its own error below
-        pass
-    A, B, cells = stacks
+        if len(cells) == 1:
+            raise
     out = []
     for k in range(len(cells)):
         one = SymStack(A.data[k:k + 1]), SymStack(B.data[k:k + 1]), cells[k:k + 1]
@@ -607,9 +630,9 @@ def _probe_evaluate(ineq, stacks, pick, config, pools) -> list:
     return out
 
 
-# Moves per refine window: the first window after an accepted move, and the
-# most; a window without an accepted move doubles the next.
-_WINDOW_FIRST, _WINDOW_MOST = 4, 64
+# Moves per refine window: the first window holds 4; one without an accepted
+# move doubles the next, up to 64, and an accepted move halves it, down to 5.
+_WINDOW_FIRST, _WINDOW_LEAST, _WINDOW_MOST = 4, 5, 64
 
 
 def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix64,
@@ -624,8 +647,10 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
     one stack against the current best; the first accepted move in the
     window ends it, and the window after it starts at the next move.  This
     accepts the same moves, with the same ratios, as evaluating one move at
-    a time.  A move that changes nothing gives the best instance itself,
-    whose ratio, ``best_ratio``, is no increase: it is not evaluated.
+    a time, whatever the windows' sizes (see ``_WINDOW_FIRST``): these only
+    trade moves evaluated past an accepted one against stacks evaluated.  A
+    move that changes nothing gives the best instance itself, whose ratio,
+    ``best_ratio``, is no increase: it is not evaluated.
     """
     moves = [_draw_move(rng, best[1].size) for _ in range(config.probe_refine_steps)]
     cell = ROWS[ineq].cell
@@ -642,7 +667,8 @@ def _refine(ineq: str, best: tuple, best_ratio: float, pick: int, rng: SplitMix6
             step, window = step + len(cands), min(2 * window, _WINDOW_MOST)
         else:
             best, best_ratio = cands[hit], ratios[hit]
-            accepted, step, window = accepted + 1, step + hit + 1, _WINDOW_FIRST
+            accepted, step = accepted + 1, step + hit + 1
+            window = max(window // 2, _WINDOW_LEAST)
     return best, best_ratio, accepted
 
 

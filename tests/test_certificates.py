@@ -743,3 +743,23 @@ def test_each_sandwich_or_bounded_stack_is_verified_once(monkeypatch):
               if ROWS[ineq].cell in (SANDWICH, SANDWICH_ST_GE_1, BOUNDED)]
     assert len(paired) >= 10
     assert len(verified) == len(paired)
+
+
+def test_norm_ratio_sides_apply_each_distinct_function_once(monkeypatch):
+    # every function list that a norm-ratio stack hands matrix_function holds
+    # one function per distinct g of the convex pool, so by_distinct applies
+    # each once, not once per slice
+    from loewner_lab import certificates
+
+    real, lists = certificates.matrix_function, []
+
+    def matrix_function(X, fn):
+        if isinstance(fn, list):
+            lists.append((len(fn), len({id(f) for f in fn})))
+        return real(X, fn)
+
+    monkeypatch.setattr(certificates, "matrix_function", matrix_function)
+    ids = ("norm-ratio-tau", "norm-ratio-sharp", "norm-ratio-power4", "norm-ratio-eq15")
+    suite.run_suite(SuiteConfig(inequalities=ids, dims=(2,), trials=12, seed=7))
+    assert max(n for n, _ in lists) == 12
+    assert max(distinct for _, distinct in lists) <= len(SuiteConfig().convex_fns)

@@ -22,6 +22,7 @@ from loewner_lab.generate import (
     derive_seed,
     fnv1a64,
     mix64,
+    uniform_rows,
     verify_spectrum,
 )
 from loewner_lab.spectral import LOEWNER_TOL_REL, op_norm
@@ -63,7 +64,7 @@ class TestSplitMix:
         assert mix64(0) == 0
 
 
-_DRAWS = st.tuples(st.sampled_from(("normal", "uniform", "normal_matrix", "uniforms")),
+_DRAWS = st.tuples(st.sampled_from(("normal", "uniform", "normal_matrix", "uniform_rows")),
                    st.integers(1, 16), st.integers(1, 16), st.floats(-4.0, 4.0),
                    st.floats(0.0, 8.0))
 
@@ -82,7 +83,7 @@ def test_bulk_draws_match_the_scalar_stream_bit_for_bit(seed, draws):
             assert bulk.normal_matrix(rows, cols).tobytes() == want.tobytes()
         else:
             want = np.array([scalar.uniform(lo, lo + width) for _ in range(cols)])
-            assert bulk.uniforms(cols, lo, lo + width).tobytes() == want.tobytes()
+            assert uniform_rows([bulk], cols, lo, lo + width)[0].tobytes() == want.tobytes()
         assert bulk._state == scalar._state
         assert bulk._spare == scalar._spare
 

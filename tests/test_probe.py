@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner_lab import SplitMix64, certificates, suite
+from loewner_lab import SplitMix64, certificates, random_orthogonal, suite
 from loewner_lab.certificates import A_SPECTRUM, BOUNDED, SANDWICH
 from loewner_lab.cli import main as cli_main
 from loewner_lab.errors import LoewnerLabError
+from loewner_lab.generate import uniform_rows
 from loewner_lab.spectral import SymStack, decompose
 from loewner_lab.suite import SuiteConfig
 from oracles import one
@@ -242,6 +243,96 @@ def test_windows_double_up_to_64_moves(monkeypatch):
     suite._refine("polya-szego", best, 1.0, 0, SplitMix64(2), config, pools, BOUNDS)
     assert windows == [4, 8, 16, 32, 64, 64, 12]
     assert 0 < sum(moved) < len(moved)  # best's eigenvalues at the bounds stay put
+
+
+def test_an_accepted_move_halves_the_next_window_down_to_5(monkeypatch):
+    # every move is a new instance here, so each window's stack holds all its
+    # moves; a script says which of them, if any, is accepted
+    config, pools, best = _climb_setup(300)
+    hits = iter([None, None, 3, 0, 0, 0, None, None, 7, None, None, None, None, 0])
+    real_moved, windows, ratios = suite._moved, [], iter(range(2, 100))
+
+    def evaluate(ineq, stacks, *args, **kwargs):
+        n = len(stacks[2])
+        windows.append(n)
+        hit = next(hits, None)
+        return [float(next(ratios)) if k == hit else None for k in range(n)]
+
+    monkeypatch.setattr(suite, "_moved", lambda inst, *args: tuple([*real_moved(inst, *args)]))
+    monkeypatch.setattr(suite, "_probe_evaluate", evaluate)
+    _, ratio, accepted = suite._refine("polya-szego", best, 1.0, 0, SplitMix64(2), config,
+                                       pools, BOUNDS)
+    assert windows == [4, 8, 16, 8, 5, 5, 5, 10, 20, 10, 20, 40, 64, 64, 32, 64, 27]
+    assert (ratio, accepted) == (7.0, 6)
+
+
+@pytest.mark.parametrize("error", [LoewnerLabError("refused"), RuntimeError("broken")])
+def test_a_stack_of_one_that_raises_is_evaluated_once(error, monkeypatch):
+    # a one-slice stack is its slice alone: its error is not met a second
+    # time, while a larger stack still falls back to each slice
+    config, pools, best = _climb_setup(0)
+    calls = []
+
+    def ratios(ineq, stacks, *args):
+        calls.append(len(stacks[2]))
+        raise error
+
+    monkeypatch.setattr(suite, "_probe_ratios", ratios)
+    for n, want_calls in ((1, [1]), (3, [3, 1, 1, 1])):
+        calls.clear()
+        stacks = suite._probe_stacks(BOUNDED, [best] * n, BOUNDS)
+        if isinstance(error, LoewnerLabError):
+            assert suite._probe_evaluate("polya-szego", stacks, 0, config, pools) == [None] * n
+        else:
+            with pytest.raises(RuntimeError):
+                suite._probe_evaluate("polya-szego", stacks, 0, config, pools)
+            want_calls = want_calls[:2]
+        assert calls == want_calls
+
+
+def _loop_starts(cell, dim, rng, lo, hi, n_random):
+    """Random starts drawn one at a time from one stream: lam_a, lam_c, Q_a,
+    then Q_c; the reference for the block draw of ``suite._probe_starts``."""
+    a_range, c_range = cell.spectra(lo, hi)
+    starts = []
+    for _ in range(n_random):
+        lam_a = uniform_rows([rng], dim, *a_range)[0]
+        lam_c = uniform_rows([rng], dim, *c_range)[0]
+        starts.append((random_orthogonal(dim, rng), lam_a, random_orthogonal(dim, rng), lam_c))
+    return starts
+
+
+@pytest.mark.parametrize("cell, bounds", [(BOUNDED, BOUNDS), (SANDWICH, (0.25, 4.0))])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_random", [0, 1, 3])
+@pytest.mark.parametrize("spare", [False, True])
+def test_block_drawn_starts_equal_the_starts_drawn_one_at_a_time(cell, bounds, dim, n_random,
+                                                                 spare):
+    # odd dim^2 passes a Box-Muller spare between a start's two factors; a
+    # stream that already holds one passes it from start to start
+    got_rng, want_rng = SplitMix64(dim + 10 * n_random), SplitMix64(dim + 10 * n_random)
+    if spare:
+        assert got_rng.normal() == want_rng.normal()
+    got = suite._probe_starts(cell, dim, got_rng, *bounds, n_random)
+    want = (suite._probe_starts(cell, dim, want_rng, *bounds, 0)
+            + _loop_starts(cell, dim, want_rng, *bounds, n_random))
+    assert len(got) == len(want) == 2 + n_random
+    for got_inst, want_inst in zip(got, want):
+        for x, y in zip(got_inst, want_inst):
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+    assert (got_rng._state, got_rng._spare) == (want_rng._state, want_rng._spare)
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_start_draw_makes_as_many_qr_calls_whatever_the_starts(dim, monkeypatch):
+    real, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    counts = []
+    for n_random in (0, 1, 3, 20):
+        before = len(calls)
+        suite._probe_starts(BOUNDED, dim, SplitMix64(7), *BOUNDS, n_random)
+        counts.append(len(calls) - before)
+    assert len(set(counts)) == 1
 
 
 def test_corner_starts_are_pinned():
