@@ -118,12 +118,6 @@ def _unit_rows(rngs, n: int) -> np.ndarray:
     return ((_mix64(z) >> 11).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _advanced(rng: SplitMix64, offsets) -> list:
-    """Copies of ``rng``, each as it stands after as many more ``uniform()``
-    draws as one of ``offsets``, holding no Box-Muller spare."""
-    return [SplitMix64(rng._state + k * GAMMA) for k in offsets]
-
-
 def uniform_rows(rngs, n: int, lo=0.0, hi=1.0) -> np.ndarray:
     """n ``uniform(lo, hi)`` draws of each stream, as a (streams, n) block;
     ``lo`` and ``hi`` are scalars or one value per stream."""
@@ -146,7 +140,15 @@ def log_uniform_rows(rngs, *ranges: tuple) -> np.ndarray:
 
 
 def normal_rows(rngs, n: int) -> np.ndarray:
-    """n ``normal()`` draws of each stream, as a (streams, n) block, bit for bit.
+    """n ``normal()`` draws of each stream, as a (streams, n) block: ``_box_muller``."""
+    head = 1 if n and any(rng._spare is not None for rng in rngs) else 0
+    return _box_muller(rngs, _unit_rows(rngs, 2 * ((n - head + 1) // 2)), n)
+
+
+def _box_muller(rngs, u: np.ndarray, n: int) -> np.ndarray:
+    """The next n ``normal()`` draws of each stream whose uniforms are the rows
+    of ``u``, as a (streams, n) block, bit for bit; ``u`` holds the pairs the
+    draws need and no more, and the streams' states do not move.
 
     The streams advance in lockstep, so all of them hold a Box-Muller spare
     or none does; each hands on its own spare as ``normal`` does.  log stays
@@ -154,13 +156,11 @@ def normal_rows(rngs, n: int) -> np.ndarray:
     and sin match libm's bits where the scalar-stream guard test passes, and
     its products and square roots are correctly rounded, as Python's are.
     """
-    spares = [rng._spare for rng in rngs]
-    held = [z for z in spares if z is not None]
-    if held and len(held) < len(spares):
+    held = [rng._spare for rng in rngs if rng._spare is not None]
+    if held and len(held) < len(rngs):
         raise ValueError("streams drawn as one block must advance in lockstep")
     head = 1 if held and n else 0
-    pairs = (n - head + 1) // 2
-    u = _unit_rows(rngs, 2 * pairs)
+    pairs = u.shape[1] // 2
     r = np.sqrt(-2.0 * _apply(math.log, u[:, 0::2]).ravel())
     angle = ((2.0 * math.pi) * u[:, 1::2]).ravel()
     out = np.empty((len(rngs), head + 2 * pairs))
@@ -181,13 +181,18 @@ def random_orthogonal(dim: int, rng) -> np.ndarray:
     ``rng`` is one SplitMix64 stream, or a list of streams, for which the
     factors come as one (streams, dim, dim) stack from one QR call.
     """
-    one = isinstance(rng, SplitMix64)
-    rngs = [rng] if one else rng
-    q, r = np.linalg.qr(normal_rows(rngs, dim * dim).reshape(len(rngs), dim, dim))
+    rngs = [rng] if isinstance(rng, SplitMix64) else rng
+    q = _orthogonal(normal_rows(rngs, dim * dim).reshape(len(rngs), dim, dim))
+    return q if rngs is rng else q[0]
+
+
+def _orthogonal(z: np.ndarray) -> np.ndarray:
+    """The orthogonal factors of a (k, n, n) stack's QR decompositions, from one
+    QR call, each column's sign fixed so that R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(z)
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
-    q = q * signs[:, None, :]
-    return q[0] if one else q
+    return q * signs[:, None, :]
 
 
 def _compose(q: np.ndarray, lam: np.ndarray) -> SymStack:

@@ -25,11 +25,11 @@ from .generate import (
     derive_seed,
     derive_seeds,
     fnv1a64,
-    normal_rows,
     random_orthogonal,
-    uniform_rows,
-    _advanced,
+    _box_muller,
     _compose,
+    _orthogonal,
+    _unit_rows,
 )
 from .kernels import (
     DEFAULT_CONVEX_SPECS,
@@ -559,30 +559,24 @@ def _probe_starts(cell: certs.Cell, dim: int, rng: SplitMix64, lo: float, hi: fl
 
     The random starts are drawn from ``rng`` as one start at a time would
     draw lam_a, lam_c, Q_a and Q_c, and leave it where that would.  A start
-    takes 2 dim + 2 dim^2 uniforms, so all are drawn as one block of copies
-    of the stream, each that many draws on from the last.  A Box-Muller
-    spare that ``rng`` holds after the corner's Q passes from each start to
-    the next: the sine of the start's last pair of uniforms.
+    takes 2 dim + 2 dim^2 uniforms, so all are drawn as one run of the
+    stream: each start's first 2 dim are its spectra, and the rest of every
+    start, in order, are one run of Box-Muller pairs, whose normals are the
+    starts' factors, from one QR call.
     """
     (a_range, c_range), eye = cell.spectra(lo, hi), np.eye(dim)
     a_corner, c_corner = (np.array([x[j % 2] for j in range(dim)]) for x in cell.corner(lo, hi))
     q_c = q = random_orthogonal(dim, rng)
-    if cell is not certs.BOUNDED:  # probe's own sandwich corner (ROADMAP item 12)
+    if cell is not certs.BOUNDED:  # probe's own sandwich corner (ROADMAP item 1, PR A)
         a_corner, q_c = np.array([0.5 + 0.25 * (j % 3) for j in range(dim)]), eye
     starts = [(eye, a_corner, eye, c_corner), (q, a_corner, q_c, c_corner)]
     per = 2 * dim + 2 * dim * dim
-    *streams, after = _advanced(rng, range(0, per * n_random + 1, per))
-    if rng._spare is not None:
-        ends = _advanced(rng, range(per - 2, per * n_random, per))
-        spares = [rng._spare, *normal_rows(ends, 2)[:, 1].tolist()]
-        for stream, spare in zip(streams, spares):
-            stream._spare = spare
-        rng._spare = spares[-1]
-    rng._state = after._state
-    lam_a = uniform_rows(streams, dim, *a_range)
-    lam_c = uniform_rows(streams, dim, *c_range)
-    q_a = random_orthogonal(dim, streams)
-    return starts + list(zip(q_a, lam_a, random_orthogonal(dim, streams), lam_c))
+    u = _unit_rows([rng], n_random * per).reshape(n_random, per)
+    lam_a, lam_c = (a + (b - a) * u[:, k * dim:(k + 1) * dim]
+                    for k, (a, b) in enumerate((a_range, c_range)))
+    z = _box_muller([rng], u[:, 2 * dim:].reshape(1, -1), n_random * (per - 2 * dim))
+    factors = _orthogonal(z.reshape(2 * n_random, dim, dim))
+    return starts + list(zip(factors[0::2], lam_a, factors[1::2], lam_c))
 
 
 def _probe_stacks(cell: certs.Cell, insts: list, bounds: tuple) -> tuple:

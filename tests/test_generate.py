@@ -88,6 +88,34 @@ def test_bulk_draws_match_the_scalar_stream_bit_for_bit(seed, draws):
         assert bulk._spare == scalar._spare
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 16])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("spare", [False, True])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_normals_from_handed_in_uniforms_match_the_drawn_ones(n, count, spare, seed):
+    # the Box-Muller body of normal_rows, fed uniforms drawn elsewhere: the
+    # same normals and leftover spares, bit for bit, and no stream advances
+    def streams():
+        rngs = [SplitMix64(seed + k) for k in range(count)]
+        for rng in rngs if spare else ():
+            rng.normal()
+        return rngs
+
+    drawn, source, handed = streams(), streams(), streams()
+    head = 1 if spare and n else 0
+    u = generate._unit_rows(source, 2 * ((n - head + 1) // 2))
+    states = [rng._state for rng in handed]
+    got = generate._box_muller(handed, u, n)
+    want = generate.normal_rows(drawn, n)
+    assert got.shape == want.shape == (count, n) and got.tobytes() == want.tobytes()
+    assert [rng._state for rng in handed] == states
+    assert [rng._state for rng in drawn] == [rng._state for rng in source]
+    assert [rng._spare for rng in handed] == [rng._spare for rng in drawn]
+    if n and head + u.shape[1] > n:  # a leftover normal is held as the spare
+        assert None not in [rng._spare for rng in handed]
+
+
 class TestRandomSpd:
     def test_constant_spectrum_gives_identity(self):
         out = random_spd(3, 1.0, 1.0, 123)

@@ -303,8 +303,8 @@ def _loop_starts(cell, dim, rng, lo, hi, n_random):
 
 
 @pytest.mark.parametrize("cell, bounds", [(BOUNDED, BOUNDS), (SANDWICH, (0.25, 4.0))])
-@pytest.mark.parametrize("dim", [1, 2, 3, 5])
-@pytest.mark.parametrize("n_random", [0, 1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
+@pytest.mark.parametrize("n_random", [0, 1, 3, 20])
 @pytest.mark.parametrize("spare", [False, True])
 def test_block_drawn_starts_equal_the_starts_drawn_one_at_a_time(cell, bounds, dim, n_random,
                                                                  spare):
@@ -324,15 +324,14 @@ def test_block_drawn_starts_equal_the_starts_drawn_one_at_a_time(cell, bounds, d
 
 
 @pytest.mark.parametrize("dim", [3, 6])
-def test_start_draw_makes_as_many_qr_calls_whatever_the_starts(dim, monkeypatch):
+def test_start_draw_makes_two_qr_calls_whatever_the_starts(dim, monkeypatch):
+    # one for the corner's factor, and one for both factors of every random start
     real, calls = np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
-    counts = []
     for n_random in (0, 1, 3, 20):
-        before = len(calls)
+        calls.clear()
         suite._probe_starts(BOUNDED, dim, SplitMix64(7), *BOUNDS, n_random)
-        counts.append(len(calls) - before)
-    assert len(set(counts)) == 1
+        assert calls == [(1, dim, dim), (2 * n_random, dim, dim)]
 
 
 def test_corner_starts_are_pinned():

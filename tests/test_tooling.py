@@ -4,6 +4,7 @@ silently and its reference seconds would then be wrong."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from loewner_lab import cli, suite  # noqa: F401  (the tracer wraps every package module)
@@ -435,3 +436,16 @@ def test_one_elementwise_path():
             shared[0] = 1.0
     assert kernels.on_grid(kernels.GEOMETRIC) is kernels.on_grid(kernels.GEOMETRIC)
     assert not hasattr(kernels, "eval_kernel")
+
+
+def test_only_the_generator_touches_a_stream_state():
+    # a stream advances and hands on its Box-Muller spare in generate alone:
+    # no other module reads or writes its private fields, and no copy of a
+    # stream is made to skip ahead in it
+    from loewner_lab import generate
+
+    src = Path(suite.__file__).resolve().parent
+    named = {path.name for path in sorted(src.glob("*.py"))
+             if re.search(r"\b_(state|spare)\b", path.read_text(encoding="utf-8"))}
+    assert named == {"generate.py"}
+    assert not hasattr(generate, "_advanced")
