@@ -407,11 +407,14 @@ def loewner_slack(X: SymStack, Y: SymStack) -> np.ndarray:
 def parse_spec(kind: str, spec: str, table: dict, *context):
     """The object that a ``name:arg`` spec names in ``table`` by its stripped,
     lower-cased name: the entry itself, or a constructor's result on ``arg``
-    and ``context``.  A name the table lacks is refused as an unknown ``kind``."""
-    name, _, arg = spec.partition(":")
+    and ``context``.  A name the table lacks is refused as an unknown ``kind``,
+    and an argument to an entry that is no constructor is refused too."""
+    name, sep, arg = spec.partition(":")
     entry = table.get(name.strip().lower())
     if entry is None:
         raise ValueError(f"unknown {kind} {spec!r}")
+    if sep and not callable(entry):
+        raise ValueError(f"{kind} {name.strip().lower()!r} takes no argument, got {arg!r}")
     return entry(arg, *context) if callable(entry) else entry
 
 
@@ -468,14 +471,15 @@ def _schatten_sum(sv: np.ndarray, p, root=None) -> float:
 
 
 # Each norm variant once, as (names, parse, rule, value, fit): its spec names
-# and its norm from a spec's argument; the rule its parameter must meet, as a
-# test and the refusal when the test fails (None: any parameter); its
-# value(sv, param) on the descending singular values sv; and its parameter's
-# fit(param, dim) to a dimension (None: the norm applies at every dimension).
+# and its norm from a spec's argument (None: the variant takes no argument);
+# the rule its parameter must meet, as a test and the refusal when the test
+# fails (None: any parameter); its value(sv, param) on the descending singular
+# values sv; and its parameter's fit(param, dim) to a dimension (None: the
+# norm applies at every dimension).
 _NORMS = {
-    "operator": (("operator", "op"), lambda arg: OPERATOR, None, lambda sv, _: sv[0], None),
-    "trace": (("trace", "nuclear"), lambda arg: TRACE, None, lambda sv, _: sv.sum(), None),
-    "frobenius": (("frobenius", "fro"), lambda arg: FROBENIUS, None,
+    "operator": (("operator", "op"), None, None, lambda sv, _: sv[0], None),
+    "trace": (("trace", "nuclear"), None, None, lambda sv, _: sv.sum(), None),
+    "frobenius": (("frobenius", "fro"), None, None,
                   lambda sv, _: _schatten_sum(sv, 2, np.sqrt), None),
     "kyfan": (("kyfan",), lambda arg: ky_fan(int(arg)),
               (lambda k: isinstance(k, numbers.Real) and 1 <= k < math.inf and k == int(k),
@@ -484,13 +488,12 @@ _NORMS = {
                  (lambda p: p is not None and 1 <= p < math.inf, "schatten norm needs p >= 1"),
                  _schatten_sum, None),
 }
-_NORM_SPECS = {name: parse for names, parse, *_ in _NORMS.values() for name in names}
+_NORM_SPECS = {name: parse or NormKind(variant)
+               for variant, (names, parse, *_) in _NORMS.items() for name in names}
 # The default norm pool, as the specs that parse_norm reads.
 DEFAULT_NORM_SPECS = ("operator", "trace", "frobenius", "kyfan:2", "schatten:3")
 
-OPERATOR = NormKind("operator")
-TRACE = NormKind("trace")
-FROBENIUS = NormKind("frobenius")
+OPERATOR, TRACE, FROBENIUS = (_NORM_SPECS[name] for name in ("operator", "trace", "frobenius"))
 
 
 def ky_fan(k: int) -> NormKind:

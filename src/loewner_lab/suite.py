@@ -44,7 +44,7 @@ from .kernels import (
     parse_function,
     parse_kernel,
 )
-from .maps import DEFAULT_MAP_SPECS, check_unital, parse_map
+from .maps import DEFAULT_MAP_SPECS, MAX_DIM, check_unital, parse_map
 from .spectral import DEFAULT_NORM_SPECS, LOEWNER_TOL_REL, SymStack, parse_norm
 
 TOOL_VERSION = "0.1.0"
@@ -95,7 +95,7 @@ _FIELDS = {
                      (lambda ids: all(i in ROWS or i in _GROUPS for i in ids),
                       "name inequality ids, all or all-non-audit")),
     "dims": (tuple, int, (bool, "name at least one dimension"),
-             (lambda dims: all(1 <= d <= 16 for d in dims), "stay within [1, 16]"),
+             (lambda dims: all(1 <= d <= MAX_DIM for d in dims), f"stay within [1, {MAX_DIM}]"),
              (lambda dims: len(set(dims)) == len(dims), "name each dimension once")),
     "trials": (int, None, (lambda n: n >= 1, "be >= 1")),
     "seed": (int, None),

@@ -259,3 +259,70 @@ def test_apply_each_refuses_maps_of_two_output_dims():
     with pytest.raises(DimensionMismatchError,
                        match=r"must share one shape, got \(2, 2\) and \(1, 1\)"):
         apply_each([IdentityMap(2), NormalizedTraceMap(2, 1)], X)
+
+
+@st.composite
+def _built_map(draw, n, m, depth=2):
+    """A map of input dim n and output dim m from a family builder, given
+    explicit parts, with its image of the identity in closed form: Kraus
+    factors of full column rank (an isometry stacked, or Gaussian), a random
+    partition, the normalized trace, or a nested mixture of such maps."""
+    families = ["mix"] * (depth > 0) + ["kraus", "ntrace"] + ["pinching", "identity"] * (n == m)
+    family = draw(st.sampled_from(families))
+    if family == "kraus":
+        terms = draw(st.integers(-(-m // n), 4))  # enough stacked rows for rank m
+        stacked = SplitMix64(draw(st.integers(0, 2**64 - 1))).normal_matrix(terms * n, m)
+        if draw(st.booleans()):  # orthonormal columns: sum_i V_i^T V_i = I
+            stacked = np.linalg.qr(stacked)[0]
+        vs = np.split(stacked, terms)
+        return KrausSumMap(vs), sum(v.T @ v for v in vs)
+    if family == "ntrace":
+        return NormalizedTraceMap(n, m), np.eye(m)
+    if family == "identity":
+        return IdentityMap(n), np.eye(n)
+    if family == "pinching":
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return PinchingMap(blocks), np.eye(n)
+    parts = draw(st.lists(_built_map(n, m, depth - 1), min_size=1, max_size=3))
+    # weights in quarters, which sum exactly: half the time a split of 1
+    quarters = draw(st.lists(st.integers(0, 4), min_size=len(parts), max_size=len(parts))
+                    .filter(any))
+    if draw(st.booleans()):
+        cuts = sorted(quarters[1:])
+        quarters = [b - a for a, b in zip([0, *cuts], [*cuts, 4])]
+    weights = [q / 4 for q in quarters]
+    return (MixtureMap(weights, [phi for phi, _ in parts]),
+            sum(w * image for w, (_, image) in zip(weights, parts)))
+
+
+@st.composite
+def _map_and_inputs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.just(n), st.integers(1, 4)))
+    phi, image_of_identity = draw(_built_map(n, m))
+    rng = SplitMix64(draw(st.integers(0, 2**64 - 1)))
+    # PSD inputs, some of them singular: R R^T for an n x r factor R, r <= n
+    factors = [rng.normal_matrix(n, draw(st.integers(1, n)))
+               for _ in range(draw(st.integers(1, 5)))]
+    return phi, image_of_identity, SymStack(np.stack([r @ r.T for r in factors]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_map_and_inputs())
+def test_family_builders_give_positive_maps_slice_by_slice(case):
+    # each slice's image is, bit for bit, its image alone; a PSD input has a
+    # PSD image; and check_unital agrees with phi(I) in closed form
+    phi, image_of_identity, X = case
+    image = phi.apply(X)
+    assert image.data.shape == (len(X), phi.output_dim, phi.output_dim)
+    for k in range(len(X)):
+        alone = phi.apply(SymStack(X.data[k:k + 1]))
+        assert image.data[k].tobytes() == alone.data[0].tobytes(), phi.label
+    lo = np.linalg.eigvalsh(image.data)[:, 0]
+    assert (lo >= -1e-10 * np.maximum(1.0, op_norm(image))).all(), phi.label
+    closed = np.linalg.norm(image_of_identity - np.eye(phi.output_dim), 2)
+    verdict = check_unital(phi)
+    assert verdict.is_unital == (closed <= 1e-10), (phi.label, closed, verdict.deviation)
+    assert abs(verdict.deviation - closed) <= 1e-12 * max(1.0, closed)

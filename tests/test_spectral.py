@@ -524,6 +524,9 @@ def _map3(spec):
     (_map3, "congruence:random:3x2", ("congruence:random:3x2", 3, 2)),
     (_map3, "kraus:2", ("kraus:2", 3, 3)),
     (_map3, "mix:0.5@identity+0.5@ntrace:full", ("mix:0.5@identity+0.5@ntrace:full", 3, 3)),
+    # the bounds on the map families' size parameters are inclusive
+    (_map3, "ntrace:16", ("ntrace:16", 3, 16)),
+    (_map3, "kraus:256", ("kraus:256", 3, 3)),
     # one unknown name per vocabulary, and the refusals of the map families' own arguments
     (parse_kernel, "median", "ValueError: unknown kernel 'median'"),
     (parse_function, "cube", "ValueError: unknown function 'cube'"),
@@ -547,6 +550,20 @@ def _map3(spec):
     (_map3, "pinching:0,2", "ValueError: pinching block sizes [0, 2] must sum to dim 3"),
     (_map3, "pinching:0,3",
      "ValueError: blocks must each hold at least one index, got ((), (0, 1, 2))"),
+    # a name that takes no argument refuses one
+    (parse_kernel, "geometric:0.3", "ValueError: kernel 'geometric' takes no argument, got '0.3'"),
+    (parse_function, "log1p:7", "ValueError: function 'log1p' takes no argument, got '7'"),
+    (parse_function, "square:3", "ValueError: function 'square' takes no argument, got '3'"),
+    (parse_norm, "operator:5", "ValueError: norm 'operator' takes no argument, got '5'"),
+    (_map3, "identity:junk", "ValueError: map 'identity' takes no argument, got 'junk'"),
+    # a map family's size parameter is bounded before anything is drawn or allocated
+    (_map3, "ntrace:17", "ValueError: ntrace output dimension must lie in [1, 16], got 17"),
+    (_map3, "ntrace:0", "ValueError: ntrace output dimension must lie in [1, 16], got 0"),
+    (_map3, "kraus:257", "ValueError: kraus term count must lie in [1, 256], got 257"),
+    (_map3, "kraus:0", "ValueError: kraus term count must lie in [1, 256], got 0"),
+    (_map3, "congruence:random:3x17", "ValueError: congruence columns must lie in [1, 16], got 17"),
+    (_map3, "congruence:random:3x-1", "ValueError: congruence columns must lie in [1, 16], got -1"),
+    (_map3, "pinching:5,-2", "ValueError: pinching block sizes [5, -2] must be nonnegative"),
     # kyfan:K reads K with int(), so the CLI's nan and inf fail there; the
     # library's order must be a finite integer, and a str keeps its text
     (parse_norm, "kyfan:inf", "ValueError: invalid literal for int() with base 10: 'inf'"),

@@ -429,6 +429,13 @@ class TestSuiteConfig:
         ("--tau", "heinz:x", "kernels"),
         ("--f", "power:x", "monotone_fns"),
         ("--g", "inv_power:2", "decreasing_fns"),
+        ("--tau", "geometric:0.3", "kernels"),
+        ("--f", "log1p:7", "monotone_fns"),
+        ("--f", "square:3", "monotone_fns"),
+        ("--norm", "operator:5", "norms"),
+        ("--phi", "identity:junk", "maps"),
+        ("--phi", "ntrace:17", "maps"),
+        ("--phi", "kraus:257", "maps"),
     ])
     def test_bad_pool_spec_names_its_field(self, flag, spec, field, monkeypatch, capsys):
         calls = []

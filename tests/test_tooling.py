@@ -365,24 +365,41 @@ def test_one_result_type():
     assert "to_json" in methods and "certificate" not in methods
 
 
-def test_one_term_sum_map():
-    # a congruence V^T X V is a Kraus sum of one term: no module defines a
-    # class CongruenceMap, and a congruence spec builds a one-term KrausSumMap
-    # with the label and dimensions that its spec names
+def test_one_map_type():
+    # a positive map is one MapSpec: maps.py defines one class with an apply,
+    # each family builder returns a MapSpec, and no module defines a class
+    # CongruenceMap: a congruence spec builds a one-term Kraus sum, V^T X V
+    # bit for bit, with the label and dimensions that its spec names
     import ast
 
-    from loewner_lab import KrausSumMap, SplitMix64, parse_map
+    import numpy as np
+
+    from loewner_lab import (IdentityMap, KrausSumMap, MapSpec, MixtureMap, NormalizedTraceMap,
+                             PinchingMap, SplitMix64, SymStack, maps, parse_map)
 
     src = Path(suite.__file__).resolve().parent
     classes = [f"{path.name}:{node.name}" for path in sorted(src.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.ClassDef)]
     assert [name for name in classes if name.endswith(":CongruenceMap")] == []
+    appliers = [node.name for node in ast.walk(ast.parse(Path(maps.__file__).read_text("utf-8")))
+                if isinstance(node, ast.ClassDef) and "apply" in {
+                    f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
+    assert appliers == ["MapSpec"]
+    built = [IdentityMap(2), KrausSumMap((np.eye(2),)), PinchingMap(((0,), (1,))),
+             NormalizedTraceMap(2, 1), MixtureMap((1.0,), (IdentityMap(2),))]
+    built += [parse_map(spec, 2, SplitMix64(1)) for spec in ("identity", "ntrace:1",
+              "congruence:random", "kraus:2", "pinching:halves", "mix:1@identity")]
+    assert {type(phi) for phi in built} == {MapSpec}
+    assert set(maps._MAP_FAMILIES) == {"identity", "ntrace", "congruence", "kraus", "pinching",
+                                       "mix"}
     phi = parse_map("congruence:random", 3, SplitMix64(1))
-    assert type(phi) is KrausSumMap
-    assert [v.shape for v in phi.vs] == [(3, 3)]
+    assert type(phi) is MapSpec
     assert phi.label == "congruence:random:3x3"
     assert (phi.input_dim, phi.output_dim) == (3, 3)
+    v = SplitMix64(1).normal_matrix(3, 3)
+    x = SymStack(SplitMix64(2).normal_matrix(3, 3)[None])
+    assert phi.apply(x).data.tobytes() == SymStack(v.T @ x.data @ v).data.tobytes()
     assert parse_map("congruence:random:3x2", 3, SplitMix64(1)).output_dim == 2
 
 
