@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Callable
 
@@ -163,7 +163,8 @@ class Cell:
     none), and ``pair(A, C)`` the stacks (A, B) (None: the cell holds no
     matrices); each bound is one number, or one per slice in ``spectra``.
     ``check(x)`` raises for the stack x where a slice breaks the cell's
-    hypothesis, by the ordering rule first (None: no hypothesis).
+    hypothesis beyond the ordering rule, which ``check_stack`` runs first
+    (None: the cell has no more).
     ``probe`` holds probe's default bounds, or None where probe does not
     search the cell.
     """
@@ -249,11 +250,13 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
     A and B hold one slice per trial (None for a scalar row), ``cells``
     holds each trial's cell bounds, and ``picks`` each pick's values, one
     per trial; the sides read ``x.phi(X)``, each slice of X under its own
-    map, the pick ``phi``.  The cell's check and then the row's vets run
-    once, at ``tol_rel``: a violated hypothesis raises.  Returns the stack's
-    one result, whose verdict columns are solved on their first read, which
-    raises where they cannot be.  A pick the row does not read, or one that
-    is missing or not one value per trial, is refused first.
+    map, the pick ``phi``.  The cell's ordering rule (a cell with two
+    bounds), its check and then the row's vets run once, at ``tol_rel``,
+    each vet once per distinct pick value: a violated hypothesis raises.
+    Returns the stack's one result, whose verdict columns are solved on
+    their first read, which raises where they cannot be.  A pick the row
+    does not read, or one that is missing or not one value per trial, is
+    refused first.
     """
     reads = {name for name, *_ in row.picks}
     for name in sorted(reads | set(picks)):
@@ -262,13 +265,15 @@ def check_stack(row: Row, A: SymStack | None, B: SymStack | None, cells: list, p
         if name not in picks or len(picks[name]) != len(cells):
             raise ValueError(f"pick {name} of {row.id}: {len(picks.get(name, ()))} values "
                              f"for {len(cells)} trials")
+    cell = row.cell
     x = SimpleNamespace(**{"A": A, "B": B, "n": len(cells),
                            "mult": constant_multiplier, "tol_rel": tol_rel,
-                           "cell": row.cell, **dict(zip(row.cell.bounds, _cols(cells))),
-                           **picks})
+                           **dict(zip(cell.bounds, _cols(cells))), **picks})
     if "phi" in picks:
         x.map, x.phi = x.phi, partial(apply_each, x.phi)
-    for vet in (row.cell.check, *row.vets) if row.cell.check else row.vets:
+    if len(cell.bounds) == 2:
+        cell.vet_order(*(getattr(x, name) for name in cell.bounds))
+    for vet in (cell.check, *row.vets) if cell.check else row.vets:
         vet(x)
     return StackResult((row.form or _plain)(row, x), A, B)
 
@@ -451,7 +456,6 @@ def _hyp(condition: bool, message: str) -> None:
         raise HypothesisError(message)
 
 
-@lru_cache(maxsize=128)
 def _vet_mean_kernel(kernel: MonotoneFunction) -> None:
     lower, upper = mean_kernel_gaps(kernel)
     _hyp(
@@ -461,7 +465,6 @@ def _vet_mean_kernel(kernel: MonotoneFunction) -> None:
     )
 
 
-@lru_cache(maxsize=128)
 def _vet_nonnegative(fn: MonotoneFunction) -> None:
     worst = on_grid(fn).min()  # a nan is the minimum, and is refused
     _hyp(worst >= -1e-12, f"function {fn.id!r} must be nonnegative on (0, inf)")
@@ -474,43 +477,35 @@ def _vet_class(fn: MonotoneFunction, *classes: str) -> MonotoneFunction:
     return fn
 
 
-def _vet_sandwich(A: SymStack, B: SymStack, s: list, t: list, tol_rel: float) -> None:
-    SandwichPair(A, B, s, t).verify(tol_rel)
+def _vet_unital(phi) -> None:
+    """phi(I) = I: the scalar bound on the right of a Grüss bound presumes it."""
+    verdict = check_unital(phi)
+    if not verdict.is_unital:
+        raise NotUnitalError(f"map {phi.label!r} is not unital (||phi(I) - I||_op = "
+                             f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I")
 
 
-def _vet_bounded(A: SymStack, B: SymStack, m: list, M: list, tol_rel: float) -> None:
-    BoundedPair(A, B, m, M).verify(tol_rel)
+# The cells' checks and the rows' vets, each a check of the stack x.  A cell's
+# check calls _vet_sandwich and _vet_bounded by name, so a wrapper set on the
+# names sees it.
+
+def _vet_sandwich(x) -> None:
+    SandwichPair(x.A, x.B, x.s, x.t).verify(x.tol_rel)
 
 
-# The cells' checks and the rows' vets, each a check of the stack x.  A cell's check
-# calls _vet_sandwich and _vet_bounded by name, so a wrapper set on the names sees it.
-
-def _ordered(x) -> None:
-    """The bounds of each slice keep the ordering rule of the row's cell."""
-    x.cell.vet_order(*(getattr(x, name) for name in x.cell.bounds))
-
-
-def _sandwich(x) -> None:
-    _ordered(x)
-    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
+def _vet_bounded(x) -> None:
+    BoundedPair(x.A, x.B, x.m, x.M).verify(x.tol_rel)
 
 
 def _sandwich_st_ge_1(x) -> None:
-    _ordered(x)
     for s, t in zip(x.s, x.t):
         if not math.sqrt(s * t) >= 1.0:
             raise HypothesisError(f"refused: needs sqrt(s*t) >= 1, got s={s!r}, t={t!r}")
-    _vet_sandwich(x.A, x.B, x.s, x.t, x.tol_rel)
-
-
-def _bounded(x) -> None:
-    _ordered(x)
-    _vet_bounded(x.A, x.B, x.m, x.M, x.tol_rel)
+    _vet_sandwich(x)
 
 
 def _order(x) -> None:
-    """The ordering rule, A <= B up to the tolerance, and the spectrum of A within [m, M]."""
-    _ordered(x)
+    """A <= B up to the tolerance, and the spectrum of A within [m, M]."""
     with np.errstate(over="ignore"):  # the largest absolute eigenvalues of A and B
         scale = sum(np.abs(spectrum_bounds(X)).max(axis=0) for X in (x.A, x.B)).tolist()
     for slack, sc in zip(loewner_slack(x.A, x.B).tolist(), scale):
@@ -519,27 +514,11 @@ def _order(x) -> None:
     verify_spectrum("A", x.A, x.m, x.M, x.tol_rel)
 
 
-def _unital(x) -> None:
-    """phi(I) = I for each map: the scalar bound on the right of a Grüss bound presumes it."""
-    for phi in {id(phi): phi for phi in x.map}.values():
-        verdict = check_unital(phi)
-        if not verdict.is_unital:
-            raise NotUnitalError(
-                f"map {phi.label!r} is not unital (||phi(I) - I||_op = "
-                f"{verdict.deviation:.3e}); the scalar bound needs phi(I) = I"
-            )
-
-
-def _means(x) -> None:
-    """tau and sigma, those the row picks, are means between ! and nabla."""
-    for kernel in (*getattr(x, "tau", ()), *getattr(x, "sigma", ())):
-        _vet_mean_kernel(kernel)
-
-
 def _each(name: str, check: Callable, *args) -> Callable:
-    """The vet that calls ``check(value, *args)`` on each slice's value of ``name``."""
+    """The vet that calls ``check(value, *args)`` once on each distinct value
+    of ``name``, told apart by identity, in the order of the slices."""
     def vet(x) -> None:
-        for value in getattr(x, name):
+        for value in {id(v): v for v in getattr(x, name)}.values():
             check(value, *args)
     return vet
 
@@ -613,12 +592,13 @@ def _spread_mM(rngs: list, config) -> list:
 A_SPECTRUM = (0.25, 4.0)
 SANDWICH = Cell(("s", "t"), _sorted_st, spectra=lambda s, t: (A_SPECTRUM, (s, t)),
                 corner=lambda s, t: ((1.0, 4.0), (t, s)),
-                pair=lambda A, C: _sandwich_pair(A, C), check=_sandwich, probe=(0.25, 4.0))
+                pair=lambda A, C: _sandwich_pair(A, C), check=lambda x: _vet_sandwich(x),
+                probe=(0.25, 4.0))
 SANDWICH_ST_GE_1 = replace(SANDWICH, check=_sandwich_st_ge_1, reflect=_st_ge_1)
 BOUNDED = Cell(("m", "M"), _spread_mM, spectra=lambda m, M: ((m, M), (m, M)),
                corner=lambda m, M: ((m, M), (M, m)),
-               pair=lambda A, C: _bounded_pair(A, C), check=_bounded, strict=True,
-               probe=(1.0, 4.0))
+               pair=lambda A, C: _bounded_pair(A, C), check=lambda x: _vet_bounded(x),
+               strict=True, probe=(1.0, 4.0))
 ORDER = Cell(("m", "M"), _spread_mM,  # A <= B = A + C
              spectra=lambda m, M: ((m, M), (1e-3, np.maximum(1e-2, np.subtract(M, m)))),
              pair=lambda A, C: (A, A + C), check=_order)
@@ -628,7 +608,7 @@ ALPHA = Cell(("alpha",), lambda rngs, config: [
     tuple(row) for row in log_uniform_rows(rngs, (1.0, 8.0)).tolist()],
     check=_each("alpha", lambda alpha: _hyp(alpha >= 1.0, f"need alpha >= 1, got {alpha!r}")))
 SPECHT = Cell(("m", "M"), lambda rngs, config: [
-    (1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()], check=_ordered)
+    (1.0, *row) for row in log_uniform_rows(rngs, (1.0 + 1e-6, 100.0)).tolist()])
 # In the order SuiteConfig checks fixed bounds: (s, t), then 0 < m < M, then 0 < m <= M.
 CELLS = (SANDWICH, SANDWICH_ST_GE_1, BOUNDED, ORDER, FREE, ALPHA, SPECHT)
 
@@ -705,6 +685,8 @@ _F_MONOTONE, _FN_MONOTONE = _each("f", _vet_monotone), _each("fn", _vet_monotone
 _G_DECREASING, _FN_DECREASING = (_each(name, _vet_class, OPERATOR_MONOTONE_DECREASING)
                                  for name in ("g", "fn"))
 _G_CONVEX = _each("g", _vet_vanishing_convex)
+_UNITAL = _each("map", _vet_unital)
+_MEANS = tuple(_each(name, _vet_mean_kernel) for name in ("tau", "sigma"))
 
 
 def _row(inequality_id: str, statement: str, **fields) -> Row:
@@ -728,7 +710,7 @@ _row(
     "kantorovich-f", "Kantorovich-constant reversal with the function outside the map: "
     "f(phi(A)) tau f(phi(B)) <= (M+m)^2/(4Mm) f(phi(A sigma B)).",
     cell=BOUNDED, constant=kantorovich_constant, picks=_REVERSAL,
-    vets=(_means, _F_MONOTONE),
+    vets=(*_MEANS, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, _fn_of(x.phi(x.A), x.f),
                                  _fn_of(x.phi(x.B), x.f)),
                      _fn_of(x.phi(kernel_mean(x.sigma, x.A, x.B)), x.f)))
@@ -751,7 +733,7 @@ _row(
     "main-monotone", "Sandwich-parameterized reversal for monotone increasing f: "
     "phi(f(A)) tau phi(f(B)) <= C(s,t) phi(f(A sigma B)).",
     cell=SANDWICH, constant=sandwich_constant, picks=_REVERSAL,
-    vets=(_means, _F_MONOTONE),
+    vets=(*_MEANS, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
                      x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))))
@@ -760,7 +742,7 @@ _row(
     "main-decreasing", "Sandwich-parameterized reversal for monotone decreasing g: "
     "phi(g(A tau B)) <= C(s,t) (phi(g(A)) sigma phi(g(B))).",
     cell=SANDWICH, constant=sandwich_constant,
-    picks=(_MAP, *_KERNELS, ("g", "decreasing_fns", 0)), vets=(_means, _G_DECREASING),
+    picks=(_MAP, *_KERNELS, ("g", "decreasing_fns", 0)), vets=(*_MEANS, _G_DECREASING),
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.g)),
                      kernel_mean(x.sigma, x.phi(_fn_of(x.A, x.g)),
                                  x.phi(_fn_of(x.B, x.g)))))
@@ -772,7 +754,7 @@ _row(
     "<= (M-m)^2/(4Mm) f(M).",
     cell=BOUNDED, constant=gruss_constant,
     picks=(_UNITAL_MAP, *_KERNELS, ("fn", "monotone_fns", 0)),
-    vets=(_unital, _means, _FN_MONOTONE),
+    vets=(_UNITAL, *_MEANS, _FN_MONOTONE),
     carry=lambda x: [f.fn(M) for f, M in zip(x.fn, x.M)], form=_top,
     params={"family": "monotone"},
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A, x.fn)),
@@ -784,7 +766,7 @@ _row(
     "<= (M-m)^2/(4Mm) g(m).",
     cell=BOUNDED, constant=gruss_constant,
     picks=(_UNITAL_MAP, *_KERNELS, ("fn", "decreasing_fns", 0)),
-    vets=(_unital, _means, _FN_DECREASING),
+    vets=(_UNITAL, *_MEANS, _FN_DECREASING),
     carry=lambda x: [g.fn(m) for g, m in zip(x.fn, x.m)], form=_top,
     params={"family": "decreasing"},
     sides=lambda x: (x.phi(_fn_of(kernel_mean(x.tau, x.A, x.B), x.fn))
@@ -821,7 +803,7 @@ _row(
     "diaz-metcalf", "Diaz-Metcalf type bound: "
     "phi(f(sqrt(st) A)) tau phi(f(B)) <= C phi(f(A sigma B)).",
     cell=SANDWICH, constant=diaz_metcalf_constant, picks=_REVERSAL,
-    vets=(_means, _F_MONOTONE),
+    vets=(*_MEANS, _F_MONOTONE),
     sides=lambda x: (kernel_mean(x.tau, x.phi(_fn_of(x.A * _root_st(x.s, x.t), x.f)),
                                  x.phi(_fn_of(x.B, x.f))),
                      x.phi(_fn_of(kernel_mean(x.sigma, x.A, x.B), x.f))))
@@ -833,7 +815,7 @@ _row(
     "<= c I - 2 I - (T^(1/2) - T^(-1/2))^2, c twice the Diaz-Metcalf constant.",
     cell=SANDWICH, constant=lambda s, t: 2.0 * diaz_metcalf_constant(s, t),
     picks=(_MAP, ("sigma", "kernels", 0), ("f", "monotone_fns", 0)),
-    vets=(_means, _F_MONOTONE), form=_klamkin, sides=_klamkin_sides)
+    vets=(_each("sigma", _vet_mean_kernel), _F_MONOTONE), form=_klamkin, sides=_klamkin_sides)
 
 _row(
     "specht-bound", "Arithmetic-geometric comparison via Specht's ratio: "
@@ -849,7 +831,7 @@ _row(
     "phi(f(A)) tau phi(f(B)) <= phi(f(sqrt(st) A)) tau phi(f(B)) "
     "<= ((sqrt(s)+sqrt(t))/2)^2 phi(f(A sigma B)).",
     cell=SANDWICH_ST_GE_1, constant=lambda s, t: sandwich_constant(*_st_ge_1(s, t)),
-    picks=_REVERSAL, vets=(_means, _F_MONOTONE), form=_links, sides=_link_sides)
+    picks=_REVERSAL, vets=(*_MEANS, _F_MONOTONE), form=_links, sides=_link_sides)
 
 # AUDIT: norm-ratio bounds for convex g with g(0) = 0; verdicts may be
 # negative, and are recorded, never asserted.
@@ -892,5 +874,5 @@ AUDIT_INEQUALITIES = tuple(i for i, row in ROWS.items() if row.audit)
 
 # scalarcheck's row: the scalar bounds behind the sandwich lemma, on a grid in
 # each cell, with the cell's ordering rule as its one hypothesis.
-SCALAR_SANDWICH = replace(_SANDWICH_LEMMA, cell=replace(SANDWICH, pair=None, check=_ordered),
+SCALAR_SANDWICH = replace(_SANDWICH_LEMMA, cell=replace(SANDWICH, pair=None, check=None),
                           form=_scalar_sandwich, params={"mode": "scalar"})

@@ -9,6 +9,7 @@ runs of the same configuration produce byte-identical files.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -222,7 +223,7 @@ def _build_pools(config: SuiteConfig, dim: int, inequalities=()) -> dict:
             try:
                 pools[name].append(parse(spec, dim, rng))
             except (ValueError, ArithmeticError, LoewnerLabError) as exc:
-                raise type(exc)(f"field {name}: {spec}: {exc}") from exc
+                raise _in_context(exc, f"field {name}: {spec}") from exc
     kernels, maps = pools["kernels"], pools["maps"]
     pools.update(
         maps=[phi for phi, _ in maps],
@@ -348,10 +349,17 @@ def _evaluate_cell(ineq: str, dim: int, config: SuiteConfig, pools: dict) -> lis
     for trial in range(config.trials):
         try:
             out.append((_evaluate_trial(ineq, dim, [trial], config, pools), 0))
-        except (LoewnerLabError, ValueError, ArithmeticError) as exc:  # each takes one message
-            raise type(exc)(f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
-                            f"{_trial_seed(config, ineq, dim, trial)}: {exc}") from exc
+        except (LoewnerLabError, ValueError, ArithmeticError) as exc:
+            raise _in_context(exc, f"inequality {ineq}, dim {dim}, trial {trial}, trial_seed "
+                                   f"{_trial_seed(config, ineq, dim, trial)}") from exc
     return out
+
+
+def _in_context(exc: Exception, context: str) -> Exception:
+    """A copy of ``exc``, its type and attributes kept, whose message is led by ``context``."""
+    new = copy.copy(exc)
+    new.args = (f"{context}: {exc}",)
+    return new
 
 
 @dataclass

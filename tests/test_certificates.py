@@ -714,14 +714,104 @@ def test_each_constant_is_declared_once(ineq, multiplier, monkeypatch):
             SuiteConfig(inequalities=(ineq,), **dict(zip(row.cell.bounds, cells[0])))
 
 
-def test_each_cell_hypothesis_is_declared_once():
-    # a cell with bounds checks its hypothesis, and no row's vets repeat a cell's check
-    from loewner_lab.certificates import CELLS
+def test_each_cell_hypothesis_is_declared_once(monkeypatch):
+    # check_stack runs the ordering rule of each cell with two bounds, once a
+    # stack; a cell's check is only the rest of its own hypothesis (the free,
+    # Specht and scalar-sandwich cells have none), and no row's vets repeat a
+    # cell's check
+    from loewner_lab.certificates import CELLS, FREE, SPECHT, Cell, check_stack
 
-    assert all((cell.check is not None) == bool(cell.bounds) for cell in CELLS)
+    assert [cell for cell in CELLS if cell.check is None] == [FREE, SPECHT]
+    assert SCALAR_SANDWICH.cell.check is None
     checks = [cell.check for cell in CELLS if cell.check is not None]
     for ineq, row in ROWS.items():
         assert not any(vet is check for vet in row.vets for check in checks), ineq
+    ordered, real = [], Cell.vet_order
+    monkeypatch.setattr(Cell, "vet_order", lambda cell, *cols: ordered.append(cell)
+                        or real(cell, *cols))
+    config = SuiteConfig(dims=(2,), trials=3, seed=7)
+    pools = suite._build_pools(config, 2)
+    for ineq, row in ROWS.items():
+        ordered.clear()
+        stacks = suite._stacks(ineq, 2, range(3), pools)
+        for trials in stacks:
+            suite._evaluate_trial(ineq, 2, trials, config, pools)
+        assert ordered == [row.cell] * len(stacks) * (len(row.cell.bounds) == 2), ineq
+    ordered.clear()
+    check_stack(SCALAR_SANDWICH, None, None, [(0.5, 2.0)], {})
+    assert ordered == [SCALAR_SANDWICH.cell]
+
+
+class _Unread:
+    """A stand-in for a stack or a pick that fails the test when a check reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a check read .{name} before the ordering rule refused")
+
+
+_TWO_BOUNDS = [ineq for ineq in ALL_INEQUALITIES if len(ROWS[ineq].cell.bounds) == 2]
+
+
+@pytest.mark.parametrize("row", [ROWS[ineq] for ineq in _TWO_BOUNDS] + [SCALAR_SANDWICH],
+                         ids=_TWO_BOUNDS + ["scalar-sandwich"])
+def test_ordering_rule_refuses_a_stack_first(row):
+    # trial 1's bounds break its cell's ordering rule (reversed, or equal in a
+    # strict cell): the stack is refused for trial 1 before the pair check or
+    # any of the row's vets reads a stack or a pick
+    from loewner_lab.certificates import check_stack
+
+    cell, unread = row.cell, _Unread()
+    (a, b), op = cell.bounds, "<" if cell.strict else "<="
+    stacks = (None, None) if cell.pair is None else (unread, unread)
+    picks = {name: [unread, unread] for name, *_ in row.picks}
+    for lo, hi in [(2.0, 1.0)] + [(1.5, 1.5)] * cell.strict:
+        with pytest.raises(HypothesisError) as info:
+            check_stack(row, *stacks, [(1.0, 4.0), (lo, hi)], picks)
+        assert str(info.value) == f"need 0 < {a} {op} {b}, got {a}={lo!r}, {b}={hi!r}"
+
+
+def test_each_vet_checks_each_distinct_value_once(monkeypatch):
+    # a row's vet checks each distinct pick value once, told apart by identity,
+    # in the order the values first appear among the trials, so its refusal is
+    # that of the first failing trial; check_unital and _vet_mean_kernel are
+    # counted through the names they are called by (_vet_mean_kernel makes one
+    # mean_kernel_gaps call)
+    from loewner_lab import KrausSumMap, certificates
+    from loewner_lab.certificates import BOUNDED, SANDWICH, check_stack
+
+    seen = []
+    for name in ("check_unital", "mean_kernel_gaps"):
+        real = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name, lambda v, real=real: seen.append(v) or real(v))
+    rngs = [SplitMix64(derive_seed(7, k)) for k in range(6)]
+    unital, other, doubled = IdentityMap(2), IdentityMap(2), KrausSumMap((2.0 * np.eye(2),))
+    A, B, cells = BOUNDED.draw(rngs, 2, SuiteConfig())
+    gruss = {"tau": [GEOMETRIC] * 6, "sigma": [GEOMETRIC] * 6, "fn": [SQRT] * 6}
+    with pytest.raises(NotUnitalError) as info:
+        check_stack(ROWS["gruss-f"], A, B, cells,
+                    {"phi": [unital, unital, doubled, unital, doubled, unital], **gruss})
+    assert str(info.value) == ("map 'kraus' is not unital (||phi(I) - I||_op = 3.000e+00); "
+                               "the scalar bound needs phi(I) = I")
+    assert list(map(id, seen)) == list(map(id, [unital, doubled]))
+    seen.clear()
+    check_stack(ROWS["gruss-f"], A, B, cells, {"phi": [unital, other] * 3, **gruss})
+    assert list(map(id, seen)) == list(map(id, [unital, other, GEOMETRIC, GEOMETRIC]))
+
+    above = MonotoneFunction("above-nabla", lambda t: 1.0 + t, OPERATOR_MONOTONE)
+    A, B, cells = SANDWICH.draw(rngs, 2, SuiteConfig())
+    main = {"phi": [unital] * 6, "sigma": [HARMONIC] * 6, "f": [SQRT] * 6}
+    seen.clear()
+    with pytest.raises(HypothesisError) as info:
+        check_stack(ROWS["main-monotone"], A, B, cells,
+                    {"tau": [GEOMETRIC, ARITHMETIC, GEOMETRIC, above, HARMONIC, above], **main})
+    assert str(info.value) == ("kernel 'above-nabla' is not between the harmonic and arithmetic "
+                               "kernels (margins 8.285e-01, -5.000e+03)")
+    assert list(map(id, seen)) == list(map(id, [GEOMETRIC, ARITHMETIC, above]))
+    seen.clear()
+    check_stack(ROWS["main-monotone"], A, B, cells,
+                {"tau": [GEOMETRIC, ARITHMETIC, GEOMETRIC, HARMONIC, HARMONIC, ARITHMETIC],
+                 **main})
+    assert list(map(id, seen)) == list(map(id, [GEOMETRIC, ARITHMETIC, HARMONIC, HARMONIC]))
 
 
 def test_each_sandwich_or_bounded_stack_is_verified_once(monkeypatch):

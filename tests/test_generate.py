@@ -30,10 +30,13 @@ from oracles import bounded_pair, one, quadratic_form_slack, sandwich_pair
 
 
 def _check_cell(cell, A, B, cells):
-    """The cell's hypothesis check on drawn stacks, as ``check_stack`` runs it."""
+    """The cell's hypothesis on drawn stacks, as ``check_stack`` runs it: the
+    ordering rule of a cell with two bounds, then the cell's check."""
+    bounds = dict(zip(cell.bounds, map(list, zip(*cells))))
+    if len(cell.bounds) == 2:
+        cell.vet_order(*bounds.values())
     if cell.check is not None:
-        cell.check(SimpleNamespace(A=A, B=B, cell=cell, tol_rel=LOEWNER_TOL_REL,
-                                   **dict(zip(cell.bounds, map(list, zip(*cells))))))
+        cell.check(SimpleNamespace(A=A, B=B, tol_rel=LOEWNER_TOL_REL, **bounds))
 
 
 class TestSplitMix:

@@ -557,6 +557,9 @@ class TestRunSuite:
         assert seen == [[0, 2, 3, 4], [0], [1], [2], [3]]
         assert str(info.value).startswith(
             f"inequality polya-szego, dim 3, trial 3, trial_seed {seed}: reconstruction residual")
+        # the error that names the trial keeps the residual of the one it was raised from
+        assert info.value.residual is not None
+        assert info.value.residual == info.value.__cause__.residual
 
     def test_slack_error_surfaces_at_its_own_trial(self, monkeypatch):
         # trial 3's slack solve fails, in its stack and alone: the verdict

@@ -166,6 +166,30 @@ def test_every_inequality_id_is_spelled_once_in_the_source():
         ineq: 1 for ineq in ALL_INEQUALITIES}
 
 
+def test_no_caught_error_is_rebuilt_and_no_vet_is_cached():
+    # an error that gains context is a copy of the caught one, so it keeps its
+    # attributes: no handler in the source raises type(exc)(...) of the error
+    # it caught; and a hypothesis vet runs once per distinct value, with no
+    # cache in certificates
+    import ast
+
+    from loewner_lab import certificates
+
+    src = Path(suite.__file__).resolve().parent
+    rebuilt = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(handler, ast.ExceptHandler) and handler.name
+               for node in ast.walk(handler)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Call)
+               and isinstance(node.func.func, ast.Name) and node.func.func.id == "type"
+               and [getattr(arg, "id", None) for arg in node.func.args] == [handler.name]]
+    assert rebuilt == []
+    tree = ast.parse(Path(certificates.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert "lru_cache" not in imported
+
+
 def test_no_json_call_in_the_source_indents():
     # the report writer is the one indented serializer: json's indented
     # encoder runs in pure Python
