@@ -401,18 +401,17 @@ def _scaling(row: Row, x) -> list[Sides]:
     for decreasing g, each at the worst point of ``default_grid()``."""
     c = _constants(row, x)
     points = default_grid()
-    # f(t) of each trial, then f(alpha t) as one (trials, points) block
-    f_t = [on_grid(fn) for fn in x.f]
-    f_alpha_t = on_points(x.f, np.array(x.alpha, dtype=float)[:, None] * points)
-    worst = []
-    for fn, alpha, c_k, at_t, at_alpha_t in zip(x.f, x.alpha, c, f_t, f_alpha_t):
-        if fn.klass == OPERATOR_MONOTONE:
-            worst.append(_worst_on_grid(points, at_alpha_t, c_k * at_t))
-        else:
-            worst.append(_worst_on_grid(points, at_t / alpha, x.mult * at_alpha_t))
-    worst_t, lhs, rhs, ratio = (list(col) for col in zip(*worst))
-    return [_columns(row, x, np.array(lhs), np.array(rhs), c, ratio,
-                     grid_points=[len(points)] * x.n, worst_t=worst_t)]
+    f_t = np.array([on_grid(fn) for fn in x.f])  # (trials, points), as is f(alpha t)
+    alpha = np.array(x.alpha, dtype=float)[:, None]
+    f_alpha_t = on_points(x.f, alpha * points)
+    up = np.array([fn.klass == OPERATOR_MONOTONE for fn in x.f])[:, None]
+    lhs, rhs = np.where(up, f_alpha_t, f_t), np.where(up, f_t, f_alpha_t)
+    del f_t, f_alpha_t  # a block each: hold no more blocks at once than the bound needs
+    lhs /= np.where(up, 1.0, alpha)  # each row takes its own factors: no other product overflows
+    rhs *= np.where(up, np.array(c)[:, None], x.mult)
+    worst_t, lhs, rhs, ratio = _worst_on_grid(np.broadcast_to(points, lhs.shape), lhs, rhs)
+    return [_columns(row, x, lhs, rhs, c, ratio,
+                     grid_points=[len(points)] * x.n, worst_t=worst_t.tolist())]
 
 
 # The number of points of the scalar sandwich's grid in [s, t].
@@ -422,30 +421,30 @@ _SANDWICH_GRID_POINTS = 200
 def _scalar_sandwich(row: Row, x) -> list[Sides]:
     """The scalar bounds (x+1)/2 <= c2 sqrt(x) and (1/x+1)/2 <= c2/sqrt(x)
     behind the sandwich lemma, at the worst point of a grid in [s, t]."""
-    c = _constants(row, x)
-    worst = []
-    for s, t, (_, c2) in zip(x.s, x.t, c):
-        xs = np.geomspace(s, t, _SANDWICH_GRID_POINTS).tolist()
-        worst.append(_worst_on_grid(
-            [v for v in xs for _ in range(2)],
-            np.array([y for v in xs for y in (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0))]),
-            np.array([y for v in xs for y in (c2 * math.sqrt(v), c2 / math.sqrt(v))])))
-    worst_x, lhs, rhs, ratio = (list(col) for col in zip(*worst))
-    return [_columns(row, x, np.array(lhs), np.array(rhs), [c_k[1] for c_k in c], ratio,
-                     grid_points=[_SANDWICH_GRID_POINTS] * x.n, worst_x=worst_x)]
+    c2 = [c_k[1] for c_k in _constants(row, x)]
+    v = np.geomspace(x.s, x.t, _SANDWICH_GRID_POINTS, axis=1)
+    root, c2_col = np.sqrt(v), np.array(c2)[:, None]
+    with np.errstate(over="ignore"):  # an overflow gives inf, as in floats
+        # the two bounds at each point, interleaved: point k is columns 2k and 2k + 1
+        lhs, rhs = (np.stack(pair, axis=2).reshape(x.n, -1) for pair in (
+            (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0)), (c2_col * root, c2_col / root)))
+    worst_x, lhs, rhs, ratio = _worst_on_grid(np.repeat(v, 2, axis=1), lhs, rhs)
+    return [_columns(row, x, lhs, rhs, c2, ratio,
+                     grid_points=[_SANDWICH_GRID_POINTS] * x.n, worst_x=worst_x.tolist())]
 
 
-def _worst_on_grid(points, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
-    """(point, lhs, rhs, largest ratio) at the first smallest rhs - lhs of a
-    scalar bound checked at each of ``points`` (a point may repeat)."""
+def _worst_on_grid(points: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(point, lhs, rhs, largest ratio) of each row, as one array each, at
+    the row's first smallest rhs - lhs of a scalar bound checked at each of
+    the row's ``points`` (a point may repeat); a row with no slack below
+    +inf reads its first point and zero sides."""
+    # fmax reads a nan ratio as never the largest, and a nan maximum as 0.0, as max() does
+    ratio = np.fmax(0.0, np.fmax.reduce(_norm_ratio_diag(lhs, rhs), axis=1))
     slack = rhs - lhs
-    i = int(slack.argmin())  # a nan slack is the worst, so its trial fails
-    if slack[i] != math.inf:
-        worst = (float(points[i]), float(lhs[i]), float(rhs[i]))
-    else:  # no slack is below +inf
-        worst = (float(points[0]), 0.0, 0.0)
-    ratio = _norm_ratio_diag(lhs, rhs)
-    return (*worst, max(0.0, float(np.fmax.reduce(ratio))))  # a nan ratio is never the largest
+    at = (np.arange(len(slack)), slack.argmin(axis=1))  # a nan slack is the worst
+    none = slack[at] == math.inf
+    return (np.where(none, points[:, 0], points[at]), np.where(none, 0.0, lhs[at]),
+            np.where(none, 0.0, rhs[at]), ratio)
 
 
 # Hypotheses.  The per-slice checks raise HypothesisError themselves rather
@@ -822,8 +821,8 @@ _row(
     "(M+m)/2 <= S(M/m) sqrt(Mm).",
     cell=SPECHT, constant=lambda m, M: specht_ratio(M / m),
     form=_against_rhs,
-    sides=lambda x: (np.array([0.5 * (M + m) for m, M in zip(x.m, x.M)]),
-                     np.array([math.sqrt(M * m) for m, M in zip(x.m, x.M)])))
+    sides=np.errstate(over="ignore")(  # an overflow gives inf, as in floats
+        lambda x: (0.5 * np.add(x.M, x.m), np.sqrt(np.multiply(x.M, x.m)))))
 
 # sqrt(st) >= 1 puts sandwich_constant on its s*t >= 1 branch, ((sqrt(s)+sqrt(t))/2)^2.
 _row(

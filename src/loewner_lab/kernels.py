@@ -100,8 +100,9 @@ def heinz(nu: float) -> MonotoneFunction:
     nu = float(nu)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"heinz parameter must lie in [0, 1], got {nu!r}")
-    return MonotoneFunction(f"heinz:{param_id(nu)}",
-                            lambda t: 0.5 * (t**nu + t ** (1.0 - nu)), OPERATOR_MONOTONE)
+    return MonotoneFunction(f"heinz:{param_id(nu)}", twinned(
+        lambda t: 0.5 * (t**nu + t ** (1.0 - nu)),
+        lambda t: 0.5 * (np.float_power(t, nu) + np.float_power(t, 1.0 - nu))), OPERATOR_MONOTONE)
 
 
 # The default pools, as the specs that parse_kernel and parse_function read.
@@ -133,7 +134,8 @@ def power(p: float) -> MonotoneFunction:
     if p == 1.0:
         return IDENTITY_FN
     klass = OPERATOR_MONOTONE if p <= 1.0 else OPERATOR_CONVEX_ZERO
-    return MonotoneFunction(f"power:{param_id(p)}", lambda t: t**p, klass)
+    return MonotoneFunction(f"power:{param_id(p)}",
+                            twinned(lambda t: t**p, lambda t: np.float_power(t, p)), klass)
 
 
 def inv_power(p: float) -> MonotoneFunction:
@@ -141,7 +143,8 @@ def inv_power(p: float) -> MonotoneFunction:
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"inv_power exponent must lie in (0, 1], got {p!r}")
-    return MonotoneFunction(f"inv_power:{param_id(p)}", lambda t: t ** (-p),
+    return MonotoneFunction(f"inv_power:{param_id(p)}",
+                            twinned(lambda t: t ** (-p), lambda t: np.float_power(t, -p)),
                             OPERATOR_MONOTONE_DECREASING)
 
 

@@ -280,8 +280,9 @@ def twinned(fn, twin=None):
     ``matrix_function`` applies to all the eigenvalues at once.
 
     A twin must give fn's bits on every float.  Plain IEEE arithmetic and
-    np.sqrt do, being correctly rounded; libm's other functions (pow, log,
-    exp) may not.  By default fn, plain arithmetic, is its own twin.
+    np.sqrt do, being correctly rounded, and np.float_power calls libm's pow
+    as Python's ** does; numpy's log, exp, log1p and power may not match
+    libm.  By default fn, plain arithmetic, is its own twin.
     """
     fn.twin = fn if twin is None else twin
     return fn

@@ -237,10 +237,6 @@ def _build_pools(config: SuiteConfig, dim: int, inequalities=()) -> dict:
     return pools
 
 
-def _pick(pool, index: int):
-    return pool[index % len(pool)]
-
-
 def _instance_blob(k: int, **stacks) -> dict:
     """Slice k of each named stack, in the report's form; None names no matrix."""
     return {name: certs.slice_to_json(X, k) for name, X in stacks.items() if X is not None}
@@ -248,8 +244,8 @@ def _instance_blob(k: int, **stacks) -> dict:
 
 def _picked(row: certs.Row, trials: list, pools: dict) -> dict:
     """Each of the row's picks, one per trial of ``trials``."""
-    return {name: [_pick(pools[pool], trial + offset) for trial in trials]
-            for name, pool, offset in row.picks}
+    return {name: [items[(trial + offset) % len(items)] for trial in trials]
+            for name, pool, offset in row.picks for items in (pools[pool],)}
 
 
 def _trial_seed(config: SuiteConfig, ineq: str, dim: int, trial: int) -> int:

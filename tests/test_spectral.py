@@ -319,17 +319,19 @@ def _twins():
     return [f for f in fns if hasattr(f, "twin")]
 
 
-def test_twins_are_exactly_the_arithmetic_and_sqrt_functions():
+def test_twins_are_exactly_the_arithmetic_sqrt_and_pow_functions():
     from loewner_lab import certificates
     from loewner_lab.kernels import ARITHMETIC, HARMONIC, LOGARITHMIC, heinz, inv_power
 
     twins = _twins()
     for f in (ARITHMETIC.fn, GEOMETRIC.fn, HARMONIC.fn, IDENTITY_FN.fn, SQUARE.fn):
         assert f in twins
-    for f in (LOGARITHMIC.fn, heinz(0.25).fn, power(0.5).fn, power(1.5).fn, inv_power(1.0).fn,
-              inv_power(0.5).fn, LOG1P.fn):
-        assert not hasattr(f, "twin")  # pow, log and log1p need not match numpy's
-    assert len(twins) == 12 and certificates._sqrt is GEOMETRIC.fn
+    for f in (heinz(0.25).fn, power(0.5).fn, power(1.5).fn, inv_power(1.0).fn,
+              inv_power(0.5).fn):
+        assert hasattr(f, "twin")  # np.float_power calls libm's pow, as ** does
+    for f in (LOGARITHMIC.fn, LOG1P.fn):
+        assert not hasattr(f, "twin")  # log and log1p need not match numpy's
+    assert len(twins) == 17 and certificates._sqrt is GEOMETRIC.fn
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,6 +341,33 @@ def test_each_twin_gives_its_scalar_functions_bits(xs):
         got = f.twin(np.array(xs))
         assert got.dtype == np.float64
         assert got.tobytes() == np.array([float(f(x)) for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("spec, lams, message", [
+    ("power:0.5", [0.0, 5e-324, 2.0], None),
+    ("heinz:0.25", [0.0, 5e-324, 2.0], None),
+    ("inv_power:0.5", [5e-324, 1e-310, 2.0], None),
+    ("inv_power:0.5", [0.0, 5e-324, 2.0],
+     "function undefined at eigenvalue 0.0: 0.0 cannot be raised to a negative power"),
+    ("inv_power:1", [5e-324, 1e-310, 2.0],
+     "function undefined at eigenvalue 5e-324: (34, 'Numerical result out of range')"),
+    ("power:1.5", [0.0, 5e-324, 1e250],
+     "function undefined at eigenvalue 1e+250: (34, 'Numerical result out of range')"),
+    ("power:2", [0.0, 5e-324, 1e200],
+     "function undefined at eigenvalue 1e+200: (34, 'Numerical result out of range')"),
+])
+def test_pow_twins_keep_the_scalar_functions_values_and_errors(spec, lams, message):
+    # at 0.0, subnormals and an overflowing eigenvalue, a pow twin gives the
+    # scalar function's bits, or matrix_function raises the walk's DomainError
+    fn = (parse_kernel if spec.startswith("heinz") else parse_function)(spec).fn
+    A = one(np.diag(lams))
+    if message is None:
+        got = np.diagonal(matrix_function(A, fn).data[0])
+        assert got.tobytes() == np.array([fn(lam) for lam in lams]).tobytes()
+        return
+    with pytest.raises(DomainError) as info:
+        matrix_function(A, fn)
+    assert str(info.value) == message
 
 
 class TestLoewnerCompare:

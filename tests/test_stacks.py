@@ -3,6 +3,7 @@ gives as a stack of one, and a cell really is evaluated as stacks."""
 
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from loewner_lab.certificates import (
     BOUNDED,
     SANDWICH,
     SANDWICH_ST_GE_1,
+    SCALAR_SANDWICH,
     SPECHT,
     _norm_ratio_diag,
 )
@@ -346,6 +348,62 @@ def test_alpha_scaling_matches_the_grid_loop(alpha, multiplier):
         got = certify("alpha-scaling", None, None, alpha, f=fn,
                       constant_multiplier=multiplier).to_json(0)
         assert got == _alpha_scaling_reference(fn, alpha, multiplier), fn.id
+
+
+def test_alpha_scaling_multiplies_only_the_rows_own_factors():
+    # at multiplier 1e306 no row below overflows its own products, but alpha
+    # 1e306 g(t), the product an increasing row takes, overflows for the
+    # decreasing g = inv_power:0.5 at alpha 4 and 8; a RuntimeWarning is an
+    # error here, so the stack passes only if each row computes its own
+    cases = [(fn, alpha) for alpha in (1.5, 4.0, 8.0) for fn in _SCALING_FNS
+             if fn.id not in ("power:0.5", "power:1", "inv_power:1")] + [(_SQRT, 1.5)]
+    fns, alphas = zip(*cases)
+    stack = certificates.check_stack(certificates.ROWS["alpha-scaling"], None, None,
+                                     [(alpha,) for alpha in alphas], {"f": list(fns)},
+                                     constant_multiplier=1e306)
+    for k, (fn, alpha) in enumerate(cases):
+        assert stack.sides[0].to_json(k) == _alpha_scaling_reference(fn, alpha, 1e306), fn.id
+
+
+def _scalar_sandwich_loop(row, x):
+    """The scalar sandwich's form as a loop over trials, one grid of [s, t] at a
+    time, each bound at each point in turn, and its worst point by the rule
+    of each grid: the first smallest slack (a nan the smallest), or the first
+    point with zero sides if no slack is below +inf."""
+    c = certificates._constants(row, x)
+    worst = []
+    for s, t, (_, c2) in zip(x.s, x.t, c):
+        xs = np.geomspace(s, t, 200).tolist()
+        points = [v for v in xs for _ in range(2)]
+        lhs = np.array([y for v in xs for y in (0.5 * (v + 1.0), 0.5 * (1.0 / v + 1.0))])
+        rhs = np.array([y for v in xs for y in (c2 * math.sqrt(v), c2 / math.sqrt(v))])
+        slack = rhs - lhs
+        i = int(slack.argmin())
+        point = (points[i], lhs[i], rhs[i]) if slack[i] != math.inf else (points[0], 0.0, 0.0)
+        ratio = max(0.0, float(np.fmax.reduce(_norm_ratio_diag(lhs, rhs))))
+        worst.append((*map(float, point), ratio))
+    worst_x, lhs, rhs, ratio = (list(col) for col in zip(*worst))
+    return [certificates._columns(row, x, np.array(lhs), np.array(rhs), [c_k[1] for c_k in c],
+                                  ratio, grid_points=[200] * x.n, worst_x=worst_x)]
+
+
+_EXPONENTS = st.floats(-150.0, 150.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.lists(st.tuples(_EXPONENTS, _EXPONENTS, st.booleans()), min_size=1, max_size=6),
+       multiplier=st.sampled_from([1.0, 0.9, 0.5]))
+def test_scalar_sandwich_matches_the_grid_loop(cells, multiplier):
+    # random cells of (10^a, 10^b), sorted, and s = t cells where the flag is set
+    cells = [(10.0**a, 10.0**a) if same else tuple(sorted((10.0**a, 10.0**b)))
+             for a, b, same in cells]
+    cells += [(1e-150, 1e150), (1e150, 1e150), (1e-150, 1e-150), (0.25, 4.0), (1.0, 1.0)]
+    got, want = (certificates.check_stack(row, None, None, cells, {},
+                                          constant_multiplier=multiplier).sides[0]
+                 for row in (SCALAR_SANDWICH, replace(SCALAR_SANDWICH, form=_scalar_sandwich_loop)))
+    for name in ("lhs", "rhs", "constant", "ratio", "slack", "tol", "holds"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert repr(got.params) == repr(want.params)
 
 
 def test_overflowing_average_is_refused():
